@@ -18,7 +18,6 @@ from uhfkron import (
     commutant_dimension,
     gns_build,
     gns_intertwiner,
-    gns_lambda,
     gns_tensor_phi,
     matrix_unit,
     random_density,
@@ -43,7 +42,7 @@ def main():
     print()
     print("=== the GNS map ===")
     x = matrix_unit(S.sig, 1, 2)
-    vec = gns_lambda(G, x)
+    vec = G.lambda_vec(x)
     print("||Lambda(E_12)||^2 =", float(np.vdot(vec, vec).real))
     print("omega(E_21 E_12)   =",
           state_evaluate(S, (x.adjoint() * x)).real)

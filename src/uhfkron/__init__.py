@@ -19,10 +19,6 @@ from .algebra import (
     block_permutation,
     coproduct_phi,
     coproduct_phi_block,
-    elem_add,
-    elem_adjoint,
-    elem_mul,
-    elem_scale,
     elem_tensor,
     embed_psi,
     from_dense,
@@ -30,10 +26,8 @@ from .algebra import (
     insert_identity_slot,
     kron_box,
     matrix_unit,
-    permute_slots,
     product_phi_inverse,
     random_element,
-    split_slot,
     to_dense,
     zero,
 )
@@ -44,8 +38,19 @@ from .atoms import (
     atom_label_product,
     atom_state,
 )
-from .checks import SUITES, CheckReport, run_suite
-from .cli import cli_run
+from .checks import (
+    SUITES,
+    CheckReport,
+    run_suite,
+    suite_atom_semigroup,
+    suite_coassociativity,
+    suite_compatibility,
+    suite_nonsymmetry,
+    suite_star_isomorphism,
+    suite_state_associativity,
+    suite_tensor_formula,
+)
+from .cli import cli_run, main
 from .errors import (
     GramMismatchError,
     IndexRangeError,
@@ -56,21 +61,24 @@ from .errors import (
     ValidationError,
 )
 from .gns import (
+    GNS_EIG_CUTOFF,
+    GRAM_TOL,
+    SV_RANK_CUTOFF,
     FactorGns,
     GnsTriplet,
     commutant_dimension,
     gns_build,
-    gns_factor,
     gns_intertwiner,
-    gns_lambda,
     gns_tensor_phi,
 )
-from .parser import format_element, parse_element, parse_state
+from .parser import format_complex, format_element, parse_element, parse_state
 from .states import (
+    DENSITY_VALIDATE_TOL,
     DensityFactor,
     ProductStateTrunc,
     density_validate,
     random_density,
+    random_state,
     state_boxtimes,
     state_density_level,
     state_evaluate,

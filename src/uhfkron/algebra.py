@@ -4,7 +4,7 @@ A stage is a tensor product M_{a_1} (x) ... (x) M_{a_n} of full complex
 matrix algebras, recorded by its :class:`Signature` ``(a_1, ..., a_n)``.
 Elements are sparse linear combinations of elementary tensors of matrix
 units E_{jk}; every structural map (multiplication, unital embedding,
-Kronecker coproduct, slot permutation) acts on the integer index data
+Kronecker coproduct) acts on the integer index data
 exactly, so floating point enters only through the coefficients.
 
 Index conventions
@@ -24,6 +24,7 @@ as an element over the concatenated signature, first block before second.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -45,15 +46,9 @@ __all__ = [
     "matrix_unit",
     "identity",
     "zero",
-    "elem_add",
-    "elem_scale",
-    "elem_adjoint",
-    "elem_mul",
     "elem_tensor",
     "embed_psi",
     "insert_identity_slot",
-    "split_slot",
-    "permute_slots",
     "coproduct_phi",
     "coproduct_phi_block",
     "product_phi_inverse",
@@ -323,23 +318,6 @@ def zero(sig) -> AlgebraElement:
     return AlgebraElement(as_signature(sig))
 
 
-def elem_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def elem_scale(c, x: AlgebraElement) -> AlgebraElement:
-    return x * c
-
-
-def elem_adjoint(x: AlgebraElement) -> AlgebraElement:
-    return x.adjoint()
-
-
-def elem_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Algebra product, factorwise E_{jk} E_{lm} = delta_{kl} E_{jm}."""
-    return x * y
-
-
 def elem_tensor(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Tensor product over the concatenated signature."""
     out: dict[MatrixUnitIndex, complex] = {}
@@ -379,56 +357,72 @@ def embed_psi(x: AlgebraElement, next_dim: int) -> AlgebraElement:
     return insert_identity_slot(x, x.sig.level, next_dim)
 
 
-def split_slot(x: AlgebraElement, position: int, left_dim: int,
-               right_dim: int) -> AlgebraElement:
-    """Recode slot ``position`` of size left*right into two adjacent slots.
-
-    An index j in the fused slot becomes (j', j'') with
-    j = right_dim*(j' - 1) + j''.
-    """
-    dims = x.sig.dims
-    if not 0 <= position < len(dims):
-        raise SignatureError(f"slot position {position} outside 0..{len(dims) - 1}")
-    if dims[position] != left_dim * right_dim:
-        raise SignatureError(
-            f"slot {position} has dimension {dims[position]}, "
-            f"not {left_dim}*{right_dim}"
-        )
-    new_sig = Signature(
-        dims[:position] + (left_dim, right_dim) + dims[position + 1:]
-    )
-    out: dict[MatrixUnitIndex, complex] = {}
-    for (r, c), v in x.terms.items():
-        jq, jr = divmod(r[position] - 1, right_dim)
-        kq, kr = divmod(c[position] - 1, right_dim)
-        idx = MatrixUnitIndex(
-            r[:position] + (jq + 1, jr + 1) + r[position + 1:],
-            c[:position] + (kq + 1, kr + 1) + c[position + 1:],
-        )
-        out[idx] = v
-    return AlgebraElement(new_sig, out, validate=False)
-
-
-def permute_slots(x: AlgebraElement, perm: Sequence[int]) -> AlgebraElement:
-    """Reorder tensor slots; ``perm[new_position] = old_position``."""
-    level = x.sig.level
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(level)):
-        raise SignatureError(f"{perm} is not a permutation of 0..{level - 1}")
-    new_sig = Signature(tuple(x.sig.dims[p] for p in perm))
-    out: dict[MatrixUnitIndex, complex] = {}
-    for (r, c), v in x.terms.items():
-        idx = MatrixUnitIndex(
-            tuple(r[p] for p in perm), tuple(c[p] for p in perm)
-        )
-        out[idx] = v
-    return AlgebraElement(new_sig, out, validate=False)
-
-
 def _split1(j: int, right: int) -> tuple[int, int]:
     # 1-based index split for one fused slot
     q, r = divmod(j - 1, right)
     return q + 1, r + 1
+
+
+def _digit_places(dims, radices) -> list[tuple[int, int]]:
+    # (slot, stride inside the slot) of each digit; slots span whole digits
+    radices = iter(radices)
+    places = []
+    for slot, dim in enumerate(dims):
+        while dim > 1:
+            radix = next(radices)
+            assert dim % radix == 0, "a slot must span whole digits"
+            dim //= radix
+            places.append((slot, dim))
+    return places
+
+
+@functools.lru_cache(maxsize=256)
+def _digit_plan(in_dims, digits, order, out_dims):
+    # per digit in target order: (source slot, stride, radix, target slot,
+    # stride); cached because the suites repeat a few shapes many times
+    moved = [digits[k] for k in order]
+    source = _digit_places(in_dims, digits)
+    target = _digit_places(out_dims, moved)
+    return tuple(
+        (*source[k], radix, *place)
+        for k, radix, place in zip(order, moved, target)
+    )
+
+
+def _regroup(x: AlgebraElement, digits: tuple[int, ...],
+             order: tuple[int, ...],
+             out_dims: tuple[int, ...]) -> AlgebraElement:
+    """Relabel every row and column multi-index of ``x``, keeping coefficients.
+
+    A multi-index is read as one row-major tensor index and moved the way
+    numpy moves it under ``reshape(digits).transpose(order)
+    .reshape(out_dims)``; the result lives over ``out_dims``.  Each slot
+    of ``x`` and of ``out_dims`` spans whole digits.  Each distinct
+    multi-index is converted once per call.
+    """
+    plan = _digit_plan(x.sig.dims, digits, order, out_dims)
+    ones = [1] * len(out_dims)
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def relabel(multi):
+        out = memo.get(multi)
+        if out is None:
+            acc = ones[:]
+            for src, stride, radix, dst, weight in plan:
+                acc[dst] += (multi[src] - 1) // stride % radix * weight
+            out = memo[multi] = tuple(acc)
+        return out
+
+    terms = {
+        MatrixUnitIndex(relabel(r), relabel(c)): v
+        for (r, c), v in x._terms.items()
+    }
+    return AlgebraElement(out_dims, terms, validate=False)
+
+
+def _interleave(a: Signature, b: Signature) -> tuple[int, ...]:
+    # (a_1, b_1, ..., a_n, b_n): the digits of the fused slots a_i*b_i
+    return tuple(d for pair in zip(a.dims, b.dims) for d in pair)
 
 
 def coproduct_phi(x: AlgebraElement, a, b) -> AlgebraElement:
@@ -447,20 +441,9 @@ def coproduct_phi(x: AlgebraElement, a, b) -> AlgebraElement:
             f"signature {x.sig.dims} is not the entrywise product of "
             f"{a.dims} and {b.dims}"
         )
-    bd = b.dims
-    out: dict[MatrixUnitIndex, complex] = {}
-    for (r, c), v in x.terms.items():
-        ra, rb, ca, cb = [], [], [], []
-        for j, k, bi in zip(r, c, bd):
-            jq, jr = _split1(j, bi)
-            kq, kr = _split1(k, bi)
-            ra.append(jq)
-            rb.append(jr)
-            ca.append(kq)
-            cb.append(kr)
-        idx = MatrixUnitIndex(tuple(ra) + tuple(rb), tuple(ca) + tuple(cb))
-        out[idx] = v
-    return AlgebraElement(a.concat(b), out, validate=False)
+    n = a.level
+    order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+    return _regroup(x, _interleave(a, b), order, a.dims + b.dims)
 
 
 def coproduct_phi_block(x: AlgebraElement, start: int, count: int,
@@ -469,22 +452,29 @@ def coproduct_phi_block(x: AlgebraElement, start: int, count: int,
 
     The split block comes out in block order: the first-factor slots occupy
     positions start..start+count-1, the second-factor slots follow, and all
-    other slots keep their relative places.  Composed from :func:`split_slot`
-    and :func:`permute_slots`, so it is exact on indices.
+    other slots keep their relative places.  Exact on indices.
     """
     a = as_signature(a)
     b = as_signature(b)
     if a.level != count or b.level != count:
         raise SignatureError("factor signatures must match the block length")
-    y = x
-    for i in range(count):
-        y = split_slot(y, start + 2 * i, a.dims[i], b.dims[i])
-    level = y.sig.level
-    perm = list(range(start))
-    perm += [start + 2 * i for i in range(count)]
-    perm += [start + 2 * i + 1 for i in range(count)]
-    perm += list(range(start + 2 * count, level))
-    return permute_slots(y, perm)
+    dims = x.sig.dims
+    stop = start + count
+    if start < 0 or stop > len(dims):
+        raise SignatureError(
+            f"block [{start}, {stop}) outside slots 0..{len(dims) - 1}"
+        )
+    for pos, ai, bi in zip(range(start, stop), a.dims, b.dims):
+        if dims[pos] != ai * bi:
+            raise SignatureError(
+                f"slot {pos} has dimension {dims[pos]}, not {ai}*{bi}"
+            )
+    head, tail = dims[:start], dims[stop:]
+    digits = head + _interleave(a, b) + tail
+    order = (*range(start), *range(start, start + 2 * count, 2),
+             *range(start + 1, start + 2 * count, 2),
+             *range(start + 2 * count, len(digits)))
+    return _regroup(x, digits, order, head + a.dims + b.dims + tail)
 
 
 def product_phi_inverse(y: AlgebraElement, level: int) -> AlgebraElement:
@@ -499,18 +489,9 @@ def product_phi_inverse(y: AlgebraElement, level: int) -> AlgebraElement:
             f"signature length {len(dims)} does not split into two blocks "
             f"of {level}"
         )
-    b = dims[level:]
-    out: dict[MatrixUnitIndex, complex] = {}
-    for (r, c), v in y.terms.items():
-        rows = tuple(
-            bi * (r[i] - 1) + r[level + i] for i, bi in enumerate(b)
-        )
-        cols = tuple(
-            bi * (c[i] - 1) + c[level + i] for i, bi in enumerate(b)
-        )
-        out[MatrixUnitIndex(rows, cols)] = v
-    fused = Signature(tuple(ai * bi for ai, bi in zip(dims[:level], b)))
-    return AlgebraElement(fused, out, validate=False)
+    order = tuple(i + half for i in range(level) for half in (0, level))
+    fused = tuple(ai * bi for ai, bi in zip(dims[:level], dims[level:]))
+    return _regroup(y, dims, order, fused)
 
 
 def kron_box(A, B) -> np.ndarray:

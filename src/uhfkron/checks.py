@@ -5,11 +5,12 @@ the acceptance tests.
 Every suite enumerates concrete instances (matrix units, seeded random
 elements or states), runs both sides of its identity through independent
 code paths, and counts agreements.  Failures carry a short diagnostic.
+Every suite takes ``(dims, level, seed, tol)``; suites that compare
+indices exactly accept ``tol`` and ignore it.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -28,7 +29,7 @@ from .atoms import AtomLabel, atom_check_product
 from .errors import ValidationError
 from .states import (
     ProductStateTrunc,
-    random_density,
+    random_state,
     state_boxtimes,
     state_evaluate,
     state_tensor_phi_eval,
@@ -84,14 +85,8 @@ def _constant_sig(base: int, level: int) -> Signature:
     return Signature((base,) * level)
 
 
-def _random_state(sig: Signature, seed: int) -> ProductStateTrunc:
-    return ProductStateTrunc(
-        [random_density(d, seed=seed * 31 + i) for i, d in enumerate(sig)]
-    )
-
-
 def suite_coassociativity(dims: tuple[int, ...], level: int,
-                          seed: int = 0) -> CheckReport:
+                          seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
     """Both orders of splitting a triple product agree on every unit.
 
     ``dims`` = (a, b, c) factor bases; signatures are constant at the
@@ -118,7 +113,7 @@ def suite_coassociativity(dims: tuple[int, ...], level: int,
 
 
 def suite_compatibility(dims: tuple[int, ...], level: int,
-                        seed: int = 0) -> CheckReport:
+                        seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
     """Extending the stage then splitting equals splitting then extending.
 
     ``dims`` = (a, b) factor bases; exhaustive on the units of the
@@ -148,8 +143,12 @@ def suite_compatibility(dims: tuple[int, ...], level: int,
 
 
 def suite_star_isomorphism(dims: tuple[int, ...], level: int,
-                           seed: int = 0, samples: int = 20) -> CheckReport:
-    """The coproduct preserves products, adjoints, and the unit."""
+                           seed: int = 0, tol: float = COMPARE_TOL,
+                           samples: int = 20) -> CheckReport:
+    """The coproduct preserves products, adjoints, and the unit.
+
+    Products and adjoints of seeded random elements agree within ``tol``.
+    """
     if len(dims) != 2:
         raise ValidationError(f"need two dims (a, b), got {dims}")
     a, b = (_constant_sig(d, level) for d in dims)
@@ -163,11 +162,11 @@ def suite_star_isomorphism(dims: tuple[int, ...], level: int,
         x = random_element(fused, rng=seed * 1000 + 2 * i, n_terms=8)
         y = random_element(fused, rng=seed * 1000 + 2 * i + 1, n_terms=8)
         ok_mult = coproduct_phi(x * y, a, b).allclose(
-            coproduct_phi(x, a, b) * coproduct_phi(y, a, b)
+            coproduct_phi(x, a, b) * coproduct_phi(y, a, b), tol
         )
         report.record(ok_mult, f"multiplicativity fails on sample {i}")
         ok_star = coproduct_phi(x.adjoint(), a, b).allclose(
-            coproduct_phi(x, a, b).adjoint()
+            coproduct_phi(x, a, b).adjoint(), tol
         )
         report.record(ok_star, f"adjoint fails on sample {i}")
     return report
@@ -183,8 +182,8 @@ def suite_tensor_formula(dims: tuple[int, ...], level: int,
     if len(dims) != 2:
         raise ValidationError(f"need two dims (a, b), got {dims}")
     a, b = (_constant_sig(d, level) for d in dims)
-    S = _random_state(a, seed=seed + 1)
-    R = _random_state(b, seed=seed + 2)
+    S = random_state(a, seed=seed + 1)
+    R = random_state(b, seed=seed + 2)
     fused = a.product(b)
     boxed = state_boxtimes(S, R)
     report = CheckReport("tensor-formula")
@@ -233,7 +232,7 @@ def suite_nonsymmetry(dims: tuple[int, ...] = (), level: int = 3,
 
 
 def suite_atom_semigroup(dims: tuple[int, ...], level: int,
-                         seed: int = 0) -> CheckReport:
+                         seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
     """Exhaustive label pairs: the state product realizes the label product."""
     if len(dims) != 2:
         raise ValidationError(f"need two dims (n, m), got {dims}")
@@ -266,9 +265,9 @@ def suite_state_associativity(dims: tuple[int, ...], level: int,
     if len(dims) != 3:
         raise ValidationError(f"need three dims (a, b, c), got {dims}")
     a, b, c = (_constant_sig(d, level) for d in dims)
-    S = _random_state(a, seed=seed + 1)
-    R = _random_state(b, seed=seed + 2)
-    Q = _random_state(c, seed=seed + 3)
+    S = random_state(a, seed=seed + 1)
+    R = random_state(b, seed=seed + 2)
+    Q = random_state(c, seed=seed + 3)
     triple = ProductStateTrunc(S.factors + R.factors + Q.factors)
     fused = a.product(b).product(c)
     report = CheckReport("state-associativity")
@@ -308,8 +307,4 @@ def run_suite(name: str, dims: tuple[int, ...], level: int,
         raise ValidationError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
-    suite = SUITES[name]
-    kwargs = {"seed": seed}
-    if "tol" in inspect.signature(suite).parameters:
-        kwargs["tol"] = tol
-    return suite(dims, level, **kwargs)
+    return SUITES[name](dims, level, seed, tol)

@@ -14,7 +14,8 @@ distance      trace-norm distance of two states at their common level
 Complex values are printed as {"re": float, "im": float} at full double
 precision; term lists are sorted lexicographically by index, so identical
 invocations produce byte-identical output.  Failures exit nonzero with
-{"error": {"code": ..., "message": ...}} on stdout.  The environment
+{"error": {"code": ..., "message": ...}} on stdout; a result holding NaN
+or infinity is reported as a "validation" error.  The environment
 variable UHFKRON_TOL (or --tol) overrides the default comparison
 tolerance 1e-12.
 """
@@ -108,20 +109,20 @@ def _check_state_sig(state, dims, flag: str):
         )
 
 
-def _cmd_eval(args) -> tuple[dict, int]:
+def _cmd_eval(args, tol: float) -> tuple[dict, int]:
     S = parse_state(args.state)
     x = parse_element(args.expr)
     return {"value": _complex_json(state_evaluate(S, x))}, 0
 
 
-def _cmd_coproduct(args) -> tuple[dict, int]:
+def _cmd_coproduct(args, tol: float) -> tuple[dict, int]:
     a, b = _dims(args.a), _dims(args.b)
     x = parse_element(args.expr)
     y = coproduct_phi(x, a, b)
     return {"sig": list(y.sig.dims), "terms": _terms_json(y)}, 0
 
 
-def _cmd_tensor_state(args) -> tuple[dict, int]:
+def _cmd_tensor_state(args, tol: float) -> tuple[dict, int]:
     S = parse_state(args.T)
     R = parse_state(args.R)
     _check_state_sig(S, _dims(args.a), "--a")
@@ -130,7 +131,7 @@ def _cmd_tensor_state(args) -> tuple[dict, int]:
     return {"value": _complex_json(state_tensor_phi_eval(S, R, x))}, 0
 
 
-def _cmd_boxtimes(args) -> tuple[dict, int]:
+def _cmd_boxtimes(args, tol: float) -> tuple[dict, int]:
     S = parse_state(args.T)
     R = parse_state(args.R)
     out = state_boxtimes(S, R)
@@ -140,7 +141,7 @@ def _cmd_boxtimes(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_atom_product(args) -> tuple[dict, int]:
+def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
     J = AtomLabel(args.n, _dims(args.J))
     K = AtomLabel(args.m, _dims(args.K))
     out = atom_label_product(J, K)
@@ -184,7 +185,7 @@ def _cmd_check(args, tol: float) -> tuple[dict, int]:
     return payload, 0 if report.ok else 1
 
 
-def _cmd_distance(args) -> tuple[dict, int]:
+def _cmd_distance(args, tol: float) -> tuple[dict, int]:
     S = parse_state(args.T)
     R = parse_state(args.R)
     return {"distance": state_trace_distance(S, R)}, 0
@@ -203,16 +204,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a state on an element")
+    p.set_defaults(func=_cmd_eval)
     p.add_argument("--state", required=True, help="state spec")
     p.add_argument("--expr", required=True, help="element expression")
 
     p = sub.add_parser("coproduct", help="split an element into two blocks")
+    p.set_defaults(func=_cmd_coproduct)
     p.add_argument("--a", required=True, help="first-block dims, e.g. 2,3")
     p.add_argument("--b", required=True, help="second-block dims")
     p.add_argument("--expr", required=True)
 
     p = sub.add_parser("tensor-state",
                        help="evaluate S tensor-phi R on an element")
+    p.set_defaults(func=_cmd_tensor_state)
     p.add_argument("--a", required=True, help="dims of the first state")
     p.add_argument("--b", required=True, help="dims of the second state")
     p.add_argument("--T", required=True, help="first state spec")
@@ -220,73 +224,72 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
 
     p = sub.add_parser("boxtimes", help="factorwise Kronecker state product")
+    p.set_defaults(func=_cmd_boxtimes)
     p.add_argument("--T", required=True)
     p.add_argument("--R", required=True)
 
     p = sub.add_parser("atom-product", help="product of two atom labels")
+    p.set_defaults(func=_cmd_atom_product)
     p.add_argument("--n", type=int, required=True, help="base of J")
     p.add_argument("--m", type=int, required=True, help="base of K")
     p.add_argument("--J", required=True, help="comma-separated label")
     p.add_argument("--K", required=True, help="comma-separated label")
 
     p = sub.add_parser("gns", help="GNS data of a product state")
+    p.set_defaults(func=_cmd_gns)
     p.add_argument("--state", required=True)
     p.add_argument("--cutoff", type=float, default=1e-12,
                    help="eigenvalue rank cutoff")
 
     p = sub.add_parser("check", help="run a named property suite")
+    p.set_defaults(func=_cmd_check)
     p.add_argument("--suite", required=True)
     p.add_argument("--dims", default="", help="suite dims, e.g. 2,3,2")
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("distance", help="trace distance of two states")
+    p.set_defaults(func=_cmd_distance)
     p.add_argument("--T", required=True)
     p.add_argument("--R", required=True)
 
     return parser
 
 
+def _tolerance(args) -> float:
+    if args.tol is not None:
+        return args.tol
+    raw = os.environ.get("UHFKRON_TOL")
+    if raw is None:
+        return COMPARE_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValidationError(f"UHFKRON_TOL={raw!r} is not a number") from None
+
+
 def cli_run(argv=None) -> int:
     """Run one invocation; print a single JSON object; return the exit code."""
     args = _build_parser().parse_args(argv)
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        raw = os.environ.get("UHFKRON_TOL")
-        try:
-            tol = float(raw) if raw is not None else COMPARE_TOL
-        except ValueError:
-            print(json.dumps(
-                {"error": {"code": "validation",
-                           "message": f"UHFKRON_TOL={raw!r} is not a number"}},
-                separators=(",", ":"),
-            ))
-            return 1
     try:
-        if args.command == "eval":
-            payload, code = _cmd_eval(args)
-        elif args.command == "coproduct":
-            payload, code = _cmd_coproduct(args)
-        elif args.command == "tensor-state":
-            payload, code = _cmd_tensor_state(args)
-        elif args.command == "boxtimes":
-            payload, code = _cmd_boxtimes(args)
-        elif args.command == "atom-product":
-            payload, code = _cmd_atom_product(args)
-        elif args.command == "gns":
-            payload, code = _cmd_gns(args, tol)
-        elif args.command == "check":
-            payload, code = _cmd_check(args, tol)
-        else:
-            payload, code = _cmd_distance(args)
+        payload, code = args.func(args, _tolerance(args))
     except UhfError as exc:
         payload = {"error": {"code": _error_code(exc), "message": str(exc)}}
         code = 1
     except OSError as exc:
         payload = {"error": {"code": "io-error", "message": str(exc)}}
         code = 1
-    print(json.dumps(payload, separators=(",", ":")))
+    try:
+        out = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        # NaN and infinity have no strict-JSON spelling
+        out = json.dumps(
+            {"error": {"code": "validation",
+                       "message": "result has a non-finite number"}},
+            separators=(",", ":"),
+        )
+        code = 1
+    print(out)
     return code
 
 

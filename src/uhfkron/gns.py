@@ -48,9 +48,7 @@ __all__ = [
     "GRAM_TOL",
     "FactorGns",
     "GnsTriplet",
-    "gns_factor",
     "gns_build",
-    "gns_lambda",
     "gns_tensor_phi",
     "gns_intertwiner",
     "commutant_dimension",
@@ -170,11 +168,6 @@ class GnsTriplet:
                 f"space_dim={self.space_dim})")
 
 
-def gns_factor(T: DensityFactor, cutoff: float = GNS_EIG_CUTOFF) -> FactorGns:
-    """Purify one density factor; see :class:`FactorGns`."""
-    return FactorGns(T, cutoff)
-
-
 def gns_build(S: ProductStateTrunc, cutoff: float = GNS_EIG_CUTOFF, *,
               guard: int = DENSE_DIM_GUARD) -> GnsTriplet:
     """GNS triplet of a product state as a tensor product of purifications.
@@ -182,7 +175,7 @@ def gns_build(S: ProductStateTrunc, cutoff: float = GNS_EIG_CUTOFF, *,
     Space dimension is prod_i a_i * rank(T^{(i)}); refuses to build past
     ``guard``.
     """
-    factors = [gns_factor(f, cutoff) for f in S.factors]
+    factors = [FactorGns(f, cutoff) for f in S.factors]
     space_dim = 1
     for f in factors:
         space_dim *= f.space_dim
@@ -208,11 +201,6 @@ def gns_build(S: ProductStateTrunc, cutoff: float = GNS_EIG_CUTOFF, *,
         return out
 
     return GnsTriplet(S.sig, space_dim, cyclic, S, unit_rep, unit_lambda)
-
-
-def gns_lambda(G: GnsTriplet, x: AlgebraElement) -> np.ndarray:
-    """The GNS map: rep(x) applied to the cyclic vector."""
-    return G.lambda_vec(x)
 
 
 def _split_unit(idx: MatrixUnitIndex, level: int) -> tuple[MatrixUnitIndex, MatrixUnitIndex]:

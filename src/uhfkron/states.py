@@ -42,6 +42,7 @@ __all__ = [
     "state_density_level",
     "state_trace_distance",
     "random_density",
+    "random_state",
 ]
 
 # Tolerance for the Hermitian / positive / unit-trace checks on densities.
@@ -53,13 +54,15 @@ def density_validate(matrix, tol: float = DENSITY_VALIDATE_TOL) -> np.ndarray:
 
     Raises :class:`ValidationError` naming the violated property: square
     shape, dimension >= 2, Hermitian within ``tol``, trace 1 within ``tol``,
-    smallest eigenvalue >= -``tol``.
+    smallest eigenvalue >= -``tol``.  Non-finite entries are rejected first.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"density matrix must be square, got {m.shape}")
     if m.shape[0] < 2:
         raise ValidationError(f"density dimension {m.shape[0]} is < 2")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("density matrix has a non-finite entry")
     herm_defect = float(np.max(np.abs(m - m.conj().T)))
     if herm_defect > tol:
         raise ValidationError(
@@ -251,3 +254,14 @@ def random_density(dim: int, seed=None) -> DensityFactor:
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     W = G @ G.conj().T
     return DensityFactor(W / np.trace(W).real)
+
+
+def random_state(dims, seed: int) -> ProductStateTrunc:
+    """Product of :func:`random_density` factors over ``dims``.
+
+    Factor ``i`` is drawn with seed ``seed*31 + i``, so a fixed seed gives
+    the same state every time.
+    """
+    return ProductStateTrunc(
+        [random_density(d, seed=seed * 31 + i) for i, d in enumerate(dims)]
+    )

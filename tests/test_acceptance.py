@@ -32,7 +32,7 @@ from uhfkron.gns import gns_build, gns_intertwiner, gns_tensor_phi, commutant_di
 from uhfkron.states import (
     DensityFactor,
     ProductStateTrunc,
-    random_density,
+    random_state,
     state_boxtimes,
     state_evaluate,
     state_tensor_phi_eval,
@@ -47,12 +47,6 @@ def report(number: int, label: str, ok: bool):
     RESULTS.append(line)
     print(line)
     assert ok, line
-
-
-def random_state(dims, seed) -> ProductStateTrunc:
-    return ProductStateTrunc(
-        [random_density(d, seed=seed * 31 + i) for i, d in enumerate(dims)]
-    )
 
 
 def test_criterion_01_nonsymmetry_witness():

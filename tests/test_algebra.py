@@ -26,10 +26,8 @@ from uhfkron.algebra import (
     insert_identity_slot,
     kron_box,
     matrix_unit,
-    permute_slots,
     product_phi_inverse,
     random_element,
-    split_slot,
     to_dense,
 )
 from uhfkron.errors import IndexRangeError, ResourceGuardError, SignatureError
@@ -283,16 +281,68 @@ def test_coproduct_compatible_with_embedding(a, b, na, nb):
     assert lhs == rhs
 
 
-def test_split_and_permute_slots():
+def test_coproduct_phi_block_single_slot():
     x = matrix_unit((2, 6), (2, 5), (1, 2))
-    y = split_slot(x, 1, 2, 3)
+    y = coproduct_phi_block(x, 1, 1, (2,), (3,))
     assert y == matrix_unit((2, 2, 3), (2, 2, 2), (1, 1, 2))
-    z = permute_slots(y, (2, 0, 1))
-    assert z == matrix_unit((3, 2, 2), (2, 2, 2), (2, 1, 1))
+    with pytest.raises(SignatureError, match="not 2\\*4"):
+        coproduct_phi_block(x, 1, 1, (2,), (4,))
+    with pytest.raises(SignatureError, match="outside"):
+        coproduct_phi_block(x, 2, 1, (2,), (3,))
+    with pytest.raises(SignatureError, match="outside"):
+        coproduct_phi_block(x, -1, 1, (2,), (3,))
+    with pytest.raises(SignatureError, match="outside"):
+        coproduct_phi_block(x, 1, 2, (2, 2), (3, 3))
+    with pytest.raises(SignatureError, match="block length"):
+        coproduct_phi_block(x, 1, 1, (2, 2), (3,))
+
+
+def dense_regroup(m, digits, order):
+    """Oracle: move both tensor indices of a dense matrix with numpy."""
+    n = len(digits)
+    D = m.shape[0]
+    axes = list(order) + [n + k for k in order]
+    return m.reshape(tuple(digits) * 2).transpose(axes).reshape(D, D)
+
+
+@pytest.mark.parametrize("dims,start,a,b", [
+    ((4, 6, 3), 0, (2, 3), (2, 2)),
+    ((3, 4, 6, 2), 1, (2, 2), (2, 3)),
+    ((2, 3, 6), 2, (3,), (2,)),
+])
+def test_coproduct_phi_block_matches_numpy(dims, start, a, b):
+    # the block split is one reshape-transpose-reshape of each tensor index
+    x = random_element(dims, rng=16, n_terms=40)
+    count = len(a)
+    stop = start + count
+    head, tail = dims[:start], dims[stop:]
+    digits = head + tuple(d for pair in zip(a, b) for d in pair) + tail
+    order = (list(range(start))
+             + [start + 2 * i for i in range(count)]
+             + [start + 2 * i + 1 for i in range(count)]
+             + list(range(start + 2 * count, len(digits))))
+    y = coproduct_phi_block(x, start, count, a, b)
+    assert y.sig.dims == head + a + b + tail
+    np.testing.assert_array_equal(
+        to_dense(y), dense_regroup(to_dense(x), digits, order)
+    )
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2, 2), (3, 2, 2, 4, 2, 3), (5, 2)])
+def test_product_phi_inverse_matches_numpy(dims):
+    # fusing slot i with slot level+i is the inverse digit move
+    level = len(dims) // 2
+    y = random_element(dims, rng=17, n_terms=40)
+    order = [i + half for i in range(level) for half in (0, level)]
+    x = product_phi_inverse(y, level)
+    assert x.sig.dims == tuple(
+        p * q for p, q in zip(dims[:level], dims[level:])
+    )
+    np.testing.assert_array_equal(
+        to_dense(x), dense_regroup(to_dense(y), dims, order)
+    )
     with pytest.raises(SignatureError):
-        split_slot(x, 1, 2, 4)
-    with pytest.raises(SignatureError):
-        permute_slots(y, (0, 0, 1))
+        product_phi_inverse(y, level + 1)
 
 
 # ---------------------------------------------------------------------------

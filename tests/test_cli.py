@@ -161,6 +161,20 @@ def test_error_state_validation(capsys):
     assert payload["error"]["code"] == "validation"
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("state,expr", [
+    ("diag(nan,nan)", "E[2](1,1)"),
+    ("diag(1,0)", "1e400*E[2](1,1)"),
+])
+def test_error_non_finite_is_strict_json(capsys, state, expr):
+    code, out = run(capsys, "eval", "--state", state, "--expr", expr)
+    assert code == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert set(payload) == {"error"}
+    assert payload["error"]["code"] == "validation"
+
+
 def test_error_signature_mismatch(capsys):
     code, payload = run_json(
         capsys, "tensor-state", "--a", "3", "--b", "2",

@@ -20,16 +20,16 @@ from uhfkron.errors import (
 )
 from uhfkron.gns import (
     commutant_dimension,
+    FactorGns,
     gns_build,
-    gns_factor,
     gns_intertwiner,
-    gns_lambda,
     gns_tensor_phi,
 )
 from uhfkron.states import (
     DensityFactor,
     ProductStateTrunc,
     random_density,
+    random_state,
     state_boxtimes,
     state_evaluate,
 )
@@ -38,18 +38,12 @@ T_PURE = DensityFactor.diagonal([1.0, 0.0])
 R_PURE = DensityFactor.diagonal([0.0, 1.0])
 
 
-def random_state(dims, seed) -> ProductStateTrunc:
-    return ProductStateTrunc(
-        [random_density(d, seed=seed * 31 + i) for i, d in enumerate(dims)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # factor purification
 # ---------------------------------------------------------------------------
 
 def test_factor_pure_state():
-    f = gns_factor(T_PURE)
+    f = FactorGns(T_PURE)
     assert f.rank == 1
     assert f.space_dim == 2
     np.testing.assert_allclose(f.cyclic, [1.0, 0.0])
@@ -60,7 +54,7 @@ def test_factor_pure_state():
 
 
 def test_factor_maximally_mixed():
-    f = gns_factor(DensityFactor.maximally_mixed(2))
+    f = FactorGns(DensityFactor.maximally_mixed(2))
     assert f.rank == 2
     assert f.space_dim == 4
     np.testing.assert_allclose(
@@ -73,7 +67,7 @@ def test_factor_maximally_mixed():
 def test_factor_expectation_identity(seed):
     # <cyclic, (x (x) I) cyclic> = tr(T x) for arbitrary x
     T = random_density(3, seed=seed)
-    f = gns_factor(T)
+    f = FactorGns(T)
     rng = np.random.default_rng(seed + 100)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     lifted = np.kron(x, np.eye(f.rank))
@@ -131,17 +125,17 @@ def test_rep_signature_check():
 def test_lambda_map():
     S = random_state((2, 3), seed=7)
     G = gns_build(S)
-    np.testing.assert_allclose(gns_lambda(G, identity((2, 3))), G.cyclic)
+    np.testing.assert_allclose(G.lambda_vec(identity((2, 3))), G.cyclic)
     # linearity
     x = random_element((2, 3), rng=8)
     y = random_element((2, 3), rng=9)
     np.testing.assert_allclose(
-        gns_lambda(G, x + 2j * y),
-        gns_lambda(G, x) + 2j * gns_lambda(G, y),
+        G.lambda_vec(x + 2j * y),
+        G.lambda_vec(x) + 2j * G.lambda_vec(y),
         atol=1e-12,
     )
     # lambda through the rep matrix agrees with the factorwise fast path
-    np.testing.assert_allclose(gns_lambda(G, x), G.rep(x) @ G.cyclic, atol=1e-12)
+    np.testing.assert_allclose(G.lambda_vec(x), G.rep(x) @ G.cyclic, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -151,10 +145,10 @@ def test_gns_inner_product_identity(seed):
     G = gns_build(S)
     x = random_element((2, 2), rng=20 + seed)
     y = random_element((2, 2), rng=30 + seed)
-    lhs = complex(np.vdot(gns_lambda(G, x), gns_lambda(G, y)))
+    lhs = complex(np.vdot(G.lambda_vec(x), G.lambda_vec(y)))
     rhs = state_evaluate(S, x.adjoint() * y)
     assert lhs == pytest.approx(rhs, abs=1e-10)
-    nrm2 = float(np.vdot(gns_lambda(G, x), gns_lambda(G, x)).real)
+    nrm2 = float(np.vdot(G.lambda_vec(x), G.lambda_vec(x)).real)
     assert nrm2 == pytest.approx(state_evaluate(S, x.adjoint() * x).real, abs=1e-10)
 
 
@@ -218,7 +212,7 @@ def test_intertwiner_maps_lambda_vectors():
     for seed in range(5):
         x = random_element(G_fused.sig, rng=seed, n_terms=6)
         np.testing.assert_allclose(
-            U @ gns_lambda(G_fused, x), gns_lambda(G_tensor, x), atol=1e-8
+            U @ G_fused.lambda_vec(x), G_tensor.lambda_vec(x), atol=1e-8
         )
 
 

@@ -27,6 +27,7 @@ from uhfkron.states import (
     ProductStateTrunc,
     density_validate,
     random_density,
+    random_state,
     state_boxtimes,
     state_density_level,
     state_evaluate,
@@ -37,12 +38,6 @@ from uhfkron.states import (
 # the orthogonal pure witnesses used throughout
 T_PURE = DensityFactor.diagonal([1.0, 0.0])
 R_PURE = DensityFactor.diagonal([0.0, 1.0])
-
-
-def random_state(dims, seed) -> ProductStateTrunc:
-    return ProductStateTrunc(
-        [random_density(d, seed=seed * 31 + i) for i, d in enumerate(dims)]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +55,14 @@ def test_density_validation_rejects_bad_matrices():
         DensityFactor([[1.0]])
     with pytest.raises(ValidationError, match="square"):
         density_validate(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_density_validation_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        density_validate([[bad, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityFactor.diagonal([bad, bad])
 
 
 def test_density_factor_is_read_only():
