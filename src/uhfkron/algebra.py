@@ -598,6 +598,33 @@ def all_matrix_units(sig) -> Iterator[MatrixUnitIndex]:
             yield MatrixUnitIndex(rows, cols)
 
 
+def _unit_rows(sig) -> Iterator[tuple[list[MatrixUnitIndex], AlgebraElement]]:
+    """Per row multi-index, in :func:`all_matrix_units` order: that row's
+    units and the one element ``sum_k (k+1) E_{rows, cols_k}``.
+
+    The coefficient ``k+1`` tags unit ``k``.  A map that relabels terms or
+    splices identity factors into them keeps coefficients, so one call on
+    the row element carries every unit's image under its tag (see
+    :func:`_images`); a merged or lost unit shows as a missing tag.
+    """
+    sig = as_signature(sig)
+    ranges = [range(1, d + 1) for d in sig.dims]
+    all_cols = list(itertools.product(*ranges))
+    for rows in itertools.product(*ranges):
+        units = [MatrixUnitIndex(rows, cols) for cols in all_cols]
+        yield units, AlgebraElement(
+            sig, dict(zip(units, itertools.count(1))), validate=False
+        )
+
+
+def _images(y: AlgebraElement) -> dict[complex, list[MatrixUnitIndex]]:
+    """The terms of ``y`` grouped by coefficient: tag -> image indices."""
+    out: dict[complex, list[MatrixUnitIndex]] = {}
+    for idx, coeff in y._terms.items():
+        out.setdefault(coeff, []).append(idx)
+    return out
+
+
 def random_element(sig, rng=None, n_terms: int = 8) -> AlgebraElement:
     """Random sparse element: ``n_terms`` uniform indices with complex
     Gaussian coefficients.  Deterministic for a fixed seed."""

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import all_matrix_units, matrix_unit
+from .algebra import _unit_rows, coproduct_phi
 from .errors import IndexRangeError, ValidationError
 from .states import (
     DensityFactor,
     ProductStateTrunc,
+    _unit_values,
     state_boxtimes,
-    state_evaluate,
-    state_tensor_phi_eval,
 )
 
 __all__ = [
@@ -161,9 +160,10 @@ def atom_check_product(J: AtomLabel, K: AtomLabel, level: int,
     states equals the atom state of the product label exactly (0/1
     entries), and (2) that the coproduct-composed evaluation of the two
     states agrees with the product-label state on every level-``level``
-    matrix unit.  ``expected`` overrides the product label (a corrupted
-    label makes the check fail, as a negative control).  Never raises on
-    mismatch; returns a falsy result carrying a position diagnostic.
+    matrix unit, one row of units per call.  ``expected`` overrides the
+    product label (a corrupted label makes the check fail, as a negative
+    control).  Never raises on mismatch; returns a falsy result carrying a
+    position diagnostic.
     """
     if expected is None:
         expected = atom_label_product(J, K)
@@ -185,11 +185,15 @@ def atom_check_product(J: AtomLabel, K: AtomLabel, level: int,
                        f"position {pos}"
             )
 
-    for idx in all_matrix_units(S_expected.sig):
-        x = matrix_unit(S_expected.sig, *idx)
-        if state_tensor_phi_eval(SJ, SK, x) != state_evaluate(S_expected, x):
-            return AtomProductCheck(
-                False, f"coproduct evaluation differs on unit {tuple(idx.rows)}"
-                       f"<-{tuple(idx.cols)}"
-            )
+    SJK = SJ.concat(SK)
+    for units, x in _unit_rows(S_expected.sig):
+        lhs = _unit_values(SJK, coproduct_phi(x, SJ.sig, SK.sig))
+        rhs = _unit_values(S_expected, x)
+        for tag, idx in enumerate(units, start=1):
+            left, right = lhs.get(tag, ()), rhs.get(tag, ())
+            if len(left) != 1 or left != right:
+                return AtomProductCheck(
+                    False, f"coproduct evaluation differs on unit "
+                           f"{tuple(idx.rows)}<-{tuple(idx.cols)}"
+                )
     return AtomProductCheck(True)

@@ -7,16 +7,27 @@ elements or states), runs both sides of its identity through independent
 code paths, and counts agreements.  Failures carry a short diagnostic.
 Every suite takes ``(dims, level, seed, tol)``; suites that compare
 indices exactly accept ``tol`` and ignore it.
+
+The suites exhaustive on matrix units run each side of their identity
+once per row of the unit grid, on one element whose coefficients tag the
+row's units (``algebra._unit_rows``), and read each unit's images or
+values back by tag; results are still recorded per unit.  Before
+enumerating, each refuses more than ``DENSE_DIM_GUARD**2`` unit checks
+with :class:`ResourceGuardError`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .algebra import (
     COMPARE_TOL,
+    DENSE_DIM_GUARD,
     Signature,
-    all_matrix_units,
+    _images,
+    _unit_rows,
     coproduct_phi,
     coproduct_phi_block,
     embed_psi,
@@ -26,12 +37,12 @@ from .algebra import (
     random_element,
 )
 from .atoms import AtomLabel, atom_check_product
-from .errors import ValidationError
+from .errors import ResourceGuardError, ValidationError
 from .states import (
     ProductStateTrunc,
+    _unit_values,
     random_state,
     state_boxtimes,
-    state_evaluate,
     state_tensor_phi_eval,
     state_trace_distance,
 )
@@ -61,7 +72,7 @@ class CheckReport:
     failed: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, diagnostic: str):
+    def record(self, ok: bool, diagnostic: str | None):
         if ok:
             self.passed += 1
         else:
@@ -82,7 +93,57 @@ class CheckReport:
 
 
 def _constant_sig(base: int, level: int) -> Signature:
+    Signature((base,))  # a bad base fails before a long tuple is built
     return Signature((base,) * level)
+
+
+def _guard_units(suite: str, per_level: int, level: int):
+    """Refuse a suite that would check more than DENSE_DIM_GUARD**2 units.
+
+    The count is ``per_level**level``; it is built one level at a time, so
+    a huge level is refused without computing the power.  Non-positive
+    levels and bad dimensions are left to the suite's own validation.
+    """
+    cap = DENSE_DIM_GUARD ** 2
+    count = 1
+    for _ in range(level):
+        count *= per_level
+        if count > cap:
+            raise ResourceGuardError(
+                f"{suite} at level {level} would check more than {cap} "
+                f"units (guard {DENSE_DIM_GUARD}**2)"
+            )
+        if count < 2:
+            return
+
+
+def _unit_name(idx) -> str:
+    return f"{tuple(idx.rows)}<-{tuple(idx.cols)}"
+
+
+def _record_images(report: CheckReport, units, lhs, rhs, count: int,
+                   what: str):
+    # each unit's tag must carry the same ``count`` images on both sides
+    for tag, idx in enumerate(units, start=1):
+        left, right = lhs.get(tag, ()), rhs.get(tag, ())
+        ok = len(left) == count == len(right) and set(left) == set(right)
+        report.record(ok, None if ok else f"{what} on unit {_unit_name(idx)}")
+
+
+def _record_values(report: CheckReport, units, lhs, rhs, tol: float):
+    # each unit's tag must carry exactly one value on both sides, within tol
+    for tag, idx in enumerate(units, start=1):
+        left, right = lhs.get(tag, ()), rhs.get(tag, ())
+        if len(left) == 1 == len(right):
+            diff = abs(left[0] - right[0])
+            ok = diff <= tol
+            diagnostic = f"values differ by {diff:.3e}"
+        else:
+            ok = False
+            diagnostic = f"{len(left)}/{len(right)} values"
+        report.record(
+            ok, None if ok else f"{diagnostic} on unit {_unit_name(idx)}"
+        )
 
 
 def suite_coassociativity(dims: tuple[int, ...], level: int,
@@ -90,25 +151,21 @@ def suite_coassociativity(dims: tuple[int, ...], level: int,
     """Both orders of splitting a triple product agree on every unit.
 
     ``dims`` = (a, b, c) factor bases; signatures are constant at the
-    given level.  Exact index equality, no tolerance.
+    given level.  Exact index equality, no tolerance.  Each side runs
+    once per row of units (see ``algebra._unit_rows``).
     """
     if len(dims) != 3:
         raise ValidationError(f"need three dims (a, b, c), got {dims}")
+    _guard_units("coassociativity", math.prod(dims) ** 2, level)
     a, b, c = (_constant_sig(d, level) for d in dims)
-    fused = a.product(b).product(c)
+    ab, bc = a.product(b), b.product(c)
     report = CheckReport("coassociativity")
-    for idx in all_matrix_units(fused):
-        x = matrix_unit(fused, *idx)
-        left = coproduct_phi_block(
-            coproduct_phi(x, a.product(b), c), 0, level, a, b
-        )
-        right = coproduct_phi_block(
-            coproduct_phi(x, a, b.product(c)), level, level, b, c
-        )
-        report.record(
-            left == right,
-            f"paths differ on unit {tuple(idx.rows)}<-{tuple(idx.cols)}",
-        )
+    for units, x in _unit_rows(ab.product(c)):
+        left = coproduct_phi_block(coproduct_phi(x, ab, c), 0, level, a, b)
+        right = coproduct_phi_block(coproduct_phi(x, a, bc), level, level,
+                                    b, c)
+        _record_images(report, units, _images(left), _images(right), 1,
+                       "paths differ")
     return report
 
 
@@ -118,27 +175,22 @@ def suite_compatibility(dims: tuple[int, ...], level: int,
 
     ``dims`` = (a, b) factor bases; exhaustive on the units of the
     level-``level`` fused stage, with the extension by one more (a, b)
-    factor.  Exact.
+    factor.  Exact; each unit has ``a*b`` images on either side.
     """
     if len(dims) != 2:
         raise ValidationError(f"need two dims (a, b), got {dims}")
+    _guard_units("compatibility", math.prod(dims) ** 2, level)
     a_base, b_base = dims
     a, b = _constant_sig(a_base, level), _constant_sig(b_base, level)
-    fused = a.product(b)
+    ext_a, ext_b = a.dims + (a_base,), b.dims + (b_base,)
     report = CheckReport("compatibility")
-    for idx in all_matrix_units(fused):
-        x = matrix_unit(fused, *idx)
-        lhs = coproduct_phi(
-            embed_psi(x, a_base * b_base),
-            a.dims + (a_base,), b.dims + (b_base,),
-        )
+    for units, x in _unit_rows(a.product(b)):
+        lhs = coproduct_phi(embed_psi(x, a_base * b_base), ext_a, ext_b)
         rhs = coproduct_phi(x, a, b)
         rhs = insert_identity_slot(rhs, level, a_base)
         rhs = insert_identity_slot(rhs, 2 * level + 1, b_base)
-        report.record(
-            lhs == rhs,
-            f"sides differ on unit {tuple(idx.rows)}<-{tuple(idx.cols)}",
-        )
+        _record_images(report, units, _images(lhs), _images(rhs),
+                       a_base * b_base, "sides differ")
     return report
 
 
@@ -151,6 +203,8 @@ def suite_star_isomorphism(dims: tuple[int, ...], level: int,
     """
     if len(dims) != 2:
         raise ValidationError(f"need two dims (a, b), got {dims}")
+    # the unit check enumerates the fused stage's diagonal units
+    _guard_units("star-isomorphism", math.prod(dims), level)
     a, b = (_constant_sig(d, level) for d in dims)
     fused = a.product(b)
     report = CheckReport("star-isomorphism")
@@ -181,21 +235,17 @@ def suite_tensor_formula(dims: tuple[int, ...], level: int,
     """
     if len(dims) != 2:
         raise ValidationError(f"need two dims (a, b), got {dims}")
+    _guard_units("tensor-formula", math.prod(dims) ** 2, level)
     a, b = (_constant_sig(d, level) for d in dims)
     S = random_state(a, seed=seed + 1)
     R = random_state(b, seed=seed + 2)
-    fused = a.product(b)
+    SR = S.concat(R)
     boxed = state_boxtimes(S, R)
     report = CheckReport("tensor-formula")
-    for idx in all_matrix_units(fused):
-        x = matrix_unit(fused, *idx)
-        lhs = state_tensor_phi_eval(S, R, x)
-        rhs = state_evaluate(boxed, x)
-        report.record(
-            abs(lhs - rhs) <= tol,
-            f"values differ by {abs(lhs - rhs):.3e} on unit "
-            f"{tuple(idx.rows)}<-{tuple(idx.cols)}",
-        )
+    for units, x in _unit_rows(a.product(b)):
+        _record_values(report, units,
+                       _unit_values(SR, coproduct_phi(x, a, b)),
+                       _unit_values(boxed, x), tol)
     return report
 
 
@@ -209,6 +259,8 @@ def suite_nonsymmetry(dims: tuple[int, ...] = (), level: int = 3,
     """
     from .parser import parse_state
 
+    # level L compares two dense 4**L x 4**L densities: (4**L)**2 entries
+    _guard_units("nonsymmetry", 16, level)
     S = parse_state("diag(1,0)")
     R = parse_state("diag(0,1)")
     w = matrix_unit(4, 2, 2) - matrix_unit(4, 3, 3)
@@ -236,21 +288,14 @@ def suite_atom_semigroup(dims: tuple[int, ...], level: int,
     """Exhaustive label pairs: the state product realizes the label product."""
     if len(dims) != 2:
         raise ValidationError(f"need two dims (n, m), got {dims}")
+    if level < 1:
+        raise ValidationError(f"level {level} is < 1")
     n, m = dims
+    # (n*m)**level label pairs, each checked on (n*m)**(2*level) units
+    _guard_units("atom-semigroup", (n * m) ** 3, level)
     report = CheckReport("atom-semigroup")
-
-    def labels(base):
-        def rec(prefix):
-            if len(prefix) == level:
-                yield AtomLabel(base, prefix)
-                return
-            for j in range(1, base + 1):
-                yield from rec(prefix + (j,))
-
-        yield from rec(())
-
-    for J in labels(n):
-        for K in labels(m):
+    for J in _labels(n, level):
+        for K in _labels(m, level):
             result = atom_check_product(J, K, level)
             report.record(
                 bool(result),
@@ -259,33 +304,31 @@ def suite_atom_semigroup(dims: tuple[int, ...], level: int,
     return report
 
 
+def _labels(base: int, level: int):
+    # every label of length ``level``, lexicographic
+    for prefix in itertools.product(range(1, base + 1), repeat=level):
+        yield AtomLabel(base, prefix)
+
+
 def suite_state_associativity(dims: tuple[int, ...], level: int,
                               seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
     """Both bracketings of a state triple agree on every fused unit."""
     if len(dims) != 3:
         raise ValidationError(f"need three dims (a, b, c), got {dims}")
+    _guard_units("state-associativity", math.prod(dims) ** 2, level)
     a, b, c = (_constant_sig(d, level) for d in dims)
     S = random_state(a, seed=seed + 1)
     R = random_state(b, seed=seed + 2)
     Q = random_state(c, seed=seed + 3)
     triple = ProductStateTrunc(S.factors + R.factors + Q.factors)
-    fused = a.product(b).product(c)
+    ab, bc = a.product(b), b.product(c)
     report = CheckReport("state-associativity")
-    for idx in all_matrix_units(fused):
-        x = matrix_unit(fused, *idx)
-        left = coproduct_phi_block(
-            coproduct_phi(x, a.product(b), c), 0, level, a, b
-        )
-        right = coproduct_phi_block(
-            coproduct_phi(x, a, b.product(c)), level, level, b, c
-        )
-        lhs = state_evaluate(triple, left)
-        rhs = state_evaluate(triple, right)
-        report.record(
-            abs(lhs - rhs) <= max(tol, 1e-10),
-            f"values differ by {abs(lhs - rhs):.3e} on unit "
-            f"{tuple(idx.rows)}<-{tuple(idx.cols)}",
-        )
+    for units, x in _unit_rows(ab.product(c)):
+        left = coproduct_phi_block(coproduct_phi(x, ab, c), 0, level, a, b)
+        right = coproduct_phi_block(coproduct_phi(x, a, bc), level, level,
+                                    b, c)
+        _record_values(report, units, _unit_values(triple, left),
+                       _unit_values(triple, right), max(tol, 1e-10))
     return report
 
 
@@ -307,4 +350,6 @@ def run_suite(name: str, dims: tuple[int, ...], level: int,
         raise ValidationError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tolerance {tol!r} is not a finite number >= 0")
     return SUITES[name](dims, level, seed, tol)

@@ -14,16 +14,18 @@ distance      trace-norm distance of two states at their common level
 Complex values are printed as {"re": float, "im": float} at full double
 precision; term lists are sorted lexicographically by index, so identical
 invocations produce byte-identical output.  Failures exit nonzero with
-{"error": {"code": ..., "message": ...}} on stdout; a result holding NaN
-or infinity is reported as a "validation" error.  The environment
-variable UHFKRON_TOL (or --tol) overrides the default comparison
-tolerance 1e-12.
+{"error": {"code": ..., "message": ...}} on stdout (code "usage" for a
+malformed command line); a result holding NaN or infinity is reported as
+a "validation" error.  The environment variable UHFKRON_TOL (or --tol)
+overrides the default comparison tolerance 1e-12; it must be a finite
+number >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -57,7 +59,19 @@ from .states import (
 
 __all__ = ["cli_run", "main"]
 
+
+class _UsageError(UhfError):
+    """The command line does not match the subcommand's arguments."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # report usage errors as the JSON error object, not on stderr with exit 2
+    def error(self, message):
+        raise _UsageError(message)
+
+
 _ERROR_CODES = [
+    (_UsageError, "usage"),
     (ParseError, "parse-error"),
     (SignatureError, "signature-mismatch"),
     (IndexRangeError, "index-range"),
@@ -192,7 +206,7 @@ def _cmd_distance(args, tol: float) -> tuple[dict, int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="uhfkron",
         description="Matrix-unit tensor stages: coproducts, product states, "
                     "GNS data.",
@@ -258,20 +272,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _tolerance(args) -> float:
     if args.tol is not None:
-        return args.tol
-    raw = os.environ.get("UHFKRON_TOL")
-    if raw is None:
-        return COMPARE_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(f"UHFKRON_TOL={raw!r} is not a number") from None
+        tol, source = args.tol, "--tol"
+    else:
+        raw = os.environ.get("UHFKRON_TOL")
+        if raw is None:
+            return COMPARE_TOL
+        try:
+            tol, source = float(raw), "UHFKRON_TOL"
+        except ValueError:
+            raise ValidationError(
+                f"UHFKRON_TOL={raw!r} is not a number") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"{source} {tol!r} is not a finite number >= 0")
+    return tol
 
 
 def cli_run(argv=None) -> int:
     """Run one invocation; print a single JSON object; return the exit code."""
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, code = args.func(args, _tolerance(args))
     except UhfError as exc:
         payload = {"error": {"code": _error_code(exc), "message": str(exc)}}

@@ -21,6 +21,7 @@ of the solution space by a singular-value rank decision.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -67,6 +68,9 @@ _COMMUTANT_ENTRY_CAP = 1 << 24
 class FactorGns:
     """Purification data of one density factor.
 
+    Eigenvalues above ``cutoff`` (finite and positive, else
+    :class:`ValidationError`) count toward the rank.
+
     ``weights`` are the kept eigenvalues in descending order, ``vectors``
     their eigenvectors as columns, ``cyclic`` the purified vector in
     C^dim (x) C^rank (row-major), and ``frame`` its dim x rank reshape
@@ -77,6 +81,10 @@ class FactorGns:
                  "frame")
 
     def __init__(self, T: DensityFactor, cutoff: float = GNS_EIG_CUTOFF):
+        if not (math.isfinite(cutoff) and cutoff > 0):
+            raise ValidationError(
+                f"eigenvalue cutoff {cutoff!r} is not a finite number > 0"
+            )
         eigvals, eigvecs = np.linalg.eigh(T.matrix)
         order = np.argsort(eigvals, kind="stable")[::-1]
         eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -173,7 +181,8 @@ def gns_build(S: ProductStateTrunc, cutoff: float = GNS_EIG_CUTOFF, *,
     """GNS triplet of a product state as a tensor product of purifications.
 
     Space dimension is prod_i a_i * rank(T^{(i)}); refuses to build past
-    ``guard``.
+    ``guard``.  ``cutoff`` must be finite and positive (see
+    :class:`FactorGns`).
     """
     factors = [FactorGns(f, cutoff) for f in S.factors]
     space_dim = 1

@@ -119,12 +119,17 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# Deepest parenthesised group; each level costs a handful of stack frames.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent with token-index backtracking for the scalar test."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -147,7 +152,11 @@ class _Parser:
         if not tok.value.isdigit():
             raise ParseError(f"expected integer {what}, found {tok.value!r}",
                              tok.line, tok.col)
-        return int(tok.value)
+        try:
+            return int(tok.value)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError(f"{what} has {len(tok.value)} digits",
+                             tok.line, tok.col) from None
 
     def parse_real(self) -> float:
         sign = 1.0
@@ -199,8 +208,15 @@ class _Parser:
             except (SignatureError, IndexRangeError) as exc:
                 raise ParseError(str(exc), tok.line, tok.col) from exc
         if tok.kind == "LPAREN":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING}",
+                    tok.line, tok.col,
+                )
             self.next()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect("RPAREN", "')'")
             return inner
         shown = tok.value if tok.kind != "END" else "end of input"
@@ -254,8 +270,9 @@ def parse_element(text: str) -> AlgebraElement:
     """Parse an element expression; see the module docstring for the grammar.
 
     The result is in canonical form.  Syntax problems raise
-    :class:`ParseError` with position; out-of-range indices and
-    cross-term signature mismatches are reported the same way.
+    :class:`ParseError` with position; out-of-range indices, cross-term
+    signature mismatches and groups nested deeper than 100 are reported
+    the same way.
     """
     parser = _Parser(_tokenize(text))
     out = parser.parse_expr()
@@ -315,11 +332,20 @@ def _json_entry_to_complex(entry) -> complex:
 
 def _factors_from_file(path: str) -> list[DensityFactor]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: expected a non-empty JSON array of matrices")
     factors = []
-    for matrix in data:
+    for pos, matrix in enumerate(data, start=1):
+        if not (isinstance(matrix, list)
+                and all(isinstance(row, list) for row in matrix)):
+            raise ParseError(f"{path}: matrix {pos} is not an array of rows")
+        if len({len(row) for row in matrix}) > 1:
+            raise ParseError(f"{path}: matrix {pos} has rows of different "
+                             f"lengths")
         rows = [[_json_entry_to_complex(e) for e in row] for row in matrix]
         factors.append(DensityFactor(np.array(rows, dtype=complex)))
     return factors

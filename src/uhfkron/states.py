@@ -18,6 +18,8 @@ not a definition.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .algebra import (
@@ -176,21 +178,45 @@ def state_evaluate(S: ProductStateTrunc, x: AlgebraElement) -> complex:
     Linear in ``x``; on an elementary tensor the value is the product of
     factor entries T^{(i)}[k_i, j_i] (note the transposed index order).
     """
+    total = 0j
+    for value in _term_values(S, x, weighted=True):
+        total += value
+    return complex(total)
+
+
+def _term_values(S: ProductStateTrunc, x: AlgebraElement,
+                 weighted: bool) -> Iterator[complex]:
+    # per term in x's order: [coefficient *] the product of the factor
+    # entries T[k-1, j-1], multiplied in slot order up to the first zero
     if S.sig != x.sig:
         raise SignatureError(
             f"state signature {S.sig.dims} does not match element "
             f"signature {x.sig.dims}"
         )
-    total = 0j
+    one = 1 + 0j
     mats = [f.matrix for f in S.factors]
     for (rows, cols), coeff in x.terms.items():
-        value = coeff
+        value = coeff if weighted else one
         for j, k, T in zip(rows, cols, mats):
             value *= T[k - 1, j - 1]
             if value == 0:
                 break
-        total += value
-    return complex(total)
+        yield value
+
+
+def _unit_values(S: ProductStateTrunc,
+                 y: AlgebraElement) -> dict[complex, list[complex]]:
+    """Per coefficient (a unit's tag, see ``algebra._unit_rows``): the
+    values of ``S`` on the terms carrying it, coefficient left out.
+
+    A unit's value is :func:`state_evaluate` of that unit alone, computed
+    by the same multiplications (a zero part may differ in sign).
+    """
+    out: dict[complex, list[complex]] = {}
+    for value, tag in zip(_term_values(S, y, weighted=False),
+                          y.terms.values()):
+        out.setdefault(tag, []).append(value)
+    return out
 
 
 def state_boxtimes(S: ProductStateTrunc, R: ProductStateTrunc) -> ProductStateTrunc:

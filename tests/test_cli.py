@@ -198,6 +198,41 @@ def test_error_missing_file(capsys):
     assert payload["error"]["code"] == "io-error"
 
 
+@pytest.mark.parametrize("env,argv,code", [
+    ({}, ["check", "--suite", "coassociativity", "--dims", "2,3,2",
+          "--level", "6"], "resource-guard"),
+    ({}, ["check", "--suite", "atom-semigroup", "--dims", "2,2",
+          "--level", "999999999"], "resource-guard"),
+    ({}, ["--tol", "-1", "check", "--suite", "coassociativity",
+          "--dims", "2,2,2"], "validation"),
+    ({"UHFKRON_TOL": "nan"}, ["check", "--suite", "tensor-formula",
+                              "--dims", "2,2"], "validation"),
+    ({}, ["gns", "--state", "diag(1,0)", "--cutoff", "-1"], "validation"),
+    ({}, ["eval", "--state", "file:{number}", "--expr", "E[2](1,1)"],
+     "parse-error"),
+    ({}, ["eval", "--state", "file:{ragged}", "--expr", "E[2](1,1)"],
+     "parse-error"),
+    ({}, ["eval", "--state", "diag(1,0)", "--expr",
+          "(" * 2000 + "E[2](1,1)" + ")" * 2000], "parse-error"),
+    ({}, ["check", "--suite", "coassociativity", "--level", "x"], "usage"),
+    ({}, ["eval", "--state", "diag(1,0)"], "usage"),
+])
+def test_error_cases_are_one_strict_json_object(capsys, monkeypatch,
+                                                tmp_path, env, argv, code):
+    files = {"number": [1], "ragged": [[[1, 0], [0]]]}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    status, out = run(capsys, *(a.format(**paths) for a in argv))
+    assert status == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert set(payload) == {"error"}
+    assert payload["error"]["code"] == code
+
+
 def test_tol_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("UHFKRON_TOL", "1e-9")
     code, payload = run_json(

@@ -17,6 +17,7 @@ from uhfkron.errors import (
     GramMismatchError,
     ResourceGuardError,
     SignatureError,
+    ValidationError,
 )
 from uhfkron.gns import (
     commutant_dimension,
@@ -84,6 +85,14 @@ def test_build_space_dims():
     assert gns_build(mixed).space_dim == 16
     atom = ProductStateTrunc([T_PURE, R_PURE])
     assert gns_build(atom).space_dim == 4
+
+
+@pytest.mark.parametrize("cutoff", [-1.0, 0.0, float("nan"), float("inf")])
+def test_cutoff_must_be_finite_and_positive(cutoff):
+    with pytest.raises(ValidationError, match="cutoff"):
+        FactorGns(T_PURE, cutoff)
+    with pytest.raises(ValidationError, match="cutoff"):
+        gns_build(ProductStateTrunc([T_PURE]), cutoff)
 
 
 def test_build_guard():

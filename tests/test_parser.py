@@ -88,6 +88,20 @@ def test_parse_errors_with_position():
         parse_element("")
     with pytest.raises(ParseError, match="end of input"):
         parse_element("E[2](1,2) +")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_element("(" * 2000 + "E[2](1,1)" + ")" * 2000)
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse_element("E[2](1," + "1" * 5000 + ")")
+
+
+def test_parse_nesting_limit_boundary():
+    from uhfkron.parser import _MAX_NESTING
+
+    depth = _MAX_NESTING
+    x = parse_element("(" * depth + "E[2](1,2)" + ")" * depth)
+    assert x == matrix_unit(2, 1, 2)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_element("(" * (depth + 1) + "E[2](1,2)" + ")" * (depth + 1))
 
 
 def test_parse_signature_consistency():
@@ -174,6 +188,19 @@ def test_parse_state_file_errors(tmp_path):
     path.write_text(json.dumps({}), encoding="utf-8")
     with pytest.raises(ParseError, match="array"):
         parse_state(f"file:{path}")
+    path.write_text(json.dumps([1]), encoding="utf-8")
+    with pytest.raises(ParseError, match="not an array of rows"):
+        parse_state(f"file:{path}")
+    path.write_text(json.dumps([[1, 0], [0, 0]]), encoding="utf-8")
+    with pytest.raises(ParseError, match="not an array of rows"):
+        parse_state(f"file:{path}")
+    path.write_text(json.dumps([[[1, 0], [0]]]), encoding="utf-8")
+    with pytest.raises(ParseError, match="different lengths"):
+        parse_state(f"file:{path}")
+    for text in ("[[[1, 0]", "[" * 100000):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="not a JSON document"):
+            parse_state(f"file:{path}")
 
 
 def test_parsed_witness_evaluates():

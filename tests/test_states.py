@@ -109,6 +109,32 @@ def test_evaluate_matches_dense_trace():
         assert state_evaluate(S, x) == pytest.approx(expected, abs=1e-12)
 
 
+def _reference_evaluate(S, x):
+    # the term loop as written out before it was shared with _unit_values
+    total = 0j
+    mats = [f.matrix for f in S.factors]
+    for (rows, cols), coeff in x.terms.items():
+        value = coeff
+        for j, k, T in zip(rows, cols, mats):
+            value *= T[k - 1, j - 1]
+            if value == 0:
+                break
+        total += value
+    return complex(total)
+
+
+def test_evaluate_bit_identical_to_reference_loop():
+    zero_heavy = ProductStateTrunc(
+        [DensityFactor.diagonal([0.0, 1.0]), random_density(3, seed=4),
+         DensityFactor.diagonal([0.5, 0.0, 0.5])])
+    for S in (random_state((2, 3, 3), seed=3), zero_heavy):
+        for seed in range(20):
+            x = random_element((2, 3, 3), rng=seed, n_terms=40)
+            got, want = state_evaluate(S, x), _reference_evaluate(S, x)
+            assert (got.real.hex(), got.imag.hex()) == (
+                want.real.hex(), want.imag.hex())
+
+
 def test_evaluate_is_positive_and_unital():
     S = random_state((2, 2, 3), seed=2)
     assert state_evaluate(S, identity((2, 2, 3))) == pytest.approx(1.0)
