@@ -29,7 +29,7 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -357,12 +357,6 @@ def embed_psi(x: AlgebraElement, next_dim: int) -> AlgebraElement:
     return insert_identity_slot(x, x.sig.level, next_dim)
 
 
-def _split1(j: int, right: int) -> tuple[int, int]:
-    # 1-based index split for one fused slot
-    q, r = divmod(j - 1, right)
-    return q + 1, r + 1
-
-
 def _digit_places(dims, radices) -> list[tuple[int, int]]:
     # (slot, stride inside the slot) of each digit; slots span whole digits
     radices = iter(radices)
@@ -524,18 +518,6 @@ def to_dense(x: AlgebraElement, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
     return out
 
 
-def _strides(dims: Sequence[int]) -> list[int]:
-    # lexicographic (row-major) strides for a multi-index over dims
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
-
-
-def _linear_index(multi: Sequence[int], strides: Sequence[int]) -> int:
-    return sum((j - 1) * s for j, s in zip(multi, strides))
-
-
 def from_dense(matrix, sig, *, prune_tol: float = COEFF_PRUNE_TOL) -> AlgebraElement:
     """Expand a dense matrix over ``sig`` in elementary tensors of units.
 
@@ -548,15 +530,15 @@ def from_dense(matrix, sig, *, prune_tol: float = COEFF_PRUNE_TOL) -> AlgebraEle
         raise SignatureError(
             f"matrix shape {m.shape} does not match total dimension {D}"
         )
-    ranges = [range(1, d + 1) for d in sig.dims]
-    strides = _strides(sig.dims)
-    out: dict[MatrixUnitIndex, complex] = {}
-    for rows in itertools.product(*ranges):
-        i = _linear_index(rows, strides)
-        for cols in itertools.product(*ranges):
-            v = m[i, _linear_index(cols, strides)]
-            if abs(v) > prune_tol:
-                out[MatrixUnitIndex(rows, cols)] = complex(v)
+    kept = np.nonzero(np.abs(m) > prune_tol)
+    rows, cols = (
+        (np.stack(np.unravel_index(i, sig.dims), axis=1) + 1).tolist()
+        for i in kept
+    )
+    out = {
+        MatrixUnitIndex(tuple(r), tuple(c)): complex(v)
+        for r, c, v in zip(rows, cols, m[kept])
+    }
     return AlgebraElement(sig, out, prune_tol=prune_tol, validate=False)
 
 
@@ -565,27 +547,19 @@ def block_permutation(a, b, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
 
     P re-sorts the interleaved factor basis (a_1, b_1, ..., a_n, b_n) of the
     fused stage into the block basis (a_1..a_n, b_1..b_n); P P^T = I.
+    Row i of P is the identity's row at the fused basis index that numpy's
+    reshape/transpose of the digits moves to block index i.
     """
     a = as_signature(a)
     b = as_signature(b)
-    if a.level != b.level:
-        raise SignatureError(
-            f"levels differ: {a.level} vs {b.level}"
-        )
-    fused = a.product(b)
-    D = fused.total_dim
+    D = a.product(b).total_dim
     if D > guard:
         raise ResourceGuardError(f"dense dimension {D} exceeds guard {guard}")
-    fused_strides = _strides(fused.dims)
-    concat_dims = a.dims + b.dims
-    concat_strides = _strides(concat_dims)
+    n = a.level
+    order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+    moved = np.arange(D).reshape(_interleave(a, b)).transpose(order).reshape(-1)
     P = np.zeros((D, D), dtype=complex)
-    for multi in itertools.product(*(range(1, d + 1) for d in fused.dims)):
-        old = _linear_index(multi, fused_strides)
-        left = [_split1(j, bi)[0] for j, bi in zip(multi, b.dims)]
-        right = [_split1(j, bi)[1] for j, bi in zip(multi, b.dims)]
-        new = _linear_index(tuple(left) + tuple(right), concat_strides)
-        P[new, old] = 1.0
+    P[np.arange(D), moved] = 1.0
     return P
 
 

@@ -34,8 +34,10 @@ import numpy as np
 from .algebra import (
     COMPARE_TOL,
     DENSE_DIM_GUARD,
+    all_matrix_units,
     as_signature,
     coproduct_phi,
+    matrix_unit,
 )
 from .atoms import AtomLabel, atom_label_product
 from .checks import run_suite
@@ -48,7 +50,7 @@ from .errors import (
     UhfError,
     ValidationError,
 )
-from .gns import commutant_dimension, gns_build
+from .gns import GNS_EIG_CUTOFF, commutant_dimension, gns_build
 from .parser import parse_element, parse_state
 from .states import (
     state_boxtimes,
@@ -163,8 +165,6 @@ def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_gns(args, tol: float) -> tuple[dict, int]:
-    from .algebra import all_matrix_units, matrix_unit
-
     S = parse_state(args.state)
     G = gns_build(S, cutoff=args.cutoff)
     passed = failed = 0
@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gns", help="GNS data of a product state")
     p.set_defaults(func=_cmd_gns)
     p.add_argument("--state", required=True)
-    p.add_argument("--cutoff", type=float, default=1e-12,
+    p.add_argument("--cutoff", type=float, default=GNS_EIG_CUTOFF,
                    help="eigenvalue rank cutoff")
 
     p = sub.add_parser("check", help="run a named property suite")

@@ -3,8 +3,14 @@
 Each density factor T on M_d is purified: with T = sum_t lambda_t v_t v_t*
 and r = #{lambda_t > cutoff}, the factor space is C^d (x) C^r, the factor
 representation is x |-> x (x) I_r, and the factor cyclic vector is
-sum_t sqrt(lambda_t) v_t (x) e_t.  A product state's GNS data is the slot
-by slot tensor product of its factor data.
+sum_t sqrt(lambda_t) v_t (x) e_t.  A :class:`GnsTriplet` is the tensor
+product of such factors in space order, each reading one digit of the
+element's unit indices: its place ``(slot, stride, radix)`` picks the digit
+``(j - 1) // stride % radix`` of the index j at ``slot``.  A product
+state's triplet has one factor per slot reading the whole index.  The
+coproduct composition of two triplets concatenates their factors and
+relabels the first triplet's places to the high digits of the fused slots,
+since j = b*(j' - 1) + j'' there.
 
 The map sending an element x to rep(x) applied to the cyclic vector spans
 the whole space, so a second representation of the same state determines a
@@ -22,7 +28,6 @@ of the solution space by a singular-value rank decision.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -32,8 +37,6 @@ from .algebra import (
     MatrixUnitIndex,
     Signature,
     all_matrix_units,
-    coproduct_phi,
-    matrix_unit,
 )
 from .errors import (
     GramMismatchError,
@@ -120,25 +123,36 @@ class FactorGns:
 class GnsTriplet:
     """Hilbert space, representation, and cyclic vector of a product state.
 
-    ``rep`` maps elements to matrices on the space; the cyclic vector has
-    norm one and reproduces the state: <cyclic, rep(x) cyclic> = omega(x).
-    Built either from factor purifications (:func:`gns_build`) or as the
-    coproduct composition of two triplets (:func:`gns_tensor_phi`).
+    Stored as data: factor purifications (:class:`FactorGns`) in space
+    order, each with the place ``(slot, stride, radix)`` it reads; on a unit
+    with index j at ``slot`` the factor takes its unit index
+    (j - 1) // stride % radix + 1.  ``cyclic``, :meth:`rep_unit` and
+    :meth:`lambda_unit` are Kronecker chains over the factors.  The cyclic
+    vector has norm one and reproduces the state:
+    <cyclic, rep(x) cyclic> = omega(x).
     """
 
-    __slots__ = ("sig", "space_dim", "cyclic", "source_state",
-                 "_unit_rep", "_unit_lambda")
+    __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places")
 
-    def __init__(self, sig: Signature, space_dim: int, cyclic: np.ndarray,
-                 source_state: ProductStateTrunc,
-                 unit_rep: Callable[[MatrixUnitIndex], np.ndarray],
-                 unit_lambda: Callable[[MatrixUnitIndex], np.ndarray]):
+    def __init__(self, sig: Signature, factors, places):
         self.sig = sig
-        self.space_dim = space_dim
-        self.cyclic = cyclic
-        self.source_state = source_state
-        self._unit_rep = unit_rep
-        self._unit_lambda = unit_lambda
+        self._factors = tuple(factors)
+        self._places = tuple(places)
+        self.cyclic = self._chain()
+        self.space_dim = self.cyclic.size
+
+    def _chain(self, part=None, idx: MatrixUnitIndex | None = None) -> np.ndarray:
+        # Kronecker chain in space order of each factor's cyclic vector, or
+        # of part(factor, j, k) at the unit indices the factor reads in idx
+        out = np.ones(1, dtype=complex)
+        for f, (slot, stride, radix) in zip(self._factors, self._places):
+            if part is None:
+                out = np.kron(out, f.cyclic)
+            else:
+                j = (idx.rows[slot] - 1) // stride % radix + 1
+                k = (idx.cols[slot] - 1) // stride % radix + 1
+                out = np.kron(out, part(f, j, k))
+        return out
 
     def _check_sig(self, x: AlgebraElement):
         if x.sig != self.sig:
@@ -148,23 +162,23 @@ class GnsTriplet:
             )
 
     def rep_unit(self, idx: MatrixUnitIndex) -> np.ndarray:
-        return self._unit_rep(idx)
+        return self._chain(FactorGns.rep_unit, idx)
 
     def rep(self, x: AlgebraElement) -> np.ndarray:
         self._check_sig(x)
         out = np.zeros((self.space_dim, self.space_dim), dtype=complex)
         for idx, coeff in x.terms.items():
-            out += coeff * self._unit_rep(idx)
+            out += coeff * self.rep_unit(idx)
         return out
 
     def lambda_unit(self, idx: MatrixUnitIndex) -> np.ndarray:
-        return self._unit_lambda(idx)
+        return self._chain(FactorGns.lambda_unit, idx)
 
     def lambda_vec(self, x: AlgebraElement) -> np.ndarray:
         self._check_sig(x)
         out = np.zeros(self.space_dim, dtype=complex)
         for idx, coeff in x.terms.items():
-            out += coeff * self._unit_lambda(idx)
+            out += coeff * self.lambda_unit(idx)
         return out
 
     def expectation(self, x: AlgebraElement) -> complex:
@@ -182,41 +196,16 @@ def gns_build(S: ProductStateTrunc, cutoff: float = GNS_EIG_CUTOFF, *,
 
     Space dimension is prod_i a_i * rank(T^{(i)}); refuses to build past
     ``guard``.  ``cutoff`` must be finite and positive (see
-    :class:`FactorGns`).
+    :class:`FactorGns`).  Factor i reads the whole index of slot i.
     """
     factors = [FactorGns(f, cutoff) for f in S.factors]
-    space_dim = 1
-    for f in factors:
-        space_dim *= f.space_dim
+    space_dim = math.prod(f.space_dim for f in factors)
     if space_dim > guard:
         raise ResourceGuardError(
             f"GNS space dimension {space_dim} exceeds guard {guard}"
         )
-
-    cyclic = np.array([1.0 + 0j])
-    for f in factors:
-        cyclic = np.kron(cyclic, f.cyclic)
-
-    def unit_rep(idx: MatrixUnitIndex) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for j, k, f in zip(idx.rows, idx.cols, factors):
-            out = np.kron(out, f.rep_unit(j, k))
-        return out
-
-    def unit_lambda(idx: MatrixUnitIndex) -> np.ndarray:
-        out = np.array([1.0 + 0j])
-        for j, k, f in zip(idx.rows, idx.cols, factors):
-            out = np.kron(out, f.lambda_unit(j, k))
-        return out
-
-    return GnsTriplet(S.sig, space_dim, cyclic, S, unit_rep, unit_lambda)
-
-
-def _split_unit(idx: MatrixUnitIndex, level: int) -> tuple[MatrixUnitIndex, MatrixUnitIndex]:
-    return (
-        MatrixUnitIndex(idx.rows[:level], idx.cols[:level]),
-        MatrixUnitIndex(idx.rows[level:], idx.cols[level:]),
-    )
+    return GnsTriplet(S.sig, factors,
+                      [(i, 1, f.dim) for i, f in enumerate(factors)])
 
 
 def gns_tensor_phi(GT: GnsTriplet, GR: GnsTriplet) -> GnsTriplet:
@@ -225,29 +214,15 @@ def gns_tensor_phi(GT: GnsTriplet, GR: GnsTriplet) -> GnsTriplet:
     The result represents the fused stage (entrywise-product signature) on
     the tensor of the two spaces: x |-> (rep_T (x) rep_R)(phi(x)), with
     cyclic vector cyclic_T (x) cyclic_R.  Its cyclic state is the
-    factorwise-Kronecker product state.
+    factorwise-Kronecker product state.  Since a fused index splits as
+    j = b*(j' - 1) + j'', the factors of ``GT`` read the high digit of each
+    fused slot (their strides scale by b) and those of ``GR`` keep their
+    places.
     """
-    a, b = GT.sig, GR.sig
-    fused = a.product(b)
-    n = a.level
-    space_dim = GT.space_dim * GR.space_dim
-    cyclic = np.kron(GT.cyclic, GR.cyclic)
-    source = state_boxtimes(GT.source_state, GR.source_state)
-
-    def split(idx: MatrixUnitIndex) -> tuple[MatrixUnitIndex, MatrixUnitIndex]:
-        y = coproduct_phi(matrix_unit(fused, idx.rows, idx.cols), a, b)
-        ((out_idx, _),) = y.terms.items()
-        return _split_unit(out_idx, n)
-
-    def unit_rep(idx: MatrixUnitIndex) -> np.ndarray:
-        ia, ib = split(idx)
-        return np.kron(GT.rep_unit(ia), GR.rep_unit(ib))
-
-    def unit_lambda(idx: MatrixUnitIndex) -> np.ndarray:
-        ia, ib = split(idx)
-        return np.kron(GT.lambda_unit(ia), GR.lambda_unit(ib))
-
-    return GnsTriplet(fused, space_dim, cyclic, source, unit_rep, unit_lambda)
+    fused = GT.sig.product(GR.sig)
+    b = GR.sig.dims
+    places = [(s, t * b[s], r) for s, t, r in GT._places] + list(GR._places)
+    return GnsTriplet(fused, GT._factors + GR._factors, places)
 
 
 def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
@@ -263,7 +238,12 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
     Gram matrices disagree beyond ``gram_tol`` or the space dimensions
     differ — either would mean the extension cannot be a well-defined
     unitary.  ``level`` optionally truncates both states first.
+    ``gram_tol`` must be finite and >= 0 (else :class:`ValidationError`).
     """
+    if not (math.isfinite(gram_tol) and gram_tol >= 0):
+        raise ValidationError(
+            f"Gram tolerance {gram_tol!r} is not a finite number >= 0"
+        )
     if level is not None:
         if level < 1 or level > S.level or level > R.level:
             raise SignatureError(
@@ -305,8 +285,13 @@ def commutant_dimension(G: GnsTriplet, *, sv_cutoff: float = SV_RANK_CUTOFF,
     Stacks the vectorized commutator equations for every unit and counts
     the null space of the stack by singular values: dim = D^2 - rank,
     rank = #{sigma > sv_cutoff}.  Dimension 1 means the representation is
-    irreducible.
+    irreducible.  ``sv_cutoff`` must be finite and positive (else
+    :class:`ValidationError`).
     """
+    if not (math.isfinite(sv_cutoff) and sv_cutoff > 0):
+        raise ValidationError(
+            f"singular-value cutoff {sv_cutoff!r} is not a finite number > 0"
+        )
     D = G.space_dim
     if D * D > guard:
         raise ResourceGuardError(

@@ -18,6 +18,7 @@ not a definition.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -57,7 +58,10 @@ def density_validate(matrix, tol: float = DENSITY_VALIDATE_TOL) -> np.ndarray:
     Raises :class:`ValidationError` naming the violated property: square
     shape, dimension >= 2, Hermitian within ``tol``, trace 1 within ``tol``,
     smallest eigenvalue >= -``tol``.  Non-finite entries are rejected first.
+    ``tol`` must be finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tolerance {tol!r} is not a finite number >= 0")
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"density matrix must be square, got {m.shape}")

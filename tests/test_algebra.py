@@ -125,9 +125,10 @@ def test_linear_ops_match_dense():
     np.testing.assert_allclose(to_dense(2.5j * x), 2.5j * to_dense(x))
 
 
-def test_from_dense_round_trip():
-    x = random_element((2, 2, 2), rng=6)
-    assert from_dense(to_dense(x), (2, 2, 2)).allclose(x)
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2)])
+def test_from_dense_round_trip(dims):
+    x = random_element(dims, rng=6)
+    assert from_dense(to_dense(x), dims).allclose(x)
 
 
 def test_dense_guard():
@@ -223,9 +224,10 @@ def test_product_phi_inverse_round_trip():
     assert product_phi_inverse(coproduct_phi(x, a, b), 2) == x
 
 
-def test_block_permutation_conjugates_dense():
+@pytest.mark.parametrize("a,b", [((2, 2), (2, 3)), ((2, 3), (3, 2)),
+                                 ((3,), (4,))])
+def test_block_permutation_conjugates_dense(a, b):
     # dense(phi(x)) = P dense(x) P^T with the basis-sorting permutation
-    a, b = (2, 2), (2, 3)
     sig = Signature(a).product(Signature(b))
     x = random_element(sig, rng=13)
     P = block_permutation(a, b)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from uhfkron.algebra import (
+    MatrixUnitIndex,
     all_matrix_units,
+    coproduct_phi,
     identity,
     matrix_unit,
     random_element,
@@ -175,6 +177,76 @@ def test_tensor_phi_triplet_cyclic_state():
         )
 
 
+def _compose(tree):
+    # triplet and product state of a tree: a state, or a pair of trees
+    # composed through the coproduct
+    if isinstance(tree, ProductStateTrunc):
+        return gns_build(tree), tree
+    (GT, T), (GR, R) = map(_compose, tree)
+    return gns_tensor_phi(GT, GR), state_boxtimes(T, R)
+
+
+def _reference(tree, part):
+    # signature and per-unit reference map of a tree for part "rep_unit" or
+    # "lambda_unit": a state's unit is the Kronecker chain of its factors'
+    # units; a pair's unit is split by coproduct_phi and the parts' units
+    # are Kronecker-multiplied
+    if isinstance(tree, ProductStateTrunc):
+        factors = [FactorGns(T) for T in tree.factors]
+
+        def unit(idx):
+            out = np.ones(1, dtype=complex)
+            for f, j, k in zip(factors, idx.rows, idx.cols):
+                out = np.kron(out, getattr(f, part)(j, k))
+            return out
+        return tree.sig, unit
+    (a, left), (b, right) = (_reference(t, part) for t in tree)
+    n = a.level
+
+    def unit(idx):
+        y = coproduct_phi(matrix_unit(a.product(b), *idx), a, b)
+        ((split, _),) = y.terms.items()
+        return np.kron(
+            left(MatrixUnitIndex(split.rows[:n], split.cols[:n])),
+            right(MatrixUnitIndex(split.rows[n:], split.cols[n:])),
+        )
+    return a.product(b), unit
+
+
+def _mixed_state(dims, full_rank, seed):
+    # full-rank factors at the slots in full_rank, pure ones elsewhere, so
+    # factor spaces differ from the slot dimensions
+    rng = np.random.default_rng(seed)
+    return ProductStateTrunc([
+        random_density(d, seed=seed + i) if i in full_rank else
+        DensityFactor.pure(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        for i, d in enumerate(dims)
+    ])
+
+
+@pytest.mark.parametrize("tree", [
+    (_mixed_state((2, 3), {0}, 60), _mixed_state((3, 2), set(), 61)),
+    ((random_state((2,), seed=62), random_state((3,), seed=63)),
+     random_state((2,), seed=64)),
+    (random_state((2,), seed=65),
+     (random_state((3,), seed=66), random_state((2,), seed=67))),
+], ids=["unequal-slots", "nested-left", "nested-right"])
+def test_tensor_phi_composed_units(tree):
+    G, boxed = _compose(tree)
+    sig, ref_rep = _reference(tree, "rep_unit")
+    _, ref_lambda = _reference(tree, "lambda_unit")
+    assert G.sig == boxed.sig == sig
+    for idx in all_matrix_units(sig):
+        np.testing.assert_allclose(G.rep_unit(idx), ref_rep(idx), atol=1e-15)
+        np.testing.assert_allclose(
+            G.lambda_unit(idx), ref_lambda(idx), atol=1e-15
+        )
+        x = matrix_unit(sig, *idx)
+        assert G.expectation(x) == pytest.approx(
+            state_evaluate(boxed, x), abs=1e-10
+        )
+
+
 # ---------------------------------------------------------------------------
 # the intertwining unitary
 # ---------------------------------------------------------------------------
@@ -235,6 +307,13 @@ def test_intertwiner_level_argument():
         gns_intertwiner(S, R, level=3)
 
 
+@pytest.mark.parametrize("gram_tol", [-1.0, float("nan"), float("inf")])
+def test_intertwiner_gram_tol_must_be_finite_and_non_negative(gram_tol):
+    S = ProductStateTrunc([T_PURE])
+    with pytest.raises(ValidationError, match="Gram tolerance"):
+        gns_intertwiner(S, S, gram_tol=gram_tol)
+
+
 def test_intertwiner_detects_rank_collapse():
     # a coarse eigenvalue cutoff makes the fused state lose rank relative
     # to the tensor of the separate purifications
@@ -264,6 +343,13 @@ def test_commutant_of_tensor_phi_pure():
     R = ProductStateTrunc([R_PURE])
     G = gns_tensor_phi(gns_build(S), gns_build(R))
     assert commutant_dimension(G) == 1
+
+
+@pytest.mark.parametrize("sv_cutoff", [-1.0, float("nan"), float("inf")])
+def test_commutant_cutoff_must_be_finite_and_positive(sv_cutoff):
+    G = gns_build(ProductStateTrunc([T_PURE]))
+    with pytest.raises(ValidationError, match="cutoff"):
+        commutant_dimension(G, sv_cutoff=sv_cutoff)
 
 
 def test_commutant_guard():
