@@ -12,13 +12,27 @@ coproduct composition of two triplets concatenates their factors and
 relabels the first triplet's places to the high digits of the fused slots,
 since j = b*(j' - 1) + j'' there.
 
+The images of matrix units are built for a whole sequence of units at
+once: each factor's images are stacked on a leading axis and combined by
+a row-wise Kronecker product, so a spanning family is a handful of array
+operations per factor rather than a Kronecker chain per unit.
+
 The map sending an element x to rep(x) applied to the cyclic vector spans
 the whole space, so a second representation of the same state determines a
 unique unitary between the two spans.  :func:`gns_intertwiner` builds that
 unitary between the representation of the factorwise-Kronecker state and
 the coproduct composition of the two separate representations, checking
 well-definedness (equality of the Gram matrices of the two spanning
-families) instead of assuming it.
+families) instead of assuming it.  The unitary is the exact linear
+extension B A^+, where the columns of A and B are the two spanning
+families.  The rows of A are orthogonal: for one factor, A A^H is
+I_d (x) conj(frame^H frame) = I_d (x) diag(weights), because the frame's
+columns are orthogonal eigenvectors scaled by sqrt(weights); the fused
+state's A is the tensor product of its slots' families up to a column
+order, which A A^H does not see, and a tensor product of diagonals is
+diagonal.  So A A^H = diag(nu), each nu a product of kept eigenvalues
+and so positive: A has full row rank and A^+ = A^H diag(1/nu) in closed
+form.
 
 :func:`commutant_dimension` measures irreducibility: it solves the linear
 system [rep(E_u), X] = 0 over all matrix units and reports the dimension
@@ -28,6 +42,7 @@ of the solution space by a singular-value rank decision.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -40,6 +55,7 @@ from .algebra import (
 )
 from .errors import (
     GramMismatchError,
+    IndexRangeError,
     ResourceGuardError,
     SignatureError,
     ValidationError,
@@ -64,8 +80,34 @@ GNS_EIG_CUTOFF = 1e-12
 SV_RANK_CUTOFF = 1e-8
 # Allowed disagreement between the two spanning-family Gram matrices.
 GRAM_TOL = 1e-8
-# Hard cap on the entry count of the stacked commutant system.
-_COMMUTANT_ENTRY_CAP = 1 << 24
+# Hard cap on the entry count of the stacked commutant system and of each
+# intertwiner spanning family.
+_SYSTEM_ENTRY_CAP = 1 << 24
+
+
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a[n], b[n])`` for every n, stacked on axis 0.
+
+    ``a`` and ``b`` are stacks of vectors (2 axes) or of matrices (3 axes);
+    each entry is the same product ``np.kron`` forms.
+    """
+    n = len(a)
+    if a.ndim == 2:
+        return (a[:, :, None] * b[:, None, :]).reshape(n, -1)
+    (p, q), (r, s) = a.shape[1:], b.shape[1:]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+        n, p * r, q * s)
+
+
+def _kron_chain(parts: list[np.ndarray]) -> np.ndarray:
+    # row-wise Kronecker product of the stacks in parts, left to right,
+    # from a stack of ones: each entry is the product 1 * p_1 * p_2 * ...
+    # in the order of an np.kron chain that starts from np.ones(1)
+    first = parts[0]
+    out = np.ones(first.shape[:1] + (1,) * (first.ndim - 1), dtype=complex)
+    for part in parts:
+        out = _kron_rows(out, part)
+    return out
 
 
 class FactorGns:
@@ -107,17 +149,35 @@ class FactorGns:
         self.frame = frame
         self.cyclic = frame.reshape(-1)
 
+    def _index(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        # 0-based index arrays of the one unit E_{jk}
+        for name, v in (("row", j), ("column", k)):
+            if not (isinstance(v, numbers.Integral) and 1 <= v <= self.dim):
+                raise IndexRangeError(
+                    f"{name} index {v!r} is not an integer in 1..{self.dim}"
+                )
+        return np.array([j - 1]), np.array([k - 1])
+
     def rep_unit(self, j: int, k: int) -> np.ndarray:
         """Image of the unit E_{jk}: E_{jk} (x) I_rank."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[j - 1, k - 1] = 1.0
-        return np.kron(m, np.eye(self.rank, dtype=complex))
+        return self._rep_units(*self._index(j, k))[0]
 
     def lambda_unit(self, j: int, k: int) -> np.ndarray:
         """rep(E_{jk}) applied to the cyclic vector: e_j (x) frame[k-1, :]."""
-        e = np.zeros(self.dim, dtype=complex)
-        e[j - 1] = 1.0
-        return np.kron(e, self.frame[k - 1, :])
+        return self._lambda_units(*self._index(j, k))[0]
+
+    def _rep_units(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # E_{jk} (x) I_rank for each pair of 0-based indices j[n], k[n]
+        n, d, r = len(j), self.dim, self.rank
+        out = np.zeros((n, d, r, d, r), dtype=complex)
+        out[np.arange(n), j, :, k, :] = np.eye(r)
+        return out.reshape(n, d * r, d * r)
+
+    def _lambda_units(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # e_j (x) frame[k] for each pair of 0-based indices j[n], k[n]
+        e = np.zeros((len(j), self.dim), dtype=complex)
+        e[np.arange(len(j)), j] = 1.0
+        return _kron_rows(e, self.frame[k])
 
 
 class GnsTriplet:
@@ -126,9 +186,12 @@ class GnsTriplet:
     Stored as data: factor purifications (:class:`FactorGns`) in space
     order, each with the place ``(slot, stride, radix)`` it reads; on a unit
     with index j at ``slot`` the factor takes its unit index
-    (j - 1) // stride % radix + 1.  ``cyclic``, :meth:`rep_unit` and
-    :meth:`lambda_unit` are Kronecker chains over the factors.  The cyclic
-    vector has norm one and reproduces the state:
+    (j - 1) // stride % radix + 1.  ``cyclic`` is the Kronecker chain of
+    the factors' cyclic vectors.  :meth:`rep_units` and
+    :meth:`lambda_units` give the images of a whole sequence of units at
+    once, one row-wise Kronecker product per factor over the stacked factor
+    images; :meth:`rep_unit` and :meth:`lambda_unit` are the one-unit case.
+    The cyclic vector has norm one and reproduces the state:
     <cyclic, rep(x) cyclic> = omega(x).
     """
 
@@ -138,21 +201,44 @@ class GnsTriplet:
         self.sig = sig
         self._factors = tuple(factors)
         self._places = tuple(places)
-        self.cyclic = self._chain()
+        self.cyclic = _kron_chain([f.cyclic[None] for f in self._factors])[0]
         self.space_dim = self.cyclic.size
 
-    def _chain(self, part=None, idx: MatrixUnitIndex | None = None) -> np.ndarray:
-        # Kronecker chain in space order of each factor's cyclic vector, or
-        # of part(factor, j, k) at the unit indices the factor reads in idx
-        out = np.ones(1, dtype=complex)
-        for f, (slot, stride, radix) in zip(self._factors, self._places):
-            if part is None:
-                out = np.kron(out, f.cyclic)
-            else:
-                j = (idx.rows[slot] - 1) // stride % radix + 1
-                k = (idx.cols[slot] - 1) // stride % radix + 1
-                out = np.kron(out, part(f, j, k))
-        return out
+    def _family(self, part: str, units) -> np.ndarray:
+        # Kronecker chain in space order of part(factor, j, k) at the
+        # 0-based digits each factor reads, for all units at once
+        idx = self._indices(units)
+        rows, cols = idx[:, 0], idx[:, 1]
+        return _kron_chain([
+            getattr(f, part)(rows[:, s] // t % r, cols[:, s] // t % r)
+            for f, (s, t, r) in zip(self._factors, self._places)
+        ])
+
+    def _indices(self, units) -> np.ndarray:
+        # 0-based (N, 2, level) index array of a sequence of matrix units
+        level = self.sig.level
+        try:
+            idx = np.asarray(units)
+        except ValueError:  # ragged: slot counts differ
+            idx = None
+        if idx is None or idx.ndim != 3 or idx.shape[1:] != (2, level):
+            raise SignatureError(
+                f"expected matrix units with {level} row and column "
+                f"indices each (signature {self.sig.dims})"
+            )
+        if idx.dtype.kind not in "iu":
+            raise IndexRangeError(
+                f"matrix-unit indices are not all machine integers "
+                f"(array dtype {idx.dtype})"
+            )
+        bad = (idx < 1) | (idx > np.array(self.sig.dims))
+        if bad.any():
+            n, side, pos = np.argwhere(bad)[0]
+            raise IndexRangeError(
+                f"{('row', 'column')[side]} index {idx[n, side, pos]} "
+                f"outside 1..{self.sig.dims[pos]} at factor {pos + 1}"
+            )
+        return idx - 1
 
     def _check_sig(self, x: AlgebraElement):
         if x.sig != self.sig:
@@ -161,8 +247,17 @@ class GnsTriplet:
                 f"representation signature {self.sig.dims}"
             )
 
+    def rep_units(self, units) -> np.ndarray:
+        """rep(E_u) for every unit u of ``units``, stacked on axis 0.
+
+        ``units`` is a sequence of :class:`MatrixUnitIndex` (or of
+        (rows, cols) pairs); an index outside 1..a_i raises
+        :class:`IndexRangeError`, a wrong slot count :class:`SignatureError`.
+        """
+        return self._family("_rep_units", units)
+
     def rep_unit(self, idx: MatrixUnitIndex) -> np.ndarray:
-        return self._chain(FactorGns.rep_unit, idx)
+        return self.rep_units([idx])[0]
 
     def rep(self, x: AlgebraElement) -> np.ndarray:
         self._check_sig(x)
@@ -171,8 +266,13 @@ class GnsTriplet:
             out += coeff * self.rep_unit(idx)
         return out
 
+    def lambda_units(self, units) -> np.ndarray:
+        """rep(E_u) cyclic for every unit u of ``units``, stacked on axis 0
+        (``units`` as in :meth:`rep_units`)."""
+        return self._family("_lambda_units", units)
+
     def lambda_unit(self, idx: MatrixUnitIndex) -> np.ndarray:
-        return self._chain(FactorGns.lambda_unit, idx)
+        return self.lambda_units([idx])[0]
 
     def lambda_vec(self, x: AlgebraElement) -> np.ndarray:
         self._check_sig(x)
@@ -232,13 +332,18 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
                     gram_tol: float = GRAM_TOL) -> np.ndarray:
     """Unitary U with U Lambda_{S box R}(x) = (Lambda_S (x) Lambda_R)(phi(x)).
 
-    Columns of the two spanning families are collected over all matrix
-    units of the fused signature; U is the least-squares linear extension
-    (pseudo-inverse).  Raises :class:`GramMismatchError` if the families'
-    Gram matrices disagree beyond ``gram_tol`` or the space dimensions
-    differ — either would mean the extension cannot be a well-defined
-    unitary.  ``level`` optionally truncates both states first.
-    ``gram_tol`` must be finite and >= 0 (else :class:`ValidationError`).
+    The columns of the two spanning families A (fused) and B (composed)
+    are the images of all matrix units of the fused signature, in
+    :func:`all_matrix_units` order; U = B A^+ is the linear extension.  The
+    rows of A are orthogonal (A A^H = diag(nu), nu the squared row norms;
+    see the module notes), so U = (B A^H) / nu exactly, with no
+    pseudo-inverse solve.  Raises :class:`GramMismatchError` if the
+    families' Gram matrices disagree beyond ``gram_tol`` or the space
+    dimensions differ — either would mean the extension cannot be a
+    well-defined unitary — and :class:`ResourceGuardError` if a family
+    would hold more than 2^24 entries.  ``level`` optionally truncates both
+    states first.  ``gram_tol`` must be finite and >= 0 (else
+    :class:`ValidationError`).
     """
     if not (math.isfinite(gram_tol) and gram_tol >= 0):
         raise ValidationError(
@@ -265,9 +370,15 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
             f"{G_tensor.space_dim} (eigenvalue rank at the cutoff boundary)"
         )
 
+    n_units = G_fused.sig.total_dim ** 2
+    if n_units * G_fused.space_dim > _SYSTEM_ENTRY_CAP:
+        raise ResourceGuardError(
+            f"spanning families would hold {n_units * G_fused.space_dim} "
+            f"entries each"
+        )
     units = list(all_matrix_units(G_fused.sig))
-    A = np.column_stack([G_fused.lambda_unit(u) for u in units])
-    B = np.column_stack([G_tensor.lambda_unit(u) for u in units])
+    A = G_fused.lambda_units(units).T
+    B = G_tensor.lambda_units(units).T
 
     gram_defect = float(np.max(np.abs(A.conj().T @ A - B.conj().T @ B)))
     if gram_defect > gram_tol:
@@ -275,7 +386,9 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
             f"spanning-family Gram matrices disagree by {gram_defect:.3e} "
             f"(> {gram_tol:.0e}); the linear extension is not isometric"
         )
-    return B @ np.linalg.pinv(A)
+    # A A^H = diag(nu) with nu > 0, so A^+ = A^H diag(1/nu)
+    nu = np.sum(A.real ** 2 + A.imag ** 2, axis=1)
+    return (B @ A.conj().T) / nu
 
 
 def commutant_dimension(G: GnsTriplet, *, sv_cutoff: float = SV_RANK_CUTOFF,
@@ -298,15 +411,18 @@ def commutant_dimension(G: GnsTriplet, *, sv_cutoff: float = SV_RANK_CUTOFF,
             f"commutant system size {D}^2 exceeds guard {guard}"
         )
     n_units = G.sig.total_dim ** 2
-    if n_units * D ** 4 > _COMMUTANT_ENTRY_CAP:
+    if n_units * D ** 4 > _SYSTEM_ENTRY_CAP:
         raise ResourceGuardError(
             f"stacked commutant system would hold {n_units * D**4} entries"
         )
-    eye = np.eye(D, dtype=complex)
-    blocks = []
-    for idx in all_matrix_units(G.sig):
-        Ru = G.rep_unit(idx)
-        blocks.append(np.kron(Ru, eye) - np.kron(eye, Ru.T))
-    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    R = G.rep_units(list(all_matrix_units(G.sig)))
+    # block u is kron(R_u, I) - kron(I, R_u^T), written in place: axes
+    # (u, a, b, c, d) hold the entry at row a*D + b, column c*D + d
+    stack = np.zeros((n_units, D, D, D, D), dtype=complex)
+    for a in range(D):
+        stack[:, :, a, :, a] += R
+        stack[:, a, :, a, :] -= R.transpose(0, 2, 1)
+    sv = np.linalg.svd(stack.reshape(n_units * D * D, D * D),
+                       compute_uv=False)
     rank = int(np.sum(sv > sv_cutoff))
     return D * D - rank

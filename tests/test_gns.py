@@ -17,6 +17,7 @@ from uhfkron.algebra import (
 )
 from uhfkron.errors import (
     GramMismatchError,
+    IndexRangeError,
     ResourceGuardError,
     SignatureError,
     ValidationError,
@@ -224,13 +225,17 @@ def _mixed_state(dims, full_rank, seed):
     ])
 
 
-@pytest.mark.parametrize("tree", [
+_TREES = [
     (_mixed_state((2, 3), {0}, 60), _mixed_state((3, 2), set(), 61)),
     ((random_state((2,), seed=62), random_state((3,), seed=63)),
      random_state((2,), seed=64)),
     (random_state((2,), seed=65),
      (random_state((3,), seed=66), random_state((2,), seed=67))),
-], ids=["unequal-slots", "nested-left", "nested-right"])
+]
+_TREE_IDS = ["unequal-slots", "nested-left", "nested-right"]
+
+
+@pytest.mark.parametrize("tree", _TREES, ids=_TREE_IDS)
 def test_tensor_phi_composed_units(tree):
     G, boxed = _compose(tree)
     sig, ref_rep = _reference(tree, "rep_unit")
@@ -245,6 +250,44 @@ def test_tensor_phi_composed_units(tree):
         assert G.expectation(x) == pytest.approx(
             state_evaluate(boxed, x), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("tree", _TREES, ids=_TREE_IDS)
+def test_batched_family_equals_per_unit_stack(tree):
+    # one call over all units gives exactly the per-unit images, stacked
+    G, _ = _compose(tree)
+    units = list(all_matrix_units(G.sig))
+    assert np.array_equal(
+        G.lambda_units(units).T,
+        np.column_stack([G.lambda_unit(u) for u in units]),
+    )
+    assert np.array_equal(
+        G.rep_units(units), np.stack([G.rep_unit(u) for u in units])
+    )
+
+
+def test_unit_methods_reject_bad_indices():
+    G = gns_build(random_state((2,), seed=68))
+    for method in (G.rep_unit, G.lambda_unit):
+        for rows, cols in [((3,), (1,)), ((1,), (0,)), ((-1,), (1,)),
+                           ((1.5,), (1,)), ((1,), (10**30,))]:
+            with pytest.raises(IndexRangeError):
+                method(MatrixUnitIndex(rows, cols))
+        for rows, cols in [((1, 1), (1, 1)), ((), ()), ((1,), (1, 2))]:
+            with pytest.raises(SignatureError):
+                method(MatrixUnitIndex(rows, cols))
+    G2 = gns_build(random_state((2, 3), seed=69))
+    good = MatrixUnitIndex((2, 3), (1, 1))
+    for method in (G2.rep_units, G2.lambda_units):
+        with pytest.raises(IndexRangeError, match="column index 4 .* factor 2"):
+            method([good, MatrixUnitIndex((1, 1), (1, 4))])
+        with pytest.raises(SignatureError):
+            method([good, MatrixUnitIndex((1,), (1,))])
+    f = FactorGns(random_density(2, seed=70))
+    for method in (f.rep_unit, f.lambda_unit):
+        for j, k in [(0, 1), (1, 3), (3, 1), (2, -1), (1.5, 1)]:
+            with pytest.raises(IndexRangeError):
+                method(j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +350,38 @@ def test_intertwiner_level_argument():
         gns_intertwiner(S, R, level=3)
 
 
+def _spanning_families(S, R):
+    # the two families as per-unit column stacks over all_matrix_units
+    G_fused = gns_build(state_boxtimes(S, R))
+    G_tensor = gns_tensor_phi(gns_build(S), gns_build(R))
+    units = list(all_matrix_units(G_fused.sig))
+    return (np.column_stack([G_fused.lambda_unit(u) for u in units]),
+            np.column_stack([G_tensor.lambda_unit(u) for u in units]))
+
+
+@pytest.mark.parametrize("S,R,square", [
+    (random_state((2, 3), seed=56), random_state((2, 2), seed=57), True),
+    (_mixed_state((2, 3), {1}, 58), _mixed_state((2, 2), set(), 59), False),
+], ids=["full-rank", "pure-factors"])
+def test_intertwiner_matches_pseudo_inverse(S, R, square):
+    A, B = _spanning_families(S, R)
+    assert (A.shape[0] == A.shape[1]) == square
+    gram = A @ A.conj().T
+    off_diagonal = gram - np.diag(np.diag(gram))
+    assert np.max(np.abs(off_diagonal)) <= 1e-14
+    np.testing.assert_allclose(
+        gns_intertwiner(S, R), B @ np.linalg.pinv(A), rtol=0, atol=1e-11
+    )
+
+
+def test_intertwiner_family_guard():
+    # pure level-5 states: D = 4^5 passes the space guard, but each family
+    # would hold 16^5 units x D entries
+    S = ProductStateTrunc([T_PURE] * 5)
+    with pytest.raises(ResourceGuardError, match="spanning families"):
+        gns_intertwiner(S, S)
+
+
 @pytest.mark.parametrize("gram_tol", [-1.0, float("nan"), float("inf")])
 def test_intertwiner_gram_tol_must_be_finite_and_non_negative(gram_tol):
     S = ProductStateTrunc([T_PURE])
@@ -343,6 +418,23 @@ def test_commutant_of_tensor_phi_pure():
     R = ProductStateTrunc([R_PURE])
     G = gns_tensor_phi(gns_build(S), gns_build(R))
     assert commutant_dimension(G) == 1
+
+
+@pytest.mark.parametrize("G", [
+    gns_build(random_state((2, 2), seed=71)),
+    gns_tensor_phi(gns_build(random_state((2,), seed=72)),
+                   gns_build(_mixed_state((2,), set(), 73))),
+    gns_build(_mixed_state((3,), set(), 74)),
+], ids=["full-rank", "composed", "pure"])
+def test_commutant_matches_stacked_kron_reference(G):
+    D = G.space_dim
+    eye = np.eye(D, dtype=complex)
+    stack = np.vstack([
+        np.kron(G.rep_unit(u), eye) - np.kron(eye, G.rep_unit(u).T)
+        for u in all_matrix_units(G.sig)
+    ])
+    sv = np.linalg.svd(stack, compute_uv=False)
+    assert commutant_dimension(G) == D * D - int(np.sum(sv > 1e-8))
 
 
 @pytest.mark.parametrize("sv_cutoff", [-1.0, float("nan"), float("inf")])
