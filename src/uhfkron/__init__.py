@@ -63,7 +63,6 @@ from .errors import (
 from .gns import (
     GNS_EIG_CUTOFF,
     GRAM_TOL,
-    SV_RANK_CUTOFF,
     FactorGns,
     GnsTriplet,
     commutant_dimension,

@@ -565,11 +565,17 @@ def block_permutation(a, b, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
 
 def all_matrix_units(sig) -> Iterator[MatrixUnitIndex]:
     """All matrix-unit indices of a stage, rows-major lexicographic order."""
+    for units in _unit_index_rows(sig):
+        yield from units
+
+
+def _unit_index_rows(sig) -> Iterator[list[MatrixUnitIndex]]:
+    # the units of all_matrix_units, one list per row multi-index
     sig = as_signature(sig)
     ranges = [range(1, d + 1) for d in sig.dims]
+    all_cols = list(itertools.product(*ranges))
     for rows in itertools.product(*ranges):
-        for cols in itertools.product(*ranges):
-            yield MatrixUnitIndex(rows, cols)
+        yield [MatrixUnitIndex(rows, cols) for cols in all_cols]
 
 
 def _unit_rows(sig) -> Iterator[tuple[list[MatrixUnitIndex], AlgebraElement]]:
@@ -582,10 +588,7 @@ def _unit_rows(sig) -> Iterator[tuple[list[MatrixUnitIndex], AlgebraElement]]:
     :func:`_images`); a merged or lost unit shows as a missing tag.
     """
     sig = as_signature(sig)
-    ranges = [range(1, d + 1) for d in sig.dims]
-    all_cols = list(itertools.product(*ranges))
-    for rows in itertools.product(*ranges):
-        units = [MatrixUnitIndex(rows, cols) for cols in all_cols]
+    for units in _unit_index_rows(sig):
         yield units, AlgebraElement(
             sig, dict(zip(units, itertools.count(1))), validate=False
         )

@@ -34,9 +34,9 @@ diagonal.  So A A^H = diag(nu), each nu a product of kept eigenvalues
 and so positive: A has full row rank and A^+ = A^H diag(1/nu) in closed
 form.
 
-:func:`commutant_dimension` measures irreducibility: it solves the linear
-system [rep(E_u), X] = 0 over all matrix units and reports the dimension
-of the solution space by a singular-value rank decision.
+:func:`commutant_dimension` measures irreducibility: it certifies, in
+exact 0/1 arithmetic, a unitary W with rep(x) = W (x (x) I_m) W^H, so the
+commutant is W (I (x) M_m) W^H, of dimension m^2.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .algebra import (
     AlgebraElement,
     MatrixUnitIndex,
     Signature,
+    _unit_index_rows,
     all_matrix_units,
 )
 from .errors import (
@@ -64,7 +65,6 @@ from .states import DensityFactor, ProductStateTrunc, state_boxtimes
 
 __all__ = [
     "GNS_EIG_CUTOFF",
-    "SV_RANK_CUTOFF",
     "GRAM_TOL",
     "FactorGns",
     "GnsTriplet",
@@ -76,12 +76,9 @@ __all__ = [
 
 # Eigenvalues of a density factor at or below this are treated as zero rank.
 GNS_EIG_CUTOFF = 1e-12
-# Singular values above this count toward the rank in the commutant solve.
-SV_RANK_CUTOFF = 1e-8
 # Allowed disagreement between the two spanning-family Gram matrices.
 GRAM_TOL = 1e-8
-# Hard cap on the entry count of the stacked commutant system and of each
-# intertwiner spanning family.
+# Hard cap on the entry count of each intertwiner spanning family.
 _SYSTEM_ENTRY_CAP = 1 << 24
 
 
@@ -391,38 +388,38 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
     return (B @ A.conj().T) / nu
 
 
-def commutant_dimension(G: GnsTriplet, *, sv_cutoff: float = SV_RANK_CUTOFF,
+def commutant_dimension(G: GnsTriplet, *,
                         guard: int = DENSE_DIM_GUARD) -> int:
     """Dimension of {X : [rep(E_u), X] = 0 for all matrix units E_u}.
 
-    Stacks the vectorized commutator equations for every unit and counts
-    the null space of the stack by singular values: dim = D^2 - rank,
-    rank = #{sigma > sv_cutoff}.  Dimension 1 means the representation is
-    irreducible.  ``sv_cutoff`` must be finite and positive (else
-    :class:`ValidationError`).
+    Exact certificate, as unit images are 0/1 matrices: with N =
+    ``G.sig.total_dim``, s the support of diag rep(E_11), m = len(s),
+    W_i = rep(E_i1)[:, s] and W = [W_1 ... W_N], check that W is a square
+    unitary and that rep(E_ij) = W_i W_j^H for all i, j.  Then rep(E_ij) =
+    W (E_ij (x) I_m) W^H, so rep is equivalent to x |-> x (x) I_m and its
+    commutant W (I_N (x) M_m) W^H has dimension m^2 (1: irreducible).  A
+    failed check raises :class:`ValidationError`, naming the frame or the
+    first failing row of units, and no number is returned.
     """
-    if not (math.isfinite(sv_cutoff) and sv_cutoff > 0):
-        raise ValidationError(
-            f"singular-value cutoff {sv_cutoff!r} is not a finite number > 0"
-        )
     D = G.space_dim
     if D * D > guard:
         raise ResourceGuardError(
             f"commutant system size {D}^2 exceeds guard {guard}"
         )
-    n_units = G.sig.total_dim ** 2
-    if n_units * D ** 4 > _SYSTEM_ENTRY_CAP:
-        raise ResourceGuardError(
-            f"stacked commutant system would hold {n_units * D**4} entries"
+    N = G.sig.total_dim
+    rows = list(_unit_index_rows(G.sig))
+    W = G.rep_units([row[0] for row in rows])  # rep(E_i1) for each row i
+    W = W[:, :, np.flatnonzero(np.diagonal(W[0]))]  # W[i] = W_i, D x m
+    m = W.shape[2]
+    frame = W.transpose(1, 0, 2).reshape(D, N * m)  # [W_1 ... W_N]
+    if N * m != D or not np.array_equal(frame.conj().T @ frame, np.eye(D)):
+        raise ValidationError(
+            f"the frame [W_1 ... W_N] is {D} x {N * m} and not unitary"
         )
-    R = G.rep_units(list(all_matrix_units(G.sig)))
-    # block u is kron(R_u, I) - kron(I, R_u^T), written in place: axes
-    # (u, a, b, c, d) hold the entry at row a*D + b, column c*D + d
-    stack = np.zeros((n_units, D, D, D, D), dtype=complex)
-    for a in range(D):
-        stack[:, :, a, :, a] += R
-        stack[:, a, :, a, :] -= R.transpose(0, 2, 1)
-    sv = np.linalg.svd(stack.reshape(n_units * D * D, D * D),
-                       compute_uv=False)
-    rank = int(np.sum(sv > sv_cutoff))
-    return D * D - rank
+    WH = W.transpose(0, 2, 1).conj()
+    for i, row in enumerate(rows):
+        if not np.array_equal(G.rep_units(row), W[i] @ WH):
+            raise ValidationError(
+                f"row {row[0].rows} of unit images fails the certificate"
+            )
+    return m * m

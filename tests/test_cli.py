@@ -128,6 +128,19 @@ def test_gns_pure_and_trace(capsys):
     assert payload["cyclic_norm"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("state, commutant", [
+    ("diag(0.5,0.5);diag(0.3,0.7);diag(0.4,0.6)", 64),
+    ("diag(0.2,0.8);diag(0.1,0.3,0.6)", 36),
+    ("diag(1,0,0,0);diag(1,0,0,0);diag(1,0,0,0)", 1),
+], ids=["full-rank-2x2x2", "full-rank-2x3", "pure-4x4x4"])
+def test_gns_commutant_within_the_guard(capsys, state, commutant):
+    # D = 64 or 36, so D^2 is within the guard and a number is due
+    code, payload = run_json(capsys, "gns", "--state", state)
+    assert code == 0
+    assert payload["commutant_dim"] == commutant
+    assert payload["expectation"]["failed"] == 0
+
+
 def test_distance_witness(capsys):
     code, payload = run_json(
         capsys, "distance",

@@ -3,6 +3,8 @@ intertwining unitary for the fused-vs-coproduct representations, and
 commutant dimensions as irreducibility certificates.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from uhfkron.errors import (
 from uhfkron.gns import (
     commutant_dimension,
     FactorGns,
+    GnsTriplet,
     gns_build,
     gns_intertwiner,
     gns_tensor_phi,
@@ -425,7 +428,11 @@ def test_commutant_of_tensor_phi_pure():
     gns_tensor_phi(gns_build(random_state((2,), seed=72)),
                    gns_build(_mixed_state((2,), set(), 73))),
     gns_build(_mixed_state((3,), set(), 74)),
-], ids=["full-rank", "composed", "pure"])
+    gns_build(random_state((4,), seed=75)),
+    gns_build(_mixed_state((2, 3), {0}, 76)),
+    gns_build(ProductStateTrunc([T_PURE, R_PURE, T_PURE])),
+], ids=["full-rank", "composed", "pure", "full-rank-4", "mixed-rank-2x3",
+        "atom-2x2x2"])
 def test_commutant_matches_stacked_kron_reference(G):
     D = G.space_dim
     eye = np.eye(D, dtype=complex)
@@ -437,11 +444,57 @@ def test_commutant_matches_stacked_kron_reference(G):
     assert commutant_dimension(G) == D * D - int(np.sum(sv > 1e-8))
 
 
-@pytest.mark.parametrize("sv_cutoff", [-1.0, float("nan"), float("inf")])
-def test_commutant_cutoff_must_be_finite_and_positive(sv_cutoff):
-    G = gns_build(ProductStateTrunc([T_PURE]))
-    with pytest.raises(ValidationError, match="cutoff"):
-        commutant_dimension(G, sv_cutoff=sv_cutoff)
+@pytest.mark.parametrize("S", [
+    random_state((2, 3), seed=77),
+    random_state((2, 2, 2), seed=78),
+    ProductStateTrunc([DensityFactor.diagonal([1.0, 0.0, 0.0, 0.0])] * 3),
+], ids=["full-rank-2x3", "full-rank-2x2x2", "pure-4x4x4"])
+def test_commutant_beyond_the_stacked_reference(S):
+    # the stacked system has N^2 D^4 entries (up to 2^36 here), too many
+    # to solve; a unital rep x |-> x (x) I_m has commutant dimension m^2
+    # with m = prod_i rank_i
+    G = gns_build(S)
+    ranks = [FactorGns(f).rank for f in S.factors]
+    assert commutant_dimension(G) == math.prod(r * r for r in ranks)
+
+
+@pytest.mark.parametrize("swapped, match", [
+    (((2,), (2,)), r"row \(1,\)"),
+    (((2,), (1,)), "not unitary"),
+], ids=["E12-E22", "E12-E21"])
+def test_commutant_refuses_a_non_representation(monkeypatch, swapped,
+                                                match):
+    # swapping the images of E_{12} and E_{22} keeps W but breaks
+    # rep(E_12) = W_1 W_2^H; swapping E_{12} and E_{21} puts a unit of
+    # the first row into W, which is then not unitary; no dimension may
+    # come back in either case
+    G = gns_build(random_state((2,), seed=79))
+    e12, other = MatrixUnitIndex((1,), (2,)), MatrixUnitIndex(*swapped)
+    swap = {e12: other, other: e12}
+    rep_units = GnsTriplet.rep_units
+    monkeypatch.setattr(
+        GnsTriplet, "rep_units",
+        lambda self, units: rep_units(self, [swap.get(u, u) for u in units]),
+    )
+    with pytest.raises(ValidationError, match=match):
+        commutant_dimension(G)
+
+
+def test_commutant_refuses_a_non_square_frame(monkeypatch):
+    # rep(E_11) = I has rank D, so [W_1 W_2] is D x 2D and cannot be
+    # unitary; the refusal names the frame's shape rather than a row
+    G = gns_build(random_state((2,), seed=80))
+    e11 = MatrixUnitIndex((1,), (1,))
+    rep_units = GnsTriplet.rep_units
+
+    def patched(self, units):
+        out = rep_units(self, units)
+        out[[u == e11 for u in units]] = np.eye(self.space_dim)
+        return out
+
+    monkeypatch.setattr(GnsTriplet, "rep_units", patched)
+    with pytest.raises(ValidationError, match="4 x 8 and not unitary"):
+        commutant_dimension(G)
 
 
 def test_commutant_guard():
