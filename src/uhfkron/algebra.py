@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -157,6 +158,15 @@ def _check_index(sig: Signature, rows, cols) -> MatrixUnitIndex:
     return MatrixUnitIndex(rows, cols)
 
 
+def _modulus(c: complex) -> float:
+    """``abs(c)``, but ``inf`` where finite parts give a modulus past the
+    largest float (``abs`` raises ``OverflowError`` there)."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.hypot(c.real, c.imag)
+
+
 class AlgebraElement:
     """Sparse element of a tensor stage, kept in canonical form.
 
@@ -180,12 +190,13 @@ class AlgebraElement:
                 elif not isinstance(idx, MatrixUnitIndex):
                     idx = MatrixUnitIndex(tuple(idx[0]), tuple(idx[1]))
                 merged[idx] = merged.get(idx, 0j) + complex(coeff)
+        try:
+            kept = {idx: c for idx, c in merged.items() if abs(c) > prune_tol}
+        except OverflowError:
+            kept = {idx: c for idx, c in merged.items()
+                    if _modulus(c) > prune_tol}
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(
-            self,
-            "_terms",
-            {idx: c for idx, c in merged.items() if abs(c) > prune_tol},
-        )
+        object.__setattr__(self, "_terms", kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")

@@ -16,6 +16,24 @@ list of its atoms' sizes in order.  All terms of a sum must produce the
 same signature.  The ``'*'`` between chains is the algebra product —
 this is the one place the syntax goes past plain linear combinations.
 
+Parsing is linear in the length of the text:
+
+- One pass of a compiled regex (``findall``) returns the tokens as
+  plain strings.  Token offsets, and from them line and column, are
+  recovered by scanning again only when a :class:`ParseError` is
+  raised; so is the first character that starts no token, which is
+  reported ahead of any other error.
+- A chain of ``E`` atoms is kept as one ``(dims, rows, cols)`` index
+  tuple with coefficient 1; no element exists for it until the sum is
+  built.  Chains that contain a group, and ``*`` products, take the
+  element path (``elem_tensor``, ``AlgebraElement.__mul__``).
+- A sum is one running dict, merged term by term in input order.  Each
+  term arrives canonical (merged, pruned, ``-`` applied as the scalar
+  ``complex(-1.0)``); after the merge, the keys it touched whose
+  coefficient fell to ``<= COEFF_PRUNE_TOL`` are deleted.  This gives
+  the coefficients, key order and signed zeros of folding the terms
+  with element ``+`` and ``-``, without copying the partial sum per term.
+
 State syntax: ``;``-separated factor specs, each either ``diag(x1,...,xk)``
 (a diagonal density) or ``file:PATH`` (a JSON array of row-major complex
 matrices, each contributing one factor; entries are numbers or [re, im]
@@ -26,13 +44,20 @@ Errors carry 1-based line/column positions.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
-from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, elem_tensor, matrix_unit
+from .algebra import (
+    COEFF_PRUNE_TOL,
+    AlgebraElement,
+    MatrixUnitIndex,
+    _modulus,
+    elem_tensor,
+    matrix_unit,
+)
 from .errors import IndexRangeError, ParseError, SignatureError
 from .states import DensityFactor, ProductStateTrunc
 
@@ -44,79 +69,70 @@ __all__ = [
 ]
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
+# One token: the tensor operator (only spaces and tabs inside), a number,
+# or a one-character token.  Whitespace (``\s`` is ``str.isspace``)
+# separates tokens.
+_TOKEN = r"\([ \t]*x[ \t]*\)|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|[][(),+\-*E]"
+# The scan also yields every other non-space character as a token of its
+# own.  No grammar rule accepts one, so a parse that reaches the end saw
+# none, and they are looked for only once a ParseError is raised.
+_SCAN_RE = re.compile(_TOKEN + r"|\S")
+# Longest prefix of the text that splits into whitespace and tokens.
+_TOKENS_PREFIX_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
+# End of input.  The token list is padded with it for as many tokens as
+# an E atom spans, so looking ahead over one atom stays in range.
+_END = ""
+_LOOKAHEAD = 9
+
+# The coefficient of an E chain, and the scalar of ``-``.  Scalars are
+# applied as complex products, as element scaling does (an infinite part
+# makes its partner nan), so signed zeros, inf and nan come out the same.
+_ONE = 1 + 0j
+_NEG = complex(-1.0)
 
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
-_SIMPLE_TOKENS = {
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    ")": "RPAREN",
-}
+def _is_tensor(tok: str) -> bool:
+    return len(tok) > 1 and tok[0] == "("
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+def _is_number(tok: str) -> bool:
+    return tok[:1].isdecimal()  # exactly the characters ``\d`` matches
 
-    def advance(count: int):
-        nonlocal i, line, col
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
 
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch == "(":
-            # '(x)' is the tensor operator; a lone '(' opens a group
-            j = i + 1
-            while j < n and text[j] in " \t":
-                j += 1
-            if j < n and text[j] == "x":
-                k = j + 1
-                while k < n and text[k] in " \t":
-                    k += 1
-                if k < n and text[k] == ")":
-                    tokens.append(Token("TENSOR", "(x)", start_line, start_col))
-                    advance(k + 1 - i)
-                    continue
-            tokens.append(Token("LPAREN", "(", start_line, start_col))
-            advance(1)
-            continue
-        if ch in _SIMPLE_TOKENS:
-            tokens.append(Token(_SIMPLE_TOKENS[ch], ch, start_line, start_col))
-            advance(1)
-            continue
-        if ch == "E":
-            tokens.append(Token("E", "E", start_line, start_col))
-            advance(1)
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), start_line, start_col))
-            advance(len(m.group()))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("END", "", line, col))
-    return tokens
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _shown(tok: str) -> str:
+    return tok if tok != _END else "end of input"
+
+
+def _unit_element(dims, rows, cols) -> AlgebraElement:
+    return AlgebraElement(dims, {MatrixUnitIndex(rows, cols): 1.0},
+                          validate=False)
+
+
+def _as_element(chain) -> AlgebraElement:
+    return chain if isinstance(chain, AlgebraElement) else _unit_element(*chain)
+
+
+def _pruned(items) -> list:
+    """The ``(key, coeff)`` items an element would keep."""
+    return [(key, v) for key, v in items if _modulus(v) > COEFF_PRUNE_TOL]
+
+
+def _merge(acc: dict, items) -> None:
+    """Add canonical ``(key, coeff)`` items to ``acc``, then prune the keys
+    they touched, as re-canonicalizing the whole sum would.
+
+    A new key gets ``0j + v``, the signed-zero cleanup of element
+    construction; sums of cleaned values need none.
+    """
+    for key, v in items:
+        acc[key] = acc.get(key, 0j) + v
+    for key, _ in items:
+        if not _modulus(acc[key]) > COEFF_PRUNE_TOL:
+            del acc[key]
 
 
 # Deepest parenthesised group; each level costs a handful of stack frames.
@@ -124,146 +140,194 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive descent with token-index backtracking for the scalar test."""
+    """Recursive descent over the token strings, by index.
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    The scalar test looks ahead instead of backtracking.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _SCAN_RE.findall(text) + [_END] * _LOOKAHEAD
+        self.i = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int) -> ParseError:
+        """A ParseError located at token ``at``."""
+        found = next(itertools.islice(_SCAN_RE.finditer(self.text), at, None),
+                     None)
+        pos = found.start() if found is not None else len(self.text)
+        return ParseError(message, *_line_col(self.text, pos))
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.value if tok.kind != "END" else "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def expect(self, tok: str, what: str) -> None:
+        got = self.toks[self.i]
+        if got != tok:
+            raise self.error(f"expected {what}, found {_shown(got)!r}", self.i)
+        self.i += 1
 
     def parse_nat(self, what: str) -> int:
-        tok = self.expect("NUMBER", what)
-        if not tok.value.isdigit():
-            raise ParseError(f"expected integer {what}, found {tok.value!r}",
-                             tok.line, tok.col)
+        tok = self.toks[self.i]
+        if not _is_number(tok):
+            raise self.error(f"expected {what}, found {_shown(tok)!r}", self.i)
+        if not tok.isdecimal():
+            raise self.error(f"expected integer {what}, found {tok!r}", self.i)
         try:
-            return int(tok.value)
+            value = int(tok)
         except ValueError:  # past sys.get_int_max_str_digits()
-            raise ParseError(f"{what} has {len(tok.value)} digits",
-                             tok.line, tok.col) from None
+            raise self.error(f"{what} has {len(tok)} digits", self.i) from None
+        self.i += 1
+        return value
 
-    def parse_real(self) -> float:
+    def real_at(self, i: int) -> tuple[float, int] | None:
+        """``['+'|'-'] number`` at token ``i``: its value and the next index."""
+        toks = self.toks
         sign = 1.0
-        if self.peek().kind in ("PLUS", "MINUS"):
-            if self.next().kind == "MINUS":
+        if toks[i] in ("+", "-"):
+            if toks[i] == "-":
                 sign = -1.0
-        tok = self.expect("NUMBER", "a number")
-        return sign * float(tok.value)
+            i += 1
+        if not _is_number(toks[i]):
+            return None
+        return sign * float(toks[i]), i + 1
 
     def try_scalar_prefix(self) -> complex | None:
-        """Parse ``scalar '*'`` if present; rewind and return None if not."""
-        saved = self.pos
-        try:
-            kind = self.peek().kind
-            if kind in ("PLUS", "MINUS", "NUMBER"):
-                value = complex(self.parse_real())
-            elif kind == "LPAREN":
-                self.next()
-                re_part = self.parse_real()
-                self.expect("COMMA", "','")
-                im_part = self.parse_real()
-                self.expect("RPAREN", "')'")
-                value = complex(re_part, im_part)
-            else:
+        """Parse ``scalar '*'`` if present; leave the position and return
+        None if not."""
+        toks = self.toks
+        if toks[self.i] == "(":
+            re_part = self.real_at(self.i + 1)
+            if re_part is None or toks[re_part[1]] != ",":
                 return None
-            if self.peek().kind != "STAR":
-                self.pos = saved
+            im_part = self.real_at(re_part[1] + 1)
+            if im_part is None or toks[im_part[1]] != ")":
                 return None
-            self.next()
-            return value
-        except ParseError:
-            self.pos = saved
+            value, i = complex(re_part[0], im_part[0]), im_part[1] + 1
+        else:
+            real = self.real_at(self.i)
+            if real is None:
+                return None
+            value, i = complex(real[0]), real[1]
+        if toks[i] != "*":
             return None
+        self.i = i + 1
+        return value
 
-    def parse_atom(self) -> AlgebraElement:
-        tok = self.peek()
-        if tok.kind == "E":
-            self.next()
-            self.expect("LBRACKET", "'['")
-            size = self.parse_nat("matrix size")
-            self.expect("RBRACKET", "']'")
-            self.expect("LPAREN", "'('")
-            row = self.parse_nat("row index")
-            self.expect("COMMA", "','")
-            col = self.parse_nat("column index")
-            self.expect("RPAREN", "')'")
+    def parse_unit(self) -> tuple[int, int, int]:
+        """The atom ``E[n](j,k)`` at the current token, as checked ``(n, j, k)``."""
+        toks, i = self.toks, self.i
+        size, row, col = toks[i + 2], toks[i + 5], toks[i + 7]
+        if (toks[i + 1] == "[" and toks[i + 3] == "]" and toks[i + 4] == "("
+                and toks[i + 6] == "," and toks[i + 8] == ")"
+                and size.isdecimal() and row.isdecimal()
+                and col.isdecimal()):
             try:
-                return matrix_unit(size, row, col)
-            except (SignatureError, IndexRangeError) as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from exc
-        if tok.kind == "LPAREN":
-            if self.depth == _MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {_MAX_NESTING}",
-                    tok.line, tok.col,
-                )
-            self.next()
-            self.depth += 1
-            inner = self.parse_expr()
-            self.depth -= 1
-            self.expect("RPAREN", "')'")
-            return inner
-        shown = tok.value if tok.kind != "END" else "end of input"
-        raise ParseError(f"expected 'E[' or '(', found {shown!r}",
-                         tok.line, tok.col)
+                size, row, col = int(size), int(row), int(col)
+            except ValueError:  # too many digits; reported below
+                pass
+            else:
+                if size >= 2 and 1 <= row <= size and 1 <= col <= size:
+                    self.i = i + 9
+                    return size, row, col
+        # Malformed or out of range: read it token by token for the error.
+        self.i += 1
+        self.expect("[", "'['")
+        size = self.parse_nat("matrix size")
+        self.expect("]", "']'")
+        self.expect("(", "'('")
+        row = self.parse_nat("row index")
+        self.expect(",", "','")
+        col = self.parse_nat("column index")
+        self.expect(")", "')'")
+        try:
+            matrix_unit(size, row, col)
+        except (SignatureError, IndexRangeError) as exc:
+            raise self.error(str(exc), i) from exc
+        return size, row, col
 
-    def parse_chain(self) -> AlgebraElement:
-        out = self.parse_atom()
-        while self.peek().kind == "TENSOR":
-            self.next()
-            out = elem_tensor(out, self.parse_atom())
-        return out
+    def parse_group(self) -> AlgebraElement:
+        tok = self.toks[self.i]
+        if tok != "(":
+            raise self.error(f"expected 'E[' or '(', found {_shown(tok)!r}",
+                             self.i)
+        if self.depth == _MAX_NESTING:
+            raise self.error(f"parentheses nested deeper than {_MAX_NESTING}",
+                             self.i)
+        self.i += 1
+        self.depth += 1
+        inner = self.parse_expr()
+        self.depth -= 1
+        self.expect(")", "')'")
+        return inner
 
-    def parse_product(self) -> AlgebraElement:
-        tok = self.peek()
+    def parse_chain(self):
+        """A chain: an index tuple ``(dims, rows, cols)`` if it has only
+        ``E`` atoms, else an element."""
+        toks = self.toks
+        units = []  # the leading run of E atoms, as (n, j, k)
+        out = None
+        while True:
+            if toks[self.i] == "E":
+                unit = self.parse_unit()
+                if out is None:
+                    units.append(unit)
+                else:  # one at a time: each tensor factor 1+0j can add a nan
+                    out = elem_tensor(out, matrix_unit(*unit))
+            else:
+                group = self.parse_group()
+                if out is not None:
+                    out = elem_tensor(out, group)
+                elif units:
+                    out = elem_tensor(_unit_element(*zip(*units)), group)
+                else:
+                    out = group
+            if not _is_tensor(toks[self.i]):
+                break
+            self.i += 1
+        return tuple(zip(*units)) if out is None else out
+
+    def parse_product(self):
+        start = self.i
         out = self.parse_chain()
-        while self.peek().kind == "STAR":
-            self.next()
-            rhs = self.parse_chain()
+        if self.toks[self.i] != "*":
+            return out
+        out = _as_element(out)
+        while self.toks[self.i] == "*":
+            self.i += 1
+            rhs = _as_element(self.parse_chain())
             if rhs.sig != out.sig:
-                raise ParseError(
+                raise self.error(
                     f"product of mismatched signatures {out.sig.dims} and "
-                    f"{rhs.sig.dims}", tok.line, tok.col
-                )
+                    f"{rhs.sig.dims}", start)
             out = out * rhs
         return out
 
-    def parse_term(self) -> AlgebraElement:
+    def parse_term(self):
+        """A term as its signature's dims and its canonical items."""
         scalar = self.try_scalar_prefix()
         out = self.parse_product()
-        if scalar is not None:
-            out = scalar * out
-        return out
+        if isinstance(out, AlgebraElement):
+            if scalar is not None:
+                out = scalar * out
+            return out.sig.dims, out.terms.items()
+        dims, rows, cols = out
+        coeff = _ONE if scalar is None else scalar * _ONE
+        return dims, _pruned((((rows, cols), coeff),))
 
     def parse_expr(self) -> AlgebraElement:
-        tok = self.peek()
-        out = self.parse_term()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.next()
-            rhs = self.parse_term()
-            if rhs.sig != out.sig:
-                raise ParseError(
-                    f"term signature {rhs.sig.dims} differs from "
-                    f"{out.sig.dims}", op.line, op.col
-                )
-            out = out + rhs if op.kind == "PLUS" else out - rhs
-        return out
+        toks = self.toks
+        dims, items = self.parse_term()
+        acc: dict = {}
+        _merge(acc, items)
+        while toks[self.i] in ("+", "-"):
+            op = self.i
+            self.i += 1
+            rhs_dims, items = self.parse_term()
+            if rhs_dims != dims:
+                raise self.error(
+                    f"term signature {rhs_dims} differs from {dims}", op)
+            if toks[op] == "-":
+                items = _pruned((key, _NEG * v) for key, v in items)
+            _merge(acc, items)
+        return AlgebraElement(dims, acc, validate=False)
 
 
 def parse_element(text: str) -> AlgebraElement:
@@ -274,12 +338,19 @@ def parse_element(text: str) -> AlgebraElement:
     signature mismatches and groups nested deeper than 100 are reported
     the same way.
     """
-    parser = _Parser(_tokenize(text))
-    out = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "END":
-        raise ParseError(f"unexpected trailing input {tok.value!r}",
-                         tok.line, tok.col)
+    parser = _Parser(text)
+    try:
+        out = parser.parse_expr()
+        tok = parser.toks[parser.i]
+        if tok != _END:
+            raise parser.error(f"unexpected trailing input {tok!r}", parser.i)
+    except ParseError:
+        # A character that starts no token is reported first, wherever it is.
+        end = _TOKENS_PREFIX_RE.match(text).end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}",
+                             *_line_col(text, end)) from None
+        raise
     return out
 
 

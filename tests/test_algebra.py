@@ -76,6 +76,17 @@ def test_matrix_unit_range_checks():
         matrix_unit((2, 3), (1,), (1, 1))
 
 
+def test_overflowing_modulus_is_kept():
+    # abs() of a complex with these finite parts raises OverflowError; the
+    # modulus is past every tolerance, so the term stays and the tiny one
+    # next to it is still pruned.
+    big = complex(1.5e308, 1.5e308)
+    x = AlgebraElement((2,), [(((1,), (1,)), big), (((2,), (2,)), 1e-15)])
+    assert list(x.terms.items()) == [(((1,), (1,)), big)]
+    assert (big * matrix_unit(2, 1, 2)).terms == {((1,), (2,)): big}
+    assert (x - x).is_zero
+
+
 def test_unit_product_rule():
     # E_jk E_lm = delta_kl E_jm, checked on every pair at dim 3
     for j, k, l, m in itertools.product(range(1, 4), repeat=4):

@@ -91,6 +91,22 @@ def test_eval(capsys):
     assert payload == {"value": {"re": 0.75, "im": 0.0}}
 
 
+def test_eval_overflowing_modulus(capsys):
+    code, out = run(capsys, "eval", "--state", "diag(1,0)",
+                    "--expr", "(1.5e308,1.5e308)*E[2](1,1)")
+    assert code == 0
+    assert out == '{"value":{"re":1.5e+308,"im":1.5e+308}}\n'
+
+
+def test_coproduct_overflowing_modulus(capsys):
+    code, payload = run_json(capsys, "coproduct", "--a", "2", "--b", "2",
+                             "--expr", "(1.5e308,1.5e308)*E[4](1,1)")
+    assert code == 0
+    assert payload == {"sig": [2, 2], "terms": [
+        {"rows": [1, 1], "cols": [1, 1],
+         "value": {"re": 1.5e308, "im": 1.5e308}}]}
+
+
 def test_coproduct_terms_sorted(capsys):
     code, payload = run_json(
         capsys, "coproduct", "--a", "2", "--b", "2",

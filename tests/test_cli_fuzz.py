@@ -24,7 +24,7 @@ exprs = st.one_of(
     st.sampled_from([
         "E[2](1,1)", "E[4](2,2)-E[4](3,3)", "E[2](1,2) (x) E[3](3,1)",
         "(0.0,1.0)*E[4](1,4)", "1e400*E[4](1,1)", "E[2](3,1)",
-        "(" * 300 + "E[2](1,1)" + ")" * 300,
+        "(" * 300 + "E[2](1,1)" + ")" * 300, "(1.5e308,1.5e308)*E[2](1,1)",
     ]),
 )
 numbers = st.sampled_from(
