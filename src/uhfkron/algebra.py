@@ -17,9 +17,26 @@ E_{j'k'} (x) E_{j''k''} in M_a (x) M_b with
     j = b*(j' - 1) + j'',        k = b*(k' - 1) + k''.
 
 :func:`coproduct_phi` splits indices with this rule factor by factor, and
-:func:`to_dense` materializes elements through ``numpy.kron``, so the two
-conventions agree by construction.  The codomain of the coproduct is kept
-as an element over the concatenated signature, first block before second.
+:func:`to_dense` places each term at the row-major flattening of its
+multi-indices, which is where ``numpy.kron`` of its unit factors puts it,
+so the two conventions agree by construction.  The codomain of the
+coproduct is kept as an element over the concatenated signature, first
+block before second.
+
+Representation
+--------------
+An element stores its T terms as arrays: ``rows`` and ``cols`` (int64,
+shape (T, n), 1-based) and ``coeff`` (complex, shape (T,)).  Canonical
+form has one term per index, in order of first occurrence, with the
+coefficients of repeated indices summed in input order starting from
+``0j`` (so a ``-0.0`` part becomes ``+0.0``) and moduli ``<= prune_tol``
+dropped.  That is what merging into a dict did, term order included;
+:func:`~uhfkron.states.state_evaluate` sums in term order, so its bits
+depend on it.  Index keys are packed into one int64 per term
+(:func:`_lex_keys`), never into a ``row*D + col`` that overflows for big
+stages.  Coefficient products use the float formula of Python's complex
+``*`` (:func:`_cmul`), because numpy's vectorized complex multiply may
+fuse a product and a sum and round differently.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,11 +84,20 @@ COEFF_PRUNE_TOL = 1e-14
 COMPARE_TOL = 1e-12
 # Largest total dimension a dense materialization will allocate.
 DENSE_DIM_GUARD = 4096
+# Factor dimensions must stay below this, so that indices fit int64.
+_MAX_FACTOR_DIM = 2 ** 62
+# Index keys stay below this (the int64 range).
+_KEY_BOUND = 2 ** 63
+# Image terms one tagged chunk of the unit grid may produce (memory cap).
+_TAG_CHUNK_TERMS = 1 << 12
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Ordered factor dimensions (a_1, ..., a_n) of a stage, each >= 2."""
+    """Ordered factor dimensions (a_1, ..., a_n) of a stage.
+
+    Each dimension is at least 2 and below 2**62 (indices are int64).
+    """
 
     dims: tuple[int, ...]
 
@@ -83,6 +109,10 @@ class Signature:
             if d < 2:
                 raise SignatureError(
                     f"factor dimension {d} at position {pos} is < 2"
+                )
+            if d >= _MAX_FACTOR_DIM:
+                raise SignatureError(
+                    f"factor dimension {d} at position {pos} is >= 2**62"
                 )
         object.__setattr__(self, "dims", dims)
 
@@ -167,55 +197,198 @@ def _modulus(c: complex) -> float:
         return math.hypot(c.real, c.imag)
 
 
+def _moduli(c: np.ndarray) -> np.ndarray:
+    # _modulus of every entry: hypot of the parts, inf past the largest float
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.hypot(c.real, c.imag)
+
+
+def _cmul(a, b) -> np.ndarray:
+    """``a * b`` entrywise, rounded as Python's complex ``*`` rounds it.
+
+    Each of ``ar*br``, ``ai*bi``, ``ar*bi``, ``ai*br`` is rounded before the
+    sum; numpy's vectorized complex multiply may fuse them (FMA) and differ
+    in the last bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = a.real * b.real - a.imag * b.imag
+        im = a.real * b.imag + a.imag * b.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _lex_keys(columns: np.ndarray, radices) -> np.ndarray:
+    """One int64 key per row of ``columns`` (shape (T, m), column ``c``
+    holding values in ``0..radices[c]-1``): equal rows get equal keys, and
+    keys sort as the rows sort lexicographically.
+
+    Runs of columns whose radices multiply to at most 2**63 are read as one
+    mixed-radix number each; where two runs do not fit one key, the keys so
+    far (and if need be the run's) are replaced by their ranks, below T.
+    """
+    key = bound = None
+    start = 0
+    while start < len(radices):
+        stop, size = start, 1
+        while stop < len(radices) and size * radices[stop] <= _KEY_BOUND:
+            size *= radices[stop]
+            stop += 1
+        weights = [math.prod(radices[i + 1:stop]) for i in range(start, stop)]
+        run = columns[:, start:stop] @ np.array(weights, dtype=np.int64)
+        if key is None:
+            key, bound = run, size
+        else:
+            if bound * size > _KEY_BOUND:
+                key, bound = _ranks(key)
+            if bound * size > _KEY_BOUND:
+                run, size = _ranks(run)
+            key = key * size + run
+            bound *= size
+        start = stop
+    return key
+
+
+def _ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
+    # each entry's rank among the distinct entries, and their number
+    values, ranks = np.unique(a, return_inverse=True)
+    return ranks.astype(np.int64), len(values)
+
+
+def _index_radices(sig: Signature) -> list[int]:
+    # radices of the (rows, cols) columns of an element: 1-based values
+    radices = [d + 1 for d in sig.dims]
+    return radices + radices
+
+
+def _index_keys(*elements) -> list[np.ndarray]:
+    # _lex_keys of the (rows, cols) of each element, comparable across them
+    keys = _lex_keys(
+        np.concatenate([np.concatenate([x.rows, x.cols], axis=1)
+                        for x in elements]),
+        _index_radices(elements[0].sig))
+    return np.split(keys, np.cumsum([len(x) for x in elements])[:-1])
+
+
+def _element(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
+    """An element from arrays already in canonical form (not checked)."""
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    coeff.setflags(write=False)
+    x = object.__new__(AlgebraElement)
+    put = object.__setattr__
+    put(x, "sig", sig)
+    put(x, "rows", rows)
+    put(x, "cols", cols)
+    put(x, "coeff", coeff)
+    return x
+
+
+def _pruned(sig: Signature, rows, cols, coeff,
+            prune_tol: float = COEFF_PRUNE_TOL) -> "AlgebraElement":
+    """Canonical form of terms with distinct indices: ``0j + c`` (a
+    ``-0.0`` part becomes ``+0.0``), then moduli ``<= prune_tol`` dropped."""
+    coeff = coeff + 0j
+    keep = _moduli(coeff) > prune_tol
+    if keep.all():
+        return _element(sig, rows, cols, coeff)
+    return _element(sig, rows[keep], cols[keep], coeff[keep])
+
+
+def _merged(sig: Signature, rows, cols, coeff,
+            prune_tol: float = COEFF_PRUNE_TOL) -> "AlgebraElement":
+    """Canonical form of terms whose indices may repeat.
+
+    One term per index, in order of first occurrence; a repeated index's
+    coefficients are added in input order onto ``0j`` (``numpy.add.at``
+    adds sequentially), as merging into a dict does; then pruned.
+    """
+    key = _lex_keys(np.concatenate([rows, cols], axis=1), _index_radices(sig))
+    order = np.argsort(key)
+    sorted_key = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    if len(starts) == len(key):  # no index repeats
+        return _pruned(sig, rows, cols, coeff, prune_tol)
+    first = np.minimum.reduceat(order, starts)  # per index, in key order
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[first] = True
+    slot = (np.cumsum(is_first) - 1)[first]  # its place in the output
+    target = np.empty(len(key), dtype=np.int64)
+    target[order] = slot[np.cumsum(new) - 1]
+    total = np.zeros(len(first), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(total, target, coeff)
+    keep = np.flatnonzero(is_first)
+    return _pruned(sig, rows[keep], cols[keep], total, prune_tol)
+
+
 class AlgebraElement:
     """Sparse element of a tensor stage, kept in canonical form.
 
-    Canonical form merges duplicate indices and drops coefficients of
-    magnitude <= ``prune_tol``.  Instances are immutable; all operations
-    return new elements.  ``*`` is the algebra product (or scalar scaling),
-    ``+``/``-`` the linear structure, :meth:`adjoint` the *-operation.
+    ``rows``/``cols`` (int64, shape (T, n), 1-based) and ``coeff``
+    (complex, shape (T,)) hold the T terms as read-only arrays; see the
+    module docstring for the canonical form.  The constructor takes a
+    mapping or an iterable of ``(index, coefficient)`` pairs, an index being
+    a ``(rows, cols)`` pair of multi-indices.  Instances are immutable; all
+    operations return new elements.  ``*`` is the algebra product (or
+    scalar scaling), ``+``/``-`` the linear structure, :meth:`adjoint` the
+    *-operation.
     """
 
-    __slots__ = ("sig", "_terms")
+    __slots__ = ("sig", "rows", "cols", "coeff")
 
     def __init__(self, sig, terms=None, *, prune_tol: float = COEFF_PRUNE_TOL,
                  validate: bool = True):
         sig = as_signature(sig)
-        merged: dict[MatrixUnitIndex, complex] = {}
+        rows, cols, coeff = [], [], []
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
-            for idx, coeff in items:
+            for idx, c in items:
                 if validate:
                     idx = _check_index(sig, idx[0], idx[1])
-                elif not isinstance(idx, MatrixUnitIndex):
-                    idx = MatrixUnitIndex(tuple(idx[0]), tuple(idx[1]))
-                merged[idx] = merged.get(idx, 0j) + complex(coeff)
-        try:
-            kept = {idx: c for idx, c in merged.items() if abs(c) > prune_tol}
-        except OverflowError:
-            kept = {idx: c for idx, c in merged.items()
-                    if _modulus(c) > prune_tol}
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "_terms", kept)
+                rows.append(idx[0])
+                cols.append(idx[1])
+                coeff.append(complex(c))
+        shape = (len(coeff), sig.level)
+        x = _merged(sig, np.array(rows, dtype=np.int64).reshape(shape),
+                    np.array(cols, dtype=np.int64).reshape(shape),
+                    np.array(coeff, dtype=complex), prune_tol)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(x, name))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
 
     @property
     def terms(self):
-        """Read-only map MatrixUnitIndex -> coefficient."""
-        return MappingProxyType(self._terms)
+        """Read-only map MatrixUnitIndex -> coefficient, in term order
+        (built on each access)."""
+        return MappingProxyType(dict(self._items()))
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self.coeff)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self.coeff)
 
     def sorted_terms(self) -> list[tuple[MatrixUnitIndex, complex]]:
         """Terms sorted lexicographically by (rows, cols)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+        return list(self._items(np.argsort(_index_keys(self)[0])))
+
+    def _items(self, order=slice(None)):
+        # (MatrixUnitIndex, complex) pairs of Python objects; each distinct
+        # multi-index becomes one tuple, shared by all terms that have it
+        intern = {}.setdefault
+        keys = [MatrixUnitIndex(intern(r := tuple(j), r),
+                                intern(c := tuple(k), c))
+                for j, k in zip(self.rows[order].tolist(),
+                                self.cols[order].tolist())]
+        return zip(keys, self.coeff[order].tolist())
 
     def _require_same_sig(self, other: "AlgebraElement"):
         if self.sig != other.sig:
@@ -227,10 +400,9 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_sig(other)
-        out = dict(self._terms)
-        for idx, c in other._terms.items():
-            out[idx] = out.get(idx, 0j) + c
-        return AlgebraElement(self.sig, out, validate=False)
+        return _merged(self.sig, np.concatenate([self.rows, other.rows]),
+                       np.concatenate([self.cols, other.cols]),
+                       np.concatenate([self.coeff, other.coeff]))
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -243,22 +415,25 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._require_same_sig(other)
-            by_rows: dict[tuple[int, ...], list] = {}
-            for (r2, c2), v2 in other._terms.items():
-                by_rows.setdefault(r2, []).append((c2, v2))
-            out: dict[MatrixUnitIndex, complex] = {}
-            for (r1, c1), v1 in self._terms.items():
-                for c2, v2 in by_rows.get(c1, ()):
-                    idx = MatrixUnitIndex(r1, c2)
-                    out[idx] = out.get(idx, 0j) + v1 * v2
-            return AlgebraElement(self.sig, out, validate=False)
+            # every pair (i, j) with self.cols[i] == other.rows[j], i-major
+            # and j in other's term order, as a loop over the terms makes them
+            inner, heads = np.split(
+                _lex_keys(np.concatenate([self.cols, other.rows]),
+                          _index_radices(self.sig)[:self.sig.level]),
+                [len(self)])
+            by_head = np.argsort(heads, kind="stable")
+            sorted_heads = heads[by_head]
+            lo = np.searchsorted(sorted_heads, inner, "left")
+            count = np.searchsorted(sorted_heads, inner, "right") - lo
+            i = np.repeat(np.arange(len(self)), count)
+            step = np.arange(len(i)) - np.repeat(np.cumsum(count) - count,
+                                                  count)
+            j = by_head[np.repeat(lo, count) + step]
+            return _merged(self.sig, self.rows[i], other.cols[j],
+                           _cmul(self.coeff[i], other.coeff[j]))
         if isinstance(other, numbers.Number):
-            c = complex(other)
-            return AlgebraElement(
-                self.sig,
-                {idx: c * v for idx, v in self._terms.items()},
-                validate=False,
-            )
+            return _pruned(self.sig, self.rows, self.cols,
+                           _cmul(complex(other), self.coeff))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -268,31 +443,37 @@ class AlgebraElement:
 
     def adjoint(self) -> "AlgebraElement":
         """The *-operation: swap rows and columns, conjugate coefficients."""
-        return AlgebraElement(
-            self.sig,
-            {MatrixUnitIndex(c, r): v.conjugate()
-             for (r, c), v in self._terms.items()},
-            validate=False,
-        )
+        return _element(self.sig, self.cols, self.rows,
+                        np.conjugate(self.coeff) + 0j)
 
     def canonicalize(self, prune_tol: float = COEFF_PRUNE_TOL) -> "AlgebraElement":
         """Re-run canonicalization (merge + prune); idempotent."""
-        return AlgebraElement(self.sig, self._terms, prune_tol=prune_tol,
-                              validate=False)
+        return _pruned(self.sig, self.rows, self.cols, self.coeff, prune_tol)
 
     def allclose(self, other: "AlgebraElement", tol: float = COMPARE_TOL) -> bool:
+        """Every index's coefficients (0 where absent) differ by a modulus
+        ``<= tol``; a modulus past the largest float counts as ``inf``."""
         if self.sig != other.sig:
             return False
-        keys = set(self._terms) | set(other._terms)
-        return all(
-            abs(self._terms.get(k, 0j) - other._terms.get(k, 0j)) <= tol
-            for k in keys
-        )
+        _, slot = np.unique(np.concatenate(_index_keys(self, other)),
+                            return_inverse=True)
+        diff = np.zeros(slot.max() + 1 if len(slot) else 0, dtype=complex)
+        diff[slot[:len(self)]] = self.coeff
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff[slot[len(self):]] -= other.coeff
+        return bool(np.all(_moduli(diff) <= tol))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.sig == other.sig and self._terms == other._terms
+        if self is other:  # as dict equality: an (inf, nan) part equals itself
+            return True
+        if self.sig != other.sig or len(self) != len(other):
+            return False
+        mine, theirs = _index_keys(self, other)
+        a, b = np.argsort(mine), np.argsort(theirs)
+        return bool(np.array_equal(mine[a], theirs[b])
+                    and np.all(self.coeff[a] == other.coeff[b]))
 
     __hash__ = None
 
@@ -301,7 +482,7 @@ class AlgebraElement:
 
     def __repr__(self):
         return (f"AlgebraElement(sig={self.sig.dims}, "
-                f"terms={len(self._terms)})")
+                f"terms={len(self)})")
 
 
 def matrix_unit(sig, rows, cols) -> AlgebraElement:
@@ -311,18 +492,26 @@ def matrix_unit(sig, rows, cols) -> AlgebraElement:
     Raises :class:`IndexRangeError` naming the offending factor position.
     """
     sig = as_signature(sig)
-    idx = _check_index(sig, rows, cols)
-    return AlgebraElement(sig, {idx: 1.0}, validate=False)
+    index = np.array(_check_index(sig, rows, cols), dtype=np.int64)
+    return _element(sig, index[:1], index[1:], _UNIT_COEFF)
+
+
+# The coefficient array of every matrix_unit, shared (it is read-only).
+_UNIT_COEFF = np.ones(1, dtype=complex)
+_UNIT_COEFF.setflags(write=False)
+
+
+def _grid(dims, flat) -> np.ndarray:
+    # the 1-based multi-indices of row-major flat indices, shape (N, n)
+    return np.stack(np.unravel_index(flat, dims), axis=1) + 1
 
 
 def identity(sig) -> AlgebraElement:
     """The unit of the stage: sum of all diagonal elementary tensors."""
     sig = as_signature(sig)
-    terms = {
-        MatrixUnitIndex(diag, diag): 1.0
-        for diag in itertools.product(*(range(1, d + 1) for d in sig.dims))
-    }
-    return AlgebraElement(sig, terms, validate=False)
+    diag = _grid(sig.dims, np.arange(sig.total_dim))
+    return _element(sig, diag, diag.copy(),
+                    np.ones(len(diag), dtype=complex))
 
 
 def zero(sig) -> AlgebraElement:
@@ -331,11 +520,12 @@ def zero(sig) -> AlgebraElement:
 
 def elem_tensor(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Tensor product over the concatenated signature."""
-    out: dict[MatrixUnitIndex, complex] = {}
-    for (r1, c1), v1 in x.terms.items():
-        for (r2, c2), v2 in y.terms.items():
-            out[MatrixUnitIndex(r1 + r2, c1 + c2)] = v1 * v2
-    return AlgebraElement(x.sig.concat(y.sig), out, validate=False)
+    nx, ny = len(x), len(y)
+    rows, cols = (
+        np.concatenate([np.repeat(a, ny, axis=0), np.tile(b, (nx, 1))], axis=1)
+        for a, b in ((x.rows, y.rows), (x.cols, y.cols)))
+    coeff = _cmul(np.repeat(x.coeff, ny), np.tile(y.coeff, nx))
+    return _pruned(x.sig.concat(y.sig), rows, cols, coeff)
 
 
 def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraElement:
@@ -352,15 +542,13 @@ def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraE
     new_sig = Signature(
         x.sig.dims[:position] + (dim,) + x.sig.dims[position:]
     )
-    out: dict[MatrixUnitIndex, complex] = {}
-    for (r, c), v in x.terms.items():
-        for m in range(1, dim + 1):
-            idx = MatrixUnitIndex(
-                r[:position] + (m,) + r[position:],
-                c[:position] + (m,) + c[position:],
-            )
-            out[idx] = v
-    return AlgebraElement(new_sig, out, validate=False)
+    diag = np.tile(np.arange(1, dim + 1, dtype=np.int64), len(x))
+    return _element(
+        new_sig,
+        np.insert(np.repeat(x.rows, dim, axis=0), position, diag, axis=1),
+        np.insert(np.repeat(x.cols, dim, axis=0), position, diag, axis=1),
+        np.repeat(x.coeff, dim),
+    )
 
 
 def embed_psi(x: AlgebraElement, next_dim: int) -> AlgebraElement:
@@ -384,13 +572,16 @@ def _digit_places(dims, radices) -> list[tuple[int, int]]:
 @functools.lru_cache(maxsize=256)
 def _digit_plan(in_dims, digits, order, out_dims):
     # per digit in target order: (source slot, stride, radix, target slot,
-    # stride); cached because the suites repeat a few shapes many times
+    # stride), radix None for the top digit of its slot (it needs no
+    # modulo); cached because the suites repeat a few shapes many times
     moved = [digits[k] for k in order]
     source = _digit_places(in_dims, digits)
     target = _digit_places(out_dims, moved)
     return tuple(
-        (*source[k], radix, *place)
+        (slot, stride, None if stride * radix == in_dims[slot] else radix,
+         *place)
         for k, radix, place in zip(order, moved, target)
+        for slot, stride in (source[k],)
     )
 
 
@@ -402,27 +593,24 @@ def _regroup(x: AlgebraElement, digits: tuple[int, ...],
     A multi-index is read as one row-major tensor index and moved the way
     numpy moves it under ``reshape(digits).transpose(order)
     .reshape(out_dims)``; the result lives over ``out_dims``.  Each slot
-    of ``x`` and of ``out_dims`` spans whole digits.  Each distinct
-    multi-index is converted once per call.
+    of ``x`` and of ``out_dims`` spans whole digits.  The relabelling is
+    injective, so the result is canonical as it stands.
     """
     plan = _digit_plan(x.sig.dims, digits, order, out_dims)
-    ones = [1] * len(out_dims)
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def relabel(multi):
-        out = memo.get(multi)
-        if out is None:
-            acc = ones[:]
-            for src, stride, radix, dst, weight in plan:
-                acc[dst] += (multi[src] - 1) // stride % radix * weight
-            out = memo[multi] = tuple(acc)
-        return out
-
-    terms = {
-        MatrixUnitIndex(relabel(r), relabel(c)): v
-        for (r, c), v in x._terms.items()
-    }
-    return AlgebraElement(out_dims, terms, validate=False)
+    # one row per slot, the terms' rows then their columns, 0-based
+    index = np.concatenate([x.rows.T, x.cols.T], axis=1) - 1
+    out = np.ones((len(out_dims), index.shape[1]), dtype=np.int64)
+    for src, stride, radix, dst, weight in plan:
+        digit = index[src]
+        if stride != 1:
+            digit = digit // stride
+        if radix is not None:
+            digit = digit % radix
+        if weight != 1:
+            digit = digit * weight
+        out[dst] += digit
+    rows, cols = np.split(out.T, 2)
+    return _element(Signature(out_dims), rows, cols, x.coeff)
 
 
 def _interleave(a: Signature, b: Signature) -> tuple[int, ...]:
@@ -510,8 +698,12 @@ def to_dense(x: AlgebraElement, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
     """Materialize an element as one prod(a_i) x prod(a_i) complex matrix.
 
     The matrix of an elementary tensor is the Kronecker chain of its unit
-    factors, so this is the brute-force oracle against which the sparse
-    index maps are checked.  Guarded: refuses dimensions above ``guard``.
+    factors: a single entry at the row-major flattening
+    (``numpy.ravel_multi_index``) of its row and of its column multi-index.
+    All terms are scattered at once (``numpy.add.at``).  This is the
+    brute-force oracle against which the sparse index maps are checked; it
+    does not use their digit regrouping.  Guarded: refuses dimensions above
+    ``guard``.
     """
     D = x.sig.total_dim
     if D > guard:
@@ -519,13 +711,9 @@ def to_dense(x: AlgebraElement, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
             f"dense dimension {D} exceeds guard {guard}"
         )
     out = np.zeros((D, D), dtype=complex)
-    for (r, c), v in x.terms.items():
-        block = np.array([[v]], dtype=complex)
-        for j, k, d in zip(r, c, x.sig.dims):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[j - 1, k - 1] = 1.0
-            block = np.kron(block, unit)
-        out += block
+    at = tuple(np.ravel_multi_index(tuple(index.T - 1), x.sig.dims)
+               for index in (x.rows, x.cols))
+    np.add.at(out, at, x.coeff)
     return out
 
 
@@ -542,15 +730,8 @@ def from_dense(matrix, sig, *, prune_tol: float = COEFF_PRUNE_TOL) -> AlgebraEle
             f"matrix shape {m.shape} does not match total dimension {D}"
         )
     kept = np.nonzero(np.abs(m) > prune_tol)
-    rows, cols = (
-        (np.stack(np.unravel_index(i, sig.dims), axis=1) + 1).tolist()
-        for i in kept
-    )
-    out = {
-        MatrixUnitIndex(tuple(r), tuple(c)): complex(v)
-        for r, c, v in zip(rows, cols, m[kept])
-    }
-    return AlgebraElement(sig, out, prune_tol=prune_tol, validate=False)
+    rows, cols = (_grid(sig.dims, i) for i in kept)
+    return _pruned(sig, rows, cols, m[kept], prune_tol)
 
 
 def block_permutation(a, b, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
@@ -589,28 +770,37 @@ def _unit_index_rows(sig) -> Iterator[list[MatrixUnitIndex]]:
         yield [MatrixUnitIndex(rows, cols) for cols in all_cols]
 
 
-def _unit_rows(sig) -> Iterator[tuple[list[MatrixUnitIndex], AlgebraElement]]:
-    """Per row multi-index, in :func:`all_matrix_units` order: that row's
-    units and the one element ``sum_k (k+1) E_{rows, cols_k}``.
+def _tagged_units(sig, images_per_unit: int = 1) -> Iterator[AlgebraElement]:
+    """The units of a stage in :func:`all_matrix_units` order, in chunks:
+    per chunk of units u_0, u_1, ... the one element ``sum_k (k+1) E_{u_k}``.
 
-    The coefficient ``k+1`` tags unit ``k``.  A map that relabels terms or
-    splices identity factors into them keeps coefficients, so one call on
-    the row element carries every unit's image under its tag (see
-    :func:`_images`); a merged or lost unit shows as a missing tag.
+    The coefficient ``k+1`` tags unit ``k`` of the chunk (term ``k`` of the
+    element).  A map that relabels terms or splices identity factors into
+    them keeps coefficients, so one call on a chunk carries every unit's
+    images under its tag (see :func:`_unit_tags`); a merged or lost unit
+    shows as a missing tag.  A chunk has at most
+    ``max(1, _TAG_CHUNK_TERMS // images_per_unit)`` units, which caps the
+    size of the images a caller makes from it.
     """
     sig = as_signature(sig)
-    for units in _unit_index_rows(sig):
-        yield units, AlgebraElement(
-            sig, dict(zip(units, itertools.count(1))), validate=False
-        )
+    D = sig.total_dim
+    step = max(1, _TAG_CHUNK_TERMS // images_per_unit)
+    for start in range(0, D * D, step):
+        unit = np.arange(start, min(start + step, D * D))
+        yield _element(sig, _grid(sig.dims, unit // D),
+                       _grid(sig.dims, unit % D),
+                       np.arange(1, len(unit) + 1, dtype=complex))
 
 
-def _images(y: AlgebraElement) -> dict[complex, list[MatrixUnitIndex]]:
-    """The terms of ``y`` grouped by coefficient: tag -> image indices."""
-    out: dict[complex, list[MatrixUnitIndex]] = {}
-    for idx, coeff in y._terms.items():
-        out.setdefault(coeff, []).append(idx)
-    return out
+def _unit_tags(y: AlgebraElement, count: int) -> np.ndarray:
+    """Per term of ``y``: the unit ``k`` whose tag ``k+1`` (see
+    :func:`_tagged_units`) is its coefficient, or -1 where the coefficient
+    is no tag in ``1..count``."""
+    k = y.coeff.real - 1
+    with np.errstate(invalid="ignore"):
+        is_tag = ((y.coeff.imag == 0) & (k >= 0) & (k < count)
+                  & (k == np.floor(k)))
+    return np.where(is_tag, k, -1).astype(np.int64)
 
 
 def random_element(sig, rng=None, n_terms: int = 8) -> AlgebraElement:
@@ -618,11 +808,10 @@ def random_element(sig, rng=None, n_terms: int = 8) -> AlgebraElement:
     Gaussian coefficients.  Deterministic for a fixed seed."""
     sig = as_signature(sig)
     rng = np.random.default_rng(rng)
-    terms: dict[MatrixUnitIndex, complex] = {}
+    terms = []
     for _ in range(n_terms):
         rows = tuple(int(rng.integers(1, d + 1)) for d in sig.dims)
         cols = tuple(int(rng.integers(1, d + 1)) for d in sig.dims)
         coeff = complex(rng.standard_normal(), rng.standard_normal())
-        idx = MatrixUnitIndex(rows, cols)
-        terms[idx] = terms.get(idx, 0j) + coeff
+        terms.append(((rows, cols), coeff))
     return AlgebraElement(sig, terms, validate=False)

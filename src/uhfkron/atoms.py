@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _unit_rows, coproduct_phi
+from .algebra import _tagged_units, coproduct_phi
 from .errors import IndexRangeError, ValidationError
 from .states import (
     DensityFactor,
     ProductStateTrunc,
-    _unit_values,
+    _tagged_values,
     state_boxtimes,
 )
 
@@ -160,10 +160,10 @@ def atom_check_product(J: AtomLabel, K: AtomLabel, level: int,
     states equals the atom state of the product label exactly (0/1
     entries), and (2) that the coproduct-composed evaluation of the two
     states agrees with the product-label state on every level-``level``
-    matrix unit, one row of units per call.  ``expected`` overrides the
-    product label (a corrupted label makes the check fail, as a negative
-    control).  Never raises on mismatch; returns a falsy result carrying a
-    position diagnostic.
+    matrix unit, one tagged chunk of units per call.  ``expected``
+    overrides the product label (a corrupted label makes the check fail,
+    as a negative control).  Never raises on mismatch; returns a falsy
+    result carrying a position diagnostic.
     """
     if expected is None:
         expected = atom_label_product(J, K)
@@ -186,14 +186,16 @@ def atom_check_product(J: AtomLabel, K: AtomLabel, level: int,
             )
 
     SJK = SJ.concat(SK)
-    for units, x in _unit_rows(S_expected.sig):
-        lhs = _unit_values(SJK, coproduct_phi(x, SJ.sig, SK.sig))
-        rhs = _unit_values(S_expected, x)
-        for tag, idx in enumerate(units, start=1):
-            left, right = lhs.get(tag, ()), rhs.get(tag, ())
-            if len(left) != 1 or left != right:
-                return AtomProductCheck(
-                    False, f"coproduct evaluation differs on unit "
-                           f"{tuple(idx.rows)}<-{tuple(idx.cols)}"
-                )
+    for x in _tagged_units(S_expected.sig):
+        n_left, left = _tagged_values(
+            SJK, coproduct_phi(x, SJ.sig, SK.sig), len(x))
+        n_right, right = _tagged_values(S_expected, x, len(x))
+        bad = np.flatnonzero((n_left != 1) | (n_right != 1) | (left != right))
+        if len(bad):
+            k = bad[0]
+            return AtomProductCheck(
+                False, f"coproduct evaluation differs on unit "
+                       f"{tuple(x.rows[k].tolist())}<-"
+                       f"{tuple(x.cols[k].tolist())}"
+            )
     return AtomProductCheck(True)

@@ -9,11 +9,11 @@ Every suite takes ``(dims, level, seed, tol)``; suites that compare
 indices exactly accept ``tol`` and ignore it.
 
 The suites exhaustive on matrix units run each side of their identity
-once per row of the unit grid, on one element whose coefficients tag the
-row's units (``algebra._unit_rows``), and read each unit's images or
-values back by tag; results are still recorded per unit.  Before
-enumerating, each refuses more than ``DENSE_DIM_GUARD**2`` unit checks
-with :class:`ResourceGuardError`.
+once per chunk of the unit grid, on one element whose coefficients tag
+the chunk's units (``algebra._tagged_units``), and read every unit's
+images or values back by tag with array operations; results are still
+recorded per unit, in unit order.  Before enumerating, each refuses more
+than ``DENSE_DIM_GUARD**2`` unit checks with :class:`ResourceGuardError`.
 """
 
 from __future__ import annotations
@@ -21,13 +21,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from .algebra import (
     COMPARE_TOL,
     DENSE_DIM_GUARD,
+    AlgebraElement,
     Signature,
-    _images,
-    _unit_rows,
+    _index_radices,
+    _lex_keys,
+    _moduli,
+    _tagged_units,
+    _unit_tags,
     coproduct_phi,
     coproduct_phi_block,
     embed_psi,
@@ -40,7 +47,7 @@ from .atoms import AtomLabel, atom_check_product
 from .errors import ResourceGuardError, ValidationError
 from .states import (
     ProductStateTrunc,
-    _unit_values,
+    _tagged_values,
     random_state,
     state_boxtimes,
     state_tensor_phi_eval,
@@ -80,6 +87,16 @@ class CheckReport:
             if len(self.failures) < _MAX_RECORDED_FAILURES:
                 self.failures.append(diagnostic)
 
+    def record_units(self, ok: np.ndarray,
+                     diagnostic: Callable[[int], str]):
+        """Record one outcome per unit, in order; ``diagnostic(k)`` is the
+        text of failing unit ``k`` (built only for recorded failures)."""
+        bad = np.flatnonzero(~ok)
+        self.passed += len(ok) - len(bad)
+        self.failed += len(bad)
+        room = _MAX_RECORDED_FAILURES - len(self.failures)
+        self.failures.extend(diagnostic(int(k)) for k in bad[:max(room, 0)])
+
     @property
     def ok(self) -> bool:
         return self.failed == 0
@@ -117,33 +134,54 @@ def _guard_units(suite: str, per_level: int, level: int):
             return
 
 
-def _unit_name(idx) -> str:
-    return f"{tuple(idx.rows)}<-{tuple(idx.cols)}"
+def _unit_name(x: AlgebraElement, k: int) -> str:
+    # unit k of a tagged chunk is term k of the chunk's element
+    return f"{tuple(x.rows[k].tolist())}<-{tuple(x.cols[k].tolist())}"
 
 
-def _record_images(report: CheckReport, units, lhs, rhs, count: int,
-                   what: str):
+def _record_images(report: CheckReport, x: AlgebraElement, lhs, rhs,
+                   count: int, what: str):
     # each unit's tag must carry the same ``count`` images on both sides
-    for tag, idx in enumerate(units, start=1):
-        left, right = lhs.get(tag, ()), rhs.get(tag, ())
-        ok = len(left) == count == len(right) and set(left) == set(right)
-        report.record(ok, None if ok else f"{what} on unit {_unit_name(idx)}")
+    units = len(x)
+    tags = [_unit_tags(y, units) for y in (lhs, rhs)]
+    ok = np.ones(units, dtype=bool)
+    for tag in tags:
+        ok &= np.bincount(tag[tag >= 0], minlength=units) == count
+    if lhs.sig != rhs.sig:
+        ok[:] = False
+    # the images of the units with ``count`` on both sides, keyed (unit,
+    # rows, cols): sorted, the two sides must match entry by entry
+    sides = []
+    for y, tag in zip((lhs, rhs), tags):
+        mine = tag >= 0
+        mine[mine] = ok[tag[mine]]
+        sides.append(np.concatenate(
+            [tag[mine, None], y.rows[mine], y.cols[mine]], axis=1))
+    if ok.any():
+        keys = _lex_keys(np.concatenate(sides),
+                         [units] + _index_radices(lhs.sig))
+        left, right = np.split(keys, [len(sides[0])])
+        unit = np.sort(sides[0][:, 0])
+        ok[unit[np.sort(left) != np.sort(right)]] = False
+    report.record_units(ok, lambda k: f"{what} on unit {_unit_name(x, k)}")
 
 
-def _record_values(report: CheckReport, units, lhs, rhs, tol: float):
+def _record_values(report: CheckReport, x: AlgebraElement, lhs, rhs,
+                   tol: float):
     # each unit's tag must carry exactly one value on both sides, within tol
-    for tag, idx in enumerate(units, start=1):
-        left, right = lhs.get(tag, ()), rhs.get(tag, ())
-        if len(left) == 1 == len(right):
-            diff = abs(left[0] - right[0])
-            ok = diff <= tol
-            diagnostic = f"values differ by {diff:.3e}"
+    (n_left, left), (n_right, right) = lhs, rhs
+    single = (n_left == 1) & (n_right == 1)
+    diff = _moduli(left - right)
+    ok = single & (diff <= tol)
+
+    def diagnostic(k):
+        if single[k]:
+            text = f"values differ by {diff[k]:.3e}"
         else:
-            ok = False
-            diagnostic = f"{len(left)}/{len(right)} values"
-        report.record(
-            ok, None if ok else f"{diagnostic} on unit {_unit_name(idx)}"
-        )
+            text = f"{n_left[k]}/{n_right[k]} values"
+        return f"{text} on unit {_unit_name(x, k)}"
+
+    report.record_units(ok, diagnostic)
 
 
 def suite_coassociativity(dims: tuple[int, ...], level: int,
@@ -152,7 +190,7 @@ def suite_coassociativity(dims: tuple[int, ...], level: int,
 
     ``dims`` = (a, b, c) factor bases; signatures are constant at the
     given level.  Exact index equality, no tolerance.  Each side runs
-    once per row of units (see ``algebra._unit_rows``).
+    once per chunk of units (see ``algebra._tagged_units``).
     """
     if len(dims) != 3:
         raise ValidationError(f"need three dims (a, b, c), got {dims}")
@@ -160,12 +198,11 @@ def suite_coassociativity(dims: tuple[int, ...], level: int,
     a, b, c = (_constant_sig(d, level) for d in dims)
     ab, bc = a.product(b), b.product(c)
     report = CheckReport("coassociativity")
-    for units, x in _unit_rows(ab.product(c)):
+    for x in _tagged_units(ab.product(c)):
         left = coproduct_phi_block(coproduct_phi(x, ab, c), 0, level, a, b)
         right = coproduct_phi_block(coproduct_phi(x, a, bc), level, level,
                                     b, c)
-        _record_images(report, units, _images(left), _images(right), 1,
-                       "paths differ")
+        _record_images(report, x, left, right, 1, "paths differ")
     return report
 
 
@@ -184,13 +221,12 @@ def suite_compatibility(dims: tuple[int, ...], level: int,
     a, b = _constant_sig(a_base, level), _constant_sig(b_base, level)
     ext_a, ext_b = a.dims + (a_base,), b.dims + (b_base,)
     report = CheckReport("compatibility")
-    for units, x in _unit_rows(a.product(b)):
+    for x in _tagged_units(a.product(b), a_base * b_base):
         lhs = coproduct_phi(embed_psi(x, a_base * b_base), ext_a, ext_b)
         rhs = coproduct_phi(x, a, b)
         rhs = insert_identity_slot(rhs, level, a_base)
         rhs = insert_identity_slot(rhs, 2 * level + 1, b_base)
-        _record_images(report, units, _images(lhs), _images(rhs),
-                       a_base * b_base, "sides differ")
+        _record_images(report, x, lhs, rhs, a_base * b_base, "sides differ")
     return report
 
 
@@ -242,10 +278,10 @@ def suite_tensor_formula(dims: tuple[int, ...], level: int,
     SR = S.concat(R)
     boxed = state_boxtimes(S, R)
     report = CheckReport("tensor-formula")
-    for units, x in _unit_rows(a.product(b)):
-        _record_values(report, units,
-                       _unit_values(SR, coproduct_phi(x, a, b)),
-                       _unit_values(boxed, x), tol)
+    for x in _tagged_units(a.product(b)):
+        _record_values(report, x,
+                       _tagged_values(SR, coproduct_phi(x, a, b), len(x)),
+                       _tagged_values(boxed, x, len(x)), tol)
     return report
 
 
@@ -323,12 +359,13 @@ def suite_state_associativity(dims: tuple[int, ...], level: int,
     triple = ProductStateTrunc(S.factors + R.factors + Q.factors)
     ab, bc = a.product(b), b.product(c)
     report = CheckReport("state-associativity")
-    for units, x in _unit_rows(ab.product(c)):
+    for x in _tagged_units(ab.product(c)):
         left = coproduct_phi_block(coproduct_phi(x, ab, c), 0, level, a, b)
         right = coproduct_phi_block(coproduct_phi(x, a, bc), level, level,
                                     b, c)
-        _record_values(report, units, _unit_values(triple, left),
-                       _unit_values(triple, right), max(tol, 1e-10))
+        _record_values(report, x, _tagged_values(triple, left, len(x)),
+                       _tagged_values(triple, right, len(x)),
+                       max(tol, 1e-10))
     return report
 
 

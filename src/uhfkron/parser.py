@@ -44,6 +44,7 @@ Errors carry 1-based line/column positions.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import re
@@ -54,11 +55,17 @@ from .algebra import (
     COEFF_PRUNE_TOL,
     AlgebraElement,
     MatrixUnitIndex,
+    _MAX_FACTOR_DIM,
     _modulus,
     elem_tensor,
     matrix_unit,
 )
-from .errors import IndexRangeError, ParseError, SignatureError
+from .errors import (
+    IndexRangeError,
+    ParseError,
+    SignatureError,
+    ValidationError,
+)
 from .states import DensityFactor, ProductStateTrunc
 
 __all__ = [
@@ -224,7 +231,8 @@ class _Parser:
             except ValueError:  # too many digits; reported below
                 pass
             else:
-                if size >= 2 and 1 <= row <= size and 1 <= col <= size:
+                if (2 <= size < _MAX_FACTOR_DIM and 1 <= row <= size
+                        and 1 <= col <= size):
                     self.i = i + 9
                     return size, row, col
         # Malformed or out of range: read it token by token for the error.
@@ -363,10 +371,13 @@ def format_complex(value: complex) -> str:
 
 
 def format_element(x: AlgebraElement) -> str:
-    """Deterministic text form; parses back to the identical term map.
+    """Deterministic text form; with finite coefficients it parses back to
+    the identical term map.
 
     Terms are sorted lexicographically by index; every coefficient other
-    than an exact 1 is printed as a full-precision (re,im) scalar.
+    than an exact 1 is printed as a full-precision (re,im) scalar.  The
+    grammar has no spelling for inf or nan, so a non-finite coefficient
+    raises :class:`ValidationError` naming the first such term.
     """
     if x.is_zero:
         chain = " (x) ".join(f"E[{d}](1,1)" for d in x.sig.dims)
@@ -378,6 +389,10 @@ def format_element(x: AlgebraElement) -> str:
         )
         if coeff == 1:
             parts.append(chain)
+        elif not cmath.isfinite(coeff):
+            raise ValidationError(
+                f"term {chain} has the non-finite coefficient "
+                f"{format_complex(coeff)}, which has no text form")
         else:
             parts.append(f"{format_complex(coeff)}*{chain}")
     return " + ".join(parts)

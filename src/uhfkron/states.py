@@ -9,6 +9,13 @@ factor values with the transpose convention
 With that convention the level-n density matrix is the plain Kronecker
 chain T^{(1)} (x) ... (x) T^{(n)} (no transpose): tr(T E_{jk}) = T_{kj}.
 
+Evaluation works on an element's index arrays: each slot's factor
+entries are gathered for all terms at once and multiplied into the
+running products slot by slot, each product rounded as Python's complex
+``*`` rounds it (``algebra._cmul``); the term values are then added one
+after another in the element's canonical term order, so results are the
+bits of a plain loop over the terms.
+
 The non-symmetric tensor product of two states composes the ordinary
 tensor-product state with the Kronecker coproduct.  On product states it
 again yields a product state, with factorwise Kronecker densities; the
@@ -19,7 +26,6 @@ not a definition.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -28,6 +34,8 @@ from .algebra import (
     DENSE_DIM_GUARD,
     AlgebraElement,
     Signature,
+    _cmul,
+    _unit_tags,
     as_signature,
     coproduct_phi,
     kron_box,
@@ -181,46 +189,49 @@ def state_evaluate(S: ProductStateTrunc, x: AlgebraElement) -> complex:
 
     Linear in ``x``; on an elementary tensor the value is the product of
     factor entries T^{(i)}[k_i, j_i] (note the transposed index order).
+    The term values are added one after another onto ``0j`` in term order
+    (a running sum, not numpy's pairwise one), so the bits follow the
+    element's canonical term order.
     """
-    total = 0j
-    for value in _term_values(S, x, weighted=True):
-        total += value
-    return complex(total)
+    values = _factor_products(S, x, x.coeff)
+    return complex(np.cumsum(np.concatenate([[0j], values]))[-1])
 
 
-def _term_values(S: ProductStateTrunc, x: AlgebraElement,
-                 weighted: bool) -> Iterator[complex]:
-    # per term in x's order: [coefficient *] the product of the factor
-    # entries T[k-1, j-1], multiplied in slot order up to the first zero
+def _factor_products(S: ProductStateTrunc, x: AlgebraElement,
+                     start) -> np.ndarray:
+    """Per term of ``x``, in term order: ``start`` times the factor entries
+    T^{(i)}[k_i - 1, j_i - 1], multiplied one slot at a time in slot order,
+    each product rounded as Python's complex ``*`` rounds it."""
     if S.sig != x.sig:
         raise SignatureError(
             f"state signature {S.sig.dims} does not match element "
             f"signature {x.sig.dims}"
         )
-    one = 1 + 0j
-    mats = [f.matrix for f in S.factors]
-    for (rows, cols), coeff in x.terms.items():
-        value = coeff if weighted else one
-        for j, k, T in zip(rows, cols, mats):
-            value *= T[k - 1, j - 1]
-            if value == 0:
-                break
-        yield value
+    dims = np.array(S.sig.dims)
+    sizes = dims * dims
+    entries = np.concatenate([f.matrix.ravel() for f in S.factors])
+    # per slot (rows of ``at``), each term's place among the flat entries
+    at = ((x.cols - 1) * dims + x.rows - 1 + (np.cumsum(sizes) - sizes)).T
+    value = start
+    for factor_entries in entries[at]:
+        value = _cmul(value, factor_entries)
+    return value
 
 
-def _unit_values(S: ProductStateTrunc,
-                 y: AlgebraElement) -> dict[complex, list[complex]]:
-    """Per coefficient (a unit's tag, see ``algebra._unit_rows``): the
-    values of ``S`` on the terms carrying it, coefficient left out.
-
-    A unit's value is :func:`state_evaluate` of that unit alone, computed
-    by the same multiplications (a zero part may differ in sign).
+def _tagged_values(S: ProductStateTrunc, y: AlgebraElement,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """For an image ``y`` of a tagged chunk of units (see
+    ``algebra._tagged_units``): per unit ``k < count``, the number of terms
+    of ``y`` tagged ``k+1``, and the value of ``S`` on such a term with its
+    coefficient left out, i.e. ``state_evaluate`` of the unit's image when
+    that number is 1 (a zero part may differ in sign).
     """
-    out: dict[complex, list[complex]] = {}
-    for value, tag in zip(_term_values(S, y, weighted=False),
-                          y.terms.values()):
-        out.setdefault(tag, []).append(value)
-    return out
+    unit = _unit_tags(y, count)
+    mine = unit >= 0
+    values = np.zeros(count, dtype=complex)
+    values[unit[mine]] = _factor_products(
+        S, y, np.ones(len(y), dtype=complex))[mine]
+    return np.bincount(unit[mine], minlength=count), values
 
 
 def state_boxtimes(S: ProductStateTrunc, R: ProductStateTrunc) -> ProductStateTrunc:

@@ -6,6 +6,7 @@ then cross-checked against dense numpy.kron materializations.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from uhfkron.algebra import (
     AlgebraElement,
     Signature,
+    _lex_keys,
     all_matrix_units,
     block_permutation,
     coproduct_phi,
@@ -29,6 +31,7 @@ from uhfkron.algebra import (
     product_phi_inverse,
     random_element,
     to_dense,
+    zero,
 )
 from uhfkron.errors import IndexRangeError, ResourceGuardError, SignatureError
 
@@ -55,6 +58,16 @@ def test_signature_validation():
         Signature((2, 1))
     with pytest.raises(SignatureError):
         Signature(())
+
+
+def test_signature_refuses_dimensions_past_int64_indices():
+    Signature((2, 2**62 - 1))
+    for dims, pos in [((2**62,), 1), ((2, 10**20), 2)]:
+        with pytest.raises(SignatureError,
+                           match=f"position {pos} is >= 2\\*\\*62"):
+            Signature(dims)
+    with pytest.raises(SignatureError, match="position 1"):
+        Signature((2**31,)).product((2**31,))
 
 
 def test_signature_product_and_concat():
@@ -85,6 +98,17 @@ def test_overflowing_modulus_is_kept():
     assert list(x.terms.items()) == [(((1,), (1,)), big)]
     assert (big * matrix_unit(2, 1, 2)).terms == {((1,), (2,)): big}
     assert (x - x).is_zero
+
+
+def test_allclose_counts_an_overflowing_modulus_as_inf():
+    big = (1.5e308 + 1.5e308j) * matrix_unit(2, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not big.allclose(zero(2))
+        assert not zero(2).allclose(big)
+        assert big.allclose(zero(2), tol=float("inf"))
+        assert big.allclose(big)
+        assert not (-1.5e308 * big).allclose(1.5e308 * big, tol=1e300)
 
 
 def test_unit_product_rule():
@@ -397,3 +421,51 @@ def test_subtraction_gives_zero(x):
 def test_product_adjoint_reverses(x, seed):
     y = random_element(x.sig, rng=seed, n_terms=5)
     assert (x * y).adjoint().allclose(y.adjoint() * x.adjoint())
+
+
+def test_level_70_stage_works_without_dense_keys():
+    # (4,)*70 has D**2 = 2**280 units, far past int64: index keys must not
+    # be packed as row*D + col
+    rng = np.random.default_rng(70)
+    sig = Signature((4,) * 70)
+    u, v, w = (tuple(int(j) for j in rng.integers(1, 5, size=70))
+               for _ in range(3))
+    x = matrix_unit(sig, u, v) + 2.0 * matrix_unit(sig, w, v)
+    y = 3j * matrix_unit(sig, v, w) + matrix_unit(sig, u, w)
+    assert x * y == 3j * matrix_unit(sig, u, w) + 6j * matrix_unit(sig, w, w)
+    assert list((x + y).terms) == [(u, v), (w, v), (v, w), (u, w)]
+    assert (x + y - y) == x
+    assert x.adjoint() == matrix_unit(sig, v, u) + 2.0 * matrix_unit(sig, v, w)
+
+    half = Signature((2,) * 70)
+    split = coproduct_phi(x, half, half)
+
+    def hi_lo(index):  # j = 2*(j' - 1) + j''
+        return (tuple((j - 1) // 2 + 1 for j in index)
+                + tuple((j - 1) % 2 + 1 for j in index))
+
+    both = half.concat(half)
+    assert split == (matrix_unit(both, hi_lo(u), hi_lo(v))
+                     + 2.0 * matrix_unit(both, hi_lo(w), hi_lo(v)))
+    assert product_phi_inverse(split, 70) == x
+
+
+@pytest.mark.parametrize("radices", [
+    [5] * 40,                      # runs of 27 columns, joined through ranks
+    [2**62 + 1, 2**62 + 1, 3],    # a run per column, itself ranked
+    [3, 2**62 + 1, 2, 2**61],
+])
+def test_lex_keys_order_rows_lexicographically(radices):
+    rng = np.random.default_rng(len(radices))
+    rows = {tuple(int(rng.integers(0, min(r, 4))) if rng.random() < 0.5
+                  else int(rng.integers(0, r)) for r in radices)
+            for _ in range(60)}
+    rows = sorted(rows) + sorted(rows)[:5]  # some rows twice
+    perm = rng.permutation(len(rows))
+    columns = np.array([rows[i] for i in perm], dtype=np.int64)
+    keys = _lex_keys(columns, radices).tolist()
+    by_row = {}
+    for i, key in zip(perm, keys):
+        assert by_row.setdefault(rows[i], key) == key
+    assert sorted(by_row, key=by_row.get) == sorted(by_row)
+    assert len(set(by_row.values())) == len(by_row)

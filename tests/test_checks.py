@@ -1,16 +1,17 @@
-"""Property suites: the row-at-a-time sweep against a per-unit reference,
-negative controls that corrupt one row, the unit-count guard and the
-tolerance contract of ``run_suite``.
+"""Property suites: the tagged sweep of the unit grid against a per-unit
+reference, at the default chunk size and at chunks of 7, negative controls
+that corrupt one chunk, the unit-count guard and the tolerance contract of
+``run_suite``.
 """
 
 import math
 
 import pytest
 
-from uhfkron import checks
+from uhfkron import algebra, checks
 from uhfkron.algebra import (
-    _images,
-    _unit_rows,
+    _tagged_units,
+    _unit_tags,
     all_matrix_units,
     coproduct_phi,
     coproduct_phi_block,
@@ -133,6 +134,8 @@ def reference_state_associativity(dims, level, seed=0, tol=1e-12):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_row_sweep_matches_per_unit_reference(suite, reference, dims, level,
                                               tol, seed):
+    # (named for the row-at-a-time sweep it first checked; the suites now
+    # sweep the whole grid in tagged chunks)
     got = suite(dims, level, seed, tol)
     want = reference(dims, level, seed, tol)
     assert (got.suite, got.passed, got.failed, got.failures) == (
@@ -145,14 +148,55 @@ def test_zero_tolerance_reference_has_failures():
     assert reference_tensor_formula((3, 3), 1, 0, 0.0).failed > 0
 
 
-def test_unit_rows_tag_every_unit_once():
+@pytest.fixture(params=["default", 7])
+def chunk(request, monkeypatch):
+    """Image terms per tagged chunk: the default, or 7 so that every suite
+    crosses many chunk boundaries (compatibility, with a*b images per
+    unit, then gets one unit per chunk)."""
+    if request.param != "default":
+        monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", request.param)
+    return request.param
+
+
+def test_tagged_units_tag_every_unit_once(chunk):
     sig = (2, 3)
-    rows = list(_unit_rows(sig))
-    assert [u for units, _ in rows for u in units] == list(
+    chunks = list(_tagged_units(sig))
+    if chunk == 7:
+        assert [len(x) for x in chunks] == [7] * 5 + [1]
+    assert [idx for x in chunks for idx in x.terms] == list(
         all_matrix_units(sig))
-    for units, x in rows:
-        assert {u: [u] for u in units} == {
-            units[int(tag.real) - 1]: idx for tag, idx in _images(x).items()}
+    for x in chunks:
+        assert x.coeff.tolist() == list(range(1, len(x) + 1))
+        assert _unit_tags(x, len(x)).tolist() == list(range(len(x)))
+
+
+def test_unit_tags_ignore_other_coefficients():
+    x = next(_tagged_units((2,)))  # tags 1..4
+    y = type(x)(x.sig, [(((1,), (1,)), 2.5), (((1,), (2,)), 4 + 1j),
+                        (((2,), (1,)), 5.0), (((2,), (2,)), 3.0)])
+    assert _unit_tags(y, 4).tolist() == [-1, -1, -1, 2]
+
+
+@pytest.mark.parametrize("suite,reference,dims,level,tol", [
+    (suite_coassociativity, reference_coassociativity, (2, 3, 2), 1, 1e-12),
+    (suite_compatibility, reference_compatibility, (2, 3), 1, 1e-12),
+    (suite_tensor_formula, reference_tensor_formula, (2, 2), 2, 0.0),
+    (suite_state_associativity, reference_state_associativity, (2, 2, 2), 1,
+     0.0),
+])
+def test_chunk_boundaries_change_nothing(monkeypatch, suite, reference, dims,
+                                         level, tol):
+    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", 7)
+    got = suite(dims, level, 3, tol)
+    want = reference(dims, level, 3, tol)
+    assert (got.passed, got.failed, got.failures) == (
+        want.passed, want.failed, want.failures)
+
+
+def test_atom_check_at_chunks_of_seven(monkeypatch):
+    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", 7)
+    assert suite_atom_semigroup((2, 2), 2).to_json() == {
+        "suite": "atom-semigroup", "passed": 16, "failed": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +206,7 @@ def test_unit_rows_tag_every_unit_once():
 def test_swapped_images_fail_exactly_those_units(monkeypatch):
     level = 1
     fused = checks._constant_sig(12, level)
-    units, _ = next(_unit_rows(fused))
+    units = list(all_matrix_units(fused))
     swapped = (units[1], units[4])
     real = coproduct_phi_block
     calls = []
@@ -172,7 +216,7 @@ def test_swapped_images_fail_exactly_those_units(monkeypatch):
         calls.append(start)
         if calls != [0]:
             return y
-        # the first row's left side: exchange the images of tags 2 and 5
+        # the first chunk's left side: exchange the images of tags 2 and 5
         terms = {idx: {2: 5, 5: 2}.get(c.real, c.real)
                  for idx, c in y.terms.items()}
         return type(y)(y.sig, terms, validate=False)
@@ -205,7 +249,7 @@ def test_lost_image_fails_its_unit(monkeypatch):
 
 
 def test_atom_check_corrupted_label_names_a_unit(monkeypatch):
-    # with check (1) blinded, the row sweep of check (2) must still catch a
+    # with check (1) blinded, the tagged sweep of check (2) must still catch a
     # corrupted product label, at the first unit (in unit order) it breaks
     J, K = AtomLabel(2, (1, 2)), AtomLabel(2, (2, 1))
     corrupted = AtomLabel(4, (2, 4))
@@ -223,6 +267,18 @@ def test_atom_check_corrupted_label_names_a_unit(monkeypatch):
         != state_evaluate(S_expected, matrix_unit(S_expected.sig, *idx)))
     assert result.diagnostic == (
         f"coproduct evaluation differs on unit {_name(first_bad)}")
+
+
+@pytest.mark.parametrize("control", [
+    test_swapped_images_fail_exactly_those_units,
+    test_lost_image_fails_its_unit,
+    test_atom_check_corrupted_label_names_a_unit,
+])
+def test_negative_controls_at_chunks_of_seven(monkeypatch, control):
+    # the same failures, attributed to the same units, across chunk
+    # boundaries (compatibility gets one unit per chunk)
+    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", 7)
+    control(monkeypatch)
 
 
 # ---------------------------------------------------------------------------

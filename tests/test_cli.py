@@ -213,6 +213,27 @@ def test_error_signature_mismatch(capsys):
     assert payload["error"]["code"] == "signature-mismatch"
 
 
+@pytest.mark.parametrize("a,expr,code,message", [
+    # the dimension is refused where the --a list becomes a signature ...
+    ("2,100000000000000000000", "E[4](1,1) (x) E[4](1,1)",
+     "signature-mismatch",
+     "factor dimension 100000000000000000000 at position 2 is >= 2**62"),
+    # ... and where the parser meets the atom, with its place in the text
+    ("2,100000000000000000000", "E[4](1,1) (x) E[200000000000000000000](1,1)",
+     "parse-error",
+     "factor dimension 200000000000000000000 at position 1 is >= 2**62 "
+     "(line 1, column 15)"),
+])
+def test_error_factor_dimension_past_int64_indices(capsys, a, expr, code,
+                                                   message):
+    status, out = run(capsys, "coproduct", "--a", a, "--b", "2,2",
+                      "--expr", expr)
+    assert status == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert payload == {"error": {"code": code, "message": message}}
+
+
 def test_error_resource_guard(capsys):
     state = ";".join(["diag(0.5,0.5)"] * 13)
     code, payload = run_json(capsys, "distance", "--T", state, "--R", state)

@@ -1,16 +1,18 @@
 """Element expression grammar and the state spec syntax."""
 
 import json
+import math
 import re
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uhfkron.algebra import (
+    AlgebraElement,
     elem_tensor,
     matrix_unit,
     random_element,
@@ -151,6 +153,53 @@ def test_format_round_trip_random(seed, n_terms):
     y = parse_element(format_element(x))
     assert y.sig == x.sig
     assert y.terms == x.terms
+
+
+def test_format_refuses_non_finite_coefficients():
+    x = parse_element("E[2](1,2) + 1e400*E[2](1,1) + (0.0,1e400)*E[2](2,2)")
+    with pytest.raises(ValidationError, match=re.escape(
+            "term E[2](1,1) has the non-finite coefficient (inf,nan)")):
+        format_element(x)
+    y = AlgebraElement((2, 2), {((1, 2), (2, 1)): complex(1.0, -math.inf),
+                                ((1, 1), (1, 1)): 1.0})
+    with pytest.raises(ValidationError, match=re.escape(
+            "term E[2](1,2) (x) E[2](2,1) has the non-finite coefficient "
+            "(1.0,-inf)")):
+        format_element(y)
+
+
+_finite_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-14, 1.5e308, -1.5e308, 5e-324]))
+
+
+@st.composite
+def _finite_elements(draw):
+    dims = draw(st.sampled_from([(2,), (3,), (2, 3), (2, 2, 2)]))
+    index = st.tuples(*(st.integers(1, d) for d in dims))
+    coeff = st.builds(complex, _finite_parts, _finite_parts)
+    items = draw(st.lists(st.tuples(st.tuples(index, index), coeff),
+                          max_size=8))
+    return AlgebraElement(dims, items)
+
+
+@given(_finite_elements())
+@settings(max_examples=200, deadline=None)
+def test_format_round_trip_finite_elements(x):
+    assume(np.isfinite(x.coeff).all())  # repeated indices may overflow
+    y = parse_element(format_element(x))
+    assert y.sig == x.sig
+    assert sorted((idx, v.real.hex(), v.imag.hex())
+                  for idx, v in y.terms.items()) == sorted(
+        (idx, v.real.hex(), v.imag.hex()) for idx, v in x.terms.items())
+
+
+def test_parse_refuses_a_factor_dimension_past_int64_indices():
+    with pytest.raises(ParseError, match=r"position 1 is >= 2\*\*62 "
+                                         r"\(line 1, column 15\)"):
+        parse_element("E[2](1,1) (x) E[4611686018427387904](1,1)")
+    x = parse_element("E[4611686018427387903](4611686018427387903,1)")
+    assert x.rows.tolist() == [[2**62 - 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,8 @@ def test_evaluate_matches_dense_trace():
 
 
 def _reference_evaluate(S, x):
-    # the term loop as written out before it was shared with _unit_values
+    # the dict-era term loop: one Python complex product per slot, stopping
+    # at the first zero, then a running sum
     total = 0j
     mats = [f.matrix for f in S.factors]
     for (rows, cols), coeff in x.terms.items():
