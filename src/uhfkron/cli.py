@@ -33,7 +33,6 @@ import numpy as np
 
 from .algebra import (
     COMPARE_TOL,
-    DENSE_DIM_GUARD,
     all_matrix_units,
     as_signature,
     coproduct_phi,
@@ -183,9 +182,9 @@ def _cmd_gns(args, tol: float) -> tuple[dict, int]:
         "expectation": {"passed": passed, "failed": failed,
                         "max_error": max_err},
     }
-    if G.space_dim * G.space_dim <= DENSE_DIM_GUARD:
+    try:
         payload["commutant_dim"] = commutant_dimension(G)
-    else:
+    except ResourceGuardError:
         payload["commutant_dim"] = None
     return payload, 0 if failed == 0 else 1
 

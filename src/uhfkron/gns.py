@@ -12,10 +12,14 @@ coproduct composition of two triplets concatenates their factors and
 relabels the first triplet's places to the high digits of the fused slots,
 since j = b*(j' - 1) + j'' there.
 
-The images of matrix units are built for a whole sequence of units at
-once: each factor's images are stacked on a leading axis and combined by
-a row-wise Kronecker product, so a spanning family is a handful of array
-operations per factor rather than a Kronecker chain per unit.
+The image of a matrix unit is a 0/1 partial permutation, so it is built
+from integer positions.  With j_f, k_f the 0-based digits factor f reads,
+r_f its rank and s_f its stride in the space, rep(E_u) has its ones at
+(row_u + o_t, col_u + o_t), where row_u = sum_f j_f r_f s_f, col_u =
+sum_f k_f r_f s_f and o_t = sum_f t_f s_f for t in prod_f [r_f]; and
+rep(E_u) cyclic is cyclic[col_u + o_t] written at row_u + o_t.  Images of
+unit sequences and of elements are one scatter or gather each over these
+positions.
 
 The map sending an element x to rep(x) applied to the cyclic vector spans
 the whole space, so a second representation of the same state determines a
@@ -41,6 +45,7 @@ commutant is W (I (x) M_m) W^H, of dimension m^2.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -82,31 +87,6 @@ GRAM_TOL = 1e-8
 _SYSTEM_ENTRY_CAP = 1 << 24
 
 
-def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a[n], b[n])`` for every n, stacked on axis 0.
-
-    ``a`` and ``b`` are stacks of vectors (2 axes) or of matrices (3 axes);
-    each entry is the same product ``np.kron`` forms.
-    """
-    n = len(a)
-    if a.ndim == 2:
-        return (a[:, :, None] * b[:, None, :]).reshape(n, -1)
-    (p, q), (r, s) = a.shape[1:], b.shape[1:]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
-        n, p * r, q * s)
-
-
-def _kron_chain(parts: list[np.ndarray]) -> np.ndarray:
-    # row-wise Kronecker product of the stacks in parts, left to right,
-    # from a stack of ones: each entry is the product 1 * p_1 * p_2 * ...
-    # in the order of an np.kron chain that starts from np.ones(1)
-    first = parts[0]
-    out = np.ones(first.shape[:1] + (1,) * (first.ndim - 1), dtype=complex)
-    for part in parts:
-        out = _kron_rows(out, part)
-    return out
-
-
 class FactorGns:
     """Purification data of one density factor.
 
@@ -146,35 +126,29 @@ class FactorGns:
         self.frame = frame
         self.cyclic = frame.reshape(-1)
 
-    def _index(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        # 0-based index arrays of the one unit E_{jk}
+    def _index(self, j: int, k: int) -> tuple[int, int]:
+        # 0-based indices of the one unit E_{jk}
         for name, v in (("row", j), ("column", k)):
             if not (isinstance(v, numbers.Integral) and 1 <= v <= self.dim):
                 raise IndexRangeError(
                     f"{name} index {v!r} is not an integer in 1..{self.dim}"
                 )
-        return np.array([j - 1]), np.array([k - 1])
+        return j - 1, k - 1
 
     def rep_unit(self, j: int, k: int) -> np.ndarray:
         """Image of the unit E_{jk}: E_{jk} (x) I_rank."""
-        return self._rep_units(*self._index(j, k))[0]
+        j, k = self._index(j, k)
+        d, r = self.dim, self.rank
+        out = np.zeros((d, r, d, r), dtype=complex)
+        out[j, :, k, :] = np.eye(r)
+        return out.reshape(d * r, d * r)
 
     def lambda_unit(self, j: int, k: int) -> np.ndarray:
         """rep(E_{jk}) applied to the cyclic vector: e_j (x) frame[k-1, :]."""
-        return self._lambda_units(*self._index(j, k))[0]
-
-    def _rep_units(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # E_{jk} (x) I_rank for each pair of 0-based indices j[n], k[n]
-        n, d, r = len(j), self.dim, self.rank
-        out = np.zeros((n, d, r, d, r), dtype=complex)
-        out[np.arange(n), j, :, k, :] = np.eye(r)
-        return out.reshape(n, d * r, d * r)
-
-    def _lambda_units(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # e_j (x) frame[k] for each pair of 0-based indices j[n], k[n]
-        e = np.zeros((len(j), self.dim), dtype=complex)
-        e[np.arange(len(j)), j] = 1.0
-        return _kron_rows(e, self.frame[k])
+        j, k = self._index(j, k)
+        out = np.zeros((self.dim, self.rank), dtype=complex)
+        out[j] = self.frame[k]
+        return out.reshape(-1)
 
 
 class GnsTriplet:
@@ -184,32 +158,43 @@ class GnsTriplet:
     order, each with the place ``(slot, stride, radix)`` it reads; on a unit
     with index j at ``slot`` the factor takes its unit index
     (j - 1) // stride % radix + 1.  ``cyclic`` is the Kronecker chain of
-    the factors' cyclic vectors.  :meth:`rep_units` and
-    :meth:`lambda_units` give the images of a whole sequence of units at
-    once, one row-wise Kronecker product per factor over the stacked factor
-    images; :meth:`rep_unit` and :meth:`lambda_unit` are the one-unit case.
+    the factors' cyclic vectors.  Every image is read off the positions of
+    the ones of rep(E_u) (see the module notes): :meth:`rep_units` sets
+    them in a zero stack, :meth:`lambda_units` gathers the cyclic vector at
+    them, :meth:`rep` scatters an element's coefficients to them and
+    :meth:`lambda_vec` adds the gathered values up in term order;
+    :meth:`rep_unit` and :meth:`lambda_unit` are the one-unit case.
     The cyclic vector has norm one and reproduces the state:
     <cyclic, rep(x) cyclic> = omega(x).
     """
 
-    __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places")
+    __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
+                 "_weights", "_offsets")
 
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
         self._factors = tuple(factors)
         self._places = tuple(places)
-        self.cyclic = _kron_chain([f.cyclic[None] for f in self._factors])[0]
+        self.cyclic = np.ones(1, dtype=complex)
+        for f in self._factors:
+            self.cyclic = np.kron(self.cyclic, f.cyclic)
         self.space_dim = self.cyclic.size
+        dims = [f.space_dim for f in self._factors]
+        strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+        ranks = [f.rank for f in self._factors]
+        # row_u = sum_f j_f r_f s_f, and o_t = sum_f t_f s_f over all t
+        self._weights = np.array(ranks) * strides
+        self._offsets = functools.reduce(np.add.outer, [
+            s * np.arange(r) for s, r in zip(strides, ranks)]).ravel()
 
-    def _family(self, part: str, units) -> np.ndarray:
-        # Kronecker chain in space order of part(factor, j, k) at the
-        # 0-based digits each factor reads, for all units at once
+    def _positions(self, units) -> tuple[np.ndarray, np.ndarray]:
+        # (N, R) rows and columns of the ones of rep(E_u) for each unit u
+        # of units, which pass the range check of _indices first
         idx = self._indices(units)
-        rows, cols = idx[:, 0], idx[:, 1]
-        return _kron_chain([
-            getattr(f, part)(rows[:, s] // t % r, cols[:, s] // t % r)
-            for f, (s, t, r) in zip(self._factors, self._places)
-        ])
+        slot, stride, radix = np.array(self._places).T
+        row, col = (idx[:, side][:, slot] // stride % radix @ self._weights
+                    for side in (0, 1))
+        return row[:, None] + self._offsets, col[:, None] + self._offsets
 
     def _indices(self, units) -> np.ndarray:
         # 0-based (N, 2, level) index array of a sequence of matrix units
@@ -237,12 +222,14 @@ class GnsTriplet:
             )
         return idx - 1
 
-    def _check_sig(self, x: AlgebraElement):
+    def _units_of(self, x: AlgebraElement) -> np.ndarray:
+        # the terms of x as a (T, 2, level) array of units
         if x.sig != self.sig:
             raise SignatureError(
                 f"element signature {x.sig.dims} does not match "
                 f"representation signature {self.sig.dims}"
             )
+        return np.stack([x.rows, x.cols], axis=1)
 
     def rep_units(self, units) -> np.ndarray:
         """rep(E_u) for every unit u of ``units``, stacked on axis 0.
@@ -251,31 +238,38 @@ class GnsTriplet:
         (rows, cols) pairs); an index outside 1..a_i raises
         :class:`IndexRangeError`, a wrong slot count :class:`SignatureError`.
         """
-        return self._family("_rep_units", units)
+        rows, cols = self._positions(units)
+        n = len(rows)
+        out = np.zeros((n, self.space_dim, self.space_dim), dtype=complex)
+        out[np.arange(n)[:, None], rows, cols] = 1
+        return out
 
     def rep_unit(self, idx: MatrixUnitIndex) -> np.ndarray:
         return self.rep_units([idx])[0]
 
     def rep(self, x: AlgebraElement) -> np.ndarray:
-        self._check_sig(x)
+        rows, cols = self._positions(self._units_of(x))
         out = np.zeros((self.space_dim, self.space_dim), dtype=complex)
-        for idx, coeff in x.terms.items():
-            out += coeff * self.rep_unit(idx)
+        # distinct units never share a position
+        out[rows, cols] = x.coeff[:, None]
         return out
 
     def lambda_units(self, units) -> np.ndarray:
         """rep(E_u) cyclic for every unit u of ``units``, stacked on axis 0
         (``units`` as in :meth:`rep_units`)."""
-        return self._family("_lambda_units", units)
+        rows, cols = self._positions(units)
+        out = np.zeros((len(rows), self.space_dim), dtype=complex)
+        out[np.arange(len(rows))[:, None], rows] = self.cyclic[cols]
+        return out
 
     def lambda_unit(self, idx: MatrixUnitIndex) -> np.ndarray:
         return self.lambda_units([idx])[0]
 
     def lambda_vec(self, x: AlgebraElement) -> np.ndarray:
-        self._check_sig(x)
+        rows, cols = self._positions(self._units_of(x))
         out = np.zeros(self.space_dim, dtype=complex)
-        for idx, coeff in x.terms.items():
-            out += coeff * self.lambda_unit(idx)
+        # numpy.add.at adds one term after another, in term order
+        np.add.at(out, rows, x.coeff[:, None] * self.cyclic[cols])
         return out
 
     def expectation(self, x: AlgebraElement) -> complex:

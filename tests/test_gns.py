@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from uhfkron.algebra import (
+    AlgebraElement,
     MatrixUnitIndex,
     all_matrix_units,
     coproduct_phi,
@@ -16,6 +17,7 @@ from uhfkron.algebra import (
     matrix_unit,
     random_element,
     to_dense,
+    zero,
 )
 from uhfkron.errors import (
     GramMismatchError,
@@ -135,6 +137,29 @@ def test_rep_signature_check():
     G = gns_build(random_state((2,), seed=6))
     with pytest.raises(SignatureError):
         G.rep(matrix_unit(3, 1, 1))
+
+
+def test_rep_of_an_infinite_coefficient_sets_only_its_unit():
+    # each unit's coefficient lands only where rep(E_u) has its ones, so
+    # inf * 0 = nan never arises elsewhere (and no RuntimeWarning)
+    G = gns_build(random_state((2, 2), seed=1))
+    idx = MatrixUnitIndex((1, 1), (2, 1))
+    out = G.rep(AlgebraElement((2, 2), {idx: complex("inf")}))
+    assert not np.isnan(out).any()
+    assert np.array_equal(out != 0, G.rep_unit(idx) == 1)
+    assert np.count_nonzero(out) == 4
+    assert np.all(out[out != 0] == complex("inf"))
+
+
+@pytest.mark.parametrize("bad", [((3, 1), (1, 1)), ((1, 0), (1, 1)),
+                                 ((1, 1), (1, 4)), ((-1, 1), (2, 2))])
+def test_element_methods_range_check_unvalidated_elements(bad):
+    G = gns_build(random_state((2, 3), seed=2))
+    x = AlgebraElement((2, 3), {bad: 1.0, ((1, 1), (1, 1)): 2.0},
+                       validate=False)
+    for method in (G.rep, G.lambda_vec, G.expectation):
+        with pytest.raises(IndexRangeError):
+            method(x)
 
 
 def test_lambda_map():
@@ -267,6 +292,39 @@ def test_batched_family_equals_per_unit_stack(tree):
     assert np.array_equal(
         G.rep_units(units), np.stack([G.rep_unit(u) for u in units])
     )
+
+
+def _rep_loop(G, x):
+    # rep(x) as a sum of the unit images, one term after another
+    out = np.zeros((G.space_dim, G.space_dim), dtype=complex)
+    for idx, coeff in x.terms.items():
+        out += coeff * G.rep_unit(idx)
+    return out
+
+
+def _lambda_loop(G, x):
+    # lambda(x) as a running sum of the unit vectors, in term order
+    out = np.zeros(G.space_dim, dtype=complex)
+    for idx, coeff in x.terms.items():
+        out += coeff * G.lambda_unit(idx)
+    return out
+
+
+@pytest.mark.parametrize("G", [
+    gns_build(random_state((2, 2), seed=81)),
+    gns_build(_mixed_state((2, 3), {0}, 82)),
+    gns_build(ProductStateTrunc([T_PURE, R_PURE, T_PURE])),
+    *(_compose(tree)[0] for tree in _TREES),
+], ids=["full-rank", "mixed-rank", "atom", *_TREE_IDS])
+def test_element_images_equal_the_per_term_loops_byte_for_byte(G):
+    elements = [zero(G.sig), identity(G.sig)] + [
+        random_element(G.sig, rng=seed, n_terms=n)
+        for seed, n in [(83, 1), (84, 8), (85, 60)]
+    ]
+    elements.append(elements[-1].adjoint() * elements[-2])
+    for x in elements:
+        assert G.rep(x).tobytes() == _rep_loop(G, x).tobytes()
+        assert G.lambda_vec(x).tobytes() == _lambda_loop(G, x).tobytes()
 
 
 def test_unit_methods_reject_bad_indices():
