@@ -29,14 +29,14 @@ An element stores its T terms as arrays: ``rows`` and ``cols`` (int64,
 shape (T, n), 1-based) and ``coeff`` (complex, shape (T,)).  Canonical
 form has one term per index, in order of first occurrence, with the
 coefficients of repeated indices summed in input order starting from
-``0j`` (so a ``-0.0`` part becomes ``+0.0``) and moduli ``<= prune_tol``
-dropped.  That is what merging into a dict did, term order included;
-:func:`~uhfkron.states.state_evaluate` sums in term order, so its bits
-depend on it.  Index keys are packed into one int64 per term
-(:func:`_lex_keys`), never into a ``row*D + col`` that overflows for big
-stages.  Coefficient products use the float formula of Python's complex
-``*`` (:func:`_cmul`), because numpy's vectorized complex multiply may
-fuse a product and a sum and round differently.
+``0j`` (so a ``-0.0`` part becomes ``+0.0``) and moduli
+``<= COEFF_PRUNE_TOL`` dropped.  That is what merging into a dict did,
+term order included; :func:`~uhfkron.states.state_evaluate` sums in
+term order, so its bits depend on it.  Index keys are packed into one int64
+per term (:func:`_lex_keys`), never into a ``row*D + col`` that
+overflows for big stages.  Coefficient products use the float formula of
+Python's complex ``*`` (:func:`_cmul`), because numpy's vectorized
+complex multiply may fuse a product and a sum and round differently.
 """
 
 from __future__ import annotations
@@ -285,19 +285,18 @@ def _element(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
     return x
 
 
-def _pruned(sig: Signature, rows, cols, coeff,
-            prune_tol: float = COEFF_PRUNE_TOL) -> "AlgebraElement":
+def _pruned(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
     """Canonical form of terms with distinct indices: ``0j + c`` (a
-    ``-0.0`` part becomes ``+0.0``), then moduli ``<= prune_tol`` dropped."""
+    ``-0.0`` part becomes ``+0.0``), then moduli ``<= COEFF_PRUNE_TOL``
+    dropped."""
     coeff = coeff + 0j
-    keep = _moduli(coeff) > prune_tol
+    keep = _moduli(coeff) > COEFF_PRUNE_TOL
     if keep.all():
         return _element(sig, rows, cols, coeff)
     return _element(sig, rows[keep], cols[keep], coeff[keep])
 
 
-def _merged(sig: Signature, rows, cols, coeff,
-            prune_tol: float = COEFF_PRUNE_TOL) -> "AlgebraElement":
+def _merged(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
     """Canonical form of terms whose indices may repeat.
 
     One term per index, in order of first occurrence; a repeated index's
@@ -312,7 +311,7 @@ def _merged(sig: Signature, rows, cols, coeff,
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
     starts = np.flatnonzero(new)
     if len(starts) == len(key):  # no index repeats
-        return _pruned(sig, rows, cols, coeff, prune_tol)
+        return _pruned(sig, rows, cols, coeff)
     first = np.minimum.reduceat(order, starts)  # per index, in key order
     is_first = np.zeros(len(key), dtype=bool)
     is_first[first] = True
@@ -323,7 +322,7 @@ def _merged(sig: Signature, rows, cols, coeff,
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(total, target, coeff)
     keep = np.flatnonzero(is_first)
-    return _pruned(sig, rows[keep], cols[keep], total, prune_tol)
+    return _pruned(sig, rows[keep], cols[keep], total)
 
 
 class AlgebraElement:
@@ -341,8 +340,7 @@ class AlgebraElement:
 
     __slots__ = ("sig", "rows", "cols", "coeff")
 
-    def __init__(self, sig, terms=None, *, prune_tol: float = COEFF_PRUNE_TOL,
-                 validate: bool = True):
+    def __init__(self, sig, terms=None, *, validate: bool = True):
         sig = as_signature(sig)
         rows, cols, coeff = [], [], []
         if terms:
@@ -356,7 +354,7 @@ class AlgebraElement:
         shape = (len(coeff), sig.level)
         x = _merged(sig, np.array(rows, dtype=np.int64).reshape(shape),
                     np.array(cols, dtype=np.int64).reshape(shape),
-                    np.array(coeff, dtype=complex), prune_tol)
+                    np.array(coeff, dtype=complex))
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(x, name))
 
@@ -446,10 +444,6 @@ class AlgebraElement:
         return _element(self.sig, self.cols, self.rows,
                         np.conjugate(self.coeff) + 0j)
 
-    def canonicalize(self, prune_tol: float = COEFF_PRUNE_TOL) -> "AlgebraElement":
-        """Re-run canonicalization (merge + prune); idempotent."""
-        return _pruned(self.sig, self.rows, self.cols, self.coeff, prune_tol)
-
     def allclose(self, other: "AlgebraElement", tol: float = COMPARE_TOL) -> bool:
         """Every index's coefficients (0 where absent) differ by a modulus
         ``<= tol``; a modulus past the largest float counts as ``inf``."""
@@ -476,9 +470,6 @@ class AlgebraElement:
                     and np.all(self.coeff[a] == other.coeff[b]))
 
     __hash__ = None
-
-    def to_dense(self, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
-        return to_dense(self, guard=guard)
 
     def __repr__(self):
         return (f"AlgebraElement(sig={self.sig.dims}, "
@@ -694,7 +685,7 @@ def kron_box(A, B) -> np.ndarray:
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
-def to_dense(x: AlgebraElement, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
+def to_dense(x: AlgebraElement) -> np.ndarray:
     """Materialize an element as one prod(a_i) x prod(a_i) complex matrix.
 
     The matrix of an elementary tensor is the Kronecker chain of its unit
@@ -703,12 +694,12 @@ def to_dense(x: AlgebraElement, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
     All terms are scattered at once (``numpy.add.at``).  This is the
     brute-force oracle against which the sparse index maps are checked; it
     does not use their digit regrouping.  Guarded: refuses dimensions above
-    ``guard``.
+    ``DENSE_DIM_GUARD``.
     """
     D = x.sig.total_dim
-    if D > guard:
+    if D > DENSE_DIM_GUARD:
         raise ResourceGuardError(
-            f"dense dimension {D} exceeds guard {guard}"
+            f"dense dimension {D} exceeds guard {DENSE_DIM_GUARD}"
         )
     out = np.zeros((D, D), dtype=complex)
     at = tuple(np.ravel_multi_index(tuple(index.T - 1), x.sig.dims)
@@ -717,7 +708,7 @@ def to_dense(x: AlgebraElement, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
     return out
 
 
-def from_dense(matrix, sig, *, prune_tol: float = COEFF_PRUNE_TOL) -> AlgebraElement:
+def from_dense(matrix, sig) -> AlgebraElement:
     """Expand a dense matrix over ``sig`` in elementary tensors of units.
 
     Exact inverse of :func:`to_dense` up to coefficient pruning.
@@ -729,12 +720,12 @@ def from_dense(matrix, sig, *, prune_tol: float = COEFF_PRUNE_TOL) -> AlgebraEle
         raise SignatureError(
             f"matrix shape {m.shape} does not match total dimension {D}"
         )
-    kept = np.nonzero(np.abs(m) > prune_tol)
+    kept = np.nonzero(np.abs(m) > COEFF_PRUNE_TOL)
     rows, cols = (_grid(sig.dims, i) for i in kept)
-    return _pruned(sig, rows, cols, m[kept], prune_tol)
+    return _pruned(sig, rows, cols, m[kept])
 
 
-def block_permutation(a, b, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
+def block_permutation(a, b) -> np.ndarray:
     """Permutation matrix P with dense(coproduct(x)) = P dense(x) P^T.
 
     P re-sorts the interleaved factor basis (a_1, b_1, ..., a_n, b_n) of the
@@ -745,8 +736,9 @@ def block_permutation(a, b, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
     a = as_signature(a)
     b = as_signature(b)
     D = a.product(b).total_dim
-    if D > guard:
-        raise ResourceGuardError(f"dense dimension {D} exceeds guard {guard}")
+    if D > DENSE_DIM_GUARD:
+        raise ResourceGuardError(
+            f"dense dimension {D} exceeds guard {DENSE_DIM_GUARD}")
     n = a.level
     order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
     moved = np.arange(D).reshape(_interleave(a, b)).transpose(order).reshape(-1)

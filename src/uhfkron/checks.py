@@ -46,6 +46,7 @@ from .algebra import (
 from .atoms import AtomLabel, atom_check_product
 from .errors import ResourceGuardError, ValidationError
 from .states import (
+    DensityFactor,
     ProductStateTrunc,
     _tagged_values,
     random_state,
@@ -100,13 +101,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return self.failed == 0
-
-    def to_json(self) -> dict:
-        out = {"suite": self.suite, "passed": self.passed,
-               "failed": self.failed}
-        if self.failures:
-            out["failures"] = list(self.failures)
-        return out
 
 
 def _constant_sig(base: int, level: int) -> Signature:
@@ -231,11 +225,11 @@ def suite_compatibility(dims: tuple[int, ...], level: int,
 
 
 def suite_star_isomorphism(dims: tuple[int, ...], level: int,
-                           seed: int = 0, tol: float = COMPARE_TOL,
-                           samples: int = 20) -> CheckReport:
+                           seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
     """The coproduct preserves products, adjoints, and the unit.
 
-    Products and adjoints of seeded random elements agree within ``tol``.
+    Products and adjoints of 20 seeded random element pairs agree within
+    ``tol``.
     """
     if len(dims) != 2:
         raise ValidationError(f"need two dims (a, b), got {dims}")
@@ -248,7 +242,7 @@ def suite_star_isomorphism(dims: tuple[int, ...], level: int,
         coproduct_phi(identity(fused), a, b) == identity(a.concat(b)),
         "unit is not preserved",
     )
-    for i in range(samples):
+    for i in range(20):
         x = random_element(fused, rng=seed * 1000 + 2 * i, n_terms=8)
         y = random_element(fused, rng=seed * 1000 + 2 * i + 1, n_terms=8)
         ok_mult = coproduct_phi(x * y, a, b).allclose(
@@ -289,16 +283,17 @@ def suite_nonsymmetry(dims: tuple[int, ...] = (), level: int = 3,
                       seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
     """The orthogonal pure witnesses separate the two factor orders.
 
-    Per level up to ``level``: the witness element evaluates to +1 one way
-    and -1 the other, and the trace distance of the two product states
-    is exactly 2.  ``dims`` is ignored (the witnesses are 2x2).
+    Per level up to ``level`` (at least 1): the witness element evaluates
+    to +1 one way and -1 the other, and the trace distance of the two
+    product states is exactly 2.  ``dims`` is ignored (the witnesses are
+    2x2).
     """
-    from .parser import parse_state
-
+    if level < 1:
+        raise ValidationError(f"level {level} is < 1")
     # level L compares two dense 4**L x 4**L densities: (4**L)**2 entries
     _guard_units("nonsymmetry", 16, level)
-    S = parse_state("diag(1,0)")
-    R = parse_state("diag(0,1)")
+    S = ProductStateTrunc([DensityFactor.diagonal([1.0, 0.0])])
+    R = ProductStateTrunc([DensityFactor.diagonal([0.0, 1.0])])
     w = matrix_unit(4, 2, 2) - matrix_unit(4, 3, 3)
     report = CheckReport("nonsymmetry")
     for lvl in range(1, level + 1):
@@ -382,11 +377,14 @@ SUITES = {
 
 def run_suite(name: str, dims: tuple[int, ...], level: int,
               seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
-    """Dispatch by suite name; unknown names raise ValidationError."""
+    """Dispatch by suite name.  An unknown name, a tolerance that is not a
+    finite number >= 0 and a negative seed raise ValidationError."""
     if name not in SUITES:
         raise ValidationError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tolerance {tol!r} is not a finite number >= 0")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} is < 0")
     return SUITES[name](dims, level, seed, tol)

@@ -281,19 +281,19 @@ class GnsTriplet:
                 f"space_dim={self.space_dim})")
 
 
-def gns_build(S: ProductStateTrunc, cutoff: float = GNS_EIG_CUTOFF, *,
-              guard: int = DENSE_DIM_GUARD) -> GnsTriplet:
+def gns_build(S: ProductStateTrunc,
+              cutoff: float = GNS_EIG_CUTOFF) -> GnsTriplet:
     """GNS triplet of a product state as a tensor product of purifications.
 
     Space dimension is prod_i a_i * rank(T^{(i)}); refuses to build past
-    ``guard``.  ``cutoff`` must be finite and positive (see
+    ``DENSE_DIM_GUARD``.  ``cutoff`` must be finite and positive (see
     :class:`FactorGns`).  Factor i reads the whole index of slot i.
     """
     factors = [FactorGns(f, cutoff) for f in S.factors]
     space_dim = math.prod(f.space_dim for f in factors)
-    if space_dim > guard:
+    if space_dim > DENSE_DIM_GUARD:
         raise ResourceGuardError(
-            f"GNS space dimension {space_dim} exceeds guard {guard}"
+            f"GNS space dimension {space_dim} exceeds guard {DENSE_DIM_GUARD}"
         )
     return GnsTriplet(S.sig, factors,
                       [(i, 1, f.dim) for i, f in enumerate(factors)])
@@ -316,11 +316,7 @@ def gns_tensor_phi(GT: GnsTriplet, GR: GnsTriplet) -> GnsTriplet:
     return GnsTriplet(fused, GT._factors + GR._factors, places)
 
 
-def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
-                    level: int | None = None, *,
-                    cutoff: float = GNS_EIG_CUTOFF,
-                    guard: int = DENSE_DIM_GUARD,
-                    gram_tol: float = GRAM_TOL) -> np.ndarray:
+def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     """Unitary U with U Lambda_{S box R}(x) = (Lambda_S (x) Lambda_R)(phi(x)).
 
     The columns of the two spanning families A (fused) and B (composed)
@@ -329,32 +325,17 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
     rows of A are orthogonal (A A^H = diag(nu), nu the squared row norms;
     see the module notes), so U = (B A^H) / nu exactly, with no
     pseudo-inverse solve.  Raises :class:`GramMismatchError` if the
-    families' Gram matrices disagree beyond ``gram_tol`` or the space
+    families' Gram matrices disagree beyond ``GRAM_TOL`` or the space
     dimensions differ — either would mean the extension cannot be a
     well-defined unitary — and :class:`ResourceGuardError` if a family
-    would hold more than 2^24 entries.  ``level`` optionally truncates both
-    states first.  ``gram_tol`` must be finite and >= 0 (else
-    :class:`ValidationError`).
+    would hold more than 2^24 entries.  Ranks are taken at
+    ``GNS_EIG_CUTOFF``.
     """
-    if not (math.isfinite(gram_tol) and gram_tol >= 0):
-        raise ValidationError(
-            f"Gram tolerance {gram_tol!r} is not a finite number >= 0"
-        )
-    if level is not None:
-        if level < 1 or level > S.level or level > R.level:
-            raise SignatureError(
-                f"level {level} not within both states' levels "
-                f"({S.level}, {R.level})"
-            )
-        S = ProductStateTrunc(S.factors[:level])
-        R = ProductStateTrunc(R.factors[:level])
     if S.level != R.level:
         raise SignatureError(f"levels differ: {S.level} vs {R.level}")
 
-    G_fused = gns_build(state_boxtimes(S, R), cutoff, guard=guard)
-    G_tensor = gns_tensor_phi(
-        gns_build(S, cutoff, guard=guard), gns_build(R, cutoff, guard=guard)
-    )
+    G_fused = gns_build(state_boxtimes(S, R))
+    G_tensor = gns_tensor_phi(gns_build(S), gns_build(R))
     if G_fused.space_dim != G_tensor.space_dim:
         raise GramMismatchError(
             f"GNS space dimensions differ: {G_fused.space_dim} vs "
@@ -372,18 +353,17 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc,
     B = G_tensor.lambda_units(units).T
 
     gram_defect = float(np.max(np.abs(A.conj().T @ A - B.conj().T @ B)))
-    if gram_defect > gram_tol:
+    if gram_defect > GRAM_TOL:
         raise GramMismatchError(
             f"spanning-family Gram matrices disagree by {gram_defect:.3e} "
-            f"(> {gram_tol:.0e}); the linear extension is not isometric"
+            f"(> {GRAM_TOL:.0e}); the linear extension is not isometric"
         )
     # A A^H = diag(nu) with nu > 0, so A^+ = A^H diag(1/nu)
     nu = np.sum(A.real ** 2 + A.imag ** 2, axis=1)
     return (B @ A.conj().T) / nu
 
 
-def commutant_dimension(G: GnsTriplet, *,
-                        guard: int = DENSE_DIM_GUARD) -> int:
+def commutant_dimension(G: GnsTriplet) -> int:
     """Dimension of {X : [rep(E_u), X] = 0 for all matrix units E_u}.
 
     Exact certificate, as unit images are 0/1 matrices: with N =
@@ -393,12 +373,13 @@ def commutant_dimension(G: GnsTriplet, *,
     W (E_ij (x) I_m) W^H, so rep is equivalent to x |-> x (x) I_m and its
     commutant W (I_N (x) M_m) W^H has dimension m^2 (1: irreducible).  A
     failed check raises :class:`ValidationError`, naming the frame or the
-    first failing row of units, and no number is returned.
+    first failing row of units, and no number is returned.  Refuses a
+    space dimension D with D^2 > ``DENSE_DIM_GUARD``.
     """
     D = G.space_dim
-    if D * D > guard:
+    if D * D > DENSE_DIM_GUARD:
         raise ResourceGuardError(
-            f"commutant system size {D}^2 exceeds guard {guard}"
+            f"commutant system size {D}^2 exceeds guard {DENSE_DIM_GUARD}"
         )
     N = G.sig.total_dim
     rows = list(_unit_index_rows(G.sig))

@@ -25,18 +25,14 @@ not a definition.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .algebra import (
-    COMPARE_TOL,
     DENSE_DIM_GUARD,
     AlgebraElement,
     Signature,
     _cmul,
     _unit_tags,
-    as_signature,
     coproduct_phi,
     kron_box,
 )
@@ -60,16 +56,14 @@ __all__ = [
 DENSITY_VALIDATE_TOL = 1e-10
 
 
-def density_validate(matrix, tol: float = DENSITY_VALIDATE_TOL) -> np.ndarray:
+def density_validate(matrix) -> np.ndarray:
     """Check that ``matrix`` is a density matrix; return it as a complex array.
 
     Raises :class:`ValidationError` naming the violated property: square
-    shape, dimension >= 2, Hermitian within ``tol``, trace 1 within ``tol``,
-    smallest eigenvalue >= -``tol``.  Non-finite entries are rejected first.
-    ``tol`` must be finite and >= 0.
+    shape, dimension >= 2, Hermitian within ``DENSITY_VALIDATE_TOL``, trace
+    1 within it, smallest eigenvalue >= -``DENSITY_VALIDATE_TOL``.
+    Non-finite entries are rejected first.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tolerance {tol!r} is not a finite number >= 0")
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"density matrix must be square, got {m.shape}")
@@ -78,17 +72,19 @@ def density_validate(matrix, tol: float = DENSITY_VALIDATE_TOL) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError("density matrix has a non-finite entry")
     herm_defect = float(np.max(np.abs(m - m.conj().T)))
-    if herm_defect > tol:
+    if herm_defect > DENSITY_VALIDATE_TOL:
         raise ValidationError(
-            f"matrix is not Hermitian (defect {herm_defect:.3e} > {tol:.0e})"
+            f"matrix is not Hermitian (defect {herm_defect:.3e} > "
+            f"{DENSITY_VALIDATE_TOL:.0e})"
         )
     trace_defect = abs(complex(np.trace(m)) - 1.0)
-    if trace_defect > tol:
+    if trace_defect > DENSITY_VALIDATE_TOL:
         raise ValidationError(
-            f"trace differs from 1 by {trace_defect:.3e} (> {tol:.0e})"
+            f"trace differs from 1 by {trace_defect:.3e} "
+            f"(> {DENSITY_VALIDATE_TOL:.0e})"
         )
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -tol:
+    if min_eig < -DENSITY_VALIDATE_TOL:
         raise ValidationError(
             f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
         )
@@ -103,8 +99,8 @@ class DensityFactor:
 
     __slots__ = ("dim", "matrix")
 
-    def __init__(self, matrix, *, tol: float = DENSITY_VALIDATE_TOL):
-        m = density_validate(matrix, tol).copy()
+    def __init__(self, matrix):
+        m = density_validate(matrix).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
@@ -131,11 +127,6 @@ class DensityFactor:
 
     def boxtimes(self, other: "DensityFactor") -> "DensityFactor":
         return DensityFactor(kron_box(self.matrix, other.matrix))
-
-    def allclose(self, other: "DensityFactor", tol: float = COMPARE_TOL) -> bool:
-        return self.dim == other.dim and bool(
-            np.all(np.abs(self.matrix - other.matrix) <= tol)
-        )
 
     def __repr__(self):
         return f"DensityFactor(dim={self.dim})"
@@ -168,17 +159,6 @@ class ProductStateTrunc:
     def concat(self, other: "ProductStateTrunc") -> "ProductStateTrunc":
         """The tensor-product state on the concatenated signature."""
         return ProductStateTrunc(self.factors + other.factors)
-
-    def evaluate(self, x: AlgebraElement) -> complex:
-        return state_evaluate(self, x)
-
-    def density(self, *, guard: int = DENSE_DIM_GUARD) -> np.ndarray:
-        return state_density_level(self, guard=guard)
-
-    def allclose(self, other: "ProductStateTrunc", tol: float = COMPARE_TOL) -> bool:
-        return self.sig == other.sig and all(
-            f.allclose(g, tol) for f, g in zip(self.factors, other.factors)
-        )
 
     def __repr__(self):
         return f"ProductStateTrunc(sig={self.sig.dims})"
@@ -256,31 +236,30 @@ def state_tensor_phi_eval(S: ProductStateTrunc, R: ProductStateTrunc,
     return state_evaluate(S.concat(R), coproduct_phi(x, S.sig, R.sig))
 
 
-def state_density_level(S: ProductStateTrunc, *,
-                        guard: int = DENSE_DIM_GUARD) -> np.ndarray:
+def state_density_level(S: ProductStateTrunc) -> np.ndarray:
     """Level-n density matrix: the Kronecker chain of the factors.
 
     The unique D with omega(x) = tr(D . dense(x)); positive, trace one.
+    Refuses total dimensions above ``DENSE_DIM_GUARD``.
     """
     D = S.sig.total_dim
-    if D > guard:
-        raise ResourceGuardError(f"dense dimension {D} exceeds guard {guard}")
+    if D > DENSE_DIM_GUARD:
+        raise ResourceGuardError(
+            f"dense dimension {D} exceeds guard {DENSE_DIM_GUARD}")
     out = np.array([[1.0 + 0j]])
     for f in S.factors:
         out = np.kron(out, f.matrix)
     return out
 
 
-def state_trace_distance(S1: ProductStateTrunc, S2: ProductStateTrunc, *,
-                         guard: int = DENSE_DIM_GUARD) -> float:
+def state_trace_distance(S1: ProductStateTrunc,
+                         S2: ProductStateTrunc) -> float:
     """Trace-norm distance of the level-n densities: sum |eig(D1 - D2)|."""
     if S1.sig != S2.sig:
         raise SignatureError(
             f"signature mismatch: {S1.sig.dims} vs {S2.sig.dims}"
         )
-    diff = state_density_level(S1, guard=guard) - state_density_level(
-        S2, guard=guard
-    )
+    diff = state_density_level(S1) - state_density_level(S2)
     return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 

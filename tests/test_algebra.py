@@ -405,13 +405,6 @@ def test_adjoint_is_involutive(x):
 
 @given(elements())
 @settings(max_examples=50, deadline=None)
-def test_canonicalize_is_idempotent(x):
-    once = x.canonicalize()
-    assert once.canonicalize() == once
-
-
-@given(elements())
-@settings(max_examples=50, deadline=None)
 def test_subtraction_gives_zero(x):
     assert (x - x).is_zero
 

@@ -37,13 +37,13 @@ def _ref_modulus(c):
         return math.hypot(c.real, c.imag)
 
 
-def ref_element(items, prune_tol=COEFF_PRUNE_TOL):
+def ref_element(items):
     merged = {}
     for idx, coeff in items:
         idx = MatrixUnitIndex(tuple(idx[0]), tuple(idx[1]))
         merged[idx] = merged.get(idx, 0j) + complex(coeff)
     return {idx: c for idx, c in merged.items()
-            if _ref_modulus(c) > prune_tol}
+            if _ref_modulus(c) > COEFF_PRUNE_TOL}
 
 
 def ref_add(x, y):
@@ -183,12 +183,11 @@ def test_tensor_and_identity_slot_match_the_dict_oracle(dims, other, data):
 
 
 def test_constructor_matches_the_dict_oracle_on_mappings():
-    # a mapping and a custom threshold take the same merge-and-prune path
+    # a mapping takes the same merge-and-prune path as a pair sequence
     terms = {((1,), (2,)): -0.0 + 3e-14j, ((2,), (1,)): complex(-0.0, 5.0),
-             ((1,), (1,)): 2e-13}
-    for tol in (COEFF_PRUNE_TOL, 1e-13, 0.0):
-        x = AlgebraElement((2,), terms, prune_tol=tol)
-        assert bits(x.terms) == bits(ref_element(terms.items(), tol))
+             ((1,), (1,)): 2e-13, ((2,), (2,)): 1e-15}
+    x = AlgebraElement((2,), terms)
+    assert bits(x.terms) == bits(ref_element(terms.items()))
 
 
 def kron_chain(x):

@@ -21,6 +21,7 @@ from uhfkron.algebra import (
 )
 from uhfkron.atoms import AtomLabel, atom_check_product, atom_state
 from uhfkron.checks import (
+    SUITES,
     CheckReport,
     run_suite,
     suite_atom_semigroup,
@@ -195,8 +196,8 @@ def test_chunk_boundaries_change_nothing(monkeypatch, suite, reference, dims,
 
 def test_atom_check_at_chunks_of_seven(monkeypatch):
     monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", 7)
-    assert suite_atom_semigroup((2, 2), 2).to_json() == {
-        "suite": "atom-semigroup", "passed": 16, "failed": 0}
+    report = suite_atom_semigroup((2, 2), 2)
+    assert (report.passed, report.failed, report.failures) == (16, 0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +318,20 @@ def test_atom_semigroup_rejects_bad_level():
     for level in (0, -1):
         with pytest.raises(ValidationError, match="level"):
             suite_atom_semigroup((2, 2), level)
+
+
+@pytest.mark.parametrize("level", [0, -3])
+def test_nonsymmetry_rejects_bad_level(level):
+    # no level checks nothing, which must not read as a pass
+    with pytest.raises(ValidationError, match=f"level {level} is < 1"):
+        run_suite("nonsymmetry", (), level)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_run_suite_rejects_negative_seed(suite):
+    # refused before the suite sees its dims
+    with pytest.raises(ValidationError, match="seed -1 is < 0"):
+        run_suite(suite, (2, 2), 1, seed=-1)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])

@@ -266,6 +266,14 @@ def test_error_missing_file(capsys):
           "(" * 2000 + "E[2](1,1)" + ")" * 2000], "parse-error"),
     ({}, ["check", "--suite", "coassociativity", "--level", "x"], "usage"),
     ({}, ["eval", "--state", "diag(1,0)"], "usage"),
+    ({}, ["check", "--suite", "star-isomorphism", "--dims", "2,2",
+          "--seed", "-1"], "validation"),
+    ({}, ["check", "--suite", "state-associativity", "--dims", "2,2,2",
+          "--seed", "-5"], "validation"),
+    ({}, ["check", "--suite", "tensor-formula", "--dims", "2,2",
+          "--seed", "-2"], "validation"),
+    ({}, ["check", "--suite", "nonsymmetry", "--level", "0"], "validation"),
+    ({}, ["check", "--suite", "nonsymmetry", "--level", "-3"], "validation"),
 ])
 def test_error_cases_are_one_strict_json_object(capsys, monkeypatch,
                                                 tmp_path, env, argv, code):

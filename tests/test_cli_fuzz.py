@@ -80,8 +80,8 @@ subcommands = st.one_of(
         lambda t: [t[0]] + _argv(("--state", t[1]), ("--cutoff", t[2]))),
     st.tuples(st.just("check"),
               st.sampled_from(sorted(SUITES) + ["nope"]),
-              _maybe(dims), levels, _maybe(st.sampled_from(["0", "3", "x"]))
-              ).map(
+              _maybe(dims), levels,
+              _maybe(st.sampled_from(["0", "3", "-1", "x"]))).map(
         lambda t: [t[0]] + _argv(("--suite", t[1]), ("--dims", t[2]),
                                  ("--level", t[3]), ("--seed", t[4]))),
     # free tokens; '-h'/'--h...' would ask argparse for the help text

@@ -401,16 +401,6 @@ def test_intertwiner_maps_lambda_vectors():
         )
 
 
-def test_intertwiner_level_argument():
-    S = random_state((2, 2), seed=54)
-    R = random_state((2, 2), seed=55)
-    U1 = gns_intertwiner(S, R, level=1)
-    full = gns_intertwiner(S, R)
-    assert U1.shape[0] < full.shape[0]
-    with pytest.raises(SignatureError):
-        gns_intertwiner(S, R, level=3)
-
-
 def _spanning_families(S, R):
     # the two families as per-unit column stacks over all_matrix_units
     G_fused = gns_build(state_boxtimes(S, R))
@@ -443,20 +433,15 @@ def test_intertwiner_family_guard():
         gns_intertwiner(S, S)
 
 
-@pytest.mark.parametrize("gram_tol", [-1.0, float("nan"), float("inf")])
-def test_intertwiner_gram_tol_must_be_finite_and_non_negative(gram_tol):
-    S = ProductStateTrunc([T_PURE])
-    with pytest.raises(ValidationError, match="Gram tolerance"):
-        gns_intertwiner(S, S, gram_tol=gram_tol)
-
-
 def test_intertwiner_detects_rank_collapse():
-    # a coarse eigenvalue cutoff makes the fused state lose rank relative
-    # to the tensor of the separate purifications
-    T = DensityFactor.diagonal([0.6, 0.4])
+    # an eigenvalue just above the cutoff: its square falls below it, so
+    # the fused state loses rank relative to the tensor of the separate
+    # purifications (3 x 4 = 12 against (2 x 2)^2 = 16)
+    T = DensityFactor.diagonal([1 - 2e-12, 2e-12])
     S = ProductStateTrunc([T])
-    with pytest.raises(GramMismatchError):
-        gns_intertwiner(S, S, cutoff=0.3)
+    with pytest.raises(GramMismatchError,
+                       match="GNS space dimensions differ: 12 vs 16"):
+        gns_intertwiner(S, S)
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,6 @@ def test_density_validation_rejects_non_finite(bad):
         DensityFactor.diagonal([bad, bad])
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-def test_density_tolerance_must_be_finite_and_non_negative(tol):
-    bad = [[2.0, 5.0], [0.0, -1.0]]
-    with pytest.raises(ValidationError, match="tolerance"):
-        density_validate(bad, tol=tol)
-    with pytest.raises(ValidationError, match="tolerance"):
-        DensityFactor(np.eye(2) / 2, tol=tol)
-
-
 def test_density_factor_is_read_only():
     f = DensityFactor.maximally_mixed(2)
     with pytest.raises(ValueError):
