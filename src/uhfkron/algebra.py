@@ -749,17 +749,12 @@ def block_permutation(a, b) -> np.ndarray:
 
 def all_matrix_units(sig) -> Iterator[MatrixUnitIndex]:
     """All matrix-unit indices of a stage, rows-major lexicographic order."""
-    for units in _unit_index_rows(sig):
-        yield from units
-
-
-def _unit_index_rows(sig) -> Iterator[list[MatrixUnitIndex]]:
-    # the units of all_matrix_units, one list per row multi-index
     sig = as_signature(sig)
     ranges = [range(1, d + 1) for d in sig.dims]
     all_cols = list(itertools.product(*ranges))
     for rows in itertools.product(*ranges):
-        yield [MatrixUnitIndex(rows, cols) for cols in all_cols]
+        for cols in all_cols:
+            yield MatrixUnitIndex(rows, cols)
 
 
 def _tagged_units(sig, images_per_unit: int = 1) -> Iterator[AlgebraElement]:

@@ -322,6 +322,9 @@ def suite_atom_semigroup(dims: tuple[int, ...], level: int,
     if level < 1:
         raise ValidationError(f"level {level} is < 1")
     n, m = dims
+    # a base below 2 has no labels, and no labels would read as a pass
+    if min(n, m) < 2:
+        raise ValidationError(f"label base {min(n, m)} is < 2")
     # (n*m)**level label pairs, each checked on (n*m)**(2*level) units
     _guard_units("atom-semigroup", (n * m) ** 3, level)
     report = CheckReport("atom-semigroup")

@@ -181,11 +181,8 @@ def _cmd_gns(args, tol: float) -> tuple[dict, int]:
         "cyclic_norm": float(np.linalg.norm(G.cyclic)),
         "expectation": {"passed": passed, "failed": failed,
                         "max_error": max_err},
+        "commutant_dim": commutant_dimension(G),
     }
-    try:
-        payload["commutant_dim"] = commutant_dimension(G)
-    except ResourceGuardError:
-        payload["commutant_dim"] = None
     return payload, 0 if failed == 0 else 1
 
 

@@ -21,26 +21,25 @@ rep(E_u) cyclic is cyclic[col_u + o_t] written at row_u + o_t.  Images of
 unit sequences and of elements are one scatter or gather each over these
 positions.
 
-The map sending an element x to rep(x) applied to the cyclic vector spans
-the whole space, so a second representation of the same state determines a
-unique unitary between the two spans.  :func:`gns_intertwiner` builds that
-unitary between the representation of the factorwise-Kronecker state and
-the coproduct composition of the two separate representations, checking
-well-definedness (equality of the Gram matrices of the two spanning
-families) instead of assuming it.  The unitary is the exact linear
-extension B A^+, where the columns of A and B are the two spanning
-families.  The rows of A are orthogonal: for one factor, A A^H is
-I_d (x) conj(frame^H frame) = I_d (x) diag(weights), because the frame's
-columns are orthogonal eigenvectors scaled by sqrt(weights); the fused
-state's A is the tensor product of its slots' families up to a column
-order, which A A^H does not see, and a tensor product of diagonals is
-diagonal.  So A A^H = diag(nu), each nu a product of kept eigenvalues
-and so positive: A has full row rank and A^+ = A^H diag(1/nu) in closed
-form.
+The images of the units also form a frame: :func:`commutant_dimension`
+certifies an integer array pi (N x m), N the total dimension, that is a
+permutation of 0..D-1 with rep(E_ij) = sum_t e_{pi[i,t]} e_{pi[j,t]}^T
+for every unit.  So rep(x) = W (x (x) I_m) W^H, W the permutation sending
+e_i (x) e_t to e_{pi[i,t]}, and the commutant has dimension m^2.
 
-:func:`commutant_dimension` measures irreducibility: it certifies, in
-exact 0/1 arithmetic, a unitary W with rep(x) = W (x (x) I_m) W^H, so the
-commutant is W (I (x) M_m) W^H, of dimension m^2.
+The map x |-> rep(x) cyclic spans the whole space, so a second
+representation of the same state determines a unique unitary between the
+two spans.  :func:`gns_intertwiner` builds it between the fused state's
+representation and the coproduct composition, as the linear extension
+B A^+ of the two spanning families (columns: the unit images of the
+cyclic vector), checking instead of assuming that their Gram matrices
+agree.  With C = cyclic[pi].T (m x N), the image of E_ij is column j of C
+written at pi[i], so each Gram matrix is I_N (x) C^H C and A A^H is
+diagonal: the squared row norms nu of C_A, on pi_A[i] for every i.  A row
+of C_A is, up to order, a Kronecker product of one column of each
+factor's ``frame`` (an eigenvector scaled by the square root of its kept
+eigenvalue), so nu is a product of kept eigenvalues and positive, and
+A^+ = A^H diag(1/nu).  Then U maps pi_A[i] to pi_B[i] by C_B C_A^H / nu.
 """
 
 from __future__ import annotations
@@ -51,14 +50,7 @@ import numbers
 
 import numpy as np
 
-from .algebra import (
-    DENSE_DIM_GUARD,
-    AlgebraElement,
-    MatrixUnitIndex,
-    Signature,
-    _unit_index_rows,
-    all_matrix_units,
-)
+from .algebra import DENSE_DIM_GUARD, AlgebraElement, MatrixUnitIndex, Signature
 from .errors import (
     GramMismatchError,
     IndexRangeError,
@@ -83,8 +75,6 @@ __all__ = [
 GNS_EIG_CUTOFF = 1e-12
 # Allowed disagreement between the two spanning-family Gram matrices.
 GRAM_TOL = 1e-8
-# Hard cap on the entry count of each intertwiner spanning family.
-_SYSTEM_ENTRY_CAP = 1 << 24
 
 
 class FactorGns:
@@ -165,25 +155,34 @@ class GnsTriplet:
     :meth:`lambda_vec` adds the gathered values up in term order;
     :meth:`rep_unit` and :meth:`lambda_unit` are the one-unit case.
     The cyclic vector has norm one and reproduces the state:
-    <cyclic, rep(x) cyclic> = omega(x).
+    <cyclic, rep(x) cyclic> = omega(x).  A space dimension above
+    ``DENSE_DIM_GUARD`` is refused, so a triplet's vectors, its images and
+    the certificate of :func:`commutant_dimension` stay small.
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
-                 "_weights", "_offsets")
+                 "_table", "_offsets")
 
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
         self._factors = tuple(factors)
         self._places = tuple(places)
+        dims = [f.space_dim for f in self._factors]
+        self.space_dim = math.prod(dims)
+        if self.space_dim > DENSE_DIM_GUARD:
+            raise ResourceGuardError(f"GNS space dimension {self.space_dim} "
+                                     f"exceeds guard {DENSE_DIM_GUARD}")
         self.cyclic = np.ones(1, dtype=complex)
         for f in self._factors:
             self.cyclic = np.kron(self.cyclic, f.cyclic)
-        self.space_dim = self.cyclic.size
-        dims = [f.space_dim for f in self._factors]
         strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
         ranks = [f.rank for f in self._factors]
-        # row_u = sum_f j_f r_f s_f, and o_t = sum_f t_f s_f over all t
-        self._weights = np.array(ranks) * strides
+        # row_u = sum_f j_f r_f s_f, and o_t = sum_f t_f s_f over all t;
+        # _table[i] is row_u for the unit rows of row-major flat index i
+        per_slot = [np.zeros(d, dtype=np.int64) for d in sig.dims]
+        for (slot, stride, radix), r, s in zip(self._places, ranks, strides):
+            per_slot[slot] += np.arange(sig.dims[slot]) // stride % radix * r * s
+        self._table = functools.reduce(np.add.outer, per_slot).ravel()
         self._offsets = functools.reduce(np.add.outer, [
             s * np.arange(r) for s, r in zip(strides, ranks)]).ravel()
 
@@ -191,9 +190,9 @@ class GnsTriplet:
         # (N, R) rows and columns of the ones of rep(E_u) for each unit u
         # of units, which pass the range check of _indices first
         idx = self._indices(units)
-        slot, stride, radix = np.array(self._places).T
-        row, col = (idx[:, side][:, slot] // stride % radix @ self._weights
-                    for side in (0, 1))
+        flat = np.ravel_multi_index(tuple(np.moveaxis(idx, 2, 0)),
+                                    self.sig.dims)
+        row, col = self._table[flat].T
         return row[:, None] + self._offsets, col[:, None] + self._offsets
 
     def _indices(self, units) -> np.ndarray:
@@ -290,11 +289,6 @@ def gns_build(S: ProductStateTrunc,
     :class:`FactorGns`).  Factor i reads the whole index of slot i.
     """
     factors = [FactorGns(f, cutoff) for f in S.factors]
-    space_dim = math.prod(f.space_dim for f in factors)
-    if space_dim > DENSE_DIM_GUARD:
-        raise ResourceGuardError(
-            f"GNS space dimension {space_dim} exceeds guard {DENSE_DIM_GUARD}"
-        )
     return GnsTriplet(S.sig, factors,
                       [(i, 1, f.dim) for i, f in enumerate(factors)])
 
@@ -308,7 +302,7 @@ def gns_tensor_phi(GT: GnsTriplet, GR: GnsTriplet) -> GnsTriplet:
     factorwise-Kronecker product state.  Since a fused index splits as
     j = b*(j' - 1) + j'', the factors of ``GT`` read the high digit of each
     fused slot (their strides scale by b) and those of ``GR`` keep their
-    places.
+    places.  Refuses a space dimension above ``DENSE_DIM_GUARD``.
     """
     fused = GT.sig.product(GR.sig)
     b = GR.sig.dims
@@ -319,17 +313,12 @@ def gns_tensor_phi(GT: GnsTriplet, GR: GnsTriplet) -> GnsTriplet:
 def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     """Unitary U with U Lambda_{S box R}(x) = (Lambda_S (x) Lambda_R)(phi(x)).
 
-    The columns of the two spanning families A (fused) and B (composed)
-    are the images of all matrix units of the fused signature, in
-    :func:`all_matrix_units` order; U = B A^+ is the linear extension.  The
-    rows of A are orthogonal (A A^H = diag(nu), nu the squared row norms;
-    see the module notes), so U = (B A^H) / nu exactly, with no
-    pseudo-inverse solve.  Raises :class:`GramMismatchError` if the
-    families' Gram matrices disagree beyond ``GRAM_TOL`` or the space
-    dimensions differ — either would mean the extension cannot be a
-    well-defined unitary — and :class:`ResourceGuardError` if a family
-    would hold more than 2^24 entries.  Ranks are taken at
-    ``GNS_EIG_CUTOFF``.
+    U = B A^+ for the spanning families A (fused) and B (composed), read
+    off the frames of the two triplets without building A or B (see the
+    module notes).  Raises :class:`GramMismatchError` if the families'
+    Gram matrices disagree beyond ``GRAM_TOL`` or the space dimensions
+    differ — either would mean the extension cannot be a well-defined
+    unitary.  Ranks are taken at ``GNS_EIG_CUTOFF``.
     """
     if S.level != R.level:
         raise SignatureError(f"levels differ: {S.level} vs {R.level}")
@@ -342,59 +331,71 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
             f"{G_tensor.space_dim} (eigenvalue rank at the cutoff boundary)"
         )
 
-    n_units = G_fused.sig.total_dim ** 2
-    if n_units * G_fused.space_dim > _SYSTEM_ENTRY_CAP:
-        raise ResourceGuardError(
-            f"spanning families would hold {n_units * G_fused.space_dim} "
-            f"entries each"
-        )
-    units = list(all_matrix_units(G_fused.sig))
-    A = G_fused.lambda_units(units).T
-    B = G_tensor.lambda_units(units).T
-
-    gram_defect = float(np.max(np.abs(A.conj().T @ A - B.conj().T @ B)))
+    pi_A, pi_B = _frame(G_fused), _frame(G_tensor)
+    C_A, C_B = G_fused.cyclic[pi_A].T, G_tensor.cyclic[pi_B].T
+    gram_defect = float(np.max(np.abs(C_A.conj().T @ C_A - C_B.conj().T @ C_B)))
     if gram_defect > GRAM_TOL:
         raise GramMismatchError(
             f"spanning-family Gram matrices disagree by {gram_defect:.3e} "
             f"(> {GRAM_TOL:.0e}); the linear extension is not isometric"
         )
     # A A^H = diag(nu) with nu > 0, so A^+ = A^H diag(1/nu)
-    nu = np.sum(A.real ** 2 + A.imag ** 2, axis=1)
-    return (B @ A.conj().T) / nu
+    nu = np.sum(C_A.real ** 2 + C_A.imag ** 2, axis=1)
+    U = np.zeros((G_fused.space_dim,) * 2, dtype=complex)
+    U[pi_B[:, :, None], pi_A[:, None, :]] = (C_B @ C_A.conj().T) / nu
+    return U
+
+
+def _frame(G: GnsTriplet) -> np.ndarray:
+    # the frame pi of the module notes, certified as commutant_dimension
+    # describes, reading the positions of one row of units per call
+    D, N = G.space_dim, G.sig.total_dim
+    grid = np.stack(np.unravel_index(np.arange(N), G.sig.dims), axis=1) + 1
+    # rep(E_i1) for each row i, as sorted (i, row, column) codes
+    units = np.stack([grid, np.broadcast_to(grid[0], grid.shape)], axis=1)
+    rows, cols = G._positions(units)
+    n = np.arange(N)[:, None]
+    i, r, c = np.unravel_index(np.unique((n * D + rows) * D + cols), (N, D, D))
+    s = np.unique(r[(i == 0) & (r == c)])  # support of diag rep(E_11)
+    m = len(s)
+    # W_i = rep(E_i1)[:, s]: keep the ones in columns s, at (i, k)
+    keep = np.isin(c, s)
+    i, r, k = i[keep], r[keep], np.searchsorted(s, c[keep])
+    # the 0/1 matrix [W_1 ... W_N] is unitary iff it is a permutation
+    # matrix: each of its N*m columns and each of its D rows holds one one
+    if not (np.array_equal(np.bincount(i * m + k, minlength=N * m),
+                           np.ones(N * m))
+            and np.array_equal(np.bincount(r, minlength=D), np.ones(D))):
+        raise ValidationError(
+            f"the frame [W_1 ... W_N] is {D} x {N * m} and not unitary"
+        )
+    pi = np.empty((N, m), dtype=np.int64)
+    pi[i, k] = r
+    # rep(E_ij) for each row i against (j, pi[i,t], pi[j,t]) over j and t
+    units[:, 1] = grid
+    for row, pi_row in zip(grid, pi):
+        units[:, 0] = row
+        rows, cols = G._positions(units)
+        got = np.sort((n * D + rows) * D + cols, axis=None)
+        got = got[np.diff(got, prepend=-1) != 0]  # as a set
+        want = np.sort((n * D + pi_row) * D + pi, axis=None)
+        if not np.array_equal(got, want):
+            raise ValidationError(f"row {tuple(row.tolist())} of unit "
+                                  f"images fails the certificate")
+    return pi
 
 
 def commutant_dimension(G: GnsTriplet) -> int:
     """Dimension of {X : [rep(E_u), X] = 0 for all matrix units E_u}.
 
-    Exact certificate, as unit images are 0/1 matrices: with N =
-    ``G.sig.total_dim``, s the support of diag rep(E_11), m = len(s),
-    W_i = rep(E_i1)[:, s] and W = [W_1 ... W_N], check that W is a square
-    unitary and that rep(E_ij) = W_i W_j^H for all i, j.  Then rep(E_ij) =
-    W (E_ij (x) I_m) W^H, so rep is equivalent to x |-> x (x) I_m and its
+    Exact certificate in integers, as unit images are 0/1 matrices: with
+    s the support of diag rep(E_11), m = len(s) and W_i = rep(E_i1)[:, s],
+    check that [W_1 ... W_N] is a permutation matrix, so a square unitary,
+    and that the ones of rep(E_ij) sit exactly where those of W_i W_j^H
+    do, for all i, j.  Then rep(E_ij) = W (E_ij (x) I_m) W^H, and the
     commutant W (I_N (x) M_m) W^H has dimension m^2 (1: irreducible).  A
     failed check raises :class:`ValidationError`, naming the frame or the
-    first failing row of units, and no number is returned.  Refuses a
-    space dimension D with D^2 > ``DENSE_DIM_GUARD``.
+    first failing row of units, and no number is returned.  The work is
+    O(N D) integers, within ``gns_build``'s space-dimension guard.
     """
-    D = G.space_dim
-    if D * D > DENSE_DIM_GUARD:
-        raise ResourceGuardError(
-            f"commutant system size {D}^2 exceeds guard {DENSE_DIM_GUARD}"
-        )
-    N = G.sig.total_dim
-    rows = list(_unit_index_rows(G.sig))
-    W = G.rep_units([row[0] for row in rows])  # rep(E_i1) for each row i
-    W = W[:, :, np.flatnonzero(np.diagonal(W[0]))]  # W[i] = W_i, D x m
-    m = W.shape[2]
-    frame = W.transpose(1, 0, 2).reshape(D, N * m)  # [W_1 ... W_N]
-    if N * m != D or not np.array_equal(frame.conj().T @ frame, np.eye(D)):
-        raise ValidationError(
-            f"the frame [W_1 ... W_N] is {D} x {N * m} and not unitary"
-        )
-    WH = W.transpose(0, 2, 1).conj()
-    for i, row in enumerate(rows):
-        if not np.array_equal(G.rep_units(row), W[i] @ WH):
-            raise ValidationError(
-                f"row {row[0].rows} of unit images fails the certificate"
-            )
-    return m * m
+    return _frame(G).shape[1] ** 2

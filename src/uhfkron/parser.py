@@ -406,14 +406,15 @@ _DIAG_RE = re.compile(r"diag\(([^)]*)\)\Z")
 
 
 def _json_entry_to_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(p, (int, float)) for p in entry)):
-        return complex(entry[0], entry[1])
-    raise ParseError(
-        f"matrix entry {entry!r} is not a number or [re, im] pair"
-    )
+    # JSON true/false (bool) are no numbers; an int past float range overflows
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+    if all(type(p) in (int, float) for p in parts):
+        try:
+            return complex(*parts)
+        except OverflowError:
+            pass
+    raise ParseError(f"matrix entry {entry!r} is not a number in float range "
+                     f"or an [re, im] pair of such")
 
 
 def _factors_from_file(path: str) -> list[DensityFactor]:

@@ -3,7 +3,9 @@
 Tools that walk ``__all__`` (``from uhfkron.x import *``, tracers that wrap
 each public function) break on a stale entry, so each one is resolved.
 A module-level import that the module neither uses nor exports is dead
-weight, so none is allowed; the check reads the source with ``ast``.
+weight, and so is a module-level private function, class or constant that
+no module of the package reads; neither is allowed.  Both checks read the
+source with ``ast``.
 """
 
 import ast
@@ -56,3 +58,39 @@ def _unused_imports(path):
     if p.name != "__init__.py"), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+SOURCES = sorted(Path(uhfkron.__file__).parent.glob("*.py"))
+
+
+def _private_definitions(tree):
+    # module-level private names bound by def, class or assignment
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
+def test_no_unused_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unused = [f"{name}:{line} {ident}"
+              for name, tree in trees.items()
+              for ident, line in _private_definitions(tree)
+              if ident.startswith("_") and not ident.startswith("__")
+              and ident not in read]
+    assert unused == []

@@ -320,6 +320,14 @@ def test_atom_semigroup_rejects_bad_level():
             suite_atom_semigroup((2, 2), level)
 
 
+@pytest.mark.parametrize("dims, base", [((0, 2), 0), ((2, 0), 0),
+                                        ((-3, 2), -3), ((2, 1), 1)])
+def test_atom_semigroup_rejects_a_base_below_two(dims, base):
+    # a base below 2 has no labels, which must not read as a pass
+    with pytest.raises(ValidationError, match=f"label base {base} is < 2"):
+        suite_atom_semigroup(dims, 1)
+
+
 @pytest.mark.parametrize("level", [0, -3])
 def test_nonsymmetry_rejects_bad_level(level):
     # no level checks nothing, which must not read as a pass

@@ -148,9 +148,13 @@ def test_gns_pure_and_trace(capsys):
     ("diag(0.5,0.5);diag(0.3,0.7);diag(0.4,0.6)", 64),
     ("diag(0.2,0.8);diag(0.1,0.3,0.6)", 36),
     ("diag(1,0,0,0);diag(1,0,0,0);diag(1,0,0,0)", 1),
-], ids=["full-rank-2x2x2", "full-rank-2x3", "pure-4x4x4"])
+    (";".join(["diag(1,0,0,0)"] * 4), 1),
+    (";".join(["diag(0.5,0.5)"] * 4), 256),
+    ("diag(0.2,0.3,0.5);diag(0.2,0.3,0.5)", 81),
+], ids=["full-rank-2x2x2", "full-rank-2x3", "pure-4x4x4", "pure-4x4x4x4",
+        "full-rank-2x2x2x2", "full-rank-3x3"])
 def test_gns_commutant_within_the_guard(capsys, state, commutant):
-    # D = 64 or 36, so D^2 is within the guard and a number is due
+    # D is within gns_build's guard of 4096, so a number is due
     code, payload = run_json(capsys, "gns", "--state", state)
     assert code == 0
     assert payload["commutant_dim"] == commutant
@@ -274,10 +278,26 @@ def test_error_missing_file(capsys):
           "--seed", "-2"], "validation"),
     ({}, ["check", "--suite", "nonsymmetry", "--level", "0"], "validation"),
     ({}, ["check", "--suite", "nonsymmetry", "--level", "-3"], "validation"),
+    ({}, ["check", "--suite", "atom-semigroup", "--dims", "0,2",
+          "--level", "1"], "validation"),
+    ({}, ["check", "--suite", "atom-semigroup", "--dims", "2,0",
+          "--level", "1"], "validation"),
+    ({}, ["check", "--suite", "atom-semigroup", "--dims=-3,2",
+          "--level", "1"], "validation"),
+    ({}, ["eval", "--state", "file:{huge_int}", "--expr", "E[2](1,1)"],
+     "parse-error"),
+    ({}, ["eval", "--state", "file:{huge_pair}", "--expr", "E[2](1,1)"],
+     "parse-error"),
+    ({}, ["eval", "--state", "file:{boolean}", "--expr", "E[2](1,1)"],
+     "parse-error"),
 ])
 def test_error_cases_are_one_strict_json_object(capsys, monkeypatch,
                                                 tmp_path, env, argv, code):
-    files = {"number": [1], "ragged": [[[1, 0], [0]]]}
+    files = {"number": [1], "ragged": [[[1, 0], [0]]],
+             # an integer past float range, bare and as a real part
+             "huge_int": [[[10 ** 400, 0], [0, 0]]],
+             "huge_pair": [[[[10 ** 400, 0], 0], [0, 0]]],
+             "boolean": [[[True, False], [False, False]]]}
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     paths = {name: tmp_path / f"{name}.json" for name in files}

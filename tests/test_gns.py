@@ -109,6 +109,14 @@ def test_build_guard():
         gns_build(S)  # (3*3)^4 = 6561
 
 
+def test_tensor_phi_guard():
+    # two triplets within the guard can compose past it: 256 * 256 > 4096
+    G = gns_build(random_state((2, 2, 2, 2), seed=4))
+    with pytest.raises(ResourceGuardError,
+                       match="GNS space dimension 65536 exceeds guard 4096"):
+        gns_tensor_phi(G, G)
+
+
 @pytest.mark.parametrize("dims,seed", [((2,), 0), ((2, 3), 1), ((3, 3), 2)])
 def test_expectation_matches_state_on_all_units(dims, seed):
     S = random_state(dims, seed=seed)
@@ -425,12 +433,34 @@ def test_intertwiner_matches_pseudo_inverse(S, R, square):
     )
 
 
-def test_intertwiner_family_guard():
-    # pure level-5 states: D = 4^5 passes the space guard, but each family
-    # would hold 16^5 units x D entries
+def test_intertwiner_pure_level5():
+    # D = 4^5 = 1024 over 16^5 fused units: a dense spanning family would
+    # hold 2^30 entries, a frame holds D integers
     S = ProductStateTrunc([T_PURE] * 5)
-    with pytest.raises(ResourceGuardError, match="spanning families"):
-        gns_intertwiner(S, S)
+    U = gns_intertwiner(S, S)
+    assert U.shape == (1024, 1024)
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(1024), atol=1e-12)
+    G_fused = gns_build(state_boxtimes(S, S))
+    G_tensor = gns_tensor_phi(gns_build(S), gns_build(S))
+    for seed in range(3):
+        x = random_element(G_fused.sig, rng=seed, n_terms=40)
+        np.testing.assert_allclose(
+            U @ G_fused.lambda_vec(x), G_tensor.lambda_vec(x), atol=1e-12
+        )
+
+
+def test_intertwiner_detects_a_gram_mismatch(monkeypatch):
+    # composing the triplet of another full-rank state keeps every space
+    # dimension, but its spanning family has a different Gram matrix
+    S = random_state((2,), seed=54)
+    R = random_state((2,), seed=55)
+    other = gns_build(random_state((2,), seed=60))
+    compose = gns_tensor_phi
+    monkeypatch.setattr("uhfkron.gns.gns_tensor_phi",
+                        lambda GT, GR: compose(other, GR))
+    with pytest.raises(GramMismatchError,
+                       match="spanning-family Gram matrices disagree"):
+        gns_intertwiner(S, R)
 
 
 def test_intertwiner_detects_rank_collapse():
@@ -491,9 +521,12 @@ def test_commutant_matches_stacked_kron_reference(G):
     random_state((2, 3), seed=77),
     random_state((2, 2, 2), seed=78),
     ProductStateTrunc([DensityFactor.diagonal([1.0, 0.0, 0.0, 0.0])] * 3),
-], ids=["full-rank-2x3", "full-rank-2x2x2", "pure-4x4x4"])
+    ProductStateTrunc([DensityFactor.diagonal([1.0, 0.0, 0.0, 0.0])] * 4),
+    random_state((2, 2, 2, 2), seed=81),
+], ids=["full-rank-2x3", "full-rank-2x2x2", "pure-4x4x4", "pure-4x4x4x4",
+        "full-rank-2x2x2x2"])
 def test_commutant_beyond_the_stacked_reference(S):
-    # the stacked system has N^2 D^4 entries (up to 2^36 here), too many
+    # the stacked system has N^2 D^4 entries (up to 2^48 here), too many
     # to solve; a unital rep x |-> x (x) I_m has commutant dimension m^2
     # with m = prod_i rank_i
     G = gns_build(S)
@@ -501,47 +534,75 @@ def test_commutant_beyond_the_stacked_reference(S):
     assert commutant_dimension(G) == math.prod(r * r for r in ranks)
 
 
-@pytest.mark.parametrize("swapped, match", [
-    (((2,), (2,)), r"row \(1,\)"),
-    (((2,), (1,)), "not unitary"),
-], ids=["E12-E22", "E12-E21"])
-def test_commutant_refuses_a_non_representation(monkeypatch, swapped,
+E11, E12, E21, E22 = (MatrixUnitIndex((j,), (k,))
+                      for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)))
+
+
+@pytest.mark.parametrize("mapping, match", [
+    ({E12: E22, E22: E12}, r"row \(1,\)"),
+    ({E12: E21, E21: E12}, "not unitary"),
+    ({E21: E11}, "not unitary"),
+], ids=["E12-E22", "E12-E21", "E21-as-E11"])
+def test_commutant_refuses_a_non_representation(monkeypatch, mapping,
                                                 match):
     # swapping the images of E_{12} and E_{22} keeps W but breaks
     # rep(E_12) = W_1 W_2^H; swapping E_{12} and E_{21} puts a unit of
-    # the first row into W, which is then not unitary; no dimension may
-    # come back in either case
+    # the first row into W, whose columns s are then empty; reading E_{11}
+    # for E_{21} gives W_2 = W_1, whose rows repeat; no dimension may come
+    # back in any case
     G = gns_build(random_state((2,), seed=79))
-    e12, other = MatrixUnitIndex((1,), (2,)), MatrixUnitIndex(*swapped)
-    swap = {e12: other, other: e12}
-    rep_units = GnsTriplet.rep_units
-    monkeypatch.setattr(
-        GnsTriplet, "rep_units",
-        lambda self, units: rep_units(self, [swap.get(u, u) for u in units]),
-    )
+    positions = GnsTriplet._positions
+
+    def patched(self, units):
+        # the positions of unit mapping[u] wherever unit u is asked for
+        idx = np.array(units)
+        asked = idx.copy()
+        for u, v in mapping.items():
+            idx[(asked == np.array(u)).all(axis=(1, 2))] = v
+        return positions(self, idx)
+
+    monkeypatch.setattr(GnsTriplet, "_positions", patched)
     with pytest.raises(ValidationError, match=match):
         commutant_dimension(G)
 
 
-def test_commutant_refuses_a_non_square_frame(monkeypatch):
-    # rep(E_11) = I has rank D, so [W_1 W_2] is D x 2D and cannot be
-    # unitary; the refusal names the frame's shape rather than a row
-    G = gns_build(random_state((2,), seed=80))
-    e11 = MatrixUnitIndex((1,), (1,))
-    rep_units = GnsTriplet.rep_units
+def test_commutant_refuses_a_frame_with_a_doubled_column(monkeypatch):
+    # both ones of rep(E_21) moved into its first column: the rows of
+    # [W_1 W_2] stay distinct, but one column holds two ones and one none
+    G = gns_build(random_state((2,), seed=81))
+    positions = GnsTriplet._positions
 
     def patched(self, units):
-        out = rep_units(self, units)
-        out[[u == e11 for u in units]] = np.eye(self.space_dim)
-        return out
+        rows, cols = positions(self, units)
+        is_e21 = (np.array(units) == np.array(E21)).all(axis=(1, 2))
+        cols[is_e21] = cols[is_e21, :1]
+        return rows, cols
 
-    monkeypatch.setattr(GnsTriplet, "rep_units", patched)
+    monkeypatch.setattr(GnsTriplet, "_positions", patched)
+    with pytest.raises(ValidationError, match="4 x 4 and not unitary"):
+        commutant_dimension(G)
+
+
+def test_commutant_refuses_a_non_square_frame(monkeypatch):
+    # adding the identity to every image gives rep(E_11) rank D, so
+    # [W_1 W_2] is D x 2D and cannot be unitary; the refusal names the
+    # frame's shape rather than a row
+    G = gns_build(random_state((2,), seed=80))
+    positions = GnsTriplet._positions
+
+    def patched(self, units):
+        rows, cols = positions(self, units)
+        diag = np.broadcast_to(np.arange(self.space_dim),
+                               (len(rows), self.space_dim))
+        return np.hstack([rows, diag]), np.hstack([cols, diag])
+
+    monkeypatch.setattr(GnsTriplet, "_positions", patched)
     with pytest.raises(ValidationError, match="4 x 8 and not unitary"):
         commutant_dimension(G)
 
 
-def test_commutant_guard():
+def test_commutant_maximally_mixed_3x3():
+    # D = 81 and N^2 = 81 units: the certificate reads N x R positions per
+    # row of units and builds no D x D image
     S = ProductStateTrunc([DensityFactor.maximally_mixed(3)] * 2)
-    G = gns_build(S)  # space dim 81; 81^2 > 4096
-    with pytest.raises(ResourceGuardError):
-        commutant_dimension(G)
+    assert commutant_dimension(gns_build(S)) == 81
