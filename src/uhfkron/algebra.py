@@ -41,10 +41,10 @@ complex multiply may fuse a product and a sum and round differently.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
@@ -163,15 +163,27 @@ class MatrixUnitIndex(NamedTuple):
     cols: tuple[int, ...]
 
 
-def _as_multi_index(value) -> tuple[int, ...]:
-    if isinstance(value, numbers.Integral):
-        return (int(value),)
-    return tuple(int(v) for v in value)
+def _as_multi_index(value, side: str) -> tuple[int, ...]:
+    # a multi-index, or one index at level 1; each entry an integer
+    # (operator.index: ints, bools and numpy integers, nothing truncated)
+    try:
+        entries = tuple(value)
+    except TypeError:
+        entries = (value,)
+    out = []
+    for pos, v in enumerate(entries, start=1):
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise IndexRangeError(
+                f"{side} index {v!r} at factor {pos} is not an integer"
+            ) from None
+    return tuple(out)
 
 
 def _check_index(sig: Signature, rows, cols) -> MatrixUnitIndex:
-    rows = _as_multi_index(rows)
-    cols = _as_multi_index(cols)
+    rows = _as_multi_index(rows, "row")
+    cols = _as_multi_index(cols, "column")
     if len(rows) != sig.level or len(cols) != sig.level:
         raise IndexRangeError(
             f"index length {len(rows)}/{len(cols)} does not match level {sig.level}"
@@ -547,66 +559,38 @@ def embed_psi(x: AlgebraElement, next_dim: int) -> AlgebraElement:
     return insert_identity_slot(x, x.sig.level, next_dim)
 
 
-def _digit_places(dims, radices) -> list[tuple[int, int]]:
-    # (slot, stride inside the slot) of each digit; slots span whole digits
-    radices = iter(radices)
-    places = []
-    for slot, dim in enumerate(dims):
-        while dim > 1:
-            radix = next(radices)
-            assert dim % radix == 0, "a slot must span whole digits"
-            dim //= radix
-            places.append((slot, dim))
-    return places
-
-
-@functools.lru_cache(maxsize=256)
-def _digit_plan(in_dims, digits, order, out_dims):
-    # per digit in target order: (source slot, stride, radix, target slot,
-    # stride), radix None for the top digit of its slot (it needs no
-    # modulo); cached because the suites repeat a few shapes many times
-    moved = [digits[k] for k in order]
-    source = _digit_places(in_dims, digits)
-    target = _digit_places(out_dims, moved)
-    return tuple(
-        (slot, stride, None if stride * radix == in_dims[slot] else radix,
-         *place)
-        for k, radix, place in zip(order, moved, target)
-        for slot, stride in (source[k],)
-    )
-
-
-def _regroup(x: AlgebraElement, digits: tuple[int, ...],
-             order: tuple[int, ...],
-             out_dims: tuple[int, ...]) -> AlgebraElement:
-    """Relabel every row and column multi-index of ``x``, keeping coefficients.
-
-    A multi-index is read as one row-major tensor index and moved the way
-    numpy moves it under ``reshape(digits).transpose(order)
-    .reshape(out_dims)``; the result lives over ``out_dims``.  Each slot
-    of ``x`` and of ``out_dims`` spans whole digits.  The relabelling is
-    injective, so the result is canonical as it stands.
+def _split_slots(x: AlgebraElement, start: int, b: tuple[int, ...],
+                 sig: Signature) -> AlgebraElement:
+    """Split slot ``start + i`` of ``x`` (dimension a_i*b_i) for every i:
+    with h = (j - 1) // b_i, j' = h + 1 and j'' = j - h*b_i, so that
+    j = b_i*(j' - 1) + j''.  The j' take slots ``start..``, the j'' follow
+    them, the other slots keep their places; ``sig`` is the result's.
+    Coefficients and term order are kept: the split is injective, so the
+    result is canonical as it stands.
     """
-    plan = _digit_plan(x.sig.dims, digits, order, out_dims)
-    # one row per slot, the terms' rows then their columns, 0-based
-    index = np.concatenate([x.rows.T, x.cols.T], axis=1) - 1
-    out = np.ones((len(out_dims), index.shape[1]), dtype=np.int64)
-    for src, stride, radix, dst, weight in plan:
-        digit = index[src]
-        if stride != 1:
-            digit = digit // stride
-        if radix is not None:
-            digit = digit % radix
-        if weight != 1:
-            digit = digit * weight
-        out[dst] += digit
-    rows, cols = np.split(out.T, 2)
-    return _element(Signature(out_dims), rows, cols, x.coeff)
+    # one row per slot: the terms' rows, then their columns
+    index = np.concatenate([x.rows.T, x.cols.T], axis=1)
+    stop = start + len(b)
+    high, low = [], []
+    for j, bi in zip(index[start:stop], b):
+        h = (j - 1) // bi
+        high.append(h + 1)
+        low.append(j - h * bi)
+    rows, cols = np.split(
+        np.stack([*index[:start], *high, *low, *index[stop:]]).T, 2)
+    return _element(sig, rows, cols, x.coeff)
 
 
-def _interleave(a: Signature, b: Signature) -> tuple[int, ...]:
-    # (a_1, b_1, ..., a_n, b_n): the digits of the fused slots a_i*b_i
-    return tuple(d for pair in zip(a.dims, b.dims) for d in pair)
+def _fuse_slots(y: AlgebraElement, sig: Signature) -> AlgebraElement:
+    """Inverse of :func:`_split_slots` on a whole concatenated stage: slot i
+    of the result is j = b_i*(j' - 1) + j'' from slots i and n + i of ``y``
+    (dimensions a_i and b_i, n = ``sig.level``)."""
+    index = np.concatenate([y.rows.T, y.cols.T], axis=1)
+    n = sig.level
+    fused = [(index[i] - 1) * bi + index[n + i]
+             for i, bi in enumerate(y.sig.dims[n:])]
+    rows, cols = np.split(np.stack(fused).T, 2)
+    return _element(sig, rows, cols, y.coeff)
 
 
 def coproduct_phi(x: AlgebraElement, a, b) -> AlgebraElement:
@@ -615,8 +599,10 @@ def coproduct_phi(x: AlgebraElement, a, b) -> AlgebraElement:
 
     Each index j_i in {1, ..., a_i*b_i} splits as j_i = b_i*(j'_i - 1) + j''_i;
     the output term carries rows (j'_1..j'_n, j''_1..j''_n) and likewise for
-    columns, with the coefficient unchanged.  This is a *-isomorphism onto the
-    concatenated stage, inverse to the factorwise Kronecker product.
+    columns, with the coefficient unchanged and the terms in their order.
+    This is a *-isomorphism onto the concatenated stage, inverse to the
+    factorwise Kronecker product; exact int64 arithmetic, one floor
+    division per slot.
     """
     a = as_signature(a)
     b = as_signature(b)
@@ -625,9 +611,7 @@ def coproduct_phi(x: AlgebraElement, a, b) -> AlgebraElement:
             f"signature {x.sig.dims} is not the entrywise product of "
             f"{a.dims} and {b.dims}"
         )
-    n = a.level
-    order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
-    return _regroup(x, _interleave(a, b), order, a.dims + b.dims)
+    return _split_slots(x, 0, b.dims, a.concat(b))
 
 
 def coproduct_phi_block(x: AlgebraElement, start: int, count: int,
@@ -636,7 +620,8 @@ def coproduct_phi_block(x: AlgebraElement, start: int, count: int,
 
     The split block comes out in block order: the first-factor slots occupy
     positions start..start+count-1, the second-factor slots follow, and all
-    other slots keep their relative places.  Exact on indices.
+    other slots keep their relative places.  Each split slot is divided as
+    in :func:`coproduct_phi`; the other slots are copied.
     """
     a = as_signature(a)
     b = as_signature(b)
@@ -653,19 +638,16 @@ def coproduct_phi_block(x: AlgebraElement, start: int, count: int,
             raise SignatureError(
                 f"slot {pos} has dimension {dims[pos]}, not {ai}*{bi}"
             )
-    head, tail = dims[:start], dims[stop:]
-    digits = head + _interleave(a, b) + tail
-    order = (*range(start), *range(start, start + 2 * count, 2),
-             *range(start + 1, start + 2 * count, 2),
-             *range(start + 2 * count, len(digits)))
-    return _regroup(x, digits, order, head + a.dims + b.dims + tail)
+    return _split_slots(x, start, b.dims,
+                        Signature(dims[:start] + a.dims + b.dims + dims[stop:]))
 
 
 def product_phi_inverse(y: AlgebraElement, level: int) -> AlgebraElement:
     """Inverse of :func:`coproduct_phi` given the block split point.
 
     ``y`` lives over a concatenated signature (a_1..a_n, b_1..b_n) with
-    n = ``level``; the result lives over (a_1*b_1, ..., a_n*b_n).
+    n = ``level``; the result lives over (a_1*b_1, ..., a_n*b_n), its slot
+    i the index b_i*(j'_i - 1) + j''_i fused from slots i and n + i.
     """
     dims = y.sig.dims
     if len(dims) != 2 * level:
@@ -673,9 +655,9 @@ def product_phi_inverse(y: AlgebraElement, level: int) -> AlgebraElement:
             f"signature length {len(dims)} does not split into two blocks "
             f"of {level}"
         )
-    order = tuple(i + half for i in range(level) for half in (0, level))
-    fused = tuple(ai * bi for ai, bi in zip(dims[:level], dims[level:]))
-    return _regroup(y, dims, order, fused)
+    fused = Signature(tuple(ai * bi for ai, bi in zip(dims[:level],
+                                                      dims[level:])))
+    return _fuse_slots(y, fused)
 
 
 def kron_box(A, B) -> np.ndarray:
@@ -693,7 +675,7 @@ def to_dense(x: AlgebraElement) -> np.ndarray:
     (``numpy.ravel_multi_index``) of its row and of its column multi-index.
     All terms are scattered at once (``numpy.add.at``).  This is the
     brute-force oracle against which the sparse index maps are checked; it
-    does not use their digit regrouping.  Guarded: refuses dimensions above
+    does not use their slot split.  Guarded: refuses dimensions above
     ``DENSE_DIM_GUARD``.
     """
     D = x.sig.total_dim
@@ -740,8 +722,10 @@ def block_permutation(a, b) -> np.ndarray:
         raise ResourceGuardError(
             f"dense dimension {D} exceeds guard {DENSE_DIM_GUARD}")
     n = a.level
+    # the digits (a_1, b_1, ..., a_n, b_n) of the fused slots a_i*b_i
+    digits = tuple(d for pair in zip(a.dims, b.dims) for d in pair)
     order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
-    moved = np.arange(D).reshape(_interleave(a, b)).transpose(order).reshape(-1)
+    moved = np.arange(D).reshape(digits).transpose(order).reshape(-1)
     P = np.zeros((D, D), dtype=complex)
     P[np.arange(D), moved] = 1.0
     return P

@@ -104,6 +104,8 @@ class CheckReport:
 
 
 def _constant_sig(base: int, level: int) -> Signature:
+    if level < 1:
+        raise ValidationError(f"level {level} is < 1")
     Signature((base,))  # a bad base fails before a long tuple is built
     return Signature((base,) * level)
 

@@ -81,7 +81,8 @@ class FactorGns:
     """Purification data of one density factor.
 
     Eigenvalues above ``cutoff`` (finite and positive, else
-    :class:`ValidationError`) count toward the rank.
+    :class:`ValidationError`) count toward the rank; a cutoff that keeps
+    none raises :class:`ValidationError` too.
 
     ``weights`` are the kept eigenvalues in descending order, ``vectors``
     their eigenvectors as columns, ``cyclic`` the purified vector in
@@ -103,7 +104,8 @@ class FactorGns:
         rank = int(np.sum(eigvals > cutoff))
         if rank == 0:
             raise ValidationError(
-                "all eigenvalues below cutoff; not a trace-one matrix"
+                f"eigenvalue cutoff {cutoff!r} is not below the largest "
+                f"eigenvalue {float(eigvals[0])!r}; no rank is kept"
             )
         weights = eigvals[:rank]
         vectors = eigvecs[:, :rank]
@@ -151,8 +153,9 @@ class GnsTriplet:
     the factors' cyclic vectors.  Every image is read off the positions of
     the ones of rep(E_u) (see the module notes): :meth:`rep_units` sets
     them in a zero stack, :meth:`lambda_units` gathers the cyclic vector at
-    them, :meth:`rep` scatters an element's coefficients to them and
-    :meth:`lambda_vec` adds the gathered values up in term order;
+    them, :meth:`rep` scatters an element's coefficients to them,
+    :meth:`lambda_vec` adds the gathered values up in term order and
+    :meth:`expectations` pairs them with the cyclic vector;
     :meth:`rep_unit` and :meth:`lambda_unit` are the one-unit case.
     The cyclic vector has norm one and reproduces the state:
     <cyclic, rep(x) cyclic> = omega(x).  A space dimension above
@@ -274,6 +277,13 @@ class GnsTriplet:
     def expectation(self, x: AlgebraElement) -> complex:
         """<cyclic, rep(x) cyclic> without materializing rep(x)."""
         return complex(np.vdot(self.cyclic, self.lambda_vec(x)))
+
+    def expectations(self, units) -> np.ndarray:
+        """<cyclic, rep(E_u) cyclic> for every unit u of ``units`` (as in
+        :meth:`rep_units`): the sum over t of conj(cyclic[row_u + o_t])
+        cyclic[col_u + o_t], with no image vector built."""
+        rows, cols = self._positions(units)
+        return np.sum(self.cyclic[rows].conj() * self.cyclic[cols], axis=1)
 
     def __repr__(self):
         return (f"GnsTriplet(sig={self.sig.dims}, "

@@ -89,6 +89,29 @@ def test_matrix_unit_range_checks():
         matrix_unit((2, 3), (1,), (1, 1))
 
 
+@pytest.mark.parametrize("rows, cols, message", [
+    ((1.9,), (2,), "row index 1.9 at factor 1 is not an integer"),
+    (1.5, 2, "row index 1.5 at factor 1 is not an integer"),
+    ((1,), ("1",), "column index '1' at factor 1 is not an integer"),
+    ((2, 1.7), (1, 1), "row index 1.7 at factor 2 is not an integer"),
+    ((1, 2), (1, np.float64(1.0)),
+     "column index (np.float64\\()?1.0\\)? at factor 2 is not an integer"),
+], ids=["float", "bare-float", "string", "float-at-factor-2", "numpy-float"])
+def test_unit_indices_must_be_integers(rows, cols, message):
+    # int() would truncate 1.9 to 1 and read "1" as 1
+    level = 1 if isinstance(rows, float) else len(rows)
+    sig = (2, 2)[:level]
+    with pytest.raises(IndexRangeError, match=message):
+        matrix_unit(sig, rows, cols)
+    with pytest.raises(IndexRangeError, match=message):
+        AlgebraElement(sig, {(rows, cols): 1.0})
+
+
+def test_unit_indices_take_bools_and_numpy_integers():
+    x = matrix_unit((2, 2), (True, np.int64(2)), np.array([np.uint8(1), 2]))
+    assert x == matrix_unit((2, 2), (1, 2), (1, 2))
+
+
 def test_overflowing_modulus_is_kept():
     # abs() of a complex with these finite parts raises OverflowError; the
     # modulus is past every tolerance, so the term stays and the tiny one
@@ -380,6 +403,59 @@ def test_product_phi_inverse_matches_numpy(dims):
     )
     with pytest.raises(SignatureError):
         product_phi_inverse(y, level + 1)
+
+
+def big_element(dims, seed):
+    """Random terms over ``dims`` plus the edge indices 1, 2, d - 1 and d of
+    every slot (d up to 2**61, past any dense check)."""
+    x = random_element(dims, rng=seed, n_terms=40)
+    edges = [(1, 2, d - 1, d) for d in dims]
+    terms = [((tuple(e[k] for e in edges), tuple(e[3 - k] for e in edges)),
+              1.0 + k) for k in range(4)]
+    return x + AlgebraElement(dims, terms)
+
+
+def divmod_split(x, start, b):
+    # reference for the block split, in Python ints: j - 1 = b*h + l gives
+    # j' = h + 1 and j'' = l + 1, the j' first, then the j''
+    stop = start + len(b)
+
+    def split(index):
+        high, low = zip(*(divmod(j - 1, bi)
+                          for j, bi in zip(index[start:stop], b)))
+        return (index[:start] + tuple(h + 1 for h in high)
+                + tuple(l + 1 for l in low) + index[stop:])
+
+    return [((split(idx.rows), split(idx.cols)), c)
+            for idx, c in x.terms.items()]
+
+
+BIG_A, BIG_B = (2**30, 2**31), (2**31, 2**30)  # slots 2**61 = 2**30 * 2**31
+
+
+@pytest.mark.parametrize("head, tail", [((), ()), ((5,), (6,))])
+def test_coproduct_family_past_the_dense_guard(head, tail):
+    # int64 indices near 2**61, term by term against Python-int divmod
+    x = big_element(head + (2**61, 2**61) + tail, seed=18)
+    y = coproduct_phi_block(x, len(head), 2, BIG_A, BIG_B)
+    assert y.sig.dims == head + BIG_A + BIG_B + tail
+    assert list(y.terms.items()) == divmod_split(x, len(head), BIG_B)
+    if not head:
+        assert coproduct_phi(x, BIG_A, BIG_B) == y
+        assert product_phi_inverse(y, 2) == x
+
+
+def test_product_phi_inverse_past_the_dense_guard():
+    y = big_element(BIG_A + BIG_B, seed=19)
+
+    def fuse(index):
+        return tuple((hi - 1) * bi + lo
+                     for hi, lo, bi in zip(index[:2], index[2:], BIG_B))
+
+    x = product_phi_inverse(y, 2)
+    assert x.sig.dims == (2**61, 2**61)
+    assert list(x.terms.items()) == [((fuse(idx.rows), fuse(idx.cols)), c)
+                                     for idx, c in y.terms.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -314,12 +314,6 @@ def test_bad_base_fails_before_a_huge_signature():
         run_suite("coassociativity", (1, 1, 1), 10**9)
 
 
-def test_atom_semigroup_rejects_bad_level():
-    for level in (0, -1):
-        with pytest.raises(ValidationError, match="level"):
-            suite_atom_semigroup((2, 2), level)
-
-
 @pytest.mark.parametrize("dims, base", [((0, 2), 0), ((2, 0), 0),
                                         ((-3, 2), -3), ((2, 1), 1)])
 def test_atom_semigroup_rejects_a_base_below_two(dims, base):
@@ -328,11 +322,15 @@ def test_atom_semigroup_rejects_a_base_below_two(dims, base):
         suite_atom_semigroup(dims, 1)
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("level", [0, -3])
-def test_nonsymmetry_rejects_bad_level(level):
-    # no level checks nothing, which must not read as a pass
+def test_suites_reject_bad_level(suite, level):
+    # no level checks nothing, which must not read as a pass; every suite
+    # answers with the same error
+    dims = {"coassociativity": (2, 3, 2), "state-associativity": (2, 2, 2),
+            "nonsymmetry": ()}.get(suite, (2, 3))
     with pytest.raises(ValidationError, match=f"level {level} is < 1"):
-        run_suite("nonsymmetry", (), level)
+        run_suite(suite, dims, level)
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

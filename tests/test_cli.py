@@ -161,6 +161,38 @@ def test_gns_commutant_within_the_guard(capsys, state, commutant):
     assert payload["expectation"]["failed"] == 0
 
 
+@pytest.mark.parametrize("cutoff", ["0.6", "0.5"])
+def test_gns_cutoff_that_keeps_no_rank_is_named(capsys, cutoff):
+    # a validated density has trace one; only the cutoff can drop every
+    # eigenvalue, so the message names it and the largest eigenvalue
+    code, payload = run_json(capsys, "gns", "--state", "diag(0.5,0.5)",
+                             "--cutoff", cutoff)
+    assert code == 1
+    assert payload == {"error": {"code": "validation", "message": (
+        f"eigenvalue cutoff {cutoff} is not below the largest eigenvalue "
+        f"0.5; no rank is kept")}}
+
+
+def test_gns_makes_no_element_per_unit(capsys, monkeypatch):
+    # the expectations are checked one tagged chunk of units at a time, so
+    # 16 and 256 units (one chunk each) make the same number of elements
+    from uhfkron import algebra
+
+    made = []
+    element = algebra._element
+    monkeypatch.setattr(algebra, "_element",
+                        lambda *args: made.append(args) or element(*args))
+    counts = []
+    for state, units in (("diag(0.5,0.5);diag(0.3,0.7)", 16),
+                         (";".join(["diag(0.5,0.5)"] * 4), 256)):
+        made.clear()
+        code, payload = run_json(capsys, "gns", "--state", state)
+        assert code == 0
+        assert payload["expectation"]["passed"] == units
+        counts.append(len(made))
+    assert counts[0] == counts[1]
+
+
 def test_distance_witness(capsys):
     code, payload = run_json(
         capsys, "distance",
@@ -277,6 +309,8 @@ def test_error_missing_file(capsys):
     ({}, ["check", "--suite", "tensor-formula", "--dims", "2,2",
           "--seed", "-2"], "validation"),
     ({}, ["check", "--suite", "nonsymmetry", "--level", "0"], "validation"),
+    ({}, ["check", "--suite", "coassociativity", "--dims", "2,3,2",
+          "--level", "0"], "validation"),
     ({}, ["check", "--suite", "nonsymmetry", "--level", "-3"], "validation"),
     ({}, ["check", "--suite", "atom-semigroup", "--dims", "0,2",
           "--level", "1"], "validation"),

@@ -122,11 +122,17 @@ def test_expectation_matches_state_on_all_units(dims, seed):
     S = random_state(dims, seed=seed)
     G = gns_build(S)
     assert np.vdot(G.cyclic, G.cyclic).real == pytest.approx(1.0, abs=1e-12)
-    for idx in all_matrix_units(dims):
+    units = list(all_matrix_units(dims))
+    for idx in units:
         x = matrix_unit(dims, *idx)
         assert G.expectation(x) == pytest.approx(
             state_evaluate(S, x), abs=1e-10
         )
+    # the batch sums the same products in another order
+    np.testing.assert_allclose(
+        G.expectations(units),
+        [G.expectation(matrix_unit(dims, *idx)) for idx in units],
+        rtol=0, atol=1e-15)
 
 
 def test_rep_is_star_homomorphism():
