@@ -29,12 +29,23 @@ An element stores its T terms as arrays: ``rows`` and ``cols`` (int64,
 shape (T, n), 1-based) and ``coeff`` (complex, shape (T,)).  Canonical
 form has one term per index, in order of first occurrence, with the
 coefficients of repeated indices summed in input order starting from
-``0j`` (so a ``-0.0`` part becomes ``+0.0``) and moduli
-``<= COEFF_PRUNE_TOL`` dropped.  That is what merging into a dict did,
-term order included; :func:`~uhfkron.states.state_evaluate` sums in
-term order, so its bits depend on it.  Index keys are packed into one int64
-per term (:func:`_lex_keys`), never into a ``row*D + col`` that
-overflows for big stages.  Coefficient products use the float formula of
+``0j`` (so a ``-0.0`` part becomes ``+0.0``) and the terms whose
+modulus is not above ``COEFF_PRUNE_TOL`` dropped: moduli at or below it,
+and ``nan`` ones.  That is what merging into a dict did, term order
+included; :func:`~uhfkron.states.state_evaluate` sums in term order, so
+its bits depend on it.
+
+Sums, products and the constructor merge on one int64 key per term
+(:func:`_merged`), never on a ``row*D + col`` that overflows for big
+stages.  Each operand's row and column multi-indices get mixed-radix keys
+with a bound, R for rows and C for columns, from one :func:`_lex_keys`
+call over n columns.  The term key is ``row_key*C + col_key``; a product
+pair (i, j) has ``self_row_key[i]*C + other_col_key[j]``, so the
+O(T + T') operand keys are computed once, not per pair.  Where R*C
+reaches 2**63 the operand keys are first replaced by their ranks, below
+the number of terms, so the key still fits (:func:`_pair_keys`).  The
+merge returns the positions of the terms it keeps; only those terms'
+index rows are gathered.  Coefficient products use the float formula of
 Python's complex ``*`` (:func:`_cmul`), because numpy's vectorized
 complex multiply may fuse a product and a sum and round differently.
 """
@@ -86,7 +97,7 @@ COMPARE_TOL = 1e-12
 DENSE_DIM_GUARD = 4096
 # Factor dimensions must stay below this, so that indices fit int64.
 _MAX_FACTOR_DIM = 2 ** 62
-# Index keys stay below this (the int64 range).
+# Index keys and their bounds stay below this (the int64 range).
 _KEY_BOUND = 2 ** 63
 # Image terms one tagged chunk of the unit grid may produce (memory cap).
 _TAG_CHUNK_TERMS = 1 << 12
@@ -231,20 +242,22 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def _lex_keys(columns: np.ndarray, radices) -> np.ndarray:
+def _lex_keys(columns: np.ndarray, radices) -> tuple[np.ndarray, int]:
     """One int64 key per row of ``columns`` (shape (T, m), column ``c``
-    holding values in ``0..radices[c]-1``): equal rows get equal keys, and
-    keys sort as the rows sort lexicographically.
+    holding values in ``0..radices[c]-1``), and a bound the keys stay
+    below: equal rows get equal keys, and keys sort as the rows sort
+    lexicographically.
 
-    Runs of columns whose radices multiply to at most 2**63 are read as one
-    mixed-radix number each; where two runs do not fit one key, the keys so
-    far (and if need be the run's) are replaced by their ranks, below T.
+    Runs of columns whose radices multiply to less than 2**63 are read as
+    one mixed-radix number each, and the runs are joined by
+    :func:`_pair_keys`, which falls back to ranks (below T) where two runs
+    do not fit one key.
     """
     key = bound = None
     start = 0
     while start < len(radices):
         stop, size = start, 1
-        while stop < len(radices) and size * radices[stop] <= _KEY_BOUND:
+        while stop < len(radices) and size * radices[stop] < _KEY_BOUND:
             size *= radices[stop]
             stop += 1
         weights = [math.prod(radices[i + 1:stop]) for i in range(start, stop)]
@@ -252,14 +265,30 @@ def _lex_keys(columns: np.ndarray, radices) -> np.ndarray:
         if key is None:
             key, bound = run, size
         else:
-            if bound * size > _KEY_BOUND:
-                key, bound = _ranks(key)
-            if bound * size > _KEY_BOUND:
-                run, size = _ranks(run)
-            key = key * size + run
-            bound *= size
+            key, bound = _pair_keys((key, bound), (run, size))
         start = stop
-    return key
+    return key, bound
+
+
+def _pair_keys(high, low, i=slice(None),
+               j=slice(None)) -> tuple[np.ndarray, int]:
+    """``hk[i]*lb + lk[j]`` for ``high = (hk, hb)`` and ``low = (lk, lb)``,
+    keys with the bounds they stay below, and the new bound ``hb*lb``.
+
+    Pairs sort by high key, then low key.  Where ``hb*lb`` reaches 2**63,
+    ``hk`` (and if need be ``lk``) is first replaced by its ranks, so the
+    bound drops to the number of distinct keys and the result fits int64.
+    The keys are ranked before they are gathered, so at O(len(hk) +
+    len(lk)) cost whatever the number of pairs.
+    """
+    (hk, hb), (lk, lb) = high, low
+    if hb * lb >= _KEY_BOUND:
+        hk, hb = _ranks(hk)
+    if hb * lb >= _KEY_BOUND:
+        lk, lb = _ranks(lk)
+    key = (hk * lb)[i]
+    key += lk[j]
+    return key, hb * lb
 
 
 def _ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -269,17 +298,22 @@ def _ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _index_radices(sig: Signature) -> list[int]:
-    # radices of the (rows, cols) columns of an element: 1-based values
-    radices = [d + 1 for d in sig.dims]
-    return radices + radices
+    # radices of the index columns of a stage: 1-based values
+    return [d + 1 for d in sig.dims]
+
+
+def _term_keys(sig: Signature, index) -> tuple[np.ndarray, int]:
+    # one key per term and its bound, for the T terms whose rows are
+    # index[:T] and whose columns are index[T:]: rows' key, then cols'
+    keys, bound = _lex_keys(index, _index_radices(sig))
+    half = len(index) // 2
+    return _pair_keys((keys[:half], bound), (keys[half:], bound))
 
 
 def _index_keys(*elements) -> list[np.ndarray]:
-    # _lex_keys of the (rows, cols) of each element, comparable across them
-    keys = _lex_keys(
-        np.concatenate([np.concatenate([x.rows, x.cols], axis=1)
-                        for x in elements]),
-        _index_radices(elements[0].sig))
+    # _term_keys of each element's terms, comparable across them
+    keys, _ = _term_keys(elements[0].sig, np.concatenate(
+        [x.rows for x in elements] + [x.cols for x in elements]))
     return np.split(keys, np.cumsum([len(x) for x in elements])[:-1])
 
 
@@ -297,25 +331,43 @@ def _element(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
     return x
 
 
-def _pruned(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
-    """Canonical form of terms with distinct indices: ``0j + c`` (a
-    ``-0.0`` part becomes ``+0.0``), then moduli ``<= COEFF_PRUNE_TOL``
-    dropped."""
+def _kept(coeff) -> tuple:
+    """``0j + c`` (a ``-0.0`` part becomes ``+0.0``), and which terms keep
+    a modulus ``> COEFF_PRUNE_TOL`` (a slice if all do), with their
+    coefficients.  A ``nan`` modulus is not greater, so it is dropped."""
     coeff = coeff + 0j
     keep = _moduli(coeff) > COEFF_PRUNE_TOL
     if keep.all():
-        return _element(sig, rows, cols, coeff)
-    return _element(sig, rows[keep], cols[keep], coeff[keep])
+        return slice(None), coeff
+    return keep, coeff[keep]
 
 
-def _merged(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
-    """Canonical form of terms whose indices may repeat.
+def _pruned(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
+    """Canonical form of terms with distinct indices (see :func:`_kept`)."""
+    keep, coeff = _kept(coeff)
+    return _element(sig, rows[keep], cols[keep], coeff)
+
+
+def _summed(sig: Signature, index, coeff) -> "AlgebraElement":
+    # canonical form (see _merged) of the terms whose rows are index[:T]
+    # and whose columns are index[T:], T = len(coeff)
+    keep, total = _merged(_term_keys(sig, index)[0], coeff)
+    rows, cols = index[:len(coeff)], index[len(coeff):]
+    return _element(sig, rows[keep], cols[keep], total)
+
+
+def _merged(key, coeff) -> tuple:
+    """Canonical form of terms whose indices may repeat, given one int64
+    key per term (equal keys for equal indices, as :func:`_term_keys` and
+    :func:`_pair_keys` make them).
 
     One term per index, in order of first occurrence; a repeated index's
     coefficients are added in input order onto ``0j`` (``numpy.add.at``
-    adds sequentially), as merging into a dict does; then pruned.
+    adds sequentially), as merging into a dict does; then pruned
+    (:func:`_kept`).  Returns the input positions of the terms kept, in
+    that order, and their coefficients; the caller gathers the index rows
+    of those positions only.
     """
-    key = _lex_keys(np.concatenate([rows, cols], axis=1), _index_radices(sig))
     order = np.argsort(key)
     sorted_key = key[order]
     new = np.empty(len(key), dtype=bool)
@@ -323,7 +375,7 @@ def _merged(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
     starts = np.flatnonzero(new)
     if len(starts) == len(key):  # no index repeats
-        return _pruned(sig, rows, cols, coeff)
+        return _kept(coeff)
     first = np.minimum.reduceat(order, starts)  # per index, in key order
     is_first = np.zeros(len(key), dtype=bool)
     is_first[first] = True
@@ -333,8 +385,8 @@ def _merged(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
     total = np.zeros(len(first), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(total, target, coeff)
-    keep = np.flatnonzero(is_first)
-    return _pruned(sig, rows[keep], cols[keep], total)
+    keep, total = _kept(total)
+    return np.flatnonzero(is_first)[keep], total
 
 
 class AlgebraElement:
@@ -363,10 +415,8 @@ class AlgebraElement:
                 rows.append(idx[0])
                 cols.append(idx[1])
                 coeff.append(complex(c))
-        shape = (len(coeff), sig.level)
-        x = _merged(sig, np.array(rows, dtype=np.int64).reshape(shape),
-                    np.array(cols, dtype=np.int64).reshape(shape),
-                    np.array(coeff, dtype=complex))
+        x = _summed(sig, np.array(rows + cols, dtype=np.int64).reshape(
+            2 * len(coeff), sig.level), np.array(coeff, dtype=complex))
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(x, name))
 
@@ -410,9 +460,9 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_sig(other)
-        return _merged(self.sig, np.concatenate([self.rows, other.rows]),
-                       np.concatenate([self.cols, other.cols]),
-                       np.concatenate([self.coeff, other.coeff]))
+        return _summed(self.sig, np.concatenate(
+            [self.rows, other.rows, self.cols, other.cols]),
+            np.concatenate([self.coeff, other.coeff]))
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -425,22 +475,29 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._require_same_sig(other)
+            # one key per index row of self.rows, self.cols, other.rows and
+            # other.cols, in that order, comparable across all four
+            keys, bound = _lex_keys(
+                np.concatenate([self.rows, self.cols, other.rows, other.cols]),
+                _index_radices(self.sig))
+            t, u = len(self), 2 * len(self) + len(other)
             # every pair (i, j) with self.cols[i] == other.rows[j], i-major
             # and j in other's term order, as a loop over the terms makes them
-            inner, heads = np.split(
-                _lex_keys(np.concatenate([self.cols, other.rows]),
-                          _index_radices(self.sig)[:self.sig.level]),
-                [len(self)])
+            inner, heads = keys[t:2 * t], keys[2 * t:u]
             by_head = np.argsort(heads, kind="stable")
             sorted_heads = heads[by_head]
             lo = np.searchsorted(sorted_heads, inner, "left")
             count = np.searchsorted(sorted_heads, inner, "right") - lo
-            i = np.repeat(np.arange(len(self)), count)
-            step = np.arange(len(i)) - np.repeat(np.cumsum(count) - count,
-                                                  count)
-            j = by_head[np.repeat(lo, count) + step]
-            return _merged(self.sig, self.rows[i], other.cols[j],
-                           _cmul(self.coeff[i], other.coeff[j]))
+            i = np.repeat(np.arange(t), count)
+            # pair p of term i is its (p - first pair of i)-th head match
+            j = np.repeat(lo - (np.cumsum(count) - count), count)
+            j += np.arange(len(j))
+            j = by_head[j]
+            # the product term of (i, j) has self.rows[i], other.cols[j]
+            key, _ = _pair_keys((keys[:t], bound), (keys[u:], bound), i, j)
+            keep, coeff = _merged(key, _cmul(self.coeff[i], other.coeff[j]))
+            return _element(self.sig, self.rows[i[keep]],
+                            other.cols[j[keep]], coeff)
         if isinstance(other, numbers.Number):
             return _pruned(self.sig, self.rows, self.cols,
                            _cmul(complex(other), self.coeff))

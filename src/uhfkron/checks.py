@@ -30,10 +30,10 @@ from .algebra import (
     DENSE_DIM_GUARD,
     AlgebraElement,
     Signature,
-    _index_radices,
-    _lex_keys,
     _moduli,
+    _pair_keys,
     _tagged_units,
+    _term_keys,
     _unit_tags,
     coproduct_phi,
     coproduct_phi_block,
@@ -151,13 +151,13 @@ def _record_images(report: CheckReport, x: AlgebraElement, lhs, rhs,
     for y, tag in zip((lhs, rhs), tags):
         mine = tag >= 0
         mine[mine] = ok[tag[mine]]
-        sides.append(np.concatenate(
-            [tag[mine, None], y.rows[mine], y.cols[mine]], axis=1))
+        sides.append((tag[mine], y.rows[mine], y.cols[mine]))
     if ok.any():
-        keys = _lex_keys(np.concatenate(sides),
-                         [units] + _index_radices(lhs.sig))
-        left, right = np.split(keys, [len(sides[0])])
-        unit = np.sort(sides[0][:, 0])
+        tag, rows, cols = zip(*sides)
+        keys, _ = _pair_keys((np.concatenate(tag), units),
+                             _term_keys(lhs.sig, np.concatenate(rows + cols)))
+        left, right = np.split(keys, [len(sides[0][0])])
+        unit = np.sort(sides[0][0])
         ok[unit[np.sort(left) != np.sort(right)]] = False
     report.record_units(ok, lambda k: f"{what} on unit {_unit_name(x, k)}")
 

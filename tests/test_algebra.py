@@ -6,6 +6,7 @@ then cross-checked against dense numpy.kron materializations.
 """
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -519,6 +520,34 @@ def test_level_70_stage_works_without_dense_keys():
     assert product_phi_inverse(split, 70) == x
 
 
+def test_stage_whose_index_radices_multiply_to_2_to_the_63():
+    # (7,)*21: the 21 index radices 8 multiply to 2**63, one past int64, so
+    # a key bound must stay below it even for a one-term element
+    sig = Signature((7,) * 21)
+    u, v = (1,) * 21, (7,) * 21
+    x = AlgebraElement(sig, {(u, v): 2.0})
+    assert x == 2.0 * matrix_unit(sig, u, v)
+    assert (x + x).sorted_terms() == [((u, v), 4 + 0j)]
+    assert x * x.adjoint() == 4.0 * matrix_unit(sig, u, u)
+
+
+def test_product_memory_stays_below_a_pair_index_matrix():
+    # bulk-algebra's product shape: 20000 x 2000 terms make 104k pairs and
+    # 71070 terms.  Building (pairs, 2n) index rows peaked at 23.6 MB; one
+    # int64 key per pair and gathering only the kept terms stays near 12
+    sig = (4, 6, 4, 4)
+    x = random_element(sig, 3, 20000)
+    y = random_element(sig, 4, 2000)
+    tracemalloc.start()
+    try:
+        z = x * y
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(z) == 71070
+    assert peak < 18e6
+
+
 @pytest.mark.parametrize("radices", [
     [5] * 40,                      # runs of 27 columns, joined through ranks
     [2**62 + 1, 2**62 + 1, 3],    # a run per column, itself ranked
@@ -532,7 +561,9 @@ def test_lex_keys_order_rows_lexicographically(radices):
     rows = sorted(rows) + sorted(rows)[:5]  # some rows twice
     perm = rng.permutation(len(rows))
     columns = np.array([rows[i] for i in perm], dtype=np.int64)
-    keys = _lex_keys(columns, radices).tolist()
+    keys, bound = _lex_keys(columns, radices)
+    assert 0 <= keys.min() and keys.max() < bound < 2**63
+    keys = keys.tolist()
     by_row = {}
     for i, key in zip(perm, keys):
         assert by_row.setdefault(rows[i], key) == key

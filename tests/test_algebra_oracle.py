@@ -137,6 +137,25 @@ def pairs(draw):
             draw(coefficients))
 
 
+# Stages whose term keys need the rank fallback: over (2**20 + 3,)*3 one
+# side's row (or column) key fits int64 but a row key times the column-key
+# bound does not; over (3,)*40 a single side's key is itself ranked.
+wide_dims_st = st.sampled_from([(2**20 + 3,) * 3, (3,) * 40])
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two elements' items over a wide stage, from a few multi-indices
+    (the first and last index of each factor among them), so that indices
+    repeat and cancel."""
+    dims = draw(wide_dims_st)
+    index = st.tuples(*(st.sampled_from((1, 2, d)) for d in dims))
+    pool = st.sampled_from(draw(st.lists(index, min_size=1, max_size=3)))
+    terms = st.lists(st.tuples(st.tuples(pool, pool), coefficients),
+                     max_size=10)
+    return dims, draw(terms), draw(terms)
+
+
 # ---------------------------------------------------------------------------
 # the differential tests
 # ---------------------------------------------------------------------------
@@ -180,6 +199,22 @@ def test_tensor_and_identity_slot_match_the_dict_oracle(dims, other, data):
     dim = data.draw(st.integers(2, 3))
     assert bits(insert_identity_slot(x, position, dim).terms) == bits(
         ref_insert(rx, position, dim))
+
+
+@given(wide_pairs(), st.sampled_from([0.0, 1e-12, math.inf]))
+@settings(max_examples=150, deadline=None)
+def test_rank_fallback_of_the_term_key_matches_the_dict_oracle(case, tol):
+    dims, xi, yi = case
+    x, y = AlgebraElement(dims, xi), AlgebraElement(dims, yi)
+    rx, ry = ref_element(xi), ref_element(yi)
+    assert bits(x.terms) == bits(rx)
+    assert bits((x + y).terms) == bits(ref_add(rx, ry))
+    assert bits((x - y).terms) == bits(ref_add(rx, ref_scale(-1.0, ry)))
+    assert bits((x * y).terms) == bits(ref_mul(rx, ry))
+    assert bits((y * x).terms) == bits(ref_mul(ry, rx))
+    assert (x == y) == (rx == ry)
+    assert x.allclose(y, tol) == ref_allclose(rx, ry, tol)
+    assert bits(dict(x.sorted_terms())) == bits(dict(sorted(rx.items())))
 
 
 def test_constructor_matches_the_dict_oracle_on_mappings():
