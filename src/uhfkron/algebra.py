@@ -234,8 +234,18 @@ def _cmul(a, b) -> np.ndarray:
     in the last bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        re = a.real * b.real - a.imag * b.imag
-        im = a.real * b.imag + a.imag * b.real
+        re, im = _cmul_parts(a.real, a.imag, b.real, b.imag)
+    return _complex(re, im)
+
+
+def _cmul_parts(ar, ai, br, bi) -> tuple:
+    # the real and imaginary parts of (ar + i ai)(br + i bi) as _cmul
+    # rounds them; the caller silences overflow and invalid warnings
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(re, im) -> np.ndarray:
+    # the complex array with these parts, bit for bit
     out = np.empty(re.shape, dtype=complex)
     out.real = re
     out.imag = im
@@ -552,7 +562,8 @@ def matrix_unit(sig, rows, cols) -> AlgebraElement:
     Raises :class:`IndexRangeError` naming the offending factor position.
     """
     sig = as_signature(sig)
-    index = np.array(_check_index(sig, rows, cols), dtype=np.int64)
+    rows, cols = _check_index(sig, rows, cols)
+    index = np.array(rows + cols, dtype=np.int64).reshape(2, -1)
     return _element(sig, index[:1], index[1:], _UNIT_COEFF)
 
 

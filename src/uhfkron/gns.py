@@ -17,15 +17,21 @@ from integer positions.  With j_f, k_f the 0-based digits factor f reads,
 r_f its rank and s_f its stride in the space, rep(E_u) has its ones at
 (row_u + o_t, col_u + o_t), where row_u = sum_f j_f r_f s_f, col_u =
 sum_f k_f r_f s_f and o_t = sum_f t_f s_f for t in prod_f [r_f]; and
-rep(E_u) cyclic is cyclic[col_u + o_t] written at row_u + o_t.  Images of
-unit sequences and of elements are one scatter or gather each over these
-positions.
+rep(E_u) cyclic is cyclic[col_u + o_t] written at row_u + o_t.  A triplet
+tabulates row_u once for every row multi-index, by its row-major flat
+index, so the positions of any number of units are a fixed few numpy
+calls: a range check, one product with the flat weights, one table lookup
+and the offsets.  Images of unit sequences and of elements are one
+scatter or gather each over these positions.
 
 The images of the units also form a frame: :func:`commutant_dimension`
 certifies an integer array pi (N x m), N the total dimension, that is a
 permutation of 0..D-1 with rep(E_ij) = sum_t e_{pi[i,t]} e_{pi[j,t]}^T
 for every unit.  So rep(x) = W (x (x) I_m) W^H, W the permutation sending
-e_i (x) e_t to e_{pi[i,t]}, and the commutant has dimension m^2.
+e_i (x) e_t to e_{pi[i,t]}, and the commutant has dimension m^2.  The
+check reads the images of whole batches of rows of units at once, each
+batch at most ``_FRAME_BATCH_POSITIONS`` positions (or one row), and
+compares them as sorted integer codes.
 
 The map x |-> rep(x) cyclic spans the whole space, so a second
 representation of the same state determines a unique unitary between the
@@ -50,7 +56,13 @@ import numbers
 
 import numpy as np
 
-from .algebra import DENSE_DIM_GUARD, AlgebraElement, MatrixUnitIndex, Signature
+from .algebra import (
+    DENSE_DIM_GUARD,
+    AlgebraElement,
+    MatrixUnitIndex,
+    Signature,
+    _grid,
+)
 from .errors import (
     GramMismatchError,
     IndexRangeError,
@@ -164,7 +176,7 @@ class GnsTriplet:
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
-                 "_table", "_offsets")
+                 "_dims", "_weights", "_shift", "_table", "_offsets")
 
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
@@ -175,16 +187,22 @@ class GnsTriplet:
         if self.space_dim > DENSE_DIM_GUARD:
             raise ResourceGuardError(f"GNS space dimension {self.space_dim} "
                                      f"exceeds guard {DENSE_DIM_GUARD}")
-        self.cyclic = np.ones(1, dtype=complex)
-        for f in self._factors:
-            self.cyclic = np.kron(self.cyclic, f.cyclic)
+        # the products numpy.kron would take, one outer product per factor
+        self.cyclic = functools.reduce(
+            np.multiply.outer, [f.cyclic for f in self._factors],
+            np.ones(1, dtype=complex)).ravel()
         strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
         ranks = [f.rank for f in self._factors]
         # row_u = sum_f j_f r_f s_f, and o_t = sum_f t_f s_f over all t;
-        # _table[i] is row_u for the unit rows of row-major flat index i
+        # _table[i] is row_u for the unit rows of row-major flat index i,
+        # and i = idx @ _weights - _shift for a 1-based multi-index idx
         per_slot = [np.zeros(d, dtype=np.int64) for d in sig.dims]
         for (slot, stride, radix), r, s in zip(self._places, ranks, strides):
             per_slot[slot] += np.arange(sig.dims[slot]) // stride % radix * r * s
+        self._dims = np.array(sig.dims, dtype=np.int64)
+        self._weights = np.array([math.prod(sig.dims[i + 1:])
+                                  for i in range(sig.level)], dtype=np.int64)
+        self._shift = self._weights.sum()
         self._table = functools.reduce(np.add.outer, per_slot).ravel()
         self._offsets = functools.reduce(np.add.outer, [
             s * np.arange(r) for s, r in zip(strides, ranks)]).ravel()
@@ -192,19 +210,20 @@ class GnsTriplet:
     def _positions(self, units) -> tuple[np.ndarray, np.ndarray]:
         # (N, R) rows and columns of the ones of rep(E_u) for each unit u
         # of units, which pass the range check of _indices first
-        idx = self._indices(units)
-        flat = np.ravel_multi_index(tuple(np.moveaxis(idx, 2, 0)),
-                                    self.sig.dims)
-        row, col = self._table[flat].T
+        row, col = self._table[self._indices(units) @ self._weights
+                               - self._shift].T
         return row[:, None] + self._offsets, col[:, None] + self._offsets
 
     def _indices(self, units) -> np.ndarray:
-        # 0-based (N, 2, level) index array of a sequence of matrix units
+        # the (N, 2, level) int64 array of a sequence of matrix units, its
+        # shape, dtype and range checked (indices stay 1-based)
         level = self.sig.level
         try:
             idx = np.asarray(units)
         except ValueError:  # ragged: slot counts differ
             idx = None
+        if idx is not None and idx.shape == (0,):  # no units at all
+            idx = np.empty((0, 2, level), dtype=np.int64)
         if idx is None or idx.ndim != 3 or idx.shape[1:] != (2, level):
             raise SignatureError(
                 f"expected matrix units with {level} row and column "
@@ -215,14 +234,14 @@ class GnsTriplet:
                 f"matrix-unit indices are not all machine integers "
                 f"(array dtype {idx.dtype})"
             )
-        bad = (idx < 1) | (idx > np.array(self.sig.dims))
+        bad = (idx < 1) | (idx > self._dims)
         if bad.any():
             n, side, pos = np.argwhere(bad)[0]
             raise IndexRangeError(
                 f"{('row', 'column')[side]} index {idx[n, side, pos]} "
                 f"outside 1..{self.sig.dims[pos]} at factor {pos + 1}"
             )
-        return idx - 1
+        return idx.astype(np.int64, copy=False)
 
     def _units_of(self, x: AlgebraElement) -> np.ndarray:
         # the terms of x as a (T, 2, level) array of units
@@ -231,7 +250,9 @@ class GnsTriplet:
                 f"element signature {x.sig.dims} does not match "
                 f"representation signature {self.sig.dims}"
             )
-        return np.stack([x.rows, x.cols], axis=1)
+        # rows then cols per term: the (T, 2, level) layout
+        return np.concatenate((x.rows, x.cols), axis=1).reshape(
+            -1, 2, self.sig.level)
 
     def rep_units(self, units) -> np.ndarray:
         """rep(E_u) for every unit u of ``units``, stacked on axis 0.
@@ -356,17 +377,33 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     return U
 
 
+# The most unit-image positions one batch of the certificate reads (a
+# batch is at least one row of units): at D = 4096 this keeps a batch's
+# unit and position arrays to a few MB.
+_FRAME_BATCH_POSITIONS = 2 ** 14
+
+
+def _as_set(codes: np.ndarray) -> np.ndarray:
+    # the distinct values of an integer array, sorted (as numpy.unique
+    # returns them, by a sort and a diff instead of a hash table)
+    codes = np.sort(codes, axis=None)
+    return codes[np.diff(codes, prepend=codes[:1] - 1) != 0]
+
+
 def _frame(G: GnsTriplet) -> np.ndarray:
     # the frame pi of the module notes, certified as commutant_dimension
-    # describes, reading the positions of one row of units per call
+    # describes, reading the positions of a batch of rows of units per call
     D, N = G.space_dim, G.sig.total_dim
-    grid = np.stack(np.unravel_index(np.arange(N), G.sig.dims), axis=1) + 1
+    grid = _grid(G.sig.dims, np.arange(N))
+    level = grid.shape[1]
     # rep(E_i1) for each row i, as sorted (i, row, column) codes
-    units = np.stack([grid, np.broadcast_to(grid[0], grid.shape)], axis=1)
+    units = np.empty((N, 2, level), dtype=np.int64)
+    units[:, 0] = grid
+    units[:, 1] = grid[0]
     rows, cols = G._positions(units)
     n = np.arange(N)[:, None]
-    i, r, c = np.unravel_index(np.unique((n * D + rows) * D + cols), (N, D, D))
-    s = np.unique(r[(i == 0) & (r == c)])  # support of diag rep(E_11)
+    i, r, c = np.unravel_index(_as_set((n * D + rows) * D + cols), (N, D, D))
+    s = _as_set(r[(i == 0) & (r == c)])  # support of diag rep(E_11)
     m = len(s)
     # W_i = rep(E_i1)[:, s]: keep the ones in columns s, at (i, k)
     keep = np.isin(c, s)
@@ -381,15 +418,30 @@ def _frame(G: GnsTriplet) -> np.ndarray:
         )
     pi = np.empty((N, m), dtype=np.int64)
     pi[i, k] = r
-    # rep(E_ij) for each row i against (j, pi[i,t], pi[j,t]) over j and t
-    units[:, 1] = grid
-    for row, pi_row in zip(grid, pi):
-        units[:, 0] = row
-        rows, cols = G._positions(units)
-        got = np.sort((n * D + rows) * D + cols, axis=None)
-        got = got[np.diff(got, prepend=-1) != 0]  # as a set
-        want = np.sort((n * D + pi_row) * D + pi, axis=None)
+    # rep(E_ij) for the rows i of a batch against (q, pi[i,t], pi[j,t])
+    # over j and t, compared as sets of codes, where q = (i - a) N + j
+    # numbers the units of the batch of rows a..b-1; the codes of unit q
+    # lie in row a + q // N, so the batch's sets are equal exactly when
+    # each of its rows' are.  A batch reads at most _FRAME_BATCH_POSITIONS
+    # positions, or one row.
+    batch = max(1, _FRAME_BATCH_POSITIONS // rows.size)
+    for a in range(0, N, batch):
+        b = min(a + batch, N)
+        units = np.empty((b - a, N, 2, level), dtype=np.int64)
+        units[:, :, 0] = grid[a:b, None]
+        units[:, :, 1] = grid
+        rows, cols = G._positions(units.reshape(-1, 2, level))
+        q = np.arange(len(rows))[:, None]
+        got = _as_set((q * D + rows) * D + cols)
+        want = np.sort(((q.reshape(b - a, N, 1) * D + pi[a:b, None]) * D
+                        + pi), axis=None)
         if not np.array_equal(got, want):
+            # the smallest code on one side only lies in the first failing
+            # row: the two sides agree on every code below it
+            p = min(len(got), len(want))
+            p = np.append(np.flatnonzero(got[:p] != want[:p]), p)[0]
+            first = min(np.concatenate((got[p:p + 1], want[p:p + 1])))
+            row = grid[a + first // (N * D * D)]
             raise ValidationError(f"row {tuple(row.tolist())} of unit "
                                   f"images fails the certificate")
     return pi
@@ -406,6 +458,7 @@ def commutant_dimension(G: GnsTriplet) -> int:
     commutant W (I_N (x) M_m) W^H has dimension m^2 (1: irreducible).  A
     failed check raises :class:`ValidationError`, naming the frame or the
     first failing row of units, and no number is returned.  The work is
-    O(N D) integers, within ``gns_build``'s space-dimension guard.
+    O(N D) integers, within ``gns_build``'s space-dimension guard, read a
+    batch of rows of units of bounded size at a time.
     """
     return _frame(G).shape[1] ** 2

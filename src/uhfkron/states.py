@@ -14,7 +14,9 @@ entries are gathered for all terms at once and multiplied into the
 running products slot by slot, each product rounded as Python's complex
 ``*`` rounds it (``algebra._cmul``); the term values are then added one
 after another in the element's canonical term order, so results are the
-bits of a plain loop over the terms.
+bits of a plain loop over the terms.  A state flattens its factors'
+entries into one table on first evaluation and keeps it, so evaluating a
+few terms costs a fixed few numpy calls per slot.
 
 The non-symmetric tensor product of two states composes the ordinary
 tensor-product state with the Kronecker coproduct.  On product states it
@@ -31,7 +33,8 @@ from .algebra import (
     DENSE_DIM_GUARD,
     AlgebraElement,
     Signature,
-    _cmul,
+    _cmul_parts,
+    _complex,
     _unit_tags,
     coproduct_phi,
     kron_box,
@@ -135,7 +138,7 @@ class DensityFactor:
 class ProductStateTrunc:
     """A finite truncation of a product state: one DensityFactor per slot."""
 
-    __slots__ = ("sig", "factors")
+    __slots__ = ("sig", "factors", "_entries")
 
     def __init__(self, factors):
         factors = tuple(
@@ -156,6 +159,21 @@ class ProductStateTrunc:
     def level(self) -> int:
         return self.sig.level
 
+    def _entry_table(self) -> tuple:
+        # all factor entries, flat in slot order, the dims and per-slot
+        # bases: T^{(i)}[k - 1, j - 1] sits at k a_i + j + base[i]; made on
+        # first use and kept
+        try:
+            return self._entries
+        except AttributeError:
+            pass
+        dims = np.array(self.sig.dims, dtype=np.int64)
+        sizes = dims * dims
+        table = (np.concatenate([f.matrix.ravel() for f in self.factors]),
+                 dims, np.cumsum(sizes) - sizes - dims - 1)
+        object.__setattr__(self, "_entries", table)
+        return table
+
     def concat(self, other: "ProductStateTrunc") -> "ProductStateTrunc":
         """The tensor-product state on the concatenated signature."""
         return ProductStateTrunc(self.factors + other.factors)
@@ -174,7 +192,7 @@ def state_evaluate(S: ProductStateTrunc, x: AlgebraElement) -> complex:
     element's canonical term order.
     """
     values = _factor_products(S, x, x.coeff)
-    return complex(np.cumsum(np.concatenate([[0j], values]))[-1])
+    return complex(np.concatenate(([0j], values)).cumsum()[-1])
 
 
 def _factor_products(S: ProductStateTrunc, x: AlgebraElement,
@@ -187,15 +205,15 @@ def _factor_products(S: ProductStateTrunc, x: AlgebraElement,
             f"state signature {S.sig.dims} does not match element "
             f"signature {x.sig.dims}"
         )
-    dims = np.array(S.sig.dims)
-    sizes = dims * dims
-    entries = np.concatenate([f.matrix.ravel() for f in S.factors])
+    entries, dims, base = S._entry_table()
     # per slot (rows of ``at``), each term's place among the flat entries
-    at = ((x.cols - 1) * dims + x.rows - 1 + (np.cumsum(sizes) - sizes)).T
-    value = start
-    for factor_entries in entries[at]:
-        value = _cmul(value, factor_entries)
-    return value
+    at = (x.cols * dims + x.rows + base).T
+    re, im = start.real, start.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factor_entries in entries[at]:
+            re, im = _cmul_parts(re, im, factor_entries.real,
+                                 factor_entries.imag)
+    return _complex(re, im)
 
 
 def _tagged_values(S: ProductStateTrunc, y: AlgebraElement,

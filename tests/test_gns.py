@@ -4,6 +4,7 @@ commutant dimensions as irreducibility certificates.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from uhfkron.errors import (
     SignatureError,
     ValidationError,
 )
+from uhfkron import gns
 from uhfkron.gns import (
     commutant_dimension,
     FactorGns,
@@ -133,6 +135,27 @@ def test_expectation_matches_state_on_all_units(dims, seed):
         G.expectations(units),
         [G.expectation(matrix_unit(dims, *idx)) for idx in units],
         rtol=0, atol=1e-15)
+
+
+def test_unit_methods_accept_no_units():
+    # an empty list has no (n, 2, level) shape to read, but means no units
+    G = gns_build(random_state((2, 3), seed=5))
+    D = G.space_dim
+    for units in ([], (), np.empty((0, 2, 2), dtype=np.int64)):
+        for method, shape in [(G.rep_units, (0, D, D)),
+                              (G.lambda_units, (0, D)),
+                              (G.expectations, (0,))]:
+            out = method(units)
+            assert out.shape == shape and out.dtype == complex
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint16,
+                                   np.uint64])
+def test_unit_methods_read_every_integer_dtype(dtype):
+    G = gns_build(random_state((2, 3), seed=6))
+    units = np.array([idx for idx in all_matrix_units(G.sig)])
+    assert np.array_equal(G.expectations(units.astype(dtype)),
+                          G.expectations(units))
 
 
 def test_rep_is_star_homomorphism():
@@ -306,6 +329,15 @@ def test_batched_family_equals_per_unit_stack(tree):
     assert np.array_equal(
         G.rep_units(units), np.stack([G.rep_unit(u) for u in units])
     )
+
+
+@pytest.mark.parametrize("tree", _TREES, ids=_TREE_IDS)
+def test_one_unit_expectation_equals_the_batch(tree):
+    G, _ = _compose(tree)
+    units = list(all_matrix_units(G.sig))
+    batch = G.expectations(units)
+    for u, value in zip(units, batch):
+        assert abs(G.expectation(matrix_unit(G.sig, *u)) - value) <= 1e-15
 
 
 def _rep_loop(G, x):
@@ -540,23 +572,45 @@ def test_commutant_beyond_the_stacked_reference(S):
     assert commutant_dimension(G) == math.prod(r * r for r in ranks)
 
 
-E11, E12, E21, E22 = (MatrixUnitIndex((j,), (k,))
-                      for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)))
+def _e(j, k):
+    return MatrixUnitIndex((j,), (k,))
 
 
-@pytest.mark.parametrize("mapping, match", [
-    ({E12: E22, E22: E12}, r"row \(1,\)"),
-    ({E12: E21, E21: E12}, "not unitary"),
-    ({E21: E11}, "not unitary"),
-], ids=["E12-E22", "E12-E21", "E21-as-E11"])
-def test_commutant_refuses_a_non_representation(monkeypatch, mapping,
-                                                match):
+E11, E12, E21, E22 = _e(1, 1), _e(1, 2), _e(2, 1), _e(2, 2)
+
+
+# A full-rank (2,) state reads 2 x 2 positions per row of units and a
+# full-rank (4,) state 4 x 4; a cap of None leaves _FRAME_BATCH_POSITIONS
+# as it is (one batch), a smaller cap puts cap // (positions per row) rows
+# (at least one) into each batch of the certificate.
+@pytest.mark.parametrize("dims, mapping, cap, match", [
+    ((2,), {E12: E22, E22: E12}, None, r"row \(1,\)"),
+    ((2,), {E12: E21, E21: E12}, None, "not unitary"),
+    ((2,), {E21: E11}, None, "not unitary"),
+    # row 2 fails alone: in the one batch, and in the second of two
+    ((2,), {E22: E11}, None, r"row \(2,\)"),
+    ((2,), {E22: E11}, 4, r"row \(2,\)"),
+    # a cap below one row still reads one row per batch
+    ((2,), {E22: E11}, 1, r"row \(2,\)"),
+    # two rows per batch: the failing row 3 opens the second batch, row 2
+    # closes the first and comes before row 4 in the second
+    ((4,), {_e(3, 4): _e(3, 1)}, 32, r"row \(3,\)"),
+    ((4,), {_e(2, 4): _e(2, 1), _e(4, 4): _e(4, 1)}, 47, r"row \(2,\)"),
+    # three rows per batch: row 4 is the whole short second batch
+    ((4,), {_e(4, 2): _e(4, 1)}, 48, r"row \(4,\)"),
+], ids=["E12-E22", "E12-E21", "E21-as-E11", "E22-as-E11",
+        "E22-as-E11-second-batch", "E22-as-E11-cap-below-a-row",
+        "row-3-opens-a-batch", "row-2-closes-a-batch",
+        "row-4-short-last-batch"])
+def test_commutant_refuses_a_non_representation(monkeypatch, dims, mapping,
+                                                cap, match):
     # swapping the images of E_{12} and E_{22} keeps W but breaks
     # rep(E_12) = W_1 W_2^H; swapping E_{12} and E_{21} puts a unit of
     # the first row into W, whose columns s are then empty; reading E_{11}
-    # for E_{21} gives W_2 = W_1, whose rows repeat; no dimension may come
-    # back in any case
-    G = gns_build(random_state((2,), seed=79))
+    # for E_{21} gives W_2 = W_1, whose rows repeat; reading E_{i1} for a
+    # later unit of row i keeps W and breaks row i only; no dimension may
+    # come back in any case, and the refusal names the first failing row
+    G = gns_build(random_state(dims, seed=79))
     positions = GnsTriplet._positions
 
     def patched(self, units):
@@ -568,8 +622,18 @@ def test_commutant_refuses_a_non_representation(monkeypatch, mapping,
         return positions(self, idx)
 
     monkeypatch.setattr(GnsTriplet, "_positions", patched)
+    if cap is not None:
+        monkeypatch.setattr(gns, "_FRAME_BATCH_POSITIONS", cap)
     with pytest.raises(ValidationError, match=match):
         commutant_dimension(G)
+
+
+@pytest.mark.parametrize("cap", [1, 16, 40, 10**9])
+def test_commutant_is_the_same_for_every_batch_size(monkeypatch, cap):
+    G = gns_tensor_phi(gns_build(random_state((2,), seed=86)),
+                       gns_build(_mixed_state((2,), set(), 87)))
+    monkeypatch.setattr(gns, "_FRAME_BATCH_POSITIONS", cap)
+    assert commutant_dimension(G) == 4
 
 
 def test_commutant_refuses_a_frame_with_a_doubled_column(monkeypatch):
@@ -605,6 +669,44 @@ def test_commutant_refuses_a_non_square_frame(monkeypatch):
     monkeypatch.setattr(GnsTriplet, "_positions", patched)
     with pytest.raises(ValidationError, match="4 x 8 and not unitary"):
         commutant_dimension(G)
+
+
+def _python_calls(fn) -> int:
+    # the Python-level function calls made while fn runs, fn's own included
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_unit_paths_make_a_bounded_number_of_python_calls():
+    # one position lookup is a fixed few numpy calls and the certificate
+    # reads whole batches of rows of units: 21 calls for one unit's
+    # expectation and 80 for the frame of a (2,3)(2,2) composition, where
+    # numpy.stack and numpy.moveaxis in the lookup made 36 and one lookup
+    # per row of units (24 rows here) made 833
+    S = random_state((2, 2), seed=88)
+    G = gns_build(S)
+    Gc = gns_tensor_phi(gns_build(random_state((2, 3), seed=89)),
+                        gns_build(random_state((2, 2), seed=90)))
+
+    def one():
+        G.expectation(matrix_unit(S.sig, (1, 2), (2, 1)))
+
+    def frame():
+        gns._frame(Gc)
+
+    one(), frame()  # anything made on first use is made
+    assert _python_calls(one) <= 24
+    assert _python_calls(frame) <= 96
 
 
 def test_commutant_maximally_mixed_3x3():
