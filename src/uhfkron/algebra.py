@@ -107,16 +107,23 @@ _TAG_CHUNK_TERMS = 1 << 12
 class Signature:
     """Ordered factor dimensions (a_1, ..., a_n) of a stage.
 
-    Each dimension is at least 2 and below 2**62 (indices are int64).
+    Each dimension is an integer (``operator.index``: ints, bools and
+    numpy integers, nothing truncated), at least 2 and below 2**62
+    (indices are int64).
     """
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 1:
-            raise SignatureError("signature must have at least one factor")
-        for pos, d in enumerate(dims, start=1):
+        dims = []
+        for pos, d in enumerate(self.dims, start=1):
+            try:
+                d = operator.index(d)
+            except TypeError:
+                raise SignatureError(
+                    f"factor dimension {d!r} at position {pos} is not an "
+                    f"integer"
+                ) from None
             if d < 2:
                 raise SignatureError(
                     f"factor dimension {d} at position {pos} is < 2"
@@ -125,7 +132,10 @@ class Signature:
                 raise SignatureError(
                     f"factor dimension {d} at position {pos} is >= 2**62"
                 )
-        object.__setattr__(self, "dims", dims)
+            dims.append(d)
+        if not dims:
+            raise SignatureError("signature must have at least one factor")
+        object.__setattr__(self, "dims", tuple(dims))
 
     @property
     def level(self) -> int:

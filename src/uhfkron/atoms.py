@@ -16,6 +16,7 @@ coproduct-composed evaluation on every matrix unit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,22 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str, where: str = "") -> int:
+    # value as an int (operator.index: ints, bools and numpy integers,
+    # nothing truncated), else ValidationError naming it
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            f"{what} {value!r}{where} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class AtomLabel:
     """Label sequence over {1, ..., base}: finite prefix, optional tail.
+
+    ``base``, the prefix entries and ``tail_constant`` are integers
+    (anything else raises :class:`ValidationError`).
 
     ``tail_constant``, when set, extends the prefix periodically with one
     repeated letter, so entries are defined at every level.
@@ -51,23 +65,28 @@ class AtomLabel:
     tail_constant: int | None = None
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ValidationError(f"label base {self.base} is < 2")
-        prefix = tuple(int(j) for j in self.prefix)
+        base = _integer(self.base, "label base")
+        if base < 2:
+            raise ValidationError(f"label base {base} is < 2")
+        prefix = tuple(_integer(j, "label entry", f" at position {pos}")
+                       for pos, j in enumerate(self.prefix, start=1))
         if not prefix:
             raise ValidationError("label prefix must be non-empty")
         for pos, j in enumerate(prefix, start=1):
-            if not 1 <= j <= self.base:
+            if not 1 <= j <= base:
                 raise ValidationError(
-                    f"label entry {j} at position {pos} outside 1..{self.base}"
+                    f"label entry {j} at position {pos} outside 1..{base}"
                 )
-        if self.tail_constant is not None and not (
-            1 <= self.tail_constant <= self.base
-        ):
-            raise ValidationError(
-                f"tail constant {self.tail_constant} outside 1..{self.base}"
-            )
+        tail = self.tail_constant
+        if tail is not None:
+            tail = _integer(tail, "tail constant")
+            if not 1 <= tail <= base:
+                raise ValidationError(
+                    f"tail constant {tail} outside 1..{base}"
+                )
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail_constant", tail)
 
     def entry(self, l: int) -> int:
         """The l-th letter (1-based), using the tail beyond the prefix."""

@@ -18,20 +18,22 @@ r_f its rank and s_f its stride in the space, rep(E_u) has its ones at
 (row_u + o_t, col_u + o_t), where row_u = sum_f j_f r_f s_f, col_u =
 sum_f k_f r_f s_f and o_t = sum_f t_f s_f for t in prod_f [r_f]; and
 rep(E_u) cyclic is cyclic[col_u + o_t] written at row_u + o_t.  A triplet
-tabulates row_u once for every row multi-index, by its row-major flat
-index, so the positions of any number of units are a fixed few numpy
-calls: a range check, one product with the flat weights, one table lookup
-and the offsets.  Images of unit sequences and of elements are one
-scatter or gather each over these positions.
+tabulates pi0 = row_u + o (N x R, D entries in all) once, one row per row
+multi-index, at its row-major flat index.  A unit whose row and column
+multi-indices have flat indices i and k has its ones at (pi0[i, t],
+pi0[k, t]), so the positions of any number of units are one gather from
+pi0.  Images of unit sequences and of elements are one scatter or gather
+each over these positions.
 
 The images of the units also form a frame: :func:`commutant_dimension`
 certifies an integer array pi (N x m), N the total dimension, that is a
 permutation of 0..D-1 with rep(E_ij) = sum_t e_{pi[i,t]} e_{pi[j,t]}^T
 for every unit.  So rep(x) = W (x (x) I_m) W^H, W the permutation sending
-e_i (x) e_t to e_{pi[i,t]}, and the commutant has dimension m^2.  The
-check reads the images of whole batches of rows of units at once, each
-batch at most ``_FRAME_BATCH_POSITIONS`` positions (or one row), and
-compares them as sorted integer codes.
+e_i (x) e_t to e_{pi[i,t]}, and the commutant has dimension m^2; for a
+triplet built here pi is pi0.  The check reads the images of whole
+batches of rows of units at once, by their flat indices, each batch at
+most ``_FRAME_BATCH_POSITIONS`` positions (or one row), and compares them
+as sorted integer codes.
 
 The map x |-> rep(x) cyclic spans the whole space, so a second
 representation of the same state determines a unique unitary between the
@@ -96,14 +98,13 @@ class FactorGns:
     :class:`ValidationError`) count toward the rank; a cutoff that keeps
     none raises :class:`ValidationError` too.
 
-    ``weights`` are the kept eigenvalues in descending order, ``vectors``
-    their eigenvectors as columns, ``cyclic`` the purified vector in
-    C^dim (x) C^rank (row-major), and ``frame`` its dim x rank reshape
-    (so ``frame = vectors * sqrt(weights)``).
+    ``frame`` (dim x rank) holds the eigenvectors of the kept eigenvalues
+    as columns, in descending eigenvalue order, each scaled by the square
+    root of its eigenvalue; ``cyclic`` is the purified vector in
+    C^dim (x) C^rank, the row-major ravel of ``frame``.
     """
 
-    __slots__ = ("dim", "rank", "space_dim", "weights", "vectors", "cyclic",
-                 "frame")
+    __slots__ = ("dim", "rank", "space_dim", "cyclic", "frame")
 
     def __init__(self, T: DensityFactor, cutoff: float = GNS_EIG_CUTOFF):
         if not (math.isfinite(cutoff) and cutoff > 0):
@@ -119,14 +120,10 @@ class FactorGns:
                 f"eigenvalue cutoff {cutoff!r} is not below the largest "
                 f"eigenvalue {float(eigvals[0])!r}; no rank is kept"
             )
-        weights = eigvals[:rank]
-        vectors = eigvecs[:, :rank]
-        frame = vectors * np.sqrt(weights)
+        frame = eigvecs[:, :rank] * np.sqrt(eigvals[:rank])
         self.dim = T.dim
         self.rank = rank
         self.space_dim = T.dim * rank
-        self.weights = weights
-        self.vectors = vectors
         self.frame = frame
         self.cyclic = frame.reshape(-1)
 
@@ -176,7 +173,7 @@ class GnsTriplet:
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
-                 "_dims", "_weights", "_shift", "_table", "_offsets")
+                 "_dims", "_weights", "_shift", "_pi0")
 
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
@@ -193,9 +190,9 @@ class GnsTriplet:
             np.ones(1, dtype=complex)).ravel()
         strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
         ranks = [f.rank for f in self._factors]
-        # row_u = sum_f j_f r_f s_f, and o_t = sum_f t_f s_f over all t;
-        # _table[i] is row_u for the unit rows of row-major flat index i,
-        # and i = idx @ _weights - _shift for a 1-based multi-index idx
+        # _pi0[i] is row_u + o for the unit rows of row-major flat index i,
+        # with row_u = sum_f j_f r_f s_f and o_t = sum_f t_f s_f over all
+        # t; i = idx @ _weights - _shift for a 1-based multi-index idx
         per_slot = [np.zeros(d, dtype=np.int64) for d in sig.dims]
         for (slot, stride, radix), r, s in zip(self._places, ranks, strides):
             per_slot[slot] += np.arange(sig.dims[slot]) // stride % radix * r * s
@@ -203,16 +200,21 @@ class GnsTriplet:
         self._weights = np.array([math.prod(sig.dims[i + 1:])
                                   for i in range(sig.level)], dtype=np.int64)
         self._shift = self._weights.sum()
-        self._table = functools.reduce(np.add.outer, per_slot).ravel()
-        self._offsets = functools.reduce(np.add.outer, [
-            s * np.arange(r) for s, r in zip(strides, ranks)]).ravel()
+        self._pi0 = functools.reduce(np.add.outer, per_slot + [
+            s * np.arange(r) for s, r in zip(strides, ranks)]).reshape(
+                sig.total_dim, -1)
 
     def _positions(self, units) -> tuple[np.ndarray, np.ndarray]:
-        # (N, R) rows and columns of the ones of rep(E_u) for each unit u
-        # of units, which pass the range check of _indices first
-        row, col = self._table[self._indices(units) @ self._weights
-                               - self._shift].T
-        return row[:, None] + self._offsets, col[:, None] + self._offsets
+        # _at for units given as multi-indices, which pass the range check
+        # of _indices first
+        return self._at(self._indices(units) @ self._weights - self._shift)
+
+    def _at(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (n, R) rows and columns of the ones of rep(E_u) for each unit u
+        # given by the (n, 2) 0-based row-major flat indices of its row and
+        # column multi-indices, which must lie in 0..N-1
+        rows, cols = self._pi0[flat.T]
+        return rows, cols
 
     def _indices(self, units) -> np.ndarray:
         # the (N, 2, level) int64 array of a sequence of matrix units, its
@@ -379,7 +381,7 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
 
 # The most unit-image positions one batch of the certificate reads (a
 # batch is at least one row of units): at D = 4096 this keeps a batch's
-# unit and position arrays to a few MB.
+# position and code arrays to a few MB.
 _FRAME_BATCH_POSITIONS = 2 ** 14
 
 
@@ -393,15 +395,13 @@ def _as_set(codes: np.ndarray) -> np.ndarray:
 def _frame(G: GnsTriplet) -> np.ndarray:
     # the frame pi of the module notes, certified as commutant_dimension
     # describes, reading the positions of a batch of rows of units per call
+    # by the units' flat indices
     D, N = G.space_dim, G.sig.total_dim
-    grid = _grid(G.sig.dims, np.arange(N))
-    level = grid.shape[1]
     # rep(E_i1) for each row i, as sorted (i, row, column) codes
-    units = np.empty((N, 2, level), dtype=np.int64)
-    units[:, 0] = grid
-    units[:, 1] = grid[0]
-    rows, cols = G._positions(units)
     n = np.arange(N)[:, None]
+    flat = np.zeros((N, 2), dtype=np.int64)
+    flat[:, :1] = n
+    rows, cols = G._at(flat)
     i, r, c = np.unravel_index(_as_set((n * D + rows) * D + cols), (N, D, D))
     s = _as_set(r[(i == 0) & (r == c)])  # support of diag rep(E_11)
     m = len(s)
@@ -420,17 +420,16 @@ def _frame(G: GnsTriplet) -> np.ndarray:
     pi[i, k] = r
     # rep(E_ij) for the rows i of a batch against (q, pi[i,t], pi[j,t])
     # over j and t, compared as sets of codes, where q = (i - a) N + j
-    # numbers the units of the batch of rows a..b-1; the codes of unit q
-    # lie in row a + q // N, so the batch's sets are equal exactly when
-    # each of its rows' are.  A batch reads at most _FRAME_BATCH_POSITIONS
-    # positions, or one row.
+    # numbers the units of the batch of rows a..b-1, whose flat indices
+    # are divmod(a N + q, N); the codes of unit q lie in row a + q // N,
+    # so the batch's sets are equal exactly when each of its rows' are.
+    # A batch reads at most _FRAME_BATCH_POSITIONS positions, or one row.
     batch = max(1, _FRAME_BATCH_POSITIONS // rows.size)
     for a in range(0, N, batch):
         b = min(a + batch, N)
-        units = np.empty((b - a, N, 2, level), dtype=np.int64)
-        units[:, :, 0] = grid[a:b, None]
-        units[:, :, 1] = grid
-        rows, cols = G._positions(units.reshape(-1, 2, level))
+        flat = np.empty(((b - a) * N, 2), dtype=np.int64)
+        np.divmod(np.arange(a * N, b * N), N, out=(flat[:, 0], flat[:, 1]))
+        rows, cols = G._at(flat)
         q = np.arange(len(rows))[:, None]
         got = _as_set((q * D + rows) * D + cols)
         want = np.sort(((q.reshape(b - a, N, 1) * D + pi[a:b, None]) * D
@@ -441,7 +440,7 @@ def _frame(G: GnsTriplet) -> np.ndarray:
             p = min(len(got), len(want))
             p = np.append(np.flatnonzero(got[:p] != want[:p]), p)[0]
             first = min(np.concatenate((got[p:p + 1], want[p:p + 1])))
-            row = grid[a + first // (N * D * D)]
+            row = _grid(G.sig.dims, [a + first // (N * D * D)])[0]
             raise ValidationError(f"row {tuple(row.tolist())} of unit "
                                   f"images fails the certificate")
     return pi

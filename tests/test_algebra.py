@@ -61,6 +61,33 @@ def test_signature_validation():
         Signature(())
 
 
+@pytest.mark.parametrize("dims, match", [
+    ((2.9, 3), "dimension 2.9 at position 1 is not an integer"),
+    (("3",), "dimension '3' at position 1 is not an integer"),
+    ((2, 3.0), "dimension 3.0 at position 2 is not an integer"),
+    ((2, None), "dimension None at position 2 is not an integer"),
+])
+def test_signature_refuses_non_integer_dimensions(dims, match):
+    # read with operator.index, as unit indices are: nothing truncated
+    with pytest.raises(SignatureError, match=match):
+        Signature(dims)
+
+
+def test_signature_reads_numpy_integer_dimensions():
+    sig = Signature((np.int64(3), np.uint8(2)))
+    assert sig.dims == (3, 2)
+    assert all(type(d) is int for d in sig.dims)
+
+
+def test_identity_slots_refuse_non_integer_dimensions():
+    x = matrix_unit((2, 2), (1, 2), (2, 1))
+    with pytest.raises(SignatureError, match="2.0 at position 3"):
+        embed_psi(x, 2.0)
+    with pytest.raises(SignatureError, match="2.5 at position 2"):
+        insert_identity_slot(x, 1, 2.5)
+    assert embed_psi(x, np.int64(2)) == embed_psi(x, 2)
+
+
 def test_signature_refuses_dimensions_past_int64_indices():
     Signature((2, 2**62 - 1))
     for dims, pos in [((2**62,), 1), ((2, 10**20), 2)]:

@@ -4,8 +4,9 @@ Tools that walk ``__all__`` (``from uhfkron.x import *``, tracers that wrap
 each public function) break on a stale entry, so each one is resolved.
 A module-level import that the module neither uses nor exports is dead
 weight, and so is a module-level private function, class or constant that
-no module of the package reads; neither is allowed.  Both checks read the
-source with ``ast``.
+no module of the package reads, or a ``__slots__`` attribute that no code
+of the project reads; none is allowed.  These checks read the source with
+``ast``.
 """
 
 import ast
@@ -94,3 +95,39 @@ def test_no_unused_private_names():
               if ident.startswith("_") and not ident.startswith("__")
               and ident not in read]
     assert unused == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _attribute_reads(tree):
+    # attribute names read: loaded, or by getattr(x, "name")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_no_unread_slots():
+    # a slot that is written but never read anywhere in the project is
+    # state nothing uses
+    read = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            read.update(_attribute_reads(ast.parse(path.read_text())))
+    unread = []
+    for path in SOURCES:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in node.targets):
+                    unread += [f"{path.name}:{node.lineno} {cls.name}.{name}"
+                               for name in ast.literal_eval(node.value)
+                               if name not in read]
+    assert unread == []

@@ -29,6 +29,24 @@ def test_label_validation():
         AtomLabel(2, (1,), tail_constant=5)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((2, (1.7, 2)), "label entry 1.7 at position 1 is not an integer"),
+    ((2, (1, "2")), "label entry '2' at position 2 is not an integer"),
+    ((2.5, (1,)), "label base 2.5 is not an integer"),
+    ((2, (1,), 1.5), "tail constant 1.5 is not an integer"),
+])
+def test_label_refuses_non_integers(args, match):
+    with pytest.raises(ValidationError, match=match):
+        AtomLabel(*args)
+
+
+def test_label_reads_numpy_integers():
+    J = AtomLabel(np.int64(3), (np.int32(2), np.uint8(3)), np.int64(1))
+    assert J == AtomLabel(3, (2, 3), tail_constant=1)
+    assert J.entries(4) == (2, 3, 1, 1)
+    assert all(type(j) is int for j in (J.base, *J.prefix, J.tail_constant))
+
+
 def test_label_entries_and_tail():
     J = AtomLabel(2, (1, 2), tail_constant=1)
     assert J.entries(5) == (1, 2, 1, 1, 1)

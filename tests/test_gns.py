@@ -5,6 +5,7 @@ commutant dimensions as irreducibility certificates.
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -579,6 +580,11 @@ def _e(j, k):
 E11, E12, E21, E22 = _e(1, 1), _e(1, 2), _e(2, 1), _e(2, 2)
 
 
+def _flat(dims, u):
+    # the 0-based row-major flat indices of the row and column of unit u
+    return np.ravel_multi_index(np.subtract(u, 1).T, dims)
+
+
 # A full-rank (2,) state reads 2 x 2 positions per row of units and a
 # full-rank (4,) state 4 x 4; a cap of None leaves _FRAME_BATCH_POSITIONS
 # as it is (one batch), a smaller cap puts cap // (positions per row) rows
@@ -611,17 +617,16 @@ def test_commutant_refuses_a_non_representation(monkeypatch, dims, mapping,
     # later unit of row i keeps W and breaks row i only; no dimension may
     # come back in any case, and the refusal names the first failing row
     G = gns_build(random_state(dims, seed=79))
-    positions = GnsTriplet._positions
+    at = GnsTriplet._at
 
-    def patched(self, units):
+    def patched(self, flat):
         # the positions of unit mapping[u] wherever unit u is asked for
-        idx = np.array(units)
-        asked = idx.copy()
+        asked, flat = flat, flat.copy()
         for u, v in mapping.items():
-            idx[(asked == np.array(u)).all(axis=(1, 2))] = v
-        return positions(self, idx)
+            flat[(asked == _flat(dims, u)).all(axis=1)] = _flat(dims, v)
+        return at(self, flat)
 
-    monkeypatch.setattr(GnsTriplet, "_positions", patched)
+    monkeypatch.setattr(GnsTriplet, "_at", patched)
     if cap is not None:
         monkeypatch.setattr(gns, "_FRAME_BATCH_POSITIONS", cap)
     with pytest.raises(ValidationError, match=match):
@@ -640,15 +645,15 @@ def test_commutant_refuses_a_frame_with_a_doubled_column(monkeypatch):
     # both ones of rep(E_21) moved into its first column: the rows of
     # [W_1 W_2] stay distinct, but one column holds two ones and one none
     G = gns_build(random_state((2,), seed=81))
-    positions = GnsTriplet._positions
+    at = GnsTriplet._at
 
-    def patched(self, units):
-        rows, cols = positions(self, units)
-        is_e21 = (np.array(units) == np.array(E21)).all(axis=(1, 2))
+    def patched(self, flat):
+        rows, cols = at(self, flat)
+        is_e21 = (flat == _flat((2,), E21)).all(axis=1)
         cols[is_e21] = cols[is_e21, :1]
         return rows, cols
 
-    monkeypatch.setattr(GnsTriplet, "_positions", patched)
+    monkeypatch.setattr(GnsTriplet, "_at", patched)
     with pytest.raises(ValidationError, match="4 x 4 and not unitary"):
         commutant_dimension(G)
 
@@ -658,17 +663,32 @@ def test_commutant_refuses_a_non_square_frame(monkeypatch):
     # [W_1 W_2] is D x 2D and cannot be unitary; the refusal names the
     # frame's shape rather than a row
     G = gns_build(random_state((2,), seed=80))
-    positions = GnsTriplet._positions
+    at = GnsTriplet._at
 
-    def patched(self, units):
-        rows, cols = positions(self, units)
+    def patched(self, flat):
+        rows, cols = at(self, flat)
         diag = np.broadcast_to(np.arange(self.space_dim),
                                (len(rows), self.space_dim))
         return np.hstack([rows, diag]), np.hstack([cols, diag])
 
-    monkeypatch.setattr(GnsTriplet, "_positions", patched)
+    monkeypatch.setattr(GnsTriplet, "_at", patched)
     with pytest.raises(ValidationError, match="4 x 8 and not unitary"):
         commutant_dimension(G)
+
+
+def test_commutant_memory_stays_below_unit_multi_indices():
+    # pure (2,)*10 reads N = D = 1024 rows of 1024 units each; building a
+    # (2, level) multi-index for every unit of a batch peaked at 6.0 MB,
+    # reading the frame table by flat index stays near 1.4
+    G = gns_build(ProductStateTrunc([DensityFactor.diagonal([1.0, 0.0])] * 10))
+    tracemalloc.start()
+    try:
+        m2 = commutant_dimension(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m2 == 1
+    assert peak < 3e6
 
 
 def _python_calls(fn) -> int:
@@ -689,8 +709,8 @@ def _python_calls(fn) -> int:
 
 def test_unit_paths_make_a_bounded_number_of_python_calls():
     # one position lookup is a fixed few numpy calls and the certificate
-    # reads whole batches of rows of units: 21 calls for one unit's
-    # expectation and 80 for the frame of a (2,3)(2,2) composition, where
+    # reads whole batches of rows of units: 22 calls for one unit's
+    # expectation and 65 for the frame of a (2,3)(2,2) composition, where
     # numpy.stack and numpy.moveaxis in the lookup made 36 and one lookup
     # per row of units (24 rows here) made 833
     S = random_state((2, 2), seed=88)
