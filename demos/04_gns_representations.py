@@ -57,11 +57,10 @@ def main():
           float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))))
     G_fused = gns_build(state_boxtimes(A, B))
     G_tensor = gns_tensor_phi(gns_build(A), gns_build(B))
+    units = [matrix_unit(G_fused.sig, *u) for u in all_matrix_units(G_fused.sig)]
     worst = max(
-        float(np.max(np.abs(
-            U @ G_fused.rep_unit(u) @ U.conj().T - G_tensor.rep_unit(u)
-        )))
-        for u in all_matrix_units(G_fused.sig)
+        float(np.max(np.abs(U @ G_fused.rep(x) @ U.conj().T - G_tensor.rep(x))))
+        for x in units
     )
     print("intertwining relation, max deviation over all units:", worst)
 

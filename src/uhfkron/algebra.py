@@ -62,7 +62,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import IndexRangeError, ResourceGuardError, SignatureError
+from .errors import (
+    IndexRangeError,
+    ResourceGuardError,
+    SignatureError,
+    ValidationError,
+)
 
 __all__ = [
     "COEFF_PRUNE_TOL",
@@ -103,6 +108,35 @@ _KEY_BOUND = 2 ** 63
 _TAG_CHUNK_TERMS = 1 << 12
 
 
+def _integer(value, error, what: str, where: str = "") -> int:
+    # value as an int (operator.index: ints, bools and numpy integers,
+    # nothing truncated), else error "<what> <value><where> is not an integer"
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r}{where} is not an integer") from None
+
+
+def _integers(values: tuple, error, what: str,
+              where: str) -> tuple[int, ...]:
+    # each entry as an int, else _integer's error for the first entry that
+    # is not an integer, ``where`` formatted with its 1-based position
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for pos, v in enumerate(values, start=1):
+            _integer(v, error, what, where.format(pos))
+        raise
+
+
+def _entries(value, error, what: str) -> tuple:
+    # the entries of an iterable, else error "<what> <value> is not a sequence"
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not a sequence") from None
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ordered factor dimensions (a_1, ..., a_n) of a stage.
@@ -115,15 +149,9 @@ class Signature:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = []
-        for pos, d in enumerate(self.dims, start=1):
-            try:
-                d = operator.index(d)
-            except TypeError:
-                raise SignatureError(
-                    f"factor dimension {d!r} at position {pos} is not an "
-                    f"integer"
-                ) from None
+        dims = _integers(_entries(self.dims, SignatureError, "signature"),
+                         SignatureError, "factor dimension", " at position {}")
+        for pos, d in enumerate(dims, start=1):
             if d < 2:
                 raise SignatureError(
                     f"factor dimension {d} at position {pos} is < 2"
@@ -132,10 +160,9 @@ class Signature:
                 raise SignatureError(
                     f"factor dimension {d} at position {pos} is >= 2**62"
                 )
-            dims.append(d)
         if not dims:
             raise SignatureError("signature must have at least one factor")
-        object.__setattr__(self, "dims", tuple(dims))
+        object.__setattr__(self, "dims", dims)
 
     @property
     def level(self) -> int:
@@ -174,7 +201,7 @@ def as_signature(sig) -> Signature:
         return sig
     if isinstance(sig, numbers.Integral):
         return Signature((int(sig),))
-    return Signature(tuple(sig))
+    return Signature(sig)
 
 
 class MatrixUnitIndex(NamedTuple):
@@ -191,15 +218,8 @@ def _as_multi_index(value, side: str) -> tuple[int, ...]:
         entries = tuple(value)
     except TypeError:
         entries = (value,)
-    out = []
-    for pos, v in enumerate(entries, start=1):
-        try:
-            out.append(operator.index(v))
-        except TypeError:
-            raise IndexRangeError(
-                f"{side} index {v!r} at factor {pos} is not an integer"
-            ) from None
-    return tuple(out)
+    return _integers(entries, IndexRangeError, f"{side} index",
+                     " at factor {}")
 
 
 def _check_index(sig: Signature, rows, cols) -> MatrixUnitIndex:
@@ -368,6 +388,14 @@ def _pruned(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
     return _element(sig, rows[keep], cols[keep], coeff)
 
 
+def _listed(sig: Signature, rows: list, cols: list,
+            coeff: list) -> "AlgebraElement":
+    # canonical form (see _merged) of terms given as lists of multi-index
+    # tuples, already range-checked, and of complex coefficients
+    return _summed(sig, np.array(rows + cols, dtype=np.int64).reshape(
+        2 * len(coeff), sig.level), np.array(coeff, dtype=complex))
+
+
 def _summed(sig: Signature, index, coeff) -> "AlgebraElement":
     # canonical form (see _merged) of the terms whose rows are index[:T]
     # and whose columns are index[T:], T = len(coeff)
@@ -416,7 +444,10 @@ class AlgebraElement:
     (complex, shape (T,)) hold the T terms as read-only arrays; see the
     module docstring for the canonical form.  The constructor takes a
     mapping or an iterable of ``(index, coefficient)`` pairs, an index being
-    a ``(rows, cols)`` pair of multi-indices.  Instances are immutable; all
+    a ``(rows, cols)`` pair of multi-indices, each index an integer in
+    1..a_i (else :class:`IndexRangeError`, as :func:`matrix_unit` raises
+    it).  Every element is range-checked, so every operation may read its
+    indices unchecked.  Instances are immutable; all
     operations return new elements.  ``*`` is the algebra product (or
     scalar scaling), ``+``/``-`` the linear structure, :meth:`adjoint` the
     *-operation.
@@ -424,19 +455,17 @@ class AlgebraElement:
 
     __slots__ = ("sig", "rows", "cols", "coeff")
 
-    def __init__(self, sig, terms=None, *, validate: bool = True):
+    def __init__(self, sig, terms=None):
         sig = as_signature(sig)
         rows, cols, coeff = [], [], []
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for idx, c in items:
-                if validate:
-                    idx = _check_index(sig, idx[0], idx[1])
-                rows.append(idx[0])
-                cols.append(idx[1])
+                idx = _check_index(sig, idx[0], idx[1])
+                rows.append(idx.rows)
+                cols.append(idx.cols)
                 coeff.append(complex(c))
-        x = _summed(sig, np.array(rows + cols, dtype=np.int64).reshape(
-            2 * len(coeff), sig.level), np.array(coeff, dtype=complex))
+        x = _listed(sig, rows, cols, coeff)
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(x, name))
 
@@ -614,7 +643,11 @@ def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraE
 
     Each term E_{j,k} becomes sum_m E_{j,k} with E^{(dim)}_{mm} spliced in
     at ``position`` (0-based slot index; ``position == level`` appends).
+    Both are integers, else :class:`SignatureError`.
     """
+    position = _integer(position, SignatureError, "slot position")
+    dim = _integer(dim, SignatureError, "factor dimension",
+                   f" at position {position + 1}")
     if dim < 2:
         raise SignatureError(f"inserted dimension {dim} is < 2")
     level = x.sig.level
@@ -852,15 +885,35 @@ def _unit_tags(y: AlgebraElement, count: int) -> np.ndarray:
     return np.where(is_tag, k, -1).astype(np.int64)
 
 
+def _generator(seed) -> np.random.Generator:
+    # numpy.random.default_rng(seed); a seed it refuses (a negative or
+    # non-integer one) raises ValidationError
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"seed {seed!r} is not a non-negative integer") from None
+
+
 def random_element(sig, rng=None, n_terms: int = 8) -> AlgebraElement:
     """Random sparse element: ``n_terms`` uniform indices with complex
-    Gaussian coefficients.  Deterministic for a fixed seed."""
+    Gaussian coefficients.  Deterministic for a fixed seed.
+
+    ``n_terms`` is an integer in ``0..DENSE_DIM_GUARD**2`` (else
+    :class:`ValidationError`, or :class:`ResourceGuardError` past the
+    guard) and a seed ``rng`` is non-negative (else
+    :class:`ValidationError`)."""
     sig = as_signature(sig)
-    rng = np.random.default_rng(rng)
-    terms = []
+    n_terms = _integer(n_terms, ValidationError, "term count")
+    if n_terms < 0:
+        raise ValidationError(f"term count {n_terms} is < 0")
+    if n_terms > DENSE_DIM_GUARD ** 2:
+        raise ResourceGuardError(f"term count {n_terms} exceeds guard "
+                                 f"{DENSE_DIM_GUARD ** 2}")
+    rng = _generator(rng)
+    rows, cols, coeff = [], [], []
     for _ in range(n_terms):
-        rows = tuple(int(rng.integers(1, d + 1)) for d in sig.dims)
-        cols = tuple(int(rng.integers(1, d + 1)) for d in sig.dims)
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        terms.append(((rows, cols), coeff))
-    return AlgebraElement(sig, terms, validate=False)
+        rows.append(tuple(int(rng.integers(1, d + 1)) for d in sig.dims))
+        cols.append(tuple(int(rng.integers(1, d + 1)) for d in sig.dims))
+        coeff.append(complex(rng.standard_normal(), rng.standard_normal()))
+    return _listed(sig, rows, cols, coeff)

@@ -16,12 +16,17 @@ coproduct-composed evaluation on every matrix unit.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _tagged_units, coproduct_phi
+from .algebra import (
+    _entries,
+    _integer,
+    _integers,
+    _tagged_units,
+    coproduct_phi,
+)
 from .errors import IndexRangeError, ValidationError
 from .states import (
     DensityFactor,
@@ -39,22 +44,12 @@ __all__ = [
 ]
 
 
-def _integer(value, what: str, where: str = "") -> int:
-    # value as an int (operator.index: ints, bools and numpy integers,
-    # nothing truncated), else ValidationError naming it
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(
-            f"{what} {value!r}{where} is not an integer") from None
-
-
 @dataclass(frozen=True)
 class AtomLabel:
     """Label sequence over {1, ..., base}: finite prefix, optional tail.
 
-    ``base``, the prefix entries and ``tail_constant`` are integers
-    (anything else raises :class:`ValidationError`).
+    ``base``, the prefix entries and ``tail_constant`` are integers and
+    the prefix is a sequence (anything else raises :class:`ValidationError`).
 
     ``tail_constant``, when set, extends the prefix periodically with one
     repeated letter, so entries are defined at every level.
@@ -65,11 +60,12 @@ class AtomLabel:
     tail_constant: int | None = None
 
     def __post_init__(self):
-        base = _integer(self.base, "label base")
+        base = _integer(self.base, ValidationError, "label base")
         if base < 2:
             raise ValidationError(f"label base {base} is < 2")
-        prefix = tuple(_integer(j, "label entry", f" at position {pos}")
-                       for pos, j in enumerate(self.prefix, start=1))
+        prefix = _integers(
+            _entries(self.prefix, ValidationError, "label prefix"),
+            ValidationError, "label entry", " at position {}")
         if not prefix:
             raise ValidationError("label prefix must be non-empty")
         for pos, j in enumerate(prefix, start=1):
@@ -79,7 +75,7 @@ class AtomLabel:
                 )
         tail = self.tail_constant
         if tail is not None:
-            tail = _integer(tail, "tail constant")
+            tail = _integer(tail, ValidationError, "tail constant")
             if not 1 <= tail <= base:
                 raise ValidationError(
                     f"tail constant {tail} outside 1..{base}"
@@ -112,8 +108,10 @@ class AtomLabel:
 def atom_state(label: AtomLabel, level: int) -> ProductStateTrunc:
     """The level-``level`` truncation of the pure product state of a label.
 
-    Factor l is the one-hot density E_{j_l j_l} on M_base.
+    Factor l is the one-hot density E_{j_l j_l} on M_base.  ``level`` is
+    an integer >= 1, else :class:`IndexRangeError`.
     """
+    level = _integer(level, IndexRangeError, "level")
     if level < 1:
         raise IndexRangeError(f"level {level} is < 1")
     factors = []

@@ -165,8 +165,7 @@ def _cmd_gns(args, tol: float) -> tuple[dict, int]:
     max_err = 0.0
     # every unit's two values, one tagged chunk of units at a time
     for x in _tagged_units(S.sig):
-        err = np.abs(G.expectations(np.stack([x.rows, x.cols], axis=1))
-                     - _tagged_values(S, x, len(x))[1])
+        err = np.abs(G.expectations(x) - _tagged_values(S, x, len(x))[1])
         ok = int(np.count_nonzero(err <= max(tol, 1e-10)))
         passed += ok
         failed += len(err) - ok

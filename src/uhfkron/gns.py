@@ -22,8 +22,10 @@ tabulates pi0 = row_u + o (N x R, D entries in all) once, one row per row
 multi-index, at its row-major flat index.  A unit whose row and column
 multi-indices have flat indices i and k has its ones at (pi0[i, t],
 pi0[k, t]), so the positions of any number of units are one gather from
-pi0.  Images of unit sequences and of elements are one scatter or gather
-each over these positions.
+pi0.  A triplet reads only elements, whose indices the element
+constructor has range-checked, and an element's images are one scatter
+or gather each over the positions of its terms' units; one unit's image
+is that of the one-term element ``matrix_unit``.
 
 The images of the units also form a frame: :func:`commutant_dimension`
 certifies an integer array pi (N x m), N the total dimension, that is a
@@ -54,20 +56,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-from .algebra import (
-    DENSE_DIM_GUARD,
-    AlgebraElement,
-    MatrixUnitIndex,
-    Signature,
-    _grid,
-)
+from .algebra import DENSE_DIM_GUARD, AlgebraElement, Signature, _grid
 from .errors import (
     GramMismatchError,
-    IndexRangeError,
     ResourceGuardError,
     SignatureError,
     ValidationError,
@@ -127,30 +121,6 @@ class FactorGns:
         self.frame = frame
         self.cyclic = frame.reshape(-1)
 
-    def _index(self, j: int, k: int) -> tuple[int, int]:
-        # 0-based indices of the one unit E_{jk}
-        for name, v in (("row", j), ("column", k)):
-            if not (isinstance(v, numbers.Integral) and 1 <= v <= self.dim):
-                raise IndexRangeError(
-                    f"{name} index {v!r} is not an integer in 1..{self.dim}"
-                )
-        return j - 1, k - 1
-
-    def rep_unit(self, j: int, k: int) -> np.ndarray:
-        """Image of the unit E_{jk}: E_{jk} (x) I_rank."""
-        j, k = self._index(j, k)
-        d, r = self.dim, self.rank
-        out = np.zeros((d, r, d, r), dtype=complex)
-        out[j, :, k, :] = np.eye(r)
-        return out.reshape(d * r, d * r)
-
-    def lambda_unit(self, j: int, k: int) -> np.ndarray:
-        """rep(E_{jk}) applied to the cyclic vector: e_j (x) frame[k-1, :]."""
-        j, k = self._index(j, k)
-        out = np.zeros((self.dim, self.rank), dtype=complex)
-        out[j] = self.frame[k]
-        return out.reshape(-1)
-
 
 class GnsTriplet:
     """Hilbert space, representation, and cyclic vector of a product state.
@@ -159,13 +129,14 @@ class GnsTriplet:
     order, each with the place ``(slot, stride, radix)`` it reads; on a unit
     with index j at ``slot`` the factor takes its unit index
     (j - 1) // stride % radix + 1.  ``cyclic`` is the Kronecker chain of
-    the factors' cyclic vectors.  Every image is read off the positions of
-    the ones of rep(E_u) (see the module notes): :meth:`rep_units` sets
-    them in a zero stack, :meth:`lambda_units` gathers the cyclic vector at
-    them, :meth:`rep` scatters an element's coefficients to them,
-    :meth:`lambda_vec` adds the gathered values up in term order and
-    :meth:`expectations` pairs them with the cyclic vector;
-    :meth:`rep_unit` and :meth:`lambda_unit` are the one-unit case.
+    the factors' cyclic vectors.  Every method takes an element of the
+    triplet's signature (else :class:`SignatureError`), whose indices are
+    in range by construction, and reads its images off the positions of
+    the ones of rep(E_u) for its terms' units u (see the module notes):
+    :meth:`rep` scatters the coefficients to them, :meth:`lambda_vec` adds
+    the cyclic vector's values gathered at them up in term order, and
+    :meth:`expectations` pairs those values per term, coefficient left
+    out.  The image of one unit is that of ``matrix_unit(sig, rows, cols)``.
     The cyclic vector has norm one and reproduces the state:
     <cyclic, rep(x) cyclic> = omega(x).  A space dimension above
     ``DENSE_DIM_GUARD`` is refused, so a triplet's vectors, its images and
@@ -173,7 +144,7 @@ class GnsTriplet:
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
-                 "_dims", "_weights", "_shift", "_pi0")
+                 "_weights", "_shift", "_pi0")
 
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
@@ -196,18 +167,12 @@ class GnsTriplet:
         per_slot = [np.zeros(d, dtype=np.int64) for d in sig.dims]
         for (slot, stride, radix), r, s in zip(self._places, ranks, strides):
             per_slot[slot] += np.arange(sig.dims[slot]) // stride % radix * r * s
-        self._dims = np.array(sig.dims, dtype=np.int64)
         self._weights = np.array([math.prod(sig.dims[i + 1:])
                                   for i in range(sig.level)], dtype=np.int64)
         self._shift = self._weights.sum()
         self._pi0 = functools.reduce(np.add.outer, per_slot + [
             s * np.arange(r) for s, r in zip(strides, ranks)]).reshape(
                 sig.total_dim, -1)
-
-    def _positions(self, units) -> tuple[np.ndarray, np.ndarray]:
-        # _at for units given as multi-indices, which pass the range check
-        # of _indices first
-        return self._at(self._indices(units) @ self._weights - self._shift)
 
     def _at(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (n, R) rows and columns of the ones of rep(E_u) for each unit u
@@ -216,82 +181,25 @@ class GnsTriplet:
         rows, cols = self._pi0[flat.T]
         return rows, cols
 
-    def _indices(self, units) -> np.ndarray:
-        # the (N, 2, level) int64 array of a sequence of matrix units, its
-        # shape, dtype and range checked (indices stay 1-based)
-        level = self.sig.level
-        try:
-            idx = np.asarray(units)
-        except ValueError:  # ragged: slot counts differ
-            idx = None
-        if idx is not None and idx.shape == (0,):  # no units at all
-            idx = np.empty((0, 2, level), dtype=np.int64)
-        if idx is None or idx.ndim != 3 or idx.shape[1:] != (2, level):
-            raise SignatureError(
-                f"expected matrix units with {level} row and column "
-                f"indices each (signature {self.sig.dims})"
-            )
-        if idx.dtype.kind not in "iu":
-            raise IndexRangeError(
-                f"matrix-unit indices are not all machine integers "
-                f"(array dtype {idx.dtype})"
-            )
-        bad = (idx < 1) | (idx > self._dims)
-        if bad.any():
-            n, side, pos = np.argwhere(bad)[0]
-            raise IndexRangeError(
-                f"{('row', 'column')[side]} index {idx[n, side, pos]} "
-                f"outside 1..{self.sig.dims[pos]} at factor {pos + 1}"
-            )
-        return idx.astype(np.int64, copy=False)
-
     def _units_of(self, x: AlgebraElement) -> np.ndarray:
-        # the terms of x as a (T, 2, level) array of units
+        # the (T, 2) flat indices (as _at reads them) of the terms of x
         if x.sig != self.sig:
             raise SignatureError(
                 f"element signature {x.sig.dims} does not match "
                 f"representation signature {self.sig.dims}"
             )
-        # rows then cols per term: the (T, 2, level) layout
-        return np.concatenate((x.rows, x.cols), axis=1).reshape(
-            -1, 2, self.sig.level)
-
-    def rep_units(self, units) -> np.ndarray:
-        """rep(E_u) for every unit u of ``units``, stacked on axis 0.
-
-        ``units`` is a sequence of :class:`MatrixUnitIndex` (or of
-        (rows, cols) pairs); an index outside 1..a_i raises
-        :class:`IndexRangeError`, a wrong slot count :class:`SignatureError`.
-        """
-        rows, cols = self._positions(units)
-        n = len(rows)
-        out = np.zeros((n, self.space_dim, self.space_dim), dtype=complex)
-        out[np.arange(n)[:, None], rows, cols] = 1
-        return out
-
-    def rep_unit(self, idx: MatrixUnitIndex) -> np.ndarray:
-        return self.rep_units([idx])[0]
+        flat = np.concatenate((x.rows, x.cols)) @ self._weights - self._shift
+        return flat.reshape(2, -1).T
 
     def rep(self, x: AlgebraElement) -> np.ndarray:
-        rows, cols = self._positions(self._units_of(x))
+        rows, cols = self._at(self._units_of(x))
         out = np.zeros((self.space_dim, self.space_dim), dtype=complex)
         # distinct units never share a position
         out[rows, cols] = x.coeff[:, None]
         return out
 
-    def lambda_units(self, units) -> np.ndarray:
-        """rep(E_u) cyclic for every unit u of ``units``, stacked on axis 0
-        (``units`` as in :meth:`rep_units`)."""
-        rows, cols = self._positions(units)
-        out = np.zeros((len(rows), self.space_dim), dtype=complex)
-        out[np.arange(len(rows))[:, None], rows] = self.cyclic[cols]
-        return out
-
-    def lambda_unit(self, idx: MatrixUnitIndex) -> np.ndarray:
-        return self.lambda_units([idx])[0]
-
     def lambda_vec(self, x: AlgebraElement) -> np.ndarray:
-        rows, cols = self._positions(self._units_of(x))
+        rows, cols = self._at(self._units_of(x))
         out = np.zeros(self.space_dim, dtype=complex)
         # numpy.add.at adds one term after another, in term order
         np.add.at(out, rows, x.coeff[:, None] * self.cyclic[cols])
@@ -301,11 +209,12 @@ class GnsTriplet:
         """<cyclic, rep(x) cyclic> without materializing rep(x)."""
         return complex(np.vdot(self.cyclic, self.lambda_vec(x)))
 
-    def expectations(self, units) -> np.ndarray:
-        """<cyclic, rep(E_u) cyclic> for every unit u of ``units`` (as in
-        :meth:`rep_units`): the sum over t of conj(cyclic[row_u + o_t])
-        cyclic[col_u + o_t], with no image vector built."""
-        rows, cols = self._positions(units)
+    def expectations(self, x: AlgebraElement) -> np.ndarray:
+        """<cyclic, rep(E_u) cyclic> for the unit u of every term of ``x``,
+        in term order, its coefficient left out: the sum over t of
+        conj(cyclic[row_u + o_t]) cyclic[col_u + o_t], with no image
+        vector built."""
+        rows, cols = self._at(self._units_of(x))
         return np.sum(self.cyclic[rows].conj() * self.cyclic[cols], axis=1)
 
     def __repr__(self):

@@ -33,6 +33,9 @@ Parsing is linear in the length of the text:
   coefficient fell to ``<= COEFF_PRUNE_TOL`` are deleted.  This gives
   the coefficients, key order and signed zeros of folding the terms
   with element ``+`` and ``-``, without copying the partial sum per term.
+  The element is built from the dict by the constructor's canonical
+  merge, without its per-term range check: ``parse_unit`` checked every
+  index as it read it.
 
 State syntax: ``;``-separated factor specs, each either ``diag(x1,...,xk)``
 (a diagonal density) or ``file:PATH`` (a JSON array of row-major complex
@@ -54,8 +57,9 @@ import numpy as np
 from .algebra import (
     COEFF_PRUNE_TOL,
     AlgebraElement,
-    MatrixUnitIndex,
+    Signature,
     _MAX_FACTOR_DIM,
+    _listed,
     _modulus,
     elem_tensor,
     matrix_unit,
@@ -114,13 +118,8 @@ def _shown(tok: str) -> str:
     return tok if tok != _END else "end of input"
 
 
-def _unit_element(dims, rows, cols) -> AlgebraElement:
-    return AlgebraElement(dims, {MatrixUnitIndex(rows, cols): 1.0},
-                          validate=False)
-
-
 def _as_element(chain) -> AlgebraElement:
-    return chain if isinstance(chain, AlgebraElement) else _unit_element(*chain)
+    return chain if isinstance(chain, AlgebraElement) else matrix_unit(*chain)
 
 
 def _pruned(items) -> list:
@@ -284,7 +283,7 @@ class _Parser:
                 if out is not None:
                     out = elem_tensor(out, group)
                 elif units:
-                    out = elem_tensor(_unit_element(*zip(*units)), group)
+                    out = elem_tensor(matrix_unit(*zip(*units)), group)
                 else:
                     out = group
             if not _is_tensor(toks[self.i]):
@@ -335,7 +334,8 @@ class _Parser:
             if toks[op] == "-":
                 items = _pruned((key, _NEG * v) for key, v in items)
             _merge(acc, items)
-        return AlgebraElement(dims, acc, validate=False)
+        return _listed(Signature(dims), [key[0] for key in acc],
+                       [key[1] for key in acc], list(acc.values()))
 
 
 def parse_element(text: str) -> AlgebraElement:

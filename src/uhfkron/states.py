@@ -35,6 +35,8 @@ from .algebra import (
     Signature,
     _cmul_parts,
     _complex,
+    _generator,
+    _integer,
     _unit_tags,
     coproduct_phi,
     kron_box,
@@ -284,11 +286,12 @@ def state_trace_distance(S1: ProductStateTrunc,
 def random_density(dim: int, seed=None) -> DensityFactor:
     """Random density matrix G G^dagger / tr, G complex Gaussian.
 
-    Deterministic for a fixed seed; full rank with probability one.
+    Deterministic for a fixed seed; full rank with probability one.  A
+    negative seed raises :class:`ValidationError`.
     """
     if dim < 2:
         raise ValidationError(f"density dimension {dim} is < 2")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     W = G @ G.conj().T
     return DensityFactor(W / np.trace(W).real)
@@ -298,8 +301,11 @@ def random_state(dims, seed: int) -> ProductStateTrunc:
     """Product of :func:`random_density` factors over ``dims``.
 
     Factor ``i`` is drawn with seed ``seed*31 + i``, so a fixed seed gives
-    the same state every time.
+    the same state every time.  A negative seed raises
+    :class:`ValidationError`.
     """
+    if _integer(seed, ValidationError, "seed") < 0:
+        raise ValidationError(f"seed {seed!r} is not a non-negative integer")
     return ProductStateTrunc(
         [random_density(d, seed=seed * 31 + i) for i, d in enumerate(dims)]
     )

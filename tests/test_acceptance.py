@@ -161,10 +161,11 @@ def test_criterion_06_gns_and_intertwiner():
         G_fused = gns_build(state_boxtimes(S, R))
         G_tensor = gns_tensor_phi(gns_build(S), gns_build(R))
         for idx in all_matrix_units(G_fused.sig):
-            lhs = U @ G_fused.rep_unit(idx) @ U.conj().T
+            x = matrix_unit(G_fused.sig, *idx)
+            lhs = U @ G_fused.rep(x) @ U.conj().T
             worst_intertwine = max(
                 worst_intertwine,
-                float(np.max(np.abs(lhs - G_tensor.rep_unit(idx)))),
+                float(np.max(np.abs(lhs - G_tensor.rep(x)))),
             )
     elapsed = time.time() - start
     ok = (worst_expect <= 1e-10 and worst_unitary <= 1e-8

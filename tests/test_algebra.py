@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uhfkron.algebra import (
+    DENSE_DIM_GUARD,
     AlgebraElement,
     Signature,
     _lex_keys,
     all_matrix_units,
+    as_signature,
     block_permutation,
     coproduct_phi,
     coproduct_phi_block,
@@ -34,7 +36,12 @@ from uhfkron.algebra import (
     to_dense,
     zero,
 )
-from uhfkron.errors import IndexRangeError, ResourceGuardError, SignatureError
+from uhfkron.errors import (
+    IndexRangeError,
+    ResourceGuardError,
+    SignatureError,
+    ValidationError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +80,16 @@ def test_signature_refuses_non_integer_dimensions(dims, match):
         Signature(dims)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Signature(3), "signature 3 is not a sequence"),
+    (lambda: as_signature(3.0), "signature 3.0 is not a sequence"),
+    (lambda: AlgebraElement(None), "signature None is not a sequence"),
+], ids=["int", "float", "none"])
+def test_signature_refuses_dimensions_that_are_no_sequence(make, match):
+    with pytest.raises(SignatureError, match=match):
+        make()
+
+
 def test_signature_reads_numpy_integer_dimensions():
     sig = Signature((np.int64(3), np.uint8(2)))
     assert sig.dims == (3, 2)
@@ -86,6 +103,14 @@ def test_identity_slots_refuse_non_integer_dimensions():
     with pytest.raises(SignatureError, match="2.5 at position 2"):
         insert_identity_slot(x, 1, 2.5)
     assert embed_psi(x, np.int64(2)) == embed_psi(x, 2)
+    with pytest.raises(SignatureError,
+                       match="dimension '3' at position 2 is not an integer"):
+        insert_identity_slot(x, 1, "3")
+    with pytest.raises(SignatureError,
+                       match="slot position 1.0 is not an integer"):
+        insert_identity_slot(x, 1.0, 2)
+    assert (insert_identity_slot(x, np.int8(1), np.uint8(3))
+            == insert_identity_slot(x, 1, 3))
 
 
 def test_signature_refuses_dimensions_past_int64_indices():
@@ -133,6 +158,26 @@ def test_unit_indices_must_be_integers(rows, cols, message):
         matrix_unit(sig, rows, cols)
     with pytest.raises(IndexRangeError, match=message):
         AlgebraElement(sig, {(rows, cols): 1.0})
+
+
+@pytest.mark.parametrize("bad, message", [
+    (((3, 1), (1, 1)), "row index 3 exceeds dimension 2 at factor 1"),
+    (((1, 0), (1, 1)), "row index 0 exceeds dimension 3 at factor 2"),
+    (((1, 1), (1, 4)), "column index 4 exceeds dimension 3 at factor 2"),
+    (((-1, 1), (2, 2)), "row index -1 exceeds dimension 2 at factor 1"),
+], ids=["row-past-dim", "row-zero", "column-past-dim", "row-negative"])
+def test_element_constructor_range_checks_every_term(bad, message):
+    # every element is range-checked, whatever its other terms, so no
+    # operation needs to check its indices again
+    good = ((1, 1), (1, 1))
+    for terms in ({good: 2.0, bad: 1.0}, [(good, 2.0), (bad, 1.0)]):
+        with pytest.raises(IndexRangeError, match=message):
+            AlgebraElement((2, 3), terms)
+
+
+def test_element_constructor_has_no_switch_to_skip_the_check():
+    with pytest.raises(TypeError):
+        AlgebraElement((2, 3), {((3, 1), (1, 1)): 1.0}, validate=False)
 
 
 def test_unit_indices_take_bools_and_numpy_integers():

@@ -5,8 +5,9 @@ each public function) break on a stale entry, so each one is resolved.
 A module-level import that the module neither uses nor exports is dead
 weight, and so is a module-level private function, class or constant that
 no module of the package reads, or a ``__slots__`` attribute that no code
-of the project reads; none is allowed.  These checks read the source with
-``ast``.
+of the project reads; none is allowed.  Nor is a parameter whose default
+is ``True`` or ``False``: a switch that turns a check or a path off.  These
+checks read the source with ``ast``.
 """
 
 import ast
@@ -131,3 +132,26 @@ def test_no_unread_slots():
                                for name in ast.literal_eval(node.value)
                                if name not in read]
     assert unread == []
+
+
+def test_no_boolean_switches():
+    # a parameter defaulting to True or False lets a caller switch part of
+    # a function off, and every caller after it has to guard against that
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = list(zip(positional[len(positional)
+                                           - len(args.defaults):],
+                                args.defaults))
+            defaults += [(a, d) for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults) if d]
+            found += [f"{path.name}:{arg.lineno} {arg.arg}"
+                      for arg, default in defaults
+                      if isinstance(default, ast.Constant)
+                      and isinstance(default.value, bool)]
+    assert found == []

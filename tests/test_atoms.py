@@ -34,10 +34,18 @@ def test_label_validation():
     ((2, (1, "2")), "label entry '2' at position 2 is not an integer"),
     ((2.5, (1,)), "label base 2.5 is not an integer"),
     ((2, (1,), 1.5), "tail constant 1.5 is not an integer"),
+    ((2, 1), "label prefix 1 is not a sequence"),
 ])
 def test_label_refuses_non_integers(args, match):
     with pytest.raises(ValidationError, match=match):
         AtomLabel(*args)
+
+
+def test_atom_state_refuses_a_non_integer_level():
+    J = AtomLabel(2, (1,), tail_constant=2)
+    with pytest.raises(IndexRangeError, match="level 2.0 is not an integer"):
+        atom_state(J, 2.0)
+    assert atom_state(J, np.int64(2)).sig.dims == (2, 2)
 
 
 def test_label_reads_numpy_integers():

@@ -220,7 +220,7 @@ def test_swapped_images_fail_exactly_those_units(monkeypatch):
         # the first chunk's left side: exchange the images of tags 2 and 5
         terms = {idx: {2: 5, 5: 2}.get(c.real, c.real)
                  for idx, c in y.terms.items()}
-        return type(y)(y.sig, terms, validate=False)
+        return type(y)(y.sig, terms)
 
     monkeypatch.setattr(checks, "coproduct_phi_block", corrupt)
     report = suite_coassociativity((2, 3, 2), level)
@@ -240,8 +240,7 @@ def test_lost_image_fails_its_unit(monkeypatch):
             return y
         idx = min(y.terms)
         dropped.append(idx)
-        return type(y)(y.sig, {k: v for k, v in y.terms.items() if k != idx},
-                       validate=False)
+        return type(y)(y.sig, {k: v for k, v in y.terms.items() if k != idx})
 
     monkeypatch.setattr(checks, "insert_identity_slot", lossy)
     report = suite_compatibility((2, 2), 1)

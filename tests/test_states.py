@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from uhfkron.algebra import (
+    DENSE_DIM_GUARD,
     all_matrix_units,
     coproduct_phi,
     coproduct_phi_block,
@@ -304,6 +305,33 @@ def test_random_density_is_deterministic_and_valid():
     np.testing.assert_array_equal(a.matrix, b.matrix)
     assert not np.allclose(a.matrix, random_density(3, seed=22).matrix)
     density_validate(a.matrix)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_density(2, seed=-1),
+    lambda: random_state((2, 3), seed=-1),
+    lambda: random_element((2, 3), rng=-1),
+], ids=["density", "state", "element"])
+def test_seeded_helpers_refuse_a_negative_seed(make):
+    with pytest.raises(ValidationError,
+                       match="seed -1 is not a non-negative integer"):
+        make()
+
+
+def test_random_element_reads_its_term_count():
+    assert random_element((2, 3), rng=0, n_terms=0).is_zero
+    assert (random_element(2, rng=1, n_terms=np.int64(3))
+            == random_element(2, rng=1, n_terms=3))
+    with pytest.raises(ValidationError, match="term count -1 is < 0"):
+        random_element((2, 3), rng=0, n_terms=-1)
+    with pytest.raises(ValidationError,
+                       match="term count 1.5 is not an integer"):
+        random_element((2, 3), rng=0, n_terms=1.5)
+    # refused before a single term is drawn
+    for n in (DENSE_DIM_GUARD ** 2 + 1, 10**30):
+        with pytest.raises(ResourceGuardError,
+                           match=f"exceeds guard {DENSE_DIM_GUARD ** 2}"):
+            random_element((2, 3), rng=0, n_terms=n)
 
 
 def test_random_density_mean_near_maximally_mixed():
