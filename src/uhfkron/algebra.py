@@ -66,6 +66,7 @@ from .errors import (
     IndexRangeError,
     ResourceGuardError,
     SignatureError,
+    UhfError,
     ValidationError,
 )
 
@@ -127,6 +128,26 @@ def _integers(values: tuple, error, what: str,
         for pos, v in enumerate(values, start=1):
             _integer(v, error, what, where.format(pos))
         raise
+
+
+def _guard_units(what: str, per_level: int, level: int):
+    """Refuse to check more than DENSE_DIM_GUARD**2 units.
+
+    The count is ``per_level**level``; it is built one level at a time, so
+    a huge level is refused without computing the power.  Non-positive
+    levels and bad dimensions are left to the caller's own validation.
+    """
+    cap = DENSE_DIM_GUARD ** 2
+    count = 1
+    for _ in range(level):
+        count *= per_level
+        if count > cap:
+            raise ResourceGuardError(
+                f"{what} at level {level} would check more than {cap} "
+                f"units (guard {DENSE_DIM_GUARD}**2)"
+            )
+        if count < 2:
+            return
 
 
 def _entries(value, error, what: str) -> tuple:
@@ -446,7 +467,9 @@ class AlgebraElement:
     mapping or an iterable of ``(index, coefficient)`` pairs, an index being
     a ``(rows, cols)`` pair of multi-indices, each index an integer in
     1..a_i (else :class:`IndexRangeError`, as :func:`matrix_unit` raises
-    it).  Every element is range-checked, so every operation may read its
+    it); a term that is no such pair, or whose coefficient is no complex
+    number, raises :class:`ValidationError` naming its position.  Every
+    element is range-checked, so every operation may read its
     indices unchecked.  Instances are immutable; all
     operations return new elements.  ``*`` is the algebra product (or
     scalar scaling), ``+``/``-`` the linear structure, :meth:`adjoint` the
@@ -460,11 +483,24 @@ class AlgebraElement:
         rows, cols, coeff = [], [], []
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
-            for idx, c in items:
-                idx = _check_index(sig, idx[0], idx[1])
-                rows.append(idx.rows)
-                cols.append(idx.cols)
-                coeff.append(complex(c))
+            try:
+                for idx, c in items:
+                    idx = _check_index(sig, idx[0], idx[1])
+                    rows.append(idx.rows)
+                    cols.append(idx.cols)
+                    coeff.append(complex(c))
+            except UhfError:
+                raise
+            except (TypeError, ValueError, LookupError, OverflowError):
+                pos = len(coeff) + 1
+                if len(rows) == pos:  # its index was read, so c is no number
+                    raise ValidationError(
+                        f"coefficient of term {pos} ({type(c).__name__}) "
+                        f"does not convert to a complex number") from None
+                _entries(items, ValidationError, "terms")
+                raise ValidationError(
+                    f"term {pos} is not a pair (index, coefficient) with "
+                    f"an index (rows, cols)") from None
         x = _listed(sig, rows, cols, coeff)
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(x, name))

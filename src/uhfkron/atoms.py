@@ -12,6 +12,20 @@ the boxtimes product of two atom states is again an atom state, with the
 product label over base n*m.  :func:`atom_check_product` verifies that
 identity from both ends — exact 0/1 factor equality and agreement of the
 coproduct-composed evaluation on every matrix unit.
+
+Every check goes through one core, ``_check_pairs``, which takes all the
+label pairs of a call at once (one for :func:`atom_check_product`, every
+pair of a level for the ``atom-semigroup`` suite).  The states of a call
+share one validated one-hot factor per (base, letter).  Each pair still
+gets its own ``state_boxtimes`` and exact factor comparison.  The unit
+sweep has one plan for all pairs: per chunk of units
+(``algebra._tagged_units``), the coproduct image, the unit tags, the
+image counts and the gather positions are made once, and one gather out
+of the pairs' stacked entry tables reads every pair's factor entries.
+They are multiplied by ``states._slot_products``, the loop that
+:func:`~uhfkron.states.state_evaluate` runs, so the values are the bits
+a per-pair evaluation gives.  Each pair reports its first failing unit in
+unit order.
 """
 
 from __future__ import annotations
@@ -22,16 +36,19 @@ import numpy as np
 
 from .algebra import (
     _entries,
+    _guard_units,
     _integer,
     _integers,
     _tagged_units,
+    _unit_tags,
     coproduct_phi,
 )
 from .errors import IndexRangeError, ValidationError
 from .states import (
     DensityFactor,
     ProductStateTrunc,
-    _tagged_values,
+    _entry_layout,
+    _slot_products,
     state_boxtimes,
 )
 
@@ -111,14 +128,29 @@ def atom_state(label: AtomLabel, level: int) -> ProductStateTrunc:
     Factor l is the one-hot density E_{j_l j_l} on M_base.  ``level`` is
     an integer >= 1, else :class:`IndexRangeError`.
     """
+    return _atom_state(label, _level(level), {})
+
+
+def _level(level) -> int:
     level = _integer(level, IndexRangeError, "level")
     if level < 1:
         raise IndexRangeError(f"level {level} is < 1")
+    return level
+
+
+def _atom_state(label: AtomLabel, level: int,
+                one_hot: dict) -> ProductStateTrunc:
+    # atom_state at a read level; the factor E_{jj} on M_base is
+    # one_hot[base, j], made and put there on first use, so every state
+    # built with one dict shares it
     factors = []
     for j in label.entries(level):
-        one_hot = np.zeros(label.base)
-        one_hot[j - 1] = 1.0
-        factors.append(DensityFactor.diagonal(one_hot))
+        factor = one_hot.get((label.base, j))
+        if factor is None:
+            diagonal = np.zeros(label.base)
+            diagonal[j - 1] = 1.0
+            factor = one_hot[label.base, j] = DensityFactor.diagonal(diagonal)
+        factors.append(factor)
     return ProductStateTrunc(factors)
 
 
@@ -177,18 +209,47 @@ def atom_check_product(J: AtomLabel, K: AtomLabel, level: int,
     states equals the atom state of the product label exactly (0/1
     entries), and (2) that the coproduct-composed evaluation of the two
     states agrees with the product-label state on every level-``level``
-    matrix unit, one tagged chunk of units per call.  ``expected``
+    matrix unit, one tagged chunk of units at a time.  ``expected``
     overrides the product label (a corrupted label makes the check fail,
     as a negative control).  Never raises on mismatch; returns a falsy
-    result carrying a position diagnostic.
+    result carrying a position diagnostic.  A level at which (2) would
+    check more than ``DENSE_DIM_GUARD**2`` units raises
+    :class:`ResourceGuardError` before any state is built.
     """
     if expected is None:
         expected = atom_label_product(J, K)
-    SJ = atom_state(J, level)
-    SK = atom_state(K, level)
-    S_expected = atom_state(expected, level)
+    return _check_pairs([(J, K, expected)], level)[0]
 
-    boxed = state_boxtimes(SJ, SK)
+
+def _check_pairs(pairs, level) -> list[AtomProductCheck]:
+    """:func:`atom_check_product` of each ``(J, K, expected)`` triple at one
+    level, in order; every J has one base n and every K one base m.
+
+    The states share one one-hot factor per (base, letter); the pairs
+    that pass check (1) share one unit sweep (:func:`_first_bad_units`).
+    """
+    level = _level(level)
+    fused_dim = pairs[0][0].base * pairs[0][1].base
+    _guard_units("atom_check_product", fused_dim ** 2, level)
+    one_hot = {}
+    results, swept = [], []
+    for J, K, expected in pairs:
+        SJ, SK, S_expected = (_atom_state(label, level, one_hot)
+                              for label in (J, K, expected))
+        results.append(_factor_check(state_boxtimes(SJ, SK), S_expected))
+        if results[-1]:
+            swept.append((len(results) - 1, SJ.factors + SK.factors,
+                          S_expected.factors))
+    if swept:  # every pair's SJ and SK have the signatures of the last
+        for p, unit in _first_bad_units(swept, SJ.sig, SK.sig):
+            results[p] = AtomProductCheck(
+                False, f"coproduct evaluation differs on unit {unit}")
+    return results
+
+
+def _factor_check(boxed: ProductStateTrunc,
+                  S_expected: ProductStateTrunc) -> AtomProductCheck:
+    # check (1): the boxtimes state has exactly the expected factors
     if boxed.sig != S_expected.sig:
         return AtomProductCheck(
             False,
@@ -201,18 +262,47 @@ def atom_check_product(J: AtomLabel, K: AtomLabel, level: int,
                 False, f"boxtimes factor differs from product label at "
                        f"position {pos}"
             )
-
-    SJK = SJ.concat(SK)
-    for x in _tagged_units(S_expected.sig):
-        n_left, left = _tagged_values(
-            SJK, coproduct_phi(x, SJ.sig, SK.sig), len(x))
-        n_right, right = _tagged_values(S_expected, x, len(x))
-        bad = np.flatnonzero((n_left != 1) | (n_right != 1) | (left != right))
-        if len(bad):
-            k = bad[0]
-            return AtomProductCheck(
-                False, f"coproduct evaluation differs on unit "
-                       f"{tuple(x.rows[k].tolist())}<-"
-                       f"{tuple(x.cols[k].tolist())}"
-            )
     return AtomProductCheck(True)
+
+
+def _first_bad_units(swept, a, b) -> list[tuple[int, str]]:
+    """Check (2) for the ``(p, left factors, expected factors)`` of pairs
+    whose left states are over ``a`` then ``b``: each failing pair's ``p``
+    and the name of its first unit, in unit order, where the two sides do
+    not have exactly one value each or the values differ.
+
+    Per chunk of units the coproduct image, its tags, the image counts and
+    the gather positions are made once; the values of every pair come
+    from one gather per side out of the pairs' entry tables, stacked one
+    column per pair.
+    """
+    fused = a.product(b)
+    sides = []
+    for column, sig in ((1, a.concat(b)), (2, fused)):
+        table = np.concatenate([f.matrix.ravel() for pair in swept
+                                for f in pair[column]])
+        sides.append((table.reshape(len(swept), -1).T, *_entry_layout(sig)))
+    pending = np.ones(len(swept), dtype=bool)
+    bad_units = []
+    for x in _tagged_units(fused, len(swept)):
+        count = len(x)
+        single = np.ones(count, dtype=bool)
+        values = []
+        for y, (table, dims, base) in zip((coproduct_phi(x, a, b), x), sides):
+            unit = _unit_tags(y, count)
+            mine = unit >= 0
+            single &= np.bincount(unit[mine], minlength=count) == 1
+            # per slot and term: the row of T^{(i)}[k_i, j_i] in the table
+            at = (y.cols[mine] * dims + y.rows[mine] + base).T
+            side = np.zeros((count, len(swept)), dtype=complex)
+            side[unit[mine]] = _slot_products(table[at], 1 + 0j)
+            values.append(side)
+        bad = (values[0] != values[1]) | ~single[:, None]
+        failing = np.flatnonzero(pending & bad.any(axis=0))
+        for q, k in zip(failing, bad[:, failing].argmax(axis=0)):
+            bad_units.append((swept[q][0], f"{tuple(x.rows[k].tolist())}<-"
+                                           f"{tuple(x.cols[k].tolist())}"))
+        pending[failing] = False
+        if not pending.any():
+            break
+    return bad_units

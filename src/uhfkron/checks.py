@@ -13,7 +13,8 @@ once per chunk of the unit grid, on one element whose coefficients tag
 the chunk's units (``algebra._tagged_units``), and read every unit's
 images or values back by tag with array operations; results are still
 recorded per unit, in unit order.  Before enumerating, each refuses more
-than ``DENSE_DIM_GUARD**2`` unit checks with :class:`ResourceGuardError`.
+than ``DENSE_DIM_GUARD**2`` unit checks with :class:`ResourceGuardError`
+(``algebra._guard_units``).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 
 from .algebra import (
     COMPARE_TOL,
-    DENSE_DIM_GUARD,
     AlgebraElement,
     Signature,
+    _guard_units,
     _moduli,
     _pair_keys,
     _tagged_units,
@@ -43,8 +44,8 @@ from .algebra import (
     matrix_unit,
     random_element,
 )
-from .atoms import AtomLabel, atom_check_product
-from .errors import ResourceGuardError, ValidationError
+from .atoms import AtomLabel, _check_pairs, atom_label_product
+from .errors import ValidationError
 from .states import (
     DensityFactor,
     ProductStateTrunc,
@@ -108,26 +109,6 @@ def _constant_sig(base: int, level: int) -> Signature:
         raise ValidationError(f"level {level} is < 1")
     Signature((base,))  # a bad base fails before a long tuple is built
     return Signature((base,) * level)
-
-
-def _guard_units(suite: str, per_level: int, level: int):
-    """Refuse a suite that would check more than DENSE_DIM_GUARD**2 units.
-
-    The count is ``per_level**level``; it is built one level at a time, so
-    a huge level is refused without computing the power.  Non-positive
-    levels and bad dimensions are left to the suite's own validation.
-    """
-    cap = DENSE_DIM_GUARD ** 2
-    count = 1
-    for _ in range(level):
-        count *= per_level
-        if count > cap:
-            raise ResourceGuardError(
-                f"{suite} at level {level} would check more than {cap} "
-                f"units (guard {DENSE_DIM_GUARD}**2)"
-            )
-        if count < 2:
-            return
 
 
 def _unit_name(x: AlgebraElement, k: int) -> str:
@@ -318,7 +299,12 @@ def suite_nonsymmetry(dims: tuple[int, ...] = (), level: int = 3,
 
 def suite_atom_semigroup(dims: tuple[int, ...], level: int,
                          seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
-    """Exhaustive label pairs: the state product realizes the label product."""
+    """Exhaustive label pairs: the state product realizes the label product.
+
+    Every pair is checked as :func:`~uhfkron.atoms.atom_check_product`
+    checks it, all of them in one batch that shares its states' factors
+    and its unit sweep.
+    """
     if len(dims) != 2:
         raise ValidationError(f"need two dims (n, m), got {dims}")
     if level < 1:
@@ -330,13 +316,13 @@ def suite_atom_semigroup(dims: tuple[int, ...], level: int,
     # (n*m)**level label pairs, each checked on (n*m)**(2*level) units
     _guard_units("atom-semigroup", (n * m) ** 3, level)
     report = CheckReport("atom-semigroup")
-    for J in _labels(n, level):
-        for K in _labels(m, level):
-            result = atom_check_product(J, K, level)
-            report.record(
-                bool(result),
-                f"J={J.prefix} K={K.prefix}: {result.diagnostic}",
-            )
+    pairs = [(J, K, atom_label_product(J, K))
+             for J in _labels(n, level) for K in _labels(m, level)]
+    for (J, K, _), result in zip(pairs, _check_pairs(pairs, level)):
+        report.record(
+            bool(result),
+            f"J={J.prefix} K={K.prefix}: {result.diagnostic}",
+        )
     return report
 
 

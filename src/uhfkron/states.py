@@ -35,6 +35,7 @@ from .algebra import (
     Signature,
     _cmul_parts,
     _complex,
+    _entries,
     _generator,
     _integer,
     _unit_tags,
@@ -96,6 +97,14 @@ def density_validate(matrix) -> np.ndarray:
     return m
 
 
+def _density_dim(dim) -> int:
+    # a density dimension: an integer >= 2, else ValidationError
+    dim = _integer(dim, ValidationError, "density dimension")
+    if dim < 2:
+        raise ValidationError(f"density dimension {dim} is < 2")
+    return dim
+
+
 class DensityFactor:
     """One density matrix: Hermitian, positive semidefinite, trace one.
 
@@ -119,6 +128,7 @@ class DensityFactor:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityFactor":
+        dim = _density_dim(dim)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @classmethod
@@ -135,6 +145,14 @@ class DensityFactor:
 
     def __repr__(self):
         return f"DensityFactor(dim={self.dim})"
+
+
+def _entry_layout(sig: Signature) -> tuple:
+    """The dims and per-slot bases of the entries of factors over ``sig``,
+    flat in slot order: T^{(i)}[k - 1, j - 1] sits at k a_i + j + base[i]."""
+    dims = np.array(sig.dims, dtype=np.int64)
+    sizes = dims * dims
+    return dims, np.cumsum(sizes) - sizes - dims - 1
 
 
 class ProductStateTrunc:
@@ -162,17 +180,14 @@ class ProductStateTrunc:
         return self.sig.level
 
     def _entry_table(self) -> tuple:
-        # all factor entries, flat in slot order, the dims and per-slot
-        # bases: T^{(i)}[k - 1, j - 1] sits at k a_i + j + base[i]; made on
-        # first use and kept
+        # all factor entries, flat in slot order, and their _entry_layout;
+        # made on first use and kept
         try:
             return self._entries
         except AttributeError:
             pass
-        dims = np.array(self.sig.dims, dtype=np.int64)
-        sizes = dims * dims
         table = (np.concatenate([f.matrix.ravel() for f in self.factors]),
-                 dims, np.cumsum(sizes) - sizes - dims - 1)
+                 *_entry_layout(self.sig))
         object.__setattr__(self, "_entries", table)
         return table
 
@@ -210,9 +225,16 @@ def _factor_products(S: ProductStateTrunc, x: AlgebraElement,
     entries, dims, base = S._entry_table()
     # per slot (rows of ``at``), each term's place among the flat entries
     at = (x.cols * dims + x.rows + base).T
+    return _slot_products(entries[at], start)
+
+
+def _slot_products(values, start) -> np.ndarray:
+    """``start`` times ``values[0]``, times ``values[1]``, ... (one array of
+    factor entries per slot), each product rounded as Python's complex
+    ``*`` rounds it; ``start`` broadcasts against every ``values[i]``."""
     re, im = start.real, start.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        for factor_entries in entries[at]:
+        for factor_entries in values:
             re, im = _cmul_parts(re, im, factor_entries.real,
                                  factor_entries.imag)
     return _complex(re, im)
@@ -287,10 +309,10 @@ def random_density(dim: int, seed=None) -> DensityFactor:
     """Random density matrix G G^dagger / tr, G complex Gaussian.
 
     Deterministic for a fixed seed; full rank with probability one.  A
-    negative seed raises :class:`ValidationError`.
+    dimension that is no integer >= 2 and a negative seed raise
+    :class:`ValidationError`.
     """
-    if dim < 2:
-        raise ValidationError(f"density dimension {dim} is < 2")
+    dim = _density_dim(dim)
     rng = _generator(seed)
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     W = G @ G.conj().T
@@ -301,11 +323,12 @@ def random_state(dims, seed: int) -> ProductStateTrunc:
     """Product of :func:`random_density` factors over ``dims``.
 
     Factor ``i`` is drawn with seed ``seed*31 + i``, so a fixed seed gives
-    the same state every time.  A negative seed raises
-    :class:`ValidationError`.
+    the same state every time.  ``dims`` that are no sequence of integers
+    >= 2 and a negative seed raise :class:`ValidationError`.
     """
     if _integer(seed, ValidationError, "seed") < 0:
         raise ValidationError(f"seed {seed!r} is not a non-negative integer")
+    dims = _entries(dims, ValidationError, "signature")
     return ProductStateTrunc(
         [random_density(d, seed=seed * 31 + i) for i, d in enumerate(dims)]
     )

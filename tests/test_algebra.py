@@ -175,6 +175,24 @@ def test_element_constructor_range_checks_every_term(bad, message):
             AlgebraElement((2, 3), terms)
 
 
+@pytest.mark.parametrize("terms, message", [
+    ({1: 1.0}, "term 1 is not a pair \\(index, coefficient\\)"),
+    ([((1, 1),)], "term 1 is not a pair"),
+    ([(((1,), (1,)), 1.0), (((1,), (2,)),)], "term 2 is not a pair"),
+    ([((1,), (1,))], "term 1 is not a pair"),
+    ({((1,), (1,)): 2.0, ((2,), (1,)): "x"},
+     "coefficient of term 2 \\(str\\) does not convert to a complex number"),
+    ({((1,), (1,)): None}, "coefficient of term 1 \\(NoneType\\)"),
+    ({((1,), (1,)): 10**5000}, "coefficient of term 1 \\(int\\)"),
+    (5, "terms 5 is not a sequence"),
+])
+def test_element_constructor_names_a_malformed_term(terms, message):
+    # a malformed term is a domain error at its position, not a raw
+    # TypeError or ValueError from unpacking it
+    with pytest.raises(ValidationError, match=message):
+        AlgebraElement((2,), terms)
+
+
 def test_element_constructor_has_no_switch_to_skip_the_check():
     with pytest.raises(TypeError):
         AlgebraElement((2, 3), {((3, 1), (1, 1)): 1.0}, validate=False)

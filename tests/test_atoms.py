@@ -1,19 +1,25 @@
 """Atom labels, their pure product states, and the semigroup law."""
 
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from uhfkron import algebra, atoms, checks, states
+from uhfkron.algebra import all_matrix_units, matrix_unit
 from uhfkron.atoms import (
     AtomLabel,
+    _check_pairs,
     atom_check_product,
     atom_label_product,
     atom_state,
 )
-from uhfkron.errors import IndexRangeError, ValidationError
+from uhfkron.checks import CheckReport, run_suite, suite_atom_semigroup
+from uhfkron.errors import IndexRangeError, ResourceGuardError, ValidationError
 from uhfkron.gns import commutant_dimension, gns_build
-from uhfkron.states import state_boxtimes
+from uhfkron.states import state_boxtimes, state_evaluate, state_tensor_phi_eval
 
 
 def test_label_validation():
@@ -191,3 +197,137 @@ def test_check_product_exhaustive_base2_level2():
     for jp in itertools.product((1, 2), repeat=2):
         for kp in itertools.product((1, 2), repeat=2):
             assert atom_check_product(AtomLabel(2, jp), AtomLabel(2, kp), 2)
+
+
+def test_check_product_refuses_a_huge_level_at_once():
+    # check (2) would sweep 36**level units: refused before any of the
+    # 10**6-factor states is built
+    J, K = AtomLabel(2, (1,), 1), AtomLabel(3, (2,), 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError,
+                       match="atom_check_product at level 1000000 would "
+                             "check more than 16777216 units"):
+        atom_check_product(J, K, 10**6)
+    assert time.perf_counter() - start < 1
+    # 36**4 units are within the guard, 36**5 are not
+    with pytest.raises(ResourceGuardError, match="at level 5"):
+        atom_check_product(J, K, 5)
+
+
+# ---------------------------------------------------------------------------
+# one batch for all the pairs of a call
+# ---------------------------------------------------------------------------
+
+def _pairs(n, m, level):
+    return [(J, K, atom_label_product(J, K))
+            for J in checks._labels(n, level) for K in checks._labels(m, level)]
+
+
+def _outcomes(results):
+    return [(bool(r), r.diagnostic) for r in results]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("level", [1, 2])
+def test_suite_batch_equals_one_pair_at_a_time(dims, level):
+    report = suite_atom_semigroup(dims, level)
+    want = CheckReport("atom-semigroup")
+    for J, K, expected in _pairs(*dims, level):
+        [result] = _check_pairs([(J, K, expected)], level)
+        want.record(bool(result),
+                    f"J={J.prefix} K={K.prefix}: {result.diagnostic}")
+    assert (report.passed, report.failed, report.failures) == (
+        want.passed, want.failed, want.failures)
+
+
+def test_failing_pairs_fail_alone_in_a_batch():
+    # a corrupted product label and one over another base fail their own
+    # pairs only, each with the diagnostic it gets alone
+    level = 2
+    pairs = _pairs(2, 3, level)[:8]
+    J, K, good = pairs[3]
+    pairs[3] = (J, K, AtomLabel(6, (good.prefix[0], good.prefix[1] % 6 + 1)))
+    pairs[5] = (*pairs[5][:2], AtomLabel(5, (1, 2)))
+    results = _check_pairs(pairs, level)
+    assert _outcomes(results) == [
+        _outcomes(_check_pairs([pair], level))[0] for pair in pairs]
+    assert [p for p, r in enumerate(results) if not r] == [3, 5]
+    assert results[3].diagnostic == (
+        "boxtimes factor differs from product label at position 2")
+    assert results[5].diagnostic == "signature mismatch: (6, 6) vs (5, 5)"
+
+
+@pytest.mark.parametrize("chunk_terms", [7, 1 << 12])
+def test_unit_sweep_fails_a_corrupted_pair_alone(monkeypatch, chunk_terms):
+    # with check (1) blinded, the shared unit sweep must fail the corrupted
+    # pair only, at the first unit (in unit order) where it breaks
+    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
+    monkeypatch.setattr(atoms, "_factor_check",
+                        lambda boxed, S: atoms.AtomProductCheck(True))
+    level = 2
+    pairs = _pairs(2, 2, level)
+    J, K, _ = pairs[6]
+    corrupted = AtomLabel(4, (2, 4))
+    pairs[6] = (J, K, corrupted)
+    results = _check_pairs(pairs, level)
+    assert [p for p, r in enumerate(results) if not r] == [6]
+    SJ, SK, S = (atom_state(L, level) for L in (J, K, corrupted))
+    first_bad = next(
+        idx for idx in all_matrix_units(S.sig)
+        if state_tensor_phi_eval(SJ, SK, matrix_unit(S.sig, *idx))
+        != state_evaluate(S, matrix_unit(S.sig, *idx)))
+    assert results[6].diagnostic == (
+        f"coproduct evaluation differs on unit "
+        f"{tuple(first_bad.rows)}<-{tuple(first_bad.cols)}")
+    assert results[6].diagnostic == _check_pairs([pairs[6]], level)[0].diagnostic
+
+
+@pytest.mark.parametrize("chunk_terms", [7, 1 << 12])
+def test_lossy_coproduct_fails_every_pair_at_its_unit(monkeypatch,
+                                                      chunk_terms):
+    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
+    real = atoms.coproduct_phi
+    lost = ((1, 2), (6, 1))
+
+    def lossy(x, a, b):
+        # drop the image of the unit ``lost`` (its tag, if in this chunk)
+        y = real(x, a, b)
+        tag = x.terms.get(lost)
+        return type(y)(y.sig, {i: c for i, c in y.terms.items() if c != tag})
+
+    monkeypatch.setattr(atoms, "coproduct_phi", lossy)
+    report = suite_atom_semigroup((2, 3), 2)
+    assert (report.passed, report.failed) == (0, 36)
+    assert len(report.failures) == 20
+    assert all(f.endswith(": coproduct evaluation differs on unit "
+                          "(1, 2)<-(6, 1)") for f in report.failures)
+
+
+def test_suite_validates_one_factor_per_letter(monkeypatch):
+    # one shared one-hot factor per (base, letter): 2 + 3 + 6, and the 2
+    # factors state_boxtimes makes per pair
+    calls = []
+    real = states.density_validate
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return real(matrix)
+
+    monkeypatch.setattr(states, "density_validate", counting)
+    report = suite_atom_semigroup((2, 3), 2)
+    assert report.passed == 36
+    assert len(calls) <= 2 + 3 + 6 + 36 * 2
+
+
+@pytest.mark.parametrize("dims, level", [((2, 3), 2), ((2, 2), 3)])
+def test_suite_memory_stays_chunk_bounded(dims, level):
+    # each chunk gathers at most _TAG_CHUNK_TERMS values per slot, however
+    # many pairs share it
+    tracemalloc.start()
+    try:
+        report = run_suite("atom-semigroup", dims, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2e6

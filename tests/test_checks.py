@@ -301,9 +301,9 @@ def test_unit_count_guard(suite, dims, level):
 
 def test_unit_count_guard_boundary():
     # 64**4 = 4096**2 units: at the guard, not above it
-    checks._guard_units("coassociativity", 64, 4)
+    algebra._guard_units("coassociativity", 64, 4)
     with pytest.raises(ResourceGuardError):
-        checks._guard_units("coassociativity", 64, 5)
+        algebra._guard_units("coassociativity", 64, 5)
 
 
 def test_bad_base_fails_before_a_huge_signature():

@@ -340,3 +340,23 @@ def test_random_density_mean_near_maximally_mixed():
         mean += random_density(2, seed=seed).matrix
     mean /= 1000
     assert np.max(np.abs(mean - np.eye(2) / 2)) < 0.1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_density("3"), "density dimension '3' is not an integer"),
+    (lambda: random_density(2.5), "density dimension 2.5 is not an integer"),
+    (lambda: DensityFactor.maximally_mixed(2.0),
+     "density dimension 2.0 is not an integer"),
+    (lambda: DensityFactor.maximally_mixed(-1), "density dimension -1 is < 2"),
+    (lambda: random_state(3, 1), "signature 3 is not a sequence"),
+], ids=["random-density-str", "random-density-float", "mixed-float",
+        "mixed-negative", "random-state-int"])
+def test_density_helpers_read_their_dimensions_as_integers(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_density_helpers_take_numpy_integers():
+    assert DensityFactor.maximally_mixed(np.int64(3)).dim == 3
+    assert random_density(np.uint8(2), seed=1).dim == 2
+    assert random_state(np.array([2, 3]), 1).sig.dims == (2, 3)
