@@ -5,84 +5,45 @@ Kronecker coproduct that recodes a fused stage as a tensor product of two
 stages, product states and their non-symmetric tensor product, GNS
 representation data with the intertwining unitary, and the semigroup of
 atom labels.  The command-line entry point is ``uhfkron``.
+
+Importing the package loads none of its modules, and so not numpy.  The
+first read of a public name (``uhfkron.X``, ``from uhfkron import X``,
+``from uhfkron import *`` or ``dir(uhfkron)``) imports every module below
+and binds the names in each module's ``__all__`` here (PEP 562).  A
+module imported directly, such as ``uhfkron.cli`` by a CLI request, loads
+only what it imports itself.
 """
 
-from .algebra import (
-    COEFF_PRUNE_TOL,
-    COMPARE_TOL,
-    DENSE_DIM_GUARD,
-    AlgebraElement,
-    MatrixUnitIndex,
-    Signature,
-    all_matrix_units,
-    as_signature,
-    block_permutation,
-    coproduct_phi,
-    coproduct_phi_block,
-    elem_tensor,
-    embed_psi,
-    from_dense,
-    identity,
-    insert_identity_slot,
-    kron_box,
-    matrix_unit,
-    product_phi_inverse,
-    random_element,
-    to_dense,
-    zero,
-)
-from .atoms import (
-    AtomLabel,
-    AtomProductCheck,
-    atom_check_product,
-    atom_label_product,
-    atom_state,
-)
-from .checks import (
-    SUITES,
-    CheckReport,
-    run_suite,
-    suite_atom_semigroup,
-    suite_coassociativity,
-    suite_compatibility,
-    suite_nonsymmetry,
-    suite_star_isomorphism,
-    suite_state_associativity,
-    suite_tensor_formula,
-)
-from .cli import cli_run, main
-from .errors import (
-    GramMismatchError,
-    IndexRangeError,
-    ParseError,
-    ResourceGuardError,
-    SignatureError,
-    UhfError,
-    ValidationError,
-)
-from .gns import (
-    GNS_EIG_CUTOFF,
-    GRAM_TOL,
-    FactorGns,
-    GnsTriplet,
-    commutant_dimension,
-    gns_build,
-    gns_intertwiner,
-    gns_tensor_phi,
-)
-from .parser import format_complex, format_element, parse_element, parse_state
-from .states import (
-    DENSITY_VALIDATE_TOL,
-    DensityFactor,
-    ProductStateTrunc,
-    density_validate,
-    random_density,
-    random_state,
-    state_boxtimes,
-    state_density_level,
-    state_evaluate,
-    state_tensor_phi_eval,
-    state_trace_distance,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_MODULES = ("errors", "algebra", "states", "parser", "atoms", "checks",
+            "gns", "cli")
+
+
+def _load() -> None:
+    # import every module once and bind its public names; __all__ is bound
+    # last, so it marks a finished load
+    if "__all__" in globals():
+        return
+    names = []
+    for module in _MODULES:
+        mod = importlib.import_module(f"{__name__}.{module}")
+        globals().update((name, getattr(mod, name)) for name in mod.__all__)
+        names += mod.__all__
+    globals()["__all__"] = names
+
+
+def __getattr__(name):
+    # a dunder probe (other than __all__) loads nothing
+    if name == "__all__" or not name.startswith("__"):
+        _load()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    _load()
+    return sorted(globals())

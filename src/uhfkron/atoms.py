@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    DENSE_DIM_GUARD,
     _entries,
     _guard_units,
     _integer,
@@ -43,7 +44,7 @@ from .algebra import (
     _unit_tags,
     coproduct_phi,
 )
-from .errors import IndexRangeError, ValidationError
+from .errors import IndexRangeError, ResourceGuardError, ValidationError
 from .states import (
     DensityFactor,
     ProductStateTrunc,
@@ -115,6 +116,12 @@ class AtomLabel:
         return self.tail_constant
 
     def entries(self, level: int) -> tuple[int, ...]:
+        """The first ``level`` letters.  A level above ``DENSE_DIM_GUARD``
+        raises :class:`ResourceGuardError`: with a tail, the letters (and a
+        state's factors) would fill memory."""
+        if level > DENSE_DIM_GUARD:
+            raise ResourceGuardError(
+                f"label level {level} exceeds guard {DENSE_DIM_GUARD}")
         return tuple(self.entry(l) for l in range(1, level + 1))
 
     def __repr__(self):
@@ -126,7 +133,9 @@ def atom_state(label: AtomLabel, level: int) -> ProductStateTrunc:
     """The level-``level`` truncation of the pure product state of a label.
 
     Factor l is the one-hot density E_{j_l j_l} on M_base.  ``level`` is
-    an integer >= 1, else :class:`IndexRangeError`.
+    an integer >= 1, else :class:`IndexRangeError`; a level above
+    ``DENSE_DIM_GUARD`` raises :class:`ResourceGuardError` before any
+    factor is built.
     """
     return _atom_state(label, _level(level), {})
 

@@ -19,6 +19,14 @@ malformed command line); a result holding NaN or infinity is reported as
 a "validation" error.  The environment variable UHFKRON_TOL (or --tol)
 overrides the default comparison tolerance 1e-12; it must be a finite
 number >= 0.
+
+A request imports only the modules its subcommand uses.  At module level
+this module imports ``errors`` and ``algebra`` (which brings numpy); each
+``_cmd_*`` handler imports the rest of what it runs (``parser``,
+``states``, ``atoms``, ``checks``, ``gns``) when it is called.  So
+``eval`` never loads ``atoms``, ``checks`` or ``gns``, and building the
+argument parser loads nothing: the ``--cutoff`` default of ``gns`` is
+resolved in its handler.
 """
 
 from __future__ import annotations
@@ -32,8 +40,6 @@ import sys
 import numpy as np
 
 from .algebra import COMPARE_TOL, _tagged_units, as_signature, coproduct_phi
-from .atoms import AtomLabel, atom_label_product
-from .checks import run_suite
 from .errors import (
     GramMismatchError,
     IndexRangeError,
@@ -42,15 +48,6 @@ from .errors import (
     SignatureError,
     UhfError,
     ValidationError,
-)
-from .gns import GNS_EIG_CUTOFF, commutant_dimension, gns_build
-from .parser import parse_element, parse_state
-from .states import (
-    _tagged_values,
-    state_boxtimes,
-    state_evaluate,
-    state_tensor_phi_eval,
-    state_trace_distance,
 )
 
 __all__ = ["cli_run", "main"]
@@ -120,12 +117,17 @@ def _check_state_sig(state, dims, flag: str):
 
 
 def _cmd_eval(args, tol: float) -> tuple[dict, int]:
+    from .parser import parse_element, parse_state
+    from .states import state_evaluate
+
     S = parse_state(args.state)
     x = parse_element(args.expr)
     return {"value": _complex_json(state_evaluate(S, x))}, 0
 
 
 def _cmd_coproduct(args, tol: float) -> tuple[dict, int]:
+    from .parser import parse_element
+
     a, b = _dims(args.a), _dims(args.b)
     x = parse_element(args.expr)
     y = coproduct_phi(x, a, b)
@@ -133,6 +135,9 @@ def _cmd_coproduct(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_tensor_state(args, tol: float) -> tuple[dict, int]:
+    from .parser import parse_element, parse_state
+    from .states import state_tensor_phi_eval
+
     S = parse_state(args.T)
     R = parse_state(args.R)
     _check_state_sig(S, _dims(args.a), "--a")
@@ -142,6 +147,9 @@ def _cmd_tensor_state(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_boxtimes(args, tol: float) -> tuple[dict, int]:
+    from .parser import parse_state
+    from .states import state_boxtimes
+
     S = parse_state(args.T)
     R = parse_state(args.R)
     out = state_boxtimes(S, R)
@@ -152,6 +160,8 @@ def _cmd_boxtimes(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
+    from .atoms import AtomLabel, atom_label_product
+
     J = AtomLabel(args.n, _dims(args.J))
     K = AtomLabel(args.m, _dims(args.K))
     out = atom_label_product(J, K)
@@ -159,8 +169,13 @@ def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_gns(args, tol: float) -> tuple[dict, int]:
+    from .gns import GNS_EIG_CUTOFF, commutant_dimension, gns_build
+    from .parser import parse_state
+    from .states import _tagged_values
+
+    cutoff = GNS_EIG_CUTOFF if args.cutoff is None else args.cutoff
     S = parse_state(args.state)
-    G = gns_build(S, cutoff=args.cutoff)
+    G = gns_build(S, cutoff=cutoff)
     passed = failed = 0
     max_err = 0.0
     # every unit's two values, one tagged chunk of units at a time
@@ -181,6 +196,8 @@ def _cmd_gns(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_check(args, tol: float) -> tuple[dict, int]:
+    from .checks import run_suite
+
     dims = _dims(args.dims) if args.dims else ()
     report = run_suite(args.suite, dims, args.level, seed=args.seed, tol=tol)
     payload = {"passed": report.passed, "failed": report.failed}
@@ -190,6 +207,9 @@ def _cmd_check(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_distance(args, tol: float) -> tuple[dict, int]:
+    from .parser import parse_state
+    from .states import state_trace_distance
+
     S = parse_state(args.T)
     R = parse_state(args.R)
     return {"distance": state_trace_distance(S, R)}, 0
@@ -242,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gns", help="GNS data of a product state")
     p.set_defaults(func=_cmd_gns)
     p.add_argument("--state", required=True)
-    p.add_argument("--cutoff", type=float, default=GNS_EIG_CUTOFF,
+    p.add_argument("--cutoff", type=float, default=None,
                    help="eigenvalue rank cutoff")
 
     p = sub.add_parser("check", help="run a named property suite")

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "UhfError",
+    "SignatureError",
+    "IndexRangeError",
+    "ValidationError",
+    "ResourceGuardError",
+    "GramMismatchError",
+    "ParseError",
+]
+
 
 class UhfError(Exception):
     """Base class for every error raised by this package."""

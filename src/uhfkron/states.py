@@ -77,14 +77,17 @@ def density_validate(matrix) -> np.ndarray:
         raise ValidationError(f"density dimension {m.shape[0]} is < 2")
     if not np.all(np.isfinite(m)):
         raise ValidationError("density matrix has a non-finite entry")
-    herm_defect = float(np.max(np.abs(m - m.conj().T)))
-    if herm_defect > DENSITY_VALIDATE_TOL:
+    # finite entries near the float limit may overflow to inf, and a sum of
+    # such infs to nan; either defect then fails its check, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_defect = float(np.max(np.abs(m - m.conj().T)))
+        trace_defect = abs(complex(np.trace(m)) - 1.0)
+    if not herm_defect <= DENSITY_VALIDATE_TOL:
         raise ValidationError(
             f"matrix is not Hermitian (defect {herm_defect:.3e} > "
             f"{DENSITY_VALIDATE_TOL:.0e})"
         )
-    trace_defect = abs(complex(np.trace(m)) - 1.0)
-    if trace_defect > DENSITY_VALIDATE_TOL:
+    if not trace_defect <= DENSITY_VALIDATE_TOL:
         raise ValidationError(
             f"trace differs from 1 by {trace_defect:.3e} "
             f"(> {DENSITY_VALIDATE_TOL:.0e})"

@@ -18,7 +18,8 @@ import pytest
 
 import uhfkron
 
-MODULES = ["algebra", "atoms", "checks", "cli", "gns", "parser", "states"]
+MODULES = ["algebra", "atoms", "checks", "cli", "errors", "gns", "parser",
+           "states"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -56,8 +57,7 @@ def _unused_imports(path):
 
 
 @pytest.mark.parametrize("path", sorted(
-    p for p in Path(uhfkron.__file__).parent.glob("*.py")
-    if p.name != "__init__.py"), ids=lambda p: p.name)
+    Path(uhfkron.__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
 

@@ -1,8 +1,12 @@
 """Atom labels, their pure product states, and the semigroup law."""
 
 import itertools
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from uhfkron.checks import CheckReport, run_suite, suite_atom_semigroup
 from uhfkron.errors import IndexRangeError, ResourceGuardError, ValidationError
 from uhfkron.gns import commutant_dimension, gns_build
 from uhfkron.states import state_boxtimes, state_evaluate, state_tensor_phi_eval
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_label_validation():
@@ -91,6 +97,48 @@ def test_atom_state_level_errors():
         atom_state(J, 2)
     with pytest.raises(IndexRangeError):
         atom_state(J, 0)
+
+
+GUARD_CHILD = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from uhfkron.algebra import DENSE_DIM_GUARD
+from uhfkron.atoms import AtomLabel, atom_state
+J = AtomLabel(2, (1,), tail_constant=2)
+for call in (lambda: atom_state(J, 10**30), lambda: J.entries(10**30),
+             lambda: atom_state(J, DENSE_DIM_GUARD + 1)):
+    t0 = time.perf_counter()
+    try:
+        call()
+        print("returned")
+    except Exception as exc:
+        print(type(exc).__name__, time.perf_counter() - t0, exc)
+"""
+
+
+def test_atom_state_refuses_a_level_past_the_guard():
+    # without the guard a tailed label builds letters and factors until
+    # memory runs out, so the huge levels run in a capped child process
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD_CHILD], capture_output=True, text=True,
+        timeout=30, env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                             PYTHONPATH=str(SRC)))
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0 and len(lines) == 3, proc.stderr
+    for line in lines:
+        name, seconds, message = line.split(" ", 2)
+        assert name == "ResourceGuardError"
+        assert float(seconds) < 1.0
+        assert message.startswith("label level ")
+        assert message.endswith(" exceeds guard 4096")
+
+
+def test_atom_state_at_the_guard_level():
+    J = AtomLabel(2, (1,), tail_constant=2)
+    S = atom_state(J, algebra.DENSE_DIM_GUARD)
+    assert S.sig.dims == (2,) * algebra.DENSE_DIM_GUARD
+    assert len(J.entries(algebra.DENSE_DIM_GUARD)) == algebra.DENSE_DIM_GUARD
+    assert len({id(f) for f in S.factors}) == 2
 
 
 def test_atom_gns_is_irreducible():

@@ -379,3 +379,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"base": 6, "label": [4]}
+
+
+def test_density_near_the_float_limit_prints_no_warning():
+    # the trace of diag(1e308,1e308) overflows; the request reports a
+    # validation error on stdout and writes nothing to stderr
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "uhfkron", "eval", "--state",
+         "diag(1e308,1e308)", "--expr", "E[2](1,1)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")))
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": {
+        "code": "validation",
+        "message": "trace differs from 1 by inf (> 1e-10)"}}
+    assert proc.stderr == ""

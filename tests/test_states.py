@@ -66,6 +66,19 @@ def test_density_validation_rejects_non_finite(bad):
         DensityFactor.diagonal([bad, bad])
 
 
+@pytest.mark.parametrize("matrix, match", [
+    ([[1e308, 0], [0, 1e308]], "trace differs from 1 by inf"),
+    ([[0.5, 1e308], [-1e308, 0.5]], "not Hermitian \\(defect inf"),
+    ([[1e308] * 2] * 2, "trace differs from 1 by inf"),
+    (np.diag([1e308, -1e308] * 4), "trace differs from 1 by nan"),
+])
+def test_density_validation_near_the_float_limit(matrix, match):
+    # finite entries whose defects overflow: a ValidationError, and no
+    # RuntimeWarning (the test configuration turns one into an error)
+    with pytest.raises(ValidationError, match=match):
+        density_validate(matrix)
+
+
 def test_density_factor_is_read_only():
     f = DensityFactor.maximally_mixed(2)
     with pytest.raises(ValueError):
