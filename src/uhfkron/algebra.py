@@ -921,6 +921,12 @@ def _unit_tags(y: AlgebraElement, count: int) -> np.ndarray:
     return np.where(is_tag, k, -1).astype(np.int64)
 
 
+def _unit_name(x: AlgebraElement, k: int) -> str:
+    """The name ``(rows)<-(cols)`` of unit ``k`` of a tagged chunk ``x``
+    (see :func:`_tagged_units`), which is term ``k`` of ``x``."""
+    return f"{tuple(x.rows[k].tolist())}<-{tuple(x.cols[k].tolist())}"
+
+
 def _generator(seed) -> np.random.Generator:
     # numpy.random.default_rng(seed); a seed it refuses (a negative or
     # non-integer one) raises ValidationError

@@ -18,14 +18,13 @@ label pairs of a call at once (one for :func:`atom_check_product`, every
 pair of a level for the ``atom-semigroup`` suite).  The states of a call
 share one validated one-hot factor per (base, letter).  Each pair still
 gets its own ``state_boxtimes`` and exact factor comparison.  The unit
-sweep has one plan for all pairs: per chunk of units
-(``algebra._tagged_units``), the coproduct image, the unit tags, the
-image counts and the gather positions are made once, and one gather out
-of the pairs' stacked entry tables reads every pair's factor entries.
-They are multiplied by ``states._slot_products``, the loop that
-:func:`~uhfkron.states.state_evaluate` runs, so the values are the bits
-a per-pair evaluation gives.  Each pair reports its first failing unit in
-unit order.
+sweep is shared by all pairs: the pairs' entry tables are stacked once,
+one column per pair, and per chunk of units (``algebra._tagged_units``)
+the coproduct image is made once and each side is read by
+``states._tagged_values``, the one reader of tagged chunks, which runs
+the slot-by-slot products of :func:`~uhfkron.states.state_evaluate`; so
+the values are the bits a per-pair evaluation gives.  Each pair reports
+its first failing unit in unit order.
 """
 
 from __future__ import annotations
@@ -41,15 +40,15 @@ from .algebra import (
     _integer,
     _integers,
     _tagged_units,
-    _unit_tags,
+    _unit_name,
     coproduct_phi,
 )
 from .errors import IndexRangeError, ResourceGuardError, ValidationError
 from .states import (
     DensityFactor,
     ProductStateTrunc,
-    _entry_layout,
-    _slot_products,
+    _stacked_entry_table,
+    _tagged_values,
     state_boxtimes,
 )
 
@@ -103,7 +102,10 @@ class AtomLabel:
         object.__setattr__(self, "tail_constant", tail)
 
     def entry(self, l: int) -> int:
-        """The l-th letter (1-based), using the tail beyond the prefix."""
+        """The l-th letter (1-based), using the tail beyond the prefix.  A
+        position that is no integer >= 1, or past a prefix with no tail,
+        raises :class:`IndexRangeError`."""
+        l = _integer(l, IndexRangeError, "label position")
         if l < 1:
             raise IndexRangeError(f"label position {l} is < 1")
         if l <= len(self.prefix):
@@ -116,9 +118,11 @@ class AtomLabel:
         return self.tail_constant
 
     def entries(self, level: int) -> tuple[int, ...]:
-        """The first ``level`` letters.  A level above ``DENSE_DIM_GUARD``
-        raises :class:`ResourceGuardError`: with a tail, the letters (and a
+        """The first ``level`` letters.  A level that is no integer raises
+        :class:`IndexRangeError`, and one above ``DENSE_DIM_GUARD``
+        :class:`ResourceGuardError`: with a tail, the letters (and a
         state's factors) would fill memory."""
+        level = _integer(level, IndexRangeError, "label level")
         if level > DENSE_DIM_GUARD:
             raise ResourceGuardError(
                 f"label level {level} exceeds guard {DENSE_DIM_GUARD}")
@@ -280,37 +284,24 @@ def _first_bad_units(swept, a, b) -> list[tuple[int, str]]:
     and the name of its first unit, in unit order, where the two sides do
     not have exactly one value each or the values differ.
 
-    Per chunk of units the coproduct image, its tags, the image counts and
-    the gather positions are made once; the values of every pair come
-    from one gather per side out of the pairs' entry tables, stacked one
-    column per pair.
+    Per chunk of units the coproduct image is made once, and each side's
+    values for every pair come from one ``states._tagged_values`` read of
+    the pairs' entry tables, stacked one column per pair.
     """
     fused = a.product(b)
-    sides = []
-    for column, sig in ((1, a.concat(b)), (2, fused)):
-        table = np.concatenate([f.matrix.ravel() for pair in swept
-                                for f in pair[column]])
-        sides.append((table.reshape(len(swept), -1).T, *_entry_layout(sig)))
+    left = _stacked_entry_table([pair[1] for pair in swept], a.concat(b))
+    right = _stacked_entry_table([pair[2] for pair in swept], fused)
     pending = np.ones(len(swept), dtype=bool)
     bad_units = []
     for x in _tagged_units(fused, len(swept)):
-        count = len(x)
-        single = np.ones(count, dtype=bool)
-        values = []
-        for y, (table, dims, base) in zip((coproduct_phi(x, a, b), x), sides):
-            unit = _unit_tags(y, count)
-            mine = unit >= 0
-            single &= np.bincount(unit[mine], minlength=count) == 1
-            # per slot and term: the row of T^{(i)}[k_i, j_i] in the table
-            at = (y.cols[mine] * dims + y.rows[mine] + base).T
-            side = np.zeros((count, len(swept)), dtype=complex)
-            side[unit[mine]] = _slot_products(table[at], 1 + 0j)
-            values.append(side)
-        bad = (values[0] != values[1]) | ~single[:, None]
+        (n_left, v_left), (n_right, v_right) = (
+            _tagged_values(left, coproduct_phi(x, a, b), len(x)),
+            _tagged_values(right, x, len(x)))
+        single = (n_left == 1) & (n_right == 1)
+        bad = (v_left != v_right) | ~single[:, None]
         failing = np.flatnonzero(pending & bad.any(axis=0))
         for q, k in zip(failing, bad[:, failing].argmax(axis=0)):
-            bad_units.append((swept[q][0], f"{tuple(x.rows[k].tolist())}<-"
-                                           f"{tuple(x.cols[k].tolist())}"))
+            bad_units.append((swept[q][0], _unit_name(x, k)))
         pending[failing] = False
         if not pending.any():
             break

@@ -5,16 +5,20 @@ the acceptance tests.
 Every suite enumerates concrete instances (matrix units, seeded random
 elements or states), runs both sides of its identity through independent
 code paths, and counts agreements.  Failures carry a short diagnostic.
-Every suite takes ``(dims, level, seed, tol)``; suites that compare
-indices exactly accept ``tol`` and ignore it.
+Every suite takes ``(dims, level, seed, tol)`` and reads them through
+one reader, ``_suite_args``: ``dims`` a sequence of as many integers as
+the suite has bases (``nonsymmetry`` ignores it), ``level`` an integer
+>= 1, ``seed`` an integer >= 0 and ``tol`` a finite number >= 0, else
+:class:`ValidationError`.  Suites that compare indices exactly accept
+``tol`` and ignore it.
 
 The suites exhaustive on matrix units run each side of their identity
 once per chunk of the unit grid, on one element whose coefficients tag
 the chunk's units (``algebra._tagged_units``), and read every unit's
-images or values back by tag with array operations; results are still
-recorded per unit, in unit order.  Before enumerating, each refuses more
-than ``DENSE_DIM_GUARD**2`` unit checks with :class:`ResourceGuardError`
-(``algebra._guard_units``).
+images or values back by tag with array operations (state values through
+``states._tagged_values``); results are still recorded per unit, in unit
+order.  Before enumerating, each refuses more than ``DENSE_DIM_GUARD**2``
+unit checks with :class:`ResourceGuardError` (``algebra._guard_units``).
 """
 
 from __future__ import annotations
@@ -30,11 +34,15 @@ from .algebra import (
     COMPARE_TOL,
     AlgebraElement,
     Signature,
+    _entries,
     _guard_units,
+    _integer,
+    _integers,
     _moduli,
     _pair_keys,
     _tagged_units,
     _term_keys,
+    _unit_name,
     _unit_tags,
     coproduct_phi,
     coproduct_phi_block,
@@ -104,16 +112,38 @@ class CheckReport:
         return self.failed == 0
 
 
-def _constant_sig(base: int, level: int) -> Signature:
+def _suite_args(dims, level, seed, tol, names: tuple[str, ...]) -> tuple:
+    """A suite's ``(dims, level, seed, tol)``, read: ``tol`` a finite
+    number >= 0 (returned as a float), ``seed`` an integer >= 0, ``level``
+    an integer >= 1 and ``dims`` a sequence of one integer per name in
+    ``names`` (left unread when ``names`` is empty).  Anything else raises
+    ValidationError naming the value as it was given.
+    """
+    try:
+        tol_ok = math.isfinite(tol) and tol >= 0
+    except (TypeError, OverflowError):
+        tol_ok = False
+    if not tol_ok:
+        raise ValidationError(f"tolerance {tol!r} is not a finite number >= 0")
+    seed = _integer(seed, ValidationError, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} is < 0")
+    level = _integer(level, ValidationError, "level")
     if level < 1:
         raise ValidationError(f"level {level} is < 1")
+    if names:
+        given = dims
+        dims = _integers(_entries(dims, ValidationError, "dims"),
+                         ValidationError, "dimension", " at position {}")
+        if len(dims) != len(names):
+            raise ValidationError(f"need {len(names)} dims "
+                                  f"({', '.join(names)}), got {given!r}")
+    return dims, level, seed, float(tol)
+
+
+def _constant_sig(base: int, level: int) -> Signature:
     Signature((base,))  # a bad base fails before a long tuple is built
     return Signature((base,) * level)
-
-
-def _unit_name(x: AlgebraElement, k: int) -> str:
-    # unit k of a tagged chunk is term k of the chunk's element
-    return f"{tuple(x.rows[k].tolist())}<-{tuple(x.cols[k].tolist())}"
 
 
 def _record_images(report: CheckReport, x: AlgebraElement, lhs, rhs,
@@ -169,8 +199,8 @@ def suite_coassociativity(dims: tuple[int, ...], level: int,
     given level.  Exact index equality, no tolerance.  Each side runs
     once per chunk of units (see ``algebra._tagged_units``).
     """
-    if len(dims) != 3:
-        raise ValidationError(f"need three dims (a, b, c), got {dims}")
+    dims, level, seed, tol = _suite_args(dims, level, seed, tol,
+                                         ("a", "b", "c"))
     _guard_units("coassociativity", math.prod(dims) ** 2, level)
     a, b, c = (_constant_sig(d, level) for d in dims)
     ab, bc = a.product(b), b.product(c)
@@ -191,8 +221,7 @@ def suite_compatibility(dims: tuple[int, ...], level: int,
     level-``level`` fused stage, with the extension by one more (a, b)
     factor.  Exact; each unit has ``a*b`` images on either side.
     """
-    if len(dims) != 2:
-        raise ValidationError(f"need two dims (a, b), got {dims}")
+    dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("a", "b"))
     _guard_units("compatibility", math.prod(dims) ** 2, level)
     a_base, b_base = dims
     a, b = _constant_sig(a_base, level), _constant_sig(b_base, level)
@@ -214,8 +243,7 @@ def suite_star_isomorphism(dims: tuple[int, ...], level: int,
     Products and adjoints of 20 seeded random element pairs agree within
     ``tol``.
     """
-    if len(dims) != 2:
-        raise ValidationError(f"need two dims (a, b), got {dims}")
+    dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("a", "b"))
     # the unit check enumerates the fused stage's diagonal units
     _guard_units("star-isomorphism", math.prod(dims), level)
     a, b = (_constant_sig(d, level) for d in dims)
@@ -246,14 +274,13 @@ def suite_tensor_formula(dims: tuple[int, ...], level: int,
     One seeded random state pair over constant signatures; exhaustive over
     the fused stage's matrix units, tolerance 1e-12 per unit.
     """
-    if len(dims) != 2:
-        raise ValidationError(f"need two dims (a, b), got {dims}")
+    dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("a", "b"))
     _guard_units("tensor-formula", math.prod(dims) ** 2, level)
     a, b = (_constant_sig(d, level) for d in dims)
     S = random_state(a, seed=seed + 1)
     R = random_state(b, seed=seed + 2)
-    SR = S.concat(R)
-    boxed = state_boxtimes(S, R)
+    SR = S.concat(R)._entry_table()
+    boxed = state_boxtimes(S, R)._entry_table()
     report = CheckReport("tensor-formula")
     for x in _tagged_units(a.product(b)):
         _record_values(report, x,
@@ -271,8 +298,7 @@ def suite_nonsymmetry(dims: tuple[int, ...] = (), level: int = 3,
     product states is exactly 2.  ``dims`` is ignored (the witnesses are
     2x2).
     """
-    if level < 1:
-        raise ValidationError(f"level {level} is < 1")
+    dims, level, seed, tol = _suite_args(dims, level, seed, tol, ())
     # level L compares two dense 4**L x 4**L densities: (4**L)**2 entries
     _guard_units("nonsymmetry", 16, level)
     S = ProductStateTrunc([DensityFactor.diagonal([1.0, 0.0])])
@@ -305,10 +331,7 @@ def suite_atom_semigroup(dims: tuple[int, ...], level: int,
     checks it, all of them in one batch that shares its states' factors
     and its unit sweep.
     """
-    if len(dims) != 2:
-        raise ValidationError(f"need two dims (n, m), got {dims}")
-    if level < 1:
-        raise ValidationError(f"level {level} is < 1")
+    dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("n", "m"))
     n, m = dims
     # a base below 2 has no labels, and no labels would read as a pass
     if min(n, m) < 2:
@@ -335,14 +358,15 @@ def _labels(base: int, level: int):
 def suite_state_associativity(dims: tuple[int, ...], level: int,
                               seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
     """Both bracketings of a state triple agree on every fused unit."""
-    if len(dims) != 3:
-        raise ValidationError(f"need three dims (a, b, c), got {dims}")
+    dims, level, seed, tol = _suite_args(dims, level, seed, tol,
+                                         ("a", "b", "c"))
     _guard_units("state-associativity", math.prod(dims) ** 2, level)
     a, b, c = (_constant_sig(d, level) for d in dims)
     S = random_state(a, seed=seed + 1)
     R = random_state(b, seed=seed + 2)
     Q = random_state(c, seed=seed + 3)
-    triple = ProductStateTrunc(S.factors + R.factors + Q.factors)
+    triple = ProductStateTrunc(
+        S.factors + R.factors + Q.factors)._entry_table()
     ab, bc = a.product(b), b.product(c)
     report = CheckReport("state-associativity")
     for x in _tagged_units(ab.product(c)):
@@ -368,14 +392,10 @@ SUITES = {
 
 def run_suite(name: str, dims: tuple[int, ...], level: int,
               seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
-    """Dispatch by suite name.  An unknown name, a tolerance that is not a
-    finite number >= 0 and a negative seed raise ValidationError."""
+    """Dispatch by suite name; an unknown name raises ValidationError, and
+    the suite reads its arguments as :func:`_suite_args` says."""
     if name not in SUITES:
         raise ValidationError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tolerance {tol!r} is not a finite number >= 0")
-    if seed < 0:
-        raise ValidationError(f"seed {seed} is < 0")
     return SUITES[name](dims, level, seed, tol)

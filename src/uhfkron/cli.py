@@ -176,11 +176,12 @@ def _cmd_gns(args, tol: float) -> tuple[dict, int]:
     cutoff = GNS_EIG_CUTOFF if args.cutoff is None else args.cutoff
     S = parse_state(args.state)
     G = gns_build(S, cutoff=cutoff)
+    table = S._entry_table()
     passed = failed = 0
     max_err = 0.0
     # every unit's two values, one tagged chunk of units at a time
     for x in _tagged_units(S.sig):
-        err = np.abs(G.expectations(x) - _tagged_values(S, x, len(x))[1])
+        err = np.abs(G.expectations(x) - _tagged_values(table, x, len(x))[1])
         ok = int(np.count_nonzero(err <= max(tol, 1e-10)))
         passed += ok
         failed += len(err) - ok

@@ -18,6 +18,13 @@ bits of a plain loop over the terms.  A state flattens its factors'
 entries into one table on first evaluation and keeps it, so evaluating a
 few terms costs a fixed few numpy calls per slot.
 
+The exhaustive checks read state values off a tagged chunk of units
+(``algebra._tagged_units``) through one reader, ``_tagged_values``: per
+unit, the count of its image terms and the value on its image.  It reads
+one state's table, or the tables of several states stacked one column
+per state (``_stacked_entry_table``), and runs the same gather and
+slot-by-slot products as :func:`state_evaluate`.
+
 The non-symmetric tensor product of two states composes the ordinary
 tensor-product state with the Kronecker coproduct.  On product states it
 again yields a product state, with factorwise Kronecker densities; the
@@ -211,51 +218,53 @@ def state_evaluate(S: ProductStateTrunc, x: AlgebraElement) -> complex:
     (a running sum, not numpy's pairwise one), so the bits follow the
     element's canonical term order.
     """
-    values = _factor_products(S, x, x.coeff)
-    return complex(np.concatenate(([0j], values)).cumsum()[-1])
-
-
-def _factor_products(S: ProductStateTrunc, x: AlgebraElement,
-                     start) -> np.ndarray:
-    """Per term of ``x``, in term order: ``start`` times the factor entries
-    T^{(i)}[k_i - 1, j_i - 1], multiplied one slot at a time in slot order,
-    each product rounded as Python's complex ``*`` rounds it."""
     if S.sig != x.sig:
         raise SignatureError(
             f"state signature {S.sig.dims} does not match element "
             f"signature {x.sig.dims}"
         )
-    entries, dims, base = S._entry_table()
+    values = _slot_products(S._entry_table(), x.rows, x.cols, x.coeff)
+    return complex(np.concatenate(([0j], values)).cumsum()[-1])
+
+
+def _stacked_entry_table(factor_lists, sig: Signature) -> tuple:
+    """The entry tables of the product states with these factor lists, all
+    over ``sig``, stacked one column per state, with their _entry_layout."""
+    entries = np.concatenate([f.matrix.ravel() for factors in factor_lists
+                              for f in factors])
+    return (entries.reshape(len(factor_lists), -1).T, *_entry_layout(sig))
+
+
+def _slot_products(table: tuple, rows, cols, start) -> np.ndarray:
+    """Per term (``rows``, ``cols``: terms by slots): ``start`` times the
+    entries T^{(i)}[k_i - 1, j_i - 1] of ``table`` (an ``_entry_table`` or
+    a stack of them), multiplied one slot at a time in slot order, each
+    product rounded as Python's complex ``*`` rounds it."""
+    entries, dims, base = table
     # per slot (rows of ``at``), each term's place among the flat entries
-    at = (x.cols * dims + x.rows + base).T
-    return _slot_products(entries[at], start)
-
-
-def _slot_products(values, start) -> np.ndarray:
-    """``start`` times ``values[0]``, times ``values[1]``, ... (one array of
-    factor entries per slot), each product rounded as Python's complex
-    ``*`` rounds it; ``start`` broadcasts against every ``values[i]``."""
+    at = (cols * dims + rows + base).T
     re, im = start.real, start.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        for factor_entries in values:
+        for factor_entries in entries[at]:
             re, im = _cmul_parts(re, im, factor_entries.real,
                                  factor_entries.imag)
     return _complex(re, im)
 
 
-def _tagged_values(S: ProductStateTrunc, y: AlgebraElement,
+def _tagged_values(table: tuple, y: AlgebraElement,
                    count: int) -> tuple[np.ndarray, np.ndarray]:
     """For an image ``y`` of a tagged chunk of units (see
     ``algebra._tagged_units``): per unit ``k < count``, the number of terms
-    of ``y`` tagged ``k+1``, and the value of ``S`` on such a term with its
-    coefficient left out, i.e. ``state_evaluate`` of the unit's image when
-    that number is 1 (a zero part may differ in sign).
+    of ``y`` tagged ``k+1``, and the value of each state of ``table`` (an
+    ``_entry_table``, or a ``_stacked_entry_table`` of P states) on such a
+    term with its coefficient left out, shape ``(count,)`` or
+    ``(count, P)``: ``state_evaluate`` of the unit's image when that
+    number is 1 (a zero part may differ in sign).
     """
     unit = _unit_tags(y, count)
     mine = unit >= 0
-    values = np.zeros(count, dtype=complex)
-    values[unit[mine]] = _factor_products(
-        S, y, np.ones(len(y), dtype=complex))[mine]
+    values = np.zeros((count, *table[0].shape[1:]), dtype=complex)
+    values[unit[mine]] = _slot_products(table, y.rows, y.cols, 1 + 0j)[mine]
     return np.bincount(unit[mine], minlength=count), values
 
 

@@ -60,10 +60,23 @@ def test_atom_state_refuses_a_non_integer_level():
     assert atom_state(J, np.int64(2)).sig.dims == (2, 2)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda J: J.entry(2.5), "label position 2.5 is not an integer"),
+    (lambda J: J.entry(1.0), "label position 1.0 is not an integer"),
+    (lambda J: J.entries(2.0), "label level 2.0 is not an integer"),
+    (lambda J: J.entries("3"), "label level '3' is not an integer"),
+], ids=["entry-2.5", "entry-1.0", "entries-2.0", "entries-str"])
+def test_label_positions_are_integers(call, match):
+    # a float position once picked a letter (entry(2.5) gave entry 1's)
+    with pytest.raises(IndexRangeError, match=match):
+        call(AtomLabel(2, (1, 2), 1))
+
+
 def test_label_reads_numpy_integers():
     J = AtomLabel(np.int64(3), (np.int32(2), np.uint8(3)), np.int64(1))
     assert J == AtomLabel(3, (2, 3), tail_constant=1)
     assert J.entries(4) == (2, 3, 1, 1)
+    assert J.entries(np.int64(2)) == (2, 3) and J.entry(np.int8(3)) == 1
     assert all(type(j) is int for j in (J.base, *J.prefix, J.tail_constant))
 
 

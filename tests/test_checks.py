@@ -5,7 +5,9 @@ that corrupt one chunk, the unit-count guard and the tolerance contract of
 """
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from uhfkron import algebra, checks
@@ -27,6 +29,7 @@ from uhfkron.checks import (
     suite_atom_semigroup,
     suite_coassociativity,
     suite_compatibility,
+    suite_star_isomorphism,
     suite_state_associativity,
     suite_tensor_formula,
 )
@@ -347,3 +350,51 @@ def test_run_suite_rejects_bad_tolerance(tol):
 
 def test_run_suite_accepts_zero_tolerance():
     assert run_suite("coassociativity", (2, 2, 2), 1, tol=0.0).ok
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: run_suite("coassociativity", (2, 2, 2), 2.0),
+     "level 2.0 is not an integer"),
+    (lambda: run_suite("coassociativity", (2, 2, 2), "2"),
+     "level '2' is not an integer"),
+    (lambda: run_suite("nonsymmetry", (), 1.5),
+     "level 1.5 is not an integer"),
+    (lambda: run_suite("tensor-formula", (2, "a"), 1),
+     "dimension 'a' at position 2 is not an integer"),
+    (lambda: run_suite("atom-semigroup", (2.0, 2), 1),
+     "dimension 2.0 at position 1 is not an integer"),
+    (lambda: run_suite("tensor-formula", None, 1),
+     "dims None is not a sequence"),
+    (lambda: run_suite("tensor-formula", 4, 1), "dims 4 is not a sequence"),
+    (lambda: run_suite("tensor-formula", (2, 2), 1, tol="1"),
+     "tolerance '1' is not a finite number >= 0"),
+    (lambda: run_suite("tensor-formula", (2, 2), 1, seed=1.5),
+     "seed 1.5 is not an integer"),
+    (lambda: suite_star_isomorphism((2, 2), 1, seed=-1), "seed -1 is < 0"),
+    (lambda: suite_tensor_formula((2, 2), 1, seed=-5), "seed -5 is < 0"),
+    (lambda: suite_tensor_formula((2, 2), 1, tol=math.nan),
+     "tolerance nan is not a finite number >= 0"),
+], ids=["level-float", "level-str", "nonsymmetry-level", "dims-str",
+        "dims-float", "dims-none", "dims-int", "tol-str", "seed-float",
+        "star-seed", "tensor-seed", "tensor-tol-nan"])
+def test_suites_read_their_arguments(call, match):
+    # each was a raw TypeError, a misnamed seed or a report of failures
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("suite, dims", [
+    ("coassociativity", (2, 2)), ("compatibility", (2, 2, 2)),
+    ("atom-semigroup", (2,)), ("state-associativity", ())])
+def test_suites_refuse_the_wrong_number_of_dims(suite, dims):
+    with pytest.raises(ValidationError, match=re.escape(f"got {dims!r}")):
+        run_suite(suite, dims, 1)
+
+
+def test_suite_arguments_accept_integer_kinds():
+    # ints, bools and numpy integers are integers; the tolerance is any
+    # finite real >= 0
+    want = run_suite("tensor-formula", (2, 2), 1, seed=3, tol=1e-12)
+    got = run_suite("tensor-formula", [np.int64(2), 2], True, seed=np.int8(3),
+                    tol=np.float32(1e-12))
+    assert (got.passed, got.failed) == (want.passed, want.failed) == (16, 0)

@@ -11,8 +11,11 @@ import itertools
 import numpy as np
 import pytest
 
+from uhfkron import algebra
 from uhfkron.algebra import (
     DENSE_DIM_GUARD,
+    Signature,
+    _tagged_units,
     all_matrix_units,
     coproduct_phi,
     coproduct_phi_block,
@@ -26,6 +29,8 @@ from uhfkron.errors import ResourceGuardError, SignatureError, ValidationError
 from uhfkron.states import (
     DensityFactor,
     ProductStateTrunc,
+    _stacked_entry_table,
+    _tagged_values,
     density_validate,
     random_density,
     random_state,
@@ -260,6 +265,41 @@ def test_tensor_phi_state_associativity():
         assert state_evaluate(triple, left) == pytest.approx(
             state_evaluate(triple, right), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# tagged chunks: one state's read and a stacked read of several
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("chunk_terms", [algebra._TAG_CHUNK_TERMS, 7])
+def test_stacked_tagged_read_equals_single_reads(monkeypatch, chunk_terms):
+    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
+    a, b = Signature((2, 2)), Signature((2, 3))
+    fused, split = a.product(b), a.concat(b)
+    # per side: the signature, how a chunk maps to that side, and how one
+    # unit's image is made on its own
+    sides = [(fused, lambda x: x, lambda idx: matrix_unit(fused, *idx)),
+             (split, lambda x: coproduct_phi(x, a, b),
+              lambda idx: coproduct_phi(matrix_unit(fused, *idx), a, b))]
+    units = list(all_matrix_units(fused))
+    for sig, image, unit_image in sides:
+        states = [random_state(sig, seed=s) for s in (41, 42, 43)]
+        stack = _stacked_entry_table([S.factors for S in states], sig)
+        done = 0
+        for x in _tagged_units(fused):
+            y, count = image(x), len(x)
+            n_stack, v_stack = _tagged_values(stack, y, count)
+            assert v_stack.shape == (count, len(states))
+            for p, S in enumerate(states):
+                n_one, v_one = _tagged_values(S._entry_table(), y, count)
+                assert n_one.tolist() == n_stack.tolist() == [1] * count
+                assert v_stack[:, p].tobytes() == v_one.tobytes()
+                # == leaves the sign of a zero part open, as documented
+                assert v_one.tolist() == [
+                    state_evaluate(S, unit_image(idx))
+                    for idx in units[done:done + count]]
+            done += count
+        assert done == len(units)
 
 
 # ---------------------------------------------------------------------------
