@@ -109,25 +109,63 @@ _KEY_BOUND = 2 ** 63
 _TAG_CHUNK_TERMS = 1 << 12
 
 
-def _integer(value, error, what: str, where: str = "") -> int:
+def _integer(value, error, what: str, where: str = "", *,
+             low: int | None = None, high: int | None = None) -> int:
     # value as an int (operator.index: ints, bools and numpy integers,
-    # nothing truncated), else error "<what> <value><where> is not an integer"
+    # nothing truncated), else error "<what> <value><where> is not an
+    # integer".  With ``low``, a value below it raises error
+    # "<what> <value><where> is < <low>"; with ``high`` too, a value
+    # outside them raises "<what> <value><where> outside <low>..<high>"
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"{what} {value!r}{where} is not an integer") from None
+    if low is not None and (value < low or high is not None and value > high):
+        if high is None:
+            raise error(f"{what} {value}{where} is < {low}")
+        raise error(f"{what} {value}{where} outside {low}..{high}")
+    return value
 
 
-def _integers(values: tuple, error, what: str,
-              where: str) -> tuple[int, ...]:
-    # each entry as an int, else _integer's error for the first entry that
-    # is not an integer, ``where`` formatted with its 1-based position
+def _integers(values: tuple, error, what: str, where: str, *,
+              low: int | None = None,
+              high: int | None = None) -> tuple[int, ...]:
+    # each entry as an int in the bounds, else _integer's error for the
+    # first entry that is not, ``where`` formatted with its 1-based position
     try:
-        return tuple(map(operator.index, values))
+        out = tuple(map(operator.index, values))
     except TypeError:
         for pos, v in enumerate(values, start=1):
             _integer(v, error, what, where.format(pos))
         raise
+    if low is not None and out and (min(out) < low or high is not None
+                                    and max(out) > high):
+        for pos, v in enumerate(out, start=1):
+            _integer(v, error, what, where.format(pos), low=low, high=high)
+    return out
+
+
+def _guard(what: str, value: int, cap: int = DENSE_DIM_GUARD):
+    # ResourceGuardError "<what> <value> exceeds guard <cap>" past the cap
+    if value > cap:
+        raise ResourceGuardError(f"{what} {value} exceeds guard {cap}")
+
+
+# the comparisons with 0 that _finite may ask of a number
+_SIGNS = {">= 0": operator.ge, "> 0": operator.gt}
+
+
+def _finite(value, what: str, sign: str = ">= 0") -> float:
+    # value as a float, finite and ``sign`` (a key of _SIGNS), else
+    # ValidationError "<what> <value!r> is not a finite number <sign>",
+    # also for a value that is no real number
+    try:
+        ok = math.isfinite(value) and _SIGNS[sign](value, 0)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{what} {value!r} is not a finite number {sign}")
+    return float(value)
 
 
 def _guard_units(what: str, per_level: int, level: int):
@@ -171,18 +209,15 @@ class Signature:
 
     def __post_init__(self):
         dims = _integers(_entries(self.dims, SignatureError, "signature"),
-                         SignatureError, "factor dimension", " at position {}")
-        for pos, d in enumerate(dims, start=1):
-            if d < 2:
-                raise SignatureError(
-                    f"factor dimension {d} at position {pos} is < 2"
-                )
-            if d >= _MAX_FACTOR_DIM:
-                raise SignatureError(
-                    f"factor dimension {d} at position {pos} is >= 2**62"
-                )
+                         SignatureError, "factor dimension", " at position {}",
+                         low=2)
         if not dims:
             raise SignatureError("signature must have at least one factor")
+        if max(dims) >= _MAX_FACTOR_DIM:
+            pos, d = next((pos, d) for pos, d in enumerate(dims, start=1)
+                          if d >= _MAX_FACTOR_DIM)
+            raise SignatureError(
+                f"factor dimension {d} at position {pos} is >= 2**62")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -653,8 +688,10 @@ def _grid(dims, flat) -> np.ndarray:
 
 
 def identity(sig) -> AlgebraElement:
-    """The unit of the stage: sum of all diagonal elementary tensors."""
+    """The unit of the stage: sum of all diagonal elementary tensors.
+    Refuses more than ``DENSE_DIM_GUARD**2`` terms."""
     sig = as_signature(sig)
+    _guard("identity term count", sig.total_dim, DENSE_DIM_GUARD ** 2)
     diag = _grid(sig.dims, np.arange(sig.total_dim))
     return _element(sig, diag, diag.copy(),
                     np.ones(len(diag), dtype=complex))
@@ -679,16 +716,13 @@ def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraE
 
     Each term E_{j,k} becomes sum_m E_{j,k} with E^{(dim)}_{mm} spliced in
     at ``position`` (0-based slot index; ``position == level`` appends).
-    Both are integers, else :class:`SignatureError`.
+    Both are integers, ``dim >= 2`` and ``0 <= position <= level``, else
+    :class:`SignatureError`.
     """
-    position = _integer(position, SignatureError, "slot position")
+    position = _integer(position, SignatureError, "slot position", low=0,
+                        high=x.sig.level)
     dim = _integer(dim, SignatureError, "factor dimension",
-                   f" at position {position + 1}")
-    if dim < 2:
-        raise SignatureError(f"inserted dimension {dim} is < 2")
-    level = x.sig.level
-    if not 0 <= position <= level:
-        raise SignatureError(f"slot position {position} outside 0..{level}")
+                   f" at position {position + 1}", low=2)
     new_sig = Signature(
         x.sig.dims[:position] + (dim,) + x.sig.dims[position:]
     )
@@ -768,18 +802,20 @@ def coproduct_phi_block(x: AlgebraElement, start: int, count: int,
     The split block comes out in block order: the first-factor slots occupy
     positions start..start+count-1, the second-factor slots follow, and all
     other slots keep their relative places.  Each split slot is divided as
-    in :func:`coproduct_phi`; the other slots are copied.
+    in :func:`coproduct_phi`; the other slots are copied.  ``start`` and
+    ``count`` are integers with the block inside the slots, else
+    :class:`SignatureError`.
     """
     a = as_signature(a)
     b = as_signature(b)
+    dims = x.sig.dims
+    count = _integer(count, SignatureError, "block length", low=1,
+                     high=len(dims))
     if a.level != count or b.level != count:
         raise SignatureError("factor signatures must match the block length")
-    dims = x.sig.dims
+    start = _integer(start, SignatureError, "block start", low=0,
+                     high=len(dims) - count)
     stop = start + count
-    if start < 0 or stop > len(dims):
-        raise SignatureError(
-            f"block [{start}, {stop}) outside slots 0..{len(dims) - 1}"
-        )
     for pos, ai, bi in zip(range(start, stop), a.dims, b.dims):
         if dims[pos] != ai * bi:
             raise SignatureError(
@@ -795,7 +831,9 @@ def product_phi_inverse(y: AlgebraElement, level: int) -> AlgebraElement:
     ``y`` lives over a concatenated signature (a_1..a_n, b_1..b_n) with
     n = ``level``; the result lives over (a_1*b_1, ..., a_n*b_n), its slot
     i the index b_i*(j'_i - 1) + j''_i fused from slots i and n + i.
+    ``level`` is an integer, else :class:`SignatureError`.
     """
+    level = _integer(level, SignatureError, "level")
     dims = y.sig.dims
     if len(dims) != 2 * level:
         raise SignatureError(
@@ -826,10 +864,7 @@ def to_dense(x: AlgebraElement) -> np.ndarray:
     ``DENSE_DIM_GUARD``.
     """
     D = x.sig.total_dim
-    if D > DENSE_DIM_GUARD:
-        raise ResourceGuardError(
-            f"dense dimension {D} exceeds guard {DENSE_DIM_GUARD}"
-        )
+    _guard("dense dimension", D)
     out = np.zeros((D, D), dtype=complex)
     at = tuple(np.ravel_multi_index(tuple(index.T - 1), x.sig.dims)
                for index in (x.rows, x.cols))
@@ -865,9 +900,7 @@ def block_permutation(a, b) -> np.ndarray:
     a = as_signature(a)
     b = as_signature(b)
     D = a.product(b).total_dim
-    if D > DENSE_DIM_GUARD:
-        raise ResourceGuardError(
-            f"dense dimension {D} exceeds guard {DENSE_DIM_GUARD}")
+    _guard("dense dimension", D)
     n = a.level
     # the digits (a_1, b_1, ..., a_n, b_n) of the fused slots a_i*b_i
     digits = tuple(d for pair in zip(a.dims, b.dims) for d in pair)
@@ -946,12 +979,8 @@ def random_element(sig, rng=None, n_terms: int = 8) -> AlgebraElement:
     guard) and a seed ``rng`` is non-negative (else
     :class:`ValidationError`)."""
     sig = as_signature(sig)
-    n_terms = _integer(n_terms, ValidationError, "term count")
-    if n_terms < 0:
-        raise ValidationError(f"term count {n_terms} is < 0")
-    if n_terms > DENSE_DIM_GUARD ** 2:
-        raise ResourceGuardError(f"term count {n_terms} exceeds guard "
-                                 f"{DENSE_DIM_GUARD ** 2}")
+    n_terms = _integer(n_terms, ValidationError, "term count", low=0)
+    _guard("term count", n_terms, DENSE_DIM_GUARD ** 2)
     rng = _generator(rng)
     rows, cols, coeff = [], [], []
     for _ in range(n_terms):

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    DENSE_DIM_GUARD,
     _entries,
+    _guard,
     _guard_units,
     _integer,
     _integers,
@@ -43,7 +43,7 @@ from .algebra import (
     _unit_name,
     coproduct_phi,
 )
-from .errors import IndexRangeError, ResourceGuardError, ValidationError
+from .errors import IndexRangeError, ValidationError
 from .states import (
     DensityFactor,
     ProductStateTrunc,
@@ -65,8 +65,9 @@ __all__ = [
 class AtomLabel:
     """Label sequence over {1, ..., base}: finite prefix, optional tail.
 
-    ``base``, the prefix entries and ``tail_constant`` are integers and
-    the prefix is a sequence (anything else raises :class:`ValidationError`).
+    ``base`` is an integer >= 2, the prefix a non-empty sequence of
+    integers in 1..base and ``tail_constant`` one too (anything else raises
+    :class:`ValidationError`).
 
     ``tail_constant``, when set, extends the prefix periodically with one
     repeated letter, so entries are defined at every level.
@@ -77,26 +78,17 @@ class AtomLabel:
     tail_constant: int | None = None
 
     def __post_init__(self):
-        base = _integer(self.base, ValidationError, "label base")
-        if base < 2:
-            raise ValidationError(f"label base {base} is < 2")
+        base = _integer(self.base, ValidationError, "label base", low=2)
         prefix = _integers(
             _entries(self.prefix, ValidationError, "label prefix"),
-            ValidationError, "label entry", " at position {}")
+            ValidationError, "label entry", " at position {}", low=1,
+            high=base)
         if not prefix:
             raise ValidationError("label prefix must be non-empty")
-        for pos, j in enumerate(prefix, start=1):
-            if not 1 <= j <= base:
-                raise ValidationError(
-                    f"label entry {j} at position {pos} outside 1..{base}"
-                )
         tail = self.tail_constant
         if tail is not None:
-            tail = _integer(tail, ValidationError, "tail constant")
-            if not 1 <= tail <= base:
-                raise ValidationError(
-                    f"tail constant {tail} outside 1..{base}"
-                )
+            tail = _integer(tail, ValidationError, "tail constant", low=1,
+                            high=base)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail_constant", tail)
@@ -105,9 +97,7 @@ class AtomLabel:
         """The l-th letter (1-based), using the tail beyond the prefix.  A
         position that is no integer >= 1, or past a prefix with no tail,
         raises :class:`IndexRangeError`."""
-        l = _integer(l, IndexRangeError, "label position")
-        if l < 1:
-            raise IndexRangeError(f"label position {l} is < 1")
+        l = _integer(l, IndexRangeError, "label position", low=1)
         if l <= len(self.prefix):
             return self.prefix[l - 1]
         if self.tail_constant is None:
@@ -118,14 +108,12 @@ class AtomLabel:
         return self.tail_constant
 
     def entries(self, level: int) -> tuple[int, ...]:
-        """The first ``level`` letters.  A level that is no integer raises
-        :class:`IndexRangeError`, and one above ``DENSE_DIM_GUARD``
+        """The first ``level`` letters.  A level that is no integer >= 1
+        raises :class:`IndexRangeError`, and one above ``DENSE_DIM_GUARD``
         :class:`ResourceGuardError`: with a tail, the letters (and a
         state's factors) would fill memory."""
-        level = _integer(level, IndexRangeError, "label level")
-        if level > DENSE_DIM_GUARD:
-            raise ResourceGuardError(
-                f"label level {level} exceeds guard {DENSE_DIM_GUARD}")
+        level = _integer(level, IndexRangeError, "label level", low=1)
+        _guard("label level", level)
         return tuple(self.entry(l) for l in range(1, level + 1))
 
     def __repr__(self):
@@ -141,14 +129,8 @@ def atom_state(label: AtomLabel, level: int) -> ProductStateTrunc:
     ``DENSE_DIM_GUARD`` raises :class:`ResourceGuardError` before any
     factor is built.
     """
-    return _atom_state(label, _level(level), {})
-
-
-def _level(level) -> int:
-    level = _integer(level, IndexRangeError, "level")
-    if level < 1:
-        raise IndexRangeError(f"level {level} is < 1")
-    return level
+    level = _integer(level, IndexRangeError, "level", low=1)
+    return _atom_state(label, level, {})
 
 
 def _atom_state(label: AtomLabel, level: int,
@@ -241,7 +223,7 @@ def _check_pairs(pairs, level) -> list[AtomProductCheck]:
     The states share one one-hot factor per (base, letter); the pairs
     that pass check (1) share one unit sweep (:func:`_first_bad_units`).
     """
-    level = _level(level)
+    level = _integer(level, IndexRangeError, "level", low=1)
     fused_dim = pairs[0][0].base * pairs[0][1].base
     _guard_units("atom_check_product", fused_dim ** 2, level)
     one_hot = {}

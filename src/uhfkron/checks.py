@@ -35,6 +35,7 @@ from .algebra import (
     AlgebraElement,
     Signature,
     _entries,
+    _finite,
     _guard_units,
     _integer,
     _integers,
@@ -119,18 +120,9 @@ def _suite_args(dims, level, seed, tol, names: tuple[str, ...]) -> tuple:
     ``names`` (left unread when ``names`` is empty).  Anything else raises
     ValidationError naming the value as it was given.
     """
-    try:
-        tol_ok = math.isfinite(tol) and tol >= 0
-    except (TypeError, OverflowError):
-        tol_ok = False
-    if not tol_ok:
-        raise ValidationError(f"tolerance {tol!r} is not a finite number >= 0")
-    seed = _integer(seed, ValidationError, "seed")
-    if seed < 0:
-        raise ValidationError(f"seed {seed} is < 0")
-    level = _integer(level, ValidationError, "level")
-    if level < 1:
-        raise ValidationError(f"level {level} is < 1")
+    tol = _finite(tol, "tolerance")
+    seed = _integer(seed, ValidationError, "seed", low=0)
+    level = _integer(level, ValidationError, "level", low=1)
     if names:
         given = dims
         dims = _integers(_entries(dims, ValidationError, "dims"),
@@ -138,11 +130,23 @@ def _suite_args(dims, level, seed, tol, names: tuple[str, ...]) -> tuple:
         if len(dims) != len(names):
             raise ValidationError(f"need {len(names)} dims "
                                   f"({', '.join(names)}), got {given!r}")
-    return dims, level, seed, float(tol)
+    return dims, level, seed, tol
+
+
+def _constant_sigs(dims: tuple[int, ...], level: int, suite: str,
+                   power: int) -> list[Signature]:
+    """One constant level-``level`` signature per base in ``dims``.
+
+    Every base is read as a factor dimension (:class:`SignatureError`),
+    then the suite's ``prod(dims)**power`` unit checks per level are
+    guarded (``algebra._guard_units``), before a level-long tuple is built.
+    """
+    Signature(dims)
+    _guard_units(suite, math.prod(dims) ** power, level)
+    return [_constant_sig(d, level) for d in dims]
 
 
 def _constant_sig(base: int, level: int) -> Signature:
-    Signature((base,))  # a bad base fails before a long tuple is built
     return Signature((base,) * level)
 
 
@@ -201,8 +205,7 @@ def suite_coassociativity(dims: tuple[int, ...], level: int,
     """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol,
                                          ("a", "b", "c"))
-    _guard_units("coassociativity", math.prod(dims) ** 2, level)
-    a, b, c = (_constant_sig(d, level) for d in dims)
+    a, b, c = _constant_sigs(dims, level, "coassociativity", 2)
     ab, bc = a.product(b), b.product(c)
     report = CheckReport("coassociativity")
     for x in _tagged_units(ab.product(c)):
@@ -222,9 +225,8 @@ def suite_compatibility(dims: tuple[int, ...], level: int,
     factor.  Exact; each unit has ``a*b`` images on either side.
     """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("a", "b"))
-    _guard_units("compatibility", math.prod(dims) ** 2, level)
     a_base, b_base = dims
-    a, b = _constant_sig(a_base, level), _constant_sig(b_base, level)
+    a, b = _constant_sigs(dims, level, "compatibility", 2)
     ext_a, ext_b = a.dims + (a_base,), b.dims + (b_base,)
     report = CheckReport("compatibility")
     for x in _tagged_units(a.product(b), a_base * b_base):
@@ -245,8 +247,7 @@ def suite_star_isomorphism(dims: tuple[int, ...], level: int,
     """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("a", "b"))
     # the unit check enumerates the fused stage's diagonal units
-    _guard_units("star-isomorphism", math.prod(dims), level)
-    a, b = (_constant_sig(d, level) for d in dims)
+    a, b = _constant_sigs(dims, level, "star-isomorphism", 1)
     fused = a.product(b)
     report = CheckReport("star-isomorphism")
     report.record(
@@ -275,8 +276,7 @@ def suite_tensor_formula(dims: tuple[int, ...], level: int,
     the fused stage's matrix units, tolerance 1e-12 per unit.
     """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("a", "b"))
-    _guard_units("tensor-formula", math.prod(dims) ** 2, level)
-    a, b = (_constant_sig(d, level) for d in dims)
+    a, b = _constant_sigs(dims, level, "tensor-formula", 2)
     S = random_state(a, seed=seed + 1)
     R = random_state(b, seed=seed + 2)
     SR = S.concat(R)._entry_table()
@@ -332,10 +332,8 @@ def suite_atom_semigroup(dims: tuple[int, ...], level: int,
     and its unit sweep.
     """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("n", "m"))
-    n, m = dims
     # a base below 2 has no labels, and no labels would read as a pass
-    if min(n, m) < 2:
-        raise ValidationError(f"label base {min(n, m)} is < 2")
+    n, m = _integers(dims, ValidationError, "label base", "", low=2)
     # (n*m)**level label pairs, each checked on (n*m)**(2*level) units
     _guard_units("atom-semigroup", (n * m) ** 3, level)
     report = CheckReport("atom-semigroup")
@@ -360,8 +358,7 @@ def suite_state_associativity(dims: tuple[int, ...], level: int,
     """Both bracketings of a state triple agree on every fused unit."""
     dims, level, seed, tol = _suite_args(dims, level, seed, tol,
                                          ("a", "b", "c"))
-    _guard_units("state-associativity", math.prod(dims) ** 2, level)
-    a, b, c = (_constant_sig(d, level) for d in dims)
+    a, b, c = _constant_sigs(dims, level, "state-associativity", 2)
     S = random_state(a, seed=seed + 1)
     R = random_state(b, seed=seed + 2)
     Q = random_state(c, seed=seed + 3)

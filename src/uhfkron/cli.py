@@ -33,13 +33,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .algebra import COMPARE_TOL, _tagged_units, as_signature, coproduct_phi
+from .algebra import (
+    COMPARE_TOL,
+    _finite,
+    _tagged_units,
+    as_signature,
+    coproduct_phi,
+)
 from .errors import (
     GramMismatchError,
     IndexRangeError,
@@ -293,9 +298,7 @@ def _tolerance(args) -> float:
         except ValueError:
             raise ValidationError(
                 f"UHFKRON_TOL={raw!r} is not a number") from None
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"{source} {tol!r} is not a finite number >= 0")
-    return tol
+    return _finite(tol, source)
 
 
 def cli_run(argv=None) -> int:

@@ -59,13 +59,8 @@ import math
 
 import numpy as np
 
-from .algebra import DENSE_DIM_GUARD, AlgebraElement, Signature, _grid
-from .errors import (
-    GramMismatchError,
-    ResourceGuardError,
-    SignatureError,
-    ValidationError,
-)
+from .algebra import AlgebraElement, Signature, _finite, _grid, _guard
+from .errors import GramMismatchError, SignatureError, ValidationError
 from .states import DensityFactor, ProductStateTrunc, state_boxtimes
 
 __all__ = [
@@ -101,10 +96,7 @@ class FactorGns:
     __slots__ = ("dim", "rank", "space_dim", "cyclic", "frame")
 
     def __init__(self, T: DensityFactor, cutoff: float = GNS_EIG_CUTOFF):
-        if not (math.isfinite(cutoff) and cutoff > 0):
-            raise ValidationError(
-                f"eigenvalue cutoff {cutoff!r} is not a finite number > 0"
-            )
+        _finite(cutoff, "eigenvalue cutoff", "> 0")
         eigvals, eigvecs = np.linalg.eigh(T.matrix)
         order = np.argsort(eigvals, kind="stable")[::-1]
         eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -152,9 +144,7 @@ class GnsTriplet:
         self._places = tuple(places)
         dims = [f.space_dim for f in self._factors]
         self.space_dim = math.prod(dims)
-        if self.space_dim > DENSE_DIM_GUARD:
-            raise ResourceGuardError(f"GNS space dimension {self.space_dim} "
-                                     f"exceeds guard {DENSE_DIM_GUARD}")
+        _guard("GNS space dimension", self.space_dim)
         # the products numpy.kron would take, one outer product per factor
         self.cyclic = functools.reduce(
             np.multiply.outer, [f.cyclic for f in self._factors],

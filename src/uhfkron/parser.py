@@ -115,6 +115,10 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 
 def _shown(tok: str) -> str:
+    # a token as an error names it: the tensor operator as "(x)", whatever
+    # spaces it has inside
+    if _is_tensor(tok):
+        return "(x)"
     return tok if tok != _END else "end of input"
 
 

@@ -37,19 +37,19 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (
-    DENSE_DIM_GUARD,
     AlgebraElement,
     Signature,
     _cmul_parts,
     _complex,
     _entries,
     _generator,
+    _guard,
     _integer,
     _unit_tags,
     coproduct_phi,
     kron_box,
 )
-from .errors import ResourceGuardError, SignatureError, ValidationError
+from .errors import SignatureError, ValidationError
 
 __all__ = [
     "DENSITY_VALIDATE_TOL",
@@ -80,8 +80,7 @@ def density_validate(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"density matrix must be square, got {m.shape}")
-    if m.shape[0] < 2:
-        raise ValidationError(f"density dimension {m.shape[0]} is < 2")
+    _integer(m.shape[0], ValidationError, "density dimension", low=2)
     if not np.all(np.isfinite(m)):
         raise ValidationError("density matrix has a non-finite entry")
     # finite entries near the float limit may overflow to inf, and a sum of
@@ -107,14 +106,6 @@ def density_validate(matrix) -> np.ndarray:
     return m
 
 
-def _density_dim(dim) -> int:
-    # a density dimension: an integer >= 2, else ValidationError
-    dim = _integer(dim, ValidationError, "density dimension")
-    if dim < 2:
-        raise ValidationError(f"density dimension {dim} is < 2")
-    return dim
-
-
 class DensityFactor:
     """One density matrix: Hermitian, positive semidefinite, trace one.
 
@@ -138,7 +129,10 @@ class DensityFactor:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityFactor":
-        dim = _density_dim(dim)
+        """I/dim; ``dim`` is an integer >= 2 (else :class:`ValidationError`)
+        and at most ``DENSE_DIM_GUARD`` (else :class:`ResourceGuardError`)."""
+        dim = _integer(dim, ValidationError, "density dimension", low=2)
+        _guard("density dimension", dim)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @classmethod
@@ -296,10 +290,7 @@ def state_density_level(S: ProductStateTrunc) -> np.ndarray:
     The unique D with omega(x) = tr(D . dense(x)); positive, trace one.
     Refuses total dimensions above ``DENSE_DIM_GUARD``.
     """
-    D = S.sig.total_dim
-    if D > DENSE_DIM_GUARD:
-        raise ResourceGuardError(
-            f"dense dimension {D} exceeds guard {DENSE_DIM_GUARD}")
+    _guard("dense dimension", S.sig.total_dim)
     out = np.array([[1.0 + 0j]])
     for f in S.factors:
         out = np.kron(out, f.matrix)
@@ -322,9 +313,11 @@ def random_density(dim: int, seed=None) -> DensityFactor:
 
     Deterministic for a fixed seed; full rank with probability one.  A
     dimension that is no integer >= 2 and a negative seed raise
-    :class:`ValidationError`.
+    :class:`ValidationError`, a dimension above ``DENSE_DIM_GUARD``
+    :class:`ResourceGuardError`.
     """
-    dim = _density_dim(dim)
+    dim = _integer(dim, ValidationError, "density dimension", low=2)
+    _guard("density dimension", dim)
     rng = _generator(seed)
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     W = G @ G.conj().T

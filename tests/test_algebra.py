@@ -6,6 +6,8 @@ then cross-checked against dense numpy.kron materializations.
 """
 
 import itertools
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -659,3 +661,46 @@ def test_lex_keys_order_rows_lexicographically(radices):
         assert by_row.setdefault(rows[i], key) == key
     assert sorted(by_row, key=by_row.get) == sorted(by_row)
     assert len(set(by_row.values())) == len(by_row)
+
+
+def test_insert_identity_slot_reads_its_bounds():
+    x = matrix_unit((2, 3), (1, 2), (2, 1))
+    with pytest.raises(SignatureError,
+                       match=r"^factor dimension 1 at position 2 is < 2$"):
+        insert_identity_slot(x, 1, 1)
+    with pytest.raises(SignatureError,
+                       match=r"^slot position 3 outside 0\.\.2$"):
+        insert_identity_slot(x, 3, 2)
+
+
+@pytest.mark.parametrize("start, count, message", [
+    (0.0, 1, "block start 0.0 is not an integer"),
+    (None, 1, "block start None is not an integer"),
+    (0, None, "block length None is not an integer"),
+    (0, 1.0, "block length 1.0 is not an integer"),
+    (2, 1, "block start 2 outside 0..1"),
+    (0, 3, "block length 3 outside 1..2"),
+])
+def test_coproduct_phi_block_reads_its_block(start, count, message):
+    x = matrix_unit((2, 6), (2, 5), (1, 2))
+    with pytest.raises(SignatureError, match=f"^{re.escape(message)}$"):
+        coproduct_phi_block(x, start, count, (2,), (3,))
+
+
+@pytest.mark.parametrize("level", [1.0, None])
+def test_product_phi_inverse_reads_its_level(level):
+    y = matrix_unit((2, 3), (1, 2), (2, 1))
+    with pytest.raises(SignatureError,
+                       match=f"^level {level!r} is not an integer$"):
+        product_phi_inverse(y, level)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 40, (DENSE_DIM_GUARD,
+                                               DENSE_DIM_GUARD + 1)])
+def test_identity_refuses_more_terms_than_the_guard(dims):
+    # refused before the diagonal's index rows are built
+    total = math.prod(dims)
+    with pytest.raises(ResourceGuardError,
+                       match=f"^identity term count {total} exceeds guard "
+                             f"{DENSE_DIM_GUARD ** 2}$"):
+        identity(dims)

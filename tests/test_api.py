@@ -155,3 +155,30 @@ def test_no_boolean_switches():
                       if isinstance(default, ast.Constant)
                       and isinstance(default.value, bool)]
     assert found == []
+
+
+# The message shapes of a bound check, and algebra's readers, the only
+# functions that may build them (``_guard_units`` says "would check more
+# than", which is none of them)
+BOUND_SHAPES = (" is < ", " outside ", "exceeds guard", "is not a finite number")
+READERS = ("_integer", "_guard", "_finite")
+
+
+def test_bound_messages_are_built_only_by_the_readers():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers = set()
+        if path.name == "algebra.py":
+            readers = {id(node) for top in tree.body
+                       if isinstance(top, ast.FunctionDef)
+                       and top.name in READERS for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.JoinedStr) or id(node) in readers:
+                continue
+            text = "".join(part.value for part in node.values
+                           if isinstance(part, ast.Constant))
+            found += [f"{path.name}:{node.lineno} {shape!r}"
+                      for shape in BOUND_SHAPES if shape in text]
+    assert found == []
+

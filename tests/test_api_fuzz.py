@@ -3,13 +3,16 @@ valid baseline by one probe value and must return a result or raise
 :class:`~uhfkron.errors.UhfError`.
 
 This covers the checks layer (every suite, directly and through
-``run_suite``, in each of ``dims``, ``level``, ``seed`` and ``tol``) and
-``AtomLabel.entry`` / ``entries``.  A huge value runs in-process only where
-a guard refuses it before anything is allocated: ``dims=10**30`` is no
-sequence, ``level=10**30`` is refused by ``algebra._guard_units`` at its
-first steps and ``entries(10**30)`` by the label level guard.  A huge seed
-or tolerance has no such guard, so those calls run in a child process
-with a 2 GB address-space cap.
+``run_suite``, in each of ``dims``, ``level``, ``seed`` and ``tol``),
+``AtomLabel.entry`` / ``entries`` and the scalar arguments of the other
+modules' constructors and maps (``API``).  A huge value runs in-process
+only where a reader or guard refuses it before anything is allocated:
+``dims=10**30`` is no sequence, ``level=10**30`` is refused by
+``algebra._guard_units`` at its first steps, ``entries(10**30)`` by the
+label level guard, a factor dimension by ``Signature``'s 2**62 bound, a
+density dimension or term count by ``algebra._guard``.  A huge seed,
+tolerance, cutoff or label base has no such guard, so those calls run in
+a child process with a 2 GB address-space cap.
 """
 
 import json
@@ -21,9 +24,26 @@ from pathlib import Path
 
 import pytest
 
-from uhfkron.atoms import AtomLabel
+from uhfkron.algebra import (
+    Signature,
+    coproduct_phi_block,
+    embed_psi,
+    identity,
+    insert_identity_slot,
+    matrix_unit,
+    product_phi_inverse,
+    random_element,
+)
+from uhfkron.atoms import AtomLabel, atom_check_product, atom_state
 from uhfkron.checks import SUITES, CheckReport, run_suite
 from uhfkron.errors import ResourceGuardError, UhfError
+from uhfkron.gns import FactorGns, gns_build
+from uhfkron.states import (
+    DensityFactor,
+    ProductStateTrunc,
+    random_density,
+    random_state,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -117,3 +137,96 @@ def test_label_positions_follow_the_contract(method, value):
         except UhfError as exc:
             if value is HUGE and method == "entries":
                 assert isinstance(exc, ResourceGuardError)
+
+
+def _element():
+    return matrix_unit((2, 3), (1, 2), (2, 1))
+
+
+def _mixed():
+    return DensityFactor.maximally_mixed(2)
+
+
+# A valid call per public callable, each scalar argument a keyword with a
+# valid default; a probe replaces one of them
+API = {
+    "Signature": lambda dim=3: Signature((2, dim)),
+    "matrix_unit": lambda sig=3, rows=1, cols=2: matrix_unit(sig, rows, cols),
+    "insert_identity_slot": lambda position=1, dim=3: insert_identity_slot(
+        _element(), position, dim),
+    "embed_psi": lambda next_dim=2: embed_psi(_element(), next_dim),
+    "coproduct_phi_block": lambda start=1, count=1: coproduct_phi_block(
+        matrix_unit((2, 6), (2, 5), (1, 2)), start, count, (2,), (3,)),
+    "product_phi_inverse": lambda level=1: product_phi_inverse(_element(),
+                                                               level),
+    "identity": lambda sig=(2, 3): identity(sig),
+    "random_element": lambda sig=(2, 3), rng=0, n_terms=4: random_element(
+        sig, rng, n_terms),
+    "random_density": lambda dim=2, seed=0: random_density(dim, seed),
+    "random_state": lambda dims=(2, 3), seed=0: random_state(dims, seed),
+    "DensityFactor.maximally_mixed": lambda dim=2: (
+        DensityFactor.maximally_mixed(dim)),
+    "AtomLabel": lambda base=3, entry=2, tail=1: AtomLabel(base, (1, entry),
+                                                           tail),
+    "atom_state": lambda level=2: atom_state(AtomLabel(2, (1,), 2), level),
+    "atom_check_product": lambda level=1: atom_check_product(
+        AtomLabel(2, (1, 2)), AtomLabel(3, (3, 1)), level),
+    "FactorGns": lambda cutoff=1e-12: FactorGns(_mixed(), cutoff),
+    "gns_build": lambda cutoff=1e-12: gns_build(
+        ProductStateTrunc([_mixed()]), cutoff),
+}
+# the arguments whose huge value no reader or guard refuses at once
+API_UNGUARDED = {("random_element", "rng"), ("random_density", "seed"),
+                 ("random_state", "seed"), ("AtomLabel", "base"),
+                 ("FactorGns", "cutoff"), ("gns_build", "cutoff")}
+API_ARGS = [(name, arg) for name, call in API.items()
+            for arg in call.__code__.co_varnames[:call.__code__.co_argcount]]
+API_IN_PROCESS = [(name, arg, value) for name, arg in API_ARGS
+                  for value in PROBES
+                  if not (value is HUGE and (name, arg) in API_UNGUARDED)]
+
+
+@pytest.mark.parametrize("name", sorted(API))
+def test_api_baselines_return(name):
+    API[name]()
+
+
+@pytest.mark.parametrize("name, arg, value", API_IN_PROCESS,
+                         ids=[f"{n}-{a}-{v!r}" for n, a, v in API_IN_PROCESS])
+def test_api_arguments_follow_the_contract(name, arg, value):
+    try:
+        API[name](**{arg: value})
+    except UhfError:
+        pass
+
+
+API_HUGE_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+from test_api_fuzz import API, HUGE
+from uhfkron.errors import UhfError
+for name, arg in zip(sys.argv[2::2], sys.argv[3::2]):
+    try:
+        API[name](**{arg: HUGE})
+        out = "returned"
+    except UhfError:
+        out = "UhfError"
+    except BaseException as exc:
+        out = repr(exc)
+    print(name, arg, out)
+"""
+
+
+def test_api_huge_unguarded_arguments_in_a_capped_child():
+    calls = sorted(API_UNGUARDED)
+    proc = subprocess.run(
+        [sys.executable, "-c", API_HUGE_CHILD, str(Path(__file__).parent),
+         *(part for call in calls for part in call)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(calls)
+    for line in lines:
+        assert line.split(" ")[2] in ("returned", "UhfError"), line

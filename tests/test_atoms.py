@@ -392,3 +392,11 @@ def test_suite_memory_stays_chunk_bounded(dims, level):
         tracemalloc.stop()
     assert report.ok
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("level", [0, -3])
+def test_label_entries_refuse_a_level_below_one(level):
+    for J in (AtomLabel(2, (1, 2), 1), AtomLabel(3, (3, 1))):
+        with pytest.raises(IndexRangeError,
+                           match=f"^label level {level} is < 1$"):
+            J.entries(level)

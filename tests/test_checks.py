@@ -398,3 +398,16 @@ def test_suite_arguments_accept_integer_kinds():
     got = run_suite("tensor-formula", [np.int64(2), 2], True, seed=np.int8(3),
                     tol=np.float32(1e-12))
     assert (got.passed, got.failed) == (want.passed, want.failed) == (16, 0)
+
+
+@pytest.mark.parametrize("suite, dims", [
+    ("coassociativity", (2, 0, 2)), ("compatibility", (2, 0)),
+    ("star-isomorphism", (2, 0)), ("tensor-formula", (3, 0)),
+    ("state-associativity", (2, 2, 0))])
+def test_suites_read_every_base_before_a_huge_level(suite, dims):
+    # a zero base leaves the unit guard nothing to count, so it must be
+    # refused before any 10**30-slot signature is built
+    pos = dims.index(0) + 1
+    with pytest.raises(SignatureError,
+                       match=f"^factor dimension 0 at position {pos} is < 2$"):
+        run_suite(suite, dims, 10**30)

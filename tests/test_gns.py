@@ -4,6 +4,7 @@ commutant dimensions as irreducibility certificates.
 """
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -692,3 +693,14 @@ def test_commutant_maximally_mixed_3x3():
     # row of units and builds no D x D image
     S = ProductStateTrunc([DensityFactor.maximally_mixed(3)] * 2)
     assert commutant_dimension(gns_build(S)) == 81
+
+
+@pytest.mark.parametrize("cutoff", ["1", None, (), 10**400],
+                         ids=["str", "none", "tuple", "int-past-float"])
+def test_cutoff_that_is_no_real_number_is_a_validation_error(cutoff):
+    T = DensityFactor.maximally_mixed(2)
+    message = f"eigenvalue cutoff {cutoff!r} is not a finite number > 0"
+    for call in (lambda: FactorGns(T, cutoff),
+                 lambda: gns_build(ProductStateTrunc([T]), cutoff)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call()

@@ -680,3 +680,14 @@ def test_parse_matches_element_fold_on_workload_text(monkeypatch, n_terms):
         workloads.random_terms(rng, workloads.CLI_FUSED, n_terms),
         workloads.CLI_FUSED)
     assert _outcome(parse_element, text) == _outcome(_ref_parse_element, text)
+
+
+@pytest.mark.parametrize("text", ["E[2](1,1( x )E[2](1,1)",
+                                  "E[2](1,1) + ( \t x )"])
+def test_parse_error_names_the_tensor_operator_without_its_spaces(text):
+    # the operator may have spaces and tabs inside; the message names it
+    # "(x)", as the reference tokenizer does
+    outcome = _outcome(parse_element, text)
+    assert "found '(x)'" in outcome[2]
+    assert outcome == _outcome(_ref_parse_element, text)
+

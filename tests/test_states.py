@@ -413,3 +413,14 @@ def test_density_helpers_take_numpy_integers():
     assert DensityFactor.maximally_mixed(np.int64(3)).dim == 3
     assert random_density(np.uint8(2), seed=1).dim == 2
     assert random_state(np.array([2, 3]), 1).sig.dims == (2, 3)
+
+
+@pytest.mark.parametrize("make", [random_density, DensityFactor.maximally_mixed],
+                         ids=["random", "mixed"])
+@pytest.mark.parametrize("dim", [DENSE_DIM_GUARD + 1, 5000, 10**30])
+def test_density_constructors_refuse_a_dimension_past_the_guard(make, dim):
+    # refused before a dim x dim matrix is allocated
+    with pytest.raises(ResourceGuardError,
+                       match=f"^density dimension {dim} exceeds guard "
+                             f"{DENSE_DIM_GUARD}$"):
+        make(dim)
