@@ -52,7 +52,6 @@ complex multiply may fuse a product and a sum and round differently.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -151,21 +150,26 @@ def _guard(what: str, value: int, cap: int = DENSE_DIM_GUARD):
         raise ResourceGuardError(f"{what} {value} exceeds guard {cap}")
 
 
-# the comparisons with 0 that _finite may ask of a number
-_SIGNS = {">= 0": operator.ge, "> 0": operator.gt}
-
-
-def _finite(value, what: str, sign: str = ">= 0") -> float:
-    # value as a float, finite and ``sign`` (a key of _SIGNS), else
-    # ValidationError "<what> <value!r> is not a finite number <sign>",
-    # also for a value that is no real number
+def _finite(value, what: str) -> float:
+    # a tolerance: value as a float, finite and >= 0, else ValidationError
+    # "<what> <value!r> is not a finite number >= 0" (also for no number)
     try:
-        ok = math.isfinite(value) and _SIGNS[sign](value, 0)
+        ok = math.isfinite(value) and value >= 0
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise ValidationError(f"{what} {value!r} is not a finite number {sign}")
+        raise ValidationError(f"{what} {value!r} is not a finite number >= 0")
     return float(value)
+
+
+def _complex_array(value, what: str) -> np.ndarray:
+    # value as a complex array, else ValidationError "<what> is not an array
+    # of complex numbers" (a string entry, ragged rows, an int past float)
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{what} is not an array of complex numbers") from None
 
 
 def _guard_units(what: str, per_level: int, level: int):
@@ -717,7 +721,8 @@ def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraE
     Each term E_{j,k} becomes sum_m E_{j,k} with E^{(dim)}_{mm} spliced in
     at ``position`` (0-based slot index; ``position == level`` appends).
     Both are integers, ``dim >= 2`` and ``0 <= position <= level``, else
-    :class:`SignatureError`.
+    :class:`SignatureError`; more than ``DENSE_DIM_GUARD**2`` result terms
+    raise :class:`ResourceGuardError`.
     """
     position = _integer(position, SignatureError, "slot position", low=0,
                         high=x.sig.level)
@@ -726,7 +731,8 @@ def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraE
     new_sig = Signature(
         x.sig.dims[:position] + (dim,) + x.sig.dims[position:]
     )
-    diag = np.tile(np.arange(1, dim + 1, dtype=np.int64), len(x))
+    _guard("term count", len(x) * dim, DENSE_DIM_GUARD ** 2)
+    diag = np.arange(len(x) * dim, dtype=np.int64) % dim + 1
     return _element(
         new_sig,
         np.insert(np.repeat(x.rows, dim, axis=0), position, diag, axis=1),
@@ -849,7 +855,8 @@ def kron_box(A, B) -> np.ndarray:
     """Kronecker product of dense matrices, lexicographic index convention:
     entry (m(i-1)+i', m(j-1)+j') of the result is A_ij * B_i'j' with
     m = dim(B)."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+    return np.kron(_complex_array(A, "matrix A"),
+                   _complex_array(B, "matrix B"))
 
 
 def to_dense(x: AlgebraElement) -> np.ndarray:
@@ -878,7 +885,7 @@ def from_dense(matrix, sig) -> AlgebraElement:
     Exact inverse of :func:`to_dense` up to coefficient pruning.
     """
     sig = as_signature(sig)
-    m = np.asarray(matrix, dtype=complex)
+    m = _complex_array(matrix, "matrix")
     D = sig.total_dim
     if m.shape != (D, D):
         raise SignatureError(
@@ -912,13 +919,20 @@ def block_permutation(a, b) -> np.ndarray:
 
 
 def all_matrix_units(sig) -> Iterator[MatrixUnitIndex]:
-    """All matrix-unit indices of a stage, rows-major lexicographic order."""
+    """All matrix-unit indices of a stage, rows-major lexicographic order,
+    one at a time (``itertools.product`` would first list every range)."""
     sig = as_signature(sig)
-    ranges = [range(1, d + 1) for d in sig.dims]
-    all_cols = list(itertools.product(*ranges))
-    for rows in itertools.product(*ranges):
-        for cols in all_cols:
-            yield MatrixUnitIndex(rows, cols)
+    n, dims = sig.level, sig.dims * 2
+    index = [1] * (2 * n)
+    while True:
+        yield MatrixUnitIndex(tuple(index[:n]), tuple(index[n:]))
+        for slot in reversed(range(2 * n)):
+            if index[slot] < dims[slot]:
+                index[slot] += 1
+                break
+            index[slot] = 1
+        else:
+            return
 
 
 def _tagged_units(sig, images_per_unit: int = 1) -> Iterator[AlgebraElement]:

@@ -16,24 +16,22 @@ precision; term lists are sorted lexicographically by index, so identical
 invocations produce byte-identical output.  Failures exit nonzero with
 {"error": {"code": ..., "message": ...}} on stdout (code "usage" for a
 malformed command line); a result holding NaN or infinity is reported as
-a "validation" error.  The environment variable UHFKRON_TOL (or --tol)
-overrides the default comparison tolerance 1e-12; it must be a finite
-number >= 0.
+a "validation" error.  The flag --tol sets the comparison tolerance of
+``check`` and ``gns`` (default 1e-12); it must be a finite number >= 0.
+No environment variable is read.
 
 A request imports only the modules its subcommand uses.  At module level
 this module imports ``errors`` and ``algebra`` (which brings numpy); each
 ``_cmd_*`` handler imports the rest of what it runs (``parser``,
 ``states``, ``atoms``, ``checks``, ``gns``) when it is called.  So
 ``eval`` never loads ``atoms``, ``checks`` or ``gns``, and building the
-argument parser loads nothing: the ``--cutoff`` default of ``gns`` is
-resolved in its handler.
+argument parser loads nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -174,13 +172,12 @@ def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_gns(args, tol: float) -> tuple[dict, int]:
-    from .gns import GNS_EIG_CUTOFF, commutant_dimension, gns_build
+    from .gns import commutant_dimension, gns_build
     from .parser import parse_state
     from .states import _tagged_values
 
-    cutoff = GNS_EIG_CUTOFF if args.cutoff is None else args.cutoff
     S = parse_state(args.state)
-    G = gns_build(S, cutoff=cutoff)
+    G = gns_build(S)
     table = S._entry_table()
     passed = failed = 0
     max_err = 0.0
@@ -228,8 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "GNS data.",
     )
     parser.add_argument(
-        "--tol", type=float, default=None,
-        help="comparison tolerance (default: UHFKRON_TOL or 1e-12)",
+        "--tol", type=float, default=COMPARE_TOL,
+        help="comparison tolerance (default 1e-12)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -268,8 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gns", help="GNS data of a product state")
     p.set_defaults(func=_cmd_gns)
     p.add_argument("--state", required=True)
-    p.add_argument("--cutoff", type=float, default=None,
-                   help="eigenvalue rank cutoff")
 
     p = sub.add_parser("check", help="run a named property suite")
     p.set_defaults(func=_cmd_check)
@@ -286,26 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerance(args) -> float:
-    if args.tol is not None:
-        tol, source = args.tol, "--tol"
-    else:
-        raw = os.environ.get("UHFKRON_TOL")
-        if raw is None:
-            return COMPARE_TOL
-        try:
-            tol, source = float(raw), "UHFKRON_TOL"
-        except ValueError:
-            raise ValidationError(
-                f"UHFKRON_TOL={raw!r} is not a number") from None
-    return _finite(tol, source)
-
-
 def cli_run(argv=None) -> int:
     """Run one invocation; print a single JSON object; return the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        payload, code = args.func(args, _tolerance(args))
+        payload, code = args.func(args, _finite(args.tol, "--tol"))
     except UhfError as exc:
         payload = {"error": {"code": _error_code(exc), "message": str(exc)}}
         code = 1

@@ -1,9 +1,9 @@
 """GNS representations of product states at finite level, via purification.
 
 Each density factor T on M_d is purified: with T = sum_t lambda_t v_t v_t*
-and r = #{lambda_t > cutoff}, the factor space is C^d (x) C^r, the factor
-representation is x |-> x (x) I_r, and the factor cyclic vector is
-sum_t sqrt(lambda_t) v_t (x) e_t.  A :class:`GnsTriplet` is the tensor
+and r = #{lambda_t > GNS_EIG_CUTOFF}, the factor space is C^d (x) C^r,
+the factor representation is x |-> x (x) I_r, and the factor cyclic
+vector is sum_t sqrt(lambda_t) v_t (x) e_t.  A :class:`GnsTriplet` is the tensor
 product of such factors in space order, each reading one digit of the
 element's unit indices: its place ``(slot, stride, radix)`` picks the digit
 ``(j - 1) // stride % radix`` of the index j at ``slot``.  A product
@@ -59,7 +59,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, _finite, _grid, _guard
+from .algebra import AlgebraElement, Signature, _grid, _guard
 from .errors import GramMismatchError, SignatureError, ValidationError
 from .states import DensityFactor, ProductStateTrunc, state_boxtimes
 
@@ -83,9 +83,9 @@ GRAM_TOL = 1e-8
 class FactorGns:
     """Purification data of one density factor.
 
-    Eigenvalues above ``cutoff`` (finite and positive, else
-    :class:`ValidationError`) count toward the rank; a cutoff that keeps
-    none raises :class:`ValidationError` too.
+    Eigenvalues above ``GNS_EIG_CUTOFF`` count toward the rank.  A
+    validated factor's largest eigenvalue is at least (1 - 1e-10)/dim, far
+    above it, so the rank is at least one.
 
     ``frame`` (dim x rank) holds the eigenvectors of the kept eigenvalues
     as columns, in descending eigenvalue order, each scaled by the square
@@ -95,17 +95,11 @@ class FactorGns:
 
     __slots__ = ("dim", "rank", "space_dim", "cyclic", "frame")
 
-    def __init__(self, T: DensityFactor, cutoff: float = GNS_EIG_CUTOFF):
-        _finite(cutoff, "eigenvalue cutoff", "> 0")
+    def __init__(self, T: DensityFactor):
         eigvals, eigvecs = np.linalg.eigh(T.matrix)
         order = np.argsort(eigvals, kind="stable")[::-1]
         eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-        rank = int(np.sum(eigvals > cutoff))
-        if rank == 0:
-            raise ValidationError(
-                f"eigenvalue cutoff {cutoff!r} is not below the largest "
-                f"eigenvalue {float(eigvals[0])!r}; no rank is kept"
-            )
+        rank = int(np.sum(eigvals > GNS_EIG_CUTOFF))
         frame = eigvecs[:, :rank] * np.sqrt(eigvals[:rank])
         self.dim = T.dim
         self.rank = rank
@@ -212,15 +206,14 @@ class GnsTriplet:
                 f"space_dim={self.space_dim})")
 
 
-def gns_build(S: ProductStateTrunc,
-              cutoff: float = GNS_EIG_CUTOFF) -> GnsTriplet:
+def gns_build(S: ProductStateTrunc) -> GnsTriplet:
     """GNS triplet of a product state as a tensor product of purifications.
 
-    Space dimension is prod_i a_i * rank(T^{(i)}); refuses to build past
-    ``DENSE_DIM_GUARD``.  ``cutoff`` must be finite and positive (see
-    :class:`FactorGns`).  Factor i reads the whole index of slot i.
+    Space dimension is prod_i a_i * rank(T^{(i)}), each rank taken at
+    ``GNS_EIG_CUTOFF`` (see :class:`FactorGns`); refuses to build past
+    ``DENSE_DIM_GUARD``.  Factor i reads the whole index of slot i.
     """
-    factors = [FactorGns(f, cutoff) for f in S.factors]
+    factors = [FactorGns(f) for f in S.factors]
     return GnsTriplet(S.sig, factors,
                       [(i, 1, f.dim) for i, f in enumerate(factors)])
 
@@ -250,7 +243,7 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     module notes).  Raises :class:`GramMismatchError` if the families'
     Gram matrices disagree beyond ``GRAM_TOL`` or the space dimensions
     differ — either would mean the extension cannot be a well-defined
-    unitary.  Ranks are taken at ``GNS_EIG_CUTOFF``.
+    unitary.
     """
     if S.level != R.level:
         raise SignatureError(f"levels differ: {S.level} vs {R.level}")
@@ -260,7 +253,7 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     if G_fused.space_dim != G_tensor.space_dim:
         raise GramMismatchError(
             f"GNS space dimensions differ: {G_fused.space_dim} vs "
-            f"{G_tensor.space_dim} (eigenvalue rank at the cutoff boundary)"
+            f"{G_tensor.space_dim} (a rank at the GNS_EIG_CUTOFF boundary)"
         )
 
     pi_A, pi_B = _frame(G_fused), _frame(G_tensor)

@@ -41,6 +41,7 @@ from .algebra import (
     Signature,
     _cmul_parts,
     _complex,
+    _complex_array,
     _entries,
     _generator,
     _guard,
@@ -75,9 +76,10 @@ def density_validate(matrix) -> np.ndarray:
     Raises :class:`ValidationError` naming the violated property: square
     shape, dimension >= 2, Hermitian within ``DENSITY_VALIDATE_TOL``, trace
     1 within it, smallest eigenvalue >= -``DENSITY_VALIDATE_TOL``.
-    Non-finite entries are rejected first.
+    Entries that are no complex numbers, then non-finite ones, are
+    rejected first.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _complex_array(matrix, "density matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"density matrix must be square, got {m.shape}")
     _integer(m.shape[0], ValidationError, "density dimension", low=2)
@@ -115,17 +117,14 @@ class DensityFactor:
     __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix):
-        m = density_validate(matrix).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
+        _hold(self, density_validate(matrix).copy())
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityFactor is immutable")
 
     @classmethod
     def diagonal(cls, values) -> "DensityFactor":
-        return cls(np.diag(np.asarray(values, dtype=complex)))
+        return cls(np.diag(_complex_array(values, "diagonal values")))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityFactor":
@@ -138,17 +137,28 @@ class DensityFactor:
     @classmethod
     def pure(cls, vector) -> "DensityFactor":
         """Rank-one density |v><v| / <v, v>."""
-        v = np.asarray(vector, dtype=complex)
+        v = _complex_array(vector, "pure-state vector")
         nrm2 = float(np.vdot(v, v).real)
         if nrm2 <= 0.0:
             raise ValidationError("pure-state vector must be nonzero")
         return cls(np.outer(v, v.conj()) / nrm2)
 
     def boxtimes(self, other: "DensityFactor") -> "DensityFactor":
-        return DensityFactor(kron_box(self.matrix, other.matrix))
+        # a density, not checked again: its trace defect may be twice a
+        # factor's, past the absolute tolerance each factor met
+        product = object.__new__(DensityFactor)
+        _hold(product, kron_box(self.matrix, other.matrix))
+        return product
 
     def __repr__(self):
         return f"DensityFactor(dim={self.dim})"
+
+
+def _hold(f: DensityFactor, m: np.ndarray):
+    # make the density matrix m (not checked) read-only and f's matrix
+    m.setflags(write=False)
+    object.__setattr__(f, "matrix", m)
+    object.__setattr__(f, "dim", m.shape[0])
 
 
 def _entry_layout(sig: Signature) -> tuple:

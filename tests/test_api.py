@@ -6,8 +6,9 @@ A module-level import that the module neither uses nor exports is dead
 weight, and so is a module-level private function, class or constant that
 no module of the package reads, or a ``__slots__`` attribute that no code
 of the project reads; none is allowed.  Nor is a parameter whose default
-is ``True`` or ``False``: a switch that turns a check or a path off.  These
-checks read the source with ``ast``.
+is ``True`` or ``False``: a switch that turns a check or a path off, nor a
+read of the environment: a setting that no call shows.  These checks read
+the source with ``ast``.
 """
 
 import ast
@@ -182,3 +183,24 @@ def test_bound_messages_are_built_only_by_the_readers():
                       for shape in BOUND_SHAPES if shape in text]
     assert found == []
 
+
+
+# os names that read the environment
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # every value a call uses is one of its arguments or a module constant
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ENVIRONMENT_READS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} os.{alias.name}"
+                          for alias in node.names
+                          if alias.name in ENVIRONMENT_READS]
+    assert found == []

@@ -11,8 +11,11 @@ only where a reader or guard refuses it before anything is allocated:
 ``algebra._guard_units`` at its first steps, ``entries(10**30)`` by the
 label level guard, a factor dimension by ``Signature``'s 2**62 bound, a
 density dimension or term count by ``algebra._guard``.  A huge seed,
-tolerance, cutoff or label base has no such guard, so those calls run in
-a child process with a 2 GB address-space cap.
+tolerance or label base has no such guard, so those calls run in a child
+process with a 2 GB address-space cap; so do the factor dimensions
+``BIG_DIM``, which ``Signature`` accepts but no dense array could hold.
+``FactorGns`` and ``gns_build`` take no scalar argument: their baselines
+only have to return.
 """
 
 import json
@@ -26,6 +29,7 @@ import pytest
 
 from uhfkron.algebra import (
     Signature,
+    all_matrix_units,
     coproduct_phi_block,
     embed_psi,
     identity,
@@ -48,6 +52,8 @@ from uhfkron.states import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 HUGE = 10**30
+# a factor dimension below Signature's 2**62 bound, with 8 TiB of indices
+BIG_DIM = 2**40
 PROBES = [None, 2.5, "3", -1, 0, (), [2, "a"], math.nan, True, HUGE]
 
 # a valid (dims, level) per suite, cheap at seed 0 and the default tol
@@ -155,6 +161,7 @@ API = {
     "insert_identity_slot": lambda position=1, dim=3: insert_identity_slot(
         _element(), position, dim),
     "embed_psi": lambda next_dim=2: embed_psi(_element(), next_dim),
+    "all_matrix_units": lambda dim=3: next(all_matrix_units((2, dim))),
     "coproduct_phi_block": lambda start=1, count=1: coproduct_phi_block(
         matrix_unit((2, 6), (2, 5), (1, 2)), start, count, (2,), (3,)),
     "product_phi_inverse": lambda level=1: product_phi_inverse(_element(),
@@ -171,14 +178,15 @@ API = {
     "atom_state": lambda level=2: atom_state(AtomLabel(2, (1,), 2), level),
     "atom_check_product": lambda level=1: atom_check_product(
         AtomLabel(2, (1, 2)), AtomLabel(3, (3, 1)), level),
-    "FactorGns": lambda cutoff=1e-12: FactorGns(_mixed(), cutoff),
-    "gns_build": lambda cutoff=1e-12: gns_build(
-        ProductStateTrunc([_mixed()]), cutoff),
+    "FactorGns": lambda: FactorGns(_mixed()),
+    "gns_build": lambda: gns_build(ProductStateTrunc([_mixed()])),
 }
 # the arguments whose huge value no reader or guard refuses at once
 API_UNGUARDED = {("random_element", "rng"), ("random_density", "seed"),
-                 ("random_state", "seed"), ("AtomLabel", "base"),
-                 ("FactorGns", "cutoff"), ("gns_build", "cutoff")}
+                 ("random_state", "seed"), ("AtomLabel", "base")}
+# the dimension arguments given BIG_DIM in the child
+API_BIG_DIM = {("insert_identity_slot", "dim"), ("embed_psi", "next_dim"),
+               ("all_matrix_units", "dim")}
 API_ARGS = [(name, arg) for name, call in API.items()
             for arg in call.__code__.co_varnames[:call.__code__.co_argcount]]
 API_IN_PROCESS = [(name, arg, value) for name, arg in API_ARGS
@@ -204,22 +212,23 @@ API_HUGE_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 sys.path.insert(0, sys.argv[1])
-from test_api_fuzz import API, HUGE
+import test_api_fuzz as probes
 from uhfkron.errors import UhfError
-for name, arg in zip(sys.argv[2::2], sys.argv[3::2]):
+for name, arg, value in zip(*[iter(sys.argv[2:])] * 3):
     try:
-        API[name](**{arg: HUGE})
+        probes.API[name](**{arg: getattr(probes, value)})
         out = "returned"
     except UhfError:
         out = "UhfError"
     except BaseException as exc:
         out = repr(exc)
-    print(name, arg, out)
+    print(name, arg, value, out)
 """
 
 
 def test_api_huge_unguarded_arguments_in_a_capped_child():
-    calls = sorted(API_UNGUARDED)
+    calls = ([(*call, "HUGE") for call in sorted(API_UNGUARDED)]
+             + [(*call, "BIG_DIM") for call in sorted(API_BIG_DIM)])
     proc = subprocess.run(
         [sys.executable, "-c", API_HUGE_CHILD, str(Path(__file__).parent),
          *(part for call in calls for part in call)],
@@ -229,4 +238,4 @@ def test_api_huge_unguarded_arguments_in_a_capped_child():
     lines = proc.stdout.splitlines()
     assert len(lines) == len(calls)
     for line in lines:
-        assert line.split(" ")[2] in ("returned", "UhfError"), line
+        assert line.split(" ")[3] in ("returned", "UhfError"), line

@@ -161,18 +161,6 @@ def test_gns_commutant_within_the_guard(capsys, state, commutant):
     assert payload["expectation"]["failed"] == 0
 
 
-@pytest.mark.parametrize("cutoff", ["0.6", "0.5"])
-def test_gns_cutoff_that_keeps_no_rank_is_named(capsys, cutoff):
-    # a validated density has trace one; only the cutoff can drop every
-    # eigenvalue, so the message names it and the largest eigenvalue
-    code, payload = run_json(capsys, "gns", "--state", "diag(0.5,0.5)",
-                             "--cutoff", cutoff)
-    assert code == 1
-    assert payload == {"error": {"code": "validation", "message": (
-        f"eigenvalue cutoff {cutoff} is not below the largest eigenvalue "
-        f"0.5; no rank is kept")}}
-
-
 def test_gns_makes_no_element_per_unit(capsys, monkeypatch):
     # the expectations are checked one tagged chunk of units at a time, so
     # 16 and 256 units (one chunk each) make the same number of elements
@@ -291,9 +279,11 @@ def test_error_missing_file(capsys):
           "--level", "999999999"], "resource-guard"),
     ({}, ["--tol", "-1", "check", "--suite", "coassociativity",
           "--dims", "2,2,2"], "validation"),
-    ({"UHFKRON_TOL": "nan"}, ["check", "--suite", "tensor-formula",
-                              "--dims", "2,2"], "validation"),
-    ({}, ["gns", "--state", "diag(1,0)", "--cutoff", "-1"], "validation"),
+    # a valid tolerance in the environment does not stand in for the flag
+    ({"UHFKRON_TOL": "1e-9"}, ["--tol", "nan", "check", "--suite",
+                               "tensor-formula", "--dims", "2,2"],
+     "validation"),
+    ({}, ["gns", "--state", "diag(0.5,0.6)"], "validation"),
     ({}, ["eval", "--state", "file:{number}", "--expr", "E[2](1,1)"],
      "parse-error"),
     ({}, ["eval", "--state", "file:{ragged}", "--expr", "E[2](1,1)"],
@@ -345,25 +335,38 @@ def test_error_cases_are_one_strict_json_object(capsys, monkeypatch,
     assert payload["error"]["code"] == code
 
 
-def test_tol_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("UHFKRON_TOL", "1e-9")
+def test_tol_flag(capsys):
     code, payload = run_json(
-        capsys, "check", "--suite", "tensor-formula", "--dims", "2,3",
-        "--level", "1",
+        capsys, "--tol", "1e-9", "check", "--suite", "tensor-formula",
+        "--dims", "2,3", "--level", "1",
     )
     assert code == 0 and payload["failed"] == 0
 
-    monkeypatch.setenv("UHFKRON_TOL", "not-a-number")
-    code, payload = run_json(capsys, "eval", "--state", "diag(1,0)",
-                             "--expr", "E[2](1,1)")
+    code, payload = run_json(capsys, "--tol=-1e-9", "eval", "--state",
+                             "diag(1,0)", "--expr", "E[2](1,1)")
     assert code == 1
-    assert payload["error"]["code"] == "validation"
+    assert payload == {"error": {"code": "validation", "message":
+                                 "--tol -1e-09 is not a finite number >= 0"}}
 
-    # an explicit flag wins over the (broken) environment value
     code, payload = run_json(
         capsys, "--tol", "1e-12", "eval", "--state", "diag(1,0)",
         "--expr", "E[2](1,1)",
     )
+    assert code == 0
+    assert payload == {"value": {"re": 1.0, "im": 0.0}}
+
+
+def test_gns_rank_and_tolerance_have_one_source(capsys, monkeypatch):
+    # the rank is always taken at GNS_EIG_CUTOFF: no --cutoff option
+    code, payload = run_json(capsys, "gns", "--state", "diag(0.5,0.5)",
+                             "--cutoff", "1e-12")
+    assert code == 1
+    assert payload == {"error": {"code": "usage", "message":
+                                 "unrecognized arguments: --cutoff 1e-12"}}
+    # and no environment variable is read, so none can fail a request
+    monkeypatch.setenv("UHFKRON_TOL", "junk")
+    code, payload = run_json(capsys, "eval", "--state", "diag(1,0)",
+                             "--expr", "E[2](1,1)")
     assert code == 0
     assert payload == {"value": {"re": 1.0, "im": 0.0}}
 

@@ -76,8 +76,8 @@ subcommands = st.one_of(
               st.sampled_from(["2", "3"]), dims, dims).map(
         lambda t: [t[0]] + _argv(("--n", t[1]), ("--m", t[2]),
                                  ("--J", t[3]), ("--K", t[4]))),
-    st.tuples(st.just("gns"), states, _maybe(flag_values)).map(
-        lambda t: [t[0]] + _argv(("--state", t[1]), ("--cutoff", t[2]))),
+    st.tuples(st.just("gns"), states).map(
+        lambda t: [t[0]] + _argv(("--state", t[1]))),
     st.tuples(st.just("check"),
               st.sampled_from(sorted(SUITES) + ["nope"]),
               _maybe(dims), levels,

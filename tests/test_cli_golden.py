@@ -88,6 +88,5 @@ def test_golden_covers_every_case():
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED))
-def test_cli_stdout_matches_golden(case, monkeypatch):
-    monkeypatch.delenv("UHFKRON_TOL", raising=False)
+def test_cli_stdout_matches_golden(case):
     assert run(cases()[case]) == RECORDED[case]

@@ -80,7 +80,7 @@ REQUESTS = [
     (["atom-product", "--n", "2", "--m", "3", "--J", "3", "--K", "1"], 1,
      "validation", {"parser", "checks", "gns"}),
     (["gns", "--state", "diag(0.5,0.5)"], 0, None, {"atoms", "checks"}),
-    (["gns", "--state", "diag(0.5,0.5)", "--cutoff", "-1"], 1, "validation",
+    (["gns", "--state", "diag(0.5,0.6)"], 1, "validation",
      {"atoms", "checks"}),
     (["check", "--suite", "coassociativity", "--dims", "2,2,2"], 0, None,
      {"gns", "parser"}),

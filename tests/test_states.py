@@ -20,7 +20,9 @@ from uhfkron.algebra import (
     coproduct_phi,
     coproduct_phi_block,
     embed_psi,
+    from_dense,
     identity,
+    kron_box,
     matrix_unit,
     random_element,
     to_dense,
@@ -82,6 +84,27 @@ def test_density_validation_near_the_float_limit(matrix, match):
     # RuntimeWarning (the test configuration turns one into an error)
     with pytest.raises(ValidationError, match=match):
         density_validate(matrix)
+
+
+@pytest.mark.parametrize("call, what", [
+    (density_validate, "density matrix"),
+    (DensityFactor, "density matrix"),
+    (DensityFactor.diagonal, "diagonal values"),
+    (DensityFactor.pure, "pure-state vector"),
+    (lambda m: kron_box(m, np.eye(2)), "matrix A"),
+    (lambda m: kron_box(np.eye(2), m), "matrix B"),
+    (lambda m: from_dense(m, (2,)), "matrix"),
+], ids=["density_validate", "DensityFactor", "diagonal", "pure", "kron_box-A",
+        "kron_box-B", "from_dense"])
+@pytest.mark.parametrize("matrix", [
+    [["half", 0], [0, 0.5]],
+    [[0.5, 0], [0]],
+    [[10 ** 400, 0], [0, 0.5]],
+], ids=["string", "ragged", "int-past-float"])
+def test_matrices_that_hold_no_numbers_are_named(call, what, matrix):
+    with pytest.raises(ValidationError,
+                       match=f"^{what} is not an array of complex numbers$"):
+        call(matrix)
 
 
 def test_density_factor_is_read_only():
@@ -200,6 +223,18 @@ def test_boxtimes_output_is_valid_state():
     for f in out.factors:
         assert abs(np.trace(f.matrix) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(f.matrix)[0] >= -1e-12
+
+
+def test_boxtimes_of_factors_at_the_trace_tolerance():
+    # each factor's trace is 1 + 9e-11, within DENSITY_VALIDATE_TOL; their
+    # product's is 1 + 1.8e-10, which a second check would refuse
+    S = ProductStateTrunc([DensityFactor.diagonal([0.50000000009, 0.5])])
+    out = state_boxtimes(S, S)
+    product = out.factors[0].matrix
+    np.testing.assert_array_equal(product, kron_box(S.factors[0].matrix,
+                                                    S.factors[0].matrix))
+    assert not product.flags.writeable
+    assert out.factors[0].dim == 4
 
 
 def test_boxtimes_level_mismatch():
