@@ -31,7 +31,9 @@ form has one term per index, in order of first occurrence, with the
 coefficients of repeated indices summed in input order starting from
 ``0j`` (so a ``-0.0`` part becomes ``+0.0``) and the terms whose
 modulus is not above ``COEFF_PRUNE_TOL`` dropped: moduli at or below it,
-and ``nan`` ones.  That is what merging into a dict did, term order
+and ``nan`` ones.  The modulus is ``hypot``'s; :func:`_kept` reads the
+faster ``numpy.abs`` and asks ``hypot`` only near the tolerance and for
+``nan``.  That is what merging into a dict did, term order
 included; :func:`~uhfkron.states.state_evaluate` sums in term order, so
 its bits depend on it.
 
@@ -44,10 +46,17 @@ pair (i, j) has ``self_row_key[i]*C + other_col_key[j]``, so the
 O(T + T') operand keys are computed once, not per pair.  Where R*C
 reaches 2**63 the operand keys are first replaced by their ranks, below
 the number of terms, so the key still fits (:func:`_pair_keys`).  The
-merge returns the positions of the terms it keeps; only those terms'
-index rows are gathered.  Coefficient products use the float formula of
-Python's complex ``*`` (:func:`_cmul`), because numpy's vectorized
-complex multiply may fuse a product and a sum and round differently.
+merge sorts one packed key ``key << s | position`` per term (``s`` the
+bit length of the term count, ranked the same way where it would not
+fit), so equal keys come out in input order, and returns the positions
+of the terms it keeps; only those terms' index rows are gathered.  The
+product join ranks the inner and head keys in one sort and counts the
+heads per rank, so no binary search runs per term.  The constructor
+reads all its terms at once (:func:`_read_terms`) and reads term by term
+only to name the first bad one.  Coefficient products use the float
+formula of Python's complex ``*`` (:func:`_cmul`), because numpy's
+vectorized complex multiply may fuse a product and a sum and round
+differently.
 """
 
 from __future__ import annotations
@@ -55,7 +64,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import ItemsView
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
@@ -106,6 +119,12 @@ _MAX_FACTOR_DIM = 2 ** 62
 _KEY_BOUND = 2 ** 63
 # Image terms one tagged chunk of the unit grid may produce (memory cap).
 _TAG_CHUNK_TERMS = 1 << 12
+# Moduli from numpy.abs in this band around COEFF_PRUNE_TOL (2**-40 of it
+# each way, thousands of ulp) are decided by hypot (see _kept).
+_PRUNE_BAND = (COEFF_PRUNE_TOL * (1 - 2 ** -40),
+               COEFF_PRUNE_TOL * (1 + 2 ** -40))
+# What reading a malformed term may raise (see _term_error).
+_READ_ERRORS = (TypeError, ValueError, LookupError, OverflowError)
 
 
 def _integer(value, error, what: str, where: str = "", *,
@@ -271,15 +290,19 @@ class MatrixUnitIndex(NamedTuple):
     cols: tuple[int, ...]
 
 
+def _index_entries(value) -> tuple:
+    # the entries of a multi-index, or the one index at level 1
+    try:
+        return tuple(value)
+    except TypeError:
+        return (value,)
+
+
 def _as_multi_index(value, side: str) -> tuple[int, ...]:
     # a multi-index, or one index at level 1; each entry an integer
     # (operator.index: ints, bools and numpy integers, nothing truncated)
-    try:
-        entries = tuple(value)
-    except TypeError:
-        entries = (value,)
-    return _integers(entries, IndexRangeError, f"{side} index",
-                     " at factor {}")
+    return _integers(_index_entries(value), IndexRangeError,
+                     f"{side} index", " at factor {}")
 
 
 def _check_index(sig: Signature, rows, cols) -> MatrixUnitIndex:
@@ -354,20 +377,30 @@ def _lex_keys(columns: np.ndarray, radices) -> tuple[np.ndarray, int]:
     do not fit one key.
     """
     key = bound = None
-    start = 0
+    for start, stop, weights, size in _key_runs(tuple(radices)):
+        run = columns[:, start:stop] @ weights
+        if key is None:
+            key, bound = run, size
+        else:
+            key, bound = _pair_keys((key, bound), (run, size))
+    return key, bound
+
+
+@lru_cache(maxsize=256)
+def _key_runs(radices: tuple) -> tuple:
+    # the runs of _lex_keys: (start, stop, mixed-radix weights, bound)
+    runs, start = [], 0
     while start < len(radices):
         stop, size = start, 1
         while stop < len(radices) and size * radices[stop] < _KEY_BOUND:
             size *= radices[stop]
             stop += 1
-        weights = [math.prod(radices[i + 1:stop]) for i in range(start, stop)]
-        run = columns[:, start:stop] @ np.array(weights, dtype=np.int64)
-        if key is None:
-            key, bound = run, size
-        else:
-            key, bound = _pair_keys((key, bound), (run, size))
+        weights = np.array([math.prod(radices[i + 1:stop])
+                            for i in range(start, stop)], dtype=np.int64)
+        weights.setflags(write=False)
+        runs.append((start, stop, weights, size))
         start = stop
-    return key, bound
+    return tuple(runs)
 
 
 def _pair_keys(high, low, i=slice(None),
@@ -393,13 +426,25 @@ def _pair_keys(high, low, i=slice(None),
 
 def _ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
     # each entry's rank among the distinct entries, and their number
-    values, ranks = np.unique(a, return_inverse=True)
-    return ranks.astype(np.int64), len(values)
+    order = a.argsort()
+    rank = np.add.accumulate(_run_starts(a[order]), dtype=np.int64)
+    rank -= 1
+    ranks = np.empty(len(a), dtype=np.int64)
+    ranks[order] = rank
+    return ranks, (int(rank[-1]) + 1 if len(a) else 0)
 
 
-def _index_radices(sig: Signature) -> list[int]:
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    # where a run of equal keys starts in a sorted array
+    new = np.empty(len(sorted_keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    return new
+
+
+def _index_radices(sig: Signature) -> tuple[int, ...]:
     # radices of the index columns of a stage: 1-based values
-    return [d + 1 for d in sig.dims]
+    return tuple(d + 1 for d in sig.dims)
 
 
 def _term_keys(sig: Signature, index) -> tuple[np.ndarray, int]:
@@ -434,11 +479,23 @@ def _element(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
 def _kept(coeff) -> tuple:
     """``0j + c`` (a ``-0.0`` part becomes ``+0.0``), and which terms keep
     a modulus ``> COEFF_PRUNE_TOL`` (a slice if all do), with their
-    coefficients.  A ``nan`` modulus is not greater, so it is dropped."""
+    coefficients.  A ``nan`` modulus is not greater, so it is dropped.
+
+    The modulus is :func:`_moduli`'s.  ``numpy.abs`` is read first, as it
+    is several times faster; it differs from ``hypot`` by a few ulp and
+    may read an ``(inf, nan)`` part as ``nan``, so the terms whose
+    ``numpy.abs`` is ``nan`` or within ``_PRUNE_BAND`` of the tolerance
+    take :func:`_moduli`'s decision.
+    """
     coeff = coeff + 0j
-    keep = _moduli(coeff) > COEFF_PRUNE_TOL
-    if keep.all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = np.abs(coeff)
+    keep = modulus > _PRUNE_BAND[1]
+    if np.count_nonzero(keep) == len(keep):
         return slice(None), coeff
+    unsure = ~(keep | (modulus < _PRUNE_BAND[0]))
+    if unsure.any():
+        keep[unsure] = _moduli(coeff[unsure]) > COEFF_PRUNE_TOL
     return keep, coeff[keep]
 
 
@@ -459,15 +516,15 @@ def _listed(sig: Signature, rows: list, cols: list,
 def _summed(sig: Signature, index, coeff) -> "AlgebraElement":
     # canonical form (see _merged) of the terms whose rows are index[:T]
     # and whose columns are index[T:], T = len(coeff)
-    keep, total = _merged(_term_keys(sig, index)[0], coeff)
+    keep, total = _merged(_term_keys(sig, index), coeff)
     rows, cols = index[:len(coeff)], index[len(coeff):]
     return _element(sig, rows[keep], cols[keep], total)
 
 
 def _merged(key, coeff) -> tuple:
-    """Canonical form of terms whose indices may repeat, given one int64
-    key per term (equal keys for equal indices, as :func:`_term_keys` and
-    :func:`_pair_keys` make them).
+    """Canonical form of terms whose indices may repeat, given ``key`` =
+    (one int64 key per term, their bound), equal keys for equal indices,
+    as :func:`_term_keys` and :func:`_pair_keys` make them.
 
     One term per index, in order of first occurrence; a repeated index's
     coefficients are added in input order onto ``0j`` (``numpy.add.at``
@@ -475,21 +532,27 @@ def _merged(key, coeff) -> tuple:
     (:func:`_kept`).  Returns the input positions of the terms kept, in
     that order, and their coefficients; the caller gathers the index rows
     of those positions only.
+
+    One ``numpy.sort`` orders the packed keys ``key << s | position``
+    (``s`` the bit length of the term count, joined by :func:`_pair_keys`,
+    so keys are ranked first where the packed bound reaches 2**63): equal
+    keys come out in input order, so each index's first position is the
+    first of its run.
     """
-    order = np.argsort(key)
-    sorted_key = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    if len(starts) == len(key):  # no index repeats
+    shift = len(coeff).bit_length()
+    packed, _ = _pair_keys(key, (np.arange(len(coeff)), 1 << shift))
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift  # the sorted keys
+    new = _run_starts(packed)
+    if np.count_nonzero(new) == len(new):  # no index repeats
         return _kept(coeff)
-    first = np.minimum.reduceat(order, starts)  # per index, in key order
-    is_first = np.zeros(len(key), dtype=bool)
+    first = order[new]  # per index, in key order
+    is_first = np.zeros(len(coeff), dtype=bool)
     is_first[first] = True
-    slot = (np.cumsum(is_first) - 1)[first]  # its place in the output
-    target = np.empty(len(key), dtype=np.int64)
-    target[order] = slot[np.cumsum(new) - 1]
+    slot = (is_first.cumsum() - 1)[first]  # its place in the output
+    target = np.empty(len(coeff), dtype=np.int64)
+    target[order] = slot[new.cumsum() - 1]
     total = np.zeros(len(first), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(total, target, coeff)
@@ -497,20 +560,76 @@ def _merged(key, coeff) -> tuple:
     return np.flatnonzero(is_first)[keep], total
 
 
+def _read_terms(sig: Signature, entries) -> "AlgebraElement":
+    """Canonical form (see :func:`_merged`) of ``(index, coefficient)``
+    pairs, all read at once: the indices by ``operator.index`` into one
+    array, range-checked by array comparisons, the coefficients by
+    ``complex``.  It accepts what :func:`_term_error` accepts term by term;
+    where the bulk read fails, that runs to raise the error of the first
+    bad term.
+    """
+    indices, coeffs = [], []
+    try:
+        for idx, c in entries:
+            indices.append(idx)
+            coeffs.append(c)
+        sides = [*map(itemgetter(0), indices), *map(itemgetter(1), indices)]
+        try:
+            sides = list(map(tuple, sides))
+        except TypeError:  # an index at level 1 may be one integer
+            sides = list(map(_index_entries, sides))
+        if set(map(len, sides)) - {sig.level}:
+            raise ValueError("an index length differs from the level")
+        index = np.fromiter(map(operator.index, chain.from_iterable(sides)),
+                            np.int64, len(sides) * sig.level)
+        index = index.reshape(len(sides), sig.level)
+        if not ((index >= 1) & (index <= sig.dims)).all():
+            raise ValueError("an index is out of range")
+        coeff = np.fromiter(map(complex, coeffs), complex, len(coeffs))
+    except _READ_ERRORS:
+        _term_error(sig, entries)
+        raise
+    return _summed(sig, index, coeff)
+
+
+def _term_error(sig: Signature, entries):
+    # raise the error of the first term that does not read as a pair
+    # (index, coefficient): ValidationError naming its position, or
+    # _check_index's IndexRangeError
+    for pos, term in enumerate(entries, start=1):
+        try:
+            idx, c = term
+            _check_index(sig, idx[0], idx[1])
+        except UhfError:
+            raise
+        except _READ_ERRORS:
+            raise ValidationError(
+                f"term {pos} is not a pair (index, coefficient) with an "
+                f"index (rows, cols)") from None
+        try:
+            complex(c)
+        except _READ_ERRORS:
+            raise ValidationError(
+                f"coefficient of term {pos} ({type(c).__name__}) does not "
+                f"convert to a complex number") from None
+
+
 class AlgebraElement:
     """Sparse element of a tensor stage, kept in canonical form.
 
     ``rows``/``cols`` (int64, shape (T, n), 1-based) and ``coeff``
     (complex, shape (T,)) hold the T terms as read-only arrays; see the
-    module docstring for the canonical form.  The constructor takes a
-    mapping or an iterable of ``(index, coefficient)`` pairs, an index being
-    a ``(rows, cols)`` pair of multi-indices, each index an integer in
-    1..a_i (else :class:`IndexRangeError`, as :func:`matrix_unit` raises
-    it); a term that is no such pair, or whose coefficient is no complex
-    number, raises :class:`ValidationError` naming its position.  Every
-    element is range-checked, so every operation may read its
-    indices unchecked.  Instances are immutable; all
-    operations return new elements.  ``*`` is the algebra product (or
+    module docstring for the canonical form.  The constructor takes
+    ``None`` (the zero element), a mapping or an iterable of
+    ``(index, coefficient)`` pairs, an index being a ``(rows, cols)`` pair
+    of multi-indices, each index an integer in 1..a_i (else
+    :class:`IndexRangeError`, as :func:`matrix_unit` raises it); a term
+    that is no such pair, or whose coefficient is no complex number,
+    raises :class:`ValidationError` naming its position.  All terms are
+    read at once (:func:`_read_terms`).  Every element is range-checked,
+    so every operation may read its indices unchecked.  Instances are
+    immutable (copies and pickles rebuild from the arrays); all operations
+    return new elements.  ``*`` is the algebra product (or
     scalar scaling), ``+``/``-`` the linear structure, :meth:`adjoint` the
     *-operation.
     """
@@ -519,30 +638,17 @@ class AlgebraElement:
 
     def __init__(self, sig, terms=None):
         sig = as_signature(sig)
-        rows, cols, coeff = [], [], []
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            try:
-                for idx, c in items:
-                    idx = _check_index(sig, idx[0], idx[1])
-                    rows.append(idx.rows)
-                    cols.append(idx.cols)
-                    coeff.append(complex(c))
-            except UhfError:
-                raise
-            except (TypeError, ValueError, LookupError, OverflowError):
-                pos = len(coeff) + 1
-                if len(rows) == pos:  # its index was read, so c is no number
-                    raise ValidationError(
-                        f"coefficient of term {pos} ({type(c).__name__}) "
-                        f"does not convert to a complex number") from None
-                _entries(items, ValidationError, "terms")
-                raise ValidationError(
-                    f"term {pos} is not a pair (index, coefficient) with "
-                    f"an index (rows, cols)") from None
-        x = _listed(sig, rows, cols, coeff)
+        items = (() if terms is None else
+                 terms.items() if hasattr(terms, "items") else terms)
+        if not isinstance(items, ItemsView):  # a view reads again alike
+            items = _entries(items, ValidationError, "terms")
+        x = _read_terms(sig, items)
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(x, name))
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the canonical arrays, unchecked
+        return _element, (self.sig, self.rows, self.cols, self.coeff)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -606,19 +712,21 @@ class AlgebraElement:
                 _index_radices(self.sig))
             t, u = len(self), 2 * len(self) + len(other)
             # every pair (i, j) with self.cols[i] == other.rows[j], i-major
-            # and j in other's term order, as a loop over the terms makes them
-            inner, heads = keys[t:2 * t], keys[2 * t:u]
-            by_head = np.argsort(heads, kind="stable")
-            sorted_heads = heads[by_head]
-            lo = np.searchsorted(sorted_heads, inner, "left")
-            count = np.searchsorted(sorted_heads, inner, "right") - lo
-            i = np.repeat(np.arange(t), count)
-            # pair p of term i is its (p - first pair of i)-th head match
-            j = np.repeat(lo - (np.cumsum(count) - count), count)
+            # and j in other's term order, as a loop over the terms makes
+            # them: one sort ranks the inner keys and the head keys together
+            rank, distinct = _ranks(keys[t:u])
+            heads = rank[t:]
+            by_head = heads.argsort(kind="stable")
+            per_rank = np.bincount(heads, minlength=distinct)
+            count = per_rank[rank[:t]]
+            i = np.arange(t).repeat(count)
+            # pair p of term i is its (p - first pair of i)-th head match;
+            # in by_head, term i's heads end at the end of its rank's run
+            j = (per_rank.cumsum()[rank[:t]] - count.cumsum()).repeat(count)
             j += np.arange(len(j))
             j = by_head[j]
             # the product term of (i, j) has self.rows[i], other.cols[j]
-            key, _ = _pair_keys((keys[:t], bound), (keys[u:], bound), i, j)
+            key = _pair_keys((keys[:t], bound), (keys[u:], bound), i, j)
             keep, coeff = _merged(key, _cmul(self.coeff[i], other.coeff[j]))
             return _element(self.sig, self.rows[i[keep]],
                             other.cols[j[keep]], coeff)

@@ -117,10 +117,14 @@ class DensityFactor:
     __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix):
-        _hold(self, density_validate(matrix).copy())
+        _hold(density_validate(matrix).copy(), self)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityFactor is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the held matrix, unchecked
+        return _hold, (self.matrix,)
 
     @classmethod
     def diagonal(cls, values) -> "DensityFactor":
@@ -146,19 +150,21 @@ class DensityFactor:
     def boxtimes(self, other: "DensityFactor") -> "DensityFactor":
         # a density, not checked again: its trace defect may be twice a
         # factor's, past the absolute tolerance each factor met
-        product = object.__new__(DensityFactor)
-        _hold(product, kron_box(self.matrix, other.matrix))
-        return product
+        return _hold(kron_box(self.matrix, other.matrix))
 
     def __repr__(self):
         return f"DensityFactor(dim={self.dim})"
 
 
-def _hold(f: DensityFactor, m: np.ndarray):
-    # make the density matrix m (not checked) read-only and f's matrix
+def _hold(m: np.ndarray, f: DensityFactor | None = None) -> DensityFactor:
+    # make the density matrix m (not checked) read-only and the matrix of
+    # f, by default a new factor; return f
+    if f is None:
+        f = object.__new__(DensityFactor)
     m.setflags(write=False)
     object.__setattr__(f, "matrix", m)
     object.__setattr__(f, "dim", m.shape[0])
+    return f
 
 
 def _entry_layout(sig: Signature) -> tuple:
@@ -188,6 +194,10 @@ class ProductStateTrunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductStateTrunc is immutable")
+
+    def __reduce__(self):
+        # its factors rebuild unchecked (DensityFactor.__reduce__)
+        return ProductStateTrunc, (self.factors,)
 
     @property
     def level(self) -> int:

@@ -5,8 +5,10 @@ embeddings, the *-isomorphism property) are checked exactly on indices,
 then cross-checked against dense numpy.kron materializations.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -612,6 +614,28 @@ def test_level_70_stage_works_without_dense_keys():
     assert product_phi_inverse(split, 70) == x
 
 
+@pytest.mark.parametrize("x", [
+    matrix_unit((2, 3), (1, 2), (2, 3)),
+    zero((2, 2)),
+    random_element((4, 6, 4, 4), 1, 40),
+    AlgebraElement((3,), {((1,), (2,)): complex(math.inf, math.nan),
+                          ((2,), (1,)): -0.0 + 2j}),
+], ids=["unit", "zero", "random", "inf-nan"])
+def test_elements_copy_and_pickle(x):
+    for back in (copy.copy(x), copy.deepcopy(x),
+                 pickle.loads(pickle.dumps(x))):
+        assert type(back) is AlgebraElement and back.sig == x.sig
+        for name in ("rows", "cols", "coeff"):
+            mine, theirs = getattr(back, name), getattr(x, name)
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+            assert not mine.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            back.coeff = None
+        if np.isfinite(x.coeff).all():
+            assert back == x
+
+
 def test_stage_whose_index_radices_multiply_to_2_to_the_63():
     # (7,)*21: the 21 index radices 8 multiply to 2**63, one past int64, so
     # a key bound must stay below it even for a one-term element
@@ -623,21 +647,36 @@ def test_stage_whose_index_radices_multiply_to_2_to_the_63():
     assert x * x.adjoint() == 4.0 * matrix_unit(sig, u, u)
 
 
+def _traced_peak(f):
+    # f() and the peak of the memory traced while it ran
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_product_memory_stays_below_a_pair_index_matrix():
     # bulk-algebra's product shape: 20000 x 2000 terms make 104k pairs and
     # 71070 terms.  Building (pairs, 2n) index rows peaked at 23.6 MB; one
-    # int64 key per pair and gathering only the kept terms stays near 12
+    # int64 key per pair and gathering only the kept terms stays near 12.
+    # The constructor reads 20000 terms in bulk at about 3 MB (the per-term
+    # read peaked at 5.9), and a 20000 + 20000 sum peaks near 6.3
     sig = (4, 6, 4, 4)
     x = random_element(sig, 3, 20000)
     y = random_element(sig, 4, 2000)
-    tracemalloc.start()
-    try:
-        z = x * y
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    z, peak = _traced_peak(lambda: x * y)
     assert len(z) == 71070
     assert peak < 18e6
+    terms = dict(x.terms)
+    z, peak = _traced_peak(lambda: AlgebraElement(sig, terms))
+    assert z == x
+    assert peak < 5e6
+    w = random_element(sig, 5, 20000)
+    z, peak = _traced_peak(lambda: x + w)
+    assert len(z) == 34998
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("radices", [

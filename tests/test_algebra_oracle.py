@@ -11,19 +11,27 @@ for byte with a per-term ``numpy.kron`` chain.
 """
 
 import math
+import operator
+from decimal import Decimal
+from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uhfkron import algebra
 from uhfkron.algebra import (
     COEFF_PRUNE_TOL,
     AlgebraElement,
     MatrixUnitIndex,
     elem_tensor,
     insert_identity_slot,
+    matrix_unit,
     to_dense,
 )
+from uhfkron.errors import IndexRangeError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +258,230 @@ def test_to_dense_is_the_kron_chain_byte_for_byte(dims, data):
     x = AlgebraElement(dims, xi)
     assume(np.isfinite(x.coeff).all())  # merged parts may overflow
     assert to_dense(x).tobytes() == kron_chain(x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the merge kernel: sequential sums, the pruning threshold, the packed key
+# ---------------------------------------------------------------------------
+
+def assert_ops_match_the_oracle(dims, xi, yi, c):
+    """The constructor, ``+``, ``*`` and scalar ``*`` bit for bit."""
+    x, y = AlgebraElement(dims, xi), AlgebraElement(dims, yi)
+    rx, ry = ref_element(xi), ref_element(yi)
+    assert bits(x.terms) == bits(rx)
+    assert bits(y.terms) == bits(ry)
+    assert bits((x + y).terms) == bits(ref_add(rx, ry))
+    assert bits((x * y).terms) == bits(ref_mul(rx, ry))
+    assert bits((y * x).terms) == bits(ref_mul(ry, rx))
+    assert bits((c * x).terms) == bits(ref_scale(c, rx))
+
+
+def test_repeated_index_sums_in_input_order():
+    # 10 coefficients on one index, whose pairwise sum (numpy's reduction)
+    # and sequential sum differ; as products, 10 pairs meet on E_11
+    parts = [1e16, 1.0, -1e16, 1.0, 3.0, 1e-3, 7.0, 1.0, 1.0, 0.5]
+    values = [complex(p, -p / 3) for p in parts]
+    running = 0j
+    for v in values:
+        running += v
+    assert np.sum(values) != running
+    one = ((1,), (1,))
+    xi = [(one, v) for v in values]
+    assert_ops_match_the_oracle((12,), xi, xi[::-1], 0.1 + 0.3j)
+    # x * y = sum_k values[k] E_11 over the ten pairs (1, k), (k, 1)
+    xi = [(((1,), (k,)), v) for k, v in enumerate(values, start=1)]
+    yi = [(((k,), (1,)), 1.0) for k in range(1, 11)]
+    assert_ops_match_the_oracle((12,), xi, yi, -1.0)
+
+
+# numpy.abs and hypot part at these moduli: the first is dropped although
+# numpy.abs reads it above COEFF_PRUNE_TOL, the second kept although
+# numpy.abs reads it at the tolerance
+DROPPED = 3.451063496476049e-15 + 9.38563587314629e-15j
+KEPT = 7.654060827310398e-15 + 6.435476116949894e-15j
+
+
+def test_coefficients_that_straddle_the_tolerance():
+    assert math.hypot(DROPPED.real, DROPPED.imag) <= COEFF_PRUNE_TOL
+    assert math.hypot(KEPT.real, KEPT.imag) > COEFF_PRUNE_TOL
+    with np.errstate(all="ignore"):
+        moduli = np.abs(np.array([DROPPED, KEPT] * 64))
+    assert moduli[0] > COEFF_PRUNE_TOL and not moduli[1] > COEFF_PRUNE_TOL
+    index = [((j,), (k,)) for j in (1, 2) for k in (1, 2)]
+    xi = [(index[k % 4], v) for k, v in enumerate(
+        [DROPPED, KEPT, -DROPPED, 1.0, KEPT, DROPPED, 2.0, -KEPT] * 40)]
+    yi = [(index[0], 1.0), (index[3], 1.0), (index[1], KEPT)]
+    assert_ops_match_the_oracle((2,), xi, yi, 1.0)
+    assert_ops_match_the_oracle((2,), [(index[0], DROPPED)] * 3,
+                                [(index[0], KEPT)], 1.0)
+    # as single terms, the first is pruned and the second is kept
+    assert AlgebraElement(2, {index[0]: DROPPED}).is_zero
+    assert len(AlgebraElement(2, {index[0]: KEPT})) == 1
+    assert (DROPPED * matrix_unit(2, 1, 2)).is_zero
+    assert len(KEPT * matrix_unit(2, 1, 2)) == 1
+
+
+def test_packed_key_past_int64_takes_the_rank_fallback(monkeypatch):
+    # over (3, 2**29): the term keys fit (bound 16*(2**29 + 1)**2 < 2**63),
+    # but the term position packed below them does not, so the merge ranks
+    # the keys first
+    ranked = []
+    ranks = algebra._ranks
+    monkeypatch.setattr(algebra, "_ranks",
+                        lambda a: ranked.append(len(a)) or ranks(a))
+    dims = (3, 2**29)
+    pool = [(1, 1), (3, 2**29), (2, 7), (1, 2**29)]
+    rng = np.random.default_rng(5)
+    xi = [((pool[rng.integers(4)], pool[rng.integers(4)]),
+           complex(rng.standard_normal(), 0.0)) for _ in range(30)]
+    yi = [((pool[rng.integers(4)], pool[rng.integers(4)]), 1.5 - 1j)
+          for _ in range(12)]
+    assert_ops_match_the_oracle(dims, xi, yi, 2.0)
+    assert ranked
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -2.5, 1e-15, math.inf, -math.inf, math.nan]
+
+
+def test_nan_inf_and_signed_zero_parts():
+    special = [complex(a, b) for a in _SPECIAL for b in _SPECIAL]
+    index = [((j,), (k,)) for j in (1, 2, 3) for k in (1, 2, 3)]
+    xi = [(index[k % 5], v) for k, v in enumerate(special)]
+    yi = [(index[(3 * k) % 9], v) for k, v in enumerate(special[::-1][:20])]
+    with np.errstate(all="ignore"):
+        for c in (1.0, -0.0, complex(math.inf, 0.0), complex(0.0, math.nan)):
+            assert_ops_match_the_oracle((3,), xi, yi, c)
+        for v in special:  # one term each, so no sum hides a part
+            assert_ops_match_the_oracle((3,), [(index[1], v)],
+                                        [(index[3], v)], v)
+
+
+# ---------------------------------------------------------------------------
+# the constructor's bulk read against the per-term read
+# ---------------------------------------------------------------------------
+
+class Index:
+    """An integer only through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def per_term(items):
+    """Each term read on its own, as the constructor's loop read it: an
+    index (rows, cols) of multi-indices or, at level 1, single indices,
+    each entry read by ``operator.index``; the coefficient by ``complex``."""
+    def entries(value):
+        try:
+            return tuple(map(operator.index, value))
+        except TypeError:
+            return (operator.index(value),)
+    return [((entries(idx[0]), entries(idx[1])), complex(c))
+            for idx, c in items]
+
+
+CONSTRUCTOR_KINDS = {  # dims and a function making the terms afresh
+    "tuples": ((2, 3), lambda: [
+        (((1, 2), (2, 3)), 1.5), (((1, 2), (2, 3)), -1)]),
+    "lists-and-ranges": ((2, 3), lambda: [
+        ([[1, 2], range(2, 4)], 2j), (([2, 1], (1, 1)), 1)]),
+    "generators": ((2, 3), lambda: [
+        (((j for j in (2, 3)), iter((1, 1))), 0.5)]),
+    "bools": ((2, 2), lambda: [
+        (((True, 2), (1, True)), True), (((True, True), (2, 2)), False + 1j)]),
+    "numpy-ints": ((4, 3), lambda: [
+        (((np.int64(4), np.uint8(3)), (np.int32(1), np.uint64(2))),
+         np.float32(0.25)),
+        (((2, 3), (np.uint64(1), 2)), np.complex64(1j))]),
+    "mixed-uint64-and-int": ((3, 3), lambda: [
+        (((np.uint64(3), 1), (1, 2)), 1.0),
+        (((1, 3), (2, np.uint64(2))), 2.0)]),
+    "index-objects": ((3, 2), lambda: [
+        (((Index(3), 2), (1, Index(1))), 1.0),
+        (((1, 1), (Index(2), 2)), Fraction(1, 3))]),
+    "numpy-arrays": ((3, 3), lambda: [
+        ((np.array([1, 2]), np.array([3, 3], np.uint8)), 1.0),
+        (((np.array(2), 1), (3, np.int16(3))), 4.0)]),
+    "level-1-scalars": ((4,), lambda: [
+        ((1, 2), 1.0), ((np.int64(3), (4,)), 2.0), ((Index(2), True), -1.0),
+        (((1,), 2), 3.0)]),
+    "index-extras": ((2,), lambda: [
+        (MatrixUnitIndex((1,), (2,)), 1.0), (((2,), (1,), "ignored"), 2.0),
+        ([(1,), (2,)], 3.0)]),
+    "coefficients": ((2,), lambda: [
+        (((1,), (1,)), "1+2j"), (((1,), (2,)), Decimal(2)),
+        (((2,), (1,)), np.float64(-0.0)), (((2,), (2,)), 10**20),
+        (((1,), (1,)), -1e-300)]),
+}
+
+
+@pytest.mark.parametrize("dims, items", CONSTRUCTOR_KINDS.values(),
+                         ids=CONSTRUCTOR_KINDS.keys())
+def test_constructor_reads_every_kind_as_the_per_term_read(dims, items):
+    # a fresh list of terms for each read, as some entries read only once
+    want = bits(ref_element(per_term(items())))
+    for make in (list, tuple, iter, lambda t: [list(term) for term in t]):
+        assert bits(AlgebraElement(dims, make(items())).terms) == want
+    try:
+        dict(items())  # a repeated index keeps its last term
+    except TypeError:  # an unhashable index
+        return
+    want = bits(ref_element(per_term(dict(items()).items())))
+    for make in (dict, lambda t: MappingProxyType(dict(t))):
+        assert bits(AlgebraElement(dims, make(items())).terms) == want
+
+
+GOOD = [(((1, 1), (1, 2)), 1.0), (((2, 1), (2, 2)), np.int64(2))]
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ((((1, 1), (1, 2)), "x"), ValidationError,
+     "^coefficient of term 3 \\(str\\) does not convert to a complex number$"),
+    ((((1, 1), (1, 2)), None), ValidationError, "^coefficient of term 3 "),
+    ((((1, 1), (1, 2)), 10**400), ValidationError, "^coefficient of term 3 "),
+    ((((1, 1),), 1.0), ValidationError,
+     "^term 3 is not a pair \\(index, coefficient\\) with an index "
+     "\\(rows, cols\\)$"),
+    ((((1, 1), (1, 2)),), ValidationError, "^term 3 is not a pair"),
+    ((((1, 1), (1, 2)), 1.0, 2.0), ValidationError, "^term 3 is not a pair"),
+    (7, ValidationError, "^term 3 is not a pair"),
+    ((5, 1.0), ValidationError, "^term 3 is not a pair"),
+    ((((1, 1.5), (1, 2)), 1.0), IndexRangeError,
+     "^row index 1.5 at factor 2 is not an integer$"),
+    ((((1, 1), ("1", 2)), 1.0), IndexRangeError,
+     "^column index '1' at factor 1 is not an integer$"),
+    ((((1, 1), (1, 2, 1)), 1.0), IndexRangeError,
+     "^index length 2/3 does not match level 2$"),
+    ((((1, 1), 1), 1.0), IndexRangeError,
+     "^index length 2/1 does not match level 2$"),
+    ((((1, 1), (1, 3)), 1.0), IndexRangeError,
+     "^column index 3 exceeds dimension 2 at factor 2$"),
+    ((((0, 1), (1, 2)), 1.0), IndexRangeError,
+     "^row index 0 exceeds dimension 2 at factor 1$"),
+    ((((2**64, 1), (1, 2)), 1.0), IndexRangeError,
+     "^row index 18446744073709551616 exceeds dimension 2 at factor 1$"),
+    ((((np.uint64(2**63), 1), (1, 2)), 1.0), IndexRangeError,
+     "^row index 9223372036854775808 exceeds dimension 2 at factor 1$"),
+], ids=["string", "none", "huge-int", "one-index", "no-coefficient",
+        "triple", "no-sequence", "index-no-pair", "float-index",
+        "string-index", "long-index", "scalar-index", "column-past-dim",
+        "row-zero", "row-past-int64", "row-past-int64-numpy"])
+def test_constructor_names_the_first_bad_term(bad, error, message):
+    # the error of the per-term read, for the first bad term only
+    for terms in (GOOD + [bad] + GOOD, GOOD + [bad, ((1, 1), "junk")],
+                  iter(GOOD + [bad])):
+        with pytest.raises(error, match=message):
+            AlgebraElement((2, 2), terms)
+
+
+def test_constructor_of_an_array_is_no_truth_value():
+    # an array of terms is read as any other sequence of them
+    with pytest.raises(ValidationError,
+                       match="^term 1 is not a pair \\(index, coefficient\\)"):
+        AlgebraElement((2,), np.zeros(3))
+    for empty in (np.zeros(0), [], (), {}, None):
+        x = AlgebraElement((2,), empty)
+        assert x.is_zero and x.rows.shape == (0, 1)

@@ -6,7 +6,9 @@ the factorwise-Kronecker state — is checked exhaustively on matrix units
 at small dims and on random data, with both sides computed independently.
 """
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -235,6 +237,33 @@ def test_boxtimes_of_factors_at_the_trace_tolerance():
                                                     S.factors[0].matrix))
     assert not product.flags.writeable
     assert out.factors[0].dim == 4
+
+
+def _round_trips(value):
+    return [copy.copy(value), copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value))]
+
+
+def test_factors_and_states_copy_and_pickle():
+    # the copy rebuilds without a second validation, so a product at the
+    # trace tolerance, which DensityFactor(...) would refuse, round-trips
+    f = DensityFactor.diagonal([0.50000000009, 0.5])
+    g = f.boxtimes(f)
+    with pytest.raises(ValidationError):
+        DensityFactor(g.matrix)
+    for factor in (f, g):
+        for back in _round_trips(factor):
+            assert type(back) is DensityFactor and back.dim == factor.dim
+            np.testing.assert_array_equal(back.matrix, factor.matrix)
+            assert not back.matrix.flags.writeable
+    S = ProductStateTrunc([f, g])
+    x = random_element(S.sig, 2, 12)
+    for back in _round_trips(S):
+        assert type(back) is ProductStateTrunc and back.sig == S.sig
+        for mine, theirs in zip(back.factors, S.factors):
+            np.testing.assert_array_equal(mine.matrix, theirs.matrix)
+            assert not mine.matrix.flags.writeable
+        assert state_evaluate(back, x) == state_evaluate(S, x)
 
 
 def test_boxtimes_level_mismatch():
