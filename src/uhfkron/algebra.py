@@ -26,7 +26,11 @@ block before second.
 Representation
 --------------
 An element stores its T terms as arrays: ``rows`` and ``cols`` (int64,
-shape (T, n), 1-based) and ``coeff`` (complex, shape (T,)).  Canonical
+shape (T, n), 1-based) and ``coeff`` (complex, shape (T,)).  Slot
+relabellers (the coproduct maps, :func:`insert_identity_slot`, tagged
+unit chunks) write one slot-major block, a row per slot with the terms'
+rows then columns, and return (T, n) views of it: no consumer may assume
+row-major order.  Canonical
 form has one term per index, in order of first occurrence, with the
 coefficients of repeated indices summed in input order starting from
 ``0j`` (so a ``-0.0`` part becomes ``+0.0``) and the terms whose
@@ -840,18 +844,27 @@ def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraE
         x.sig.dims[:position] + (dim,) + x.sig.dims[position:]
     )
     _guard("term count", len(x) * dim, DENSE_DIM_GUARD ** 2)
-    diag = np.arange(len(x) * dim, dtype=np.int64) % dim + 1
-    return _element(
-        new_sig,
-        np.insert(np.repeat(x.rows, dim, axis=0), position, diag, axis=1),
-        np.insert(np.repeat(x.cols, dim, axis=0), position, diag, axis=1),
-        np.repeat(x.coeff, dim),
-    )
+    # the slot block as (slot, rows|cols, term, copy); the new slot counts
+    # 1..dim as a running sum of ones, never a dim-long range
+    block = np.empty((new_sig.level, 2 * len(x) * dim), dtype=np.int64)
+    out = block.reshape(new_sig.level, 2, len(x), dim)
+    for half, index in enumerate((x.rows.T, x.cols.T)):
+        out[:position, half] = index[:position, :, None]
+        out[position + 1:, half] = index[position:, :, None]
+    out[position] = 1
+    np.cumsum(out[position], axis=-1, out=out[position])
+    return _block_element(new_sig, block, np.repeat(x.coeff, dim))
 
 
 def embed_psi(x: AlgebraElement, next_dim: int) -> AlgebraElement:
     """Unital embedding A -> A (x) I into the stage extended by ``next_dim``."""
     return insert_identity_slot(x, x.sig.level, next_dim)
+
+
+def _block_element(sig: Signature, block, coeff) -> AlgebraElement:
+    # the element whose rows and cols are the (T, n) views of a slot block
+    return _element(sig, block[:, :len(coeff)].T, block[:, len(coeff):].T,
+                    coeff)
 
 
 def _split_slots(x: AlgebraElement, start: int, b: tuple[int, ...],
@@ -863,29 +876,36 @@ def _split_slots(x: AlgebraElement, start: int, b: tuple[int, ...],
     Coefficients and term order are kept: the split is injective, so the
     result is canonical as it stands.
     """
-    # one row per slot: the terms' rows, then their columns
-    index = np.concatenate([x.rows.T, x.cols.T], axis=1)
-    stop = start + len(b)
-    high, low = [], []
-    for j, bi in zip(index[start:stop], b):
-        h = (j - 1) // bi
-        high.append(h + 1)
-        low.append(j - h * bi)
-    rows, cols = np.split(
-        np.stack([*index[:start], *high, *low, *index[stop:]]).T, 2)
-    return _element(sig, rows, cols, x.coeff)
+    # the slots up to ``stop`` and after it copied around the rows of the
+    # j'', then split in place (numpy divides fast by a scalar: per row)
+    t, stop = len(x), start + len(b)
+    block = np.empty((sig.level, 2 * t), dtype=np.int64)
+    np.concatenate([x.rows[:, :stop].T, x.cols[:, :stop].T], axis=1,
+                   out=block[:stop])
+    np.concatenate([x.rows[:, stop:].T, x.cols[:, stop:].T], axis=1,
+                   out=block[stop + len(b):])
+    high, low = block[start:stop], block[stop:stop + len(b)]
+    high -= 1
+    for h, l, bi in zip(high, low, b):
+        h //= bi
+        np.multiply(h, -bi, out=l)
+    low[:, :t] += x.rows[:, start:stop].T
+    low[:, t:] += x.cols[:, start:stop].T
+    high += 1
+    return _block_element(sig, block, x.coeff)
 
 
 def _fuse_slots(y: AlgebraElement, sig: Signature) -> AlgebraElement:
     """Inverse of :func:`_split_slots` on a whole concatenated stage: slot i
     of the result is j = b_i*(j' - 1) + j'' from slots i and n + i of ``y``
-    (dimensions a_i and b_i, n = ``sig.level``)."""
-    index = np.concatenate([y.rows.T, y.cols.T], axis=1)
-    n = sig.level
-    fused = [(index[i] - 1) * bi + index[n + i]
-             for i, bi in enumerate(y.sig.dims[n:])]
-    rows, cols = np.split(np.stack(fused).T, 2)
-    return _element(sig, rows, cols, y.coeff)
+    (dimensions a_i and b_i, n = ``sig.level``), in place on the j'."""
+    n, t = sig.level, len(y)
+    block = np.concatenate([y.rows[:, :n].T, y.cols[:, :n].T], axis=1)
+    block -= 1
+    block *= np.array(y.sig.dims[n:], dtype=np.int64)[:, None]
+    block[:, :t] += y.rows[:, n:].T
+    block[:, t:] += y.cols[:, n:].T
+    return _block_element(sig, block, y.coeff)
 
 
 def coproduct_phi(x: AlgebraElement, a, b) -> AlgebraElement:
@@ -947,7 +967,7 @@ def product_phi_inverse(y: AlgebraElement, level: int) -> AlgebraElement:
     i the index b_i*(j'_i - 1) + j''_i fused from slots i and n + i.
     ``level`` is an integer, else :class:`SignatureError`.
     """
-    level = _integer(level, SignatureError, "level")
+    level = _integer(level, SignatureError, "level", low=1)
     dims = y.sig.dims
     if len(dims) != 2 * level:
         raise SignatureError(
@@ -1056,13 +1076,26 @@ def _tagged_units(sig, images_per_unit: int = 1) -> Iterator[AlgebraElement]:
     size of the images a caller makes from it.
     """
     sig = as_signature(sig)
-    D = sig.total_dim
+    D, n = sig.total_dim, sig.level
+    # unit u = r*D + c, and digit i of an index v (0-based) is
+    # v // w_i - a_i*(v // w_(i-1)), w_i = a_(i+1)*...*a_n, each in place
+    # on a row of the slot block viewed as (rows|cols, slot, unit)
+    w = [math.prod(sig.dims[i + 1:]) for i in range(n)]
+    tail = np.array(sig.dims[1:], dtype=np.int64)[:, None]
     step = max(1, _TAG_CHUNK_TERMS // images_per_unit)
     for start in range(0, D * D, step):
         unit = np.arange(start, min(start + step, D * D))
-        yield _element(sig, _grid(sig.dims, unit // D),
-                       _grid(sig.dims, unit % D),
-                       np.arange(1, len(unit) + 1, dtype=complex))
+        block = np.empty((n, 2 * len(unit)), dtype=np.int64)
+        digits = block.reshape(n, 2, -1).transpose(1, 0, 2)
+        for q, wi in zip(digits[0], w):
+            np.floor_divide(unit, wi * D, out=q)
+        unit -= D * digits[0, -1]
+        for q, wi in zip(digits[1], w):
+            np.floor_divide(unit, wi, out=q)
+        digits[:, 1:] -= tail * digits[:, :-1]
+        block += 1
+        yield _block_element(sig, block,
+                             np.arange(1, len(unit) + 1, dtype=complex))
 
 
 def _unit_tags(y: AlgebraElement, count: int) -> np.ndarray:

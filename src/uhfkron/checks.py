@@ -160,19 +160,18 @@ def _record_images(report: CheckReport, x: AlgebraElement, lhs, rhs,
         ok &= np.bincount(tag[tag >= 0], minlength=units) == count
     if lhs.sig != rhs.sig:
         ok[:] = False
-    # the images of the units with ``count`` on both sides, keyed (unit,
-    # rows, cols): sorted, the two sides must match entry by entry
-    sides = []
-    for y, tag in zip((lhs, rhs), tags):
+    if ok.any():
+        # every image keyed (unit, rows, cols) by one _term_keys call over
+        # the slot rows of both sides, so that keys compare across them;
+        # then only the keys of units with ``count`` on both sides are
+        # kept: sorted, the two sides must match entry by entry
+        tag = np.concatenate(tags)
+        keys, _ = _pair_keys((tag, units), _term_keys(lhs.sig, np.concatenate(
+            [lhs.rows.T, rhs.rows.T, lhs.cols.T, rhs.cols.T], axis=1).T))
         mine = tag >= 0
         mine[mine] = ok[tag[mine]]
-        sides.append((tag[mine], y.rows[mine], y.cols[mine]))
-    if ok.any():
-        tag, rows, cols = zip(*sides)
-        keys, _ = _pair_keys((np.concatenate(tag), units),
-                             _term_keys(lhs.sig, np.concatenate(rows + cols)))
-        left, right = np.split(keys, [len(sides[0][0])])
-        unit = np.sort(sides[0][0])
+        left, right = np.split(keys[mine], 2)  # as many keys each
+        unit = np.flatnonzero(ok).repeat(count)  # each sorted key's unit
         ok[unit[np.sort(left) != np.sort(right)]] = False
     report.record_units(ok, lambda k: f"{what} on unit {_unit_name(x, k)}")
 

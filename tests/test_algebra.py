@@ -553,6 +553,30 @@ def test_product_phi_inverse_past_the_dense_guard():
                                      for idx, c in y.terms.items()]
 
 
+def spliced(x, position, dim):
+    # reference for insert_identity_slot, in Python ints: each term once per
+    # m in 1..dim, with m spliced into its rows and columns at ``position``
+    def splice(index, m):
+        return index[:position] + (m,) + index[position:]
+
+    return [((splice(idx.rows, m), splice(idx.cols, m)), c)
+            for idx, c in x.terms.items() for m in range(1, dim + 1)]
+
+
+@pytest.mark.parametrize("x, dim", [
+    (random_element((2, 3, 4), rng=20, n_terms=30), 3),
+    (big_element((5, 2**61, 3), seed=21), 2),
+    (zero((2, 3)), 3),
+    (zero((2, 3)), 2**40),  # no term: nothing dim-long is built
+], ids=["small", "big", "zero", "zero-huge-dim"])
+def test_insert_identity_slot_term_by_term(x, dim):
+    dims = x.sig.dims
+    for position in range(len(dims) + 1):
+        y = insert_identity_slot(x, position, dim)
+        assert y.sig.dims == dims[:position] + (dim,) + dims[position:]
+        assert list(y.terms.items()) == spliced(x, position, dim)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
@@ -679,6 +703,23 @@ def test_product_memory_stays_below_a_pair_index_matrix():
     assert peak < 8e6
 
 
+def test_relabelling_memory_stays_near_its_output():
+    # bulk-algebra's coproduct shape: the 20000-term (4,6,4,4) element.
+    # Each relabeller writes its output, one slot-major int64 block of
+    # about 2.4 MB (1.2 MB fused), once; concatenating, stacking and
+    # splitting copies of the index rows peaked at 6.3 and 4.8 MB
+    sig, a, b = (4, 6, 4, 4), (2, 3, 2, 2), (2, 2, 2, 2)
+    x = random_element(sig, 3, 20000)
+    y, peak = _traced_peak(lambda: coproduct_phi(x, a, b))
+    assert peak < 3.5e6
+    z, peak = _traced_peak(lambda: coproduct_phi_block(x, 0, 4, a, b))
+    assert z == y
+    assert peak < 3.5e6
+    z, peak = _traced_peak(lambda: product_phi_inverse(y, 4))
+    assert z == x
+    assert peak < 2e6
+
+
 @pytest.mark.parametrize("radices", [
     [5] * 40,                      # runs of 27 columns, joined through ranks
     [2**62 + 1, 2**62 + 1, 3],    # a run per column, itself ranked
@@ -726,11 +767,12 @@ def test_coproduct_phi_block_reads_its_block(start, count, message):
         coproduct_phi_block(x, start, count, (2,), (3,))
 
 
-@pytest.mark.parametrize("level", [1.0, None])
+@pytest.mark.parametrize("level", [1.0, None, 0, -2])
 def test_product_phi_inverse_reads_its_level(level):
     y = matrix_unit((2, 3), (1, 2), (2, 1))
-    with pytest.raises(SignatureError,
-                       match=f"^level {level!r} is not an integer$"):
+    message = (f"level {level} is < 1" if isinstance(level, int)
+               else f"level {level!r} is not an integer")
+    with pytest.raises(SignatureError, match=f"^{re.escape(message)}$"):
         product_phi_inverse(y, level)
 
 

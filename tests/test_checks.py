@@ -4,6 +4,7 @@ that corrupt one chunk, the unit-count guard and the tolerance contract of
 ``run_suite``.
 """
 
+import itertools
 import math
 import re
 
@@ -174,6 +175,17 @@ def test_tagged_units_tag_every_unit_once(chunk):
         assert _unit_tags(x, len(x)).tolist() == list(range(len(x)))
 
 
+def test_tagged_units_for_several_images_per_unit():
+    # 4096 // 6 = 682 units per chunk: 1296 units make two chunks
+    sig = (2, 3, 2, 3)
+    chunks = list(_tagged_units(sig, 6))
+    assert [len(x) for x in chunks] == [682, 614]
+    assert [idx for x in chunks for idx in x.terms] == list(
+        all_matrix_units(sig))
+    for x in chunks:
+        assert x.coeff.tolist() == list(range(1, len(x) + 1))
+
+
 def test_unit_tags_ignore_other_coefficients():
     x = next(_tagged_units((2,)))  # tags 1..4
     y = type(x)(x.sig, [(((1,), (1,)), 2.5), (((1,), (2,)), 4 + 1j),
@@ -251,6 +263,25 @@ def test_lost_image_fails_its_unit(monkeypatch):
     assert report.failures == ["sides differ on unit (1,)<-(1,)"]
 
 
+def test_sides_over_different_levels_fail_every_unit(monkeypatch):
+    # the right side skips its block split, so it comes back over level 2
+    # instead of 3 with one image per unit: no unit may pass, and the
+    # slot rows of the two sides must not be keyed together
+    level = 1
+    real = coproduct_phi_block
+
+    def unsplit(x, start, count, a, b):
+        return x if start == level else real(x, start, count, a, b)
+
+    monkeypatch.setattr(checks, "coproduct_phi_block", unsplit)
+    report = suite_coassociativity((2, 3, 2), level)
+    assert (report.passed, report.failed) == (0, 144)
+    fused = checks._constant_sig(12, level)
+    assert report.failures == [
+        f"paths differ on unit {_name(idx)}"
+        for idx in itertools.islice(all_matrix_units(fused), 20)]
+
+
 def test_atom_check_corrupted_label_names_a_unit(monkeypatch):
     # with check (1) blinded, the tagged sweep of check (2) must still catch a
     # corrupted product label, at the first unit (in unit order) it breaks
@@ -275,6 +306,7 @@ def test_atom_check_corrupted_label_names_a_unit(monkeypatch):
 @pytest.mark.parametrize("control", [
     test_swapped_images_fail_exactly_those_units,
     test_lost_image_fails_its_unit,
+    test_sides_over_different_levels_fail_every_unit,
     test_atom_check_corrupted_label_names_a_unit,
 ])
 def test_negative_controls_at_chunks_of_seven(monkeypatch, control):
