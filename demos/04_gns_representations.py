@@ -74,7 +74,8 @@ def main():
     trace = ProductStateTrunc([DensityFactor.maximally_mixed(2)])
     print("trace state level 1:  commutant dim =",
           commutant_dimension(gns_build(trace)), "(commutant is all of M_2)")
-    # D = 256: the certificate works on integer positions, not D x D images
+    # D = 256: the dimension is read off the triplet's frame table, with
+    # no D x D image built
     trace4 = ProductStateTrunc([DensityFactor.maximally_mixed(2)] * 4)
     print("trace state level 4:  commutant dim =",
           commutant_dimension(gns_build(trace4)), "(= 16^2, all of M_16)")

@@ -27,15 +27,10 @@ constructor has range-checked, and an element's images are one scatter
 or gather each over the positions of its terms' units; one unit's image
 is that of the one-term element ``matrix_unit``.
 
-The images of the units also form a frame: :func:`commutant_dimension`
-certifies an integer array pi (N x m), N the total dimension, that is a
-permutation of 0..D-1 with rep(E_ij) = sum_t e_{pi[i,t]} e_{pi[j,t]}^T
-for every unit.  So rep(x) = W (x (x) I_m) W^H, W the permutation sending
-e_i (x) e_t to e_{pi[i,t]}, and the commutant has dimension m^2; for a
-triplet built here pi is pi0.  The check reads the images of whole
-batches of rows of units at once, by their flat indices, each batch at
-most ``_FRAME_BATCH_POSITIONS`` positions (or one row), and compares them
-as sorted integer codes.
+The table pi0 is also the frame of the representation: with W the 0/1
+matrix sending e_i (x) e_t to e_{pi0[i,t]}, rep(x) = W (x (x) I_R) W^T,
+and a triplet checks when it is built that W is unitary, that is, that
+pi0 holds each of 0..D-1 once (two factors reading one digit fail).
 
 The map x |-> rep(x) cyclic spans the whole space, so a second
 representation of the same state determines a unique unitary between the
@@ -43,8 +38,8 @@ two spans.  :func:`gns_intertwiner` builds it between the fused state's
 representation and the coproduct composition, as the linear extension
 B A^+ of the two spanning families (columns: the unit images of the
 cyclic vector), checking instead of assuming that their Gram matrices
-agree.  With C = cyclic[pi].T (m x N), the image of E_ij is column j of C
-written at pi[i], so each Gram matrix is I_N (x) C^H C and A A^H is
+agree.  With C = cyclic[pi0].T (R x N), the image of E_ij is column j of
+C written at pi0[i], so each Gram matrix is I_N (x) C^H C and A A^H is
 diagonal: the squared row norms nu of C_A, on pi_A[i] for every i.  A row
 of C_A is, up to order, a Kronecker product of one column of each
 factor's ``frame`` (an eigenvector scaled by the square root of its kept
@@ -59,7 +54,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, _grid, _guard
+from .algebra import AlgebraElement, Signature, _guard, _integer
 from .errors import GramMismatchError, SignatureError, ValidationError
 from .states import DensityFactor, ProductStateTrunc, state_boxtimes
 
@@ -125,8 +120,10 @@ class GnsTriplet:
     out.  The image of one unit is that of ``matrix_unit(sig, rows, cols)``.
     The cyclic vector has norm one and reproduces the state:
     <cyclic, rep(x) cyclic> = omega(x).  A space dimension above
-    ``DENSE_DIM_GUARD`` is refused, so a triplet's vectors, its images and
-    the certificate of :func:`commutant_dimension` stay small.
+    ``DENSE_DIM_GUARD`` is refused, so a triplet's vectors and images stay
+    small.  ``places`` holds one place per factor (slot in 0..level-1,
+    stride and radix in 1..dim of the slot), and a triplet that is no
+    representation is refused (see the module notes).
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
@@ -135,7 +132,11 @@ class GnsTriplet:
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
         self._factors = tuple(factors)
-        self._places = tuple(places)
+        self._places = tuple(_place(sig, place, k)
+                             for k, place in enumerate(places, start=1))
+        if len(self._places) != len(self._factors):
+            raise ValidationError(f"{len(self._places)} places for "
+                                  f"{len(self._factors)} factors")
         dims = [f.space_dim for f in self._factors]
         self.space_dim = math.prod(dims)
         _guard("GNS space dimension", self.space_dim)
@@ -145,6 +146,14 @@ class GnsTriplet:
             np.ones(1, dtype=complex)).ravel()
         strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
         ranks = [f.rank for f in self._factors]
+        # W is D x N*R, and unitary iff square with pi0 holding each of
+        # 0..D-1 once; a non-square W is refused before pi0 is built
+        columns = sig.total_dim * math.prod(ranks)
+        refusal = ValidationError(
+            f"the frame [W_1 ... W_N] is {self.space_dim} x {columns} and "
+            "not unitary")
+        if columns != self.space_dim:
+            raise refusal
         # _pi0[i] is row_u + o for the unit rows of row-major flat index i,
         # with row_u = sum_f j_f r_f s_f and o_t = sum_f t_f s_f over all
         # t; i = idx @ _weights - _shift for a 1-based multi-index idx
@@ -157,6 +166,10 @@ class GnsTriplet:
         self._pi0 = functools.reduce(np.add.outer, per_slot + [
             s * np.arange(r) for s, r in zip(strides, ranks)]).reshape(
                 sig.total_dim, -1)
+        if not np.array_equal(np.bincount(self._pi0.ravel(),
+                                          minlength=self.space_dim),
+                              np.ones(self.space_dim)):
+            raise refusal
 
     def _at(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (n, R) rows and columns of the ones of rep(E_u) for each unit u
@@ -206,6 +219,20 @@ class GnsTriplet:
                 f"space_dim={self.space_dim})")
 
 
+def _place(sig: Signature, place, k: int) -> tuple[int, int, int]:
+    # place k (1-based) as int (slot, stride, radix), slot in 0..level-1,
+    # stride and radix in 1..dim of the slot, else ValidationError
+    if len(place) != 3:
+        raise ValidationError(f"place {place!r} of factor {k} is no triple")
+    where = f" of factor {k}"
+    slot = _integer(place[0], ValidationError, "place slot", where, low=0,
+                    high=sig.level - 1)
+    return (slot,) + tuple(
+        _integer(v, ValidationError, f"place {what}", where, low=1,
+                 high=sig.dims[slot])
+        for v, what in zip(place[1:], ("stride", "radix")))
+
+
 def gns_build(S: ProductStateTrunc) -> GnsTriplet:
     """GNS triplet of a product state as a tensor product of purifications.
 
@@ -239,8 +266,8 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     """Unitary U with U Lambda_{S box R}(x) = (Lambda_S (x) Lambda_R)(phi(x)).
 
     U = B A^+ for the spanning families A (fused) and B (composed), read
-    off the frames of the two triplets without building A or B (see the
-    module notes).  Raises :class:`GramMismatchError` if the families'
+    off the frame tables of the two triplets without building A or B (see
+    the module notes).  Raises :class:`GramMismatchError` if the families'
     Gram matrices disagree beyond ``GRAM_TOL`` or the space dimensions
     differ — either would mean the extension cannot be a well-defined
     unitary.
@@ -256,7 +283,7 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
             f"{G_tensor.space_dim} (a rank at the GNS_EIG_CUTOFF boundary)"
         )
 
-    pi_A, pi_B = _frame(G_fused), _frame(G_tensor)
+    pi_A, pi_B = G_fused._pi0, G_tensor._pi0
     C_A, C_B = G_fused.cyclic[pi_A].T, G_tensor.cyclic[pi_B].T
     gram_defect = float(np.max(np.abs(C_A.conj().T @ C_A - C_B.conj().T @ C_B)))
     if gram_defect > GRAM_TOL:
@@ -271,85 +298,13 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     return U
 
 
-# The most unit-image positions one batch of the certificate reads (a
-# batch is at least one row of units): at D = 4096 this keeps a batch's
-# position and code arrays to a few MB.
-_FRAME_BATCH_POSITIONS = 2 ** 14
-
-
-def _as_set(codes: np.ndarray) -> np.ndarray:
-    # the distinct values of an integer array, sorted (as numpy.unique
-    # returns them, by a sort and a diff instead of a hash table)
-    codes = np.sort(codes, axis=None)
-    return codes[np.diff(codes, prepend=codes[:1] - 1) != 0]
-
-
-def _frame(G: GnsTriplet) -> np.ndarray:
-    # the frame pi of the module notes, certified as commutant_dimension
-    # describes, reading the positions of a batch of rows of units per call
-    # by the units' flat indices
-    D, N = G.space_dim, G.sig.total_dim
-    # rep(E_i1) for each row i, as sorted (i, row, column) codes
-    n = np.arange(N)[:, None]
-    flat = np.zeros((N, 2), dtype=np.int64)
-    flat[:, :1] = n
-    rows, cols = G._at(flat)
-    i, r, c = np.unravel_index(_as_set((n * D + rows) * D + cols), (N, D, D))
-    s = _as_set(r[(i == 0) & (r == c)])  # support of diag rep(E_11)
-    m = len(s)
-    # W_i = rep(E_i1)[:, s]: keep the ones in columns s, at (i, k)
-    keep = np.isin(c, s)
-    i, r, k = i[keep], r[keep], np.searchsorted(s, c[keep])
-    # the 0/1 matrix [W_1 ... W_N] is unitary iff it is a permutation
-    # matrix: each of its N*m columns and each of its D rows holds one one
-    if not (np.array_equal(np.bincount(i * m + k, minlength=N * m),
-                           np.ones(N * m))
-            and np.array_equal(np.bincount(r, minlength=D), np.ones(D))):
-        raise ValidationError(
-            f"the frame [W_1 ... W_N] is {D} x {N * m} and not unitary"
-        )
-    pi = np.empty((N, m), dtype=np.int64)
-    pi[i, k] = r
-    # rep(E_ij) for the rows i of a batch against (q, pi[i,t], pi[j,t])
-    # over j and t, compared as sets of codes, where q = (i - a) N + j
-    # numbers the units of the batch of rows a..b-1, whose flat indices
-    # are divmod(a N + q, N); the codes of unit q lie in row a + q // N,
-    # so the batch's sets are equal exactly when each of its rows' are.
-    # A batch reads at most _FRAME_BATCH_POSITIONS positions, or one row.
-    batch = max(1, _FRAME_BATCH_POSITIONS // rows.size)
-    for a in range(0, N, batch):
-        b = min(a + batch, N)
-        flat = np.empty(((b - a) * N, 2), dtype=np.int64)
-        np.divmod(np.arange(a * N, b * N), N, out=(flat[:, 0], flat[:, 1]))
-        rows, cols = G._at(flat)
-        q = np.arange(len(rows))[:, None]
-        got = _as_set((q * D + rows) * D + cols)
-        want = np.sort(((q.reshape(b - a, N, 1) * D + pi[a:b, None]) * D
-                        + pi), axis=None)
-        if not np.array_equal(got, want):
-            # the smallest code on one side only lies in the first failing
-            # row: the two sides agree on every code below it
-            p = min(len(got), len(want))
-            p = np.append(np.flatnonzero(got[:p] != want[:p]), p)[0]
-            first = min(np.concatenate((got[p:p + 1], want[p:p + 1])))
-            row = _grid(G.sig.dims, [a + first // (N * D * D)])[0]
-            raise ValidationError(f"row {tuple(row.tolist())} of unit "
-                                  f"images fails the certificate")
-    return pi
-
-
 def commutant_dimension(G: GnsTriplet) -> int:
     """Dimension of {X : [rep(E_u), X] = 0 for all matrix units E_u}.
 
-    Exact certificate in integers, as unit images are 0/1 matrices: with
-    s the support of diag rep(E_11), m = len(s) and W_i = rep(E_i1)[:, s],
-    check that [W_1 ... W_N] is a permutation matrix, so a square unitary,
-    and that the ones of rep(E_ij) sit exactly where those of W_i W_j^H
-    do, for all i, j.  Then rep(E_ij) = W (E_ij (x) I_m) W^H, and the
-    commutant W (I_N (x) M_m) W^H has dimension m^2 (1: irreducible).  A
-    failed check raises :class:`ValidationError`, naming the frame or the
-    first failing row of units, and no number is returned.  The work is
-    O(N D) integers, within ``gns_build``'s space-dimension guard, read a
-    batch of rows of units of bounded size at a time.
+    By the definition of the lookup, rep(E_ij) has its ones exactly at
+    (pi0[i, t], pi0[j, t]) for t in 0..R-1, so rep(E_ij) = W (E_ij (x) I_R)
+    W^T with W the permutation matrix of pi0, which the triplet checked
+    when it was built.  The commutant is then W (I_N (x) M_R) W^T, of
+    dimension R^2 (1: irreducible).  No unit image is read.
     """
-    return _frame(G).shape[1] ** 2
+    return G._pi0.shape[1] ** 2

@@ -1,8 +1,9 @@
 """GNS data: purification per factor, expectation identities, the
 intertwining unitary for the fused-vs-coproduct representations, and
-commutant dimensions as irreducibility certificates.
+commutant dimensions read off the frame table.
 """
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from uhfkron.algebra import (
     AlgebraElement,
     MatrixUnitIndex,
+    Signature,
     all_matrix_units,
     coproduct_phi,
     identity,
@@ -531,113 +533,91 @@ def test_commutant_beyond_the_stacked_reference(S):
     assert commutant_dimension(G) == math.prod(r * r for r in ranks)
 
 
-def _e(j, k):
-    return MatrixUnitIndex((j,), (k,))
+# The proof behind commutant_dimension, checked densely: pi0 holds each of
+# 0..D-1 once, and rep(E_ij) = W (E_ij (x) I_m) W^T with W the permutation
+# matrix sending e_i (x) e_t to e_{pi0[i,t]}, for every unit.
+@pytest.mark.parametrize("tree", [
+    random_state((2, 2), seed=91),
+    _mixed_state((2, 3), {0}, 92),
+    ProductStateTrunc([T_PURE, R_PURE, T_PURE]),
+    *_TREES,
+], ids=["full-rank", "mixed-rank", "pure", *_TREE_IDS])
+def test_frame_table_conjugates_every_unit_image(tree):
+    G, _ = _compose(tree)
+    D, (N, m) = G.space_dim, G._pi0.shape
+    assert D <= 256
+    assert sorted(G._pi0.ravel().tolist()) == list(range(D))
+    W = np.zeros((D, N * m))
+    W[G._pi0.ravel(), np.arange(N * m)] = 1
+    for idx in all_matrix_units(G.sig):
+        i, j = (np.ravel_multi_index(np.subtract(k, 1), G.sig.dims)
+                for k in (idx.rows, idx.cols))
+        E = np.zeros((N, N))
+        E[i, j] = 1
+        want = W @ np.kron(E, np.eye(m)) @ W.T
+        assert np.array_equal(G.rep(matrix_unit(G.sig, *idx)), want)
 
 
-E11, E12, E21, E22 = _e(1, 1), _e(1, 2), _e(2, 1), _e(2, 2)
-
-
-def _flat(dims, u):
-    # the 0-based row-major flat indices of the row and column of unit u
-    return np.ravel_multi_index(np.subtract(u, 1).T, dims)
-
-
-# A full-rank (2,) state reads 2 x 2 positions per row of units and a
-# full-rank (4,) state 4 x 4; a cap of None leaves _FRAME_BATCH_POSITIONS
-# as it is (one batch), a smaller cap puts cap // (positions per row) rows
-# (at least one) into each batch of the certificate.
-@pytest.mark.parametrize("dims, mapping, cap, match", [
-    ((2,), {E12: E22, E22: E12}, None, r"row \(1,\)"),
-    ((2,), {E12: E21, E21: E12}, None, "not unitary"),
-    ((2,), {E21: E11}, None, "not unitary"),
-    # row 2 fails alone: in the one batch, and in the second of two
-    ((2,), {E22: E11}, None, r"row \(2,\)"),
-    ((2,), {E22: E11}, 4, r"row \(2,\)"),
-    # a cap below one row still reads one row per batch
-    ((2,), {E22: E11}, 1, r"row \(2,\)"),
-    # two rows per batch: the failing row 3 opens the second batch, row 2
-    # closes the first and comes before row 4 in the second
-    ((4,), {_e(3, 4): _e(3, 1)}, 32, r"row \(3,\)"),
-    ((4,), {_e(2, 4): _e(2, 1), _e(4, 4): _e(4, 1)}, 47, r"row \(2,\)"),
-    # three rows per batch: row 4 is the whole short second batch
-    ((4,), {_e(4, 2): _e(4, 1)}, 48, r"row \(4,\)"),
-], ids=["E12-E22", "E12-E21", "E21-as-E11", "E22-as-E11",
-        "E22-as-E11-second-batch", "E22-as-E11-cap-below-a-row",
-        "row-3-opens-a-batch", "row-2-closes-a-batch",
-        "row-4-short-last-batch"])
-def test_commutant_refuses_a_non_representation(monkeypatch, dims, mapping,
-                                                cap, match):
-    # swapping the images of E_{12} and E_{22} keeps W but breaks
-    # rep(E_12) = W_1 W_2^H; swapping E_{12} and E_{21} puts a unit of
-    # the first row into W, whose columns s are then empty; reading E_{11}
-    # for E_{21} gives W_2 = W_1, whose rows repeat; reading E_{i1} for a
-    # later unit of row i keeps W and breaks row i only; no dimension may
-    # come back in any case, and the refusal names the first failing row
-    G = gns_build(random_state(dims, seed=79))
-    at = GnsTriplet._at
-
-    def patched(self, flat):
-        # the positions of unit mapping[u] wherever unit u is asked for
-        asked, flat = flat, flat.copy()
-        for u, v in mapping.items():
-            flat[(asked == _flat(dims, u)).all(axis=1)] = _flat(dims, v)
-        return at(self, flat)
-
-    monkeypatch.setattr(GnsTriplet, "_at", patched)
-    if cap is not None:
-        monkeypatch.setattr(gns, "_FRAME_BATCH_POSITIONS", cap)
+@pytest.mark.parametrize("places, match", [
+    ([(0, 1, 2), (5, 1, 2)], "place slot 5 of factor 2 outside 0..1"),
+    ([(0, 1, 2), (-1, 1, 2)], "place slot -1 of factor 2 outside 0..1"),
+    ([(0, 1, 2), (1, 0, 2)], "place stride 0 of factor 2 outside 1..2"),
+    ([(0, 1, 2), (1, 2**70, 2)], "place stride 1180591620717411303424 of "
+                                 "factor 2 outside 1..2"),
+    ([(0, 1, 2), (1, 1, 0)], "place radix 0 of factor 2 outside 1..2"),
+    ([(0, 1.0, 2), (1, 1, 2)], "place stride 1.0 of factor 1 is not an "
+                               "integer"),
+    ([(0, 1, 2), (1, 1)], r"place \(1, 1\) of factor 2 is no triple"),
+    ([(0, 1, 2)], "1 places for 2 factors"),
+    ([(0, 1, 2), (1, 1, 2), (1, 1, 2)], "3 places for 2 factors"),
+], ids=["slot-past-level", "negative-slot", "zero-stride", "huge-stride",
+        "zero-radix", "float-stride", "short-place", "missing-place",
+        "extra-place"])
+def test_triplet_reads_one_place_per_factor(places, match):
+    # unread, a slot past the level raises IndexError, a zero radix or
+    # stride divides by zero, and a negative slot or a missing place
+    # passes silently
     with pytest.raises(ValidationError, match=match):
-        commutant_dimension(G)
+        GnsTriplet(Signature((2, 2)), [FactorGns(T_PURE)] * 2, places)
 
 
-@pytest.mark.parametrize("cap", [1, 16, 40, 10**9])
-def test_commutant_is_the_same_for_every_batch_size(monkeypatch, cap):
-    G = gns_tensor_phi(gns_build(random_state((2,), seed=86)),
-                       gns_build(_mixed_state((2,), set(), 87)))
-    monkeypatch.setattr(gns, "_FRAME_BATCH_POSITIONS", cap)
-    assert commutant_dimension(G) == 4
+@pytest.mark.parametrize("dims, densities, places, match", [
+    # both factors read the digit of slot 0, and none reads slot 1
+    ((2, 2), [T_PURE, R_PURE], [(0, 1, 2), (0, 1, 2)], "4 x 4"),
+    # a radix below the factor's dimension reads too few of its indices
+    ((2, 2), [T_PURE, R_PURE], [(0, 1, 2), (1, 1, 1)], "4 x 4"),
+    # a (3,) factor reading a dimension-2 slot: W is 3 x 2
+    ((2,), [DensityFactor.diagonal([1.0, 0.0, 0.0])], [(0, 1, 2)], "3 x 2"),
+    # refused before a table of 2^40 rows is allocated
+    ((2**40,), [T_PURE], [(0, 1, 2)], "2 x 1099511627776"),
+], ids=["one-digit-twice", "radix-below-dimension", "non-square",
+        "huge-slot"])
+def test_triplet_that_is_no_representation_is_refused(dims, densities,
+                                                      places, match):
+    with pytest.raises(ValidationError, match=f"{match} and not unitary"):
+        commutant_dimension(GnsTriplet(
+            Signature(dims), [FactorGns(T) for T in densities], places))
 
 
-def test_commutant_refuses_a_frame_with_a_doubled_column(monkeypatch):
-    # both ones of rep(E_21) moved into its first column: the rows of
-    # [W_1 W_2] stay distinct, but one column holds two ones and one none
-    G = gns_build(random_state((2,), seed=81))
-    at = GnsTriplet._at
+def test_triplet_refuses_a_frame_table_with_a_repeated_entry(monkeypatch):
+    # the frame table is functools.reduce's one integer result in the
+    # constructor (the cyclic vector is its complex one)
+    reduce = functools.reduce
 
-    def patched(self, flat):
-        rows, cols = at(self, flat)
-        is_e21 = (flat == _flat((2,), E21)).all(axis=1)
-        cols[is_e21] = cols[is_e21, :1]
-        return rows, cols
+    def patched(function, iterable, *initial):
+        out = reduce(function, iterable, *initial)
+        if out.dtype.kind == "i":
+            out.flat[1] = out.flat[0]
+        return out
 
-    monkeypatch.setattr(GnsTriplet, "_at", patched)
+    monkeypatch.setattr(gns.functools, "reduce", patched)
     with pytest.raises(ValidationError, match="4 x 4 and not unitary"):
-        commutant_dimension(G)
-
-
-def test_commutant_refuses_a_non_square_frame(monkeypatch):
-    # adding the identity to every image gives rep(E_11) rank D, so
-    # [W_1 W_2] is D x 2D and cannot be unitary; the refusal names the
-    # frame's shape rather than a row
-    G = gns_build(random_state((2,), seed=80))
-    at = GnsTriplet._at
-
-    def patched(self, flat):
-        rows, cols = at(self, flat)
-        diag = np.broadcast_to(np.arange(self.space_dim),
-                               (len(rows), self.space_dim))
-        return np.hstack([rows, diag]), np.hstack([cols, diag])
-
-    monkeypatch.setattr(GnsTriplet, "_at", patched)
-    with pytest.raises(ValidationError, match="4 x 8 and not unitary"):
-        commutant_dimension(G)
+        commutant_dimension(gns_build(random_state((2,), seed=81)))
 
 
 def test_commutant_memory_stays_below_unit_multi_indices():
-    # pure (2,)*10 reads N = D = 1024 rows of 1024 units each; building a
-    # (2, level) multi-index for every unit of a batch peaked at 6.0 MB,
-    # reading the frame table by flat index stays near 1.4
+    # pure (2,)*10 has N = D = 1024 rows of 1024 units each, and the
+    # commutant reads none of their images
     G = gns_build(ProductStateTrunc([DensityFactor.diagonal([1.0, 0.0])] * 10))
     tracemalloc.start()
     try:
@@ -666,30 +646,41 @@ def _python_calls(fn) -> int:
 
 
 def test_unit_paths_make_a_bounded_number_of_python_calls():
-    # one position lookup is a fixed few numpy calls and the certificate
-    # reads whole batches of rows of units: 19 calls for one unit's
-    # expectation (11 of them making the unit) and 65 for the frame of a
-    # (2,3)(2,2) composition, where numpy.stack and numpy.moveaxis in the
-    # lookup made 36 and one lookup per row of units (24 rows here) made 833
+    # one position lookup is a fixed few numpy calls: 19 calls for one
+    # unit's expectation (11 of them making the unit); the commutant of a
+    # (2,3)(2,2) composition reads its frame table's shape and their
+    # intertwiner makes 417 calls, nearly all in its three builds and the
+    # fused state, below the 492 of re-reading every unit image per triplet
     S = random_state((2, 2), seed=88)
     G = gns_build(S)
-    Gc = gns_tensor_phi(gns_build(random_state((2, 3), seed=89)),
-                        gns_build(random_state((2, 2), seed=90)))
+    A, B = random_state((2, 3), seed=89), random_state((2, 2), seed=90)
+    Gc = gns_tensor_phi(gns_build(A), gns_build(B))
 
     def one():
         G.expectation(matrix_unit(S.sig, (1, 2), (2, 1)))
 
     def frame():
-        gns._frame(Gc)
+        commutant_dimension(Gc)
+        gns_intertwiner(A, B)
 
     one(), frame()  # anything made on first use is made
     assert _python_calls(one) <= 24
-    assert _python_calls(frame) <= 96
+    assert _python_calls(frame) <= 450
+
+
+def test_commutant_calls_do_not_grow_with_the_space_dimension():
+    # pure (2,)*12 has N = D = 4096; reading its N^2 unit images would take
+    # 12342 calls against 66 for pure (2,)
+    triplets = [gns_build(ProductStateTrunc([T_PURE] * k)) for k in (1, 12)]
+    for G in triplets:
+        assert commutant_dimension(G) == 1
+    small, large = (_python_calls(lambda G=G: commutant_dimension(G))
+                    for G in triplets)
+    assert large == small <= 4
 
 
 def test_commutant_maximally_mixed_3x3():
-    # D = 81 and N^2 = 81 units: the certificate reads N x R positions per
-    # row of units and builds no D x D image
+    # D = 81 and N^2 = 81 units, each image rep(E_ij) = W (E_ij (x) I_9) W^T
     S = ProductStateTrunc([DensityFactor.maximally_mixed(3)] * 2)
     assert commutant_dimension(gns_build(S)) == 81
 
