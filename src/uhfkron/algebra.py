@@ -53,14 +53,14 @@ the number of terms, so the key still fits (:func:`_pair_keys`).  The
 merge sorts one packed key ``key << s | position`` per term (``s`` the
 bit length of the term count, ranked the same way where it would not
 fit), so equal keys come out in input order, and returns the positions
-of the terms it keeps; only those terms' index rows are gathered.  The
-product join ranks the inner and head keys in one sort and counts the
-heads per rank, so no binary search runs per term.  The constructor
-reads all its terms at once (:func:`_read_terms`) and reads term by term
-only to name the first bad one.  Coefficient products use the float
-formula of Python's complex ``*`` (:func:`_cmul`), because numpy's
-vectorized complex multiply may fuse a product and a sum and round
-differently.
+of the terms it keeps; only those terms' index rows are gathered, by
+``take`` over int64 positions.  The product join ranks the inner and
+head keys in one sort and counts the heads per rank, so no binary search
+runs per term.  The constructor reads all its terms at once
+(:func:`_read_terms`) and reads term by term only to name the first bad
+one.  Coefficient products use the float formula of Python's complex
+``*`` (:func:`_cmul`), because numpy's vectorized complex multiply may
+fuse a product and a sum and round differently.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ import numbers
 import operator
 from collections.abc import ItemsView
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
@@ -348,11 +348,9 @@ def _cmul(a, b) -> np.ndarray:
 
     Each of ``ar*br``, ``ai*bi``, ``ar*bi``, ``ai*br`` is rounded before the
     sum; numpy's vectorized complex multiply may fuse them (FMA) and differ
-    in the last bit.
+    in the last bit.  The caller silences overflow and invalid warnings.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        re, im = _cmul_parts(a.real, a.imag, b.real, b.imag)
-    return _complex(re, im)
+    return _complex(*_cmul_parts(a.real, a.imag, b.real, b.imag))
 
 
 def _cmul_parts(ar, ai, br, bi) -> tuple:
@@ -423,18 +421,18 @@ def _pair_keys(high, low, i=slice(None),
         hk, hb = _ranks(hk)
     if hb * lb >= _KEY_BOUND:
         lk, lb = _ranks(lk)
-    key = (hk * lb)[i]
-    key += lk[j]
+    key = _at(hk * lb, i)
+    key += _at(lk, j)
     return key, hb * lb
 
 
 def _ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
     # each entry's rank among the distinct entries, and their number
     order = a.argsort()
-    rank = np.add.accumulate(_run_starts(a[order]), dtype=np.int64)
-    rank -= 1
-    ranks = np.empty(len(a), dtype=np.int64)
-    ranks[order] = rank
+    ranks = a.take(order)
+    rank = _run_starts(ranks).astype(np.int64)
+    rank[:1] = 0  # the first run has rank 0
+    ranks[order] = rank.cumsum(out=rank)
     return ranks, (int(rank[-1]) + 1 if len(a) else 0)
 
 
@@ -481,9 +479,10 @@ def _element(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
 
 
 def _kept(coeff) -> tuple:
-    """``0j + c`` (a ``-0.0`` part becomes ``+0.0``), and which terms keep
-    a modulus ``> COEFF_PRUNE_TOL`` (a slice if all do), with their
-    coefficients.  A ``nan`` modulus is not greater, so it is dropped.
+    """``c + 0j`` (in place: ``c`` is new; a ``-0.0`` part becomes
+    ``+0.0``), and the terms whose modulus is ``> COEFF_PRUNE_TOL`` (not a
+    ``nan`` one): ``slice(None)`` if all, else their int64 positions; with
+    their coefficients.  The caller silences warnings.
 
     The modulus is :func:`_moduli`'s.  ``numpy.abs`` is read first, as it
     is several times faster; it differs from ``hypot`` by a few ulp and
@@ -491,22 +490,27 @@ def _kept(coeff) -> tuple:
     ``numpy.abs`` is ``nan`` or within ``_PRUNE_BAND`` of the tolerance
     take :func:`_moduli`'s decision.
     """
-    coeff = coeff + 0j
-    with np.errstate(over="ignore", invalid="ignore"):
-        modulus = np.abs(coeff)
+    coeff += 0j
+    modulus = np.abs(coeff)
     keep = modulus > _PRUNE_BAND[1]
     if np.count_nonzero(keep) == len(keep):
         return slice(None), coeff
-    unsure = ~(keep | (modulus < _PRUNE_BAND[0]))
-    if unsure.any():
-        keep[unsure] = _moduli(coeff[unsure]) > COEFF_PRUNE_TOL
-    return keep, coeff[keep]
+    unsure = (~(keep | (modulus < _PRUNE_BAND[0]))).nonzero()[0]
+    if len(unsure):
+        keep[unsure] = _moduli(coeff.take(unsure)) > COEFF_PRUNE_TOL
+    keep = keep.nonzero()[0]
+    return keep, coeff.take(keep)
+
+
+def _at(a, keep):
+    # a's rows at ``keep``, a slice (all of a) or int64 positions (by take)
+    return a if isinstance(keep, slice) else a.take(keep, axis=0)
 
 
 def _pruned(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
-    """Canonical form of terms with distinct indices (see :func:`_kept`)."""
+    # canonical form of terms with distinct indices (see _kept)
     keep, coeff = _kept(coeff)
-    return _element(sig, rows[keep], cols[keep], coeff)
+    return _element(sig, _at(rows, keep), _at(cols, keep), coeff)
 
 
 def _listed(sig: Signature, rows: list, cols: list,
@@ -520,9 +524,10 @@ def _listed(sig: Signature, rows: list, cols: list,
 def _summed(sig: Signature, index, coeff) -> "AlgebraElement":
     # canonical form (see _merged) of the terms whose rows are index[:T]
     # and whose columns are index[T:], T = len(coeff)
-    keep, total = _merged(_term_keys(sig, index), coeff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        keep, total = _merged(_term_keys(sig, index), coeff)
     rows, cols = index[:len(coeff)], index[len(coeff):]
-    return _element(sig, rows[keep], cols[keep], total)
+    return _element(sig, _at(rows, keep), _at(cols, keep), total)
 
 
 def _merged(key, coeff) -> tuple:
@@ -531,17 +536,19 @@ def _merged(key, coeff) -> tuple:
     as :func:`_term_keys` and :func:`_pair_keys` make them.
 
     One term per index, in order of first occurrence; a repeated index's
-    coefficients are added in input order onto ``0j`` (``numpy.add.at``
-    adds sequentially), as merging into a dict does; then pruned
-    (:func:`_kept`).  Returns the input positions of the terms kept, in
-    that order, and their coefficients; the caller gathers the index rows
-    of those positions only.
+    coefficients are added in input order onto ``0j``, as merging into a
+    dict does (``numpy.add.at`` adds sequentially, onto the first one:
+    with :func:`_kept`'s ``+ 0j``, the same bits); then pruned.  Returns
+    the input positions of the terms kept, in that order (``slice(None)``
+    or int64 positions), and their coefficients; the caller gathers the
+    index rows of those positions only, and silences warnings.
 
     One ``numpy.sort`` orders the packed keys ``key << s | position``
     (``s`` the bit length of the term count, joined by :func:`_pair_keys`,
     so keys are ranked first where the packed bound reaches 2**63): equal
     keys come out in input order, so each index's first position is the
-    first of its run.
+    first of its run.  The run starts are one ``nonzero``, an index's
+    place in the output a scatter of ``arange`` over the first positions.
     """
     shift = len(coeff).bit_length()
     packed, _ = _pair_keys(key, (np.arange(len(coeff)), 1 << shift))
@@ -549,19 +556,22 @@ def _merged(key, coeff) -> tuple:
     order = packed & ((1 << shift) - 1)
     packed >>= shift  # the sorted keys
     new = _run_starts(packed)
-    if np.count_nonzero(new) == len(new):  # no index repeats
+    starts = new.nonzero()[0]
+    if len(starts) == len(coeff):  # no index repeats
         return _kept(coeff)
-    first = order[new]  # per index, in key order
-    is_first = np.zeros(len(coeff), dtype=bool)
-    is_first[first] = True
-    slot = (is_first.cumsum() - 1)[first]  # its place in the output
-    target = np.empty(len(coeff), dtype=np.int64)
-    target[order] = slot[new.cumsum() - 1]
-    total = np.zeros(len(first), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(total, target, coeff)
+    first = order.take(starts)  # per index, in key order
+    at = np.zeros(len(coeff), dtype=bool)
+    at[first] = True
+    at = at.nonzero()[0]  # per index, in output order
+    packed[at] = np.arange(len(at))  # a first position's output place
+    # the p-th repeated term in key order is in run repeat[p] - p - 1
+    repeat = (~new).nonzero()[0]
+    run = repeat - np.arange(1, len(repeat) + 1)
+    total = coeff.take(at)
+    np.add.at(total, packed.take(first).take(run),
+              coeff.take(order.take(repeat)))
     keep, total = _kept(total)
-    return np.flatnonzero(is_first)[keep], total
+    return _at(at, keep), total
 
 
 def _read_terms(sig: Signature, entries) -> "AlgebraElement":
@@ -680,9 +690,9 @@ class AlgebraElement:
         intern = {}.setdefault
         keys = [MatrixUnitIndex(intern(r := tuple(j), r),
                                 intern(c := tuple(k), c))
-                for j, k in zip(self.rows[order].tolist(),
-                                self.cols[order].tolist())]
-        return zip(keys, self.coeff[order].tolist())
+                for j, k in zip(_at(self.rows, order).tolist(),
+                                _at(self.cols, order).tolist())]
+        return zip(keys, _at(self.coeff, order).tolist())
 
     def _require_same_sig(self, other: "AlgebraElement"):
         if self.sig != other.sig:
@@ -722,21 +732,25 @@ class AlgebraElement:
             heads = rank[t:]
             by_head = heads.argsort(kind="stable")
             per_rank = np.bincount(heads, minlength=distinct)
-            count = per_rank[rank[:t]]
+            count = per_rank.take(rank[:t])
             i = np.arange(t).repeat(count)
             # pair p of term i is its (p - first pair of i)-th head match;
             # in by_head, term i's heads end at the end of its rank's run
-            j = (per_rank.cumsum()[rank[:t]] - count.cumsum()).repeat(count)
+            j = per_rank.cumsum().take(rank[:t])
+            j = (j - count.cumsum()).repeat(count)
             j += np.arange(len(j))
-            j = by_head[j]
+            j = by_head.take(j)
             # the product term of (i, j) has self.rows[i], other.cols[j]
-            key = _pair_keys((keys[:t], bound), (keys[u:], bound), i, j)
-            keep, coeff = _merged(key, _cmul(self.coeff[i], other.coeff[j]))
-            return _element(self.sig, self.rows[i[keep]],
-                            other.cols[j[keep]], coeff)
+            with np.errstate(over="ignore", invalid="ignore"):
+                keep, coeff = _merged(
+                    _pair_keys((keys[:t], bound), (keys[u:], bound), i, j),
+                    _cmul(self.coeff.take(i), other.coeff.take(j)))
+            return _element(self.sig, self.rows.take(_at(i, keep), axis=0),
+                            other.cols.take(_at(j, keep), axis=0), coeff)
         if isinstance(other, numbers.Number):
-            return _pruned(self.sig, self.rows, self.cols,
-                           _cmul(complex(other), self.coeff))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _pruned(self.sig, self.rows, self.cols,
+                               _cmul(complex(other), self.coeff))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -771,8 +785,8 @@ class AlgebraElement:
             return False
         mine, theirs = _index_keys(self, other)
         a, b = np.argsort(mine), np.argsort(theirs)
-        return bool(np.array_equal(mine[a], theirs[b])
-                    and np.all(self.coeff[a] == other.coeff[b]))
+        return bool(np.array_equal(mine.take(a), theirs.take(b))
+                    and np.all(self.coeff.take(a) == other.coeff.take(b)))
 
     __hash__ = None
 
@@ -823,8 +837,9 @@ def elem_tensor(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     rows, cols = (
         np.concatenate([np.repeat(a, ny, axis=0), np.tile(b, (nx, 1))], axis=1)
         for a, b in ((x.rows, y.rows), (x.cols, y.cols)))
-    coeff = _cmul(np.repeat(x.coeff, ny), np.tile(y.coeff, nx))
-    return _pruned(x.sig.concat(y.sig), rows, cols, coeff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _pruned(x.sig.concat(y.sig), rows, cols,
+                       _cmul(np.repeat(x.coeff, ny), np.tile(y.coeff, nx)))
 
 
 def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraElement:
@@ -1021,7 +1036,8 @@ def from_dense(matrix, sig) -> AlgebraElement:
         )
     kept = np.nonzero(np.abs(m) > COEFF_PRUNE_TOL)
     rows, cols = (_grid(sig.dims, i) for i in kept)
-    return _pruned(sig, rows, cols, m[kept])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _pruned(sig, rows, cols, m[kept])
 
 
 def block_permutation(a, b) -> np.ndarray:
@@ -1048,19 +1064,23 @@ def block_permutation(a, b) -> np.ndarray:
 
 def all_matrix_units(sig) -> Iterator[MatrixUnitIndex]:
     """All matrix-unit indices of a stage, rows-major lexicographic order,
-    one at a time (``itertools.product`` would first list every range)."""
-    sig = as_signature(sig)
-    n, dims = sig.level, sig.dims * 2
-    index = [1] * (2 * n)
+    one at a time (``itertools.product`` would first list every range);
+    the first row's odometer lists the column multi-indices for the rest."""
+    dims = as_signature(sig).dims
+    unit = partial(tuple.__new__, MatrixUnitIndex)
+    index, cols = [1] * len(dims), []
     while True:
-        yield MatrixUnitIndex(tuple(index[:n]), tuple(index[n:]))
-        for slot in reversed(range(2 * n)):
+        cols.append(tuple(index))
+        yield unit((cols[0], cols[-1]))
+        for slot in reversed(range(len(dims))):
             if index[slot] < dims[slot]:
                 index[slot] += 1
                 break
             index[slot] = 1
         else:
-            return
+            break
+    for rows in cols[1:]:
+        yield from map(unit, zip(repeat(rows), cols))
 
 
 def _tagged_units(sig, images_per_unit: int = 1) -> Iterator[AlgebraElement]:

@@ -255,11 +255,11 @@ def _slot_products(table: tuple, rows, cols, start) -> np.ndarray:
     a stack of them), multiplied one slot at a time in slot order, each
     product rounded as Python's complex ``*`` rounds it."""
     entries, dims, base = table
-    # per slot (rows of ``at``), each term's place among the flat entries
-    at = (cols * dims + rows + base).T
+    # per slot (one contiguous row), each term's place among the flat entries
+    at = np.add(cols * dims + rows, base, order="F").T
     re, im = start.real, start.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        for factor_entries in entries[at]:
+        for factor_entries in entries.take(at, axis=0):
             re, im = _cmul_parts(re, im, factor_entries.real,
                                  factor_entries.imag)
     return _complex(re, im)

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uhfkron import algebra
 from uhfkron.algebra import (
     DENSE_DIM_GUARD,
     AlgebraElement,
+    MatrixUnitIndex,
     Signature,
     _lex_keys,
     all_matrix_units,
@@ -681,18 +683,25 @@ def _traced_peak(f):
         tracemalloc.stop()
 
 
+# The tracemalloc peak of the 20000 x 2000 product below when the merge
+# still indexed by boolean masks (numpy 2.4): positions must cost no more
+MASK_MERGE_PRODUCT_PEAK = 11.1e6
+
+
 def test_product_memory_stays_below_a_pair_index_matrix():
     # bulk-algebra's product shape: 20000 x 2000 terms make 104k pairs and
     # 71070 terms.  Building (pairs, 2n) index rows peaked at 23.6 MB; one
-    # int64 key per pair and gathering only the kept terms stays near 12.
-    # The constructor reads 20000 terms in bulk at about 3 MB (the per-term
-    # read peaked at 5.9), and a 20000 + 20000 sum peaks near 6.3
+    # int64 key per pair and gathering only the kept terms peaked at 11.1
+    # with boolean masks, and gathering by int64 positions (with the
+    # coefficients made canonical in place) at 10.2.  The constructor
+    # reads 20000 terms in bulk at about 3 MB (the per-term read peaked at
+    # 5.9), and a 20000 + 20000 sum peaks near 6.1
     sig = (4, 6, 4, 4)
     x = random_element(sig, 3, 20000)
     y = random_element(sig, 4, 2000)
     z, peak = _traced_peak(lambda: x * y)
     assert len(z) == 71070
-    assert peak < 18e6
+    assert peak < 1.05 * MASK_MERGE_PRODUCT_PEAK
     terms = dict(x.terms)
     z, peak = _traced_peak(lambda: AlgebraElement(sig, terms))
     assert z == x
@@ -718,6 +727,43 @@ def test_relabelling_memory_stays_near_its_output():
     z, peak = _traced_peak(lambda: product_phi_inverse(y, 4))
     assert z == x
     assert peak < 2e6
+
+
+def test_merge_gathers_by_int64_positions():
+    # _kept returns slice(None) when every term stays, else the int64
+    # positions of those that do, never a boolean mask; the merge returns
+    # the kept terms' positions in the same forms
+    coeff = np.array([1.0, 1e-15, 2j, np.nan, -0.0, 3.0], dtype=complex)
+    keep, out = algebra._kept(coeff)
+    assert keep.dtype == np.int64 and keep.tolist() == [0, 2, 5]
+    assert out.tolist() == [1.0, 2j, 3.0]
+    keep, out = algebra._kept(np.array([1.0, -2j], dtype=complex))
+    assert keep == slice(None) and out.tolist() == [1.0, -2j]
+    key = (np.array([7, 3, 7, 3, 5]), 8)
+    keep, out = algebra._merged(key, np.array([1, 2, -1, 5, 6], complex))
+    assert keep.dtype == np.int64 and keep.tolist() == [1, 4]
+    assert out.tolist() == [7.0, 6.0]
+
+
+@pytest.mark.parametrize("dims", [(2,), (4,), (2, 3), (3, 2, 2), (2, 2, 2, 2)])
+def test_all_matrix_units_in_product_order(dims):
+    # rows, then columns, each multi-index in itertools.product's order
+    indices = list(itertools.product(*(range(1, d + 1) for d in dims)))
+    units = list(all_matrix_units(dims))
+    assert units == [(rows, cols) for rows in indices for cols in indices]
+    assert all(type(u) is MatrixUnitIndex for u in units)
+    assert [(u.rows, u.cols) for u in units[-2:]] == [
+        (indices[-1], indices[-2]), (indices[-1], indices[-1])]
+
+
+def test_all_matrix_units_is_lazy():
+    # the first units of a stage whose index range no list could hold
+    units = all_matrix_units((2**40,))
+    assert [next(units) for _ in range(3)] == [
+        ((1,), (1,)), ((1,), (2,)), ((1,), (3,))]
+    units = all_matrix_units((3, 2**40))
+    assert next(units) == ((1, 1), (1, 1))
+    assert next(units) == ((1, 1), (1, 2))
 
 
 @pytest.mark.parametrize("radices", [

@@ -485,3 +485,104 @@ def test_constructor_of_an_array_is_no_truth_value():
     for empty in (np.zeros(0), [], (), {}, None):
         x = AlgebraElement((2,), empty)
         assert x.is_zero and x.rows.shape == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# bulk scale: every gather of the merge, by position
+# ---------------------------------------------------------------------------
+
+def seeded_items(seed, dims, n):
+    """n terms with uniform indices over ``dims`` and complex Gaussian
+    coefficients, as (index, coefficient) pairs of Python objects."""
+    rng = np.random.default_rng(seed)
+    high = np.array(dims, dtype=np.int64) + 1
+    rows, cols = (rng.integers(1, high, size=(n, len(dims))).tolist()
+                  for _ in range(2))
+    coeff = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()
+    return [((tuple(r), tuple(c)), v) for r, c, v in zip(rows, cols, coeff)]
+
+
+def test_bulk_products_and_sums_match_the_dict_oracle():
+    # bulk-algebra's shapes: 20000 x 2000 and 20000 + 20000 terms
+    dims = (4, 6, 4, 4)
+    xi, yi, wi = (seeded_items(seed, dims, n)
+                  for seed, n in ((71, 20000), (72, 2000), (73, 20000)))
+    x, y, w = (AlgebraElement(dims, t) for t in (xi, yi, wi))
+    rx, ry, rw = (ref_element(t) for t in (xi, yi, wi))
+    assert bits(x.terms) == bits(rx)
+    assert bits((x * y).terms) == bits(ref_mul(rx, ry))
+    assert bits((x + y).terms) == bits(ref_add(rx, ry))
+    assert bits((x + w).terms) == bits(ref_add(rx, rw))
+
+
+def test_every_keep_form_at_bulk_scale(monkeypatch):
+    # 5000-term elements whose constructor, sum, product and scaling take
+    # each form of the merge: all terms kept (a slice), some pruned with no
+    # index repeated, and repeated indices whose sums cancel below
+    # COEFF_PRUNE_TOL
+    forms = set()
+    kept = algebra._kept
+
+    def record(coeff):
+        n = len(coeff)
+        keep, out = kept(coeff)
+        forms.add("all" if len(out) == n else "some")
+        return keep, out
+
+    monkeypatch.setattr(algebra, "_kept", record)
+    dims = (4, 6, 4, 4)
+    rng = np.random.default_rng(74)
+    units = rng.choice(384 * 384, size=12000, replace=False).tolist()
+
+    def multi(flat):  # the 1-based multi-index of a row-major flat index
+        return tuple(int(v) + 1 for v in np.unravel_index(flat, dims))
+
+    index = [(multi(u // 384), multi(u % 384)) for u in units]
+    values = (rng.standard_normal(12000)
+              + 1j * rng.standard_normal(12000)).tolist()
+    # x: 5000 distinct indices, all kept
+    xi = list(zip(index[:5000], values[:5000]))
+    # y: 5000 distinct indices, one in ten of them pruned by the
+    # constructor, and 2000 of x's indices with the negated coefficient,
+    # shifted by parts that stay below the tolerance
+    tiny = [1e-15, -0.0, DROPPED, KEPT, complex(3e-15, -4e-15)]
+    yi = [(idx, tiny[k // 10 % 5] if k % 10 == 0 else v)
+          for k, (idx, v) in enumerate(zip(index[5000:10000],
+                                           values[5000:10000]))]
+    yi += [(idx, -v + tiny[k % 5]) for k, (idx, v) in
+           enumerate(xi[:2000])]
+    assert_ops_match_the_oracle(dims, xi, yi, 3e-15)
+    x, y = AlgebraElement(dims, xi), AlgebraElement(dims, yi)
+    assert len(x + y) <= len(x) + len(y) - 2000 - 1500  # sums cancel
+    assert forms == {"all", "some"}
+
+
+def test_rank_fallback_of_a_bulk_product_on_a_2_61_slot(monkeypatch):
+    # over (3, 2**61) the two index columns do not fit one key, so
+    # _lex_keys joins them by ranks, and the term and pair keys are ranked
+    # again: the fallback runs on 10000-term operands
+    ranked = []
+    ranks = algebra._ranks
+    monkeypatch.setattr(algebra, "_ranks",
+                        lambda a: ranked.append(len(a)) or ranks(a))
+    dims = (3, 2**61)
+    rng = np.random.default_rng(75)
+    pool = np.concatenate([[1, 2, 2**61 - 1, 2**61],
+                           rng.integers(1, 2**61, 196)]).tolist()
+    picks = rng.integers(0, 3 * len(pool), size=(12000, 2)).tolist()
+    index = [((1 + a % 3, pool[a // 3]), (1 + b % 3, pool[b // 3]))
+             for a, b in picks]
+    values = (rng.standard_normal(12000)
+              + 1j * rng.standard_normal(12000)).tolist()
+    xi = list(zip(index[:10000], values[:10000]))
+    yi = list(zip(index[10000:], values[10000:]))
+    x, y = AlgebraElement(dims, xi), AlgebraElement(dims, yi)
+    rx, ry = ref_element(xi), ref_element(yi)
+    ranked.clear()
+    z = x * y
+    # the product's keys of all 2(T + T') index rows, and its pair keys'
+    # row keys, are ranks
+    assert 2 * (len(x) + len(y)) in ranked and len(x) in ranked
+    assert len(x) >= 9000 and len(z) >= 10000
+    assert bits(z.terms) == bits(ref_mul(rx, ry))
+    assert bits((x + y).terms) == bits(ref_add(rx, ry))
