@@ -328,17 +328,8 @@ def _check_index(sig: Signature, rows, cols) -> MatrixUnitIndex:
     return MatrixUnitIndex(rows, cols)
 
 
-def _modulus(c: complex) -> float:
-    """``abs(c)``, but ``inf`` where finite parts give a modulus past the
-    largest float (``abs`` raises ``OverflowError`` there)."""
-    try:
-        return abs(c)
-    except OverflowError:
-        return math.hypot(c.real, c.imag)
-
-
 def _moduli(c: np.ndarray) -> np.ndarray:
-    # _modulus of every entry: hypot of the parts, inf past the largest float
+    # the modulus of every entry: hypot of the parts, inf past the largest float
     with np.errstate(over="ignore", invalid="ignore"):
         return np.hypot(c.real, c.imag)
 
@@ -1025,7 +1016,8 @@ def to_dense(x: AlgebraElement) -> np.ndarray:
 def from_dense(matrix, sig) -> AlgebraElement:
     """Expand a dense matrix over ``sig`` in elementary tensors of units.
 
-    Exact inverse of :func:`to_dense` up to coefficient pruning.
+    Exact inverse of :func:`to_dense` up to coefficient pruning, which is
+    the constructor's (see :func:`_kept`).
     """
     sig = as_signature(sig)
     m = _complex_array(matrix, "matrix")
@@ -1034,7 +1026,8 @@ def from_dense(matrix, sig) -> AlgebraElement:
         raise SignatureError(
             f"matrix shape {m.shape} does not match total dimension {D}"
         )
-    kept = np.nonzero(np.abs(m) > COEFF_PRUNE_TOL)
+    # _kept decides every entry numpy.abs does not put below its band
+    kept = np.nonzero(~(np.abs(m) < _PRUNE_BAND[0]))
     rows, cols = (_grid(sig.dims, i) for i in kept)
     with np.errstate(over="ignore", invalid="ignore"):
         return _pruned(sig, rows, cols, m[kept])

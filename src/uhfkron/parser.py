@@ -27,15 +27,14 @@ Parsing is linear in the length of the text:
   tuple with coefficient 1; no element exists for it until the sum is
   built.  Chains that contain a group, and ``*`` products, take the
   element path (``elem_tensor``, ``AlgebraElement.__mul__``).
-- A sum is one running dict, merged term by term in input order.  Each
-  term arrives canonical (merged, pruned, ``-`` applied as the scalar
-  ``complex(-1.0)``); after the merge, the keys it touched whose
-  coefficient fell to ``<= COEFF_PRUNE_TOL`` are deleted.  This gives
-  the coefficients, key order and signed zeros of folding the terms
-  with element ``+`` and ``-``, without copying the partial sum per term.
-  The element is built from the dict by the constructor's canonical
-  merge, without its per-term range check: ``parse_unit`` checked every
-  index as it read it.
+- All terms of a sum merge once, as the constructor merges them: each
+  term appends its index rows and coefficients (its scalar and a ``-``
+  applied as complex products, ``-`` as the scalar ``complex(-1.0)``,
+  nothing pruned), and the sum is one canonical merge of that list, so
+  a flat sum has exactly the value ``AlgebraElement(sig, terms)`` gives.
+  A group or ``*`` product is merged and pruned on its own first.  The
+  merge skips the constructor's per-term range check: ``parse_unit``
+  checked every index as it read it.
 
 State syntax: ``;``-separated factor specs, each either ``diag(x1,...,xk)``
 (a diagonal density) or ``file:PATH`` (a JSON array of row-major complex
@@ -55,12 +54,11 @@ import re
 import numpy as np
 
 from .algebra import (
-    COEFF_PRUNE_TOL,
     AlgebraElement,
     Signature,
     _MAX_FACTOR_DIM,
+    _cmul,
     _listed,
-    _modulus,
     elem_tensor,
     matrix_unit,
 )
@@ -124,25 +122,6 @@ def _shown(tok: str) -> str:
 
 def _as_element(chain) -> AlgebraElement:
     return chain if isinstance(chain, AlgebraElement) else matrix_unit(*chain)
-
-
-def _pruned(items) -> list:
-    """The ``(key, coeff)`` items an element would keep."""
-    return [(key, v) for key, v in items if _modulus(v) > COEFF_PRUNE_TOL]
-
-
-def _merge(acc: dict, items) -> None:
-    """Add canonical ``(key, coeff)`` items to ``acc``, then prune the keys
-    they touched, as re-canonicalizing the whole sum would.
-
-    A new key gets ``0j + v``, the signed-zero cleanup of element
-    construction; sums of cleaned values need none.
-    """
-    for key, v in items:
-        acc[key] = acc.get(key, 0j) + v
-    for key, _ in items:
-        if not _modulus(acc[key]) > COEFF_PRUNE_TOL:
-            del acc[key]
 
 
 # Deepest parenthesised group; each level costs a handful of stack frames.
@@ -311,35 +290,42 @@ class _Parser:
             out = out * rhs
         return out
 
-    def parse_term(self):
-        """A term as its signature's dims and its canonical items."""
+    def parse_term(self, rows: list, cols: list, coeffs: list,
+                   negate: bool) -> tuple:
+        """Append a term's index rows and coefficients, its scalar and
+        ``-`` applied, nothing pruned; return its signature's dims."""
         scalar = self.try_scalar_prefix()
         out = self.parse_product()
         if isinstance(out, AlgebraElement):
-            if scalar is not None:
-                out = scalar * out
-            return out.sig.dims, out.terms.items()
-        dims, rows, cols = out
+            coeff = out.coeff
+            with np.errstate(over="ignore", invalid="ignore"):
+                if scalar is not None:
+                    coeff = _cmul(scalar, coeff)
+                if negate:
+                    coeff = _cmul(_NEG, coeff)
+            rows += out.rows.tolist()
+            cols += out.cols.tolist()
+            coeffs += coeff.tolist()
+            return out.sig.dims
+        dims, row, col = out
         coeff = _ONE if scalar is None else scalar * _ONE
-        return dims, _pruned((((rows, cols), coeff),))
+        rows.append(row)
+        cols.append(col)
+        coeffs.append(_NEG * coeff if negate else coeff)
+        return dims
 
     def parse_expr(self) -> AlgebraElement:
         toks = self.toks
-        dims, items = self.parse_term()
-        acc: dict = {}
-        _merge(acc, items)
+        rows, cols, coeffs = [], [], []
+        dims = self.parse_term(rows, cols, coeffs, False)
         while toks[self.i] in ("+", "-"):
             op = self.i
             self.i += 1
-            rhs_dims, items = self.parse_term()
+            rhs_dims = self.parse_term(rows, cols, coeffs, toks[op] == "-")
             if rhs_dims != dims:
                 raise self.error(
                     f"term signature {rhs_dims} differs from {dims}", op)
-            if toks[op] == "-":
-                items = _pruned((key, _NEG * v) for key, v in items)
-            _merge(acc, items)
-        return _listed(Signature(dims), [key[0] for key in acc],
-                       [key[1] for key in acc], list(acc.values()))
+        return _listed(Signature(dims), rows, cols, coeffs)
 
 
 def parse_element(text: str) -> AlgebraElement:

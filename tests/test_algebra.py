@@ -286,6 +286,16 @@ def test_from_dense_round_trip(dims):
     assert from_dense(to_dense(x), dims).allclose(x)
 
 
+def test_from_dense_prunes_as_the_constructor():
+    # numpy.abs reads this coefficient as exactly the tolerance and hypot
+    # as one ulp above it: the constructor keeps it, so from_dense must
+    c = 7.522688415877094e-15 - 6.588562741420059e-15j
+    assert abs(c) > algebra.COEFF_PRUNE_TOL
+    x = AlgebraElement((2,), [(((1,), (2,)), c)])
+    assert len(x) == 1
+    assert from_dense(to_dense(x), (2,)) == x
+
+
 def test_dense_guard():
     with pytest.raises(ResourceGuardError):
         to_dense(identity((8, 8, 8, 8, 8)))

@@ -354,7 +354,7 @@ def test_flat_sum_constructs_a_constant_number_of_objects(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# differential test against the term-by-term element fold
+# differential test against an element-per-atom reference
 # ---------------------------------------------------------------------------
 
 class _Token(NamedTuple):
@@ -430,8 +430,8 @@ def _ref_tokenize(text):
 
 
 class _RefParser:
-    """Recursive descent that builds an element per atom and folds every
-    sum with element ``+`` and ``-``."""
+    """Recursive descent that builds an element per atom, and one element
+    per sum from all its terms' items by the constructor."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -549,23 +549,28 @@ class _RefParser:
         return out
 
     def parse_term(self):
+        """A term's signature and its items, each coefficient times the
+        term's scalar, unpruned."""
         scalar = self.try_scalar_prefix()
         out = self.parse_product()
+        items = list(out.terms.items())
         if scalar is not None:
-            out = scalar * out
-        return out
+            items = [(idx, v * scalar) for idx, v in items]
+        return out.sig, items
 
     def parse_expr(self):
-        out = self.parse_term()
+        sig, items = self.parse_term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.next()
-            rhs = self.parse_term()
-            if rhs.sig != out.sig:
+            rhs_sig, rhs = self.parse_term()
+            if rhs_sig != sig:
                 raise ParseError(
-                    f"term signature {rhs.sig.dims} differs from "
-                    f"{out.sig.dims}", op.line, op.col)
-            out = out + rhs if op.kind == "PLUS" else out - rhs
-        return out
+                    f"term signature {rhs_sig.dims} differs from "
+                    f"{sig.dims}", op.line, op.col)
+            if op.kind == "MINUS":
+                rhs = [(idx, v * complex(-1.0)) for idx, v in rhs]
+            items += rhs
+        return AlgebraElement(sig, items)
 
 
 def _ref_parse_element(text):
@@ -668,6 +673,76 @@ def test_parse_matches_element_fold(text):
 ])
 def test_parse_matches_element_fold_pinned(text):
     assert _outcome(parse_element, text) == _outcome(_ref_parse_element, text)
+
+
+def _unit(rows, cols, v):
+    return ("MatrixUnitIndex", rows, cols, repr(v))
+
+
+# Sums whose partial sums straddle the pruning tolerance or hold a
+# non-finite part: all terms merge once, in order of first occurrence, with
+# nothing pruned before the sum.
+@pytest.mark.parametrize("text, terms", [
+    ("E[2](1,1) - E[2](1,1) + E[2](2,2) + E[2](1,1)",
+     [_unit((1,), (1,), 1 + 0j), _unit((2,), (2,), 1 + 0j)]),
+    # (inf, nan) minus itself: the negated term (nan, nan) enters the sum
+    ("1e400*E[2](1,1) - 1e400*E[2](1,1)", []),
+    ("1e-14*E[2](1,1) + 1e-15*E[2](1,1) + 5e-15*E[2](1,1) + 5e-15*E[2](1,1)",
+     [_unit((1,), (1,), 2.1000000000000002e-14 + 0j)]),
+    # a scaled group is not pruned before the sum
+    ("1e-15*(E[2](1,1)) + 1e-14*E[2](1,1)", [_unit((1,), (1,), 1.1e-14 + 0j)]),
+])
+def test_sum_merges_all_terms_once(text, terms):
+    assert _outcome(parse_element, text) == ((2,), terms)
+
+
+_SUM_REALS = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-14, -1e-14, 5e-15, 1e-15,
+              -7e-15, 1.5e308, -1.5e308, math.inf, -math.inf]
+
+
+def _real_text(x):
+    if math.isfinite(x):
+        return repr(x)
+    return "1e400" if x > 0 else "-1e400"
+
+
+@st.composite
+def _flat_sums(draw):
+    """A flat sum of ``scalar*chain`` terms as text, with the list of its
+    terms' ``(index, coeff)``: the scalar times the chain's ``1 + 0j``,
+    then times ``complex(-1.0)`` after a ``-``."""
+    dims = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3)]))
+    reals = st.one_of(st.sampled_from(_SUM_REALS),
+                      st.floats(allow_nan=False, width=64))
+    text, terms = "", []
+    for pos in range(draw(st.integers(1, 12))):
+        rows = tuple(draw(st.integers(1, d)) for d in dims)
+        cols = tuple(draw(st.integers(1, d)) for d in dims)
+        re_part, im_part = draw(reals), draw(reals)
+        if draw(st.booleans()):
+            scalar = complex(re_part, im_part)
+            shown = f"({_real_text(re_part)},{_real_text(im_part)})"
+        else:
+            scalar, shown = complex(re_part), _real_text(re_part)
+        coeff = scalar * (1 + 0j)
+        negate = pos > 0 and draw(st.booleans())
+        if pos:
+            text += " - " if negate else " + "
+        if negate:
+            coeff = complex(-1.0) * coeff
+        text += f"{shown}*" + " (x) ".join(
+            f"E[{d}]({j},{k})" for d, j, k in zip(dims, rows, cols))
+        terms.append(((rows, cols), coeff))
+    return dims, text, terms
+
+
+@given(_flat_sums())
+@settings(max_examples=300, deadline=None)
+def test_flat_sum_is_the_constructors_element(case):
+    dims, text, terms = case
+    built = AlgebraElement(dims, terms)
+    assert _outcome(parse_element, text) == _outcome(lambda _: built, text)
+    assert parse_element(text).coeff.tobytes() == built.coeff.tobytes()
 
 
 @pytest.mark.parametrize("n_terms", [1, 300, 1500])
