@@ -309,14 +309,22 @@ def _as_multi_index(value, side: str) -> tuple[int, ...]:
                      f"{side} index", " at factor {}")
 
 
-def _check_index(sig: Signature, rows, cols) -> MatrixUnitIndex:
+def _check_index(sig: Signature, rows,
+                 cols) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # the pair (rows, cols) of int multi-indices, each entry in 1..dim of
+    # its factor, else IndexRangeError naming the first bad factor, its
+    # row before its column
     rows = _as_multi_index(rows, "row")
     cols = _as_multi_index(cols, "column")
-    if len(rows) != sig.level or len(cols) != sig.level:
+    dims = sig.dims
+    if len(rows) != len(dims) or len(cols) != len(dims):
         raise IndexRangeError(
             f"index length {len(rows)}/{len(cols)} does not match level {sig.level}"
         )
-    for pos, (j, k, d) in enumerate(zip(rows, cols, sig.dims), start=1):
+    if (min(rows + cols) >= 1 and all(map(operator.le, rows, dims))
+            and all(map(operator.le, cols, dims))):
+        return rows, cols
+    for pos, (j, k, d) in enumerate(zip(rows, cols, dims), start=1):
         if not 1 <= j <= d:
             raise IndexRangeError(
                 f"row index {j} exceeds dimension {d} at factor {pos}"
@@ -325,7 +333,6 @@ def _check_index(sig: Signature, rows, cols) -> MatrixUnitIndex:
             raise IndexRangeError(
                 f"column index {k} exceeds dimension {d} at factor {pos}"
             )
-    return MatrixUnitIndex(rows, cols)
 
 
 def _moduli(c: np.ndarray) -> np.ndarray:
@@ -793,8 +800,7 @@ def matrix_unit(sig, rows, cols) -> AlgebraElement:
     Raises :class:`IndexRangeError` naming the offending factor position.
     """
     sig = as_signature(sig)
-    rows, cols = _check_index(sig, rows, cols)
-    index = np.array(rows + cols, dtype=np.int64).reshape(2, -1)
+    index = np.array(_check_index(sig, rows, cols), dtype=np.int64)
     return _element(sig, index[:1], index[1:], _UNIT_COEFF)
 
 

@@ -22,10 +22,16 @@ tabulates pi0 = row_u + o (N x R, D entries in all) once, one row per row
 multi-index, at its row-major flat index.  A unit whose row and column
 multi-indices have flat indices i and k has its ones at (pi0[i, t],
 pi0[k, t]), so the positions of any number of units are one gather from
-pi0.  A triplet reads only elements, whose indices the element
-constructor has range-checked, and an element's images are one scatter
-or gather each over the positions of its terms' units; one unit's image
-is that of the one-term element ``matrix_unit``.
+pi0.  The triplet also tabulates the frame table C = cyclic[pi0] once
+(complex, N x R, again D entries): rep(E_u) cyclic is C[k] written at
+pi0[i], and <cyclic, rep(E_u) cyclic> = sum_t conj(C[i, t]) C[k, t].  A
+triplet reads only elements, whose indices the element constructor has
+range-checked, and an element's images are one scatter or gather each
+over the rows of pi0 or C of its terms' units: ``expectations`` gathers
+the 2T rows of C of its T terms at once, and
+expectation(x) = sum_u c_u <cyclic, rep(E_u) cyclic> over its terms
+c_u E_u.  One unit's image is that of the one-term element
+``matrix_unit``.
 
 The table pi0 is also the frame of the representation: with W the 0/1
 matrix sending e_i (x) e_t to e_{pi0[i,t]}, rep(x) = W (x (x) I_R) W^T,
@@ -38,13 +44,14 @@ two spans.  :func:`gns_intertwiner` builds it between the fused state's
 representation and the coproduct composition, as the linear extension
 B A^+ of the two spanning families (columns: the unit images of the
 cyclic vector), checking instead of assuming that their Gram matrices
-agree.  With C = cyclic[pi0].T (R x N), the image of E_ij is column j of
-C written at pi0[i], so each Gram matrix is I_N (x) C^H C and A A^H is
-diagonal: the squared row norms nu of C_A, on pi_A[i] for every i.  A row
-of C_A is, up to order, a Kronecker product of one column of each
-factor's ``frame`` (an eigenvector scaled by the square root of its kept
-eigenvalue), so nu is a product of kept eigenvalues and positive, and
-A^+ = A^H diag(1/nu).  Then U maps pi_A[i] to pi_B[i] by C_B C_A^H / nu.
+agree.  Here C = cyclic[pi0].T (R x N) is the triplet's frame table
+transposed: the image of E_ij is column j of C written at pi0[i], so each
+Gram matrix is I_N (x) C^H C and A A^H is diagonal: the squared row
+norms nu of C_A, on pi_A[i] for every i.  A row of C_A is, up to order,
+a Kronecker product of one column of each factor's ``frame`` (an
+eigenvector scaled by the square root of its kept eigenvalue), so nu is
+a product of kept eigenvalues and positive, and A^+ = A^H diag(1/nu).
+Then U maps pi_A[i] to pi_B[i] by C_B C_A^H / nu.
 """
 
 from __future__ import annotations
@@ -91,9 +98,9 @@ class FactorGns:
     __slots__ = ("dim", "rank", "space_dim", "cyclic", "frame")
 
     def __init__(self, T: DensityFactor):
+        # eigh returns the eigenvalues in ascending order
         eigvals, eigvecs = np.linalg.eigh(T.matrix)
-        order = np.argsort(eigvals, kind="stable")[::-1]
-        eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
         rank = int(np.sum(eigvals > GNS_EIG_CUTOFF))
         frame = eigvecs[:, :rank] * np.sqrt(eigvals[:rank])
         self.dim = T.dim
@@ -112,12 +119,13 @@ class GnsTriplet:
     (j - 1) // stride % radix + 1.  ``cyclic`` is the Kronecker chain of
     the factors' cyclic vectors.  Every method takes an element of the
     triplet's signature (else :class:`SignatureError`), whose indices are
-    in range by construction, and reads its images off the positions of
-    the ones of rep(E_u) for its terms' units u (see the module notes):
-    :meth:`rep` scatters the coefficients to them, :meth:`lambda_vec` adds
-    the cyclic vector's values gathered at them up in term order, and
-    :meth:`expectations` pairs those values per term, coefficient left
-    out.  The image of one unit is that of ``matrix_unit(sig, rows, cols)``.
+    in range by construction, and reads its images off the rows of the
+    frame tables pi0 (positions of the ones of rep(E_u)) and C = cyclic[pi0]
+    for its terms' units u (see the module notes): :meth:`rep` scatters
+    the coefficients to the positions, :meth:`lambda_vec` adds the rows of
+    C up in term order, and :meth:`expectations` pairs the rows of C per
+    term, coefficient left out.  The image of one unit is that of
+    ``matrix_unit(sig, rows, cols)``.
     The cyclic vector has norm one and reproduces the state:
     <cyclic, rep(x) cyclic> = omega(x).  A space dimension above
     ``DENSE_DIM_GUARD`` is refused, so a triplet's vectors and images stay
@@ -127,7 +135,7 @@ class GnsTriplet:
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
-                 "_weights", "_shift", "_pi0")
+                 "_weights", "_shift", "_pi0", "_frame")
 
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
@@ -170,49 +178,54 @@ class GnsTriplet:
                                           minlength=self.space_dim),
                               np.ones(self.space_dim)):
             raise refusal
+        # the frame table C: _frame[i] is cyclic[_pi0[i]], D entries
+        self._frame = self.cyclic.take(self._pi0)
 
-    def _at(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (n, R) rows and columns of the ones of rep(E_u) for each unit u
-        # given by the (n, 2) 0-based row-major flat indices of its row and
-        # column multi-indices, which must lie in 0..N-1
-        rows, cols = self._pi0[flat.T]
-        return rows, cols
-
-    def _units_of(self, x: AlgebraElement) -> np.ndarray:
-        # the (T, 2) flat indices (as _at reads them) of the terms of x
+    def _flat(self, x: AlgebraElement) -> np.ndarray:
+        # the 2T 0-based row-major flat indices of the terms of x: its
+        # terms' row multi-indices, then their column multi-indices
         if x.sig != self.sig:
             raise SignatureError(
                 f"element signature {x.sig.dims} does not match "
                 f"representation signature {self.sig.dims}"
             )
-        flat = np.concatenate((x.rows, x.cols)) @ self._weights - self._shift
-        return flat.reshape(2, -1).T
+        return np.concatenate((x.rows, x.cols)).dot(self._weights) - self._shift
 
     def rep(self, x: AlgebraElement) -> np.ndarray:
-        rows, cols = self._at(self._units_of(x))
+        flat = self._flat(x)
+        T = len(x.coeff)
+        at = self._pi0.take(flat, axis=0)
         out = np.zeros((self.space_dim, self.space_dim), dtype=complex)
         # distinct units never share a position
-        out[rows, cols] = x.coeff[:, None]
+        out[at[:T], at[T:]] = x.coeff[:, None]
         return out
 
     def lambda_vec(self, x: AlgebraElement) -> np.ndarray:
-        rows, cols = self._at(self._units_of(x))
+        flat = self._flat(x)
+        T = len(x.coeff)
         out = np.zeros(self.space_dim, dtype=complex)
-        # numpy.add.at adds one term after another, in term order
-        np.add.at(out, rows, x.coeff[:, None] * self.cyclic[cols])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # numpy.add.at adds one term after another, in term order
+            np.add.at(out, self._pi0.take(flat[:T], axis=0),
+                      x.coeff[:, None] * self._frame.take(flat[T:], axis=0))
         return out
 
     def expectation(self, x: AlgebraElement) -> complex:
-        """<cyclic, rep(x) cyclic> without materializing rep(x)."""
-        return complex(np.vdot(self.cyclic, self.lambda_vec(x)))
+        """<cyclic, rep(x) cyclic> = sum_u c_u <cyclic, rep(E_u) cyclic>
+        over the terms c_u E_u of ``x``: :meth:`expectations` weighted by
+        the coefficients, without materializing rep(x) or rep(x) cyclic."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(self.expectations(x).dot(x.coeff))
 
     def expectations(self, x: AlgebraElement) -> np.ndarray:
         """<cyclic, rep(E_u) cyclic> for the unit u of every term of ``x``,
         in term order, its coefficient left out: the sum over t of
-        conj(cyclic[row_u + o_t]) cyclic[col_u + o_t], with no image
+        conj(C[i, t]) C[k, t] for the frame table C = cyclic[pi0] and the
+        flat indices i, k of the unit's row and column, with no image
         vector built."""
-        rows, cols = self._at(self._units_of(x))
-        return np.sum(self.cyclic[rows].conj() * self.cyclic[cols], axis=1)
+        F = self._frame.take(self._flat(x), axis=0)
+        T = len(x.coeff)
+        return (F[:T].conj() * F[T:]).sum(axis=1)
 
     def __repr__(self):
         return (f"GnsTriplet(sig={self.sig.dims}, "
@@ -284,7 +297,7 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
         )
 
     pi_A, pi_B = G_fused._pi0, G_tensor._pi0
-    C_A, C_B = G_fused.cyclic[pi_A].T, G_tensor.cyclic[pi_B].T
+    C_A, C_B = G_fused._frame.T, G_tensor._frame.T
     gram_defect = float(np.max(np.abs(C_A.conj().T @ C_A - C_B.conj().T @ C_B)))
     if gram_defect > GRAM_TOL:
         raise GramMismatchError(

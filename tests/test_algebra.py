@@ -181,6 +181,38 @@ def test_element_constructor_range_checks_every_term(bad, message):
             AlgebraElement((2, 3), terms)
 
 
+@pytest.mark.parametrize("rows, cols, message", [
+    # the first factor with a bad entry is named, its row before its column
+    ((1, 5, 3), (1, 1, 0), "row index 5 exceeds dimension 3 at factor 2"),
+    ((1, 4, 1), (1, 0, 1), "row index 4 exceeds dimension 3 at factor 2"),
+    ((1, 4, 1), (3, 1, 1), "column index 3 exceeds dimension 2 at factor 1"),
+    ((1, 1, 3), (1, 4, 1), "column index 4 exceeds dimension 3 at factor 2"),
+    ((0, 4, 0), (3, 0, 3), "row index 0 exceeds dimension 2 at factor 1"),
+    # bools and numpy integers are read by operator.index
+    ((True, 2, 1), (1, False, 1),
+     "column index 0 exceeds dimension 3 at factor 2"),
+    ((np.int64(1), np.int64(4), 1), (1, 1, 1),
+     "row index 4 exceeds dimension 3 at factor 2"),
+    ((1, 1, 1), (np.uint64(2**63), 1, 1),
+     "column index 9223372036854775808 exceeds dimension 2 at factor 1"),
+    # Python ints past int64 are compared, never converted
+    ((1, 2**64, 1), (1, 1, 1),
+     "row index 18446744073709551616 exceeds dimension 3 at factor 2"),
+    ((1, 1, 1), (1, 1, -2**70),
+     "column index -1180591620717411303424 exceeds dimension 2 at factor 3"),
+], ids=["first-factor", "row-before-column", "column-at-earlier-factor",
+        "column-only", "all-bad", "bool", "numpy-int64", "numpy-uint64",
+        "huge-int", "huge-negative"])
+def test_unit_range_check_names_the_first_bad_entry(rows, cols, message):
+    # matrix_unit and the constructor's per-term read share the check
+    sig = (2, 3, 2)
+    with pytest.raises(IndexRangeError, match=f"^{message}$"):
+        matrix_unit(sig, rows, cols)
+    with pytest.raises(IndexRangeError, match=f"^{message}$"):
+        AlgebraElement(sig, [(((1, 1, 1), (1, 1, 1)), 1.0),
+                             ((rows, cols), 2.0)])
+
+
 @pytest.mark.parametrize("terms, message", [
     ({1: 1.0}, "term 1 is not a pair \\(index, coefficient\\)"),
     ([((1, 1),)], "term 1 is not a pair"),
@@ -207,6 +239,7 @@ def test_element_constructor_has_no_switch_to_skip_the_check():
 def test_unit_indices_take_bools_and_numpy_integers():
     x = matrix_unit((2, 2), (True, np.int64(2)), np.array([np.uint8(1), 2]))
     assert x == matrix_unit((2, 2), (1, 2), (1, 2))
+    assert x.rows.dtype == x.cols.dtype == np.int64
 
 
 def test_overflowing_modulus_is_kept():

@@ -132,12 +132,10 @@ def test_expectation_matches_state_on_all_units(dims, seed):
         assert G.expectation(x) == pytest.approx(
             state_evaluate(S, x), abs=1e-10
         )
-    # the batch sums the same products in another order, coefficients
-    # left out
-    np.testing.assert_allclose(
+    # one unit's expectation is its batch value times the coefficient 1
+    assert np.array_equal(
         G.expectations(_all_units(dims)),
-        [G.expectation(matrix_unit(dims, *idx)) for idx in units],
-        rtol=0, atol=1e-15)
+        [G.expectation(matrix_unit(dims, *idx)) for idx in units])
 
 
 def test_element_methods_read_the_zero_element():
@@ -179,6 +177,21 @@ def test_rep_of_an_infinite_coefficient_sets_only_its_unit():
     assert np.array_equal(out != 0, G.rep(matrix_unit((2, 2), *idx)) == 1)
     assert np.count_nonzero(out) == 4
     assert np.all(out[out != 0] == complex("inf"))
+
+
+def test_reads_of_an_infinite_coefficient_do_not_warn():
+    # inf * 0 is nan in the coefficient products, as in the state's value;
+    # the suite turns a RuntimeWarning into an error
+    S = ProductStateTrunc([DensityFactor.diagonal([0.5, 0.5])])
+    G = gns_build(S)
+    x = AlgebraElement(2, {((1,), (1,)): complex("inf"), ((2,), (2,)): 1e308})
+    assert not np.isfinite(G.expectation(x))
+    assert not np.isfinite(state_evaluate(S, x))
+    lam = G.lambda_vec(x)
+    rows = G.rep(matrix_unit(2, 1, 1)).any(axis=1)
+    assert not np.isfinite(lam[rows]).any()
+    assert np.array_equal(lam[~rows],
+                          G.lambda_vec(1e308 * matrix_unit(2, 2, 2))[~rows])
 
 
 def test_lambda_map():
@@ -313,8 +326,9 @@ def test_one_unit_expectation_equals_the_batch(tree):
     G, _ = _compose(tree)
     units = list(all_matrix_units(G.sig))
     batch = G.expectations(_all_units(G.sig))
+    # a one-term expectation is the batch value times the coefficient 1+0j
     for u, value in zip(units, batch):
-        assert abs(G.expectation(matrix_unit(G.sig, *u)) - value) <= 1e-15
+        assert G.expectation(matrix_unit(G.sig, *u)) == value
 
 
 def _rep_loop(G, x):
@@ -333,6 +347,20 @@ def _lambda_loop(G, x):
     return out
 
 
+def _frame_formulas(G, x):
+    # rep(x), lambda(x) and the per-term expectations of x read off pi0
+    # and cyclic: the unit of a term with row and column flat indices i, k
+    # has its ones at (pi0[i, t], pi0[k, t])
+    i, k = (np.ravel_multi_index(tuple((side - 1).T), G.sig.dims)
+            for side in (x.rows, x.cols))
+    rows, cols = G._pi0[i], G._pi0[k]
+    rep = np.zeros((G.space_dim, G.space_dim), dtype=complex)
+    rep[rows, cols] = x.coeff[:, None]
+    lam = np.zeros(G.space_dim, dtype=complex)
+    np.add.at(lam, rows, x.coeff[:, None] * G.cyclic[cols])
+    return rep, lam, np.sum(G.cyclic[rows].conj() * G.cyclic[cols], axis=1)
+
+
 @pytest.mark.parametrize("G", [
     gns_build(random_state((2, 2), seed=81)),
     gns_build(_mixed_state((2, 3), {0}, 82)),
@@ -345,9 +373,16 @@ def test_element_images_equal_the_per_term_loops_byte_for_byte(G):
         for seed, n in [(83, 1), (84, 8), (85, 60)]
     ]
     elements.append(elements[-1].adjoint() * elements[-2])
+    # the frame table holds cyclic[pi0]: D entries, one row per unit side
+    assert G._frame.tobytes() == G.cyclic[G._pi0].tobytes()
+    assert G._frame.size == G.space_dim
     for x in elements:
-        assert G.rep(x).tobytes() == _rep_loop(G, x).tobytes()
-        assert G.lambda_vec(x).tobytes() == _lambda_loop(G, x).tobytes()
+        rep, lam = G.rep(x).tobytes(), G.lambda_vec(x).tobytes()
+        assert rep == _rep_loop(G, x).tobytes()
+        assert lam == _lambda_loop(G, x).tobytes()
+        want = _frame_formulas(G, x)
+        assert rep == want[0].tobytes() and lam == want[1].tobytes()
+        assert G.expectations(x).tobytes() == want[2].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +467,25 @@ def test_intertwiner_matches_pseudo_inverse(S, R, square):
     np.testing.assert_allclose(
         gns_intertwiner(S, R), B @ np.linalg.pinv(A), rtol=0, atol=1e-11
     )
+
+
+@pytest.mark.parametrize("S,R", [
+    (random_state((2, 3), seed=56), random_state((2, 2), seed=57)),
+    (_mixed_state((2, 3), {1}, 58), _mixed_state((2, 2), set(), 59)),
+    (random_state((3,), seed=62), random_state((2,), seed=63)),
+    (ProductStateTrunc([T_PURE, R_PURE]), ProductStateTrunc([R_PURE] * 2)),
+], ids=["full-rank", "pure-factors", "level-1", "atoms"])
+def test_intertwiner_equals_its_frame_formula_byte_for_byte(S, R):
+    # U = C_B C_A^H / nu placed at (pi_B[i], pi_A[i]), with C = cyclic[pi].T
+    # for the frame table pi of either triplet
+    G_A = gns_build(state_boxtimes(S, R))
+    G_B = gns_tensor_phi(gns_build(S), gns_build(R))
+    C_A, C_B = G_A.cyclic[G_A._pi0].T, G_B.cyclic[G_B._pi0].T
+    nu = np.sum(C_A.real ** 2 + C_A.imag ** 2, axis=1)
+    want = np.zeros((G_A.space_dim,) * 2, dtype=complex)
+    want[G_B._pi0[:, :, None], G_A._pi0[:, None, :]] = (
+        (C_B @ C_A.conj().T) / nu)
+    assert gns_intertwiner(S, R).tobytes() == want.tobytes()
 
 
 def test_intertwiner_pure_level5():
@@ -646,11 +700,12 @@ def _python_calls(fn) -> int:
 
 
 def test_unit_paths_make_a_bounded_number_of_python_calls():
-    # one position lookup is a fixed few numpy calls: 19 calls for one
-    # unit's expectation (11 of them making the unit); the commutant of a
-    # (2,3)(2,2) composition reads its frame table's shape and their
-    # intertwiner makes 417 calls, nearly all in its three builds and the
-    # fused state, below the 492 of re-reading every unit image per triplet
+    # one gather of frame rows is a fixed few numpy calls: 20 calls for one
+    # unit's expectation (9 of them making the unit, 3 its np.errstate);
+    # the commutant of a (2,3)(2,2) composition reads its frame table's
+    # shape and their intertwiner makes 404 calls, nearly all in its three
+    # builds and the fused state, below the 492 of re-reading every unit
+    # image per triplet
     S = random_state((2, 2), seed=88)
     G = gns_build(S)
     A, B = random_state((2, 3), seed=89), random_state((2, 2), seed=90)
