@@ -45,7 +45,8 @@ Sums, products and the constructor merge on one int64 key per term
 (:func:`_merged`), never on a ``row*D + col`` that overflows for big
 stages.  Each operand's row and column multi-indices get mixed-radix keys
 with a bound, R for rows and C for columns, from one :func:`_lex_keys`
-call over n columns.  The term key is ``row_key*C + col_key``; a product
+call over the operands' own index arrays, which are not copied into one
+block.  The term key is ``row_key*C + col_key``; a product
 pair (i, j) has ``self_row_key[i]*C + other_col_key[j]``, so the
 O(T + T') operand keys are computed once, not per pair.  Where R*C
 reaches 2**63 the operand keys are first replaced by their ranks, below
@@ -71,7 +72,7 @@ import operator
 from collections.abc import ItemsView
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
@@ -365,20 +366,25 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def _lex_keys(columns: np.ndarray, radices) -> tuple[np.ndarray, int]:
-    """One int64 key per row of ``columns`` (shape (T, m), column ``c``
-    holding values in ``0..radices[c]-1``), and a bound the keys stay
-    below: equal rows get equal keys, and keys sort as the rows sort
-    lexicographically.
+def _lex_keys(parts, radices) -> tuple[np.ndarray, int]:
+    """One int64 key per row of the arrays ``parts`` (each of shape
+    (T_p, m), column ``c`` holding values in ``0..radices[c]-1``), the
+    rows of all parts in part order, and a bound the keys stay below:
+    equal rows get equal keys, and keys sort as the rows sort
+    lexicographically, across the parts.
 
     Runs of columns whose radices multiply to less than 2**63 are read as
-    one mixed-radix number each, and the runs are joined by
-    :func:`_pair_keys`, which falls back to ranks (below T) where two runs
-    do not fit one key.
+    one mixed-radix number each, part by part into one array (the parts
+    are not copied into one block), and the runs are joined by
+    :func:`_pair_keys` over all the parts at once, which falls back to
+    ranks among all their rows where two runs do not fit one key.
     """
+    ends = list(accumulate(map(len, parts), initial=0))
     key = bound = None
     for start, stop, weights, size in _key_runs(tuple(radices)):
-        run = columns[:, start:stop] @ weights
+        run = np.empty(ends[-1], dtype=np.int64)
+        for part, lo, hi in zip(parts, ends, ends[1:]):
+            np.matmul(part[:, start:stop], weights, out=run[lo:hi])
         if key is None:
             key, bound = run, size
         else:
@@ -447,19 +453,20 @@ def _index_radices(sig: Signature) -> tuple[int, ...]:
     return tuple(d + 1 for d in sig.dims)
 
 
-def _term_keys(sig: Signature, index) -> tuple[np.ndarray, int]:
-    # one key per term and its bound, for the T terms whose rows are
-    # index[:T] and whose columns are index[T:]: rows' key, then cols'
-    keys, bound = _lex_keys(index, _index_radices(sig))
-    half = len(index) // 2
+def _term_keys(sig: Signature, parts) -> tuple[np.ndarray, int]:
+    # one key per term and its bound, for the T terms whose rows are the
+    # first T rows of the index arrays ``parts`` (in order) and whose
+    # columns are the last T: rows' key, then cols' key
+    keys, bound = _lex_keys(parts, _index_radices(sig))
+    half = len(keys) // 2
     return _pair_keys((keys[:half], bound), (keys[half:], bound))
 
 
-def _index_keys(*elements) -> list[np.ndarray]:
-    # _term_keys of each element's terms, comparable across them
-    keys, _ = _term_keys(elements[0].sig, np.concatenate(
-        [x.rows for x in elements] + [x.cols for x in elements]))
-    return np.split(keys, np.cumsum([len(x) for x in elements])[:-1])
+def _index_keys(*elements) -> tuple[np.ndarray, int]:
+    # _term_keys of the elements' terms, one element after another, so
+    # that keys compare across them; and their bound
+    return _term_keys(elements[0].sig, [x.rows for x in elements]
+                      + [x.cols for x in elements])
 
 
 def _element(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
@@ -523,7 +530,7 @@ def _summed(sig: Signature, index, coeff) -> "AlgebraElement":
     # canonical form (see _merged) of the terms whose rows are index[:T]
     # and whose columns are index[T:], T = len(coeff)
     with np.errstate(over="ignore", invalid="ignore"):
-        keep, total = _merged(_term_keys(sig, index), coeff)
+        keep, total = _merged(_term_keys(sig, [index]), coeff)
     rows, cols = index[:len(coeff)], index[len(coeff):]
     return _element(sig, _at(rows, keep), _at(cols, keep), total)
 
@@ -720,7 +727,7 @@ class AlgebraElement:
             # one key per index row of self.rows, self.cols, other.rows and
             # other.cols, in that order, comparable across all four
             keys, bound = _lex_keys(
-                np.concatenate([self.rows, self.cols, other.rows, other.cols]),
+                [self.rows, self.cols, other.rows, other.cols],
                 _index_radices(self.sig))
             t, u = len(self), 2 * len(self) + len(other)
             # every pair (i, j) with self.cols[i] == other.rows[j], i-major
@@ -766,7 +773,7 @@ class AlgebraElement:
         ``<= tol``; a modulus past the largest float counts as ``inf``."""
         if self.sig != other.sig:
             return False
-        _, slot = np.unique(np.concatenate(_index_keys(self, other)),
+        _, slot = np.unique(_index_keys(self, other)[0],
                             return_inverse=True)
         diff = np.zeros(slot.max() + 1 if len(slot) else 0, dtype=complex)
         diff[slot[:len(self)]] = self.coeff
@@ -781,7 +788,8 @@ class AlgebraElement:
             return True
         if self.sig != other.sig or len(self) != len(other):
             return False
-        mine, theirs = _index_keys(self, other)
+        keys, _ = _index_keys(self, other)
+        mine, theirs = keys[:len(self)], keys[len(self):]
         a, b = np.argsort(mine), np.argsort(theirs)
         return bool(np.array_equal(mine.take(a), theirs.take(b))
                     and np.all(self.coeff.take(a) == other.coeff.take(b)))

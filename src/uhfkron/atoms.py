@@ -15,16 +15,19 @@ coproduct-composed evaluation on every matrix unit.
 
 Every check goes through one core, ``_check_pairs``, which takes all the
 label pairs of a call at once (one for :func:`atom_check_product`, every
-pair of a level for the ``atom-semigroup`` suite).  The states of a call
-share one validated one-hot factor per (base, letter).  Each pair still
-gets its own ``state_boxtimes`` and exact factor comparison.  The unit
-sweep is shared by all pairs: the pairs' entry tables are stacked once,
-one column per pair, and per chunk of units (``algebra._tagged_units``)
-the coproduct image is made once and each side is read by
-``states._tagged_values``, the one reader of tagged chunks, which runs
-the slot-by-slot products of :func:`~uhfkron.states.state_evaluate`; so
-the values are the bits a per-pair evaluation gives.  Each pair reports
-its first failing unit in unit order.
+pair of a level for the ``atom-semigroup`` suite).  A call builds one
+state per distinct label, and its states share one validated one-hot
+factor per (base, letter).  Each pair still gets its own
+``state_boxtimes``, whose factors are Kronecker products by one
+broadcast multiply (``DensityFactor.boxtimes``), and its own exact factor
+comparison.  The unit sweep is shared by all pairs: the pairs' entry
+tables are stacked once, one column per pair, and per chunk of units
+(``algebra._tagged_units``) the coproduct image is made once and each
+side is read by ``states._tagged_values``, the one reader of tagged
+chunks, which runs the slot-by-slot products of
+:func:`~uhfkron.states.state_evaluate`; so the values equal (``==``)
+what a per-pair evaluation gives.  Each pair reports its first failing
+unit in unit order.
 """
 
 from __future__ import annotations
@@ -220,17 +223,20 @@ def _check_pairs(pairs, level) -> list[AtomProductCheck]:
     """:func:`atom_check_product` of each ``(J, K, expected)`` triple at one
     level, in order; every J has one base n and every K one base m.
 
-    The states share one one-hot factor per (base, letter); the pairs
-    that pass check (1) share one unit sweep (:func:`_first_bad_units`).
+    Each label's state is built once, from one one-hot factor per (base,
+    letter); the pairs that pass check (1) share one unit sweep
+    (:func:`_first_bad_units`).
     """
     level = _integer(level, IndexRangeError, "level", low=1)
     fused_dim = pairs[0][0].base * pairs[0][1].base
     _guard_units("atom_check_product", fused_dim ** 2, level)
-    one_hot = {}
+    one_hot, states = {}, {}
     results, swept = [], []
     for J, K, expected in pairs:
-        SJ, SK, S_expected = (_atom_state(label, level, one_hot)
-                              for label in (J, K, expected))
+        for label in (J, K, expected):
+            if label not in states:
+                states[label] = _atom_state(label, level, one_hot)
+        SJ, SK, S_expected = states[J], states[K], states[expected]
         results.append(_factor_check(state_boxtimes(SJ, SK), S_expected))
         if results[-1]:
             swept.append((len(results) - 1, SJ.factors + SK.factors,

@@ -37,12 +37,12 @@ from .algebra import (
     _entries,
     _finite,
     _guard_units,
+    _index_keys,
     _integer,
     _integers,
     _moduli,
     _pair_keys,
     _tagged_units,
-    _term_keys,
     _unit_name,
     _unit_tags,
     coproduct_phi,
@@ -161,18 +161,18 @@ def _record_images(report: CheckReport, x: AlgebraElement, lhs, rhs,
     if lhs.sig != rhs.sig:
         ok[:] = False
     if ok.any():
-        # every image keyed (unit, rows, cols) by one _term_keys call over
-        # the slot rows of both sides, so that keys compare across them;
+        # every image keyed (unit, rows, cols), its index keyed from each
+        # side's own index arrays so that keys compare across the sides;
         # then only the keys of units with ``count`` on both sides are
         # kept: sorted, the two sides must match entry by entry
         tag = np.concatenate(tags)
-        keys, _ = _pair_keys((tag, units), _term_keys(lhs.sig, np.concatenate(
-            [lhs.rows.T, rhs.rows.T, lhs.cols.T, rhs.cols.T], axis=1).T))
+        keys, _ = _pair_keys((tag, units), _index_keys(lhs, rhs))
         mine = tag >= 0
         mine[mine] = ok[tag[mine]]
-        left, right = np.split(keys[mine], 2)  # as many keys each
+        keys = keys[mine]
+        half = len(keys) // 2  # as many kept keys on each side
         unit = np.flatnonzero(ok).repeat(count)  # each sorted key's unit
-        ok[unit[np.sort(left) != np.sort(right)]] = False
+        ok[unit[np.sort(keys[:half]) != np.sort(keys[half:])]] = False
     report.record_units(ok, lambda k: f"{what} on unit {_unit_name(x, k)}")
 
 

@@ -23,13 +23,15 @@ The exhaustive checks read state values off a tagged chunk of units
 unit, the count of its image terms and the value on its image.  It reads
 one state's table, or the tables of several states stacked one column
 per state (``_stacked_entry_table``), and runs the same gather and
-slot-by-slot products as :func:`state_evaluate`.
+slot-by-slot products as :func:`state_evaluate`, started from the first
+slot's entries rather than from a coefficient.
 
 The non-symmetric tensor product of two states composes the ordinary
 tensor-product state with the Kronecker coproduct.  On product states it
-again yields a product state, with factorwise Kronecker densities; the
-two computations are kept independent here so that agreement is a test,
-not a definition.
+again yields a product state, with factorwise Kronecker densities
+(:meth:`DensityFactor.boxtimes`, one broadcast multiply, not the dense
+oracle ``algebra.kron_box``); the two computations are kept independent
+here so that agreement is a test, not a definition.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .algebra import (
     _integer,
     _unit_tags,
     coproduct_phi,
-    kron_box,
 )
 from .errors import SignatureError, ValidationError
 
@@ -148,9 +149,13 @@ class DensityFactor:
         return cls(np.outer(v, v.conj()) / nrm2)
 
     def boxtimes(self, other: "DensityFactor") -> "DensityFactor":
-        # a density, not checked again: its trace defect may be twice a
-        # factor's, past the absolute tolerance each factor met
-        return _hold(kron_box(self.matrix, other.matrix))
+        # numpy.kron's products by one broadcast multiply: entry
+        # (m i + i', m j + j') is A_ij B_i'j', m = dim(B).  A density, not
+        # checked again: its trace defect may be twice a factor's, past the
+        # absolute tolerance each factor met
+        A, B = self.matrix, other.matrix
+        n = len(A) * len(B)
+        return _hold((A[:, None, :, None] * B[None, :, None, :]).reshape(n, n))
 
     def __repr__(self):
         return f"DensityFactor(dim={self.dim})"
@@ -243,23 +248,32 @@ def state_evaluate(S: ProductStateTrunc, x: AlgebraElement) -> complex:
 
 def _stacked_entry_table(factor_lists, sig: Signature) -> tuple:
     """The entry tables of the product states with these factor lists, all
-    over ``sig``, stacked one column per state, with their _entry_layout."""
+    over ``sig``, stacked one column per state, with their _entry_layout.
+    The stack is C-ordered, so gathering its rows copies only those rows."""
     entries = np.concatenate([f.matrix.ravel() for factors in factor_lists
                               for f in factors])
-    return (entries.reshape(len(factor_lists), -1).T, *_entry_layout(sig))
+    return (np.ascontiguousarray(entries.reshape(len(factor_lists), -1).T),
+            *_entry_layout(sig))
 
 
-def _slot_products(table: tuple, rows, cols, start) -> np.ndarray:
+def _slot_products(table: tuple, rows, cols, start=None) -> np.ndarray:
     """Per term (``rows``, ``cols``: terms by slots): ``start`` times the
     entries T^{(i)}[k_i - 1, j_i - 1] of ``table`` (an ``_entry_table`` or
     a stack of them), multiplied one slot at a time in slot order, each
-    product rounded as Python's complex ``*`` rounds it."""
+    product rounded as Python's complex ``*`` rounds it.  With no
+    ``start`` the products start from the first slot's entries, which is
+    ``1 + 0j`` times them up to the sign of a zero part."""
     entries, dims, base = table
-    # per slot (one contiguous row), each term's place among the flat entries
+    # per slot (one contiguous row), each term's place among the flat entries;
+    # the entries are gathered one slot at a time, so no (slots, terms)
+    # block of them is held
     at = np.add(cols * dims + rows, base, order="F").T
+    slots = (entries.take(slot, axis=0) for slot in at)
+    if start is None:
+        start = next(slots)
     re, im = start.real, start.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        for factor_entries in entries.take(at, axis=0):
+        for factor_entries in slots:
             re, im = _cmul_parts(re, im, factor_entries.real,
                                  factor_entries.imag)
     return _complex(re, im)
@@ -272,13 +286,14 @@ def _tagged_values(table: tuple, y: AlgebraElement,
     of ``y`` tagged ``k+1``, and the value of each state of ``table`` (an
     ``_entry_table``, or a ``_stacked_entry_table`` of P states) on such a
     term with its coefficient left out, shape ``(count,)`` or
-    ``(count, P)``: ``state_evaluate`` of the unit's image when that
-    number is 1 (a zero part may differ in sign).
+    ``(count, P)``: the slot products start from the first slot's entries,
+    so this is ``state_evaluate`` of the unit's image when that number is
+    1, up to the sign of a zero part (which ``==`` ignores).
     """
     unit = _unit_tags(y, count)
     mine = unit >= 0
     values = np.zeros((count, *table[0].shape[1:]), dtype=complex)
-    values[unit[mine]] = _slot_products(table, y.rows, y.cols, 1 + 0j)[mine]
+    values[unit[mine]] = _slot_products(table, y.rows, y.cols)[mine]
     return np.bincount(unit[mine], minlength=count), values
 
 

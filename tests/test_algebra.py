@@ -25,6 +25,7 @@ from uhfkron.algebra import (
     MatrixUnitIndex,
     Signature,
     _lex_keys,
+    _term_keys,
     all_matrix_units,
     as_signature,
     block_permutation,
@@ -822,13 +823,46 @@ def test_lex_keys_order_rows_lexicographically(radices):
     rows = sorted(rows) + sorted(rows)[:5]  # some rows twice
     perm = rng.permutation(len(rows))
     columns = np.array([rows[i] for i in perm], dtype=np.int64)
-    keys, bound = _lex_keys(columns, radices)
+    keys, bound = _lex_keys([columns], radices)
     assert 0 <= keys.min() and keys.max() < bound < 2**63
     keys = keys.tolist()
     by_row = {}
     for i, key in zip(perm, keys):
         assert by_row.setdefault(rows[i], key) == key
     assert sorted(by_row, key=by_row.get) == sorted(by_row)
+    assert len(set(by_row.values())) == len(by_row)
+
+
+@pytest.mark.parametrize("dims", [
+    (2, 3, 2, 2),
+    (3, 2**61),            # two runs, joined through ranks
+    (2**20 + 3,) * 3,      # one run; rows' and columns' keys join by ranks
+    (4,) * 70,             # runs of 27 columns, joined through ranks
+])
+def test_lex_keys_of_parts_equal_the_keys_of_their_concatenation(dims):
+    # the parts are keyed one by one but joined at once, so where a join
+    # ranks, the ranks are taken among the rows of all the parts
+    rng = np.random.default_rng(len(dims))
+    pool = np.array([[int(rng.integers(1, d + 1)) if rng.random() < 0.7
+                      else min(d, 2) for d in dims] for _ in range(12)],
+                    dtype=np.int64)
+    rows = pool[rng.integers(0, len(pool), 40)]
+    # sorted by the first column, so the parts hold different values there
+    # and ranks taken part by part would collide
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    parts = [rows[:9], np.asfortranarray(rows[9:14]), rows[14:14],
+             rows[14::2], rows[15::2].T.copy().T]
+    whole = np.concatenate(parts)
+    sig = Signature(dims)
+    radices = [d + 1 for d in dims]
+    for got, want in [(_lex_keys(parts, radices), _lex_keys([whole], radices)),
+                      (_term_keys(sig, parts), _term_keys(sig, [whole]))]:
+        assert got[1] == want[1]
+        assert got[0].tobytes() == want[0].tobytes()
+    # equal rows, and only they, have equal keys across the parts
+    by_row = {}
+    for row, key in zip(whole.tolist(), _lex_keys(parts, radices)[0].tolist()):
+        assert by_row.setdefault(tuple(row), key) == key
     assert len(set(by_row.values())) == len(by_row)
 
 

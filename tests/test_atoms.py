@@ -344,6 +344,37 @@ def test_unit_sweep_fails_a_corrupted_pair_alone(monkeypatch, chunk_terms):
 
 
 @pytest.mark.parametrize("chunk_terms", [7, 1 << 12])
+@pytest.mark.parametrize("blind", [False, True])
+def test_corrupted_pairs_of_a_batch_fail_alone(monkeypatch, chunk_terms,
+                                               blind):
+    # a batch builds one state per label: pairs 30 and 33 share one
+    # corrupted label, which is also pair 35's true product label, and pair
+    # 10 has its own.  Exactly those three pairs fail, each as it fails
+    # alone: by check (1), or with check (1) blinded at the first unit
+    # where the shared unit sweep breaks
+    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
+    if blind:
+        monkeypatch.setattr(atoms, "_factor_check",
+                            lambda boxed, S: atoms.AtomProductCheck(True))
+    level = 2
+    pairs = _pairs(2, 3, level)
+    shared = pairs[35][2]
+    assert shared == AtomLabel(6, (6, 6))
+    for p, corrupted in [(10, AtomLabel(6, (1, 1))), (30, shared),
+                         (33, shared)]:
+        J, K, _ = pairs[p]
+        pairs[p] = (J, K, corrupted)
+    results = _check_pairs(pairs, level)
+    assert [p for p, r in enumerate(results) if not r] == [10, 30, 33]
+    for p in (10, 30, 33):
+        alone = atom_check_product(*pairs[p][:2], level, pairs[p][2])
+        assert results[p].diagnostic == alone.diagnostic
+        assert results[p].diagnostic.startswith(
+            "coproduct evaluation differs on unit " if blind
+            else "boxtimes factor differs")
+
+
+@pytest.mark.parametrize("chunk_terms", [7, 1 << 12])
 def test_lossy_coproduct_fails_every_pair_at_its_unit(monkeypatch,
                                                       chunk_terms):
     monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)

@@ -7,12 +7,15 @@ that corrupt one chunk, the unit-count guard and the tolerance contract of
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uhfkron import algebra, checks
 from uhfkron.algebra import (
+    AlgebraElement,
+    Signature,
     _tagged_units,
     _unit_tags,
     all_matrix_units,
@@ -303,6 +306,25 @@ def test_atom_check_corrupted_label_names_a_unit(monkeypatch):
         f"coproduct evaluation differs on unit {_name(first_bad)}")
 
 
+def test_moved_image_fails_its_unit_on_a_two_run_stage():
+    # index keys over (2**40, 2**40) take two runs, the first one ranked
+    # to join them; both sides are ranked together, so the image moved to
+    # a first-slot value that only the right side has (ranked alone, it
+    # would take the old value's rank) fails its unit, and only that one
+    sig = Signature((2**40, 2**40))
+    units = [((1, 1), (1, 2**40)), ((1, 2), (2, 2**40)),
+             ((2**40, 3), (3, 2**39)), ((7, 2**40), (2**40, 1))]
+    x = AlgebraElement(sig, {u: k + 1 for k, u in enumerate(units)})
+    moved = dict(x.terms)
+    moved[(2**40, 3), (4, 2**39)] = moved.pop(((2**40, 3), (3, 2**39)))
+    rhs = AlgebraElement(sig, reversed(moved.items()))
+    report = CheckReport("coassociativity")
+    checks._record_images(report, x, x, rhs, 1, "paths differ")
+    assert (report.passed, report.failed) == (3, 1)
+    assert report.failures == [
+        f"paths differ on unit {(2**40, 3)}<-{(3, 2**39)}"]
+
+
 @pytest.mark.parametrize("control", [
     test_swapped_images_fail_exactly_those_units,
     test_lost_image_fails_its_unit,
@@ -314,6 +336,31 @@ def test_negative_controls_at_chunks_of_seven(monkeypatch, control):
     # boundaries (compatibility gets one unit per chunk)
     monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", 7)
     control(monkeypatch)
+
+
+# The tracemalloc peaks of these suites at level 2 when both sides' index
+# blocks were copied into one (4T, n) array per chunk to be keyed (numpy 2.4)
+CONCATENATED_KEYS_COASSOCIATIVITY_PEAK = 2.14e6
+CONCATENATED_KEYS_COMPATIBILITY_PEAK = 2.07e6
+
+
+@pytest.mark.parametrize("suite,dims,copied_peak", [
+    ("coassociativity", (2, 3, 2), CONCATENATED_KEYS_COASSOCIATIVITY_PEAK),
+    ("compatibility", (2, 3), CONCATENATED_KEYS_COMPATIBILITY_PEAK),
+])
+def test_exact_suites_key_images_without_copying_them(suite, dims,
+                                                      copied_peak):
+    # keyed from each side's own index arrays, a chunk peaked at 1.75 MB
+    # (coassociativity) and 1.55 MB (compatibility)
+    run_suite(suite, dims, 2)  # what a first run caches is not the sweep's
+    tracemalloc.start()
+    try:
+        report = run_suite(suite, dims, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 0.9 * copied_peak
 
 
 # ---------------------------------------------------------------------------

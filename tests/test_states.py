@@ -6,7 +6,9 @@ the factorwise-Kronecker state — is checked exhaustively on matrix units
 at small dims and on random data, with both sides computed independently.
 """
 
+import ast
 import copy
+import inspect
 import itertools
 import pickle
 
@@ -239,6 +241,30 @@ def test_boxtimes_of_factors_at_the_trace_tolerance():
     assert out.factors[0].dim == 4
 
 
+def test_boxtimes_takes_the_products_of_kron_box_bit_for_bit():
+    # one broadcast multiply of the held matrices takes the products
+    # numpy.kron takes, signed zeros included; kron_box stays the dense
+    # oracle, so the states module does not call it
+    for m, n in itertools.product(range(2, 7), repeat=2):
+        a = random_density(m, seed=10 * m + n).matrix.copy()
+        a[0, 0] = complex(a[0, 0].real, -0.0)
+        for b in (random_density(n, seed=10 * m + n + 100).matrix,
+                  np.diag([-0.0] * (n - 1) + [1.0]).astype(complex)):
+            f, g = DensityFactor(a), DensityFactor(b)
+            got = f.boxtimes(g).matrix
+            want = kron_box(f.matrix, g.matrix)
+            assert got.shape == want.shape == (m * n, m * n)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+    tree = ast.parse(inspect.getsource(inspect.getmodule(DensityFactor)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "kron_box" not in names
+
+
 def _round_trips(value):
     return [copy.copy(value), copy.deepcopy(value),
             pickle.loads(pickle.dumps(value))]
@@ -337,8 +363,15 @@ def test_tensor_phi_state_associativity():
 
 @pytest.mark.parametrize("chunk_terms", [algebra._TAG_CHUNK_TERMS, 7])
 def test_stacked_tagged_read_equals_single_reads(monkeypatch, chunk_terms):
+    # the slot products start from the first slot's entries, not from a
+    # coefficient, and still equal state_evaluate on each unit (==); the
+    # second stage is tensor-formula's at level 2
     monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
-    a, b = Signature((2, 2)), Signature((2, 3))
+    for dims in [((2, 2), (2, 3)), ((2, 2), (3, 3))]:
+        _check_stacked_reads(*map(Signature, dims))
+
+
+def _check_stacked_reads(a, b):
     fused, split = a.product(b), a.concat(b)
     # per side: the signature, how a chunk maps to that side, and how one
     # unit's image is made on its own
@@ -349,6 +382,7 @@ def test_stacked_tagged_read_equals_single_reads(monkeypatch, chunk_terms):
     for sig, image, unit_image in sides:
         states = [random_state(sig, seed=s) for s in (41, 42, 43)]
         stack = _stacked_entry_table([S.factors for S in states], sig)
+        assert stack[0].flags.c_contiguous  # a row gather copies no more
         done = 0
         for x in _tagged_units(fused):
             y, count = image(x), len(x)
