@@ -315,9 +315,21 @@ def _check_index(sig: Signature, rows,
     # the pair (rows, cols) of int multi-indices, each entry in 1..dim of
     # its factor, else IndexRangeError naming the first bad factor, its
     # row before its column
+    dims = sig.dims
+    # the common case in one pass: tuples of ints, or one int each at
+    # level 1, all in range (int.__le__ refuses any other entry); all else
+    # is read entry by entry below
+    j, k = (((rows,), (cols,)) if type(rows) is int is type(cols)
+            else (rows, cols))
+    try:
+        if (type(j) is tuple is type(k) and len(j) == len(k) == len(dims)
+                and all(map(int.__le__, j, dims))
+                and all(map(int.__le__, k, dims)) and min(j + k) >= 1):
+            return j, k
+    except TypeError:
+        pass
     rows = _as_multi_index(rows, "row")
     cols = _as_multi_index(cols, "column")
-    dims = sig.dims
     if len(rows) != len(dims) or len(cols) != len(dims):
         raise IndexRangeError(
             f"index length {len(rows)}/{len(cols)} does not match level {sig.level}"
@@ -474,6 +486,11 @@ def _element(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
     rows.setflags(write=False)
     cols.setflags(write=False)
     coeff.setflags(write=False)
+    return _wrap(sig, rows, cols, coeff)
+
+
+def _wrap(sig: Signature, rows, cols, coeff) -> "AlgebraElement":
+    # an element holding read-only arrays already in canonical form
     x = object.__new__(AlgebraElement)
     put = object.__setattr__
     put(x, "sig", sig)
@@ -808,8 +825,10 @@ def matrix_unit(sig, rows, cols) -> AlgebraElement:
     Raises :class:`IndexRangeError` naming the offending factor position.
     """
     sig = as_signature(sig)
+    # one (2, n) block, read-only once; its row views are too
     index = np.array(_check_index(sig, rows, cols), dtype=np.int64)
-    return _element(sig, index[:1], index[1:], _UNIT_COEFF)
+    index.setflags(write=False)
+    return _wrap(sig, index[:1], index[1:], _UNIT_COEFF)
 
 
 # The coefficient array of every matrix_unit, shared (it is read-only).

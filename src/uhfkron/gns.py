@@ -23,13 +23,16 @@ multi-index, at its row-major flat index.  A unit whose row and column
 multi-indices have flat indices i and k has its ones at (pi0[i, t],
 pi0[k, t]), so the positions of any number of units are one gather from
 pi0.  The triplet also tabulates the frame table C = cyclic[pi0] once
-(complex, N x R, again D entries): rep(E_u) cyclic is C[k] written at
-pi0[i], and <cyclic, rep(E_u) cyclic> = sum_t conj(C[i, t]) C[k, t].  A
-triplet reads only elements, whose indices the element constructor has
+(complex, N x R, again D entries) and its conjugate: rep(E_u) cyclic is
+C[k] written at pi0[i], and <cyclic, rep(E_u) cyclic> = sum_t conj(C[i,
+t]) C[k, t].  The three tables are keyed: each is stored after shift =
+sum_s w_s unused rows, w the row-major weights of the signature, so a
+1-based multi-index idx reads its row at idx @ w, with no subtraction.
+A triplet reads only elements, whose indices the element constructor has
 range-checked, and an element's images are one scatter or gather each
-over the rows of pi0 or C of its terms' units: ``expectations`` gathers
-the 2T rows of C of its T terms at once, and
-expectation(x) = sum_u c_u <cyclic, rep(E_u) cyclic> over its terms
+over the keyed rows of its terms' units: ``expectations`` gathers the
+rows of conj(C) at the terms' row keys and of C at their column keys,
+and expectation(x) = sum_u c_u <cyclic, rep(E_u) cyclic> over its terms
 c_u E_u.  One unit's image is that of the one-term element
 ``matrix_unit``.
 
@@ -135,7 +138,8 @@ class GnsTriplet:
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
-                 "_weights", "_shift", "_pi0", "_frame")
+                 "_weights", "_keyed_pi0", "_keyed_frame", "_keyed_conj",
+                 "_pi0", "_frame")
 
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
@@ -157,65 +161,70 @@ class GnsTriplet:
         # W is D x N*R, and unitary iff square with pi0 holding each of
         # 0..D-1 once; a non-square W is refused before pi0 is built
         columns = sig.total_dim * math.prod(ranks)
-        refusal = ValidationError(
-            f"the frame [W_1 ... W_N] is {self.space_dim} x {columns} and "
-            "not unitary")
         if columns != self.space_dim:
-            raise refusal
-        # _pi0[i] is row_u + o for the unit rows of row-major flat index i,
-        # with row_u = sum_f j_f r_f s_f and o_t = sum_f t_f s_f over all
-        # t; i = idx @ _weights - _shift for a 1-based multi-index idx
+            raise _not_unitary(self.space_dim, columns)
+        # pi0[i] is row_u + o for the unit rows of row-major flat index i,
+        # with row_u = sum_f j_f r_f s_f and o_t = sum_f t_f s_f over all t
         per_slot = [np.zeros(d, dtype=np.int64) for d in sig.dims]
         for (slot, stride, radix), r, s in zip(self._places, ranks, strides):
             per_slot[slot] += np.arange(sig.dims[slot]) // stride % radix * r * s
-        self._weights = np.array([math.prod(sig.dims[i + 1:])
-                                  for i in range(sig.level)], dtype=np.int64)
-        self._shift = self._weights.sum()
-        self._pi0 = functools.reduce(np.add.outer, per_slot + [
+        pi0 = functools.reduce(np.add.outer, per_slot + [
             s * np.arange(r) for s, r in zip(strides, ranks)]).reshape(
                 sig.total_dim, -1)
-        if not np.array_equal(np.bincount(self._pi0.ravel(),
-                                          minlength=self.space_dim),
-                              np.ones(self.space_dim)):
-            raise refusal
-        # the frame table C: _frame[i] is cyclic[_pi0[i]], D entries
-        self._frame = self.cyclic.take(self._pi0)
+        # pi0 has D entries: they are 0..D-1 once each iff none is D or
+        # more and none repeats
+        counts = np.bincount(pi0.ravel())
+        if len(counts) != self.space_dim or counts.max() != 1:
+            raise _not_unitary(self.space_dim, columns)
+        # the keyed tables: pi0, C = cyclic[pi0] and conj(C) after shift =
+        # sum(_weights) unused rows, so the row of a 1-based multi-index
+        # idx (flat index idx @ _weights - shift) is idx @ _weights
+        self._weights = np.array([math.prod(sig.dims[i + 1:])
+                                  for i in range(sig.level)], dtype=np.int64)
+        shift = int(self._weights.sum())
+        self._keyed_pi0 = np.zeros((shift + len(pi0), pi0.shape[1]),
+                                   dtype=np.int64)
+        self._keyed_pi0[shift:] = pi0
+        self._keyed_frame = self.cyclic.take(self._keyed_pi0)
+        self._keyed_conj = self._keyed_frame.conj()
+        # the unpadded views: _frame[i] is cyclic[_pi0[i]], D entries
+        self._pi0 = self._keyed_pi0[shift:]
+        self._frame = self._keyed_frame[shift:]
 
-    def _flat(self, x: AlgebraElement) -> np.ndarray:
-        # the 2T 0-based row-major flat indices of the terms of x: its
-        # terms' row multi-indices, then their column multi-indices
-        if x.sig != self.sig:
+    def _keys(self, x: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+        # the keyed-table rows of the terms of x: their row multi-indices'
+        # and their column multi-indices' (an equal signature is most
+        # often the same object, which is cheaper to compare)
+        if x.sig is not self.sig and x.sig != self.sig:
             raise SignatureError(
                 f"element signature {x.sig.dims} does not match "
                 f"representation signature {self.sig.dims}"
             )
-        return np.concatenate((x.rows, x.cols)).dot(self._weights) - self._shift
+        return x.rows.dot(self._weights), x.cols.dot(self._weights)
 
     def rep(self, x: AlgebraElement) -> np.ndarray:
-        flat = self._flat(x)
-        T = len(x.coeff)
-        at = self._pi0.take(flat, axis=0)
+        i, k = self._keys(x)
         out = np.zeros((self.space_dim, self.space_dim), dtype=complex)
         # distinct units never share a position
-        out[at[:T], at[T:]] = x.coeff[:, None]
+        out[self._keyed_pi0.take(i, axis=0),
+            self._keyed_pi0.take(k, axis=0)] = x.coeff[:, None]
         return out
 
     def lambda_vec(self, x: AlgebraElement) -> np.ndarray:
-        flat = self._flat(x)
-        T = len(x.coeff)
+        i, k = self._keys(x)
         out = np.zeros(self.space_dim, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             # numpy.add.at adds one term after another, in term order
-            np.add.at(out, self._pi0.take(flat[:T], axis=0),
-                      x.coeff[:, None] * self._frame.take(flat[T:], axis=0))
+            np.add.at(out, self._keyed_pi0.take(i, axis=0),
+                      x.coeff[:, None] * self._keyed_frame.take(k, axis=0))
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def expectation(self, x: AlgebraElement) -> complex:
         """<cyclic, rep(x) cyclic> = sum_u c_u <cyclic, rep(E_u) cyclic>
         over the terms c_u E_u of ``x``: :meth:`expectations` weighted by
         the coefficients, without materializing rep(x) or rep(x) cyclic."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return complex(self.expectations(x).dot(x.coeff))
+        return complex(self.expectations(x).dot(x.coeff))
 
     def expectations(self, x: AlgebraElement) -> np.ndarray:
         """<cyclic, rep(E_u) cyclic> for the unit u of every term of ``x``,
@@ -223,13 +232,19 @@ class GnsTriplet:
         conj(C[i, t]) C[k, t] for the frame table C = cyclic[pi0] and the
         flat indices i, k of the unit's row and column, with no image
         vector built."""
-        F = self._frame.take(self._flat(x), axis=0)
-        T = len(x.coeff)
-        return (F[:T].conj() * F[T:]).sum(axis=1)
+        i, k = self._keys(x)
+        return np.add.reduce(self._keyed_conj.take(i, axis=0)
+                             * self._keyed_frame.take(k, axis=0), axis=1)
 
     def __repr__(self):
         return (f"GnsTriplet(sig={self.sig.dims}, "
                 f"space_dim={self.space_dim})")
+
+
+def _not_unitary(space_dim: int, columns: int) -> ValidationError:
+    # the refusal of a frame [W_1 ... W_N] that is no unitary
+    return ValidationError(f"the frame [W_1 ... W_N] is {space_dim} x "
+                           f"{columns} and not unitary")
 
 
 def _place(sig: Signature, place, k: int) -> tuple[int, int, int]:

@@ -243,6 +243,48 @@ def test_unit_indices_take_bools_and_numpy_integers():
     assert x.rows.dtype == x.cols.dtype == np.int64
 
 
+@pytest.mark.parametrize("sig, rows, cols, message", [
+    ((2, 3), (1.0, 1), (1, 1), "row index 1.0 at factor 1 is not an integer"),
+    ((2, 3), (1, 1), (1, "2"),
+     "column index '2' at factor 2 is not an integer"),
+    ((2, 3), None, (1, 1), "row index None at factor 1 is not an integer"),
+    (2, 1, None, "column index None at factor 1 is not an integer"),
+    ((2, 3), (1,), (1, 1), "index length 1/2 does not match level 2"),
+    ((2, 3), 1, 1, "index length 1/1 does not match level 2"),
+    ((2, 3), (1, 4), (3, 1), "column index 3 exceeds dimension 2 at factor 1"),
+    ((2, 3), (1, 4), (1, 0), "row index 4 exceeds dimension 3 at factor 2"),
+    (2, 3, 1, "row index 3 exceeds dimension 2 at factor 1"),
+    (2, 1, 0, "column index 0 exceeds dimension 2 at factor 1"),
+], ids=["float", "str", "none", "none-at-level-1", "too-few-entries",
+        "int-at-level-2", "column-at-earlier-factor", "row-before-column",
+        "row-at-level-1", "column-at-level-1"])
+def test_matrix_unit_refuses_what_is_no_unit(sig, rows, cols, message):
+    with pytest.raises(IndexRangeError, match=f"^{message}$"):
+        matrix_unit(sig, rows, cols)
+
+
+@pytest.mark.parametrize("sig, rows, cols, want", [
+    ((2, 3), (2, 3), (1, 2), ((2, 3), (1, 2))),
+    ((2, 3), (np.int64(2), np.int32(3)), (np.uint8(1), 2), ((2, 3), (1, 2))),
+    ((2, 3), (True, 3), (2, True), ((1, 3), (2, 1))),
+    ((2, 3), [2, 3], range(1, 3), ((2, 3), (1, 2))),
+    (3, 3, 1, ((3,), (1,))),
+    (3, np.int64(2), True, ((2,), (1,))),
+    (3, (2,), 1, ((2,), (1,))),
+], ids=["ints", "numpy-ints", "bools", "list-and-range", "level-1-ints",
+        "level-1-numpy-and-bool", "level-1-mixed"])
+def test_matrix_unit_reads_every_integer_form(sig, rows, cols, want):
+    x = matrix_unit(sig, rows, cols)
+    assert x.rows.tolist() == [list(want[0])]
+    assert x.cols.tolist() == [list(want[1])]
+    assert x.coeff.tolist() == [1 + 0j]
+    assert x.rows.dtype == x.cols.dtype == np.int64
+    for a in (x.rows, x.cols, x.coeff):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 2
+
+
 def test_overflowing_modulus_is_kept():
     # abs() of a complex with these finite parts raises OverflowError; the
     # modulus is past every tolerance, so the term stays and the tiny one

@@ -7,6 +7,7 @@ import functools
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +386,74 @@ def test_element_images_equal_the_per_term_loops_byte_for_byte(G):
         assert G.expectations(x).tobytes() == want[2].tobytes()
 
 
+def _flat_index_reads(G, x):
+    # expectations, expectation, rep and lambda_vec as the flat-index
+    # tables read them: 2T 0-based flat indices, rows then columns, one
+    # gather of the unpadded frame table and a runtime conjugate
+    flat = (np.concatenate((x.rows, x.cols)).dot(G._weights)
+            - G._weights.sum())
+    T = len(x.coeff)
+    F = G._frame.take(flat, axis=0)
+    values = (F[:T].conj() * F[T:]).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(values.dot(x.coeff))
+    at = G._pi0.take(flat, axis=0)
+    rep = np.zeros((G.space_dim, G.space_dim), dtype=complex)
+    rep[at[:T], at[T:]] = x.coeff[:, None]
+    lam = np.zeros(G.space_dim, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(lam, at[:T], x.coeff[:, None] * F[T:])
+    return values, value, rep, lam
+
+
+def _reads(G, x):
+    return (G.expectations(x), G.expectation(x), G.rep(x), G.lambda_vec(x))
+
+
+@pytest.mark.parametrize("tree", [
+    random_state((2, 2), seed=93),
+    _mixed_state((2, 3), {0}, 94),
+    ProductStateTrunc([T_PURE, R_PURE, T_PURE]),
+    *_TREES,
+], ids=["full-rank", "mixed-rank", "pure", *_TREE_IDS])
+def test_keyed_reads_equal_the_flat_index_reads_byte_for_byte(tree):
+    # the keyed tables (shift leading rows, the conjugate tabulated) read
+    # the same bits as flat-index reads of the unpadded tables, for every
+    # unit, multi-term elements and the zero element
+    G, _ = _compose(tree)
+    rng = np.random.default_rng(95)
+    elements = [matrix_unit(G.sig, *idx) for idx in all_matrix_units(G.sig)]
+    elements += [random_element(G.sig, rng=rng, n_terms=n)
+                 for n in rng.integers(2, 40, size=20)]
+    elements.append(zero(G.sig))
+    assert len(G._frame) == len(G._pi0) == G.sig.total_dim
+    for x in elements:
+        for got, want in zip(_reads(G, x), _flat_index_reads(G, x)):
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_expectation_leaves_the_error_state_as_it_found_it():
+    # expectation silences overflow and invalid for its own call only, and
+    # an inf * 0 inside it warns nowhere, also when it raises
+    S = ProductStateTrunc([DensityFactor.diagonal([0.5, 0.5])])
+    G = gns_build(S)
+    finite = matrix_unit(2, 1, 1) + 2j * matrix_unit(2, 1, 2)
+    infinite = AlgebraElement(2, {((1,), (1,)): complex("inf"),
+                                  ((2,), (2,)): 1e308})
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        before = np.geterr()
+        assert G.expectation(finite) == pytest.approx(0.5, abs=1e-15)
+        assert np.geterr() == before
+        assert not np.isfinite(G.expectation(infinite))
+        assert np.geterr() == before
+        with pytest.raises(SignatureError):
+            G.expectation(matrix_unit((2, 2), (1, 1), (1, 1)))
+        assert np.geterr() == before == {
+            "divide": "raise", "over": "raise", "under": "raise",
+            "invalid": "raise"}
+
+
 # ---------------------------------------------------------------------------
 # the intertwining unitary
 # ---------------------------------------------------------------------------
@@ -700,8 +769,8 @@ def _python_calls(fn) -> int:
 
 
 def test_unit_paths_make_a_bounded_number_of_python_calls():
-    # one gather of frame rows is a fixed few numpy calls: 20 calls for one
-    # unit's expectation (9 of them making the unit, 3 its np.errstate);
+    # one gather of frame rows is a fixed few numpy calls: 9 calls for one
+    # unit's expectation (4 of them making the unit, 1 its np.errstate);
     # the commutant of a (2,3)(2,2) composition reads its frame table's
     # shape and their intertwiner makes 404 calls, nearly all in its three
     # builds and the fused state, below the 492 of re-reading every unit
@@ -719,7 +788,7 @@ def test_unit_paths_make_a_bounded_number_of_python_calls():
         gns_intertwiner(A, B)
 
     one(), frame()  # anything made on first use is made
-    assert _python_calls(one) <= 24
+    assert _python_calls(one) <= 12
     assert _python_calls(frame) <= 450
 
 
