@@ -334,9 +334,6 @@ def _check_index(sig: Signature, rows,
         raise IndexRangeError(
             f"index length {len(rows)}/{len(cols)} does not match level {sig.level}"
         )
-    if (min(rows + cols) >= 1 and all(map(operator.le, rows, dims))
-            and all(map(operator.le, cols, dims))):
-        return rows, cols
     for pos, (j, k, d) in enumerate(zip(rows, cols, dims), start=1):
         if not 1 <= j <= d:
             raise IndexRangeError(
@@ -346,6 +343,7 @@ def _check_index(sig: Signature, rows,
             raise IndexRangeError(
                 f"column index {k} exceeds dimension {d} at factor {pos}"
             )
+    return rows, cols
 
 
 def _moduli(c: np.ndarray) -> np.ndarray:
@@ -787,7 +785,10 @@ class AlgebraElement:
 
     def allclose(self, other: "AlgebraElement", tol: float = COMPARE_TOL) -> bool:
         """Every index's coefficients (0 where absent) differ by a modulus
-        ``<= tol``; a modulus past the largest float counts as ``inf``."""
+        ``<= tol``; a modulus past the largest float counts as ``inf``.
+        ``tol`` is read as a suite's tolerance is (a finite number >= 0,
+        else ValidationError)."""
+        tol = _finite(tol, "tolerance")
         if self.sig != other.sig:
             return False
         _, slot = np.unique(_index_keys(self, other)[0],

@@ -90,13 +90,9 @@ class CheckReport:
     failed: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, diagnostic: str | None):
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if len(self.failures) < _MAX_RECORDED_FAILURES:
-                self.failures.append(diagnostic)
+    def record(self, ok: bool, diagnostic: str):
+        """Record one outcome, as :meth:`record_units` records a unit."""
+        self.record_units(np.array([bool(ok)]), lambda _: diagnostic)
 
     def record_units(self, ok: np.ndarray,
                      diagnostic: Callable[[int], str]):
@@ -272,7 +268,7 @@ def suite_tensor_formula(dims: tuple[int, ...], level: int,
     """Coproduct-composed evaluation equals the Kronecker-state evaluation.
 
     One seeded random state pair over constant signatures; exhaustive over
-    the fused stage's matrix units, tolerance 1e-12 per unit.
+    the fused stage's matrix units, each within ``tol``.
     """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol, ("a", "b"))
     a, b = _constant_sigs(dims, level, "tensor-formula", 2)
@@ -338,11 +334,11 @@ def suite_atom_semigroup(dims: tuple[int, ...], level: int,
     report = CheckReport("atom-semigroup")
     pairs = [(J, K, atom_label_product(J, K))
              for J in _labels(n, level) for K in _labels(m, level)]
-    for (J, K, _), result in zip(pairs, _check_pairs(pairs, level)):
-        report.record(
-            bool(result),
-            f"J={J.prefix} K={K.prefix}: {result.diagnostic}",
-        )
+    results = _check_pairs(pairs, level)
+    report.record_units(
+        np.array(list(map(bool, results)), dtype=bool),
+        lambda k: f"J={pairs[k][0].prefix} K={pairs[k][1].prefix}: "
+                  f"{results[k].diagnostic}")
     return report
 
 
@@ -370,8 +366,7 @@ def suite_state_associativity(dims: tuple[int, ...], level: int,
         right = coproduct_phi_block(coproduct_phi(x, a, bc), level, level,
                                     b, c)
         _record_values(report, x, _tagged_values(triple, left, len(x)),
-                       _tagged_values(triple, right, len(x)),
-                       max(tol, 1e-10))
+                       _tagged_values(triple, right, len(x)), tol)
     return report
 
 

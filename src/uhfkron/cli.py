@@ -16,9 +16,10 @@ precision; term lists are sorted lexicographically by index, so identical
 invocations produce byte-identical output.  Failures exit nonzero with
 {"error": {"code": ..., "message": ...}} on stdout (code "usage" for a
 malformed command line); a result holding NaN or infinity is reported as
-a "validation" error.  The flag --tol sets the comparison tolerance of
-``check`` and ``gns`` (default 1e-12); it must be a finite number >= 0.
-No environment variable is read.
+a "validation" error.  The flag --tol is the only comparison tolerance
+of ``check`` and ``gns`` (default 1e-12); it must be a finite number
+>= 0.  ``gns`` fails every unit whose expectation deviates from the
+state's value by a modulus above it.  No environment variable is read.
 
 A request imports only the modules its subcommand uses.  At module level
 this module imports ``errors`` and ``algebra`` (which brings numpy); each
@@ -39,6 +40,7 @@ import numpy as np
 from .algebra import (
     COMPARE_TOL,
     _finite,
+    _moduli,
     _tagged_units,
     as_signature,
     coproduct_phi,
@@ -183,8 +185,8 @@ def _cmd_gns(args, tol: float) -> tuple[dict, int]:
     max_err = 0.0
     # every unit's two values, one tagged chunk of units at a time
     for x in _tagged_units(S.sig):
-        err = np.abs(G.expectations(x) - _tagged_values(table, x, len(x))[1])
-        ok = int(np.count_nonzero(err <= max(tol, 1e-10)))
+        err = _moduli(G.expectations(x) - _tagged_values(table, x, len(x))[1])
+        ok = int(np.count_nonzero(err <= tol))
         passed += ok
         failed += len(err) - ok
         max_err = max(max_err, float(err.max()))

@@ -302,9 +302,21 @@ def test_allclose_counts_an_overflowing_modulus_as_inf():
         warnings.simplefilter("error")
         assert not big.allclose(zero(2))
         assert not zero(2).allclose(big)
-        assert big.allclose(zero(2), tol=float("inf"))
+        # past every tolerance, the largest finite one too
+        assert not big.allclose(zero(2), tol=np.finfo(float).max)
         assert big.allclose(big)
         assert not (-1.5e308 * big).allclose(1.5e308 * big, tol=1e300)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), "1e-12",
+                                 None])
+def test_allclose_reads_its_tolerance_as_the_suites_do(tol):
+    # a negative or NaN tolerance used to make every comparison False
+    x = matrix_unit(2, 1, 2)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"tolerance {tol!r} is not a finite number >= 0")):
+        x.allclose(x, tol=tol)
+    assert x.allclose(x, tol=0) and x.allclose(x, tol=np.float32(0.5))
 
 
 def test_unit_product_rule():

@@ -7,8 +7,9 @@ weight, and so is a module-level private function, class or constant that
 no module of the package reads, or a ``__slots__`` attribute that no code
 of the project reads; none is allowed.  Nor is a parameter whose default
 is ``True`` or ``False``: a switch that turns a check or a path off, nor a
-read of the environment: a setting that no call shows.  These checks read
-the source with ``ast``.
+read of the environment or a small float literal inside a function (a
+hidden tolerance): settings that no call shows.  These checks read the
+source with ``ast``.
 """
 
 import ast
@@ -155,6 +156,23 @@ def test_no_boolean_switches():
                       for arg, default in defaults
                       if isinstance(default, ast.Constant)
                       and isinstance(default.value, bool)]
+    assert found == []
+
+
+def test_no_tolerance_literal_inside_a_function():
+    # a tolerance is a module constant or the caller's ``tol``: a small
+    # float written into a function body is a second tolerance that no
+    # call shows (such as a floor ``max(tol, 1e-10)``)
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            found += [f"{path.name}:{const.lineno} {const.value!r}"
+                      for stmt in node.body for const in ast.walk(stmt)
+                      if isinstance(const, ast.Constant)
+                      and type(const.value) is float
+                      and 0 < abs(const.value) < 1e-3]
     assert found == []
 
 

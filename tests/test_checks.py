@@ -117,7 +117,7 @@ def reference_state_associativity(dims, level, seed=0, tol=1e-12):
             coproduct_phi(x, a, b.product(c)), level, level, b, c)
         lhs = state_evaluate(triple, left)
         rhs = state_evaluate(triple, right)
-        report.record(abs(lhs - rhs) <= max(tol, 1e-10),
+        report.record(abs(lhs - rhs) <= tol,
                       f"values differ by {abs(lhs - rhs):.3e} on unit "
                       f"{_name(idx)}")
     return report
@@ -429,6 +429,17 @@ def test_run_suite_rejects_bad_tolerance(tol):
 
 def test_run_suite_accepts_zero_tolerance():
     assert run_suite("coassociativity", (2, 2, 2), 1, tol=0.0).ok
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)])
+@pytest.mark.parametrize("level", [1, 2])
+def test_state_associativity_is_exact(dims, level):
+    # both bracketings read one table on images that coassociativity shows
+    # equal, so the values are bit-identical and tol=0 fails no unit
+    for seed in range(3):
+        report = run_suite("state-associativity", dims, level, seed, 0.0)
+        assert (report.failed, report.passed) == (0, math.prod(dims) ** (
+            2 * level))
 
 
 @pytest.mark.parametrize("call, match", [

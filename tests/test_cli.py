@@ -144,6 +144,51 @@ def test_gns_pure_and_trace(capsys):
     assert payload["cyclic_norm"] == pytest.approx(1.0)
 
 
+def _gns_deviations(state):
+    # each unit's modulus |<x> in the GNS space - S(x)|, one unit at a time
+    import numpy as np
+
+    from uhfkron.algebra import _moduli, all_matrix_units, matrix_unit
+    from uhfkron.gns import gns_build
+    from uhfkron.parser import parse_state
+    from uhfkron.states import state_evaluate
+
+    S = parse_state(state)
+    G = gns_build(S)
+    units = [matrix_unit(S.sig, *idx) for idx in all_matrix_units(S.sig)]
+    return _moduli(np.array([G.expectation(x) - state_evaluate(S, x)
+                             for x in units]))
+
+
+def test_gns_judges_every_unit_at_tol(capsys):
+    # --tol is the only tolerance: below the largest rounding error some
+    # units fail, and the verdict agrees with the printed max_error
+    state = "diag(0.3,0.7);diag(0.1,0.2,0.7)"
+    err = _gns_deviations(state)
+    code, payload = run_json(capsys, "--tol", "1e-17", "gns",
+                             "--state", state)
+    assert code == 1
+    assert payload["expectation"] == {
+        "passed": 34, "failed": 2, "max_error": float(err.max())}
+    assert int((err > 1e-17).sum()) == 2
+    code, payload = run_json(capsys, "--tol", str(err.max()), "gns",
+                             "--state", state)
+    assert code == 0 and payload["expectation"]["failed"] == 0
+
+
+def test_gns_reports_the_eigenvalue_validation_admits(capsys):
+    # -5e-11 passes validation (>= -DENSITY_VALIDATE_TOL), but GNS keeps
+    # only eigenvalues above GNS_EIG_CUTOFF: the unit E(2,2) reads 0, not
+    # -5e-11, and the default --tol fails it
+    state = "diag(1.00000000005,-0.00000000005)"
+    code, payload = run_json(capsys, "gns", "--state", state)
+    assert code == 1
+    assert payload["cyclic_norm"] == 1.000000000025
+    assert payload["expectation"] == {"passed": 3, "failed": 1,
+                                      "max_error": 5e-11}
+    assert int((_gns_deviations(state) > 1e-12).sum()) == 1
+
+
 @pytest.mark.parametrize("state, commutant", [
     ("diag(0.5,0.5);diag(0.3,0.7);diag(0.4,0.6)", 64),
     ("diag(0.2,0.8);diag(0.1,0.3,0.6)", 36),
