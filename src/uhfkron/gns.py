@@ -1,9 +1,11 @@
 """GNS representations of product states at finite level, via purification.
 
 Each density factor T on M_d is purified: with T = sum_t lambda_t v_t v_t*
-and r = #{lambda_t > GNS_EIG_CUTOFF}, the factor space is C^d (x) C^r,
+and r the number of its kept eigenvalues, the factor space is C^d (x) C^r,
 the factor representation is x |-> x (x) I_r, and the factor cyclic
-vector is sum_t sqrt(lambda_t) v_t (x) e_t.  A :class:`GnsTriplet` is the tensor
+vector is sum_t sqrt(lambda_t) v_t (x) e_t over the kept t, all read off
+the factor's own spectrum (``states.DensityFactor._spectrum``), so this
+module decomposes nothing.  A :class:`GnsTriplet` is the tensor
 product of such factors in space order, each reading one digit of the
 element's unit indices: its place ``(slot, stride, radix)`` picks the digit
 ``(j - 1) // stride % radix`` of the index j at ``slot``.  A product
@@ -69,7 +71,6 @@ from .errors import GramMismatchError, SignatureError, ValidationError
 from .states import DensityFactor, ProductStateTrunc, state_boxtimes
 
 __all__ = [
-    "GNS_EIG_CUTOFF",
     "GRAM_TOL",
     "FactorGns",
     "GnsTriplet",
@@ -79,36 +80,32 @@ __all__ = [
     "commutant_dimension",
 ]
 
-# Eigenvalues of a density factor at or below this are treated as zero rank.
-GNS_EIG_CUTOFF = 1e-12
 # Allowed disagreement between the two spanning-family Gram matrices.
 GRAM_TOL = 1e-8
 
 
 class FactorGns:
-    """Purification data of one density factor.
+    """Purification data of one density factor, read off its spectrum.
 
-    Eigenvalues above ``GNS_EIG_CUTOFF`` count toward the rank.  A
-    validated factor's largest eigenvalue is at least (1 - 1e-10)/dim, far
-    above it, so the rank is at least one.
+    The rank counts the kept eigenvalues (above ``GNS_EIG_CUTOFF``): at
+    least one, since a validated factor's largest eigenvalue is at least
+    (1 - 1e-10)/dim and a boxtimes product keeps its operands' products.
 
     ``frame`` (dim x rank) holds the eigenvectors of the kept eigenvalues
-    as columns, in descending eigenvalue order, each scaled by the square
-    root of its eigenvalue; ``cyclic`` is the purified vector in
-    C^dim (x) C^rank, the row-major ravel of ``frame``.
+    as columns, each scaled by the square root of its eigenvalue: in
+    descending eigenvalue order for a decomposed factor, in its operands'
+    Kronecker order for a boxtimes product.  ``cyclic`` is the purified
+    vector in C^dim (x) C^rank, the row-major ravel of ``frame``.
     """
 
     __slots__ = ("dim", "rank", "space_dim", "cyclic", "frame")
 
     def __init__(self, T: DensityFactor):
-        # eigh returns the eigenvalues in ascending order
-        eigvals, eigvecs = np.linalg.eigh(T.matrix)
-        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-        rank = int(np.sum(eigvals > GNS_EIG_CUTOFF))
-        frame = eigvecs[:, :rank] * np.sqrt(eigvals[:rank])
+        values, vectors, kept = T._spectrum()
+        frame = vectors[:, kept] * np.sqrt(values[kept])
         self.dim = T.dim
-        self.rank = rank
-        self.space_dim = T.dim * rank
+        self.rank = frame.shape[1]
+        self.space_dim = T.dim * self.rank
         self.frame = frame
         self.cyclic = frame.reshape(-1)
 
@@ -264,8 +261,8 @@ def _place(sig: Signature, place, k: int) -> tuple[int, int, int]:
 def gns_build(S: ProductStateTrunc) -> GnsTriplet:
     """GNS triplet of a product state as a tensor product of purifications.
 
-    Space dimension is prod_i a_i * rank(T^{(i)}), each rank taken at
-    ``GNS_EIG_CUTOFF`` (see :class:`FactorGns`); refuses to build past
+    Space dimension is prod_i a_i * rank(T^{(i)}), each rank counting the
+    kept eigenvalues (see :class:`FactorGns`); refuses to build past
     ``DENSE_DIM_GUARD``.  Factor i reads the whole index of slot i.
     """
     factors = [FactorGns(f) for f in S.factors]
@@ -295,22 +292,14 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
 
     U = B A^+ for the spanning families A (fused) and B (composed), read
     off the frame tables of the two triplets without building A or B (see
-    the module notes).  Raises :class:`GramMismatchError` if the families'
-    Gram matrices disagree beyond ``GRAM_TOL`` or the space dimensions
-    differ — either would mean the extension cannot be a well-defined
-    unitary.
+    the module notes).  The fused factors carry their operands' spectra,
+    so both spaces have the dimension prod_i a_i b_i rank(S_i) rank(R_i).
+    Raises :class:`GramMismatchError` if the families' Gram matrices
+    disagree beyond ``GRAM_TOL``: the extension would then be no unitary.
+    State levels that differ raise :class:`SignatureError`.
     """
-    if S.level != R.level:
-        raise SignatureError(f"levels differ: {S.level} vs {R.level}")
-
     G_fused = gns_build(state_boxtimes(S, R))
     G_tensor = gns_tensor_phi(gns_build(S), gns_build(R))
-    if G_fused.space_dim != G_tensor.space_dim:
-        raise GramMismatchError(
-            f"GNS space dimensions differ: {G_fused.space_dim} vs "
-            f"{G_tensor.space_dim} (a rank at the GNS_EIG_CUTOFF boundary)"
-        )
-
     pi_A, pi_B = G_fused._pi0, G_tensor._pi0
     C_A, C_B = G_fused._frame.T, G_tensor._frame.T
     gram_defect = float(np.max(np.abs(C_A.conj().T @ C_A - C_B.conj().T @ C_B)))

@@ -32,6 +32,11 @@ again yields a product state, with factorwise Kronecker densities
 (:meth:`DensityFactor.boxtimes`, one broadcast multiply, not the dense
 oracle ``algebra.kron_box``); the two computations are kept independent
 here so that agreement is a test, not a definition.
+
+A density factor owns its spectrum (``DensityFactor._spectrum``) and the
+one positivity rule: validation refuses a smallest eigenvalue below
+-``GNS_EIG_CUTOFF`` and the spectrum keeps those above it, so each
+accepted factor's GNS purification reproduces it within the cutoff.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .errors import SignatureError, ValidationError
 
 __all__ = [
     "DENSITY_VALIDATE_TOL",
+    "GNS_EIG_CUTOFF",
     "DensityFactor",
     "ProductStateTrunc",
     "density_validate",
@@ -67,8 +73,10 @@ __all__ = [
     "random_state",
 ]
 
-# Tolerance for the Hermitian / positive / unit-trace checks on densities.
+# Tolerance for the Hermitian and unit-trace checks on densities.
 DENSITY_VALIDATE_TOL = 1e-10
+# The positivity rule: an eigenvalue below -this is refused, one above kept.
+GNS_EIG_CUTOFF = 1e-12
 
 
 def density_validate(matrix) -> np.ndarray:
@@ -76,7 +84,7 @@ def density_validate(matrix) -> np.ndarray:
 
     Raises :class:`ValidationError` naming the violated property: square
     shape, dimension >= 2, Hermitian within ``DENSITY_VALIDATE_TOL``, trace
-    1 within it, smallest eigenvalue >= -``DENSITY_VALIDATE_TOL``.
+    1 within it, smallest eigenvalue >= -``GNS_EIG_CUTOFF``.
     Entries that are no complex numbers, then non-finite ones, are
     rejected first.
     """
@@ -102,7 +110,7 @@ def density_validate(matrix) -> np.ndarray:
             f"(> {DENSITY_VALIDATE_TOL:.0e})"
         )
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -DENSITY_VALIDATE_TOL:
+    if min_eig < -GNS_EIG_CUTOFF:
         raise ValidationError(
             f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
         )
@@ -115,17 +123,17 @@ class DensityFactor:
     The stored array is a validated, read-only copy.
     """
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "_operands", "_eig")
 
     def __init__(self, matrix):
-        _hold(density_validate(matrix).copy(), self)
+        _hold(density_validate(matrix).copy(), f=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityFactor is immutable")
 
     def __reduce__(self):
-        # copies and pickles rebuild from the held matrix, unchecked
-        return _hold, (self.matrix,)
+        # copies and pickles rebuild unchecked, a product with its operands
+        return _hold, (self.matrix, self._operands)
 
     @classmethod
     def diagonal(cls, values) -> "DensityFactor":
@@ -149,26 +157,54 @@ class DensityFactor:
         return cls(np.outer(v, v.conj()) / nrm2)
 
     def boxtimes(self, other: "DensityFactor") -> "DensityFactor":
-        # numpy.kron's products by one broadcast multiply: entry
-        # (m i + i', m j + j') is A_ij B_i'j', m = dim(B).  A density, not
-        # checked again: its trace defect may be twice a factor's, past the
-        # absolute tolerance each factor met
-        A, B = self.matrix, other.matrix
-        n = len(A) * len(B)
-        return _hold((A[:, None, :, None] * B[None, :, None, :]).reshape(n, n))
+        # numpy.kron's products (see _kron).  A density, not checked again:
+        # its trace defect may be twice a factor's, past the absolute
+        # tolerance each factor met
+        return _hold(_kron(self.matrix, other.matrix), (self, other))
+
+    def _spectrum(self) -> tuple:
+        # eigenvalues, eigenvectors (columns) and the kept mask, read-only,
+        # made on first read: by one eigh in descending order, or for a
+        # boxtimes product in its operands' Kronecker order from theirs,
+        # so its rank is the product of their ranks
+        if self._eig is None:
+            if self._operands is None:
+                # eigh returns the eigenvalues in ascending order
+                values, vectors = np.linalg.eigh(self.matrix)
+                values, vectors = values[::-1], vectors[:, ::-1]
+                kept = values > GNS_EIG_CUTOFF
+            else:
+                (v, U, k), (w, V, m) = (f._spectrum() for f in self._operands)
+                values = np.multiply.outer(v, w).ravel()
+                vectors = _kron(U, V)
+                kept = np.logical_and.outer(k, m).ravel()
+            for a in (values, vectors, kept):
+                a.setflags(write=False)
+            object.__setattr__(self, "_eig", (values, vectors, kept))
+        return self._eig
 
     def __repr__(self):
         return f"DensityFactor(dim={self.dim})"
 
 
-def _hold(m: np.ndarray, f: DensityFactor | None = None) -> DensityFactor:
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # numpy.kron's products of two square matrices by one broadcast
+    # multiply: entry (m i + i', m j + j') is A_ij B_i'j', m = len(B)
+    n = len(A) * len(B)
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(n, n)
+
+
+def _hold(m: np.ndarray, operands: tuple | None = None,
+          f: DensityFactor | None = None) -> DensityFactor:
     # make the density matrix m (not checked) read-only and the matrix of
-    # f, by default a new factor; return f
+    # f, by default a new factor, a product of operands if given; return f
     if f is None:
         f = object.__new__(DensityFactor)
     m.setflags(write=False)
     object.__setattr__(f, "matrix", m)
     object.__setattr__(f, "dim", m.shape[0])
+    object.__setattr__(f, "_operands", operands)
+    object.__setattr__(f, "_eig", None)
     return f
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from uhfkron import algebra, checks
 from uhfkron.algebra import (
+    COMPARE_TOL,
     AlgebraElement,
     Signature,
     _tagged_units,
@@ -425,6 +426,28 @@ def test_run_suite_rejects_negative_seed(suite):
 def test_run_suite_rejects_bad_tolerance(tol):
     with pytest.raises(ValidationError, match="tolerance"):
         run_suite("tensor-formula", (2, 2), 1, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [COMPARE_TOL, 1e-6])
+def test_values_are_judged_at_tol(monkeypatch, tol):
+    # the Kronecker-state side of tensor-formula reads unit 1 off by
+    # 0.9 tol and unit 2 by 1.1 tol: only unit 2 fails
+    read = checks._tagged_values
+    sides = []
+
+    def shifted(table, y, count):
+        n, values = read(table, y, count)
+        sides.append(None)
+        if len(sides) == 2:
+            values = values.copy()
+            values[:2] += [0.9 * tol, 1.1 * tol]
+        return n, values
+
+    monkeypatch.setattr(checks, "_tagged_values", shifted)
+    report = run_suite("tensor-formula", (2, 2), 1, tol=tol)
+    assert (report.passed, report.failed) == (15, 1)
+    (failure,) = report.failures
+    assert failure.startswith(f"values differ by {1.1 * tol:.3e} on unit")
 
 
 def test_run_suite_accepts_zero_tolerance():

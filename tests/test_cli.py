@@ -176,17 +176,103 @@ def test_gns_judges_every_unit_at_tol(capsys):
     assert code == 0 and payload["expectation"]["failed"] == 0
 
 
-def test_gns_reports_the_eigenvalue_validation_admits(capsys):
-    # -5e-11 passes validation (>= -DENSITY_VALIDATE_TOL), but GNS keeps
-    # only eigenvalues above GNS_EIG_CUTOFF: the unit E(2,2) reads 0, not
-    # -5e-11, and the default --tol fails it
-    state = "diag(1.00000000005,-0.00000000005)"
-    code, payload = run_json(capsys, "gns", "--state", state)
+def test_gns_refuses_the_eigenvalue_gns_would_drop(capsys):
+    # -5e-11 is below -GNS_EIG_CUTOFF: validation refuses it, since GNS
+    # keeps only the eigenvalues above the cutoff and would read E(2,2) as
+    # 0, not -5e-11
+    code, payload = run_json(capsys, "gns", "--state",
+                             "diag(1.00000000005,-0.00000000005)")
     assert code == 1
-    assert payload["cyclic_norm"] == 1.000000000025
-    assert payload["expectation"] == {"passed": 3, "failed": 1,
-                                      "max_error": 5e-11}
-    assert int((_gns_deviations(state) > 1e-12).sum()) == 1
+    assert payload == {"error": {"code": "validation", "message":
+                                 "matrix is not positive semidefinite "
+                                 "(min eigenvalue -5.000e-11)"}}
+
+
+# one factor per case, with its smallest eigenvalue, Hermitian defect or
+# trace defect at 0.9 and 1.1 times its bound (GNS_EIG_CUTOFF for the
+# eigenvalue, DENSITY_VALIDATE_TOL for the other two), and the refusal
+# the outside one gets
+_BOUNDARY = {
+    "eigenvalue-inside": ([[1 + 0.9e-12, 0], [0, -0.9e-12]], None),
+    "eigenvalue-outside": ([[1 + 1.1e-12, 0], [0, -1.1e-12]],
+                           "matrix is not positive semidefinite "
+                           "(min eigenvalue -1.100e-12)"),
+    "hermitian-inside": ([[0.5, 0.9e-10], [0, 0.5]], None),
+    "hermitian-outside": ([[0.5, 1.1e-10], [0, 0.5]],
+                          "matrix is not Hermitian (defect 1.100e-10 > "
+                          "1e-10)"),
+    "trace-inside": ([[0.5 + 0.9e-10, 0], [0, 0.5]], None),
+    "trace-outside": ([[0.5 + 1.1e-10, 0], [0, 0.5]],
+                      "trace differs from 1 by 1.100e-10 (> 1e-10)"),
+}
+
+
+@pytest.mark.parametrize("case", _BOUNDARY)
+def test_validation_bounds_hold_at_their_values(capsys, tmp_path, case):
+    # the same verdict from DensityFactor, parse_state, CLI eval and CLI
+    # gns: accepted just inside each bound, refused just outside it
+    from uhfkron.errors import ValidationError
+    from uhfkron.parser import parse_state
+    from uhfkron.states import DensityFactor
+
+    matrix, refusal = _BOUNDARY[case]
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps([matrix]))
+    state = f"file:{path}"
+    calls = [lambda: DensityFactor(matrix), lambda: parse_state(state)]
+    requests = [["eval", "--state", state, "--expr", "E[2](1,1)"],
+                ["gns", "--state", state]]
+    if refusal is None:
+        for call in calls:
+            call()
+        code, payload = run_json(capsys, *requests[0])
+        assert code == 0 and payload["value"]["re"] == matrix[0][0]
+        code, payload = run_json(capsys, *requests[1])
+        assert "error" not in payload
+    else:
+        for call in calls:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == refusal
+        for argv in requests:
+            code, payload = run_json(capsys, *argv)
+            assert code == 1
+            assert payload == {"error": {"code": "validation",
+                                         "message": refusal}}
+
+
+@pytest.mark.parametrize("spectrum", [
+    (1 + 0.9e-12, -0.9e-12),
+    (0.5, 0.5 + 0.9e-12, -0.9e-12),
+], ids=["rank-1-of-2", "rank-2-of-3"])
+@pytest.mark.parametrize("seed", range(3))
+def test_gns_reproduces_factors_at_the_eigenvalue_bound(capsys, tmp_path,
+                                                        spectrum, seed):
+    # a rotated factor with smallest eigenvalue -0.9e-12 is accepted, and
+    # its GNS drops that eigenvalue: each unit then reads within the
+    # cutoff, so every unit passes at the default --tol
+    import numpy as np
+
+    from uhfkron.states import DensityFactor, GNS_EIG_CUTOFF
+
+    rng = np.random.default_rng(seed)
+    d = len(spectrum)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    m = (Q * np.array(spectrum)) @ Q.conj().T
+    m = (m + m.conj().T) / 2
+    T = DensityFactor(m)
+    assert abs(np.linalg.eigvalsh(T.matrix)[0] + 0.9e-12) < 1e-15
+    rows = [[[z.real, z.imag] for z in row] for row in m]
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps([rows]))
+    state = f"file:{path}"
+    err = _gns_deviations(state)
+    assert 0 < err.max() <= GNS_EIG_CUTOFF
+    code, payload = run_json(capsys, "gns", "--state", state)
+    assert code == 0
+    assert payload["expectation"] == {"passed": d * d, "failed": 0,
+                                      "max_error": float(err.max())}
 
 
 @pytest.mark.parametrize("state, commutant", [

@@ -3,8 +3,12 @@ intertwining unitary for the fused-vs-coproduct representations, and
 commutant dimensions read off the frame table.
 """
 
+import ast
+import copy
 import functools
+import inspect
 import math
+import pickle
 import sys
 import tracemalloc
 import warnings
@@ -24,6 +28,7 @@ from uhfkron.algebra import (
     to_dense,
     zero,
 )
+from uhfkron.atoms import AtomLabel, atom_state
 from uhfkron.errors import (
     GramMismatchError,
     ResourceGuardError,
@@ -587,15 +592,122 @@ def test_intertwiner_detects_a_gram_mismatch(monkeypatch):
         gns_intertwiner(S, R)
 
 
-def test_intertwiner_detects_rank_collapse():
-    # an eigenvalue just above the cutoff: its square falls below it, so
-    # the fused state loses rank relative to the tensor of the separate
-    # purifications (3 x 4 = 12 against (2 x 2)^2 = 16)
-    T = DensityFactor.diagonal([1 - 2e-12, 2e-12])
-    S = ProductStateTrunc([T])
-    with pytest.raises(GramMismatchError,
-                       match="GNS space dimensions differ: 12 vs 16"):
-        gns_intertwiner(S, S)
+def test_intertwiner_refuses_states_of_different_levels():
+    with pytest.raises(SignatureError, match="levels differ: 1 vs 2"):
+        gns_intertwiner(random_state((2,), seed=50),
+                        random_state((2, 2), seed=51))
+
+
+@pytest.mark.parametrize("small", [2e-12, 1e-7])
+def test_intertwiner_keeps_the_rank_of_small_eigenvalues(small):
+    # the fused factor carries its operands' spectra: the products small**2
+    # and (1 - small) * small stay kept however far below the cutoff they
+    # fall, so both spaces have dimension (2 x 2)^2 = 16
+    S = ProductStateTrunc([DensityFactor.diagonal([1 - small, small])])
+    U = check_intertwines(S, S, 1e-13)
+    assert U.shape == (16, 16)
+
+
+@pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+def test_intertwiner_refuses_a_gram_defect_past_gram_tol(monkeypatch,
+                                                         factor, raises):
+    # the composition's first factor has its cyclic vector scaled by s, so
+    # its Gram matrix is s**2 times the fused one: s is chosen to put the
+    # defect at factor * GRAM_TOL
+    S = random_state((2,), seed=54)
+    R = random_state((2,), seed=55)
+    C = gns_build(state_boxtimes(S, R))._frame.T
+    top = np.max(np.abs(C.conj().T @ C))
+    scaled = FactorGns(S.factors[0])
+    scaled.cyclic = scaled.cyclic * math.sqrt(1 + factor * gns.GRAM_TOL / top)
+    G_scaled = GnsTriplet(S.sig, [scaled], [(0, 1, 2)])
+    compose = gns_tensor_phi
+    monkeypatch.setattr("uhfkron.gns.gns_tensor_phi",
+                        lambda GT, GR: compose(G_scaled, GR))
+    C_B = compose(G_scaled, gns_build(R))._frame.T
+    defect = np.max(np.abs(C.conj().T @ C - C_B.conj().T @ C_B))
+    assert defect == pytest.approx(factor * gns.GRAM_TOL, rel=1e-6)
+    if raises:
+        with pytest.raises(GramMismatchError,
+                           match=f"disagree by {defect:.3e} "
+                                 r"\(> 1e-08\)"):
+            gns_intertwiner(S, R)
+    else:
+        assert gns_intertwiner(S, R).shape == (16, 16)
+
+
+# ---------------------------------------------------------------------------
+# the carried spectrum of a fused factor
+# ---------------------------------------------------------------------------
+
+_PAIRS = [
+    (random_state((2, 3), seed=56), random_state((2, 2), seed=57)),
+    (_mixed_state((2, 3), {1}, 58), _mixed_state((2, 2), {0}, 59)),
+    (_mixed_state((3, 2), set(), 60), _mixed_state((2, 2), set(), 61)),
+    (atom_state(AtomLabel(2, (1, 2)), 2), atom_state(AtomLabel(2, (2, 1)), 2)),
+    (ProductStateTrunc([DensityFactor.diagonal([1 - 2e-12, 2e-12])]),) * 2,
+]
+_PAIR_IDS = ["full-rank", "mixed-rank", "pure", "atom", "small-eigenvalue"]
+
+
+@pytest.mark.parametrize("S,R", _PAIRS, ids=_PAIR_IDS)
+def test_carried_spectrum_agrees_with_the_fused_matrix_own(S, R):
+    # the oracle: each fused factor rebuilt from its matrix alone, so that
+    # its GNS runs its own eigh, independent of the operands' spectra
+    fused = state_boxtimes(S, R)
+    oracle = ProductStateTrunc([DensityFactor(f.matrix)
+                                for f in fused.factors])
+    x = _all_units(fused.sig)
+    units = [matrix_unit(fused.sig, *u) for u in all_matrix_units(fused.sig)]
+    carried = gns_build(fused).expectations(x)
+    own = gns_build(oracle).expectations(x)
+    values = np.array([state_evaluate(fused, u) for u in units])
+    assert np.max(np.abs(carried - own)) <= 1e-12
+    assert np.max(np.abs(carried - values)) <= 1e-12
+    for f, s, r in zip(fused.factors, S.factors, R.factors):
+        assert FactorGns(f).rank == FactorGns(s).rank * FactorGns(r).rank
+
+
+def test_gns_decomposes_each_input_factor_once(monkeypatch):
+    # gns_intertwiner decomposes each input factor at most once and the
+    # fused factors never; a repeated build decomposes nothing
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        decomposed.append(m)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    S = random_state((2, 3), seed=86)
+    R = _mixed_state((2, 2), {1}, 87)
+    gns_intertwiner(S, R)
+    inputs = [f.matrix for f in S.factors + R.factors]
+    assert len(decomposed) == len(inputs)
+    assert all(any(m is f for f in inputs) for m in decomposed)
+    decomposed.clear()
+    gns_build(S)
+    gns_intertwiner(S, R)
+    assert decomposed == []
+
+
+def test_gns_module_decomposes_nothing():
+    # the spectra are the factors' own: gns calls no numpy.linalg function
+    tree = ast.parse(inspect.getsource(gns))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "linalg"]
+
+
+def test_copies_of_a_fused_factor_keep_its_rank():
+    # a copy keeps the fused factor's operands, so its rank is 2 x 2, not
+    # the 3 that the matrix's own eigh keeps at the cutoff
+    S = ProductStateTrunc([DensityFactor.diagonal([1 - 2e-12, 2e-12])])
+    fused = state_boxtimes(S, S)
+    assert FactorGns(DensityFactor(fused.factors[0].matrix)).rank == 3
+    for back in [copy.copy(fused), copy.deepcopy(fused),
+                 pickle.loads(pickle.dumps(fused))]:
+        assert FactorGns(back.factors[0]).rank == 4
+        assert gns_build(back).space_dim == 16
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +884,7 @@ def test_unit_paths_make_a_bounded_number_of_python_calls():
     # one gather of frame rows is a fixed few numpy calls: 9 calls for one
     # unit's expectation (4 of them making the unit, 1 its np.errstate);
     # the commutant of a (2,3)(2,2) composition reads its frame table's
-    # shape and their intertwiner makes 404 calls, nearly all in its three
+    # shape and their intertwiner makes 244 calls, nearly all in its three
     # builds and the fused state, below the 492 of re-reading every unit
     # image per triplet
     S = random_state((2, 2), seed=88)
