@@ -32,9 +32,9 @@ class ResourceGuardError(UhfError, RuntimeError):
 
 
 class GramMismatchError(UhfError, ArithmeticError):
-    """The two spanning families have different Gram matrices, so the
-    requested linear extension is not well defined.  Signals a bug in the
-    caller's data, not a property of the construction."""
+    """Two cyclic vectors that must agree differ, so the intertwiner
+    would not intertwine them.  Signals a bug in the caller's data, not a
+    property of the construction."""
 
 
 class ParseError(UhfError, ValueError):

@@ -43,20 +43,18 @@ matrix sending e_i (x) e_t to e_{pi0[i,t]}, rep(x) = W (x (x) I_R) W^T,
 and a triplet checks when it is built that W is unitary, that is, that
 pi0 holds each of 0..D-1 once (two factors reading one digit fail).
 
-The map x |-> rep(x) cyclic spans the whole space, so a second
-representation of the same state determines a unique unitary between the
-two spans.  :func:`gns_intertwiner` builds it between the fused state's
-representation and the coproduct composition, as the linear extension
-B A^+ of the two spanning families (columns: the unit images of the
-cyclic vector), checking instead of assuming that their Gram matrices
-agree.  Here C = cyclic[pi0].T (R x N) is the triplet's frame table
-transposed: the image of E_ij is column j of C written at pi0[i], so each
-Gram matrix is I_N (x) C^H C and A A^H is diagonal: the squared row
-norms nu of C_A, on pi_A[i] for every i.  A row of C_A is, up to order,
-a Kronecker product of one column of each factor's ``frame`` (an
-eigenvector scaled by the square root of its kept eigenvalue), so nu is
-a product of kept eigenvalues and positive, and A^+ = A^H diag(1/nu).
-Then U maps pi_A[i] to pi_B[i] by C_B C_A^H / nu.
+The fused state's representation and the coproduct composition are one
+representation in two digit orders.  Slot l of the fused triplet is one
+factor of dimension a_l b_l and rank r_l s_l (the ranks of S_l and R_l,
+carried by the boxtimes product), so its space has the digits (a_l, b_l,
+r_l, s_l); the composition holds the factors of S, then those of R, so
+its space has the digits (a_1, r_1, ..., a_L, r_L, b_1, s_1, ..., b_L,
+s_L).  Moving the digits is the coproduct's own relabelling, applied to
+the purified slots: it carries the fused rep(E_u) onto the composed one
+exactly, and the fused cyclic vector onto the composed one up to
+rounding.  :func:`gns_intertwiner` returns that 0/1 permutation and
+checks the second part: the two cyclic vectors agree within
+``GRAM_TOL``, which bounds |U lambda_A(x) - lambda_B(x)| for every x.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ __all__ = [
     "commutant_dimension",
 ]
 
-# Allowed disagreement between the two spanning-family Gram matrices.
+# Allowed disagreement between the two cyclic vectors, entry by entry.
 GRAM_TOL = 1e-8
 
 
@@ -119,13 +117,13 @@ class GnsTriplet:
     (j - 1) // stride % radix + 1.  ``cyclic`` is the Kronecker chain of
     the factors' cyclic vectors.  Every method takes an element of the
     triplet's signature (else :class:`SignatureError`), whose indices are
-    in range by construction, and reads its images off the rows of the
-    frame tables pi0 (positions of the ones of rep(E_u)) and C = cyclic[pi0]
-    for its terms' units u (see the module notes): :meth:`rep` scatters
-    the coefficients to the positions, :meth:`lambda_vec` adds the rows of
-    C up in term order, and :meth:`expectations` pairs the rows of C per
-    term, coefficient left out.  The image of one unit is that of
-    ``matrix_unit(sig, rows, cols)``.
+    in range by construction, and reads its images off the frame tables
+    pi0 (positions of the ones of rep(E_u)) and C = cyclic[pi0], stored
+    keyed only, at the rows of its terms' units u (see the module notes):
+    :meth:`rep` scatters the coefficients to the positions,
+    :meth:`lambda_vec` adds the rows of C up in term order, and
+    :meth:`expectations` pairs the rows of C per term, coefficient left
+    out.  The image of one unit is that of ``matrix_unit(sig, rows, cols)``.
     The cyclic vector has norm one and reproduces the state:
     <cyclic, rep(x) cyclic> = omega(x).  A space dimension above
     ``DENSE_DIM_GUARD`` is refused, so a triplet's vectors and images stay
@@ -135,8 +133,7 @@ class GnsTriplet:
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
-                 "_weights", "_keyed_pi0", "_keyed_frame", "_keyed_conj",
-                 "_pi0", "_frame")
+                 "_weights", "_keyed_pi0", "_keyed_frame", "_keyed_conj")
 
     def __init__(self, sig: Signature, factors, places):
         self.sig = sig
@@ -184,9 +181,6 @@ class GnsTriplet:
         self._keyed_pi0[shift:] = pi0
         self._keyed_frame = self.cyclic.take(self._keyed_pi0)
         self._keyed_conj = self._keyed_frame.conj()
-        # the unpadded views: _frame[i] is cyclic[_pi0[i]], D entries
-        self._pi0 = self._keyed_pi0[shift:]
-        self._frame = self._keyed_frame[shift:]
 
     def _keys(self, x: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
         # the keyed-table rows of the terms of x: their row multi-indices'
@@ -290,28 +284,30 @@ def gns_tensor_phi(GT: GnsTriplet, GR: GnsTriplet) -> GnsTriplet:
 def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     """Unitary U with U Lambda_{S box R}(x) = (Lambda_S (x) Lambda_R)(phi(x)).
 
-    U = B A^+ for the spanning families A (fused) and B (composed), read
-    off the frame tables of the two triplets without building A or B (see
-    the module notes).  The fused factors carry their operands' spectra,
-    so both spaces have the dimension prod_i a_i b_i rank(S_i) rank(R_i).
-    Raises :class:`GramMismatchError` if the families' Gram matrices
-    disagree beyond ``GRAM_TOL``: the extension would then be no unitary.
-    State levels that differ raise :class:`SignatureError`.
+    U is the exact 0/1 permutation of the purified slots' digits (see the
+    module notes), as a dense complex D x D array.  Raises
+    :class:`GramMismatchError` if it maps the fused cyclic vector onto the
+    composed one only beyond ``GRAM_TOL`` in some entry, and
+    :class:`SignatureError` on state levels that differ.
     """
     G_fused = gns_build(state_boxtimes(S, R))
-    G_tensor = gns_tensor_phi(gns_build(S), gns_build(R))
-    pi_A, pi_B = G_fused._pi0, G_tensor._pi0
-    C_A, C_B = G_fused._frame.T, G_tensor._frame.T
-    gram_defect = float(np.max(np.abs(C_A.conj().T @ C_A - C_B.conj().T @ C_B)))
-    if gram_defect > GRAM_TOL:
+    G_S, G_R = gns_build(S), gns_build(R)
+    G_tensor = gns_tensor_phi(G_S, G_R)
+    legs = [n for f, g in zip(G_S._factors, G_R._factors)
+            for n in (f.dim, g.dim, f.rank, g.rank)]
+    D = G_fused.space_dim
+    # the same digit move as algebra.block_permutation, over 2L slot pairs
+    moved = np.arange(D).reshape(legs).transpose(
+        (*range(0, len(legs), 2), *range(1, len(legs), 2))).ravel()
+    cyclic_defect = float(np.max(np.abs(G_tensor.cyclic
+                                        - G_fused.cyclic[moved])))
+    if cyclic_defect > GRAM_TOL:
         raise GramMismatchError(
-            f"spanning-family Gram matrices disagree by {gram_defect:.3e} "
-            f"(> {GRAM_TOL:.0e}); the linear extension is not isometric"
+            f"cyclic vectors disagree by {cyclic_defect:.3e} "
+            f"(> {GRAM_TOL:.0e}); the permutation does not intertwine them"
         )
-    # A A^H = diag(nu) with nu > 0, so A^+ = A^H diag(1/nu)
-    nu = np.sum(C_A.real ** 2 + C_A.imag ** 2, axis=1)
-    U = np.zeros((G_fused.space_dim,) * 2, dtype=complex)
-    U[pi_B[:, :, None], pi_A[:, None, :]] = (C_B @ C_A.conj().T) / nu
+    U = np.zeros((D, D), dtype=complex)
+    U[np.arange(D), moved] = 1
     return U
 
 
@@ -324,4 +320,4 @@ def commutant_dimension(G: GnsTriplet) -> int:
     when it was built.  The commutant is then W (I_N (x) M_R) W^T, of
     dimension R^2 (1: irreducible).  No unit image is read.
     """
-    return G._pi0.shape[1] ** 2
+    return G._keyed_pi0.shape[1] ** 2

@@ -35,8 +35,10 @@ here so that agreement is a test, not a definition.
 
 A density factor owns its spectrum (``DensityFactor._spectrum``) and the
 one positivity rule: validation refuses a smallest eigenvalue below
--``GNS_EIG_CUTOFF`` and the spectrum keeps those above it, so each
-accepted factor's GNS purification reproduces it within the cutoff.
+-``GNS_EIG_CUTOFF`` and the spectrum keeps those above it.  The spectrum
+reads one triangle only, so validation also refuses a Hermitian defect
+above the cutoff; each accepted factor's GNS purification then
+reproduces every entry within it.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ __all__ = [
     "random_state",
 ]
 
-# Tolerance for the Hermitian and unit-trace checks on densities.
+# Tolerance for the unit-trace check on densities.
 DENSITY_VALIDATE_TOL = 1e-10
-# The positivity rule: an eigenvalue below -this is refused, one above kept.
+# The positivity rule: an eigenvalue below -this is refused, one above kept;
+# it also bounds the Hermitian defect, which eigh does not read.
 GNS_EIG_CUTOFF = 1e-12
 
 
@@ -83,8 +86,9 @@ def density_validate(matrix) -> np.ndarray:
     """Check that ``matrix`` is a density matrix; return it as a complex array.
 
     Raises :class:`ValidationError` naming the violated property: square
-    shape, dimension >= 2, Hermitian within ``DENSITY_VALIDATE_TOL``, trace
-    1 within it, smallest eigenvalue >= -``GNS_EIG_CUTOFF``.
+    shape, dimension >= 2, Hermitian within ``GNS_EIG_CUTOFF``, trace 1
+    within ``DENSITY_VALIDATE_TOL``, smallest eigenvalue >=
+    -``GNS_EIG_CUTOFF``.
     Entries that are no complex numbers, then non-finite ones, are
     rejected first.
     """
@@ -99,10 +103,10 @@ def density_validate(matrix) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
         trace_defect = abs(complex(np.trace(m)) - 1.0)
-    if not herm_defect <= DENSITY_VALIDATE_TOL:
+    if not herm_defect <= GNS_EIG_CUTOFF:
         raise ValidationError(
             f"matrix is not Hermitian (defect {herm_defect:.3e} > "
-            f"{DENSITY_VALIDATE_TOL:.0e})"
+            f"{GNS_EIG_CUTOFF:.0e})"
         )
     if not trace_defect <= DENSITY_VALIDATE_TOL:
         raise ValidationError(

@@ -21,6 +21,7 @@ from uhfkron.algebra import (
     MatrixUnitIndex,
     Signature,
     all_matrix_units,
+    block_permutation,
     coproduct_phi,
     identity,
     matrix_unit,
@@ -353,13 +354,21 @@ def _lambda_loop(G, x):
     return out
 
 
+def _tables(G):
+    # the frame tables pi0 and C = cyclic[pi0], one row per row-major flat
+    # index: the keyed tables past their sum(_weights) leading rows
+    shift = int(G._weights.sum())
+    return G._keyed_pi0[shift:], G._keyed_frame[shift:]
+
+
 def _frame_formulas(G, x):
     # rep(x), lambda(x) and the per-term expectations of x read off pi0
     # and cyclic: the unit of a term with row and column flat indices i, k
     # has its ones at (pi0[i, t], pi0[k, t])
     i, k = (np.ravel_multi_index(tuple((side - 1).T), G.sig.dims)
             for side in (x.rows, x.cols))
-    rows, cols = G._pi0[i], G._pi0[k]
+    pi0 = _tables(G)[0]
+    rows, cols = pi0[i], pi0[k]
     rep = np.zeros((G.space_dim, G.space_dim), dtype=complex)
     rep[rows, cols] = x.coeff[:, None]
     lam = np.zeros(G.space_dim, dtype=complex)
@@ -380,8 +389,9 @@ def test_element_images_equal_the_per_term_loops_byte_for_byte(G):
     ]
     elements.append(elements[-1].adjoint() * elements[-2])
     # the frame table holds cyclic[pi0]: D entries, one row per unit side
-    assert G._frame.tobytes() == G.cyclic[G._pi0].tobytes()
-    assert G._frame.size == G.space_dim
+    pi0, frame = _tables(G)
+    assert frame.tobytes() == G.cyclic[pi0].tobytes()
+    assert frame.size == G.space_dim
     for x in elements:
         rep, lam = G.rep(x).tobytes(), G.lambda_vec(x).tobytes()
         assert rep == _rep_loop(G, x).tobytes()
@@ -398,11 +408,12 @@ def _flat_index_reads(G, x):
     flat = (np.concatenate((x.rows, x.cols)).dot(G._weights)
             - G._weights.sum())
     T = len(x.coeff)
-    F = G._frame.take(flat, axis=0)
+    pi0, frame = _tables(G)
+    F = frame.take(flat, axis=0)
     values = (F[:T].conj() * F[T:]).sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(values.dot(x.coeff))
-    at = G._pi0.take(flat, axis=0)
+    at = pi0.take(flat, axis=0)
     rep = np.zeros((G.space_dim, G.space_dim), dtype=complex)
     rep[at[:T], at[T:]] = x.coeff[:, None]
     lam = np.zeros(G.space_dim, dtype=complex)
@@ -431,7 +442,7 @@ def test_keyed_reads_equal_the_flat_index_reads_byte_for_byte(tree):
     elements += [random_element(G.sig, rng=rng, n_terms=n)
                  for n in rng.integers(2, 40, size=20)]
     elements.append(zero(G.sig))
-    assert len(G._frame) == len(G._pi0) == G.sig.total_dim
+    assert all(len(table) == G.sig.total_dim for table in _tables(G))
     for x in elements:
         for got, want in zip(_reads(G, x), _flat_index_reads(G, x)):
             assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -543,23 +554,29 @@ def test_intertwiner_matches_pseudo_inverse(S, R, square):
     )
 
 
-@pytest.mark.parametrize("S,R", [
+_PAIRS = [
     (random_state((2, 3), seed=56), random_state((2, 2), seed=57)),
-    (_mixed_state((2, 3), {1}, 58), _mixed_state((2, 2), set(), 59)),
-    (random_state((3,), seed=62), random_state((2,), seed=63)),
-    (ProductStateTrunc([T_PURE, R_PURE]), ProductStateTrunc([R_PURE] * 2)),
-], ids=["full-rank", "pure-factors", "level-1", "atoms"])
-def test_intertwiner_equals_its_frame_formula_byte_for_byte(S, R):
-    # U = C_B C_A^H / nu placed at (pi_B[i], pi_A[i]), with C = cyclic[pi].T
-    # for the frame table pi of either triplet
-    G_A = gns_build(state_boxtimes(S, R))
-    G_B = gns_tensor_phi(gns_build(S), gns_build(R))
-    C_A, C_B = G_A.cyclic[G_A._pi0].T, G_B.cyclic[G_B._pi0].T
-    nu = np.sum(C_A.real ** 2 + C_A.imag ** 2, axis=1)
-    want = np.zeros((G_A.space_dim,) * 2, dtype=complex)
-    want[G_B._pi0[:, :, None], G_A._pi0[:, None, :]] = (
-        (C_B @ C_A.conj().T) / nu)
-    assert gns_intertwiner(S, R).tobytes() == want.tobytes()
+    (_mixed_state((2, 3), {1}, 58), _mixed_state((2, 2), {0}, 59)),
+    (_mixed_state((3, 2), set(), 60), _mixed_state((2, 2), set(), 61)),
+    (atom_state(AtomLabel(2, (1, 2)), 2), atom_state(AtomLabel(2, (2, 1)), 2)),
+    (ProductStateTrunc([DensityFactor.diagonal([1 - 2e-12, 2e-12])]),) * 2,
+]
+_PAIR_IDS = ["full-rank", "mixed-rank", "pure", "atom", "small-eigenvalue"]
+
+
+@pytest.mark.parametrize("S,R", _PAIRS, ids=_PAIR_IDS)
+def test_intertwiner_is_the_digit_permutation(S, R):
+    # every entry of U is exactly 0 or 1, with one 1 per row and column;
+    # on full-rank pairs U is the coproduct's digit move applied to the
+    # purified slots, block_permutation((a_l, r_l), (b_l, s_l))
+    U = gns_intertwiner(S, R)
+    assert np.array_equal(U, U.real.astype(bool))
+    assert (U.real.sum(axis=0) == 1).all() and (U.real.sum(axis=1) == 1).all()
+    ranks = [[FactorGns(f).rank for f in state.factors] for state in (S, R)]
+    if ranks == [list(S.sig.dims), list(R.sig.dims)]:
+        a, b = ([n for pair in zip(state.sig.dims, r) for n in pair]
+                for state, r in zip((S, R), ranks))
+        assert np.array_equal(U, block_permutation(a, b))
 
 
 def test_intertwiner_pure_level5():
@@ -580,7 +597,7 @@ def test_intertwiner_pure_level5():
 
 def test_intertwiner_detects_a_gram_mismatch(monkeypatch):
     # composing the triplet of another full-rank state keeps every space
-    # dimension, but its spanning family has a different Gram matrix
+    # dimension, but its cyclic vector is another one
     S = random_state((2,), seed=54)
     R = random_state((2,), seed=55)
     other = gns_build(random_state((2,), seed=60))
@@ -588,7 +605,7 @@ def test_intertwiner_detects_a_gram_mismatch(monkeypatch):
     monkeypatch.setattr("uhfkron.gns.gns_tensor_phi",
                         lambda GT, GR: compose(other, GR))
     with pytest.raises(GramMismatchError,
-                       match="spanning-family Gram matrices disagree"):
+                       match="cyclic vectors disagree by"):
         gns_intertwiner(S, R)
 
 
@@ -612,20 +629,20 @@ def test_intertwiner_keeps_the_rank_of_small_eigenvalues(small):
 def test_intertwiner_refuses_a_gram_defect_past_gram_tol(monkeypatch,
                                                          factor, raises):
     # the composition's first factor has its cyclic vector scaled by s, so
-    # its Gram matrix is s**2 times the fused one: s is chosen to put the
-    # defect at factor * GRAM_TOL
+    # the composed cyclic vector moves by (s - 1) times its own entries: s
+    # is chosen to put the largest move at factor * GRAM_TOL
     S = random_state((2,), seed=54)
     R = random_state((2,), seed=55)
-    C = gns_build(state_boxtimes(S, R))._frame.T
-    top = np.max(np.abs(C.conj().T @ C))
+    composed = gns_tensor_phi(gns_build(S), gns_build(R)).cyclic
     scaled = FactorGns(S.factors[0])
-    scaled.cyclic = scaled.cyclic * math.sqrt(1 + factor * gns.GRAM_TOL / top)
+    scaled.cyclic = scaled.cyclic * (
+        1 + factor * gns.GRAM_TOL / np.max(np.abs(composed)))
     G_scaled = GnsTriplet(S.sig, [scaled], [(0, 1, 2)])
     compose = gns_tensor_phi
     monkeypatch.setattr("uhfkron.gns.gns_tensor_phi",
                         lambda GT, GR: compose(G_scaled, GR))
-    C_B = compose(G_scaled, gns_build(R))._frame.T
-    defect = np.max(np.abs(C.conj().T @ C - C_B.conj().T @ C_B))
+    defect = np.max(np.abs(compose(G_scaled, gns_build(R)).cyclic
+                           - composed))
     assert defect == pytest.approx(factor * gns.GRAM_TOL, rel=1e-6)
     if raises:
         with pytest.raises(GramMismatchError,
@@ -639,16 +656,6 @@ def test_intertwiner_refuses_a_gram_defect_past_gram_tol(monkeypatch,
 # ---------------------------------------------------------------------------
 # the carried spectrum of a fused factor
 # ---------------------------------------------------------------------------
-
-_PAIRS = [
-    (random_state((2, 3), seed=56), random_state((2, 2), seed=57)),
-    (_mixed_state((2, 3), {1}, 58), _mixed_state((2, 2), {0}, 59)),
-    (_mixed_state((3, 2), set(), 60), _mixed_state((2, 2), set(), 61)),
-    (atom_state(AtomLabel(2, (1, 2)), 2), atom_state(AtomLabel(2, (2, 1)), 2)),
-    (ProductStateTrunc([DensityFactor.diagonal([1 - 2e-12, 2e-12])]),) * 2,
-]
-_PAIR_IDS = ["full-rank", "mixed-rank", "pure", "atom", "small-eigenvalue"]
-
 
 @pytest.mark.parametrize("S,R", _PAIRS, ids=_PAIR_IDS)
 def test_carried_spectrum_agrees_with_the_fused_matrix_own(S, R):
@@ -779,11 +786,12 @@ def test_commutant_beyond_the_stacked_reference(S):
 ], ids=["full-rank", "mixed-rank", "pure", *_TREE_IDS])
 def test_frame_table_conjugates_every_unit_image(tree):
     G, _ = _compose(tree)
-    D, (N, m) = G.space_dim, G._pi0.shape
+    pi0 = _tables(G)[0]
+    D, (N, m) = G.space_dim, pi0.shape
     assert D <= 256
-    assert sorted(G._pi0.ravel().tolist()) == list(range(D))
+    assert sorted(pi0.ravel().tolist()) == list(range(D))
     W = np.zeros((D, N * m))
-    W[G._pi0.ravel(), np.arange(N * m)] = 1
+    W[pi0.ravel(), np.arange(N * m)] = 1
     for idx in all_matrix_units(G.sig):
         i, j = (np.ravel_multi_index(np.subtract(k, 1), G.sig.dims)
                 for k in (idx.rows, idx.cols))

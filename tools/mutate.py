@@ -34,15 +34,19 @@ PACKAGE = Path("src", "uhfkron")
 
 # (module, function, compared name, bound name, factor): in the function,
 # the one comparison of the compared name with the bound name has its
-# bound scaled by the factor
+# bound scaled by the factor; a factor below 1 tightens the bound
 MUTANTS = [
     ("checks.py", "_record_values", "diff", "tol", 100),
-    ("gns.py", "gns_intertwiner", "gram_defect", "GRAM_TOL", 1e6),
+    ("gns.py", "gns_intertwiner", "cyclic_defect", "GRAM_TOL", 1e6),
     ("states.py", "density_validate", "min_eig", "GNS_EIG_CUTOFF", 1e4),
     ("states.py", "_spectrum", "values", "GNS_EIG_CUTOFF", 1000),
     ("cli.py", "_cmd_gns", "err", "tol", 100),
     ("states.py", "density_validate", "trace_defect", "DENSITY_VALIDATE_TOL",
      1e4),
+    ("states.py", "density_validate", "herm_defect", "GNS_EIG_CUTOFF", 100),
+    ("algebra.py", "_guard", "value", "cap", 1.5),
+    ("algebra.py", "_kept", "_moduli", "COEFF_PRUNE_TOL", 2),
+    ("gns.py", "gns_intertwiner", "cyclic_defect", "GRAM_TOL", 0.25),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
