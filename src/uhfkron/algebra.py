@@ -1079,14 +1079,18 @@ def block_permutation(a, b) -> np.ndarray:
     b = as_signature(b)
     D = a.product(b).total_dim
     _guard("dense dimension", D)
-    n = a.level
     # the digits (a_1, b_1, ..., a_n, b_n) of the fused slots a_i*b_i
-    digits = tuple(d for pair in zip(a.dims, b.dims) for d in pair)
-    order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
-    moved = np.arange(D).reshape(digits).transpose(order).reshape(-1)
+    moved = _digit_move([d for pair in zip(a.dims, b.dims) for d in pair])
     P = np.zeros((D, D), dtype=complex)
     P[np.arange(D), moved] = 1.0
     return P
+
+
+def _digit_move(digits) -> np.ndarray:
+    # entry i: the flat index over the digits (p_1, q_1, ..., p_n, q_n) of
+    # block index i over (p_1, ..., p_n, q_1, ..., q_n)
+    return np.arange(math.prod(digits)).reshape(digits).transpose(
+        (*range(0, len(digits), 2), *range(1, len(digits), 2))).ravel()
 
 
 def all_matrix_units(sig) -> Iterator[MatrixUnitIndex]:

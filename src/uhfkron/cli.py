@@ -14,12 +14,13 @@ distance      trace-norm distance of two states at their common level
 Complex values are printed as {"re": float, "im": float} at full double
 precision; term lists are sorted lexicographically by index, so identical
 invocations produce byte-identical output.  Failures exit nonzero with
-{"error": {"code": ..., "message": ...}} on stdout (code "usage" for a
-malformed command line); a result holding NaN or infinity is reported as
-a "validation" error.  The flag --tol is the only comparison tolerance
-of ``check`` and ``gns`` (default 1e-12); it must be a finite number
->= 0.  ``gns`` fails every unit whose expectation deviates from the
-state's value by a modulus above it.  No environment variable is read.
+{"error": {"code": ..., "message": ...}} on stdout, the code named by the
+error's class ("usage" for a malformed command line); a result holding
+NaN or infinity is reported as a "validation" error.  The flag --tol is
+the only comparison tolerance of ``check`` and ``gns`` (default 1e-12);
+it must be a finite number >= 0.  ``gns`` fails every unit whose
+expectation deviates from the state's value by a modulus above it.  No
+environment variable is read.
 
 A request imports only the modules its subcommand uses.  At module level
 this module imports ``errors`` and ``algebra`` (which brings numpy); each
@@ -45,45 +46,20 @@ from .algebra import (
     as_signature,
     coproduct_phi,
 )
-from .errors import (
-    GramMismatchError,
-    IndexRangeError,
-    ParseError,
-    ResourceGuardError,
-    SignatureError,
-    UhfError,
-    ValidationError,
-)
+from .errors import SignatureError, UhfError, ValidationError
 
 __all__ = ["cli_run", "main"]
 
 
 class _UsageError(UhfError):
     """The command line does not match the subcommand's arguments."""
+    code = "usage"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     # report usage errors as the JSON error object, not on stderr with exit 2
     def error(self, message):
         raise _UsageError(message)
-
-
-_ERROR_CODES = [
-    (_UsageError, "usage"),
-    (ParseError, "parse-error"),
-    (SignatureError, "signature-mismatch"),
-    (IndexRangeError, "index-range"),
-    (ValidationError, "validation"),
-    (ResourceGuardError, "resource-guard"),
-    (GramMismatchError, "gram-mismatch"),
-]
-
-
-def _error_code(exc: UhfError) -> str:
-    for cls, code in _ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
-    return "error"
 
 
 def _complex_json(value: complex) -> dict:
@@ -289,7 +265,7 @@ def cli_run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         payload, code = args.func(args, _finite(args.tol, "--tol"))
     except UhfError as exc:
-        payload = {"error": {"code": _error_code(exc), "message": str(exc)}}
+        payload = {"error": {"code": exc.code, "message": str(exc)}}
         code = 1
     except OSError as exc:
         payload = {"error": {"code": "io-error", "message": str(exc)}}

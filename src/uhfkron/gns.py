@@ -55,6 +55,8 @@ exactly, and the fused cyclic vector onto the composed one up to
 rounding.  :func:`gns_intertwiner` returns that 0/1 permutation and
 checks the second part: the two cyclic vectors agree within
 ``GRAM_TOL``, which bounds |U lambda_A(x) - lambda_B(x)| for every x.
+It builds no triplet: it reads the dimensions, ranks and cyclic vectors
+of the factor purifications of S, R and the fused state.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, _guard, _integer
+from .algebra import AlgebraElement, Signature, _digit_move, _guard, _integer
 from .errors import GramMismatchError, SignatureError, ValidationError
 from .states import DensityFactor, ProductStateTrunc, state_boxtimes
 
@@ -146,10 +148,7 @@ class GnsTriplet:
         dims = [f.space_dim for f in self._factors]
         self.space_dim = math.prod(dims)
         _guard("GNS space dimension", self.space_dim)
-        # the products numpy.kron would take, one outer product per factor
-        self.cyclic = functools.reduce(
-            np.multiply.outer, [f.cyclic for f in self._factors],
-            np.ones(1, dtype=complex)).ravel()
+        self.cyclic = _kron_chain(self._factors)
         strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
         ranks = [f.rank for f in self._factors]
         # W is D x N*R, and unitary iff square with pi0 holding each of
@@ -232,6 +231,12 @@ class GnsTriplet:
                 f"space_dim={self.space_dim})")
 
 
+def _kron_chain(factors) -> np.ndarray:
+    # the Kronecker chain of the factors' cyclic vectors, numpy.kron's bits
+    return functools.reduce(np.multiply.outer, [f.cyclic for f in factors],
+                            np.ones(1, dtype=complex)).ravel()
+
+
 def _not_unitary(space_dim: int, columns: int) -> ValidationError:
     # the refusal of a frame [W_1 ... W_N] that is no unitary
     return ValidationError(f"the frame [W_1 ... W_N] is {space_dim} x "
@@ -285,22 +290,23 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
     """Unitary U with U Lambda_{S box R}(x) = (Lambda_S (x) Lambda_R)(phi(x)).
 
     U is the exact 0/1 permutation of the purified slots' digits (see the
-    module notes), as a dense complex D x D array.  Raises
-    :class:`GramMismatchError` if it maps the fused cyclic vector onto the
-    composed one only beyond ``GRAM_TOL`` in some entry, and
-    :class:`SignatureError` on state levels that differ.
+    module notes), as a dense complex D x D array, with no triplet built.
+    Raises :class:`SignatureError` on state levels that differ,
+    :class:`ResourceGuardError` on D above ``DENSE_DIM_GUARD``, and
+    :class:`GramMismatchError` if U maps the fused cyclic vector onto the
+    composed one only beyond ``GRAM_TOL`` in some entry.
     """
-    G_fused = gns_build(state_boxtimes(S, R))
-    G_S, G_R = gns_build(S), gns_build(R)
-    G_tensor = gns_tensor_phi(G_S, G_R)
-    legs = [n for f, g in zip(G_S._factors, G_R._factors)
+    fused = state_boxtimes(S, R)
+    F_S, F_R = ([FactorGns(f) for f in state.factors] for state in (S, R))
+    # the digits (a_l, b_l, r_l, s_l) of each fused slot: 2L interleaved pairs
+    legs = [n for f, g in zip(F_S, F_R)
             for n in (f.dim, g.dim, f.rank, g.rank)]
-    D = G_fused.space_dim
-    # the same digit move as algebra.block_permutation, over 2L slot pairs
-    moved = np.arange(D).reshape(legs).transpose(
-        (*range(0, len(legs), 2), *range(1, len(legs), 2))).ravel()
-    cyclic_defect = float(np.max(np.abs(G_tensor.cyclic
-                                        - G_fused.cyclic[moved])))
+    D = math.prod(legs)
+    _guard("GNS space dimension", D)
+    moved = _digit_move(legs)
+    cyclic_defect = float(np.max(np.abs(
+        _kron_chain(F_S + F_R)
+        - _kron_chain([FactorGns(f) for f in fused.factors])[moved])))
     if cyclic_defect > GRAM_TOL:
         raise GramMismatchError(
             f"cyclic vectors disagree by {cyclic_defect:.3e} "

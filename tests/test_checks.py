@@ -376,6 +376,8 @@ def test_exact_suites_key_images_without_copying_them(suite, dims,
     ("atom-semigroup", (2, 2), 5),
     ("star-isomorphism", (2, 2), 13),
     ("nonsymmetry", (), 7),
+    # 17 * 241 = 4097: 4097**2 units, just past the guard
+    ("star-isomorphism", (17, 241), 2),
 ])
 def test_unit_count_guard(suite, dims, level):
     with pytest.raises(ResourceGuardError, match="guard 4096\\*\\*2"):

@@ -596,17 +596,36 @@ def test_intertwiner_pure_level5():
 
 
 def test_intertwiner_detects_a_gram_mismatch(monkeypatch):
-    # composing the triplet of another full-rank state keeps every space
-    # dimension, but its cyclic vector is another one
+    # purifying another full-rank state's factor in place of S's keeps
+    # every space dimension, but the composed cyclic vector is another one
     S = random_state((2,), seed=54)
     R = random_state((2,), seed=55)
-    other = gns_build(random_state((2,), seed=60))
-    compose = gns_tensor_phi
-    monkeypatch.setattr("uhfkron.gns.gns_tensor_phi",
-                        lambda GT, GR: compose(other, GR))
+    other = random_state((2,), seed=60).factors[0]
+    purify = FactorGns
+    monkeypatch.setattr("uhfkron.gns.FactorGns", lambda T: purify(
+        other if T is S.factors[0] else T))
     with pytest.raises(GramMismatchError,
                        match="cyclic vectors disagree by"):
         gns_intertwiner(S, R)
+
+
+def test_intertwiner_builds_no_triplet(monkeypatch):
+    # the intertwiner reads the factor purifications only
+    def refuse(self, *args):
+        raise AssertionError("triplet built")
+
+    monkeypatch.setattr(GnsTriplet, "__init__", refuse)
+    S, R = _PAIRS[0]
+    assert np.array_equal(gns_intertwiner(S, R),
+                          block_permutation((2, 2, 3, 3), (2, 2, 2, 2)))
+
+
+def test_intertwiner_guards_the_space_dimension():
+    # full-rank (8,) and (9,): D = 8 * 9 * 8 * 9 = 5184
+    with pytest.raises(ResourceGuardError,
+                       match="GNS space dimension 5184 exceeds guard 4096"):
+        gns_intertwiner(random_state((8,), seed=88),
+                        random_state((9,), seed=89))
 
 
 def test_intertwiner_refuses_states_of_different_levels():
@@ -628,7 +647,7 @@ def test_intertwiner_keeps_the_rank_of_small_eigenvalues(small):
 @pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
 def test_intertwiner_refuses_a_gram_defect_past_gram_tol(monkeypatch,
                                                          factor, raises):
-    # the composition's first factor has its cyclic vector scaled by s, so
+    # the purification of S's factor has its cyclic vector scaled by s, so
     # the composed cyclic vector moves by (s - 1) times its own entries: s
     # is chosen to put the largest move at factor * GRAM_TOL
     S = random_state((2,), seed=54)
@@ -638,12 +657,12 @@ def test_intertwiner_refuses_a_gram_defect_past_gram_tol(monkeypatch,
     scaled.cyclic = scaled.cyclic * (
         1 + factor * gns.GRAM_TOL / np.max(np.abs(composed)))
     G_scaled = GnsTriplet(S.sig, [scaled], [(0, 1, 2)])
-    compose = gns_tensor_phi
-    monkeypatch.setattr("uhfkron.gns.gns_tensor_phi",
-                        lambda GT, GR: compose(G_scaled, GR))
-    defect = np.max(np.abs(compose(G_scaled, gns_build(R)).cyclic
+    defect = np.max(np.abs(gns_tensor_phi(G_scaled, gns_build(R)).cyclic
                            - composed))
     assert defect == pytest.approx(factor * gns.GRAM_TOL, rel=1e-6)
+    purify = FactorGns
+    monkeypatch.setattr("uhfkron.gns.FactorGns", lambda T: (
+        scaled if T is S.factors[0] else purify(T)))
     if raises:
         with pytest.raises(GramMismatchError,
                            match=f"disagree by {defect:.3e} "

@@ -47,6 +47,7 @@ MUTANTS = [
     ("algebra.py", "_guard", "value", "cap", 1.5),
     ("algebra.py", "_kept", "_moduli", "COEFF_PRUNE_TOL", 2),
     ("gns.py", "gns_intertwiner", "cyclic_defect", "GRAM_TOL", 0.25),
+    ("algebra.py", "_guard_units", "count", "cap", 1.5),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
