@@ -6,25 +6,20 @@ the factor representation is x |-> x (x) I_r, and the factor cyclic
 vector is sum_t sqrt(lambda_t) v_t (x) e_t over the kept t, all read off
 the factor's own spectrum (``states.DensityFactor._spectrum``), so this
 module decomposes nothing.  A :class:`GnsTriplet` is the tensor
-product of such factors in space order, each reading one digit of the
-element's unit indices: its place ``(slot, stride, radix)`` picks the digit
-``(j - 1) // stride % radix`` of the index j at ``slot``.  A product
-state's triplet has one factor per slot reading the whole index.  The
-coproduct composition of two triplets concatenates their factors and
-relabels the first triplet's places to the high digits of the fused slots,
-since j = b*(j' - 1) + j'' there.
+product of such factors in space order, with the table pi0 of where
+the images of the units sit.
 
 The image of a matrix unit is a 0/1 partial permutation, so it is built
-from integer positions.  With j_f, k_f the 0-based digits factor f reads,
-r_f its rank and s_f its stride in the space, rep(E_u) has its ones at
-(row_u + o_t, col_u + o_t), where row_u = sum_f j_f r_f s_f, col_u =
-sum_f k_f r_f s_f and o_t = sum_f t_f s_f for t in prod_f [r_f]; and
-rep(E_u) cyclic is cyclic[col_u + o_t] written at row_u + o_t.  A triplet
-tabulates pi0 = row_u + o (N x R, D entries in all) once, one row per row
-multi-index, at its row-major flat index.  A unit whose row and column
-multi-indices have flat indices i and k has its ones at (pi0[i, t],
-pi0[k, t]), so the positions of any number of units are one gather from
-pi0.  The triplet also tabulates the frame table C = cyclic[pi0] once
+from integer positions.  pi0 is an int64 N x R table (D entries in all):
+a unit whose row and column multi-indices have row-major flat indices i
+and k has its ones at (pi0[i, t], pi0[k, t]) for t in 0..R-1, so the
+positions of any number of units are one gather from pi0.  Factor l of
+a product state has the space digits (a_l, r_l), its dimension and rank,
+so the space has the digits (a_1, r_1, ..., a_L, r_L), and pi0[i, t] is
+the flat index over them of the digits of i (over a_1..a_L) and of t
+(over r_1..r_L), interleaved: the digit move ``algebra._digit_move``,
+the one ``block_permutation`` makes of the coproduct's fused basis.
+The triplet also tabulates the frame table C = cyclic[pi0] once
 (complex, N x R, again D entries) and its conjugate: rep(E_u) cyclic is
 C[k] written at pi0[i], and <cyclic, rep(E_u) cyclic> = sum_t conj(C[i,
 t]) C[k, t].  The three tables are keyed: each is stored after shift =
@@ -38,10 +33,17 @@ and expectation(x) = sum_u c_u <cyclic, rep(E_u) cyclic> over its terms
 c_u E_u.  One unit's image is that of the one-term element
 ``matrix_unit``.
 
+The coproduct composition of two triplets is (pi_T (x) pi_R) o phi.
+Its space is the first space (x) the second, so on the concatenated
+stage (a_1..a_L, b_1..b_L) its table is pi0_T D_R + pi0_R over the row
+and rank indices of both; phi reads a fused index j = b(j' - 1) + j''
+as the digits (a_1, b_1, ..., a_L, b_L), so the composed table is the
+concatenated one with its rows moved by the same digit move.
+
 The table pi0 is also the frame of the representation: with W the 0/1
 matrix sending e_i (x) e_t to e_{pi0[i,t]}, rep(x) = W (x (x) I_R) W^T,
 and a triplet checks when it is built that W is unitary, that is, that
-pi0 holds each of 0..D-1 once (two factors reading one digit fail).
+pi0 is N x D/N and holds each of 0..D-1 once.
 
 The fused state's representation and the coproduct composition are one
 representation in two digit orders.  Slot l of the fused triplet is one
@@ -66,7 +68,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, _digit_move, _guard, _integer
+from .algebra import AlgebraElement, Signature, _digit_move, _guard
 from .errors import GramMismatchError, SignatureError, ValidationError
 from .states import DensityFactor, ProductStateTrunc, state_boxtimes
 
@@ -114,10 +116,9 @@ class GnsTriplet:
     """Hilbert space, representation, and cyclic vector of a product state.
 
     Stored as data: factor purifications (:class:`FactorGns`) in space
-    order, each with the place ``(slot, stride, radix)`` it reads; on a unit
-    with index j at ``slot`` the factor takes its unit index
-    (j - 1) // stride % radix + 1.  ``cyclic`` is the Kronecker chain of
-    the factors' cyclic vectors.  Every method takes an element of the
+    order and the table ``pi0`` (N x R, int64) of where the units' images
+    sit (see the module notes).  ``cyclic`` is the Kronecker chain of the
+    factors' cyclic vectors.  Every method takes an element of the
     triplet's signature (else :class:`SignatureError`), whose indices are
     in range by construction, and reads its images off the frame tables
     pi0 (positions of the ones of rep(E_u)) and C = cyclic[pi0], stored
@@ -127,56 +128,42 @@ class GnsTriplet:
     :meth:`expectations` pairs the rows of C per term, coefficient left
     out.  The image of one unit is that of ``matrix_unit(sig, rows, cols)``.
     The cyclic vector has norm one and reproduces the state:
-    <cyclic, rep(x) cyclic> = omega(x).  A space dimension above
-    ``DENSE_DIM_GUARD`` is refused, so a triplet's vectors and images stay
-    small.  ``places`` holds one place per factor (slot in 0..level-1,
-    stride and radix in 1..dim of the slot), and a triplet that is no
-    representation is refused (see the module notes).
+    <cyclic, rep(x) cyclic> = omega(x).  :func:`gns_build` and
+    :func:`gns_tensor_phi` refuse a space dimension above
+    ``DENSE_DIM_GUARD`` before they make ``pi0``, so a triplet's vectors
+    and images stay small.  A table that is no representation is refused
+    (see the module notes).
     """
 
-    __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_places",
-                 "_weights", "_keyed_pi0", "_keyed_frame", "_keyed_conj")
+    __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_weights",
+                 "_keyed_pi0", "_keyed_frame", "_keyed_conj")
 
-    def __init__(self, sig: Signature, factors, places):
+    def __init__(self, sig: Signature, factors, pi0: np.ndarray):
         self.sig = sig
         self._factors = tuple(factors)
-        self._places = tuple(_place(sig, place, k)
-                             for k, place in enumerate(places, start=1))
-        if len(self._places) != len(self._factors):
-            raise ValidationError(f"{len(self._places)} places for "
-                                  f"{len(self._factors)} factors")
-        dims = [f.space_dim for f in self._factors]
-        self.space_dim = math.prod(dims)
-        _guard("GNS space dimension", self.space_dim)
-        self.cyclic = _kron_chain(self._factors)
-        strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
-        ranks = [f.rank for f in self._factors]
-        # W is D x N*R, and unitary iff square with pi0 holding each of
-        # 0..D-1 once; a non-square W is refused before pi0 is built
-        columns = sig.total_dim * math.prod(ranks)
-        if columns != self.space_dim:
+        self.space_dim = math.prod(f.space_dim for f in self._factors)
+        # W is D x N*R, and unitary iff pi0 is N x D/N and holds each of
+        # 0..D-1 once; a W that is not square is refused before anything
+        # of N rows is made
+        rank = pi0.shape[-1]
+        columns = sig.total_dim * rank
+        if pi0.shape != (sig.total_dim, rank) or columns != self.space_dim:
             raise _not_unitary(self.space_dim, columns)
-        # pi0[i] is row_u + o for the unit rows of row-major flat index i,
-        # with row_u = sum_f j_f r_f s_f and o_t = sum_f t_f s_f over all t
-        per_slot = [np.zeros(d, dtype=np.int64) for d in sig.dims]
-        for (slot, stride, radix), r, s in zip(self._places, ranks, strides):
-            per_slot[slot] += np.arange(sig.dims[slot]) // stride % radix * r * s
-        pi0 = functools.reduce(np.add.outer, per_slot + [
-            s * np.arange(r) for s, r in zip(strides, ranks)]).reshape(
-                sig.total_dim, -1)
-        # pi0 has D entries: they are 0..D-1 once each iff none is D or
-        # more and none repeats
+        # pi0 has D entries: they are 0..D-1 once each iff they are
+        # integers, none is negative or D or more, and none repeats
+        if pi0.dtype.kind != "i" or pi0.min() < 0:
+            raise _not_unitary(self.space_dim, columns)
         counts = np.bincount(pi0.ravel())
         if len(counts) != self.space_dim or counts.max() != 1:
             raise _not_unitary(self.space_dim, columns)
+        self.cyclic = _kron_chain(self._factors)
         # the keyed tables: pi0, C = cyclic[pi0] and conj(C) after shift =
         # sum(_weights) unused rows, so the row of a 1-based multi-index
         # idx (flat index idx @ _weights - shift) is idx @ _weights
         self._weights = np.array([math.prod(sig.dims[i + 1:])
                                   for i in range(sig.level)], dtype=np.int64)
         shift = int(self._weights.sum())
-        self._keyed_pi0 = np.zeros((shift + len(pi0), pi0.shape[1]),
-                                   dtype=np.int64)
+        self._keyed_pi0 = np.zeros((shift + len(pi0), rank), dtype=np.int64)
         self._keyed_pi0[shift:] = pi0
         self._keyed_frame = self.cyclic.take(self._keyed_pi0)
         self._keyed_conj = self._keyed_frame.conj()
@@ -243,47 +230,43 @@ def _not_unitary(space_dim: int, columns: int) -> ValidationError:
                            f"{columns} and not unitary")
 
 
-def _place(sig: Signature, place, k: int) -> tuple[int, int, int]:
-    # place k (1-based) as int (slot, stride, radix), slot in 0..level-1,
-    # stride and radix in 1..dim of the slot, else ValidationError
-    if len(place) != 3:
-        raise ValidationError(f"place {place!r} of factor {k} is no triple")
-    where = f" of factor {k}"
-    slot = _integer(place[0], ValidationError, "place slot", where, low=0,
-                    high=sig.level - 1)
-    return (slot,) + tuple(
-        _integer(v, ValidationError, f"place {what}", where, low=1,
-                 high=sig.dims[slot])
-        for v, what in zip(place[1:], ("stride", "radix")))
-
-
 def gns_build(S: ProductStateTrunc) -> GnsTriplet:
     """GNS triplet of a product state as a tensor product of purifications.
 
     Space dimension is prod_i a_i * rank(T^{(i)}), each rank counting the
     kept eigenvalues (see :class:`FactorGns`); refuses to build past
-    ``DENSE_DIM_GUARD``.  Factor i reads the whole index of slot i.
+    ``DENSE_DIM_GUARD``.  pi0 is the digit move of the space digits
+    (a_1, r_1, ..., a_L, r_L) (see the module notes).
     """
     factors = [FactorGns(f) for f in S.factors]
+    legs = [n for f in factors for n in (f.dim, f.rank)]
+    _guard("GNS space dimension", math.prod(legs))
     return GnsTriplet(S.sig, factors,
-                      [(i, 1, f.dim) for i, f in enumerate(factors)])
+                      _digit_move(legs).reshape(S.sig.total_dim, -1))
 
 
 def gns_tensor_phi(GT: GnsTriplet, GR: GnsTriplet) -> GnsTriplet:
-    """Compose two triplets through the coproduct.
+    """Compose two triplets through the coproduct: (pi_T (x) pi_R) o phi.
 
     The result represents the fused stage (entrywise-product signature) on
     the tensor of the two spaces: x |-> (rep_T (x) rep_R)(phi(x)), with
     cyclic vector cyclic_T (x) cyclic_R.  Its cyclic state is the
-    factorwise-Kronecker product state.  Since a fused index splits as
-    j = b*(j' - 1) + j'', the factors of ``GT`` read the high digit of each
-    fused slot (their strides scale by b) and those of ``GR`` keep their
-    places.  Refuses a space dimension above ``DENSE_DIM_GUARD``.
+    factorwise-Kronecker product state.  Its table is the concatenated
+    triplet's, pi0_T D_R + pi0_R, with the rows moved from the block
+    digits (a_1..a_L, b_1..b_L) to the fused (a_1, b_1, ..., a_L, b_L) by
+    the digit move of ``block_permutation``.  Refuses a space dimension
+    above ``DENSE_DIM_GUARD``.
     """
     fused = GT.sig.product(GR.sig)
-    b = GR.sig.dims
-    places = [(s, t * b[s], r) for s, t, r in GT._places] + list(GR._places)
-    return GnsTriplet(fused, GT._factors + GR._factors, places)
+    _guard("GNS space dimension", GT.space_dim * GR.space_dim)
+    pi_T, pi_R = (G._keyed_pi0[G._weights.sum():] for G in (GT, GR))
+    # pi_T[i_T, t_T] D_R + pi_R[i_R, t_R] at row (i_T, i_R), column (t_T, t_R)
+    block = np.add.outer(pi_T * GR.space_dim, pi_R).transpose(
+        0, 2, 1, 3).reshape(fused.total_dim, -1)
+    pi0 = np.empty_like(block)
+    pi0[_digit_move([n for pair in zip(GT.sig.dims, GR.sig.dims)
+                     for n in pair])] = block
+    return GnsTriplet(fused, GT._factors + GR._factors, pi0)
 
 
 def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
@@ -320,10 +303,10 @@ def gns_intertwiner(S: ProductStateTrunc, R: ProductStateTrunc) -> np.ndarray:
 def commutant_dimension(G: GnsTriplet) -> int:
     """Dimension of {X : [rep(E_u), X] = 0 for all matrix units E_u}.
 
-    By the definition of the lookup, rep(E_ij) has its ones exactly at
-    (pi0[i, t], pi0[j, t]) for t in 0..R-1, so rep(E_ij) = W (E_ij (x) I_R)
-    W^T with W the permutation matrix of pi0, which the triplet checked
-    when it was built.  The commutant is then W (I_N (x) M_R) W^T, of
-    dimension R^2 (1: irreducible).  No unit image is read.
+    rep(E_ij) has its ones exactly at (pi0[i, t], pi0[j, t]) for t in
+    0..R-1, so rep(E_ij) = W (E_ij (x) I_R) W^T with W the 0/1 matrix of
+    pi0, which the triplet checked to be a permutation when it was built.
+    The commutant is then W (I_N (x) M_R) W^T, of dimension R^2 (1:
+    irreducible).  No unit image is read.
     """
     return G._keyed_pi0.shape[1] ** 2

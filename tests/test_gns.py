@@ -5,7 +5,6 @@ commutant dimensions read off the frame table.
 
 import ast
 import copy
-import functools
 import inspect
 import math
 import pickle
@@ -565,6 +564,23 @@ _PAIR_IDS = ["full-rank", "mixed-rank", "pure", "atom", "small-eigenvalue"]
 
 
 @pytest.mark.parametrize("S,R", _PAIRS, ids=_PAIR_IDS)
+def test_tensor_phi_is_the_concatenated_triplet_through_phi(S, R):
+    # (pi_S (x) pi_R) o phi, bit for bit: the composed triplet reads every
+    # fused unit x as the triplet of the concatenated state reads
+    # coproduct_phi(x); the units' tags keep their rep images apart
+    G = gns_tensor_phi(gns_build(S), gns_build(R))
+    H = gns_build(S.concat(R))
+    x = _all_units(G.sig)
+    y = coproduct_phi(x, S.sig, R.sig)
+    assert G.rep(x).tobytes() == H.rep(y).tobytes()
+    assert G.expectations(x).tobytes() == H.expectations(y).tobytes()
+    for idx in all_matrix_units(G.sig):
+        unit = matrix_unit(G.sig, *idx)
+        assert (G.lambda_vec(unit).tobytes()
+                == H.lambda_vec(coproduct_phi(unit, S.sig, R.sig)).tobytes())
+
+
+@pytest.mark.parametrize("S,R", _PAIRS, ids=_PAIR_IDS)
 def test_intertwiner_is_the_digit_permutation(S, R):
     # every entry of U is exactly 0 or 1, with one 1 per row and column;
     # on full-rank pairs U is the coproduct's digit move applied to the
@@ -656,9 +672,8 @@ def test_intertwiner_refuses_a_gram_defect_past_gram_tol(monkeypatch,
     scaled = FactorGns(S.factors[0])
     scaled.cyclic = scaled.cyclic * (
         1 + factor * gns.GRAM_TOL / np.max(np.abs(composed)))
-    G_scaled = GnsTriplet(S.sig, [scaled], [(0, 1, 2)])
-    defect = np.max(np.abs(gns_tensor_phi(G_scaled, gns_build(R)).cyclic
-                           - composed))
+    defect = np.max(np.abs(
+        gns._kron_chain([scaled, FactorGns(R.factors[0])]) - composed))
     assert defect == pytest.approx(factor * gns.GRAM_TOL, rel=1e-6)
     purify = FactorGns
     monkeypatch.setattr("uhfkron.gns.FactorGns", lambda T: (
@@ -820,61 +835,42 @@ def test_frame_table_conjugates_every_unit_image(tree):
         assert np.array_equal(G.rep(matrix_unit(G.sig, *idx)), want)
 
 
-@pytest.mark.parametrize("places, match", [
-    ([(0, 1, 2), (5, 1, 2)], "place slot 5 of factor 2 outside 0..1"),
-    ([(0, 1, 2), (-1, 1, 2)], "place slot -1 of factor 2 outside 0..1"),
-    ([(0, 1, 2), (1, 0, 2)], "place stride 0 of factor 2 outside 1..2"),
-    ([(0, 1, 2), (1, 2**70, 2)], "place stride 1180591620717411303424 of "
-                                 "factor 2 outside 1..2"),
-    ([(0, 1, 2), (1, 1, 0)], "place radix 0 of factor 2 outside 1..2"),
-    ([(0, 1.0, 2), (1, 1, 2)], "place stride 1.0 of factor 1 is not an "
-                               "integer"),
-    ([(0, 1, 2), (1, 1)], r"place \(1, 1\) of factor 2 is no triple"),
-    ([(0, 1, 2)], "1 places for 2 factors"),
-    ([(0, 1, 2), (1, 1, 2), (1, 1, 2)], "3 places for 2 factors"),
-], ids=["slot-past-level", "negative-slot", "zero-stride", "huge-stride",
-        "zero-radix", "float-stride", "short-place", "missing-place",
-        "extra-place"])
-def test_triplet_reads_one_place_per_factor(places, match):
-    # unread, a slot past the level raises IndexError, a zero radix or
-    # stride divides by zero, and a negative slot or a missing place
-    # passes silently
-    with pytest.raises(ValidationError, match=match):
-        GnsTriplet(Signature((2, 2)), [FactorGns(T_PURE)] * 2, places)
-
-
-@pytest.mark.parametrize("dims, densities, places, match", [
-    # both factors read the digit of slot 0, and none reads slot 1
-    ((2, 2), [T_PURE, R_PURE], [(0, 1, 2), (0, 1, 2)], "4 x 4"),
-    # a radix below the factor's dimension reads too few of its indices
-    ((2, 2), [T_PURE, R_PURE], [(0, 1, 2), (1, 1, 1)], "4 x 4"),
+@pytest.mark.parametrize("dims, densities, pi0, match", [
+    # both factors read the digit of slot 0 and none reads slot 1: the
+    # table repeats 0 and D - 1
+    ((2, 2), [T_PURE, R_PURE], [[0], [0], [3], [3]], "4 x 4"),
+    # the second factor reads 1 of its slot's 2 indices: no D - 1
+    ((2, 2), [T_PURE, R_PURE], [[0], [0], [2], [2]], "4 x 4"),
+    # no repeat, but D in place of D - 1, or -1 in place of 0
+    ((2, 2), [T_PURE, R_PURE], [[0], [1], [2], [4]], "4 x 4"),
+    ((2, 2), [T_PURE, R_PURE], [[1], [-1], [2], [3]], "4 x 4"),
+    # 0..D-1 once, but as floats, or on one axis
+    ((2,), [T_PURE], [[0.0], [1.0]], "2 x 2"),
+    ((2,), [T_PURE], [0, 1], "2 x 4"),
     # a (3,) factor reading a dimension-2 slot: W is 3 x 2
-    ((2,), [DensityFactor.diagonal([1.0, 0.0, 0.0])], [(0, 1, 2)], "3 x 2"),
-    # refused before a table of 2^40 rows is allocated
-    ((2**40,), [T_PURE], [(0, 1, 2)], "2 x 1099511627776"),
-], ids=["one-digit-twice", "radix-below-dimension", "non-square",
-        "huge-slot"])
+    ((2,), [DensityFactor.diagonal([1.0, 0.0, 0.0])], [[0], [1]], "3 x 2"),
+    # one row for a signature of two, its entries 0 and D - 1 distinct
+    ((2,), [DensityFactor.maximally_mixed(2)], [[0, 3]], "4 x 4"),
+    # refused before anything of 2^40 entries is made
+    ((2**40,), [T_PURE], [[0], [1]], "2 x 1099511627776"),
+], ids=["one-digit-twice", "radix-below-dimension", "entry-past-D",
+        "negative-entry", "float-entries", "one-axis", "non-square",
+        "one-row", "huge-slot"])
 def test_triplet_that_is_no_representation_is_refused(dims, densities,
-                                                      places, match):
+                                                      pi0, match):
     with pytest.raises(ValidationError, match=f"{match} and not unitary"):
         commutant_dimension(GnsTriplet(
-            Signature(dims), [FactorGns(T) for T in densities], places))
+            Signature(dims), [FactorGns(T) for T in densities],
+            np.array(pi0)))
 
 
-def test_triplet_refuses_a_frame_table_with_a_repeated_entry(monkeypatch):
-    # the frame table is functools.reduce's one integer result in the
-    # constructor (the cyclic vector is its complex one)
-    reduce = functools.reduce
-
-    def patched(function, iterable, *initial):
-        out = reduce(function, iterable, *initial)
-        if out.dtype.kind == "i":
-            out.flat[1] = out.flat[0]
-        return out
-
-    monkeypatch.setattr(gns.functools, "reduce", patched)
+def test_triplet_refuses_a_frame_table_with_a_repeated_entry():
+    # a built triplet's own table with its second entry made the first's
+    G = gns_build(random_state((2,), seed=81))
+    pi0 = _tables(G)[0].copy()
+    pi0.flat[1] = pi0.flat[0]
     with pytest.raises(ValidationError, match="4 x 4 and not unitary"):
-        commutant_dimension(gns_build(random_state((2,), seed=81)))
+        commutant_dimension(GnsTriplet(G.sig, G._factors, pi0))
 
 
 def test_commutant_memory_stays_below_unit_multi_indices():
@@ -911,9 +907,9 @@ def test_unit_paths_make_a_bounded_number_of_python_calls():
     # one gather of frame rows is a fixed few numpy calls: 9 calls for one
     # unit's expectation (4 of them making the unit, 1 its np.errstate);
     # the commutant of a (2,3)(2,2) composition reads its frame table's
-    # shape and their intertwiner makes 244 calls, nearly all in its three
-    # builds and the fused state, below the 492 of re-reading every unit
-    # image per triplet
+    # shape in 2 calls and their intertwiner, which builds no triplet,
+    # makes 71 more, nearly all in the fused state and the six factor
+    # purifications
     S = random_state((2, 2), seed=88)
     G = gns_build(S)
     A, B = random_state((2, 3), seed=89), random_state((2, 2), seed=90)
@@ -928,7 +924,7 @@ def test_unit_paths_make_a_bounded_number_of_python_calls():
 
     one(), frame()  # anything made on first use is made
     assert _python_calls(one) <= 12
-    assert _python_calls(frame) <= 450
+    assert _python_calls(frame) <= 85
 
 
 def test_commutant_calls_do_not_grow_with_the_space_dimension():
