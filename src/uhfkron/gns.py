@@ -59,6 +59,14 @@ checks the second part: the two cyclic vectors agree within
 ``GRAM_TOL``, which bounds |U lambda_A(x) - lambda_B(x)| for every x.
 It builds no triplet: it reads the dimensions, ranks and cyclic vectors
 of the factor purifications of S, R and the fused state.
+
+The triplet is fixed by the state, so a state keeps its own:
+:func:`gns_build` makes it on the first call, stores it on the immutable
+state, and returns that one object on every later call.  A triplet is
+immutable and its arrays are read-only, so sharing it is safe.  A
+composed triplet has no state to keep it on.  Likewise a density factor
+keeps its purification frame with its spectrum, so each factor is
+purified once however many builds and intertwiners read it.
 """
 
 from __future__ import annotations
@@ -93,18 +101,18 @@ class FactorGns:
     least one, since a validated factor's largest eigenvalue is at least
     (1 - 1e-10)/dim and a boxtimes product keeps its operands' products.
 
-    ``frame`` (dim x rank) holds the eigenvectors of the kept eigenvalues
-    as columns, each scaled by the square root of its eigenvalue: in
-    descending eigenvalue order for a decomposed factor, in its operands'
-    Kronecker order for a boxtimes product.  ``cyclic`` is the purified
-    vector in C^dim (x) C^rank, the row-major ravel of ``frame``.
+    ``frame`` (dim x rank, read-only, kept by the factor with its
+    spectrum) holds the eigenvectors of the kept eigenvalues as columns,
+    each scaled by the square root of its eigenvalue: in descending
+    eigenvalue order for a decomposed factor, in its operands' Kronecker
+    order for a boxtimes product.  ``cyclic`` is the purified vector in
+    C^dim (x) C^rank, the row-major ravel of ``frame``.
     """
 
     __slots__ = ("dim", "rank", "space_dim", "cyclic", "frame")
 
     def __init__(self, T: DensityFactor):
-        values, vectors, kept = T._spectrum()
-        frame = vectors[:, kept] * np.sqrt(values[kept])
+        frame = T._spectrum()[3]
         self.dim = T.dim
         self.rank = frame.shape[1]
         self.space_dim = T.dim * self.rank
@@ -133,40 +141,58 @@ class GnsTriplet:
     ``DENSE_DIM_GUARD`` before they make ``pi0``, so a triplet's vectors
     and images stay small.  A table that is no representation is refused
     (see the module notes).
+
+    A triplet is immutable, and so is every array it holds: a state keeps
+    the one :func:`gns_build` made of it and hands it to every caller.
     """
 
     __slots__ = ("sig", "space_dim", "cyclic", "_factors", "_weights",
                  "_keyed_pi0", "_keyed_frame", "_keyed_conj")
 
     def __init__(self, sig: Signature, factors, pi0: np.ndarray):
-        self.sig = sig
-        self._factors = tuple(factors)
-        self.space_dim = math.prod(f.space_dim for f in self._factors)
+        factors = tuple(factors)
+        space_dim = math.prod(f.space_dim for f in factors)
         # W is D x N*R, and unitary iff pi0 is N x D/N and holds each of
         # 0..D-1 once; a W that is not square is refused before anything
         # of N rows is made
         rank = pi0.shape[-1]
         columns = sig.total_dim * rank
-        if pi0.shape != (sig.total_dim, rank) or columns != self.space_dim:
-            raise _not_unitary(self.space_dim, columns)
+        if pi0.shape != (sig.total_dim, rank) or columns != space_dim:
+            raise _not_unitary(space_dim, columns)
         # pi0 has D entries: they are 0..D-1 once each iff they are
         # integers, none is negative or D or more, and none repeats
         if pi0.dtype.kind != "i" or pi0.min() < 0:
-            raise _not_unitary(self.space_dim, columns)
+            raise _not_unitary(space_dim, columns)
         counts = np.bincount(pi0.ravel())
-        if len(counts) != self.space_dim or counts.max() != 1:
-            raise _not_unitary(self.space_dim, columns)
-        self.cyclic = _kron_chain(self._factors)
+        if len(counts) != space_dim or counts.max() != 1:
+            raise _not_unitary(space_dim, columns)
+        cyclic = _kron_chain(factors)
         # the keyed tables: pi0, C = cyclic[pi0] and conj(C) after shift =
-        # sum(_weights) unused rows, so the row of a 1-based multi-index
-        # idx (flat index idx @ _weights - shift) is idx @ _weights
-        self._weights = np.array([math.prod(sig.dims[i + 1:])
-                                  for i in range(sig.level)], dtype=np.int64)
-        shift = int(self._weights.sum())
-        self._keyed_pi0 = np.zeros((shift + len(pi0), rank), dtype=np.int64)
-        self._keyed_pi0[shift:] = pi0
-        self._keyed_frame = self.cyclic.take(self._keyed_pi0)
-        self._keyed_conj = self._keyed_frame.conj()
+        # sum(weights) unused rows, so the row of a 1-based multi-index
+        # idx (flat index idx @ weights - shift) is idx @ weights
+        weights = np.array([math.prod(sig.dims[i + 1:])
+                            for i in range(sig.level)], dtype=np.int64)
+        shift = int(weights.sum())
+        keyed_pi0 = np.zeros((shift + len(pi0), rank), dtype=np.int64)
+        keyed_pi0[shift:] = pi0
+        keyed_frame = cyclic.take(keyed_pi0)
+        keyed_conj = keyed_frame.conj()
+        for a in (cyclic, weights, keyed_pi0, keyed_frame, keyed_conj):
+            a.setflags(write=False)
+        for name, value in (("sig", sig), ("space_dim", space_dim),
+                            ("cyclic", cyclic), ("_factors", factors),
+                            ("_weights", weights), ("_keyed_pi0", keyed_pi0),
+                            ("_keyed_frame", keyed_frame),
+                            ("_keyed_conj", keyed_conj)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GnsTriplet is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the factors and pi0
+        return GnsTriplet, (self.sig, self._factors,
+                            self._keyed_pi0[self._weights.sum():])
 
     def _keys(self, x: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
         # the keyed-table rows of the terms of x: their row multi-indices'
@@ -200,7 +226,11 @@ class GnsTriplet:
     def expectation(self, x: AlgebraElement) -> complex:
         """<cyclic, rep(x) cyclic> = sum_u c_u <cyclic, rep(E_u) cyclic>
         over the terms c_u E_u of ``x``: :meth:`expectations` weighted by
-        the coefficients, without materializing rep(x) or rep(x) cyclic."""
+        the coefficients, without materializing rep(x) or rep(x) cyclic.
+        A non-finite coefficient gives a non-finite value, with no
+        floating-point warning."""
+        # numpy.vdot of the conjugate would need no errstate, but it moves
+        # the sign of a zero part that dot keeps
         return complex(self.expectations(x).dot(x.coeff))
 
     def expectations(self, x: AlgebraElement) -> np.ndarray:
@@ -237,12 +267,23 @@ def gns_build(S: ProductStateTrunc) -> GnsTriplet:
     kept eigenvalues (see :class:`FactorGns`); refuses to build past
     ``DENSE_DIM_GUARD``.  pi0 is the digit move of the space digits
     (a_1, r_1, ..., a_L, r_L) (see the module notes).
+
+    The triplet is made on the first call and kept on the state, which
+    is immutable, so every later call returns that same (immutable)
+    triplet; a refused build keeps nothing.  Copies and pickles of the
+    state make their own.
     """
+    try:
+        return S._gns
+    except AttributeError:
+        pass
     factors = [FactorGns(f) for f in S.factors]
     legs = [n for f in factors for n in (f.dim, f.rank)]
     _guard("GNS space dimension", math.prod(legs))
-    return GnsTriplet(S.sig, factors,
-                      _digit_move(legs).reshape(S.sig.total_dim, -1))
+    G = GnsTriplet(S.sig, factors,
+                   _digit_move(legs).reshape(S.sig.total_dim, -1))
+    object.__setattr__(S, "_gns", G)
+    return G
 
 
 def gns_tensor_phi(GT: GnsTriplet, GR: GnsTriplet) -> GnsTriplet:

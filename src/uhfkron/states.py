@@ -38,7 +38,12 @@ one positivity rule: validation refuses a smallest eigenvalue below
 -``GNS_EIG_CUTOFF`` and the spectrum keeps those above it.  The spectrum
 reads one triangle only, so validation also refuses a Hermitian defect
 above the cutoff; each accepted factor's GNS purification then
-reproduces every entry within it.
+reproduces every entry within it.  The spectrum is made on first read
+and kept with the factor's purification frame, so a factor is decomposed
+and purified once however many GNS calls read it.
+
+A non-finite coefficient gives a non-finite value and never a
+floating-point warning, whatever ``numpy.errstate`` the caller set.
 """
 
 from __future__ import annotations
@@ -167,10 +172,12 @@ class DensityFactor:
         return _hold(_kron(self.matrix, other.matrix), (self, other))
 
     def _spectrum(self) -> tuple:
-        # eigenvalues, eigenvectors (columns) and the kept mask, read-only,
-        # made on first read: by one eigh in descending order, or for a
-        # boxtimes product in its operands' Kronecker order from theirs,
-        # so its rank is the product of their ranks
+        # eigenvalues, eigenvectors (columns), the kept mask and the
+        # purification frame (the kept eigenvectors, each scaled by the
+        # square root of its eigenvalue), read-only, made on first read:
+        # by one eigh in descending order, or for a boxtimes product in its
+        # operands' Kronecker order from theirs, so its rank is the product
+        # of their ranks
         if self._eig is None:
             if self._operands is None:
                 # eigh returns the eigenvalues in ascending order
@@ -178,13 +185,15 @@ class DensityFactor:
                 values, vectors = values[::-1], vectors[:, ::-1]
                 kept = values > GNS_EIG_CUTOFF
             else:
-                (v, U, k), (w, V, m) = (f._spectrum() for f in self._operands)
+                (v, U, k, _), (w, V, m, _) = (f._spectrum()
+                                              for f in self._operands)
                 values = np.multiply.outer(v, w).ravel()
                 vectors = _kron(U, V)
                 kept = np.logical_and.outer(k, m).ravel()
-            for a in (values, vectors, kept):
+            frame = vectors[:, kept] * np.sqrt(values[kept])
+            for a in (values, vectors, kept, frame):
                 a.setflags(write=False)
-            object.__setattr__(self, "_eig", (values, vectors, kept))
+            object.__setattr__(self, "_eig", (values, vectors, kept, frame))
         return self._eig
 
     def __repr__(self):
@@ -221,9 +230,14 @@ def _entry_layout(sig: Signature) -> tuple:
 
 
 class ProductStateTrunc:
-    """A finite truncation of a product state: one DensityFactor per slot."""
+    """A finite truncation of a product state: one DensityFactor per slot.
 
-    __slots__ = ("sig", "factors", "_entries")
+    Immutable.  Its entry table and its GNS triplet (``gns.gns_build``)
+    are made on first use and kept on the state; copies and pickles make
+    their own.
+    """
+
+    __slots__ = ("sig", "factors", "_entries", "_gns")
 
     def __init__(self, factors):
         factors = tuple(
@@ -241,7 +255,8 @@ class ProductStateTrunc:
         raise AttributeError("ProductStateTrunc is immutable")
 
     def __reduce__(self):
-        # its factors rebuild unchecked (DensityFactor.__reduce__)
+        # its factors rebuild unchecked (DensityFactor.__reduce__), and the
+        # kept entry table and triplet are not carried
         return ProductStateTrunc, (self.factors,)
 
     @property
@@ -283,7 +298,9 @@ def state_evaluate(S: ProductStateTrunc, x: AlgebraElement) -> complex:
             f"signature {x.sig.dims}"
         )
     values = _slot_products(S._entry_table(), x.rows, x.cols, x.coeff)
-    return complex(np.concatenate(([0j], values)).cumsum()[-1])
+    # a non-finite coefficient gives a non-finite value, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.concatenate(([0j], values)).cumsum()[-1])
 
 
 def _stacked_entry_table(factor_lists, sig: Signature) -> tuple:

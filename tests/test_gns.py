@@ -51,6 +51,7 @@ from uhfkron.states import (
     random_state,
     state_boxtimes,
     state_evaluate,
+    state_tensor_phi_eval,
 )
 
 T_PURE = DensityFactor.diagonal([1.0, 0.0])
@@ -93,6 +94,22 @@ def test_factor_expectation_identity(seed):
     lifted = np.kron(x, np.eye(f.rank))
     lhs = complex(np.vdot(f.cyclic, lifted @ f.cyclic))
     assert lhs == pytest.approx(complex(np.trace(T.matrix @ x)), abs=1e-12)
+
+
+@pytest.mark.parametrize("T", [
+    random_density(3, seed=5),
+    DensityFactor.diagonal([0.5, 0.5, 0.0]),
+    random_density(2, seed=6).boxtimes(DensityFactor.diagonal([1.0, 0.0])),
+], ids=["full-rank", "rank-2", "boxtimes"])
+def test_factor_keeps_its_frame(T):
+    # the frame is made once with the spectrum, read-only, and every
+    # purification of the factor reads that one array
+    values, vectors, kept, frame = T._spectrum()
+    want = vectors[:, kept] * np.sqrt(values[kept])
+    assert frame.shape == want.shape == (T.dim, np.count_nonzero(kept))
+    assert frame.tobytes() == want.tobytes()
+    assert not frame.flags.writeable
+    assert T._spectrum()[3] is frame and FactorGns(T).frame is frame
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +484,81 @@ def test_expectation_leaves_the_error_state_as_it_found_it():
         assert np.geterr() == before == {
             "divide": "raise", "over": "raise", "under": "raise",
             "invalid": "raise"}
+
+
+@pytest.mark.parametrize("second", [complex("-inf"), 1e308],
+                         ids=["inf-minus-inf", "inf-plus-1e308"])
+def test_non_finite_coefficients_give_non_finite_values_without_warning(
+        second):
+    # inf * E_11 + second * E_22: the state's value, its reading through
+    # the coproduct and the GNS expectation are non-finite (not necessarily
+    # the same bits), warn nowhere and leave the error state as they found it
+    S = ProductStateTrunc([DensityFactor.diagonal([0.5, 0.5])])
+    terms = {((1,), (1,)): complex("inf"), ((2,), (2,)): second}
+    x, fused = AlgebraElement(2, terms), AlgebraElement(4, terms)
+    reads = [lambda: state_evaluate(S, x),
+             lambda: state_tensor_phi_eval(S, S, fused),
+             lambda: gns_build(S).expectation(x)]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        before = np.geterr()
+        for read in reads:
+            assert not np.isfinite(read())
+            assert np.geterr() == before
+
+
+# ---------------------------------------------------------------------------
+# a state keeps its triplet, and a triplet is immutable
+# ---------------------------------------------------------------------------
+
+def test_a_state_keeps_its_triplet():
+    # a repeat build returns the kept triplet, in gns_build and its caller
+    # only; a refused build keeps nothing and is refused again
+    S = _mixed_state((2, 3), {0}, 96)
+    G = gns_build(S)
+    assert gns_build(S) is G
+    assert _python_calls(lambda: gns_build(S)) <= 3
+    big = random_state((2,) * 7, seed=97)
+    for _ in range(2):
+        with pytest.raises(ResourceGuardError, match="GNS space dimension "
+                                                     "16384 exceeds guard 4096"):
+            gns_build(big)
+        assert not hasattr(big, "_gns")
+
+
+_KEPT = ("cyclic", "_keyed_pi0", "_keyed_frame", "_keyed_conj")
+
+
+@pytest.mark.parametrize("make", [
+    copy.copy, copy.deepcopy, lambda S: pickle.loads(pickle.dumps(S)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_a_state_build_their_own_triplet(make):
+    S = _mixed_state((2, 3), {0}, 98)
+    G = gns_build(S)
+    back = make(S)
+    H = gns_build(back)
+    assert H is not G and gns_build(back) is H
+    for name in _KEPT:
+        assert getattr(H, name).tobytes() == getattr(G, name).tobytes()
+
+
+@pytest.mark.parametrize("G", [
+    gns_build(random_state((2, 2), seed=99)),
+    gns_tensor_phi(gns_build(random_state((2,), seed=100)),
+                   gns_build(_mixed_state((3,), set(), 101))),
+], ids=["built", "composed"])
+def test_a_triplet_is_immutable(G):
+    for name in (*GnsTriplet.__slots__, "other"):
+        with pytest.raises(AttributeError, match="GnsTriplet is immutable"):
+            setattr(G, name, None)
+    for a in (G._weights, *(getattr(G, name) for name in _KEPT)):
+        assert not a.flags.writeable
+    # copies and pickles rebuild it from its factors and table
+    for back in (copy.copy(G), copy.deepcopy(G),
+                 pickle.loads(pickle.dumps(G))):
+        assert back.sig == G.sig and back.space_dim == G.space_dim
+        for name in _KEPT:
+            assert getattr(back, name).tobytes() == getattr(G, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +1001,7 @@ def test_unit_paths_make_a_bounded_number_of_python_calls():
     # the commutant of a (2,3)(2,2) composition reads its frame table's
     # shape in 2 calls and their intertwiner, which builds no triplet,
     # makes 71 more, nearly all in the fused state and the six factor
-    # purifications
+    # purifications, each reading its factor's kept frame
     S = random_state((2, 2), seed=88)
     G = gns_build(S)
     A, B = random_state((2, 3), seed=89), random_state((2, 2), seed=90)
@@ -923,8 +1015,8 @@ def test_unit_paths_make_a_bounded_number_of_python_calls():
         gns_intertwiner(A, B)
 
     one(), frame()  # anything made on first use is made
-    assert _python_calls(one) <= 12
-    assert _python_calls(frame) <= 85
+    assert _python_calls(one) <= 10
+    assert _python_calls(frame) <= 76
 
 
 def test_commutant_calls_do_not_grow_with_the_space_dimension():
