@@ -12,6 +12,8 @@ from uhfkron import (
     atom_label_product,
     atom_state,
 )
+# the checking core, which checks a pair against any given label
+from uhfkron.atoms import _check_pairs
 
 
 def main():
@@ -50,7 +52,7 @@ def main():
     print("=== negative control: a corrupted expectation is caught ===")
     good = atom_label_product(A, B)
     corrupted = AtomLabel(good.base, (good.prefix[0], 1, good.prefix[2]))
-    result = atom_check_product(A, B, 2, expected=corrupted)
+    result = _check_pairs([(A, B, corrupted)], 2)[0]
     print("check passes:", bool(result))
     print("diagnostic:  ", result.diagnostic)
 

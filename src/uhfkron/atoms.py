@@ -14,11 +14,12 @@ identity from both ends — exact 0/1 factor equality and agreement of the
 coproduct-composed evaluation on every matrix unit.
 
 Every check goes through one core, ``_check_pairs``, which takes all the
-label pairs of a call at once (one for :func:`atom_check_product`, every
-pair of a level for the ``atom-semigroup`` suite).  A call builds one
-state per distinct label, and its states share one validated one-hot
-factor per (base, letter).  Each pair still gets its own
-``state_boxtimes``, whose factors are Kronecker products by one
+label pairs of a call at once, each with the label it is checked against
+(the product label for :func:`atom_check_product` and every pair of the
+``atom-semigroup`` suite; a corrupted one for a negative control).  A
+call builds one state per distinct label, and its states share one
+validated one-hot factor per (base, letter).  Each pair still gets its
+own ``state_boxtimes``, whose factors are Kronecker products by one
 broadcast multiply (``DensityFactor.boxtimes``), and its own exact factor
 comparison.  The unit sweep is shared by all pairs: the pairs' entry
 tables are stacked once, one column per pair, and per chunk of units
@@ -199,29 +200,26 @@ class AtomProductCheck:
         return f"AtomProductCheck(failed: {self.diagnostic})"
 
 
-def atom_check_product(J: AtomLabel, K: AtomLabel, level: int,
-                       expected: AtomLabel | None = None) -> AtomProductCheck:
+def atom_check_product(J: AtomLabel, K: AtomLabel,
+                       level: int) -> AtomProductCheck:
     """Verify the semigroup law on states at one level, from both ends.
 
     Checks (1) that the factorwise Kronecker product of the two atom
-    states equals the atom state of the product label exactly (0/1
-    entries), and (2) that the coproduct-composed evaluation of the two
-    states agrees with the product-label state on every level-``level``
-    matrix unit, one tagged chunk of units at a time.  ``expected``
-    overrides the product label (a corrupted label makes the check fail,
-    as a negative control).  Never raises on mismatch; returns a falsy
+    states equals the atom state of the product label
+    (:func:`atom_label_product`) exactly (0/1 entries), and (2) that the
+    coproduct-composed evaluation of the two states agrees with the
+    product-label state on every level-``level`` matrix unit, one tagged
+    chunk of units at a time.  Never raises on mismatch; returns a falsy
     result carrying a position diagnostic.  A level at which (2) would
     check more than ``DENSE_DIM_GUARD**2`` units raises
     :class:`ResourceGuardError` before any state is built.
     """
-    if expected is None:
-        expected = atom_label_product(J, K)
-    return _check_pairs([(J, K, expected)], level)[0]
+    return _check_pairs([(J, K, atom_label_product(J, K))], level)[0]
 
 
 def _check_pairs(pairs, level) -> list[AtomProductCheck]:
     """:func:`atom_check_product` of each ``(J, K, expected)`` triple at one
-    level, in order; every J has one base n and every K one base m.
+    level, in order, against ``expected``; every J has one base, every K one.
 
     Each label's state is built once, from one one-hot factor per (base,
     letter); the pairs that pass check (1) share one unit sweep

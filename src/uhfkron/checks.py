@@ -17,8 +17,10 @@ once per chunk of the unit grid, on one element whose coefficients tag
 the chunk's units (``algebra._tagged_units``), and read every unit's
 images or values back by tag with array operations (state values through
 ``states._tagged_values``); results are still recorded per unit, in unit
-order.  Before enumerating, each refuses more than ``DENSE_DIM_GUARD**2``
-unit checks with :class:`ResourceGuardError` (``algebra._guard_units``).
+order.  The two associativity suites get each chunk's two bracketings
+from one function, ``_bracketings``.  Before enumerating, each refuses
+more than ``DENSE_DIM_GUARD**2`` unit checks with
+:class:`ResourceGuardError` (``algebra._guard_units``).
 """
 
 from __future__ import annotations
@@ -196,19 +198,27 @@ def suite_coassociativity(dims: tuple[int, ...], level: int,
 
     ``dims`` = (a, b, c) factor bases; signatures are constant at the
     given level.  Exact index equality, no tolerance.  Each side runs
-    once per chunk of units (see ``algebra._tagged_units``).
+    once per chunk of units (see ``_bracketings``).
     """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol,
                                          ("a", "b", "c"))
-    a, b, c = _constant_sigs(dims, level, "coassociativity", 2)
-    ab, bc = a.product(b), b.product(c)
     report = CheckReport("coassociativity")
-    for x in _tagged_units(ab.product(c)):
-        left = coproduct_phi_block(coproduct_phi(x, ab, c), 0, level, a, b)
-        right = coproduct_phi_block(coproduct_phi(x, a, bc), level, level,
-                                    b, c)
-        _record_images(report, x, left, right, 1, "paths differ")
+    _bracketings(*_constant_sigs(dims, level, "coassociativity", 2),
+                 lambda x, left, right: _record_images(
+                     report, x, left, right, 1, "paths differ"))
     return report
+
+
+def _bracketings(a: Signature, b: Signature, c: Signature, record):
+    # record(x, left, right) per tagged chunk x of the stage a.b.c: its
+    # images under (phi (x) id) o phi and (id (x) phi) o phi.  Images live
+    # until the next chunk's are made: freed sooner, coassociativity (2,3,2)
+    # L2 faulted fresh pages, 5.6 against 4.2 ms on a 2-vCPU Xeon
+    ab, bc, n = a.product(b), b.product(c), a.level
+    for x in _tagged_units(ab.product(c)):
+        left = coproduct_phi_block(coproduct_phi(x, ab, c), 0, n, a, b)
+        right = coproduct_phi_block(coproduct_phi(x, a, bc), n, n, b, c)
+        record(x, left, right)
 
 
 def suite_compatibility(dims: tuple[int, ...], level: int,
@@ -359,14 +369,10 @@ def suite_state_associativity(dims: tuple[int, ...], level: int,
     Q = random_state(c, seed=seed + 3)
     triple = ProductStateTrunc(
         S.factors + R.factors + Q.factors)._entry_table()
-    ab, bc = a.product(b), b.product(c)
     report = CheckReport("state-associativity")
-    for x in _tagged_units(ab.product(c)):
-        left = coproduct_phi_block(coproduct_phi(x, ab, c), 0, level, a, b)
-        right = coproduct_phi_block(coproduct_phi(x, a, bc), level, level,
-                                    b, c)
-        _record_values(report, x, _tagged_values(triple, left, len(x)),
-                       _tagged_values(triple, right, len(x)), tol)
+    _bracketings(a, b, c, lambda x, left, right: _record_values(
+        report, x, _tagged_values(triple, left, len(x)),
+        _tagged_values(triple, right, len(x)), tol))
     return report
 
 

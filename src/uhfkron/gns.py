@@ -42,8 +42,8 @@ concatenated one with its rows moved by the same digit move.
 
 The table pi0 is also the frame of the representation: with W the 0/1
 matrix sending e_i (x) e_t to e_{pi0[i,t]}, rep(x) = W (x (x) I_R) W^T,
-and a triplet checks when it is built that W is unitary, that is, that
-pi0 is N x D/N and holds each of 0..D-1 once.
+and a triplet checks when it is built that W is unitary: that pi0 is an
+integer N x D/N table whose sorted entries are exactly 0..D-1.
 
 The fused state's representation and the coproduct composition are one
 representation in two digit orders.  Slot l of the fused triplet is one
@@ -152,19 +152,14 @@ class GnsTriplet:
     def __init__(self, sig: Signature, factors, pi0: np.ndarray):
         factors = tuple(factors)
         space_dim = math.prod(f.space_dim for f in factors)
-        # W is D x N*R, and unitary iff pi0 is N x D/N and holds each of
-        # 0..D-1 once; a W that is not square is refused before anything
-        # of N rows is made
+        # W (D x N*R) is unitary iff pi0 is N x D/N with sorted entries
+        # 0..D-1; a W that is not square is refused before any entry is read
         rank = pi0.shape[-1]
         columns = sig.total_dim * rank
-        if pi0.shape != (sig.total_dim, rank) or columns != space_dim:
-            raise _not_unitary(space_dim, columns)
-        # pi0 has D entries: they are 0..D-1 once each iff they are
-        # integers, none is negative or D or more, and none repeats
-        if pi0.dtype.kind != "i" or pi0.min() < 0:
-            raise _not_unitary(space_dim, columns)
-        counts = np.bincount(pi0.ravel())
-        if len(counts) != space_dim or counts.max() != 1:
+        if (pi0.shape != (sig.total_dim, rank) or columns != space_dim
+                or pi0.dtype.kind != "i"
+                or not np.array_equal(np.sort(pi0, axis=None),
+                                      np.arange(space_dim))):
             raise _not_unitary(space_dim, columns)
         cyclic = _kron_chain(factors)
         # the keyed tables: pi0, C = cyclic[pi0] and conj(C) after shift =

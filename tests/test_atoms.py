@@ -249,7 +249,7 @@ def test_check_product_corrupted_label():
     K = AtomLabel(2, (2, 2))
     good = atom_label_product(J, K)
     corrupted = AtomLabel(good.base, (good.prefix[0], 3))
-    result = atom_check_product(J, K, 2, expected=corrupted)
+    result = _check_pairs([(J, K, corrupted)], 2)[0]
     assert not result
     assert "position 2" in result.diagnostic
 
@@ -367,7 +367,7 @@ def test_corrupted_pairs_of_a_batch_fail_alone(monkeypatch, chunk_terms,
     results = _check_pairs(pairs, level)
     assert [p for p, r in enumerate(results) if not r] == [10, 30, 33]
     for p in (10, 30, 33):
-        alone = atom_check_product(*pairs[p][:2], level, pairs[p][2])
+        alone = _check_pairs([pairs[p]], level)[0]
         assert results[p].diagnostic == alone.diagnostic
         assert results[p].diagnostic.startswith(
             "coproduct evaluation differs on unit " if blind

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uhfkron import algebra, checks
+from uhfkron import algebra, atoms, checks
 from uhfkron.algebra import (
     COMPARE_TOL,
     AlgebraElement,
@@ -26,7 +26,7 @@ from uhfkron.algebra import (
     insert_identity_slot,
     matrix_unit,
 )
-from uhfkron.atoms import AtomLabel, atom_check_product, atom_state
+from uhfkron.atoms import AtomLabel, atom_state
 from uhfkron.checks import (
     SUITES,
     CheckReport,
@@ -295,7 +295,7 @@ def test_atom_check_corrupted_label_names_a_unit(monkeypatch):
     S_expected = atom_state(corrupted, level)
     monkeypatch.setattr("uhfkron.atoms.state_boxtimes",
                         lambda S, R: S_expected)
-    result = atom_check_product(J, K, level, expected=corrupted)
+    result = atoms._check_pairs([(J, K, corrupted)], level)[0]
     assert not result
 
     SJ, SK = atom_state(J, level), atom_state(K, level)

@@ -936,6 +936,8 @@ def test_frame_table_conjugates_every_unit_image(tree):
     # no repeat, but D in place of D - 1, or -1 in place of 0
     ((2, 2), [T_PURE, R_PURE], [[0], [1], [2], [4]], "4 x 4"),
     ((2, 2), [T_PURE, R_PURE], [[1], [-1], [2], [3]], "4 x 4"),
+    # an entry far past D is compared, not counted up to
+    ((2, 2), [T_PURE, R_PURE], [[0], [1], [2], [2**40]], "4 x 4"),
     # 0..D-1 once, but as floats, or on one axis
     ((2,), [T_PURE], [[0.0], [1.0]], "2 x 2"),
     ((2,), [T_PURE], [0, 1], "2 x 4"),
@@ -946,14 +948,29 @@ def test_frame_table_conjugates_every_unit_image(tree):
     # refused before anything of 2^40 entries is made
     ((2**40,), [T_PURE], [[0], [1]], "2 x 1099511627776"),
 ], ids=["one-digit-twice", "radix-below-dimension", "entry-past-D",
-        "negative-entry", "float-entries", "one-axis", "non-square",
-        "one-row", "huge-slot"])
+        "negative-entry", "entry-far-past-D", "float-entries", "one-axis",
+        "non-square", "one-row", "huge-slot"])
 def test_triplet_that_is_no_representation_is_refused(dims, densities,
                                                       pi0, match):
     with pytest.raises(ValidationError, match=f"{match} and not unitary"):
         commutant_dimension(GnsTriplet(
             Signature(dims), [FactorGns(T) for T in densities],
             np.array(pi0)))
+
+
+def test_huge_frame_table_entry_is_refused_in_little_memory():
+    # the check allocates nothing by an entry's value: 2**40 in a 4-entry
+    # table costs what any 4-entry table costs
+    factors = [FactorGns(T) for T in (T_PURE, R_PURE)]
+    pi0 = np.array([[0], [1], [2], [2**40]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="4 x 4 and not unitary"):
+            GnsTriplet(Signature((2, 2)), factors, pi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_triplet_refuses_a_frame_table_with_a_repeated_entry():
