@@ -3,8 +3,8 @@
 Each density factor T on M_d is purified: with T = sum_t lambda_t v_t v_t*
 and r the number of its kept eigenvalues, the factor space is C^d (x) C^r,
 the factor representation is x |-> x (x) I_r, and the factor cyclic
-vector is sum_t sqrt(lambda_t) v_t (x) e_t over the kept t, all read off
-the factor's own spectrum (``states.DensityFactor._spectrum``), so this
+vector is sum_t sqrt(lambda_t) v_t (x) e_t over the kept t, read off
+the factor's own frame (``states.DensityFactor._frame``), so this
 module decomposes nothing.  A :class:`GnsTriplet` is the tensor
 product of such factors in space order, with the table pi0 of where
 the images of the units sit.
@@ -47,14 +47,16 @@ integer N x D/N table whose sorted entries are exactly 0..D-1.
 
 The fused state's representation and the coproduct composition are one
 representation in two digit orders.  Slot l of the fused triplet is one
-factor of dimension a_l b_l and rank r_l s_l (the ranks of S_l and R_l,
-carried by the boxtimes product), so its space has the digits (a_l, b_l,
-r_l, s_l); the composition holds the factors of S, then those of R, so
-its space has the digits (a_1, r_1, ..., a_L, r_L, b_1, s_1, ..., b_L,
-s_L).  Moving the digits is the coproduct's own relabelling, applied to
-the purified slots: it carries the fused rep(E_u) onto the composed one
-exactly, and the fused cyclic vector onto the composed one up to
-rounding.  :func:`gns_intertwiner` returns that 0/1 permutation and
+factor of dimension a_l b_l and rank r_l s_l (its frame is the Kronecker
+product of the frames of S_l and R_l), so its space has the digits (a_l,
+b_l, r_l, s_l); the composition holds the factors of S, then those of R,
+so its space has the digits (a_1, r_1, ..., a_L, r_L, b_1, s_1, ...,
+b_L, s_L).  Moving the digits is the coproduct's own relabelling,
+applied to the purified slots: it carries the fused rep(E_u) onto the
+composed one exactly, each fused slot's cyclic vector onto the tensor
+product of its operands' exactly, and so the fused cyclic vector onto
+the composed one up to the rounding of the Kronecker chain over the
+slots.  :func:`gns_intertwiner` returns that 0/1 permutation and
 checks the second part: the two cyclic vectors agree within
 ``GRAM_TOL``, which bounds |U lambda_A(x) - lambda_B(x)| for every x.
 It builds no triplet: it reads the dimensions, ranks and cyclic vectors
@@ -65,8 +67,8 @@ The triplet is fixed by the state, so a state keeps its own:
 state, and returns that one object on every later call.  A triplet is
 immutable and its arrays are read-only, so sharing it is safe.  A
 composed triplet has no state to keep it on.  Likewise a density factor
-keeps its purification frame with its spectrum, so each factor is
-purified once however many builds and intertwiners read it.
+keeps its purification frame, so each factor is purified once however
+many builds and intertwiners read it.
 """
 
 from __future__ import annotations
@@ -95,24 +97,24 @@ GRAM_TOL = 1e-8
 
 
 class FactorGns:
-    """Purification data of one density factor, read off its spectrum.
+    """Purification data of one density factor, read off its frame.
 
     The rank counts the kept eigenvalues (above ``GNS_EIG_CUTOFF``): at
     least one, since a validated factor's largest eigenvalue is at least
-    (1 - 1e-10)/dim and a boxtimes product keeps its operands' products.
+    (1 - 1e-10)/dim; a boxtimes product's is the product of its operands'.
 
-    ``frame`` (dim x rank, read-only, kept by the factor with its
-    spectrum) holds the eigenvectors of the kept eigenvalues as columns,
-    each scaled by the square root of its eigenvalue: in descending
-    eigenvalue order for a decomposed factor, in its operands' Kronecker
-    order for a boxtimes product.  ``cyclic`` is the purified vector in
-    C^dim (x) C^rank, the row-major ravel of ``frame``.
+    ``frame`` (dim x rank, read-only, kept by the factor) holds the
+    eigenvectors of the kept eigenvalues as columns in descending order,
+    each scaled by the square root of its eigenvalue, or for a boxtimes
+    product the Kronecker product of its operands' frames.  ``cyclic``
+    is the purified vector in C^dim (x) C^rank, the row-major ravel of
+    ``frame``.
     """
 
     __slots__ = ("dim", "rank", "space_dim", "cyclic", "frame")
 
     def __init__(self, T: DensityFactor):
-        frame = T._spectrum()[3]
+        frame = T._frame()
         self.dim = T.dim
         self.rank = frame.shape[1]
         self.space_dim = T.dim * self.rank
@@ -160,7 +162,8 @@ class GnsTriplet:
                 or pi0.dtype.kind != "i"
                 or not np.array_equal(np.sort(pi0, axis=None),
                                       np.arange(space_dim))):
-            raise _not_unitary(space_dim, columns)
+            raise ValidationError(f"the frame [W_1 ... W_N] is {space_dim} "
+                                  f"x {columns} and not unitary")
         cyclic = _kron_chain(factors)
         # the keyed tables: pi0, C = cyclic[pi0] and conj(C) after shift =
         # sum(weights) unused rows, so the row of a 1-based multi-index
@@ -247,12 +250,6 @@ def _kron_chain(factors) -> np.ndarray:
     # the Kronecker chain of the factors' cyclic vectors, numpy.kron's bits
     return functools.reduce(np.multiply.outer, [f.cyclic for f in factors],
                             np.ones(1, dtype=complex)).ravel()
-
-
-def _not_unitary(space_dim: int, columns: int) -> ValidationError:
-    # the refusal of a frame [W_1 ... W_N] that is no unitary
-    return ValidationError(f"the frame [W_1 ... W_N] is {space_dim} x "
-                           f"{columns} and not unitary")
 
 
 def gns_build(S: ProductStateTrunc) -> GnsTriplet:

@@ -33,14 +33,16 @@ again yields a product state, with factorwise Kronecker densities
 oracle ``algebra.kron_box``); the two computations are kept independent
 here so that agreement is a test, not a definition.
 
-A density factor owns its spectrum (``DensityFactor._spectrum``) and the
-one positivity rule: validation refuses a smallest eigenvalue below
--``GNS_EIG_CUTOFF`` and the spectrum keeps those above it.  The spectrum
-reads one triangle only, so validation also refuses a Hermitian defect
-above the cutoff; each accepted factor's GNS purification then
-reproduces every entry within it.  The spectrum is made on first read
-and kept with the factor's purification frame, so a factor is decomposed
-and purified once however many GNS calls read it.
+A density factor owns its purification frame (``DensityFactor._frame``)
+and the one positivity rule: validation refuses a smallest eigenvalue
+below -``GNS_EIG_CUTOFF`` and the frame keeps the eigenvectors of those
+above it.  ``eigh`` reads one triangle only, so validation also refuses a
+Hermitian defect above the cutoff; each accepted factor's GNS
+purification then reproduces every entry within it.  A boxtimes
+product's frame is the Kronecker product of its operands' frames: the
+GNS vector of a product state is the tensor product of its factors'.
+The frame is made on first read and kept, so a factor is decomposed and
+purified once however many GNS calls read it.
 
 A non-finite coefficient gives a non-finite value and never a
 floating-point warning, whatever ``numpy.errstate`` the caller set.
@@ -132,7 +134,7 @@ class DensityFactor:
     The stored array is a validated, read-only copy.
     """
 
-    __slots__ = ("dim", "matrix", "_operands", "_eig")
+    __slots__ = ("dim", "matrix", "_operands", "_purification")
 
     def __init__(self, matrix):
         _hold(density_validate(matrix).copy(), f=self)
@@ -158,12 +160,26 @@ class DensityFactor:
 
     @classmethod
     def pure(cls, vector) -> "DensityFactor":
-        """Rank-one density |v><v| / <v, v>."""
+        """Rank-one density |v><v| / <v, v>.
+
+        ``vector`` has exactly one axis, finite entries and one nonzero
+        entry at least (else :class:`ValidationError`).  It is first
+        scaled by a power of two that brings its largest part modulus into
+        [0.5, 1), so <v, v> neither overflows nor underflows; the scaling
+        is exact, and moves no bit of the density unless a product of
+        entries falls out of the normal range.
+        """
         v = _complex_array(vector, "pure-state vector")
-        nrm2 = float(np.vdot(v, v).real)
-        if nrm2 <= 0.0:
+        if v.ndim != 1:
+            raise ValidationError(
+                f"pure-state vector must have one axis, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("pure-state vector has a non-finite entry")
+        if not v.any():
             raise ValidationError("pure-state vector must be nonzero")
-        return cls(np.outer(v, v.conj()) / nrm2)
+        _, e = np.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))
+        v = _complex(np.ldexp(v.real, -e), np.ldexp(v.imag, -e))
+        return cls(np.outer(v, v.conj()) / np.vdot(v, v).real)
 
     def boxtimes(self, other: "DensityFactor") -> "DensityFactor":
         # numpy.kron's products (see _kron).  A density, not checked again:
@@ -171,40 +187,34 @@ class DensityFactor:
         # tolerance each factor met
         return _hold(_kron(self.matrix, other.matrix), (self, other))
 
-    def _spectrum(self) -> tuple:
-        # eigenvalues, eigenvectors (columns), the kept mask and the
-        # purification frame (the kept eigenvectors, each scaled by the
-        # square root of its eigenvalue), read-only, made on first read:
-        # by one eigh in descending order, or for a boxtimes product in its
-        # operands' Kronecker order from theirs, so its rank is the product
-        # of their ranks
-        if self._eig is None:
+    def _frame(self) -> np.ndarray:
+        # the purification frame, read-only, made on first read and kept:
+        # the eigenvectors of the eigenvalues above GNS_EIG_CUTOFF, by one
+        # eigh in descending order, each scaled by the square root of its
+        # eigenvalue; for a boxtimes product the Kronecker product of its
+        # operands' frames, so its rank is the product of their ranks
+        if self._purification is None:
             if self._operands is None:
                 # eigh returns the eigenvalues in ascending order
                 values, vectors = np.linalg.eigh(self.matrix)
                 values, vectors = values[::-1], vectors[:, ::-1]
                 kept = values > GNS_EIG_CUTOFF
+                frame = vectors[:, kept] * np.sqrt(values[kept])
             else:
-                (v, U, k, _), (w, V, m, _) = (f._spectrum()
-                                              for f in self._operands)
-                values = np.multiply.outer(v, w).ravel()
-                vectors = _kron(U, V)
-                kept = np.logical_and.outer(k, m).ravel()
-            frame = vectors[:, kept] * np.sqrt(values[kept])
-            for a in (values, vectors, kept, frame):
-                a.setflags(write=False)
-            object.__setattr__(self, "_eig", (values, vectors, kept, frame))
-        return self._eig
+                frame = _kron(*(f._frame() for f in self._operands))
+            frame.setflags(write=False)
+            object.__setattr__(self, "_purification", frame)
+        return self._purification
 
     def __repr__(self):
         return f"DensityFactor(dim={self.dim})"
 
 
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # numpy.kron's products of two square matrices by one broadcast
-    # multiply: entry (m i + i', m j + j') is A_ij B_i'j', m = len(B)
-    n = len(A) * len(B)
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(n, n)
+    # numpy.kron's products of two matrices by one broadcast multiply:
+    # entry (p i + i', q j + j') is A_ij B_i'j', (p, q) = B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(
+        len(A) * len(B), -1)
 
 
 def _hold(m: np.ndarray, operands: tuple | None = None,
@@ -217,7 +227,7 @@ def _hold(m: np.ndarray, operands: tuple | None = None,
     object.__setattr__(f, "matrix", m)
     object.__setattr__(f, "dim", m.shape[0])
     object.__setattr__(f, "_operands", operands)
-    object.__setattr__(f, "_eig", None)
+    object.__setattr__(f, "_purification", None)
     return f
 
 

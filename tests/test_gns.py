@@ -19,6 +19,7 @@ from uhfkron.algebra import (
     AlgebraElement,
     MatrixUnitIndex,
     Signature,
+    _digit_move,
     all_matrix_units,
     block_permutation,
     coproduct_phi,
@@ -45,6 +46,7 @@ from uhfkron.gns import (
     gns_tensor_phi,
 )
 from uhfkron.states import (
+    GNS_EIG_CUTOFF,
     DensityFactor,
     ProductStateTrunc,
     random_density,
@@ -102,14 +104,23 @@ def test_factor_expectation_identity(seed):
     random_density(2, seed=6).boxtimes(DensityFactor.diagonal([1.0, 0.0])),
 ], ids=["full-rank", "rank-2", "boxtimes"])
 def test_factor_keeps_its_frame(T):
-    # the frame is made once with the spectrum, read-only, and every
-    # purification of the factor reads that one array
-    values, vectors, kept, frame = T._spectrum()
-    want = vectors[:, kept] * np.sqrt(values[kept])
-    assert frame.shape == want.shape == (T.dim, np.count_nonzero(kept))
+    # a decomposed factor's frame is its kept eigenvectors (one eigh, in
+    # descending order), each scaled by the square root of its eigenvalue;
+    # a boxtimes product's is the Kronecker product of its operands'
+    # frames.  It is made once, read-only, and every purification of the
+    # factor reads that one array
+    frame = T._frame()
+    if T._operands is None:
+        values, vectors = np.linalg.eigh(T.matrix)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        kept = values > GNS_EIG_CUTOFF
+        want = vectors[:, kept] * np.sqrt(values[kept])
+    else:
+        want = np.kron(*(f._frame() for f in T._operands))
+    assert frame.shape == want.shape
     assert frame.tobytes() == want.tobytes()
     assert not frame.flags.writeable
-    assert T._spectrum()[3] is frame and FactorGns(T).frame is frame
+    assert T._frame() is frame and FactorGns(T).frame is frame
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +755,9 @@ def test_intertwiner_refuses_states_of_different_levels():
 
 @pytest.mark.parametrize("small", [2e-12, 1e-7])
 def test_intertwiner_keeps_the_rank_of_small_eigenvalues(small):
-    # the fused factor carries its operands' spectra: the products small**2
-    # and (1 - small) * small stay kept however far below the cutoff they
-    # fall, so both spaces have dimension (2 x 2)^2 = 16
+    # the fused factor's frame is the Kronecker product of its operands':
+    # the products small**2 and (1 - small) * small stay kept however far
+    # below the cutoff they fall, so both spaces have dimension (2 x 2)^2
     S = ProductStateTrunc([DensityFactor.diagonal([1 - small, small])])
     U = check_intertwines(S, S, 1e-13)
     assert U.shape == (16, 16)
@@ -780,13 +791,61 @@ def test_intertwiner_refuses_a_gram_defect_past_gram_tol(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# the carried spectrum of a fused factor
+# the purification of a fused factor
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("S,R", _PAIRS, ids=_PAIR_IDS)
+def test_fused_slot_purifies_to_the_tensor_product_of_its_operands(S, R):
+    # pi_{S box R} = (pi_S (x) pi_R) o phi slot by slot: moved by the
+    # slot's digit move, a fused factor's cyclic vector is the tensor
+    # product of its operands' cyclic vectors, byte for byte
+    fused = state_boxtimes(S, R)
+    for f, g, h in zip(S.factors, R.factors, fused.factors):
+        F, G = FactorGns(f), FactorGns(g)
+        moved = _digit_move((F.dim, G.dim, F.rank, G.rank))
+        assert (FactorGns(h).cyclic[moved].tobytes()
+                == np.multiply.outer(F.cyclic, G.cyclic).ravel().tobytes())
+
+
+_LEVEL1_PAIRS = [
+    (random_state((2,), seed=90), random_state((3,), seed=91)),
+    (_mixed_state((3,), set(), 92), random_state((2,), seed=93)),
+    *((ProductStateTrunc([DensityFactor.diagonal([1 - eps, eps])]),) * 2
+      for eps in (1e-3, 1e-7, 2e-12)),
+]
+
+
+@pytest.mark.parametrize("S,R", _LEVEL1_PAIRS, ids=[
+    "full-rank", "pure-full-rank", "eps-1e-3", "eps-1e-7", "eps-2e-12"])
+def test_intertwiner_moves_the_fused_cyclic_vector_exactly_at_level_one(S, R):
+    # one slot, no Kronecker chain to round: U carries the fused cyclic
+    # vector onto the composed one exactly
+    U = gns_intertwiner(S, R)
+    fused = gns_build(state_boxtimes(S, R)).cyclic
+    composed = gns_tensor_phi(gns_build(S), gns_build(R)).cyclic
+    assert np.array_equal(U @ fused, composed)
+
+
+@pytest.mark.parametrize("dims", [
+    ((2,), (2,), (3,)), ((2, 2),) * 3, ((3,), (2,), (2,)),
+], ids=["2-2-3", "22-22-22", "3-2-2"])
+def test_tensor_phi_bracketings_are_one_triplet(dims):
+    # (pi_S box pi_R) box pi_Q and pi_S box (pi_R box pi_Q) are one triplet,
+    # byte for byte (full-rank (2,2) thrice: D = 4096)
+    GS, GR, GQ = (gns_build(random_state(d, seed=94 + i))
+                  for i, d in enumerate(dims))
+    left = gns_tensor_phi(gns_tensor_phi(GS, GR), GQ)
+    right = gns_tensor_phi(GS, gns_tensor_phi(GR, GQ))
+    assert left.sig == right.sig
+    for name in ("_keyed_pi0", "_keyed_frame", "_keyed_conj", "cyclic"):
+        a, b = getattr(left, name), getattr(right, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 @pytest.mark.parametrize("S,R", _PAIRS, ids=_PAIR_IDS)
 def test_carried_spectrum_agrees_with_the_fused_matrix_own(S, R):
     # the oracle: each fused factor rebuilt from its matrix alone, so that
-    # its GNS runs its own eigh, independent of the operands' spectra
+    # its GNS runs its own eigh, independent of the operands' frames
     fused = state_boxtimes(S, R)
     oracle = ProductStateTrunc([DensityFactor(f.matrix)
                                 for f in fused.factors])
@@ -825,7 +884,7 @@ def test_gns_decomposes_each_input_factor_once(monkeypatch):
 
 
 def test_gns_module_decomposes_nothing():
-    # the spectra are the factors' own: gns calls no numpy.linalg function
+    # the frames are the factors' own: gns calls no numpy.linalg function
     tree = ast.parse(inspect.getsource(gns))
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "linalg"]

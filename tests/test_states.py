@@ -90,6 +90,45 @@ def test_density_validation_near_the_float_limit(matrix, match):
         density_validate(matrix)
 
 
+@pytest.mark.parametrize("vector, power", [
+    ([1e154, 1e154], -500),
+    ([1e-160, 1e-160], 500),
+    ([1e-200, 0], 600),
+    ([3e300j, -4e300], -900),
+], ids=["norm-overflows", "norm-underflows", "norm-is-zero", "complex-huge"])
+def test_pure_reads_vectors_whose_norm_leaves_float_range(vector, power):
+    # the vector is scaled by a power of two before <v, v> is taken, so it
+    # gives the bytes of the same vector scaled exactly into float range,
+    # with no warning
+    scaled = np.asarray(vector, dtype=complex) * 2.0 ** power
+    assert (DensityFactor.pure(vector).matrix.tobytes()
+            == DensityFactor.pure(scaled).matrix.tobytes())
+
+
+def test_pure_reads_entries_of_far_apart_scales():
+    # unscaled, <v, v> = 1e400 overflows; the (2, 2) entry 1e-400
+    # underflows to zero
+    np.testing.assert_allclose(DensityFactor.pure([1e200, 1]).matrix,
+                               [[1, 1e-200], [1e-200, 0]], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("vector, match", [
+    ([np.inf, 1], "^pure-state vector has a non-finite entry$"),
+    ([np.nan, 1], "^pure-state vector has a non-finite entry$"),
+    ([1, complex(0, np.inf)], "^pure-state vector has a non-finite entry$"),
+    ([[1, 0], [0, 1]], r"^pure-state vector must have one axis, got shape "
+                       r"\(2, 2\)$"),
+    (1.0, r"^pure-state vector must have one axis, got shape \(\)$"),
+    ([], "^pure-state vector must be nonzero$"),
+    ([0, 0j], "^pure-state vector must be nonzero$"),
+], ids=["inf", "nan", "inf-imag", "two-axes", "scalar", "empty", "zero"])
+def test_pure_refuses_vectors_it_cannot_read(vector, match):
+    # refused before any arithmetic, so with no RuntimeWarning (the test
+    # configuration turns one into an error)
+    with pytest.raises(ValidationError, match=match):
+        DensityFactor.pure(vector)
+
+
 @pytest.mark.parametrize("call, what", [
     (density_validate, "density matrix"),
     (DensityFactor, "density matrix"),

@@ -39,7 +39,7 @@ MUTANTS = [
     ("checks.py", "_record_values", "diff", "tol", 100),
     ("gns.py", "gns_intertwiner", "cyclic_defect", "GRAM_TOL", 1e6),
     ("states.py", "density_validate", "min_eig", "GNS_EIG_CUTOFF", 1e4),
-    ("states.py", "_spectrum", "values", "GNS_EIG_CUTOFF", 1000),
+    ("states.py", "_frame", "values", "GNS_EIG_CUTOFF", 1000),
     ("cli.py", "_cmd_gns", "err", "tol", 100),
     ("states.py", "density_validate", "trace_defect", "DENSITY_VALIDATE_TOL",
      1e4),
