@@ -167,7 +167,10 @@ class DensityFactor:
         scaled by a power of two that brings its largest part modulus into
         [0.5, 1), so <v, v> neither overflows nor underflows; the scaling
         is exact, and moves no bit of the density unless a product of
-        entries falls out of the normal range.
+        entries falls out of the normal range.  After it every |v_i v_j|
+        is below 2 and <v, v> at least 0.25, so only an underflow can
+        occur, and it is not raised or warned of, whatever
+        ``numpy.errstate`` the caller set.
         """
         v = _complex_array(vector, "pure-state vector")
         if v.ndim != 1:
@@ -178,8 +181,10 @@ class DensityFactor:
         if not v.any():
             raise ValidationError("pure-state vector must be nonzero")
         _, e = np.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))
-        v = _complex(np.ldexp(v.real, -e), np.ldexp(v.imag, -e))
-        return cls(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        with np.errstate(under="ignore"):
+            v = _complex(np.ldexp(v.real, -e), np.ldexp(v.imag, -e))
+            m = np.outer(v, v.conj()) / np.vdot(v, v).real
+        return cls(m)
 
     def boxtimes(self, other: "DensityFactor") -> "DensityFactor":
         # numpy.kron's products (see _kron).  A density, not checked again:

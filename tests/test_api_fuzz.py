@@ -14,8 +14,7 @@ density dimension or term count by ``algebra._guard``.  A huge seed,
 tolerance or label base has no such guard, so those calls run in a child
 process with a 2 GB address-space cap; so do the factor dimensions
 ``BIG_DIM``, which ``Signature`` accepts but no dense array could hold.
-``FactorGns`` and ``gns_build`` take no scalar argument: their baselines
-only have to return.
+``gns_build`` takes no scalar argument: its baseline only has to return.
 """
 
 import json
@@ -41,7 +40,7 @@ from uhfkron.algebra import (
 from uhfkron.atoms import AtomLabel, atom_check_product, atom_state
 from uhfkron.checks import SUITES, CheckReport, run_suite
 from uhfkron.errors import ResourceGuardError, UhfError
-from uhfkron.gns import FactorGns, gns_build
+from uhfkron.gns import gns_build
 from uhfkron.states import (
     DensityFactor,
     ProductStateTrunc,
@@ -178,7 +177,6 @@ API = {
     "atom_state": lambda level=2: atom_state(AtomLabel(2, (1,), 2), level),
     "atom_check_product": lambda level=1: atom_check_product(
         AtomLabel(2, (1, 2)), AtomLabel(3, (3, 1)), level),
-    "FactorGns": lambda: FactorGns(_mixed()),
     "gns_build": lambda: gns_build(ProductStateTrunc([_mixed()])),
 }
 # the arguments whose huge value no reader or guard refuses at once

@@ -39,7 +39,6 @@ from uhfkron.errors import (
 from uhfkron import gns
 from uhfkron.gns import (
     commutant_dimension,
-    FactorGns,
     GnsTriplet,
     gns_build,
     gns_intertwiner,
@@ -64,11 +63,15 @@ R_PURE = DensityFactor.diagonal([0.0, 1.0])
 # factor purification
 # ---------------------------------------------------------------------------
 
+def _rank(T):
+    # the number of kept eigenvalues: the columns of the factor's frame
+    return T._frame().shape[1]
+
+
 def test_factor_pure_state():
-    f = FactorGns(T_PURE)
-    assert f.rank == 1
-    assert f.space_dim == 2
-    np.testing.assert_allclose(f.cyclic, [1.0, 0.0])
+    F = T_PURE._frame()
+    assert F.shape == (2, 1)
+    np.testing.assert_allclose(F.ravel(), [1.0, 0.0])
     # rank-1 purification is the identity representation
     G = gns_build(ProductStateTrunc([T_PURE]))
     np.testing.assert_allclose(
@@ -77,24 +80,23 @@ def test_factor_pure_state():
 
 
 def test_factor_maximally_mixed():
-    f = FactorGns(DensityFactor.maximally_mixed(2))
-    assert f.rank == 2
-    assert f.space_dim == 4
+    cyclic = DensityFactor.maximally_mixed(2)._frame().ravel()
+    assert cyclic.shape == (4,)
     np.testing.assert_allclose(
-        np.sort(np.abs(f.cyclic)), [0.0, 0.0, 2**-0.5, 2**-0.5], atol=1e-14
+        np.sort(np.abs(cyclic)), [0.0, 0.0, 2**-0.5, 2**-0.5], atol=1e-14
     )
-    assert np.vdot(f.cyclic, f.cyclic).real == pytest.approx(1.0)
+    assert np.vdot(cyclic, cyclic).real == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_factor_expectation_identity(seed):
     # <cyclic, (x (x) I) cyclic> = tr(T x) for arbitrary x
     T = random_density(3, seed=seed)
-    f = FactorGns(T)
+    cyclic = T._frame().ravel()
     rng = np.random.default_rng(seed + 100)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    lifted = np.kron(x, np.eye(f.rank))
-    lhs = complex(np.vdot(f.cyclic, lifted @ f.cyclic))
+    lifted = np.kron(x, np.eye(_rank(T)))
+    lhs = complex(np.vdot(cyclic, lifted @ cyclic))
     assert lhs == pytest.approx(complex(np.trace(T.matrix @ x)), abs=1e-12)
 
 
@@ -108,7 +110,8 @@ def test_factor_keeps_its_frame(T):
     # descending order), each scaled by the square root of its eigenvalue;
     # a boxtimes product's is the Kronecker product of its operands'
     # frames.  It is made once, read-only, and every purification of the
-    # factor reads that one array
+    # factor reads that one array: a one-factor triplet's cyclic vector is
+    # its ravel
     frame = T._frame()
     if T._operands is None:
         values, vectors = np.linalg.eigh(T.matrix)
@@ -120,7 +123,9 @@ def test_factor_keeps_its_frame(T):
     assert frame.shape == want.shape
     assert frame.tobytes() == want.tobytes()
     assert not frame.flags.writeable
-    assert T._frame() is frame and FactorGns(T).frame is frame
+    assert T._frame() is frame
+    assert np.array_equal(gns_build(ProductStateTrunc([T])).cyclic,
+                          frame.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +286,15 @@ def _compose(tree):
     return gns_tensor_phi(GT, GR), state_boxtimes(T, R)
 
 
-def _factor_image(f, j, k, part):
-    # the image of E_jk under a factor purification f, read off its frame:
+def _factor_image(F, j, k, part):
+    # the image of E_jk under the purification with frame F (dim x rank):
     # E_jk (x) I_rank for part "rep", and for part "lambda" that applied
-    # to the cyclic vector, e_j (x) frame[k-1]
-    e = np.eye(f.dim)
+    # to the cyclic vector, e_j (x) F[k-1]
+    dim, rank = F.shape
+    e = np.eye(dim)
     if part == "rep":
-        return np.kron(np.outer(e[j - 1], e[k - 1]), np.eye(f.rank))
-    return np.kron(e[j - 1], f.frame[k - 1])
+        return np.kron(np.outer(e[j - 1], e[k - 1]), np.eye(rank))
+    return np.kron(e[j - 1], F[k - 1])
 
 
 def _reference(tree, part):
@@ -297,7 +303,7 @@ def _reference(tree, part):
     # units; a pair's unit is split by coproduct_phi and the parts' units
     # are Kronecker-multiplied
     if isinstance(tree, ProductStateTrunc):
-        factors = [FactorGns(T) for T in tree.factors]
+        factors = [T._frame() for T in tree.factors]
 
         def unit(idx):
             out = np.ones(1, dtype=complex)
@@ -691,7 +697,7 @@ def test_intertwiner_is_the_digit_permutation(S, R):
     U = gns_intertwiner(S, R)
     assert np.array_equal(U, U.real.astype(bool))
     assert (U.real.sum(axis=0) == 1).all() and (U.real.sum(axis=1) == 1).all()
-    ranks = [[FactorGns(f).rank for f in state.factors] for state in (S, R)]
+    ranks = [[_rank(f) for f in state.factors] for state in (S, R)]
     if ranks == [list(S.sig.dims), list(R.sig.dims)]:
         a, b = ([n for pair in zip(state.sig.dims, r) for n in pair]
                 for state, r in zip((S, R), ranks))
@@ -714,15 +720,29 @@ def test_intertwiner_pure_level5():
         )
 
 
+def _seam_frame(monkeypatch, T, frame):
+    # gns reads ``frame`` as the input factor T's purification frame, while
+    # a fused factor still reads T's own: the Kronecker product of its
+    # operands' unseamed frames
+    own = DensityFactor._frame
+
+    def seamed(f):
+        if f is T:
+            return frame
+        if f._operands is None:
+            return own(f)
+        return np.kron(*(own(g) for g in f._operands))
+
+    monkeypatch.setattr(DensityFactor, "_frame", seamed)
+
+
 def test_intertwiner_detects_a_gram_mismatch(monkeypatch):
     # purifying another full-rank state's factor in place of S's keeps
     # every space dimension, but the composed cyclic vector is another one
     S = random_state((2,), seed=54)
     R = random_state((2,), seed=55)
     other = random_state((2,), seed=60).factors[0]
-    purify = FactorGns
-    monkeypatch.setattr("uhfkron.gns.FactorGns", lambda T: purify(
-        other if T is S.factors[0] else T))
+    _seam_frame(monkeypatch, S.factors[0], other._frame())
     with pytest.raises(GramMismatchError,
                        match="cyclic vectors disagree by"):
         gns_intertwiner(S, R)
@@ -772,15 +792,11 @@ def test_intertwiner_refuses_a_gram_defect_past_gram_tol(monkeypatch,
     S = random_state((2,), seed=54)
     R = random_state((2,), seed=55)
     composed = gns_tensor_phi(gns_build(S), gns_build(R)).cyclic
-    scaled = FactorGns(S.factors[0])
-    scaled.cyclic = scaled.cyclic * (
-        1 + factor * gns.GRAM_TOL / np.max(np.abs(composed)))
-    defect = np.max(np.abs(
-        gns._kron_chain([scaled, FactorGns(R.factors[0])]) - composed))
+    _seam_frame(monkeypatch, S.factors[0], S.factors[0]._frame() * (
+        1 + factor * gns.GRAM_TOL / np.max(np.abs(composed))))
+    defect = np.max(np.abs(gns._kron_chain(S.factors + R.factors)
+                           - composed))
     assert defect == pytest.approx(factor * gns.GRAM_TOL, rel=1e-6)
-    purify = FactorGns
-    monkeypatch.setattr("uhfkron.gns.FactorGns", lambda T: (
-        scaled if T is S.factors[0] else purify(T)))
     if raises:
         with pytest.raises(GramMismatchError,
                            match=f"disagree by {defect:.3e} "
@@ -801,10 +817,11 @@ def test_fused_slot_purifies_to_the_tensor_product_of_its_operands(S, R):
     # product of its operands' cyclic vectors, byte for byte
     fused = state_boxtimes(S, R)
     for f, g, h in zip(S.factors, R.factors, fused.factors):
-        F, G = FactorGns(f), FactorGns(g)
-        moved = _digit_move((F.dim, G.dim, F.rank, G.rank))
-        assert (FactorGns(h).cyclic[moved].tobytes()
-                == np.multiply.outer(F.cyclic, G.cyclic).ravel().tobytes())
+        F, G = f._frame(), g._frame()
+        (a, r), (b, s) = F.shape, G.shape
+        moved = _digit_move((a, b, r, s))
+        assert (h._frame().ravel()[moved].tobytes()
+                == np.multiply.outer(F.ravel(), G.ravel()).ravel().tobytes())
 
 
 _LEVEL1_PAIRS = [
@@ -826,20 +843,69 @@ def test_intertwiner_moves_the_fused_cyclic_vector_exactly_at_level_one(S, R):
     assert np.array_equal(U @ fused, composed)
 
 
-@pytest.mark.parametrize("dims", [
-    ((2,), (2,), (3,)), ((2, 2),) * 3, ((3,), (2,), (2,)),
-], ids=["2-2-3", "22-22-22", "3-2-2"])
+_TRIPLES = [((2,), (2,), (3,)), ((2, 2),) * 3, ((3,), (2,), (2,))]
+_TRIPLE_IDS = ["2-2-3", "22-22-22", "3-2-2"]
+
+
+def _triple(dims):
+    return [random_state(d, seed=94 + i) for i, d in enumerate(dims)]
+
+
+@pytest.mark.parametrize("dims", _TRIPLES, ids=_TRIPLE_IDS)
 def test_tensor_phi_bracketings_are_one_triplet(dims):
     # (pi_S box pi_R) box pi_Q and pi_S box (pi_R box pi_Q) are one triplet,
     # byte for byte (full-rank (2,2) thrice: D = 4096)
-    GS, GR, GQ = (gns_build(random_state(d, seed=94 + i))
-                  for i, d in enumerate(dims))
+    GS, GR, GQ = map(gns_build, _triple(dims))
     left = gns_tensor_phi(gns_tensor_phi(GS, GR), GQ)
     right = gns_tensor_phi(GS, gns_tensor_phi(GR, GQ))
     assert left.sig == right.sig
     for name in ("_keyed_pi0", "_keyed_frame", "_keyed_conj", "cyclic"):
         a, b = getattr(left, name), getattr(right, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _table_by_builder(tree):
+    # signature, space dimension and pi0 of a tree, made as the builders
+    # made them when each worked its own table out: a state's is the digit
+    # move of its space digits (a_1, r_1, ..., a_L, r_L); a pair's is the
+    # concatenated table pi0_T D_R + pi0_R, its rows moved by the fused
+    # digit move (a_1, b_1, ..., a_L, b_L)
+    if isinstance(tree, ProductStateTrunc):
+        legs = [n for f in tree.factors for n in f._frame().shape]
+        return (tree.sig, math.prod(legs),
+                _digit_move(legs).reshape(tree.sig.total_dim, -1))
+    (a, D_T, pi_T), (b, D_R, pi_R) = map(_table_by_builder, tree)
+    fused = a.product(b)
+    block = np.add.outer(pi_T * D_R, pi_R).transpose(0, 2, 1, 3).reshape(
+        fused.total_dim, -1)
+    pi0 = np.empty_like(block)
+    pi0[_digit_move([n for pair in zip(a.dims, b.dims) for n in pair])] = block
+    return fused, D_T * D_R, pi0
+
+
+_TABLE_TREES = [
+    *(tree for pair in _PAIRS for tree in (*pair, pair)),
+    *_TREES,
+    *(tree for S, R, Q in map(_triple, _TRIPLES)
+      for tree in (((S, R), Q), (S, (R, Q)))),
+]
+_TABLE_TREE_IDS = [
+    *(f"{name}-{part}" for name in _PAIR_IDS for part in ("S", "R", "pair")),
+    *_TREE_IDS,
+    *(f"{name}-{side}" for name in _TRIPLE_IDS for side in ("left", "right")),
+]
+
+
+@pytest.mark.parametrize("tree", _TABLE_TREES, ids=_TABLE_TREE_IDS)
+def test_triplet_table_is_the_one_each_builder_made(tree):
+    # the one transpose of arange(D) over the factors' digits is, byte for
+    # byte, the table gns_build and gns_tensor_phi each worked out
+    G, _ = _compose(tree)
+    sig, D, pi0 = _table_by_builder(tree)
+    table = _tables(G)[0]
+    assert G.sig == sig and G.space_dim == D
+    assert table.dtype == pi0.dtype and table.shape == pi0.shape
+    assert table.tobytes() == pi0.tobytes()
 
 
 @pytest.mark.parametrize("S,R", _PAIRS, ids=_PAIR_IDS)
@@ -857,7 +923,7 @@ def test_carried_spectrum_agrees_with_the_fused_matrix_own(S, R):
     assert np.max(np.abs(carried - own)) <= 1e-12
     assert np.max(np.abs(carried - values)) <= 1e-12
     for f, s, r in zip(fused.factors, S.factors, R.factors):
-        assert FactorGns(f).rank == FactorGns(s).rank * FactorGns(r).rank
+        assert _rank(f) == _rank(s) * _rank(r)
 
 
 def test_gns_decomposes_each_input_factor_once(monkeypatch):
@@ -895,10 +961,10 @@ def test_copies_of_a_fused_factor_keep_its_rank():
     # the 3 that the matrix's own eigh keeps at the cutoff
     S = ProductStateTrunc([DensityFactor.diagonal([1 - 2e-12, 2e-12])])
     fused = state_boxtimes(S, S)
-    assert FactorGns(DensityFactor(fused.factors[0].matrix)).rank == 3
+    assert _rank(DensityFactor(fused.factors[0].matrix)) == 3
     for back in [copy.copy(fused), copy.deepcopy(fused),
                  pickle.loads(pickle.dumps(fused))]:
-        assert FactorGns(back.factors[0]).rank == 4
+        assert _rank(back.factors[0]) == 4
         assert gns_build(back).space_dim == 16
 
 
@@ -956,7 +1022,7 @@ def test_commutant_beyond_the_stacked_reference(S):
     # to solve; a unital rep x |-> x (x) I_m has commutant dimension m^2
     # with m = prod_i rank_i
     G = gns_build(S)
-    ranks = [FactorGns(f).rank for f in S.factors]
+    ranks = [_rank(f) for f in S.factors]
     assert commutant_dimension(G) == math.prod(r * r for r in ranks)
 
 
@@ -986,59 +1052,49 @@ def test_frame_table_conjugates_every_unit_image(tree):
         assert np.array_equal(G.rep(matrix_unit(G.sig, *idx)), want)
 
 
-@pytest.mark.parametrize("dims, densities, pi0, match", [
-    # both factors read the digit of slot 0 and none reads slot 1: the
-    # table repeats 0 and D - 1
-    ((2, 2), [T_PURE, R_PURE], [[0], [0], [3], [3]], "4 x 4"),
-    # the second factor reads 1 of its slot's 2 indices: no D - 1
-    ((2, 2), [T_PURE, R_PURE], [[0], [0], [2], [2]], "4 x 4"),
-    # no repeat, but D in place of D - 1, or -1 in place of 0
-    ((2, 2), [T_PURE, R_PURE], [[0], [1], [2], [4]], "4 x 4"),
-    ((2, 2), [T_PURE, R_PURE], [[1], [-1], [2], [3]], "4 x 4"),
-    # an entry far past D is compared, not counted up to
-    ((2, 2), [T_PURE, R_PURE], [[0], [1], [2], [2**40]], "4 x 4"),
-    # 0..D-1 once, but as floats, or on one axis
-    ((2,), [T_PURE], [[0.0], [1.0]], "2 x 2"),
-    ((2,), [T_PURE], [0, 1], "2 x 4"),
-    # a (3,) factor reading a dimension-2 slot: W is 3 x 2
-    ((2,), [DensityFactor.diagonal([1.0, 0.0, 0.0])], [[0], [1]], "3 x 2"),
-    # one row for a signature of two, its entries 0 and D - 1 distinct
-    ((2,), [DensityFactor.maximally_mixed(2)], [[0, 3]], "4 x 4"),
+@pytest.mark.parametrize("dims, factors", [
+    # three factors at level 2: no number of operands gives three
+    ((2, 2), [T_PURE, R_PURE, T_PURE]),
+    # a (3,) factor on a dimension-2 slot
+    ((2,), [DensityFactor.diagonal([1.0, 0.0, 0.0])]),
+    # two operands' (2,) factors on a (3,) slot: 2 x 2 is not 3
+    ((3,), [T_PURE, R_PURE]),
+    # a frame in place of its factor
+    ((2,), [T_PURE._frame()]),
+    ((2,), []),
     # refused before anything of 2^40 entries is made
-    ((2**40,), [T_PURE], [[0], [1]], "2 x 1099511627776"),
-], ids=["one-digit-twice", "radix-below-dimension", "entry-past-D",
-        "negative-entry", "entry-far-past-D", "float-entries", "one-axis",
-        "non-square", "one-row", "huge-slot"])
-def test_triplet_that_is_no_representation_is_refused(dims, densities,
-                                                      pi0, match):
-    with pytest.raises(ValidationError, match=f"{match} and not unitary"):
-        commutant_dimension(GnsTriplet(
-            Signature(dims), [FactorGns(T) for T in densities],
-            np.array(pi0)))
-
-
-def test_huge_frame_table_entry_is_refused_in_little_memory():
-    # the check allocates nothing by an entry's value: 2**40 in a 4-entry
-    # table costs what any 4-entry table costs
-    factors = [FactorGns(T) for T in (T_PURE, R_PURE)]
-    pi0 = np.array([[0], [1], [2], [2**40]])
+    ((2**40,), [T_PURE]),
+], ids=["three-at-level-two", "non-square", "two-operands-on-dim-3",
+        "raw-frame", "no-factors", "huge-slot"])
+def test_triplet_that_is_no_representation_is_refused(dims, factors):
+    # factors that do not tile the signature are refused, in little memory
+    sig = Signature(dims)
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match="4 x 4 and not unitary"):
-            GnsTriplet(Signature((2, 2)), factors, pi0)
+        with pytest.raises(ValidationError, match=(
+                r"^factors do not tile the signature \(.*\) "
+                rf"\({len(factors)} given\): each slot")):
+            GnsTriplet(sig, factors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_triplet_refuses_a_frame_table_with_a_repeated_entry():
-    # a built triplet's own table with its second entry made the first's
-    G = gns_build(random_state((2,), seed=81))
-    pi0 = _tables(G)[0].copy()
-    pi0.flat[1] = pi0.flat[0]
-    with pytest.raises(ValidationError, match="4 x 4 and not unitary"):
-        commutant_dimension(GnsTriplet(G.sig, G._factors, pi0))
+def test_huge_frame_table_entry_is_refused_in_little_memory():
+    # 40 rank-1 (2,) factors tile (2,)*40, so the table's entries would run
+    # to D - 1 = 2**40 - 1; the guard refuses D before any entry is made
+    factors = [T_PURE] * 40
+    T_PURE._frame()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match=(
+                f"^GNS space dimension {2**40} exceeds guard 4096$")):
+            GnsTriplet(Signature((2,) * 40), factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_commutant_memory_stays_below_unit_multi_indices():
@@ -1076,8 +1132,8 @@ def test_unit_paths_make_a_bounded_number_of_python_calls():
     # unit's expectation (4 of them making the unit, 1 its np.errstate);
     # the commutant of a (2,3)(2,2) composition reads its frame table's
     # shape in 2 calls and their intertwiner, which builds no triplet,
-    # makes 71 more, nearly all in the fused state and the six factor
-    # purifications, each reading its factor's kept frame
+    # makes 64 more, nearly all in the fused state and the reads of its
+    # factors' kept frames
     S = random_state((2, 2), seed=88)
     G = gns_build(S)
     A, B = random_state((2, 3), seed=89), random_state((2, 2), seed=90)
@@ -1092,7 +1148,7 @@ def test_unit_paths_make_a_bounded_number_of_python_calls():
 
     one(), frame()  # anything made on first use is made
     assert _python_calls(one) <= 10
-    assert _python_calls(frame) <= 76
+    assert _python_calls(frame) <= 69
 
 
 def test_commutant_calls_do_not_grow_with_the_space_dimension():

@@ -112,6 +112,21 @@ def test_pure_reads_entries_of_far_apart_scales():
                                [[1, 1e-200], [1e-200, 0]], rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("vector", [
+    [1, 1e-170], [1e200, 1], [1e-160, 1], [1, 1e-300], [1e300, 1e-300],
+    [1e-300, 1e300j],
+], ids=["product-subnormal", "scaled-product-zero",
+        "first-product-subnormal", "product-zero", "scaled-entry-subnormal",
+        "scaled-entry-complex"])
+def test_pure_underflow_raises_nothing_under_a_strict_errstate(vector):
+    # after the power-of-two scaling only an underflow can occur, in the
+    # scaling, the outer product or the division: the caller's errstate
+    # neither raises nor warns on it, and the bytes are the default's
+    want = DensityFactor.pure(vector).matrix.tobytes()
+    with np.errstate(all="raise"):
+        assert DensityFactor.pure(vector).matrix.tobytes() == want
+
+
 @pytest.mark.parametrize("vector, match", [
     ([np.inf, 1], "^pure-state vector has a non-finite entry$"),
     ([np.nan, 1], "^pure-state vector has a non-finite entry$"),
