@@ -15,12 +15,13 @@ Complex values are printed as {"re": float, "im": float} at full double
 precision; term lists are sorted lexicographically by index, so identical
 invocations produce byte-identical output.  Failures exit nonzero with
 {"error": {"code": ..., "message": ...}} on stdout, the code named by the
-error's class ("usage" for a malformed command line); a result holding
-NaN or infinity is reported as a "validation" error.  The flag --tol is
-the only comparison tolerance of ``check`` and ``gns`` (default 1e-12);
-it must be a finite number >= 0.  ``gns`` fails every unit whose
-expectation deviates from the state's value by a modulus above it.  No
-environment variable is read.
+error's class ("usage" for a malformed command line).  ``-h``/``--help``
+prints {"help": text} with the help text of the parser it was given to
+and exits 0.  A result holding NaN or infinity is reported as a
+"validation" error.  The flag --tol is the only comparison tolerance of
+``check`` and ``gns`` (default 1e-12); it must be a finite number >= 0.
+``gns`` fails every unit whose expectation deviates from the state's
+value by a modulus above it.  No environment variable is read.
 
 A request imports only the modules its subcommand uses.  At module level
 this module imports ``errors`` and ``algebra`` (which brings numpy); each
@@ -56,10 +57,23 @@ class _UsageError(UhfError):
     code = "usage"
 
 
+class _HelpRequest(Exception):
+    """``-h``/``--help`` was given; ``args[0]`` is the help text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    # report usage errors as the JSON error object, not on stderr with exit 2
+    # report usage errors as the JSON error object, not on stderr with exit
+    # 2, and help as {"help": text}, not as plain text with exit 0; the help
+    # text is wrapped at a fixed width, not at the terminal's, so that
+    # identical invocations print identical bytes
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequest(self.format_help())
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=80)
 
 
 def _complex_json(value: complex) -> dict:
@@ -264,6 +278,8 @@ def cli_run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         payload, code = args.func(args, _finite(args.tol, "--tol"))
+    except _HelpRequest as exc:
+        payload, code = {"help": exc.args[0]}, 0
     except UhfError as exc:
         payload = {"error": {"code": exc.code, "message": str(exc)}}
         code = 1

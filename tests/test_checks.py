@@ -326,12 +326,15 @@ def test_moved_image_fails_its_unit_on_a_two_run_stage():
         f"paths differ on unit {(2**40, 3)}<-{(3, 2**39)}"]
 
 
-@pytest.mark.parametrize("control", [
+NEGATIVE_CONTROLS = [
     test_swapped_images_fail_exactly_those_units,
     test_lost_image_fails_its_unit,
     test_sides_over_different_levels_fail_every_unit,
     test_atom_check_corrupted_label_names_a_unit,
-])
+]
+
+
+@pytest.mark.parametrize("control", NEGATIVE_CONTROLS)
 def test_negative_controls_at_chunks_of_seven(monkeypatch, control):
     # the same failures, attributed to the same units, across chunk
     # boundaries (compatibility gets one unit per chunk)
@@ -339,20 +342,112 @@ def test_negative_controls_at_chunks_of_seven(monkeypatch, control):
     control(monkeypatch)
 
 
+# ---------------------------------------------------------------------------
+# the two routes of _record_images: a chunk whose sides are one term list is
+# decided by its tag counts, any other chunk is keyed
+# ---------------------------------------------------------------------------
+
+def _reversed(y):
+    # y's terms in reverse order, as views of its arrays: nothing is copied
+    return algebra._element(y.sig, y.rows[::-1], y.cols[::-1], y.coeff[::-1])
+
+
+def _keyed(real):
+    # _record_images with every chunk's right side reversed, so that no
+    # chunk's sides are one term list and every chunk is keyed
+    def record(report, x, lhs, rhs, count, what):
+        real(report, x, lhs, _reversed(rhs), count, what)
+    return record
+
+
+def _reports(run, keyed: bool) -> list:
+    """``(passed, failed, failures)`` of each report that ``run(mp)`` fills
+    through ``_record_images``, on the keyed route if ``keyed``; what
+    ``run`` patches on ``mp`` is undone when it returns."""
+    reports = {}
+    real = checks._record_images
+    route = _keyed(real) if keyed else real
+
+    def record(report, *args):
+        reports[id(report)] = report
+        route(report, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "_record_images", record)
+        run(mp)
+    return [(r.passed, r.failed, r.failures) for r in reports.values()]
+
+
+def _keyings(monkeypatch) -> list:
+    # a list that gets one entry per chunk keyed by _record_images
+    real = checks._pair_keys
+    calls = []
+
+    def pair_keys(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(checks, "_pair_keys", pair_keys)
+    return calls
+
+
+@pytest.mark.parametrize("suite,dims,level", [
+    (suite_coassociativity, (2, 3, 2), 1),
+    (suite_coassociativity, (2, 2, 2), 2),
+    (suite_compatibility, (2, 3), 1),
+    (suite_compatibility, (3, 2), 2),
+])
+def test_both_routes_give_one_report(monkeypatch, suite, dims, level):
+    keyings = _keyings(monkeypatch)
+    as_made = _reports(lambda mp: suite(dims, level), keyed=False)
+    assert keyings == []  # every chunk's sides were one term list
+    keyed = _reports(lambda mp: suite(dims, level), keyed=True)
+    assert keyings
+    assert as_made == keyed
+    assert as_made[0][:2] == (math.prod(dims) ** (2 * level), 0)
+
+
+@pytest.mark.parametrize("control", NEGATIVE_CONTROLS)
+def test_negative_controls_on_both_routes(monkeypatch, chunk, control):
+    assert _reports(control, keyed=False) == _reports(control, keyed=True)
+
+
+def test_shared_loss_fails_the_first_unit_of_each_chunk(monkeypatch, chunk):
+    # both sides lose the image of tag 1 and stay one term list, so the tag
+    # counts alone decide: exactly each chunk's unit 0 fails
+    real = coproduct_phi_block
+
+    def lossy(x, start, count, a, b):
+        y = real(x, start, count, a, b)
+        keep = y.coeff != 1
+        return algebra._element(y.sig, y.rows[keep], y.cols[keep],
+                                y.coeff[keep])
+
+    monkeypatch.setattr(checks, "coproduct_phi_block", lossy)
+    keyings = _keyings(monkeypatch)
+    level = 1
+    report = suite_coassociativity((2, 3, 2), level)
+    units = list(all_matrix_units(checks._constant_sig(12, level)))
+    firsts = units[::algebra._TAG_CHUNK_TERMS]  # one image per unit
+    assert keyings == []
+    assert (report.passed, report.failed) == (
+        len(units) - len(firsts), len(firsts))
+    assert report.failures == [
+        f"paths differ on unit {_name(idx)}" for idx in firsts[:20]]
+
+
 # The tracemalloc peaks of these suites at level 2 when both sides' index
 # blocks were copied into one (4T, n) array per chunk to be keyed (numpy 2.4)
 CONCATENATED_KEYS_COASSOCIATIVITY_PEAK = 2.14e6
 CONCATENATED_KEYS_COMPATIBILITY_PEAK = 2.07e6
-
-
-@pytest.mark.parametrize("suite,dims,copied_peak", [
+EXACT_SUITE_PEAKS = [
     ("coassociativity", (2, 3, 2), CONCATENATED_KEYS_COASSOCIATIVITY_PEAK),
     ("compatibility", (2, 3), CONCATENATED_KEYS_COMPATIBILITY_PEAK),
-])
-def test_exact_suites_key_images_without_copying_them(suite, dims,
-                                                      copied_peak):
-    # keyed from each side's own index arrays, a chunk peaked at 1.75 MB
-    # (coassociativity) and 1.55 MB (compatibility)
+]
+
+
+def _level_two_peak(suite, dims) -> float:
+    # the tracemalloc peak of a passing level-2 run of the suite
     run_suite(suite, dims, 2)  # what a first run caches is not the sweep's
     tracemalloc.start()
     try:
@@ -361,7 +456,24 @@ def test_exact_suites_key_images_without_copying_them(suite, dims,
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < 0.9 * copied_peak
+    return peak
+
+
+@pytest.mark.parametrize("suite,dims,copied_peak", EXACT_SUITE_PEAKS)
+def test_exact_suites_key_images_without_copying_them(suite, dims,
+                                                      copied_peak):
+    # keyed from each side's own index arrays, a chunk peaked at 1.75 MB
+    # (coassociativity) and 1.55 MB (compatibility)
+    assert _level_two_peak(suite, dims) < 0.9 * copied_peak
+
+
+@pytest.mark.parametrize("suite,dims,copied_peak", EXACT_SUITE_PEAKS)
+def test_keyed_route_keys_images_without_copying_them(monkeypatch, suite,
+                                                      dims, copied_peak):
+    # the same bound with every chunk keyed: its right side reversed as views
+    monkeypatch.setattr(checks, "_record_images",
+                        _keyed(checks._record_images))
+    assert _level_two_peak(suite, dims) < 0.9 * copied_peak
 
 
 # ---------------------------------------------------------------------------

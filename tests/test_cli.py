@@ -331,6 +331,25 @@ def test_determinism_byte_identical(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["-h"], "usage: uhfkron [-h]"),
+    (["eval", "-h"], "usage: uhfkron eval [-h]"),
+    (["--he"], "usage: uhfkron [-h]"),  # an abbreviation of --help
+], ids=["top", "subcommand", "abbreviated"])
+def test_help_is_one_strict_json_object(capsys, monkeypatch, argv, usage):
+    outs = []
+    for columns in ("30", "200"):  # the terminal width changes no byte
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert out.count("\n") == 1
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert set(payload) == {"help"}
+    assert payload["help"].startswith(usage)
+
+
 def test_error_parse(capsys):
     code, payload = run_json(capsys, "eval", "--state", "diag(1,0)",
                              "--expr", "E[2](3,1)")

@@ -84,9 +84,9 @@ subcommands = st.one_of(
               _maybe(st.sampled_from(["0", "3", "-1", "x"]))).map(
         lambda t: [t[0]] + _argv(("--suite", t[1]), ("--dims", t[2]),
                                  ("--level", t[3]), ("--seed", t[4]))),
-    # free tokens; '-h'/'--h...' would ask argparse for the help text
-    st.lists(st.text("abcdehklnrstuv-=,. 0123456789", max_size=10).filter(
-        lambda tok: not tok.startswith(("-h", "--h"))), max_size=4),
+    # free tokens; '-h'/'--h...' ask for the help text
+    st.lists(st.text("abcdehklnrstuv-=,. 0123456789", max_size=10),
+             max_size=4),
 )
 argvs = st.tuples(_maybe(flag_values), subcommands).map(
     lambda t: _argv(("--tol", t[0])) + t[1])
@@ -108,3 +108,5 @@ def test_cli_prints_one_strict_json_object(argv):
     if code == 1 and "error" in payload:
         assert set(payload) == {"error"}
         assert set(payload["error"]) == {"code", "message"}
+    if "help" in payload:
+        assert code == 0 and set(payload) == {"help"}
