@@ -11,15 +11,17 @@ first read of a public name (``uhfkron.X``, ``from uhfkron import X``,
 ``from uhfkron import *`` or ``dir(uhfkron)``) imports every module below
 and binds the names in each module's ``__all__`` here (PEP 562).  A
 module imported directly, such as ``uhfkron.cli`` by a CLI request, loads
-only what it imports itself.
+only what it imports itself; ``sweeps``, the unit sweeps, dense oracle,
+suite-only stage maps and samples, is loaded by ``checks``, ``atoms`` and
+``gns`` alone.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("errors", "algebra", "states", "parser", "atoms", "checks",
-            "gns", "cli")
+_MODULES = ("errors", "algebra", "states", "sweeps", "parser", "atoms",
+            "checks", "gns", "cli")
 
 
 def _load() -> None:

@@ -17,9 +17,10 @@ E_{j'k'} (x) E_{j''k''} in M_a (x) M_b with
     j = b*(j' - 1) + j'',        k = b*(k' - 1) + k''.
 
 :func:`coproduct_phi` splits indices with this rule factor by factor, and
-:func:`to_dense` places each term at the row-major flattening of its
-multi-indices, which is where ``numpy.kron`` of its unit factors puts it,
-so the two conventions agree by construction.  The codomain of the
+the dense oracle :func:`~uhfkron.sweeps.to_dense` places each term at the
+row-major flattening of its multi-indices, which is where ``numpy.kron``
+of its unit factors puts it, so the two conventions agree by
+construction.  The codomain of the
 coproduct is kept as an element over the concatenated signature, first
 block before second.
 
@@ -27,7 +28,7 @@ Representation
 --------------
 An element stores its T terms as arrays: ``rows`` and ``cols`` (int64,
 shape (T, n), 1-based) and ``coeff`` (complex, shape (T,)).  Slot
-relabellers (the coproduct maps, :func:`insert_identity_slot`, tagged
+relabellers (the coproduct maps, ``sweeps.insert_identity_slot``, tagged
 unit chunks) write one slot-major block, a row per slot with the terms'
 rows then columns, and return (T, n) views of it: no consumer may assume
 row-major order.  Canonical
@@ -71,11 +72,11 @@ import numbers
 import operator
 from collections.abc import ItemsView
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import accumulate, chain, repeat
+from functools import lru_cache
+from itertools import accumulate, chain
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,17 +100,7 @@ __all__ = [
     "identity",
     "zero",
     "elem_tensor",
-    "embed_psi",
-    "insert_identity_slot",
     "coproduct_phi",
-    "coproduct_phi_block",
-    "product_phi_inverse",
-    "kron_box",
-    "to_dense",
-    "from_dense",
-    "block_permutation",
-    "all_matrix_units",
-    "random_element",
 ]
 
 # Coefficients at or below this magnitude are dropped from canonical form.
@@ -122,8 +113,6 @@ DENSE_DIM_GUARD = 4096
 _MAX_FACTOR_DIM = 2 ** 62
 # Index keys and their bounds stay below this (the int64 range).
 _KEY_BOUND = 2 ** 63
-# Image terms one tagged chunk of the unit grid may produce (memory cap).
-_TAG_CHUNK_TERMS = 1 << 12
 # Moduli from numpy.abs in this band around COEFF_PRUNE_TOL (2**-40 of it
 # each way, thousands of ulp) are decided by hypot (see _kept).
 _PRUNE_BAND = (COEFF_PRUNE_TOL * (1 - 2 ** -40),
@@ -867,40 +856,6 @@ def elem_tensor(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
                        _cmul(np.repeat(x.coeff, ny), np.tile(y.coeff, nx)))
 
 
-def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraElement:
-    """Tensor an identity factor of size ``dim`` into slot ``position``.
-
-    Each term E_{j,k} becomes sum_m E_{j,k} with E^{(dim)}_{mm} spliced in
-    at ``position`` (0-based slot index; ``position == level`` appends).
-    Both are integers, ``dim >= 2`` and ``0 <= position <= level``, else
-    :class:`SignatureError`; more than ``DENSE_DIM_GUARD**2`` result terms
-    raise :class:`ResourceGuardError`.
-    """
-    position = _integer(position, SignatureError, "slot position", low=0,
-                        high=x.sig.level)
-    dim = _integer(dim, SignatureError, "factor dimension",
-                   f" at position {position + 1}", low=2)
-    new_sig = Signature(
-        x.sig.dims[:position] + (dim,) + x.sig.dims[position:]
-    )
-    _guard("term count", len(x) * dim, DENSE_DIM_GUARD ** 2)
-    # the slot block as (slot, rows|cols, term, copy); the new slot counts
-    # 1..dim as a running sum of ones, never a dim-long range
-    block = np.empty((new_sig.level, 2 * len(x) * dim), dtype=np.int64)
-    out = block.reshape(new_sig.level, 2, len(x), dim)
-    for half, index in enumerate((x.rows.T, x.cols.T)):
-        out[:position, half] = index[:position, :, None]
-        out[position + 1:, half] = index[position:, :, None]
-    out[position] = 1
-    np.cumsum(out[position], axis=-1, out=out[position])
-    return _block_element(new_sig, block, np.repeat(x.coeff, dim))
-
-
-def embed_psi(x: AlgebraElement, next_dim: int) -> AlgebraElement:
-    """Unital embedding A -> A (x) I into the stage extended by ``next_dim``."""
-    return insert_identity_slot(x, x.sig.level, next_dim)
-
-
 def _block_element(sig: Signature, block, coeff) -> AlgebraElement:
     # the element whose rows and cols are the (T, n) views of a slot block
     return _element(sig, block[:, :len(coeff)].T, block[:, len(coeff):].T,
@@ -935,19 +890,6 @@ def _split_slots(x: AlgebraElement, start: int, b: tuple[int, ...],
     return _block_element(sig, block, x.coeff)
 
 
-def _fuse_slots(y: AlgebraElement, sig: Signature) -> AlgebraElement:
-    """Inverse of :func:`_split_slots` on a whole concatenated stage: slot i
-    of the result is j = b_i*(j' - 1) + j'' from slots i and n + i of ``y``
-    (dimensions a_i and b_i, n = ``sig.level``), in place on the j'."""
-    n, t = sig.level, len(y)
-    block = np.concatenate([y.rows[:, :n].T, y.cols[:, :n].T], axis=1)
-    block -= 1
-    block *= np.array(y.sig.dims[n:], dtype=np.int64)[:, None]
-    block[:, :t] += y.rows[:, n:].T
-    block[:, t:] += y.cols[:, n:].T
-    return _block_element(sig, block, y.coeff)
-
-
 def coproduct_phi(x: AlgebraElement, a, b) -> AlgebraElement:
     """Kronecker coproduct: recode a stage over (a_i*b_i) as first-block (x)
     second-block over the concatenated signature (a_1..a_n, b_1..b_n).
@@ -967,230 +909,3 @@ def coproduct_phi(x: AlgebraElement, a, b) -> AlgebraElement:
             f"{a.dims} and {b.dims}"
         )
     return _split_slots(x, 0, b.dims, a.concat(b))
-
-
-def coproduct_phi_block(x: AlgebraElement, start: int, count: int,
-                        a, b) -> AlgebraElement:
-    """Apply the coproduct to slots [start, start+count), leaving the rest.
-
-    The split block comes out in block order: the first-factor slots occupy
-    positions start..start+count-1, the second-factor slots follow, and all
-    other slots keep their relative places.  Each split slot is divided as
-    in :func:`coproduct_phi`; the other slots are copied.  ``start`` and
-    ``count`` are integers with the block inside the slots, else
-    :class:`SignatureError`.
-    """
-    a = as_signature(a)
-    b = as_signature(b)
-    dims = x.sig.dims
-    count = _integer(count, SignatureError, "block length", low=1,
-                     high=len(dims))
-    if a.level != count or b.level != count:
-        raise SignatureError("factor signatures must match the block length")
-    start = _integer(start, SignatureError, "block start", low=0,
-                     high=len(dims) - count)
-    stop = start + count
-    for pos, ai, bi in zip(range(start, stop), a.dims, b.dims):
-        if dims[pos] != ai * bi:
-            raise SignatureError(
-                f"slot {pos} has dimension {dims[pos]}, not {ai}*{bi}"
-            )
-    return _split_slots(x, start, b.dims,
-                        Signature(dims[:start] + a.dims + b.dims + dims[stop:]))
-
-
-def product_phi_inverse(y: AlgebraElement, level: int) -> AlgebraElement:
-    """Inverse of :func:`coproduct_phi` given the block split point.
-
-    ``y`` lives over a concatenated signature (a_1..a_n, b_1..b_n) with
-    n = ``level``; the result lives over (a_1*b_1, ..., a_n*b_n), its slot
-    i the index b_i*(j'_i - 1) + j''_i fused from slots i and n + i.
-    ``level`` is an integer, else :class:`SignatureError`.
-    """
-    level = _integer(level, SignatureError, "level", low=1)
-    dims = y.sig.dims
-    if len(dims) != 2 * level:
-        raise SignatureError(
-            f"signature length {len(dims)} does not split into two blocks "
-            f"of {level}"
-        )
-    fused = Signature(tuple(ai * bi for ai, bi in zip(dims[:level],
-                                                      dims[level:])))
-    return _fuse_slots(y, fused)
-
-
-def kron_box(A, B) -> np.ndarray:
-    """Kronecker product of dense matrices, lexicographic index convention:
-    entry (m(i-1)+i', m(j-1)+j') of the result is A_ij * B_i'j' with
-    m = dim(B)."""
-    return np.kron(_complex_array(A, "matrix A"),
-                   _complex_array(B, "matrix B"))
-
-
-def to_dense(x: AlgebraElement) -> np.ndarray:
-    """Materialize an element as one prod(a_i) x prod(a_i) complex matrix.
-
-    The matrix of an elementary tensor is the Kronecker chain of its unit
-    factors: a single entry at the row-major flattening
-    (``numpy.ravel_multi_index``) of its row and of its column multi-index.
-    All terms are scattered at once (``numpy.add.at``).  This is the
-    brute-force oracle against which the sparse index maps are checked; it
-    does not use their slot split.  Guarded: refuses dimensions above
-    ``DENSE_DIM_GUARD``.
-    """
-    D = x.sig.total_dim
-    _guard("dense dimension", D)
-    out = np.zeros((D, D), dtype=complex)
-    at = tuple(np.ravel_multi_index(tuple(index.T - 1), x.sig.dims)
-               for index in (x.rows, x.cols))
-    np.add.at(out, at, x.coeff)
-    return out
-
-
-def from_dense(matrix, sig) -> AlgebraElement:
-    """Expand a dense matrix over ``sig`` in elementary tensors of units.
-
-    Exact inverse of :func:`to_dense` up to coefficient pruning, which is
-    the constructor's (see :func:`_kept`).
-    """
-    sig = as_signature(sig)
-    m = _complex_array(matrix, "matrix")
-    D = sig.total_dim
-    if m.shape != (D, D):
-        raise SignatureError(
-            f"matrix shape {m.shape} does not match total dimension {D}"
-        )
-    # _kept decides every entry numpy.abs does not put below its band
-    kept = np.nonzero(~(np.abs(m) < _PRUNE_BAND[0]))
-    rows, cols = (_grid(sig.dims, i) for i in kept)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _pruned(sig, rows, cols, m[kept])
-
-
-def block_permutation(a, b) -> np.ndarray:
-    """Permutation matrix P with dense(coproduct(x)) = P dense(x) P^T.
-
-    P re-sorts the interleaved factor basis (a_1, b_1, ..., a_n, b_n) of the
-    fused stage into the block basis (a_1..a_n, b_1..b_n); P P^T = I.
-    Row i of P is the identity's row at the fused basis index that numpy's
-    reshape/transpose of the digits moves to block index i.
-    """
-    a = as_signature(a)
-    b = as_signature(b)
-    D = a.product(b).total_dim
-    _guard("dense dimension", D)
-    # the digits (a_1, b_1, ..., a_n, b_n) of the fused slots a_i*b_i
-    moved = _digit_move([d for pair in zip(a.dims, b.dims) for d in pair])
-    P = np.zeros((D, D), dtype=complex)
-    P[np.arange(D), moved] = 1.0
-    return P
-
-
-def _digit_move(digits) -> np.ndarray:
-    # entry i: the flat index over the digits (p_1, q_1, ..., p_n, q_n) of
-    # block index i over (p_1, ..., p_n, q_1, ..., q_n)
-    return np.arange(math.prod(digits)).reshape(digits).transpose(
-        (*range(0, len(digits), 2), *range(1, len(digits), 2))).ravel()
-
-
-def all_matrix_units(sig) -> Iterator[MatrixUnitIndex]:
-    """All matrix-unit indices of a stage, rows-major lexicographic order,
-    one at a time (``itertools.product`` would first list every range);
-    the first row's odometer lists the column multi-indices for the rest."""
-    dims = as_signature(sig).dims
-    unit = partial(tuple.__new__, MatrixUnitIndex)
-    index, cols = [1] * len(dims), []
-    while True:
-        cols.append(tuple(index))
-        yield unit((cols[0], cols[-1]))
-        for slot in reversed(range(len(dims))):
-            if index[slot] < dims[slot]:
-                index[slot] += 1
-                break
-            index[slot] = 1
-        else:
-            break
-    for rows in cols[1:]:
-        yield from map(unit, zip(repeat(rows), cols))
-
-
-def _tagged_units(sig, images_per_unit: int = 1) -> Iterator[AlgebraElement]:
-    """The units of a stage in :func:`all_matrix_units` order, in chunks:
-    per chunk of units u_0, u_1, ... the one element ``sum_k (k+1) E_{u_k}``.
-
-    The coefficient ``k+1`` tags unit ``k`` of the chunk (term ``k`` of the
-    element).  A map that relabels terms or splices identity factors into
-    them keeps coefficients, so one call on a chunk carries every unit's
-    images under its tag (see :func:`_unit_tags`); a merged or lost unit
-    shows as a missing tag.  A chunk has at most
-    ``max(1, _TAG_CHUNK_TERMS // images_per_unit)`` units, which caps the
-    size of the images a caller makes from it.
-    """
-    sig = as_signature(sig)
-    D, n = sig.total_dim, sig.level
-    # unit u = r*D + c, and digit i of an index v (0-based) is
-    # v // w_i - a_i*(v // w_(i-1)), w_i = a_(i+1)*...*a_n, each in place
-    # on a row of the slot block viewed as (rows|cols, slot, unit)
-    w = [math.prod(sig.dims[i + 1:]) for i in range(n)]
-    tail = np.array(sig.dims[1:], dtype=np.int64)[:, None]
-    step = max(1, _TAG_CHUNK_TERMS // images_per_unit)
-    for start in range(0, D * D, step):
-        unit = np.arange(start, min(start + step, D * D))
-        block = np.empty((n, 2 * len(unit)), dtype=np.int64)
-        digits = block.reshape(n, 2, -1).transpose(1, 0, 2)
-        for q, wi in zip(digits[0], w):
-            np.floor_divide(unit, wi * D, out=q)
-        unit -= D * digits[0, -1]
-        for q, wi in zip(digits[1], w):
-            np.floor_divide(unit, wi, out=q)
-        digits[:, 1:] -= tail * digits[:, :-1]
-        block += 1
-        yield _block_element(sig, block,
-                             np.arange(1, len(unit) + 1, dtype=complex))
-
-
-def _unit_tags(y: AlgebraElement, count: int) -> np.ndarray:
-    """Per term of ``y``: the unit ``k`` whose tag ``k+1`` (see
-    :func:`_tagged_units`) is its coefficient, or -1 where the coefficient
-    is no tag in ``1..count``."""
-    k = y.coeff.real - 1
-    with np.errstate(invalid="ignore"):
-        is_tag = ((y.coeff.imag == 0) & (k >= 0) & (k < count)
-                  & (k == np.floor(k)))
-    return np.where(is_tag, k, -1).astype(np.int64)
-
-
-def _unit_name(x: AlgebraElement, k: int) -> str:
-    """The name ``(rows)<-(cols)`` of unit ``k`` of a tagged chunk ``x``
-    (see :func:`_tagged_units`), which is term ``k`` of ``x``."""
-    return f"{tuple(x.rows[k].tolist())}<-{tuple(x.cols[k].tolist())}"
-
-
-def _generator(seed) -> np.random.Generator:
-    # numpy.random.default_rng(seed); a seed it refuses (a negative or
-    # non-integer one) raises ValidationError
-    try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"seed {seed!r} is not a non-negative integer") from None
-
-
-def random_element(sig, rng=None, n_terms: int = 8) -> AlgebraElement:
-    """Random sparse element: ``n_terms`` uniform indices with complex
-    Gaussian coefficients.  Deterministic for a fixed seed.
-
-    ``n_terms`` is an integer in ``0..DENSE_DIM_GUARD**2`` (else
-    :class:`ValidationError`, or :class:`ResourceGuardError` past the
-    guard) and a seed ``rng`` is non-negative (else
-    :class:`ValidationError`)."""
-    sig = as_signature(sig)
-    n_terms = _integer(n_terms, ValidationError, "term count", low=0)
-    _guard("term count", n_terms, DENSE_DIM_GUARD ** 2)
-    rng = _generator(rng)
-    rows, cols, coeff = [], [], []
-    for _ in range(n_terms):
-        rows.append(tuple(int(rng.integers(1, d + 1)) for d in sig.dims))
-        cols.append(tuple(int(rng.integers(1, d + 1)) for d in sig.dims))
-        coeff.append(complex(rng.standard_normal(), rng.standard_normal()))
-    return _listed(sig, rows, cols, coeff)

@@ -23,8 +23,8 @@ own ``state_boxtimes``, whose factors are Kronecker products by one
 broadcast multiply (``DensityFactor.boxtimes``), and its own exact factor
 comparison.  The unit sweep is shared by all pairs: the pairs' entry
 tables are stacked once, one column per pair, and per chunk of units
-(``algebra._tagged_units``) the coproduct image is made once and each
-side is read by ``states._tagged_values``, the one reader of tagged
+(``sweeps._tagged_units``) the coproduct image is made once and each
+side is read by ``sweeps._tagged_values``, the one reader of tagged
 chunks, which runs the slot-by-slot products of
 :func:`~uhfkron.states.state_evaluate`; so the values equal (``==``)
 what a per-pair evaluation gives.  Each pair reports its first failing
@@ -43,17 +43,15 @@ from .algebra import (
     _guard_units,
     _integer,
     _integers,
-    _tagged_units,
-    _unit_name,
     coproduct_phi,
 )
 from .errors import IndexRangeError, ValidationError
-from .states import (
-    DensityFactor,
-    ProductStateTrunc,
+from .states import DensityFactor, ProductStateTrunc, state_boxtimes
+from .sweeps import (
     _stacked_entry_table,
+    _tagged_units,
     _tagged_values,
-    state_boxtimes,
+    _unit_name,
 )
 
 __all__ = [
@@ -271,7 +269,7 @@ def _first_bad_units(swept, a, b) -> list[tuple[int, str]]:
     not have exactly one value each or the values differ.
 
     Per chunk of units the coproduct image is made once, and each side's
-    values for every pair come from one ``states._tagged_values`` read of
+    values for every pair come from one ``sweeps._tagged_values`` read of
     the pairs' entry tables, stacked one column per pair.
     """
     fused = a.product(b)

@@ -14,9 +14,9 @@ the suite has bases (``nonsymmetry`` ignores it), ``level`` an integer
 
 The suites exhaustive on matrix units run each side of their identity
 once per chunk of the unit grid, on one element whose coefficients tag
-the chunk's units (``algebra._tagged_units``), and read every unit's
+the chunk's units (``sweeps._tagged_units``), and read every unit's
 images or values back by tag with array operations (state values through
-``states._tagged_values``); results are still recorded per unit, in unit
+``sweeps._tagged_values``); results are still recorded per unit, in unit
 order.  The exact suites decide a chunk whose two sides are one term list
 (equal arrays, term by term) by its tag counts alone and key the images of
 any other chunk, so pass/fail does not rely on the term order of the maps
@@ -47,27 +47,29 @@ from .algebra import (
     _integers,
     _moduli,
     _pair_keys,
-    _tagged_units,
-    _unit_name,
-    _unit_tags,
     coproduct_phi,
-    coproduct_phi_block,
-    embed_psi,
     identity,
-    insert_identity_slot,
     matrix_unit,
-    random_element,
 )
 from .atoms import AtomLabel, _check_pairs, atom_label_product
 from .errors import ValidationError
 from .states import (
     DensityFactor,
     ProductStateTrunc,
-    _tagged_values,
-    random_state,
     state_boxtimes,
     state_tensor_phi_eval,
     state_trace_distance,
+)
+from .sweeps import (
+    _tagged_units,
+    _tagged_values,
+    _unit_name,
+    _unit_tags,
+    coproduct_phi_block,
+    embed_psi,
+    insert_identity_slot,
+    random_element,
+    random_state,
 )
 
 __all__ = [

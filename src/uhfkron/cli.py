@@ -24,17 +24,20 @@ and exits 0.  A result holding NaN or infinity is reported as a
 value by a modulus above it.  No environment variable is read.
 
 A request imports only the modules its subcommand uses.  At module level
-this module imports ``errors`` and ``algebra`` (which brings numpy); each
-``_cmd_*`` handler imports the rest of what it runs (``parser``,
-``states``, ``atoms``, ``checks``, ``gns``) when it is called.  So
-``eval`` never loads ``atoms``, ``checks`` or ``gns``, and building the
-argument parser loads nothing.
+this module imports ``errors`` and ``algebra`` (which brings numpy);
+each ``_cmd_*`` handler imports the rest of what it runs (``parser``,
+``states``, ``atoms``, ``checks``, ``gns``, ``sweeps``) when it is
+called, and ``parser`` imports ``states`` only to read a state.  So
+``eval``, ``tensor-state``, ``boxtimes`` and ``distance`` never load
+``atoms``, ``checks``, ``gns`` or ``sweeps``, and ``coproduct`` not
+``states`` either.  Building the argument parser loads nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -43,7 +46,6 @@ from .algebra import (
     COMPARE_TOL,
     _finite,
     _moduli,
-    _tagged_units,
     as_signature,
     coproduct_phi,
 )
@@ -84,9 +86,22 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[_complex_json(v) for v in row] for row in m]
 
 
+def _int(text: str) -> int:
+    # an ASCII decimal integer, with an optional sign and surrounding
+    # whitespace; int() alone would also read "2_0" as 20 and other
+    # scripts' digits
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
+# argparse names a flag's type in its error: "invalid int value: 'x'"
+_int.__name__ = "int"
+
+
 def _dims(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(_int(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(f"expected comma-separated integers, got {text!r}")
 
@@ -166,7 +181,7 @@ def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
 def _cmd_gns(args, tol: float) -> tuple[dict, int]:
     from .gns import commutant_dimension, gns_build
     from .parser import parse_state
-    from .states import _tagged_values
+    from .sweeps import _tagged_units, _tagged_values
 
     S = parse_state(args.state)
     G = gns_build(S)
@@ -210,6 +225,43 @@ def _cmd_distance(args, tol: float) -> tuple[dict, int]:
     return {"distance": state_trace_distance(S, R)}, 0
 
 
+# subcommand -> (help, handler, its flags as (name, add_argument options))
+_SUBCOMMANDS = {
+    "eval": ("evaluate a state on an element", _cmd_eval, (
+        ("--state", {"required": True, "help": "state spec"}),
+        ("--expr", {"required": True, "help": "element expression"}))),
+    "coproduct": ("split an element into two blocks", _cmd_coproduct, (
+        ("--a", {"required": True, "help": "first-block dims, e.g. 2,3"}),
+        ("--b", {"required": True, "help": "second-block dims"}),
+        ("--expr", {"required": True}))),
+    "tensor-state": ("evaluate S tensor-phi R on an element",
+                     _cmd_tensor_state, (
+        ("--a", {"required": True, "help": "dims of the first state"}),
+        ("--b", {"required": True, "help": "dims of the second state"}),
+        ("--T", {"required": True, "help": "first state spec"}),
+        ("--R", {"required": True, "help": "second state spec"}),
+        ("--expr", {"required": True}))),
+    "boxtimes": ("factorwise Kronecker state product", _cmd_boxtimes, (
+        ("--T", {"required": True}),
+        ("--R", {"required": True}))),
+    "atom-product": ("product of two atom labels", _cmd_atom_product, (
+        ("--n", {"type": _int, "required": True, "help": "base of J"}),
+        ("--m", {"type": _int, "required": True, "help": "base of K"}),
+        ("--J", {"required": True, "help": "comma-separated label"}),
+        ("--K", {"required": True, "help": "comma-separated label"}))),
+    "gns": ("GNS data of a product state", _cmd_gns, (
+        ("--state", {"required": True}),)),
+    "check": ("run a named property suite", _cmd_check, (
+        ("--suite", {"required": True}),
+        ("--dims", {"default": "", "help": "suite dims, e.g. 2,3,2"}),
+        ("--level", {"type": _int, "default": 1}),
+        ("--seed", {"type": _int, "default": 0}))),
+    "distance": ("trace distance of two states", _cmd_distance, (
+        ("--T", {"required": True}),
+        ("--R", {"required": True}))),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="uhfkron",
@@ -221,55 +273,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comparison tolerance (default 1e-12)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a state on an element")
-    p.set_defaults(func=_cmd_eval)
-    p.add_argument("--state", required=True, help="state spec")
-    p.add_argument("--expr", required=True, help="element expression")
-
-    p = sub.add_parser("coproduct", help="split an element into two blocks")
-    p.set_defaults(func=_cmd_coproduct)
-    p.add_argument("--a", required=True, help="first-block dims, e.g. 2,3")
-    p.add_argument("--b", required=True, help="second-block dims")
-    p.add_argument("--expr", required=True)
-
-    p = sub.add_parser("tensor-state",
-                       help="evaluate S tensor-phi R on an element")
-    p.set_defaults(func=_cmd_tensor_state)
-    p.add_argument("--a", required=True, help="dims of the first state")
-    p.add_argument("--b", required=True, help="dims of the second state")
-    p.add_argument("--T", required=True, help="first state spec")
-    p.add_argument("--R", required=True, help="second state spec")
-    p.add_argument("--expr", required=True)
-
-    p = sub.add_parser("boxtimes", help="factorwise Kronecker state product")
-    p.set_defaults(func=_cmd_boxtimes)
-    p.add_argument("--T", required=True)
-    p.add_argument("--R", required=True)
-
-    p = sub.add_parser("atom-product", help="product of two atom labels")
-    p.set_defaults(func=_cmd_atom_product)
-    p.add_argument("--n", type=int, required=True, help="base of J")
-    p.add_argument("--m", type=int, required=True, help="base of K")
-    p.add_argument("--J", required=True, help="comma-separated label")
-    p.add_argument("--K", required=True, help="comma-separated label")
-
-    p = sub.add_parser("gns", help="GNS data of a product state")
-    p.set_defaults(func=_cmd_gns)
-    p.add_argument("--state", required=True)
-
-    p = sub.add_parser("check", help="run a named property suite")
-    p.set_defaults(func=_cmd_check)
-    p.add_argument("--suite", required=True)
-    p.add_argument("--dims", default="", help="suite dims, e.g. 2,3,2")
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("distance", help="trace distance of two states")
-    p.set_defaults(func=_cmd_distance)
-    p.add_argument("--T", required=True)
-    p.add_argument("--R", required=True)
-
+    for name, (text, func, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 

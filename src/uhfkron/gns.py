@@ -20,7 +20,7 @@ frame shape, in that order.  pi0 is arange(D) laid out over them and
 transposed to the row digits (the operands' a at slot 1, then at slot
 2, ...) and then every rank digit in order, so pi0[i, t] is the flat
 index of the digits of i and of t.  For one operand that is the digit
-move ``algebra._digit_move`` of (a_1, r_1, ..., a_L, r_L), the one
+move ``sweeps._digit_move`` of (a_1, r_1, ..., a_L, r_L), the one
 ``block_permutation`` makes of the coproduct's fused basis.  The
 triplet also tabulates the frame table C = cyclic[pi0] once
 (complex, N x R, again D entries) and its conjugate: rep(E_u) cyclic is
@@ -82,9 +82,10 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, _digit_move, _guard
+from .algebra import AlgebraElement, Signature, _guard
 from .errors import GramMismatchError, SignatureError, ValidationError
 from .states import DensityFactor, ProductStateTrunc, state_boxtimes
+from .sweeps import _digit_move
 
 __all__ = [
     "GRAM_TOL",

@@ -68,7 +68,6 @@ from .errors import (
     SignatureError,
     ValidationError,
 )
-from .states import DensityFactor, ProductStateTrunc
 
 __all__ = [
     "parse_element",
@@ -408,6 +407,8 @@ def _json_entry_to_complex(entry) -> complex:
 
 
 def _factors_from_file(path: str) -> list[DensityFactor]:
+    from .states import DensityFactor
+
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -435,6 +436,9 @@ def parse_state(text: str) -> ProductStateTrunc:
     JSON array of row-major complex matrices, one factor per matrix.
     Density validation errors propagate.
     """
+    # states is imported here, so that parsing an element never loads it
+    from .states import DensityFactor, ProductStateTrunc
+
     factors: list[DensityFactor] = []
     for raw in text.split(";"):
         part = raw.strip()

@@ -19,18 +19,19 @@ entries into one table on first evaluation and keeps it, so evaluating a
 few terms costs a fixed few numpy calls per slot.
 
 The exhaustive checks read state values off a tagged chunk of units
-(``algebra._tagged_units``) through one reader, ``_tagged_values``: per
-unit, the count of its image terms and the value on its image.  It reads
-one state's table, or the tables of several states stacked one column
-per state (``_stacked_entry_table``), and runs the same gather and
-slot-by-slot products as :func:`state_evaluate`, started from the first
-slot's entries rather than from a coefficient.
+(``sweeps._tagged_units``) through one reader, ``sweeps._tagged_values``:
+per unit, the count of its image terms and the value on its image.  It
+reads one state's table, or the tables of several states stacked one
+column per state (``sweeps._stacked_entry_table``), and runs the same
+gather and slot-by-slot products as :func:`state_evaluate`
+(``_slot_products``), started from the first slot's entries rather than
+from a coefficient.
 
 The non-symmetric tensor product of two states composes the ordinary
 tensor-product state with the Kronecker coproduct.  On product states it
 again yields a product state, with factorwise Kronecker densities
 (:meth:`DensityFactor.boxtimes`, one broadcast multiply, not the dense
-oracle ``algebra.kron_box``); the two computations are kept independent
+oracle ``sweeps.kron_box``); the two computations are kept independent
 here so that agreement is a test, not a definition.
 
 A density factor owns its purification frame (``DensityFactor._frame``)
@@ -58,11 +59,8 @@ from .algebra import (
     _cmul_parts,
     _complex,
     _complex_array,
-    _entries,
-    _generator,
     _guard,
     _integer,
-    _unit_tags,
     coproduct_phi,
 )
 from .errors import SignatureError, ValidationError
@@ -78,8 +76,6 @@ __all__ = [
     "state_tensor_phi_eval",
     "state_density_level",
     "state_trace_distance",
-    "random_density",
-    "random_state",
 ]
 
 # Tolerance for the unit-trace check on densities.
@@ -318,16 +314,6 @@ def state_evaluate(S: ProductStateTrunc, x: AlgebraElement) -> complex:
         return complex(np.concatenate(([0j], values)).cumsum()[-1])
 
 
-def _stacked_entry_table(factor_lists, sig: Signature) -> tuple:
-    """The entry tables of the product states with these factor lists, all
-    over ``sig``, stacked one column per state, with their _entry_layout.
-    The stack is C-ordered, so gathering its rows copies only those rows."""
-    entries = np.concatenate([f.matrix.ravel() for factors in factor_lists
-                              for f in factors])
-    return (np.ascontiguousarray(entries.reshape(len(factor_lists), -1).T),
-            *_entry_layout(sig))
-
-
 def _slot_products(table: tuple, rows, cols, start=None) -> np.ndarray:
     """Per term (``rows``, ``cols``: terms by slots): ``start`` times the
     entries T^{(i)}[k_i - 1, j_i - 1] of ``table`` (an ``_entry_table`` or
@@ -349,24 +335,6 @@ def _slot_products(table: tuple, rows, cols, start=None) -> np.ndarray:
             re, im = _cmul_parts(re, im, factor_entries.real,
                                  factor_entries.imag)
     return _complex(re, im)
-
-
-def _tagged_values(table: tuple, y: AlgebraElement,
-                   count: int) -> tuple[np.ndarray, np.ndarray]:
-    """For an image ``y`` of a tagged chunk of units (see
-    ``algebra._tagged_units``): per unit ``k < count``, the number of terms
-    of ``y`` tagged ``k+1``, and the value of each state of ``table`` (an
-    ``_entry_table``, or a ``_stacked_entry_table`` of P states) on such a
-    term with its coefficient left out, shape ``(count,)`` or
-    ``(count, P)``: the slot products start from the first slot's entries,
-    so this is ``state_evaluate`` of the unit's image when that number is
-    1, up to the sign of a zero part (which ``==`` ignores).
-    """
-    unit = _unit_tags(y, count)
-    mine = unit >= 0
-    values = np.zeros((count, *table[0].shape[1:]), dtype=complex)
-    values[unit[mine]] = _slot_products(table, y.rows, y.cols)[mine]
-    return np.bincount(unit[mine], minlength=count), values
 
 
 def state_boxtimes(S: ProductStateTrunc, R: ProductStateTrunc) -> ProductStateTrunc:
@@ -413,34 +381,3 @@ def state_trace_distance(S1: ProductStateTrunc,
         )
     diff = state_density_level(S1) - state_density_level(S2)
     return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
-def random_density(dim: int, seed=None) -> DensityFactor:
-    """Random density matrix G G^dagger / tr, G complex Gaussian.
-
-    Deterministic for a fixed seed; full rank with probability one.  A
-    dimension that is no integer >= 2 and a negative seed raise
-    :class:`ValidationError`, a dimension above ``DENSE_DIM_GUARD``
-    :class:`ResourceGuardError`.
-    """
-    dim = _integer(dim, ValidationError, "density dimension", low=2)
-    _guard("density dimension", dim)
-    rng = _generator(seed)
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    W = G @ G.conj().T
-    return DensityFactor(W / np.trace(W).real)
-
-
-def random_state(dims, seed: int) -> ProductStateTrunc:
-    """Product of :func:`random_density` factors over ``dims``.
-
-    Factor ``i`` is drawn with seed ``seed*31 + i``, so a fixed seed gives
-    the same state every time.  ``dims`` that are no sequence of integers
-    >= 2 and a negative seed raise :class:`ValidationError`.
-    """
-    if _integer(seed, ValidationError, "seed") < 0:
-        raise ValidationError(f"seed {seed!r} is not a non-negative integer")
-    dims = _entries(dims, ValidationError, "signature")
-    return ProductStateTrunc(
-        [random_density(d, seed=seed * 31 + i) for i, d in enumerate(dims)]
-    )

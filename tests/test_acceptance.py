@@ -11,16 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from uhfkron.algebra import (
-    all_matrix_units,
-    coproduct_phi,
-    elem_tensor,
-    from_dense,
-    kron_box,
-    matrix_unit,
-    random_element,
-    to_dense,
-)
+from uhfkron.algebra import coproduct_phi, elem_tensor, matrix_unit
 from uhfkron.atoms import AtomLabel, atom_state
 from uhfkron.checks import (
     suite_atom_semigroup,
@@ -32,11 +23,18 @@ from uhfkron.gns import gns_build, gns_intertwiner, gns_tensor_phi, commutant_di
 from uhfkron.states import (
     DensityFactor,
     ProductStateTrunc,
-    random_state,
     state_boxtimes,
     state_evaluate,
     state_tensor_phi_eval,
     state_trace_distance,
+)
+from uhfkron.sweeps import (
+    all_matrix_units,
+    from_dense,
+    kron_box,
+    random_element,
+    random_state,
+    to_dense,
 )
 
 RESULTS: list[str] = []

@@ -26,21 +26,11 @@ from uhfkron.algebra import (
     Signature,
     _lex_keys,
     _term_keys,
-    all_matrix_units,
     as_signature,
-    block_permutation,
     coproduct_phi,
-    coproduct_phi_block,
     elem_tensor,
-    embed_psi,
-    from_dense,
     identity,
-    insert_identity_slot,
-    kron_box,
     matrix_unit,
-    product_phi_inverse,
-    random_element,
-    to_dense,
     zero,
 )
 from uhfkron.errors import (
@@ -48,6 +38,18 @@ from uhfkron.errors import (
     ResourceGuardError,
     SignatureError,
     ValidationError,
+)
+from uhfkron.sweeps import (
+    all_matrix_units,
+    block_permutation,
+    coproduct_phi_block,
+    embed_psi,
+    from_dense,
+    insert_identity_slot,
+    kron_box,
+    product_phi_inverse,
+    random_element,
+    to_dense,
 )
 
 

@@ -28,11 +28,10 @@ from uhfkron.algebra import (
     AlgebraElement,
     MatrixUnitIndex,
     elem_tensor,
-    insert_identity_slot,
     matrix_unit,
-    to_dense,
 )
 from uhfkron.errors import IndexRangeError, ValidationError
+from uhfkron.sweeps import insert_identity_slot, to_dense
 
 
 # ---------------------------------------------------------------------------

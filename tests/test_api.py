@@ -21,7 +21,7 @@ import pytest
 import uhfkron
 
 MODULES = ["algebra", "atoms", "checks", "cli", "errors", "gns", "parser",
-           "states"]
+           "states", "sweeps"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -26,25 +26,20 @@ from pathlib import Path
 
 import pytest
 
-from uhfkron.algebra import (
-    Signature,
-    all_matrix_units,
-    coproduct_phi_block,
-    embed_psi,
-    identity,
-    insert_identity_slot,
-    matrix_unit,
-    product_phi_inverse,
-    random_element,
-)
+from uhfkron.algebra import Signature, identity, matrix_unit
 from uhfkron.atoms import AtomLabel, atom_check_product, atom_state
 from uhfkron.checks import SUITES, CheckReport, run_suite
 from uhfkron.errors import ResourceGuardError, UhfError
 from uhfkron.gns import gns_build
-from uhfkron.states import (
-    DensityFactor,
-    ProductStateTrunc,
+from uhfkron.states import DensityFactor, ProductStateTrunc
+from uhfkron.sweeps import (
+    all_matrix_units,
+    coproduct_phi_block,
+    embed_psi,
+    insert_identity_slot,
+    product_phi_inverse,
     random_density,
+    random_element,
     random_state,
 )
 

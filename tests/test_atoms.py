@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uhfkron import algebra, atoms, checks, states
-from uhfkron.algebra import all_matrix_units, matrix_unit
+from uhfkron import algebra, atoms, checks, states, sweeps
+from uhfkron.algebra import matrix_unit
 from uhfkron.atoms import (
     AtomLabel,
     _check_pairs,
@@ -24,6 +24,7 @@ from uhfkron.checks import CheckReport, run_suite, suite_atom_semigroup
 from uhfkron.errors import IndexRangeError, ResourceGuardError, ValidationError
 from uhfkron.gns import commutant_dimension, gns_build
 from uhfkron.states import state_boxtimes, state_evaluate, state_tensor_phi_eval
+from uhfkron.sweeps import all_matrix_units
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -322,7 +323,7 @@ def test_failing_pairs_fail_alone_in_a_batch():
 def test_unit_sweep_fails_a_corrupted_pair_alone(monkeypatch, chunk_terms):
     # with check (1) blinded, the shared unit sweep must fail the corrupted
     # pair only, at the first unit (in unit order) where it breaks
-    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
+    monkeypatch.setattr(sweeps, "_TAG_CHUNK_TERMS", chunk_terms)
     monkeypatch.setattr(atoms, "_factor_check",
                         lambda boxed, S: atoms.AtomProductCheck(True))
     level = 2
@@ -352,7 +353,7 @@ def test_corrupted_pairs_of_a_batch_fail_alone(monkeypatch, chunk_terms,
     # 10 has its own.  Exactly those three pairs fail, each as it fails
     # alone: by check (1), or with check (1) blinded at the first unit
     # where the shared unit sweep breaks
-    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
+    monkeypatch.setattr(sweeps, "_TAG_CHUNK_TERMS", chunk_terms)
     if blind:
         monkeypatch.setattr(atoms, "_factor_check",
                             lambda boxed, S: atoms.AtomProductCheck(True))
@@ -377,7 +378,7 @@ def test_corrupted_pairs_of_a_batch_fail_alone(monkeypatch, chunk_terms,
 @pytest.mark.parametrize("chunk_terms", [7, 1 << 12])
 def test_lossy_coproduct_fails_every_pair_at_its_unit(monkeypatch,
                                                       chunk_terms):
-    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
+    monkeypatch.setattr(sweeps, "_TAG_CHUNK_TERMS", chunk_terms)
     real = atoms.coproduct_phi
     lost = ((1, 2), (6, 1))
 

@@ -12,18 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uhfkron import algebra, atoms, checks
+from uhfkron import algebra, atoms, checks, sweeps
 from uhfkron.algebra import (
     COMPARE_TOL,
     AlgebraElement,
     Signature,
-    _tagged_units,
-    _unit_tags,
-    all_matrix_units,
     coproduct_phi,
-    coproduct_phi_block,
-    embed_psi,
-    insert_identity_slot,
     matrix_unit,
 )
 from uhfkron.atoms import AtomLabel, atom_state
@@ -41,10 +35,18 @@ from uhfkron.checks import (
 from uhfkron.errors import ResourceGuardError, SignatureError, ValidationError
 from uhfkron.states import (
     ProductStateTrunc,
-    random_state,
     state_boxtimes,
     state_evaluate,
     state_tensor_phi_eval,
+)
+from uhfkron.sweeps import (
+    _tagged_units,
+    _unit_tags,
+    all_matrix_units,
+    coproduct_phi_block,
+    embed_psi,
+    insert_identity_slot,
+    random_state,
 )
 
 
@@ -163,7 +165,7 @@ def chunk(request, monkeypatch):
     crosses many chunk boundaries (compatibility, with a*b images per
     unit, then gets one unit per chunk)."""
     if request.param != "default":
-        monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", request.param)
+        monkeypatch.setattr(sweeps, "_TAG_CHUNK_TERMS", request.param)
     return request.param
 
 
@@ -206,7 +208,7 @@ def test_unit_tags_ignore_other_coefficients():
 ])
 def test_chunk_boundaries_change_nothing(monkeypatch, suite, reference, dims,
                                          level, tol):
-    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", 7)
+    monkeypatch.setattr(sweeps, "_TAG_CHUNK_TERMS", 7)
     got = suite(dims, level, 3, tol)
     want = reference(dims, level, 3, tol)
     assert (got.passed, got.failed, got.failures) == (
@@ -214,7 +216,7 @@ def test_chunk_boundaries_change_nothing(monkeypatch, suite, reference, dims,
 
 
 def test_atom_check_at_chunks_of_seven(monkeypatch):
-    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", 7)
+    monkeypatch.setattr(sweeps, "_TAG_CHUNK_TERMS", 7)
     report = suite_atom_semigroup((2, 2), 2)
     assert (report.passed, report.failed, report.failures) == (16, 0, [])
 
@@ -338,7 +340,7 @@ NEGATIVE_CONTROLS = [
 def test_negative_controls_at_chunks_of_seven(monkeypatch, control):
     # the same failures, attributed to the same units, across chunk
     # boundaries (compatibility gets one unit per chunk)
-    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", 7)
+    monkeypatch.setattr(sweeps, "_TAG_CHUNK_TERMS", 7)
     control(monkeypatch)
 
 
@@ -428,7 +430,7 @@ def test_shared_loss_fails_the_first_unit_of_each_chunk(monkeypatch, chunk):
     level = 1
     report = suite_coassociativity((2, 3, 2), level)
     units = list(all_matrix_units(checks._constant_sig(12, level)))
-    firsts = units[::algebra._TAG_CHUNK_TERMS]  # one image per unit
+    firsts = units[::sweeps._TAG_CHUNK_TERMS]  # one image per unit
     assert keyings == []
     assert (report.passed, report.failed) == (
         len(units) - len(firsts), len(firsts))

@@ -148,10 +148,11 @@ def _gns_deviations(state):
     # each unit's modulus |<x> in the GNS space - S(x)|, one unit at a time
     import numpy as np
 
-    from uhfkron.algebra import _moduli, all_matrix_units, matrix_unit
+    from uhfkron.algebra import _moduli, matrix_unit
     from uhfkron.gns import gns_build
     from uhfkron.parser import parse_state
     from uhfkron.states import state_evaluate
+    from uhfkron.sweeps import all_matrix_units
 
     S = parse_state(state)
     G = gns_build(S)
@@ -348,6 +349,60 @@ def test_help_is_one_strict_json_object(capsys, monkeypatch, argv, usage):
     payload = json.loads(out, parse_constant=pytest.fail)
     assert set(payload) == {"help"}
     assert payload["help"].startswith(usage)
+
+
+@pytest.mark.parametrize("argv", [
+    ["coproduct", "--a", "2_0", "--b", "2", "--expr", "E[4](1,1)"],
+    ["coproduct", "--a", "\u0663", "--b", "2", "--expr", "E[6](1,1)"],
+    ["tensor-state", "--a", "2", "--b", "\uff12", "--T", "diag(1,0)",
+     "--R", "diag(0,1)", "--expr", "E[4](1,1)"],
+    ["atom-product", "--n", "2", "--m", "20", "--J", "1", "--K", "1_2"],
+    ["atom-product", "--n", "2", "--m", "3", "--J", "\u0661", "--K", "1"],
+    ["check", "--suite", "coassociativity", "--dims", "2,2_0,2"],
+    ["check", "--suite", "coassociativity", "--dims", "2,\u0968,2"],
+], ids=["underscore", "arabic-indic", "fullwidth", "label-underscore",
+        "label-arabic-indic", "dims-underscore", "dims-devanagari"])
+def test_integer_lists_are_ascii_decimal(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    text = next(arg for arg in argv if "_" in arg or not arg.isascii())
+    assert code == 1
+    assert payload == {"error": {
+        "code": "validation",
+        "message": f"expected comma-separated integers, got {text!r}"}}
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--n", ["atom-product", "--n", "1_0", "--m", "3", "--J", "1", "--K",
+             "1"]),
+    ("--m", ["atom-product", "--n", "2", "--m", "\u0663", "--J", "1", "--K",
+             "1"]),
+    ("--level", ["check", "--suite", "coassociativity", "--level", "1_0"]),
+    ("--seed", ["check", "--suite", "coassociativity", "--seed", "\uff10"]),
+], ids=["n-underscore", "m-arabic-indic", "level-underscore",
+        "seed-fullwidth"])
+def test_integer_flags_are_ascii_decimal(capsys, flag, argv):
+    code, payload = run_json(capsys, *argv)
+    text = argv[argv.index(flag) + 1]
+    assert code == 1
+    assert payload == {"error": {
+        "code": "usage",
+        "message": f"argument {flag}: invalid int value: {text!r}"}}
+
+
+def test_integer_flags_keep_signs_and_surrounding_spaces(capsys):
+    pinned = run(capsys, "atom-product", "--n", "2", "--m", "3", "--J", "2",
+                 "--K", "1")
+    assert run(capsys, "atom-product", "--n", " +2", "--m", "3 ", "--J",
+               "+2", "--K", " 1") == pinned
+
+
+@pytest.mark.parametrize("a, b", [(" +2", "2 "), ("\t2", "+2"), ("02", "2")])
+def test_integer_lists_keep_signs_and_surrounding_spaces(capsys, a, b):
+    expr = "E[4](2,3) (x) E[4](1,4)"
+    pinned = run(capsys, "coproduct", "--a", "2,2", "--b", "2,2",
+                 "--expr", expr)
+    assert run(capsys, "coproduct", "--a", f"{a},2", "--b", f"2,{b}",
+               "--expr", expr) == pinned
 
 
 def test_error_parse(capsys):

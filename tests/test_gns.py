@@ -19,14 +19,9 @@ from uhfkron.algebra import (
     AlgebraElement,
     MatrixUnitIndex,
     Signature,
-    _digit_move,
-    all_matrix_units,
-    block_permutation,
     coproduct_phi,
     identity,
     matrix_unit,
-    random_element,
-    to_dense,
     zero,
 )
 from uhfkron.atoms import AtomLabel, atom_state
@@ -48,11 +43,18 @@ from uhfkron.states import (
     GNS_EIG_CUTOFF,
     DensityFactor,
     ProductStateTrunc,
-    random_density,
-    random_state,
     state_boxtimes,
     state_evaluate,
     state_tensor_phi_eval,
+)
+from uhfkron.sweeps import (
+    _digit_move,
+    all_matrix_units,
+    block_permutation,
+    random_density,
+    random_element,
+    random_state,
+    to_dense,
 )
 
 T_PURE = DensityFactor.diagonal([1.0, 0.0])

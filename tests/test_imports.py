@@ -1,13 +1,15 @@
 """What a CLI request and the package import, each read in a fresh interpreter.
 
 A CLI request imports only the modules its subcommand uses, so ``eval``
-compiles and runs no ``atoms``, ``checks`` or ``gns``.  ``import uhfkron``
-alone loads no module of the package and no numpy; the first read of a
-public name loads every module and binds every module's ``__all__`` in the
-package, which is what tools that walk the package's modules (such as
-perfbench's tracer) rely on.
+compiles and runs no ``atoms``, ``checks``, ``gns`` or ``sweeps``, and
+``coproduct`` no ``states`` either.  ``import uhfkron`` alone loads no
+module of the package and no numpy; the first read of a public name loads
+every module and binds every module's ``__all__`` in the package, which
+is what tools that walk the package's modules (such as perfbench's
+tracer) rely on.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,11 +19,13 @@ from pathlib import Path
 import pytest
 
 import uhfkron
+from uhfkron.cli import _SUBCOMMANDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# every module but errors is a layer perfbench's tracer reads from sys.modules
+# every module but errors and sweeps is a layer perfbench's tracer reads from
+# sys.modules
 MODULES = ("algebra", "atoms", "checks", "cli", "errors", "gns", "parser",
-           "states")
+           "states", "sweeps")
 
 # print, as the last line of stdout, {"modules", "numpy", "result"}
 REPORT = """
@@ -53,28 +57,33 @@ def _child(code: str, *argv) -> dict:
 
 
 GOOD_STATE = ("--T", "diag(1,0)", "--R", "diag(0,1)")
+# what a request of eval, coproduct, tensor-state, boxtimes or distance, or
+# a usage error, never loads
+LIGHT = {"atoms", "checks", "gns", "sweeps"}
 REQUESTS = [
     # (argv, exit code, error code or None, modules the request must not load)
-    (["eval", "--state", "diag(1,0)", "--expr", "E[2](1,1)"], 0, None,
-     {"atoms", "checks", "gns"}),
+    (["eval", "--state", "diag(1,0)", "--expr", "E[2](1,1)"], 0, None, LIGHT),
     (["eval", "--state", "diag(1,0)", "--expr", "E[2](1,"], 1, "parse-error",
-     {"atoms", "checks", "gns"}),
-    (["eval", "--state", "diag(1,0)"], 1, "usage", {"atoms", "checks", "gns"}),
+     LIGHT),
+    (["eval", "--state", "diag(1,0)"], 1, "usage", LIGHT),
     (["--tol", "nan", "eval", "--state", "diag(1,0)", "--expr", "E[2](1,1)"],
-     1, "validation", {"atoms", "checks", "gns"}),
+     1, "validation", LIGHT),
+    (["nope"], 1, "usage", LIGHT | {"parser", "states"}),
+    (["-h"], 0, None, LIGHT | {"parser", "states"}),
     (["coproduct", "--a", "2", "--b", "2", "--expr", "E[4](1,2)"], 0, None,
-     {"atoms", "checks", "gns"}),
+     LIGHT | {"states"}),
     (["coproduct", "--a", "2", "--b", "3", "--expr", "E[4](1,2)"], 1,
-     "signature-mismatch", {"atoms", "checks", "gns"}),
+     "signature-mismatch", LIGHT | {"states"}),
+    (["coproduct", "--a", "2_0", "--b", "2", "--expr", "E[4](1,2)"], 1,
+     "validation", LIGHT | {"states"}),
     (["tensor-state", "--a", "2", "--b", "2", *GOOD_STATE,
-      "--expr", "E[4](2,2)"], 0, None, {"atoms", "checks", "gns"}),
+      "--expr", "E[4](2,2)"], 0, None, LIGHT),
     (["tensor-state", "--a", "3", "--b", "2", *GOOD_STATE,
-      "--expr", "E[4](2,2)"], 1, "signature-mismatch",
-     {"atoms", "checks", "gns"}),
-    (["boxtimes", *GOOD_STATE], 0, None, {"atoms", "checks", "gns"}),
+      "--expr", "E[4](2,2)"], 1, "signature-mismatch", LIGHT),
+    (["boxtimes", *GOOD_STATE], 0, None, LIGHT),
     (["boxtimes", "--T", "diag(2,0)", "--R", "diag(0,1)"], 1, "validation",
-     {"atoms", "checks", "gns"}),
-    (["distance", *GOOD_STATE], 0, None, {"atoms", "checks", "gns"}),
+     LIGHT),
+    (["distance", *GOOD_STATE], 0, None, LIGHT),
     (["atom-product", "--n", "2", "--m", "3", "--J", "2", "--K", "1"], 0,
      None, {"parser", "checks", "gns"}),
     (["atom-product", "--n", "2", "--m", "3", "--J", "3", "--K", "1"], 1,
@@ -146,3 +155,23 @@ def test_unknown_name_is_the_standard_attribute_error():
     assert not hasattr(uhfkron, "__wrapped__")
     with pytest.raises(ImportError, match="cannot import name 'nope'"):
         from uhfkron import nope  # noqa: F401
+
+
+def test_import_cost_tool_pairs_one_request_over_two_trees(capsys,
+                                                          monkeypatch):
+    # the tool as a module, with one subcommand's request: two interpreters
+    root = SRC.parent
+    spec = importlib.util.spec_from_file_location(
+        "import_cost", root / "tools" / "import_cost.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert set(tool.REQUESTS) == set(_SUBCOMMANDS)
+    monkeypatch.setattr(tool, "REQUESTS",
+                        {"coproduct": tool.REQUESTS["coproduct"]})
+    tool.main(["--rounds", "1", str(root), str(root)])
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["rounds"] == 1 and report["trees"] == [str(root)] * 2
+    [ms] = report["median_ms"].values()
+    assert list(report["median_ms"]) == ["coproduct"]
+    assert len(ms) == 2 and min(ms) > 0
+    assert list(report["median_paired_diff_ms"]) == ["coproduct"]

@@ -11,13 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uhfkron.algebra import (
-    AlgebraElement,
-    elem_tensor,
-    matrix_unit,
-    random_element,
-    to_dense,
-)
+from uhfkron.algebra import AlgebraElement, elem_tensor, matrix_unit
 from uhfkron.errors import (
     IndexRangeError,
     ParseError,
@@ -30,6 +24,7 @@ from uhfkron.parser import (
     parse_state,
 )
 from uhfkron.states import state_evaluate
+from uhfkron.sweeps import random_element, to_dense
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

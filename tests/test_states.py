@@ -15,36 +15,38 @@ import pickle
 import numpy as np
 import pytest
 
-from uhfkron import algebra
+from uhfkron import sweeps
 from uhfkron.algebra import (
     DENSE_DIM_GUARD,
     Signature,
-    _tagged_units,
-    all_matrix_units,
     coproduct_phi,
-    coproduct_phi_block,
-    embed_psi,
-    from_dense,
     identity,
-    kron_box,
     matrix_unit,
-    random_element,
-    to_dense,
 )
 from uhfkron.errors import ResourceGuardError, SignatureError, ValidationError
 from uhfkron.states import (
     DensityFactor,
     ProductStateTrunc,
-    _stacked_entry_table,
-    _tagged_values,
     density_validate,
-    random_density,
-    random_state,
     state_boxtimes,
     state_density_level,
     state_evaluate,
     state_tensor_phi_eval,
     state_trace_distance,
+)
+from uhfkron.sweeps import (
+    _stacked_entry_table,
+    _tagged_units,
+    _tagged_values,
+    all_matrix_units,
+    coproduct_phi_block,
+    embed_psi,
+    from_dense,
+    kron_box,
+    random_density,
+    random_element,
+    random_state,
+    to_dense,
 )
 
 # the orthogonal pure witnesses used throughout
@@ -415,12 +417,12 @@ def test_tensor_phi_state_associativity():
 # tagged chunks: one state's read and a stacked read of several
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("chunk_terms", [algebra._TAG_CHUNK_TERMS, 7])
+@pytest.mark.parametrize("chunk_terms", [sweeps._TAG_CHUNK_TERMS, 7])
 def test_stacked_tagged_read_equals_single_reads(monkeypatch, chunk_terms):
     # the slot products start from the first slot's entries, not from a
     # coefficient, and still equal state_evaluate on each unit (==); the
     # second stage is tensor-formula's at level 2
-    monkeypatch.setattr(algebra, "_TAG_CHUNK_TERMS", chunk_terms)
+    monkeypatch.setattr(sweeps, "_TAG_CHUNK_TERMS", chunk_terms)
     for dims in [((2, 2), (2, 3)), ((2, 2), (3, 3))]:
         _check_stacked_reads(*map(Signature, dims))
 
