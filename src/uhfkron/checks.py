@@ -20,10 +20,15 @@ images or values back by tag with array operations (state values through
 order.  The exact suites decide a chunk whose two sides are one term list
 (equal arrays, term by term) by its tag counts alone and key the images of
 any other chunk, so pass/fail does not rely on the term order of the maps
-they check.  The two associativity suites get each chunk's two bracketings
-from one function, ``_bracketings``.  Before enumerating, each refuses
-more than ``DENSE_DIM_GUARD**2`` unit checks with
-:class:`ResourceGuardError` (``algebra._guard_units``).
+they check.  Before enumerating, each of these suites refuses more than
+``DENSE_DIM_GUARD**2`` unit checks with :class:`ResourceGuardError`
+(``algebra._guard_units``).
+
+Three of them check one identity each that no other suite checks:
+coassociativity compares the two bracketings of the coproduct images,
+tensor-formula the coproduct route of a state pair against its factorwise
+Kronecker densities, and state-associativity the two bracketings of the
+state product of a triple, (S box R) box Q against S box (R box Q).
 """
 
 from __future__ import annotations
@@ -207,29 +212,23 @@ def suite_coassociativity(dims: tuple[int, ...], level: int,
     """Both orders of splitting a triple product agree on every unit.
 
     ``dims`` = (a, b, c) factor bases; signatures are constant at the
-    given level.  Exact index equality, no tolerance.  Each side runs
-    once per chunk of units (see ``_bracketings``).
+    given level.  Exact index equality, no tolerance.  Each tagged chunk
+    of the stage a.b.c is mapped by (phi (x) id) o phi and by
+    (id (x) phi) o phi, and the two images are compared.
     """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol,
                                          ("a", "b", "c"))
+    a, b, c = _constant_sigs(dims, level, "coassociativity", 2)
+    ab, bc, n = a.product(b), b.product(c), level
     report = CheckReport("coassociativity")
-    _bracketings(*_constant_sigs(dims, level, "coassociativity", 2),
-                 lambda x, left, right: _record_images(
-                     report, x, left, right, 1, "paths differ"))
-    return report
-
-
-def _bracketings(a: Signature, b: Signature, c: Signature, record):
-    # record(x, left, right) per tagged chunk x of the stage a.b.c: its
-    # images under (phi (x) id) o phi and (id (x) phi) o phi.  Images live
-    # until the next chunk's are made: freed sooner, coassociativity (2,3,2)
-    # L2 faulted fresh pages (1121 against 417 per run), 4.7 against 3.2 ms
-    # on a 2-vCPU Xeon
-    ab, bc, n = a.product(b), b.product(c), a.level
+    # images live until the next chunk's are made: freed sooner,
+    # coassociativity (2,3,2) L2 faulted fresh pages (1121 against 417 per
+    # run), 4.7 against 3.2 ms on a 2-vCPU Xeon
     for x in _tagged_units(ab.product(c)):
         left = coproduct_phi_block(coproduct_phi(x, ab, c), 0, n, a, b)
         right = coproduct_phi_block(coproduct_phi(x, a, bc), n, n, b, c)
-        record(x, left, right)
+        _record_images(report, x, left, right, 1, "paths differ")
+    return report
 
 
 def suite_compatibility(dims: tuple[int, ...], level: int,
@@ -371,19 +370,29 @@ def _labels(base: int, level: int):
 
 def suite_state_associativity(dims: tuple[int, ...], level: int,
                               seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
-    """Both bracketings of a state triple agree on every fused unit."""
+    """The state product is associative: (S box R) box Q and S box (R box
+    Q) agree on every unit of the fused stage, within ``tol``.
+
+    One seeded random state triple over constant signatures; both
+    bracketings are made by :func:`~uhfkron.states.state_boxtimes` and
+    read per tagged chunk of units.  No coproduct image is read: the
+    (phi (x) id) o phi image of each chunk on S (x) R (x) Q against the
+    (S box R) box Q densities would make an image per chunk (2.2-2.5
+    against 1.7-2.0 ms at (2, 2, 2) level 2, in process on a 2-vCPU host)
+    and check again what tensor-formula and coassociativity check.
+    """
     dims, level, seed, tol = _suite_args(dims, level, seed, tol,
                                          ("a", "b", "c"))
     a, b, c = _constant_sigs(dims, level, "state-associativity", 2)
     S = random_state(a, seed=seed + 1)
     R = random_state(b, seed=seed + 2)
     Q = random_state(c, seed=seed + 3)
-    triple = ProductStateTrunc(
-        S.factors + R.factors + Q.factors)._entry_table()
+    left = state_boxtimes(state_boxtimes(S, R), Q)._entry_table()
+    right = state_boxtimes(S, state_boxtimes(R, Q))._entry_table()
     report = CheckReport("state-associativity")
-    _bracketings(a, b, c, lambda x, left, right: _record_values(
-        report, x, _tagged_values(triple, left, len(x)),
-        _tagged_values(triple, right, len(x)), tol))
+    for x in _tagged_units(a.product(b).product(c)):
+        _record_values(report, x, _tagged_values(left, x, len(x)),
+                       _tagged_values(right, x, len(x)), tol)
     return report
 
 

@@ -181,16 +181,18 @@ def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
 def _cmd_gns(args, tol: float) -> tuple[dict, int]:
     from .gns import commutant_dimension, gns_build
     from .parser import parse_state
-    from .sweeps import _tagged_units, _tagged_values
+    from .states import _slot_products
+    from .sweeps import _tagged_units
 
     S = parse_state(args.state)
     G = gns_build(S)
     table = S._entry_table()
     passed = failed = 0
     max_err = 0.0
-    # every unit's two values, one tagged chunk of units at a time
+    # every unit's two values, one chunk of units at a time; a chunk is its
+    # own unit list, so its values need no tag read
     for x in _tagged_units(S.sig):
-        err = _moduli(G.expectations(x) - _tagged_values(table, x, len(x))[1])
+        err = _moduli(G.expectations(x) - _slot_products(table, x.rows, x.cols))
         ok = int(np.count_nonzero(err <= tol))
         passed += ok
         failed += len(err) - ok

@@ -16,11 +16,12 @@ and k has its ones at (pi0[i, t], pi0[k, t]) for t in 0..R-1, so the
 positions of any number of units are one gather from pi0.  A triplet of
 k operands at level L holds kL factors in space order, operand g's slot
 l at place gL + l, and the space has the digits (a_f, r_f), factor f's
-frame shape, in that order.  pi0 is arange(D) laid out over them and
-transposed to the row digits (the operands' a at slot 1, then at slot
-2, ...) and then every rank digit in order, so pi0[i, t] is the flat
-index of the digits of i and of t.  For one operand that is the digit
-move ``sweeps._digit_move`` of (a_1, r_1, ..., a_L, r_L), the one
+frame shape, in that order.  pi0 is the digit move
+``sweeps._digit_move`` of these digits to the row digits (the operands'
+a at slot 1, then at slot 2, ...) and then every rank digit in order:
+arange(D) laid out over them and transposed, so pi0[i, t] is the flat
+index of the digits of i and of t.  For one operand that order is the
+move's default, (a_1, ..., a_L, r_1, ..., r_L), the one
 ``block_permutation`` makes of the coproduct's fused basis.  The
 triplet also tabulates the frame table C = cyclic[pi0] once
 (complex, N x R, again D entries) and its conjugate: rep(E_u) cyclic is
@@ -154,8 +155,8 @@ class GnsTriplet:
         operands = len(factors) // level
         rows = [2 * (g * level + slot) for slot in range(level)
                 for g in range(operands)]
-        pi0 = np.arange(space_dim).reshape(legs).transpose(
-            rows + list(range(1, len(legs), 2))).reshape(sig.total_dim, -1)
+        pi0 = _digit_move(legs, rows + list(range(1, len(legs), 2))).reshape(
+            sig.total_dim, -1)
         cyclic = _kron_chain(factors)
         # the keyed tables: pi0, C = cyclic[pi0] and conj(C) after shift =
         # sum(weights) unused rows, so the row of a 1-based multi-index

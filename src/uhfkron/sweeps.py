@@ -240,11 +240,14 @@ def block_permutation(a, b) -> np.ndarray:
     return P
 
 
-def _digit_move(digits) -> np.ndarray:
-    # entry i: the flat index over the digits (p_1, q_1, ..., p_n, q_n) of
-    # block index i over (p_1, ..., p_n, q_1, ..., q_n)
-    return np.arange(math.prod(digits)).reshape(digits).transpose(
-        (*range(0, len(digits), 2), *range(1, len(digits), 2))).ravel()
+def _digit_move(digits, axes=None) -> np.ndarray:
+    # entry i: the flat index over the digits of index i over the same
+    # digits taken in the order ``axes``, by default the evens, then the
+    # odds: the flat index over (p_1, q_1, ..., p_n, q_n) of block index i
+    # over (p_1, ..., p_n, q_1, ..., q_n)
+    if axes is None:
+        axes = (*range(0, len(digits), 2), *range(1, len(digits), 2))
+    return np.arange(math.prod(digits)).reshape(digits).transpose(axes).ravel()
 
 
 def insert_identity_slot(x: AlgebraElement, position: int, dim: int) -> AlgebraElement:
