@@ -13,28 +13,31 @@ and binds the names in each module's ``__all__`` here (PEP 562).  A
 module imported directly, such as ``uhfkron.cli`` by a CLI request, loads
 only what it imports itself; ``sweeps``, the unit sweeps, dense oracle,
 suite-only stage maps and samples, is loaded by ``checks``, ``atoms`` and
-``gns`` alone.
+``gns`` alone.  ``errors`` (the exception types and the argument checks)
+and ``labels`` (the atom-label arithmetic) import no numpy, so neither
+does a request that loads only them and ``cli``.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("errors", "algebra", "states", "sweeps", "parser", "atoms",
-            "checks", "gns", "cli")
+_MODULES = ("errors", "labels", "algebra", "states", "sweeps", "parser",
+            "atoms", "checks", "gns", "cli")
 
 
 def _load() -> None:
     # import every module once and bind its public names; __all__ is bound
-    # last, so it marks a finished load
+    # last, so it marks a finished load.  A name that a module re-exports
+    # (atoms' labels) is listed once
     if "__all__" in globals():
         return
-    names = []
+    names = {}
     for module in _MODULES:
         mod = importlib.import_module(f"{__name__}.{module}")
         globals().update((name, getattr(mod, name)) for name in mod.__all__)
-        names += mod.__all__
-    globals()["__all__"] = names
+        names.update(dict.fromkeys(mod.__all__))
+    globals()["__all__"] = list(names)
 
 
 def __getattr__(name):

@@ -81,11 +81,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    COMPARE_TOL,
+    DENSE_DIM_GUARD,
     IndexRangeError,
     ResourceGuardError,
     SignatureError,
     UhfError,
     ValidationError,
+    _entries,
+    _finite,
+    _guard,
+    _integers,
 )
 
 __all__ = [
@@ -105,10 +111,6 @@ __all__ = [
 
 # Coefficients at or below this magnitude are dropped from canonical form.
 COEFF_PRUNE_TOL = 1e-14
-# Default tolerance for numerical comparisons of coefficients/entries.
-COMPARE_TOL = 1e-12
-# Largest total dimension a dense materialization will allocate.
-DENSE_DIM_GUARD = 4096
 # Factor dimensions must stay below this, so that indices fit int64.
 _MAX_FACTOR_DIM = 2 ** 62
 # Index keys and their bounds stay below this (the int64 range).
@@ -119,60 +121,6 @@ _PRUNE_BAND = (COEFF_PRUNE_TOL * (1 - 2 ** -40),
                COEFF_PRUNE_TOL * (1 + 2 ** -40))
 # What reading a malformed term may raise (see _term_error).
 _READ_ERRORS = (TypeError, ValueError, LookupError, OverflowError)
-
-
-def _integer(value, error, what: str, where: str = "", *,
-             low: int | None = None, high: int | None = None) -> int:
-    # value as an int (operator.index: ints, bools and numpy integers,
-    # nothing truncated), else error "<what> <value><where> is not an
-    # integer".  With ``low``, a value below it raises error
-    # "<what> <value><where> is < <low>"; with ``high`` too, a value
-    # outside them raises "<what> <value><where> outside <low>..<high>"
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise error(f"{what} {value!r}{where} is not an integer") from None
-    if low is not None and (value < low or high is not None and value > high):
-        if high is None:
-            raise error(f"{what} {value}{where} is < {low}")
-        raise error(f"{what} {value}{where} outside {low}..{high}")
-    return value
-
-
-def _integers(values: tuple, error, what: str, where: str, *,
-              low: int | None = None,
-              high: int | None = None) -> tuple[int, ...]:
-    # each entry as an int in the bounds, else _integer's error for the
-    # first entry that is not, ``where`` formatted with its 1-based position
-    try:
-        out = tuple(map(operator.index, values))
-    except TypeError:
-        for pos, v in enumerate(values, start=1):
-            _integer(v, error, what, where.format(pos))
-        raise
-    if low is not None and out and (min(out) < low or high is not None
-                                    and max(out) > high):
-        for pos, v in enumerate(out, start=1):
-            _integer(v, error, what, where.format(pos), low=low, high=high)
-    return out
-
-
-def _guard(what: str, value: int, cap: int = DENSE_DIM_GUARD):
-    # ResourceGuardError "<what> <value> exceeds guard <cap>" past the cap
-    if value > cap:
-        raise ResourceGuardError(f"{what} {value} exceeds guard {cap}")
-
-
-def _finite(value, what: str) -> float:
-    # a tolerance: value as a float, finite and >= 0, else ValidationError
-    # "<what> <value!r> is not a finite number >= 0" (also for no number)
-    try:
-        ok = math.isfinite(value) and value >= 0
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValidationError(f"{what} {value!r} is not a finite number >= 0")
-    return float(value)
 
 
 def _complex_array(value, what: str) -> np.ndarray:
@@ -203,14 +151,6 @@ def _guard_units(what: str, per_level: int, level: int):
             )
         if count < 2:
             return
-
-
-def _entries(value, error, what: str) -> tuple:
-    # the entries of an iterable, else error "<what> <value> is not a sequence"
-    try:
-        return tuple(value)
-    except TypeError:
-        raise error(f"{what} {value!r} is not a sequence") from None
 
 
 @dataclass(frozen=True)

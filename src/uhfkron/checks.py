@@ -15,14 +15,15 @@ the suite has bases (``nonsymmetry`` ignores it), ``level`` an integer
 The suites exhaustive on matrix units run each side of their identity
 once per chunk of the unit grid, on one element whose coefficients tag
 the chunk's units (``sweeps._tagged_units``), and read every unit's
-images or values back by tag with array operations (state values through
-``sweeps._tagged_values``); results are still recorded per unit, in unit
-order.  The exact suites decide a chunk whose two sides are one term list
-(equal arrays, term by term) by its tag counts alone and key the images of
-any other chunk, so pass/fail does not rely on the term order of the maps
-they check.  Before enumerating, each of these suites refuses more than
-``DENSE_DIM_GUARD**2`` unit checks with :class:`ResourceGuardError`
-(``algebra._guard_units``).
+images or values back by tag with array operations (state values on an
+image through ``sweeps._tagged_values``; on the chunk itself, its own unit
+list, straight from ``states._slot_products``); results are still
+recorded per unit, in unit order.  The exact suites decide a chunk whose
+two sides are one term list (equal arrays, term by term) by its tag
+counts alone and key the images of any other chunk, so pass/fail does
+not rely on the term order of the maps they check.  Before enumerating,
+each of these suites refuses more than ``DENSE_DIM_GUARD**2`` unit checks
+with :class:`ResourceGuardError` (``algebra._guard_units``).
 
 Three of them check one identity each that no other suite checks:
 coassociativity compares the two bracketings of the coproduct images,
@@ -41,15 +42,10 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
-    COMPARE_TOL,
     AlgebraElement,
     Signature,
-    _entries,
-    _finite,
     _guard_units,
     _index_keys,
-    _integer,
-    _integers,
     _moduli,
     _pair_keys,
     coproduct_phi,
@@ -57,10 +53,18 @@ from .algebra import (
     matrix_unit,
 )
 from .atoms import AtomLabel, _check_pairs, atom_label_product
-from .errors import ValidationError
+from .errors import (
+    COMPARE_TOL,
+    ValidationError,
+    _entries,
+    _finite,
+    _integer,
+    _integers,
+)
 from .states import (
     DensityFactor,
     ProductStateTrunc,
+    _slot_products,
     state_boxtimes,
     state_tensor_phi_eval,
     state_trace_distance,
@@ -207,6 +211,14 @@ def _record_values(report: CheckReport, x: AlgebraElement, lhs, rhs,
     report.record_units(ok, diagnostic)
 
 
+def _chunk_values(table: tuple, x: AlgebraElement):
+    # a tagged chunk's own values, as _tagged_values gives them: the chunk
+    # is its own unit list, one term per unit, so every count is 1 and the
+    # values need no tag read
+    return np.ones(len(x), dtype=np.int64), _slot_products(table, x.rows,
+                                                           x.cols)
+
+
 def suite_coassociativity(dims: tuple[int, ...], level: int,
                           seed: int = 0, tol: float = COMPARE_TOL) -> CheckReport:
     """Both orders of splitting a triple product agree on every unit.
@@ -300,7 +312,7 @@ def suite_tensor_formula(dims: tuple[int, ...], level: int,
     for x in _tagged_units(a.product(b)):
         _record_values(report, x,
                        _tagged_values(SR, coproduct_phi(x, a, b), len(x)),
-                       _tagged_values(boxed, x, len(x)), tol)
+                       _chunk_values(boxed, x), tol)
     return report
 
 
@@ -391,8 +403,8 @@ def suite_state_associativity(dims: tuple[int, ...], level: int,
     right = state_boxtimes(S, state_boxtimes(R, Q))._entry_table()
     report = CheckReport("state-associativity")
     for x in _tagged_units(a.product(b).product(c)):
-        _record_values(report, x, _tagged_values(left, x, len(x)),
-                       _tagged_values(right, x, len(x)), tol)
+        _record_values(report, x, _chunk_values(left, x),
+                       _chunk_values(right, x), tol)
     return report
 
 

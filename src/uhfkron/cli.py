@@ -24,13 +24,15 @@ and exits 0.  A result holding NaN or infinity is reported as a
 value by a modulus above it.  No environment variable is read.
 
 A request imports only the modules its subcommand uses.  At module level
-this module imports ``errors`` and ``algebra`` (which brings numpy);
-each ``_cmd_*`` handler imports the rest of what it runs (``parser``,
-``states``, ``atoms``, ``checks``, ``gns``, ``sweeps``) when it is
-called, and ``parser`` imports ``states`` only to read a state.  So
-``eval``, ``tensor-state``, ``boxtimes`` and ``distance`` never load
-``atoms``, ``checks``, ``gns`` or ``sweeps``, and ``coproduct`` not
-``states`` either.  Building the argument parser loads nothing.
+this module imports only ``errors`` of the package, which brings no
+numpy; each ``_cmd_*`` handler imports what it runs (``algebra``,
+``parser``, ``states``, ``labels``, ``checks``, ``gns``, ``sweeps``, numpy)
+when it is called, and ``parser`` imports ``states`` only to read a
+state.  So ``eval``, ``tensor-state``, ``boxtimes`` and ``distance``
+never load ``atoms``, ``checks``, ``gns`` or ``sweeps``, and
+``coproduct`` not ``states`` either.  ``atom-product`` loads ``labels``
+alone, and it, ``-h``, a usage error and a bad ``--tol`` load no numpy:
+building the argument parser loads nothing.
 """
 
 from __future__ import annotations
@@ -40,16 +42,13 @@ import json
 import re
 import sys
 
-import numpy as np
-
-from .algebra import (
+from .errors import (
     COMPARE_TOL,
+    SignatureError,
+    UhfError,
+    ValidationError,
     _finite,
-    _moduli,
-    as_signature,
-    coproduct_phi,
 )
-from .errors import SignatureError, UhfError, ValidationError
 
 __all__ = ["cli_run", "main"]
 
@@ -82,7 +81,7 @@ def _complex_json(value: complex) -> dict:
     return {"re": float(value.real), "im": float(value.imag)}
 
 
-def _matrix_json(m: np.ndarray) -> list:
+def _matrix_json(m) -> list:
     return [[_complex_json(v) for v in row] for row in m]
 
 
@@ -118,6 +117,8 @@ def _terms_json(x) -> list:
 
 
 def _check_state_sig(state, dims, flag: str):
+    from .algebra import as_signature
+
     sig = as_signature(dims)
     if state.sig != sig:
         raise SignatureError(
@@ -136,6 +137,7 @@ def _cmd_eval(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_coproduct(args, tol: float) -> tuple[dict, int]:
+    from .algebra import coproduct_phi
     from .parser import parse_element
 
     a, b = _dims(args.a), _dims(args.b)
@@ -170,7 +172,7 @@ def _cmd_boxtimes(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
-    from .atoms import AtomLabel, atom_label_product
+    from .labels import AtomLabel, atom_label_product
 
     J = AtomLabel(args.n, _dims(args.J))
     K = AtomLabel(args.m, _dims(args.K))
@@ -179,6 +181,9 @@ def _cmd_atom_product(args, tol: float) -> tuple[dict, int]:
 
 
 def _cmd_gns(args, tol: float) -> tuple[dict, int]:
+    import numpy as np
+
+    from .algebra import _moduli
     from .gns import commutant_dimension, gns_build
     from .parser import parse_state
     from .states import _slot_products

@@ -83,8 +83,13 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, _guard
-from .errors import GramMismatchError, SignatureError, ValidationError
+from .algebra import AlgebraElement, Signature
+from .errors import (
+    GramMismatchError,
+    SignatureError,
+    ValidationError,
+    _guard,
+)
 from .states import DensityFactor, ProductStateTrunc, state_boxtimes
 from .sweeps import _digit_move
 

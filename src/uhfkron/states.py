@@ -18,14 +18,16 @@ bits of a plain loop over the terms.  A state flattens its factors'
 entries into one table on first evaluation and keeps it, so evaluating a
 few terms costs a fixed few numpy calls per slot.
 
-The exhaustive checks read state values off a tagged chunk of units
-(``sweeps._tagged_units``) through one reader, ``sweeps._tagged_values``:
-per unit, the count of its image terms and the value on its image.  It
-reads one state's table, or the tables of several states stacked one
-column per state (``sweeps._stacked_entry_table``), and runs the same
-gather and slot-by-slot products as :func:`state_evaluate`
-(``_slot_products``), started from the first slot's entries rather than
-from a coefficient.
+The exhaustive checks read state values off the image of a tagged chunk
+of units (``sweeps._tagged_units``) through one reader,
+``sweeps._tagged_values``: per unit, the count of its image terms and the
+value on its image.  It reads one state's table, or the tables of several
+states stacked one column per state (``sweeps._stacked_entry_table``),
+and runs the same gather and slot-by-slot products as
+:func:`state_evaluate` (``_slot_products``), started from the first
+slot's entries rather than from a coefficient.  A chunk itself is its own
+unit list, one term per unit, so its values are read by
+``_slot_products`` directly, with no tag to read.
 
 The non-symmetric tensor product of two states composes the ordinary
 tensor-product state with the Kronecker coproduct.  On product states it
@@ -59,11 +61,9 @@ from .algebra import (
     _cmul_parts,
     _complex,
     _complex_array,
-    _guard,
-    _integer,
     coproduct_phi,
 )
-from .errors import SignatureError, ValidationError
+from .errors import SignatureError, ValidationError, _guard, _integer
 
 __all__ = [
     "DENSITY_VALIDATE_TOL",

@@ -29,23 +29,26 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import (
-    DENSE_DIM_GUARD,
     AlgebraElement,
     MatrixUnitIndex,
     Signature,
     _PRUNE_BAND,
     _block_element,
     _complex_array,
-    _entries,
     _grid,
-    _guard,
-    _integer,
     _listed,
     _pruned,
     _split_slots,
     as_signature,
 )
-from .errors import SignatureError, ValidationError
+from .errors import (
+    DENSE_DIM_GUARD,
+    SignatureError,
+    ValidationError,
+    _entries,
+    _guard,
+    _integer,
+)
 from .states import (
     DensityFactor,
     ProductStateTrunc,

@@ -20,8 +20,8 @@ import pytest
 
 import uhfkron
 
-MODULES = ["algebra", "atoms", "checks", "cli", "errors", "gns", "parser",
-           "states", "sweeps"]
+MODULES = ["algebra", "atoms", "checks", "cli", "errors", "gns", "labels",
+           "parser", "states", "sweeps"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -176,8 +176,8 @@ def test_no_tolerance_literal_inside_a_function():
     assert found == []
 
 
-# The message shapes of a bound check, and algebra's readers, the only
-# functions that may build them (``_guard_units`` says "would check more
+# The message shapes of a bound check, and the readers in errors.py, the
+# only functions that may build them (``_guard_units`` says "would check more
 # than", which is none of them)
 BOUND_SHAPES = (" is < ", " outside ", "exceeds guard", "is not a finite number")
 READERS = ("_integer", "_guard", "_finite")
@@ -188,7 +188,7 @@ def test_bound_messages_are_built_only_by_the_readers():
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         readers = set()
-        if path.name == "algebra.py":
+        if path.name == "errors.py":
             readers = {id(node) for top in tree.body
                        if isinstance(top, ast.FunctionDef)
                        and top.name in READERS for node in ast.walk(top)}

@@ -543,20 +543,17 @@ def test_run_suite_rejects_bad_tolerance(tol):
 
 @pytest.mark.parametrize("tol", [COMPARE_TOL, 1e-6])
 def test_values_are_judged_at_tol(monkeypatch, tol):
-    # the Kronecker-state side of tensor-formula reads unit 1 off by
-    # 0.9 tol and unit 2 by 1.1 tol: only unit 2 fails
-    read = checks._tagged_values
-    sides = []
+    # the Kronecker-state side of tensor-formula (the chunk's own values)
+    # reads unit 1 off by 0.9 tol and unit 2 by 1.1 tol: only unit 2 fails
+    read = checks._chunk_values
 
-    def shifted(table, y, count):
-        n, values = read(table, y, count)
-        sides.append(None)
-        if len(sides) == 2:
-            values = values.copy()
-            values[:2] += [0.9 * tol, 1.1 * tol]
+    def shifted(table, x):
+        n, values = read(table, x)
+        values = values.copy()
+        values[:2] += [0.9 * tol, 1.1 * tol]
         return n, values
 
-    monkeypatch.setattr(checks, "_tagged_values", shifted)
+    monkeypatch.setattr(checks, "_chunk_values", shifted)
     report = run_suite("tensor-formula", (2, 2), 1, tol=tol)
     assert (report.passed, report.failed) == (15, 1)
     (failure,) = report.failures

@@ -68,6 +68,15 @@ def cases() -> dict:
     out["check/state-associativity/L1/tol0/seed5"] = [
         "--tol", "0", "check", "--suite", "state-associativity", "--dims",
         "2,3,2", "--level", "1", "--seed", "5"]
+    # requests that load no numpy: help, usage errors, the tolerance check
+    # and an atom-product label error
+    out["light/help"] = ["-h"]
+    out["light/atom-product/help"] = ["atom-product", "-h"]
+    out["light/usage/nope"] = ["nope"]
+    out["light/tol-nan/eval"] = [
+        "--tol", "nan", "eval", "--state", "diag(1,0)", "--expr", "E[2](1,1)"]
+    out["light/atom-product/length-error"] = [
+        "atom-product", "--n", "2", "--m", "3", "--J", "1,2", "--K", "1"]
     return out
 
 

@@ -2,7 +2,10 @@
 
 A CLI request imports only the modules its subcommand uses, so ``eval``
 compiles and runs no ``atoms``, ``checks``, ``gns`` or ``sweeps``, and
-``coproduct`` no ``states`` either.  ``import uhfkron`` alone loads no
+``coproduct`` no ``states`` either.  A request that does no array work
+(``atom-product``, help, a usage error, a bad ``--tol``) loads only
+``cli``, ``errors`` and ``labels``, and so no numpy: numpy comes with
+``algebra``, and only with it.  ``import uhfkron`` alone loads no
 module of the package and no numpy; the first read of a public name loads
 every module and binds every module's ``__all__`` in the package, which
 is what tools that walk the package's modules (such as perfbench's
@@ -22,10 +25,10 @@ import uhfkron
 from uhfkron.cli import _SUBCOMMANDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# every module but errors and sweeps is a layer perfbench's tracer reads from
-# sys.modules
-MODULES = ("algebra", "atoms", "checks", "cli", "errors", "gns", "parser",
-           "states", "sweeps")
+# every module but errors, labels and sweeps is a layer perfbench's tracer
+# reads from sys.modules
+MODULES = ("algebra", "atoms", "checks", "cli", "errors", "gns", "labels",
+           "parser", "states", "sweeps")
 
 # print, as the last line of stdout, {"modules", "numpy", "result"}
 REPORT = """
@@ -57,19 +60,23 @@ def _child(code: str, *argv) -> dict:
 
 
 GOOD_STATE = ("--T", "diag(1,0)", "--R", "diag(0,1)")
-# what a request of eval, coproduct, tensor-state, boxtimes or distance, or
-# a usage error, never loads
+# what a request of eval, coproduct, tensor-state, boxtimes or distance
+# never loads
 LIGHT = {"atoms", "checks", "gns", "sweeps"}
+# the modules that import numpy: a request that does no array work (help,
+# a usage error, a bad --tol, atom-product) loads none of them
+ARRAYS = LIGHT | {"algebra", "parser", "states"}
 REQUESTS = [
     # (argv, exit code, error code or None, modules the request must not load)
     (["eval", "--state", "diag(1,0)", "--expr", "E[2](1,1)"], 0, None, LIGHT),
     (["eval", "--state", "diag(1,0)", "--expr", "E[2](1,"], 1, "parse-error",
      LIGHT),
-    (["eval", "--state", "diag(1,0)"], 1, "usage", LIGHT),
+    (["eval", "--state", "diag(1,0)"], 1, "usage", ARRAYS),
     (["--tol", "nan", "eval", "--state", "diag(1,0)", "--expr", "E[2](1,1)"],
-     1, "validation", LIGHT),
-    (["nope"], 1, "usage", LIGHT | {"parser", "states"}),
-    (["-h"], 0, None, LIGHT | {"parser", "states"}),
+     1, "validation", ARRAYS),
+    (["nope"], 1, "usage", ARRAYS),
+    (["-h"], 0, None, ARRAYS),
+    (["atom-product", "-h"], 0, None, ARRAYS),
     (["coproduct", "--a", "2", "--b", "2", "--expr", "E[4](1,2)"], 0, None,
      LIGHT | {"states"}),
     (["coproduct", "--a", "2", "--b", "3", "--expr", "E[4](1,2)"], 1,
@@ -85,9 +92,11 @@ REQUESTS = [
      LIGHT),
     (["distance", *GOOD_STATE], 0, None, LIGHT),
     (["atom-product", "--n", "2", "--m", "3", "--J", "2", "--K", "1"], 0,
-     None, {"parser", "checks", "gns"}),
+     None, ARRAYS),
     (["atom-product", "--n", "2", "--m", "3", "--J", "3", "--K", "1"], 1,
-     "validation", {"parser", "checks", "gns"}),
+     "validation", ARRAYS),
+    (["atom-product", "--n", "2", "--m", "3", "--J", "1,2", "--K", "1"], 1,
+     "validation", ARRAYS),
     (["gns", "--state", "diag(0.5,0.5)"], 0, None, {"atoms", "checks"}),
     (["gns", "--state", "diag(0.5,0.6)"], 1, "validation",
      {"atoms", "checks"}),
@@ -108,14 +117,16 @@ def test_request_loads_only_its_subcommands_modules(argv, code, error,
     assert got_code == code
     assert (payload.get("error") or {}).get("code") == error
     loaded = set(report["modules"])
-    assert {"cli", "errors", "algebra"} <= loaded
+    assert {"cli", "errors"} <= loaded
     assert not loaded & absent
+    assert report["numpy"] == ("algebra" in loaded)
 
 
 def test_building_the_parser_loads_no_subcommand_module():
     report = _child("from uhfkron.cli import _build_parser\n"
                     "_build_parser()\nresult = None\n")
-    assert report["modules"] == ["algebra", "cli", "errors"]
+    assert report["modules"] == ["cli", "errors"]
+    assert not report["numpy"]
 
 
 def test_import_alone_loads_no_module_and_no_numpy():

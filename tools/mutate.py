@@ -44,7 +44,7 @@ MUTANTS = [
     ("states.py", "density_validate", "trace_defect", "DENSITY_VALIDATE_TOL",
      1e4),
     ("states.py", "density_validate", "herm_defect", "GNS_EIG_CUTOFF", 100),
-    ("algebra.py", "_guard", "value", "cap", 1.5),
+    ("errors.py", "_guard", "value", "cap", 1.5),
     ("algebra.py", "_kept", "_moduli", "COEFF_PRUNE_TOL", 2),
     ("gns.py", "gns_intertwiner", "cyclic_defect", "GRAM_TOL", 0.25),
     ("algebra.py", "_guard_units", "count", "cap", 1.5),
