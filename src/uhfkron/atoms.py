@@ -28,12 +28,12 @@ own ``state_boxtimes``, whose factors are Kronecker products by one
 broadcast multiply (``DensityFactor.boxtimes``), and its own exact factor
 comparison.  The unit sweep is shared by all pairs: the pairs' entry
 tables are stacked once, one column per pair, and per chunk of units
-(``sweeps._tagged_units``) the coproduct image is made once and each
-side is read by ``sweeps._tagged_values``, the one reader of tagged
-chunks, which runs the slot-by-slot products of
-:func:`~uhfkron.states.state_evaluate`; so the values equal (``==``)
-what a per-pair evaluation gives.  Each pair reports its first failing
-unit in unit order.
+(``sweeps._tagged_units``) the coproduct image is made once and read by
+``sweeps._tagged_values``, the one reader of tagged images, and the
+chunk itself, the expected side, by ``states._slot_products``; both run
+the slot-by-slot products of :func:`~uhfkron.states.state_evaluate`, so
+the values equal (``==``) what a per-pair evaluation gives.  Each pair
+reports its first failing unit in unit order.
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ import numpy as np
 from .algebra import _guard_units, coproduct_phi
 from .errors import IndexRangeError, _integer
 from .labels import AtomLabel, atom_label_product
-from .states import DensityFactor, ProductStateTrunc, state_boxtimes
+from .states import (
+    DensityFactor,
+    ProductStateTrunc,
+    _slot_products,
+    state_boxtimes,
+)
 from .sweeps import (
     _stacked_entry_table,
     _tagged_units,
@@ -179,9 +184,10 @@ def _first_bad_units(swept, a, b) -> list[tuple[int, str]]:
     and the name of its first unit, in unit order, where the two sides do
     not have exactly one value each or the values differ.
 
-    Per chunk of units the coproduct image is made once, and each side's
-    values for every pair come from one ``sweeps._tagged_values`` read of
-    the pairs' entry tables, stacked one column per pair.
+    Per chunk of units the coproduct image is made once, and its values
+    for every pair come from one ``sweeps._tagged_values`` read of the
+    pairs' entry tables, stacked one column per pair; the expected side is
+    the chunk itself, read by ``states._slot_products`` with no tag decode.
     """
     fused = a.product(b)
     left = _stacked_entry_table([pair[1] for pair in swept], a.concat(b))
@@ -189,11 +195,11 @@ def _first_bad_units(swept, a, b) -> list[tuple[int, str]]:
     pending = np.ones(len(swept), dtype=bool)
     bad_units = []
     for x in _tagged_units(fused, len(swept)):
-        (n_left, v_left), (n_right, v_right) = (
-            _tagged_values(left, coproduct_phi(x, a, b), len(x)),
-            _tagged_values(right, x, len(x)))
-        single = (n_left == 1) & (n_right == 1)
-        bad = (v_left != v_right) | ~single[:, None]
+        n_left, v_left = _tagged_values(left, coproduct_phi(x, a, b), len(x))
+        # the chunk is its own unit list, one term per unit: its values
+        # need no tag read, and each unit has exactly one
+        v_right = _slot_products(right, x.rows, x.cols)
+        bad = (v_left != v_right) | (n_left != 1)[:, None]
         failing = np.flatnonzero(pending & bad.any(axis=0))
         for q, k in zip(failing, bad[:, failing].argmax(axis=0)):
             bad_units.append((swept[q][0], _unit_name(x, k)))

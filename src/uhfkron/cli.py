@@ -33,12 +33,19 @@ never load ``atoms``, ``checks``, ``gns`` or ``sweeps``, and
 ``coproduct`` not ``states`` either.  ``atom-product`` loads ``labels``
 alone, and it, ``-h``, a usage error and a bad ``--tol`` load no numpy:
 building the argument parser loads nothing.
+
+:func:`cli_run` runs one request in the calling process and changes no
+interpreter state.  :func:`main`, the process entry point, runs its one
+request with the cyclic garbage collector off and freezes the heap
+before the process exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import re
 import sys
 
@@ -316,4 +323,27 @@ def cli_run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_run(sys.argv[1:]))
+    """The process entry point (``python -m uhfkron``, the ``uhfkron``
+    script): run the one request of ``sys.argv`` and exit with its code.
+
+    The request runs with the cyclic garbage collector off, and the heap is
+    frozen (``gc.freeze``) before the collector is turned back on, so
+    neither the imports nor interpreter teardown walk the objects that
+    numpy and the package made.  A request leaves about 340 cyclic objects
+    (its argument parser), whatever its size, so the process grows by no
+    more than that.  A reader that closes the pipe early ends the request
+    with exit code 1 and nothing on stderr.
+    """
+    gc.disable()
+    try:
+        code = cli_run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python documentation advises: the standard streams are
+        # flushed again at exit, so what is left of stdout goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    finally:
+        gc.freeze()
+        gc.enable()
+    sys.exit(code)

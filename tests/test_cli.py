@@ -609,3 +609,108 @@ def test_density_near_the_float_limit_prints_no_warning():
         "code": "validation",
         "message": "trace differs from 1 by inf (> 1e-10)"}}
     assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# the process entry point: main runs its one request without the cyclic
+# collector and freezes the heap before exit; cli_run changes neither
+# ---------------------------------------------------------------------------
+
+def _python(*args, **options):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.Popen([sys.executable, *args],
+                            env=dict(os.environ, PYTHONPATH=src), **options)
+
+
+def _child_json(code: str, *argv):
+    import subprocess
+
+    proc = _python("-c", code, *argv, stdout=subprocess.PIPE,
+                   stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == "", err
+    return json.loads(out.splitlines()[-1])
+
+
+def test_a_closed_pipe_ends_main_quietly():
+    # the reader takes one byte of a ~150 kB term list and closes the
+    # pipe: no BrokenPipeError traceback, exit code 1, nothing on stderr
+    import subprocess
+
+    expr = " + ".join(f"E[64]({i},{j})" for i in range(1, 65)
+                      for j in range(1, 65))
+    proc = _python("-m", "uhfkron", "coproduct", "--a", "8", "--b", "8",
+                   "--expr", expr, stdout=subprocess.PIPE,
+                   stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+def test_cli_run_leaves_the_collector_as_it_was():
+    import gc
+
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli_run(["eval", "--state", "diag(1,0)", "--expr", "E[2](1,1)"]) == 0
+    assert cli_run(["nope"]) == 1
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_main_runs_without_the_collector_and_returns_it_enabled():
+    report = _child_json(
+        "import gc, json, sys\n"
+        "import uhfkron.cli as cli\n"
+        "real, during = cli.cli_run, []\n"
+        "def spy(argv):\n"
+        "    during.append(gc.isenabled())\n"
+        "    return real(argv)\n"
+        "cli.cli_run = spy\n"
+        "sys.argv = ['uhfkron', *sys.argv[1:]]\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, during, gc.isenabled(),\n"
+        "                  gc.get_freeze_count() > 0]))\n",
+        "gns", "--state", "diag(0.25,0.75)")
+    assert report == [0, [False], True, True]
+
+
+def test_collector_off_leaves_the_same_garbage_at_every_size():
+    # with the collector off, what a warmed request leaves behind (its
+    # argument parser) does not grow with the request's size
+    state = "diag(" + ",".join(["0.015625"] * 64) + ")"
+    units = [f"E[64]({i},{j})" for i in range(1, 65) for j in range(1, 65)]
+    atoms = ["check", "--suite", "atom-semigroup", "--dims", "2,2",
+             "--level"]
+    pairs = [
+        (["eval", "--state", state, "--expr", units[0]],
+         ["eval", "--state", state, "--expr", " + ".join(units[:1500])]),
+        ([*atoms, "1"], [*atoms, "3"]),
+        (["gns", "--state", "diag(0.25,0.75)"],
+         ["gns", "--state", ";".join(["diag(0.25,0.75)"] * 5)]),
+    ]
+    counts = _child_json(
+        "import contextlib, gc, io, json, sys\n"
+        "from uhfkron.cli import cli_run\n"
+        "gc.disable()\n"
+        "def left(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli_run(argv) == 0\n"
+        "    return gc.collect()\n"
+        "out = []\n"
+        "for small, large in json.loads(sys.argv[1]):\n"
+        "    left(small), left(large)\n"
+        "    out.append([left(small), left(large)])\n"
+        "print(json.dumps(out))\n",
+        json.dumps(pairs))
+    for (small, large), (argv, _) in zip(counts, pairs):
+        assert small == large > 0, argv[0]

@@ -10,7 +10,9 @@ the request generator shows as such and not as a change of the CLI.
 
 ``tests/data/cli_golden.json`` was recorded by running :func:`cases`
 through :func:`run` and storing ``{"argv_sha256", "code", "stdout_sha256"}``
-per case id.
+per case id.  One case per subcommand, an error and ``-h`` also run as
+whole ``python -m uhfkron`` processes, through ``main``, and must print
+the same bytes and exit with the same code.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -26,6 +29,7 @@ import pytest
 from uhfkron.cli import cli_run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 GOLDEN = os.path.join(HERE, "data", "cli_golden.json")
 
@@ -99,3 +103,32 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", sorted(RECORDED))
 def test_cli_stdout_matches_golden(case):
     assert run(cases()[case]) == RECORDED[case]
+
+
+# one case per subcommand (check with a failure list and exit code 1), an
+# error and help
+PROCESS_CASES = (
+    "cli/401/05/eval/1500",
+    "cli/401/11/coproduct/1500",
+    "cli/401/16/tensor-state/1000",
+    "cli/401/17/boxtimes/1",
+    "cli/401/18/atom-product/3",
+    "cli/401/19/gns/2x2",
+    "check/state-associativity/L1/tol0/seed5",
+    "cli/401/21/distance/1",
+    "cli/401/32/error/parse-error/0",
+    "light/help",
+)
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_main_stdout_matches_golden(case):
+    argv = cases()[case]
+    proc = subprocess.run([sys.executable, "-m", "uhfkron", *argv],
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.stderr == b""
+    assert {"argv_sha256": _sha256(json.dumps(argv)),
+            "code": proc.returncode,
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()
+            } == RECORDED[case]

@@ -170,7 +170,8 @@ def test_unknown_name_is_the_standard_attribute_error():
 
 def test_import_cost_tool_pairs_one_request_over_two_trees(capsys,
                                                           monkeypatch):
-    # the tool as a module, with one subcommand's request: two interpreters
+    # the tool as a module, with one subcommand's request: per tree one
+    # import child and one whole `python -m uhfkron` process
     root = SRC.parent
     spec = importlib.util.spec_from_file_location(
         "import_cost", root / "tools" / "import_cost.py")
@@ -182,7 +183,11 @@ def test_import_cost_tool_pairs_one_request_over_two_trees(capsys,
     tool.main(["--rounds", "1", str(root), str(root)])
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["rounds"] == 1 and report["trees"] == [str(root)] * 2
-    [ms] = report["median_ms"].values()
-    assert list(report["median_ms"]) == ["coproduct"]
-    assert len(ms) == 2 and min(ms) > 0
-    assert list(report["median_paired_diff_ms"]) == ["coproduct"]
+    for kind in ("", "process_"):
+        [ms] = report[kind + "median_ms"].values()
+        assert list(report[kind + "median_ms"]) == ["coproduct"]
+        assert len(ms) == 2 and min(ms) > 0
+        assert list(report[kind + "median_paired_diff_ms"]) == ["coproduct"]
+    # a whole process also starts the interpreter and imports numpy
+    assert (min(report["process_median_ms"]["coproduct"])
+            > max(report["median_ms"]["coproduct"]))

@@ -1,13 +1,21 @@
 """What each CLI subcommand's import costs, paired across source trees.
 
-For every subcommand one small request runs in a fresh interpreter per
-tree.  The child first imports numpy and the standard-library modules the
-package uses, untimed; then it times ``from uhfkron.cli import cli_run``
-plus one ``cli_run`` of the request (stdout captured), with the package
-compiled from source: no bytecode is read or written for it, as in a
-checkout where none is cached.  The trees alternate: in each round and
-for each subcommand the tree that runs first takes turns.  Only the
-standard library is used.
+For every subcommand one small request runs, per tree, in two ways.
+
+- Import: in a fresh interpreter that first imports numpy and the
+  standard-library modules the package uses, untimed, the child times
+  ``from uhfkron.cli import cli_run`` plus one ``cli_run`` of the request
+  (stdout captured), with the package compiled from source: no bytecode
+  is read or written for it, as in a checkout where none is cached.
+- Process: the wall time of one whole ``python -B -m uhfkron`` process of
+  the request, with the inherited environment.  This counts what the
+  import child leaves out: start-up, numpy's import and ``main``'s own
+  work, such as the collector settings and interpreter teardown.  ``-B``
+  writes no bytecode into the trees; where a tree already holds some, the
+  process reads it.
+
+The trees alternate: in each round and for each subcommand the tree that
+runs first takes turns.  Only the standard library is used.
 
 Run from anywhere, with numpy importable:
 
@@ -15,8 +23,10 @@ Run from anywhere, with numpy importable:
 
 Each TREE is a checkout whose ``src/`` holds the package.  The last line
 of stdout is one JSON object: per subcommand the median milliseconds of
-each tree, in the order given, and with two or more trees the median of
-each later tree's paired difference to the first one.
+each tree, in the order given, for the import (``median_ms``) and the
+process (``process_median_ms``), and with two or more trees the medians
+of each later tree's paired differences to the first one
+(``median_paired_diff_ms``, ``process_median_paired_diff_ms``).
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # one small request per subcommand, each with exit code 0
@@ -82,15 +93,37 @@ def time_request(tree: Path, argv: list[str]) -> float:
     return report["ms"]
 
 
+def time_process(tree: Path, argv: list[str]) -> float:
+    """Milliseconds of one whole ``python -B -m uhfkron`` process of
+    ``argv`` over ``tree/src``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-B", "-m", "uhfkron", *argv],
+                          env=env, cwd=tree, capture_output=True, text=True,
+                          timeout=120)
+    ms = (time.perf_counter() - start) * 1e3
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: {' '.join(argv)} exited "
+                         f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    return ms
+
+
+# the two timings of a request, by the prefix of their output keys
+TIMERS = {"": time_request, "process_": time_process}
+
+
 def measure(trees: list[Path], rounds: int) -> dict:
-    """Per subcommand, each tree's times over the rounds, in tree order."""
-    times = {name: [[] for _ in trees] for name in REQUESTS}
+    """Per timing (a ``TIMERS`` key) and subcommand, each tree's times over
+    the rounds, in tree order."""
+    times = {kind: {name: [[] for _ in trees] for name in REQUESTS}
+             for kind in TIMERS}
     for r in range(rounds):
         for i, (name, argv) in enumerate(REQUESTS.items()):
             shift = (r + i) % len(trees)
             for t in range(shift, shift + len(trees)):
                 t %= len(trees)
-                times[name][t].append(time_request(trees[t], argv))
+                for kind, timer in TIMERS.items():
+                    times[kind][name][t].append(timer(trees[t], argv))
     return times
 
 
@@ -101,17 +134,17 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     trees = [tree.resolve() for tree in args.trees]
     times = measure(trees, args.rounds)
-    out = {
-        "rounds": args.rounds,
-        "trees": [str(tree) for tree in trees],
-        "median_ms": {name: [statistics.median(t) for t in per_tree]
-                      for name, per_tree in times.items()},
-    }
-    if len(trees) > 1:
-        out["median_paired_diff_ms"] = {
-            name: [statistics.median(b - a for a, b in zip(per_tree[0], t))
-                   for t in per_tree[1:]]
-            for name, per_tree in times.items()}
+    out = {"rounds": args.rounds, "trees": [str(tree) for tree in trees]}
+    for kind, per_name in times.items():
+        out[kind + "median_ms"] = {
+            name: [statistics.median(t) for t in per_tree]
+            for name, per_tree in per_name.items()}
+        if len(trees) > 1:
+            out[kind + "median_paired_diff_ms"] = {
+                name: [statistics.median(b - a
+                                         for a, b in zip(per_tree[0], t))
+                       for t in per_tree[1:]]
+                for name, per_tree in per_name.items()}
     print(json.dumps(out))
 
 
